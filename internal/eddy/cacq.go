@@ -167,7 +167,7 @@ func (c *CACQ) FeedStamped(ev workload.Event, seq, tick uint64) {
 			}
 		}
 		if done {
-			c.met.MarkOutput(c.now())
+			c.met.MarkOutputAt(c.now)
 			if c.out != nil {
 				c.out(u)
 			}

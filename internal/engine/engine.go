@@ -459,7 +459,7 @@ func (e *Engine) emit(d Delta) {
 		}
 		return
 	}
-	e.met.MarkOutput(e.now())
+	e.met.MarkOutputAt(e.now)
 	if e.out != nil {
 		e.out(d)
 	}

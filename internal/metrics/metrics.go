@@ -8,7 +8,8 @@
 // goroutine can be snapshotted concurrently from any other goroutine —
 // monitoring never round-trips through the executor's control channel.
 // The latency samples (a slice) are guarded by a small mutex taken
-// only on transition, on the first output after one, and on Snapshot.
+// only on transition, on the first output after one, and on Snapshot;
+// every other output is one atomic add and one atomic load.
 package metrics
 
 import (
@@ -50,12 +51,16 @@ type Collector struct {
 	// track double-processing).
 	MigrationWork atomic.Uint64
 
+	// awaitingOutput is armed by MarkTransition and cleared by the first
+	// output after it: the only window in which an output needs the
+	// clock and mu.
+	awaitingOutput atomic.Bool
+
 	// mu guards the transition-to-first-output latency bookkeeping
 	// (§6.3); counters above are deliberately outside it.
-	mu             sync.Mutex
-	transitionAt   time.Time
-	awaitingOutput bool
-	latencies      []time.Duration
+	mu           sync.Mutex
+	transitionAt time.Time
+	latencies    []time.Duration
 }
 
 // MarkTransition records that a plan transition was triggered now.
@@ -63,7 +68,7 @@ func (c *Collector) MarkTransition(now time.Time) {
 	c.Transitions.Add(1)
 	c.mu.Lock()
 	c.transitionAt = now
-	c.awaitingOutput = true
+	c.awaitingOutput.Store(true)
 	c.mu.Unlock()
 }
 
@@ -71,10 +76,25 @@ func (c *Collector) MarkTransition(now time.Time) {
 // transition closes the output-latency measurement.
 func (c *Collector) MarkOutput(now time.Time) {
 	c.Output.Add(1)
+	if c.awaitingOutput.Load() {
+		c.closeLatency(now)
+	}
+}
+
+// MarkOutputAt is MarkOutput for the per-result hot path: it reads
+// clock only for the first output after a transition.
+func (c *Collector) MarkOutputAt(clock func() time.Time) {
+	c.Output.Add(1)
+	if c.awaitingOutput.Load() {
+		c.closeLatency(clock())
+	}
+}
+
+func (c *Collector) closeLatency(now time.Time) {
 	c.mu.Lock()
-	if c.awaitingOutput {
+	if c.awaitingOutput.Load() {
 		c.latencies = append(c.latencies, now.Sub(c.transitionAt))
-		c.awaitingOutput = false
+		c.awaitingOutput.Store(false)
 	}
 	c.mu.Unlock()
 }
@@ -121,7 +141,7 @@ func (c *Collector) Restore(s Snapshot) {
 	c.MigrationWork.Store(s.MigrationWork)
 	c.mu.Lock()
 	c.latencies = append([]time.Duration(nil), s.OutputLatencies...)
-	c.awaitingOutput = false
+	c.awaitingOutput.Store(false)
 	c.mu.Unlock()
 }
 

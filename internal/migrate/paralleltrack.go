@@ -178,7 +178,7 @@ func (pt *ParallelTrack) emit(tr *track, d engine.Delta) {
 		}
 		pt.seen[fp] = struct{}{}
 	}
-	pt.met.MarkOutput(pt.now())
+	pt.met.MarkOutputAt(pt.now)
 	if pt.out != nil {
 		pt.out(d)
 	}

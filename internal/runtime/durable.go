@@ -56,8 +56,9 @@ func (rt *Runtime) recoverDurable(cfg Config, shards int) error {
 	start := time.Now()
 
 	type result struct {
-		rec *durable.ShardRecovery
-		err error
+		rec      *durable.ShardRecovery
+		batchEnd func()
+		err      error
 	}
 	results := make([]result, shards)
 	var wg sync.WaitGroup
@@ -67,11 +68,11 @@ func (rt *Runtime) recoverDurable(cfg Config, shards int) error {
 		if cfg.Obs != nil {
 			engCfg.Obs = cfg.Obs.Recorder(i)
 		}
+		engCfg.Output, results[i].batchEnd = cfg.shardSink(i)
 		wg.Add(1)
 		go func(i int, engCfg engine.Config) {
 			defer wg.Done()
-			rec, err := durable.RecoverShard(opts, i, engCfg, engCfg.Obs, rt.durStats)
-			results[i] = result{rec, err}
+			results[i].rec, results[i].err = durable.RecoverShard(opts, i, engCfg, engCfg.Obs, rt.durStats)
 		}(i, engCfg)
 	}
 	wg.Wait()
@@ -111,7 +112,7 @@ func (rt *Runtime) recoverDurable(cfg Config, shards int) error {
 	}
 
 	for i := 0; i < shards; i++ {
-		rt.shards = append(rt.shards, newRunnerWith(results[i].rec.Engine, cfg))
+		rt.shards = append(rt.shards, newRunnerWith(results[i].rec.Engine, cfg, results[i].batchEnd))
 		rt.dur = append(rt.dur, &durShard{log: results[i].rec.Log})
 	}
 	durable.MarkRecovery(rt.durStats, start)

@@ -79,6 +79,9 @@ type Runner struct {
 	overflow Overflow
 	shed     atomic.Uint64
 	adm      *admission.Controller // nil = admit everything
+	// batchEnd is the shard's result-batch boundary (Config.ShardOutput),
+	// a no-op when the sink does not buffer.
+	batchEnd func()
 
 	mu     sync.Mutex
 	closed bool
@@ -105,6 +108,19 @@ type Config struct {
 	// invoked on the worker goroutine; with several shards, calls are
 	// serialized across shards.
 	Engine engine.Config
+	// ShardOutput, when non-nil, gives each shard its own result sink in
+	// place of the shared Engine.Output (over which it takes precedence):
+	// it is called once per shard at construction. out receives that shard's
+	// results on its worker goroutine with no lock around the call — so
+	// never concurrently with itself, but concurrently with the other
+	// shards' sinks. batchEnd (may be nil) runs on the same goroutine
+	// after every feed message the worker has processed, and after a
+	// transition before Migrate is answered: a sink that buffers results
+	// hands them on there. The worker thus never waits on its queue or
+	// answers a control message (Flush, Metrics, Checkpoint, …) with
+	// results still buffered — after Flush returns, every result of the
+	// earlier feeds has passed a batchEnd.
+	ShardOutput func(shard int) (out engine.Output, batchEnd func())
 	// QueueSize is the input-queue capacity (default 1024), per
 	// shard. Feed blocks when the queue is full — the backpressure
 	// equivalent of the paper's buffer-overflow discussion.
@@ -149,6 +165,22 @@ type Config struct {
 // NewRunner builds and starts a single-shard Runner. The Shards field
 // of cfg is ignored; use New for a sharded Runtime.
 func NewRunner(cfg Config) (*Runner, error) {
+	return newShardRunner(cfg, 0)
+}
+
+// shardSink resolves shard i's result sink: the Config.ShardOutput
+// pair when one is configured, else the engine's own Output.
+func (cfg Config) shardSink(i int) (out engine.Output, batchEnd func()) {
+	if cfg.ShardOutput == nil {
+		return cfg.Engine.Output, nil
+	}
+	return cfg.ShardOutput(i)
+}
+
+// newShardRunner builds and starts the Runner of shard i.
+func newShardRunner(cfg Config, i int) (*Runner, error) {
+	var batchEnd func()
+	cfg.Engine.Output, batchEnd = cfg.shardSink(i)
 	if cfg.QueueSize == 0 {
 		cfg.QueueSize = 1024
 	}
@@ -164,20 +196,25 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newRunnerWith(eng, cfg), nil
+	return newRunnerWith(eng, cfg, batchEnd), nil
 }
 
 // newRunnerWith wraps an existing engine — e.g. one rebuilt by crash
 // recovery — in a started Runner. cfg supplies only the queue
-// parameters; its Engine section is ignored.
-func newRunnerWith(eng *engine.Engine, cfg Config) *Runner {
+// parameters; its Engine section is ignored. batchEnd is the boundary
+// callback of the sink the engine already emits into (nil for none).
+func newRunnerWith(eng *engine.Engine, cfg Config, batchEnd func()) *Runner {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
+	}
+	if batchEnd == nil {
+		batchEnd = func() {}
 	}
 	r := &Runner{
 		in:       make(chan message, cfg.QueueSize),
 		overflow: cfg.Overflow,
 		adm:      cfg.Admission,
+		batchEnd: batchEnd,
 		eng:      eng,
 	}
 	r.worker.Add(1)
@@ -196,6 +233,9 @@ func MustNewRunner(cfg Config) *Runner {
 
 func (r *Runner) loop() {
 	defer r.worker.Done()
+	// Results are emitted only by feeds and transitions, and each ends
+	// its message with batchEnd: every other control message finds the
+	// sink already handed off.
 	for msg := range r.in {
 		switch msg.kind {
 		case msgFeed:
@@ -208,6 +248,7 @@ func (r *Runner) loop() {
 				r.adm.CountDeadlineShed(1)
 			} else {
 				r.eng.Feed(msg.ev)
+				r.batchEnd()
 			}
 			r.adm.Release(msg.cost)
 		case msgFeedBatch:
@@ -215,6 +256,7 @@ func (r *Runner) loop() {
 				r.adm.CountDeadlineShed(len(*msg.batch))
 			} else {
 				r.eng.FeedBatch(*msg.batch)
+				r.batchEnd()
 			}
 			r.adm.Release(msg.cost)
 			putBatch(msg.batch)
@@ -222,7 +264,9 @@ func (r *Runner) loop() {
 			// Every tuple enqueued before this control message has
 			// already been processed through the old plan: channel
 			// order is the buffer-clearing phase.
-			msg.done <- r.eng.Migrate(msg.migrate)
+			err := r.eng.Migrate(msg.migrate)
+			r.batchEnd()
+			msg.done <- err
 		case msgFlush:
 			msg.done <- nil
 		case msgMetrics:

@@ -40,6 +40,8 @@ type Runtime struct {
 	obs    *obs.Set
 	adm    *admission.Controller // nil = admit everything
 
+	// outMu serializes a shared Engine.Output across shards;
+	// Config.ShardOutput sinks are per shard and never take it.
 	outMu sync.Mutex
 
 	// Durability state, nil/zero when Config.Durability is off. dur[i]
@@ -59,7 +61,8 @@ type Runtime struct {
 }
 
 // New builds a Runtime with cfg.Shards workers (default 1).
-// cfg.Engine.Output, if set, is serialized across shards.
+// cfg.Engine.Output, if set, is serialized across shards;
+// cfg.ShardOutput sinks are per shard and are not.
 // cfg.QueueSize applies per shard.
 func New(cfg Config) (*Runtime, error) {
 	shards := cfg.Shards
@@ -96,7 +99,7 @@ func New(cfg Config) (*Runtime, error) {
 			// is exact because bucket boundaries are shared.
 			cfg.Engine.Obs = cfg.Obs.Recorder(i)
 		}
-		r, err := NewRunner(cfg)
+		r, err := newShardRunner(cfg, i)
 		if err != nil {
 			for _, prev := range rt.shards {
 				prev.Close()

@@ -226,3 +226,72 @@ func TestObsStandaloneRunner(t *testing.T) {
 		t.Fatal("no feed samples recorded")
 	}
 }
+
+// TestShardOutputBatchBoundary: each shard emits into its own sink with
+// no lock around it, and every control message is answered with the
+// sink handed off — with and without durability, whose runners are
+// built on a separate path.
+func TestShardOutputBatchBoundary(t *testing.T) {
+	for _, durableOn := range []bool{false, true} {
+		type sink struct{ buffered, delivered, boundaries int }
+		sinks := make([]sink, 3)
+		cfg := Config{
+			Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 64, Strategy: core.New()},
+			Shards: len(sinks),
+			ShardOutput: func(i int) (engine.Output, func()) {
+				s := &sinks[i]
+				return func(engine.Delta) { s.buffered++ }, func() {
+					s.delivered += s.buffered
+					s.buffered = 0
+					s.boundaries++
+				}
+			},
+		}
+		if durableOn {
+			cfg.Durability.Dir = t.TempDir()
+		}
+		rt := MustNew(cfg)
+		// check reads the sinks right after a control message returned:
+		// its reply orders the workers' writes before these reads.
+		check := func(when string) {
+			t.Helper()
+			var delivered uint64
+			for i, s := range sinks {
+				if s.buffered != 0 {
+					t.Fatalf("%s: shard %d still buffers %d results", when, i, s.buffered)
+				}
+				delivered += uint64(s.delivered)
+			}
+			if out := rt.Snapshot().Output; out == 0 || delivered != out {
+				t.Fatalf("%s: %d results past a boundary, %d emitted", when, delivered, out)
+			}
+		}
+		src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 16, Seed: 7})
+		if err := rt.FeedBatch(src.Take(300)); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check("after Flush")
+		for _, ev := range src.Take(100) {
+			if err := rt.Feed(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Migrate(plan.MustLeftDeep(2, 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		check("after Migrate")
+		if _, err := rt.Metrics(); err != nil {
+			t.Fatal(err)
+		}
+		check("after Metrics")
+		rt.Close()
+		for i, s := range sinks {
+			if s.boundaries == 0 {
+				t.Fatalf("shard %d never saw a boundary", i)
+			}
+		}
+	}
+}

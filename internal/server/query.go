@@ -31,10 +31,10 @@ type query struct {
 	// shard) and migration-lifecycle tracer; the telemetry endpoint
 	// and the STATS command read it.
 	obs *obs.Set
-	// subsDropped counts subscribers disconnected for falling behind
-	// (buffer full). Exposed via STATS and /metrics — a silent drop
-	// looks identical to a quiet query from the consumer side, so the
-	// server must account for it.
+	// subsDropped counts subscribers disconnected for falling bufSize
+	// lines behind. Exposed via STATS and /metrics — a silent drop looks
+	// identical to a quiet query from the consumer side, so the server
+	// must account for it.
 	subsDropped atomic.Uint64
 	// streamMask has bit i set when stream i participates in the plan.
 	// The network boundary checks feeds against it: the engine treats
@@ -43,14 +43,18 @@ type query struct {
 	// one word covers every legal id).
 	streamMask uint64
 
+	// mu guards the subscriber set; shard workers take it once per
+	// hand-off, never per result. nsubs mirrors len(subs) for the
+	// per-result "anyone listening?" check.
 	mu      sync.Mutex
-	subs    map[int]chan string
+	subs    map[int]*subscriber
+	nsubs   atomic.Int32
 	nextSub int
-	bufSize int
+	bufSize int // lines a subscriber may fall behind before it is dropped
 }
 
 func newQuery(name string, cfg pipeline.Config, bufSize int, admCfg admission.Config) (*query, error) {
-	q := &query{name: name, subs: make(map[int]chan string), bufSize: bufSize}
+	q := &query{name: name, subs: make(map[int]*subscriber), bufSize: bufSize}
 	if cfg.Engine.Plan != nil {
 		for _, id := range cfg.Engine.Plan.Streams.Streams() {
 			q.streamMask |= 1 << id
@@ -58,7 +62,10 @@ func newQuery(name string, cfg pipeline.Config, bufSize int, admCfg admission.Co
 	}
 	q.obs = obs.NewSet(name, 0)
 	cfg.Obs = q.obs
-	cfg.Engine.Output = q.broadcast
+	cfg.ShardOutput = func(int) (engine.Output, func()) {
+		e := &egress{q: q}
+		return e.emit, e.flush
+	}
 	// Each query gets its own controller from the server template:
 	// rate, budget, and deadline are per query (queries don't share a
 	// bucket), while the connection cap stays server-wide and is
@@ -86,33 +93,6 @@ func newQuery(name string, cfg pipeline.Config, bufSize int, admCfg admission.Co
 	return q, nil
 }
 
-// broadcast fans one result out to the query's subscribers; it runs on
-// the query's worker goroutine and must not block, so stalled
-// subscribers are dropped — counted and traced, never silently.
-func (q *query) broadcast(d engine.Delta) {
-	verb := "RESULT"
-	if d.Retraction {
-		verb = "RETRACT"
-	}
-	line := fmt.Sprintf("%s %d %s", verb, d.Tuple.Key, d.Tuple.Fingerprint())
-	q.mu.Lock()
-	for id, ch := range q.subs {
-		select {
-		case ch <- line:
-		default:
-			close(ch)
-			delete(q.subs, id)
-			q.subsDropped.Add(1)
-			q.obs.Tracer.Emit(obs.Event{
-				Kind: obs.EvSubscriberDropped, Query: q.name,
-				Key:  int64(id),
-				Note: fmt.Sprintf("subscriber %d fell %d lines behind; disconnected", id, q.bufSize),
-			})
-		}
-	}
-	q.mu.Unlock()
-}
-
 // dropped returns the number of subscribers disconnected for falling
 // behind.
 func (q *query) dropped() uint64 { return q.subsDropped.Load() }
@@ -123,30 +103,33 @@ func (q *query) hasStream(id tuple.StreamID) bool {
 	return q.streamMask&(1<<id) != 0
 }
 
-func (q *query) subscribe() (int, chan string) {
+func (q *query) subscribe() (int, *subscriber) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	id := q.nextSub
 	q.nextSub++
-	ch := make(chan string, q.bufSize)
-	q.subs[id] = ch
-	return id, ch
+	s := newSubscriber()
+	q.subs[id] = s
+	q.nsubs.Store(int32(len(q.subs)))
+	return id, s
+}
+
+// remove closes and forgets subscriber id; callers hold q.mu.
+func (q *query) remove(id int) {
+	if s, ok := q.subs[id]; ok {
+		s.close()
+		delete(q.subs, id)
+		q.nsubs.Store(int32(len(q.subs)))
+	}
 }
 
 func (q *query) unsubscribe(id int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if ch, ok := q.subs[id]; ok {
-		close(ch)
-		delete(q.subs, id)
-	}
+	q.remove(id)
 }
 
-func (q *query) subscribers() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.subs)
-}
+func (q *query) subscribers() int { return int(q.nsubs.Load()) }
 
 // checkpoint writes the query's state to path. A single-shard query
 // produces one file; a sharded one produces path.0 … path.N-1, one
@@ -181,9 +164,8 @@ func (q *query) checkpoint(path string) error {
 func (q *query) close() {
 	q.runner.Close()
 	q.mu.Lock()
-	for id, ch := range q.subs {
-		close(ch)
-		delete(q.subs, id)
+	for id := range q.subs {
+		q.remove(id)
 	}
 	q.mu.Unlock()
 }

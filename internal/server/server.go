@@ -30,9 +30,16 @@
 //
 // Responses: "OK", "ERR <msg>", "STATS <...>", "PLAN <plan>",
 // "QUERIES <names...>"; streamed results are "RESULT <key>
-// <fingerprint>" and "RETRACT <key> <fingerprint>" lines. Subscribers
-// with stalled connections are disconnected rather than allowed to
-// block a query; every such drop is counted (subs_dropped) and traced.
+// <fingerprint>" and "RETRACT <key> <fingerprint>" lines. Results leave
+// in batches: each is encoded once into its shard's chunk, and the
+// chunk is handed to the subscribers when the ingest batch that
+// produced it ends (a lone FEED's results go out at once) or reaches
+// 32 KiB; a subscriber connection gets everything handed off since its
+// last write in one write. A SUBSCRIBE starts at a line boundary of
+// that stream. Subscribers with stalled connections are disconnected
+// rather than allowed to block a query — one that is SubscriberBuffer
+// lines behind when more results arrive; every such drop is counted
+// (subs_dropped) and traced.
 //
 // The STATS response is one line of space-separated key=value fields
 // (all unsigned decimal, unknown fields must be ignored by clients):
@@ -43,7 +50,8 @@
 //	                                            0 until samples exist)
 //	episodes                                    completion episodes run
 //	subs_dropped                                subscribers dropped for
-//	                                            falling behind
+//	                                            falling SubscriberBuffer
+//	                                            lines behind
 //	batch_fill_p50                              median realized ingest
 //	                                            batch size, in tuples
 //	                                            (0 until batches flow)
@@ -124,14 +132,19 @@ type Config struct {
 	// overflow policy, shard count). Setting its Shards field above 1
 	// hash-partitions every hosted query across that many worker
 	// shards; CHECKPOINT then writes one file per shard
-	// (<path>.0 … <path>.N-1). Its Engine.Output is owned by the
-	// server and must be nil. Engine.Plan may be nil to start the
+	// (<path>.0 … <path>.N-1). Its Engine.Output and ShardOutput are
+	// owned by the server and must be nil. Engine.Plan may be nil to start the
 	// server with no default query (CREATE adds queries at runtime).
 	// Its Durability field is owned by the server and must be zero;
 	// set Config.Durable instead.
 	Pipeline pipeline.Config
-	// SubscriberBuffer is the per-subscriber line buffer (default
-	// 1024); a subscriber that falls this far behind is dropped.
+	// SubscriberBuffer is how many result lines a subscriber may fall
+	// behind (default 1024): one that is this far behind when further
+	// results are handed to it is disconnected and counted in
+	// subs_dropped. The bound is in lines, not hand-offs — a single
+	// batch's results never drop a subscriber that has kept up — and
+	// the memory held for a stalled subscriber is at most this many
+	// lines plus one 32 KiB chunk.
 	SubscriberBuffer int
 	// Durable, when enabled (Dir set), makes every mutating command
 	// durable: FEED and MIGRATE are write-ahead logged per query shard
@@ -211,8 +224,8 @@ type Server struct {
 // carries a plan). With durability enabled it first recovers every
 // query recorded in the catalog. Call Listen to accept connections.
 func New(cfg Config) (*Server, error) {
-	if cfg.Pipeline.Engine.Output != nil {
-		return nil, errors.New("server: Engine.Output is owned by the server")
+	if cfg.Pipeline.Engine.Output != nil || cfg.Pipeline.ShardOutput != nil {
+		return nil, errors.New("server: Engine.Output and ShardOutput are owned by the server")
 	}
 	if cfg.Pipeline.Durability.Enabled() {
 		return nil, errors.New("server: Pipeline.Durability is owned by the server; set Config.Durable")
@@ -611,8 +624,7 @@ type lockedWriter struct {
 // writeLine buffers one line without flushing: the command loop
 // flushes once per drained read buffer (just before it would block on
 // the next read) so a pipelined burst of commands costs one write
-// syscall for all its acks, and streamers flush when their channel
-// runs dry.
+// syscall for all its acks.
 func (lw *lockedWriter) writeLine(format string, args ...any) error {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
@@ -624,11 +636,21 @@ func (lw *lockedWriter) writeLine(format string, args ...any) error {
 	return err
 }
 
-func (lw *lockedWriter) flush() error {
+func (lw *lockedWriter) flush() error { return lw.writeChunk(nil) }
+
+// writeChunk flushes the buffered acks and then sends chunk — a
+// subscriber's whole result lines — in one socket write of its own: the
+// acks ahead of it (the SUBSCRIBE's own OK) keep their place, the chunk
+// is not copied through the ack buffer, and the deadline is armed once
+// for all its lines.
+func (lw *lockedWriter) writeChunk(chunk []byte) error {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	lw.armDeadline()
 	err := lw.w.Flush()
+	if err == nil && len(chunk) > 0 {
+		_, err = lw.conn.Write(chunk)
+	}
 	if err != nil {
 		// A timed-out or failed write leaves the protocol stream torn
 		// mid-line; the connection is unusable either way. Closing it
@@ -899,26 +921,25 @@ func (s *Server) handle(conn net.Conn) {
 				werr = respond(fmt.Errorf("already subscribed to %q", q.name))
 				break
 			}
-			id, ch := q.subscribe()
+			id, su := q.subscribe()
 			subs = append(subs, sub{q: q, id: id})
 			werr = respond(nil)
 			subWG.Add(1)
 			go func() {
 				defer subWG.Done()
-				for l := range ch {
-					if err := lw.writeLine("%s", l); err != nil {
+				// One socket write for everything handed off since the
+				// last one: bursts batch up, a lone result still goes
+				// out as soon as its batch ends.
+				var chunk []byte
+				for {
+					var ok bool
+					if chunk, ok = su.take(chunk); !ok {
 						return
 					}
-					// Flush when the channel runs dry: bursts batch
-					// into one write, a lone result still goes out
-					// immediately.
-					if len(ch) == 0 {
-						if err := lw.flush(); err != nil {
-							return
-						}
+					if lw.writeChunk(chunk) != nil {
+						return
 					}
 				}
-				lw.flush()
 			}()
 		case "AUTO":
 			action, qname, _ := strings.Cut(strings.TrimSpace(rest), " ")
@@ -1028,7 +1049,7 @@ func (s *Server) handle(conn net.Conn) {
 			werr = respond(err)
 		case "DROP":
 			// Dropping a query this connection subscribes to closes
-			// that subscription channel; its streamer exits cleanly.
+			// that subscription; its streamer exits cleanly.
 			werr = respond(s.drop(strings.TrimSpace(rest)))
 		case "LIST":
 			werr = lw.writeLine("QUERIES %s", strings.Join(s.Queries(), " "))

@@ -190,9 +190,11 @@ func TestSubscriberDropCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.close()
-	_, ch := q.subscribe()
-	for i := 0; i < 4; i++ { // buffer is 2: the third send overflows
-		q.broadcast(engine.Delta{Tuple: tuple.NewBase(0, uint64(i+1), 7, uint64(i+1))})
+	_, su := q.subscribe()
+	e := &egress{q: q}
+	for i := 0; i < 4; i++ { // buffer is 2: the third hand-off overflows
+		e.emit(engine.Delta{Tuple: tuple.NewBase(0, uint64(i+1), 7, uint64(i+1))})
+		e.flush()
 	}
 	if got := q.dropped(); got != 1 {
 		t.Fatalf("dropped = %d, want 1", got)
@@ -200,8 +202,13 @@ func TestSubscriberDropCounted(t *testing.T) {
 	if q.subscribers() != 0 {
 		t.Fatalf("subscriber still registered after drop")
 	}
-	if _, open := <-ch; !open {
-		// channel closed after draining buffered lines — expected
+	// The lines handed off before the drop still drain; then the stream
+	// ends.
+	if chunk, ok := su.take(nil); !ok || string(chunk) != "RESULT 7 0#1\nRESULT 7 0#2\n" {
+		t.Fatalf("drained %q, %v", chunk, ok)
+	}
+	if _, ok := su.take(nil); ok {
+		t.Fatal("dropped subscriber's stream did not end")
 	}
 	found := false
 	for _, ev := range q.obs.Tracer.Events() {

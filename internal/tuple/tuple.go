@@ -241,19 +241,27 @@ func (t *Tuple) IsBase() bool { return len(t.Refs) == 1 }
 // cross-strategy equivalence tests and the Parallel Track duplicate
 // eliminator compare outputs.
 func (t *Tuple) Fingerprint() string {
-	// Hot path: Parallel Track dedups every root emission through this
-	// string, and the sim harness fingerprints every output of every
-	// engine. Append digits directly instead of going through fmt.
-	buf := make([]byte, 0, 8*len(t.Refs))
+	return string(t.AppendFingerprint(make([]byte, 0, 8*len(t.Refs))))
+}
+
+// AppendFingerprint appends the fingerprint — "stream#seq" per ref,
+// joined by '|' — to dst and returns the extended slice. It is the one
+// encoder behind Fingerprint and the server's result lines; with spare
+// capacity in dst it allocates nothing.
+func (t *Tuple) AppendFingerprint(dst []byte) []byte {
+	// Hot path: Parallel Track dedups every root emission through this,
+	// the sim harness fingerprints every output of every engine, and the
+	// server encodes every delivered result. Append digits directly
+	// instead of going through fmt.
 	for i, r := range t.Refs {
 		if i > 0 {
-			buf = append(buf, '|')
+			dst = append(dst, '|')
 		}
-		buf = strconv.AppendUint(buf, uint64(r.Stream), 10)
-		buf = append(buf, '#')
-		buf = strconv.AppendUint(buf, r.Seq, 10)
+		dst = strconv.AppendUint(dst, uint64(r.Stream), 10)
+		dst = append(dst, '#')
+		dst = strconv.AppendUint(dst, r.Seq, 10)
 	}
-	return string(buf)
+	return dst
 }
 
 func (t *Tuple) String() string {

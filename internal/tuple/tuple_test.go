@@ -271,3 +271,32 @@ func TestOldestTracking(t *testing.T) {
 		t.Fatalf("base Oldest = %d, want its own arrival", a.Oldest)
 	}
 }
+
+// TestAppendFingerprint: the append form is the one encoder behind
+// Fingerprint — same bytes, after whatever dst already holds — and
+// allocates nothing when dst has room.
+func TestAppendFingerprint(t *testing.T) {
+	tp := &Tuple{Key: 3, Refs: []Ref{{0, 0}, {7, 12345678901}, {63, 18446744073709551615}}}
+	if got := tp.Fingerprint(); got != "0#0|7#12345678901|63#18446744073709551615" {
+		t.Fatalf("fingerprint = %q", got)
+	}
+	if got := string(tp.AppendFingerprint([]byte("RESULT 3 "))); got != "RESULT 3 "+tp.Fingerprint() {
+		t.Fatalf("appended = %q", got)
+	}
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() { buf = tp.AppendFingerprint(buf[:0]) }); allocs != 0 {
+		t.Fatalf("%v allocations per append, want 0", allocs)
+	}
+}
+
+var fingerprintSink []byte
+
+func BenchmarkAppendFingerprint(b *testing.B) {
+	tp := &Tuple{Key: 7, Refs: []Ref{{0, 123456}, {1, 7}, {2, 99}}}
+	buf := make([]byte, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = tp.AppendFingerprint(buf[:0])
+	}
+	fingerprintSink = buf
+}
