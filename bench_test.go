@@ -22,8 +22,8 @@ import (
 	"jisc/internal/eddy"
 	"jisc/internal/engine"
 	"jisc/internal/migrate"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/testseed"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
@@ -433,17 +433,18 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionedThroughput compares single-runner and
-// partitioned feeding (4 partitions) through the concurrent harness.
+// BenchmarkPartitionedThroughput compares one-shard and four-shard
+// feeding through the concurrent harness.
 func BenchmarkPartitionedThroughput(b *testing.B) {
 	for _, parts := range []int{1, 4} {
 		b.Run(fmt.Sprintf("partitions-%d", parts), func(b *testing.B) {
-			pp := pipeline.MustNewPartitioned(pipeline.Config{
+			pp := runtime.MustNew(runtime.Config{
 				Engine: engine.Config{
 					Plan: benchPlan(4), WindowSize: benchWindow, Strategy: core.New(),
 				},
 				QueueSize: 4096,
-			}, parts)
+				Shards:    parts,
+			})
 			defer pp.Close()
 			src := benchSource(4)
 			b.ResetTimer()

@@ -47,8 +47,8 @@ import (
 	"jisc/internal/durable"
 	"jisc/internal/engine"
 	"jisc/internal/migrate"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/server"
 )
 
@@ -155,9 +155,9 @@ func main() {
 	default:
 		die(fmt.Errorf("unknown strategy %q", *strat))
 	}
-	overflow := pipeline.Block
+	overflow := runtime.Block
 	if *shedding {
-		overflow = pipeline.Shed
+		overflow = runtime.Shed
 	}
 	stateBudget, err := parseStateBudget(*budget)
 	if err != nil {
@@ -170,12 +170,8 @@ func main() {
 
 	var dur durable.Options
 	if *walDir != "" {
-		if *shedding {
-			die(fmt.Errorf("-shed cannot be combined with -wal: a shed tuple would be logged but dropped, so replay would resurrect it"))
-		}
-		if *feedDeadline > 0 {
-			die(fmt.Errorf("-feed-deadline cannot be combined with -wal: a deadline-shed batch would already be logged, so replay would resurrect it"))
-		}
+		// -shed and -feed-deadline are refused with -wal by the runtime's
+		// own validation, which reaches die through server.New.
 		policy, err := durable.ParsePolicy(*fsyncMode)
 		if err != nil {
 			die(err)
@@ -189,7 +185,7 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Pipeline: pipeline.Config{
+		Pipeline: runtime.Config{
 			Engine: engine.Config{
 				Plan:        p,
 				WindowSize:  *window,

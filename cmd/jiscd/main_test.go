@@ -162,19 +162,29 @@ func TestJiscdSurvivesSIGKILL(t *testing.T) {
 	}
 }
 
-// -shed with -wal must be rejected at startup: shed tuples would be
-// logged but dropped, so replay would resurrect them.
+// -shed or -feed-deadline with -wal must be rejected at startup: a
+// tuple dropped after (or instead of) its log append would make replay
+// diverge from the live run. The runtime's validation is the one check;
+// its error must reach the start-up output.
 func TestJiscdRejectsShedWithWAL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
 	bin := buildJiscd(t)
-	cmd := exec.Command(bin, "-wal", t.TempDir(), "-shed")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("jiscd accepted -shed with -wal:\n%s", out)
-	}
-	if !strings.Contains(string(out), "shed") {
-		t.Fatalf("unhelpful error:\n%s", out)
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-shed"}, "shed"},
+		{[]string{"-feed-deadline", "1s"}, "deadline"},
+	} {
+		cmd := exec.Command(bin, append([]string{"-wal", t.TempDir()}, tc.flags...)...)
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("jiscd accepted %v with -wal:\n%s", tc.flags, out)
+		}
+		if !strings.Contains(string(out), tc.want) || !strings.Contains(string(out), "durability") {
+			t.Fatalf("%v: unhelpful error:\n%s", tc.flags, out)
+		}
 	}
 }

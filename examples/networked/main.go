@@ -17,15 +17,15 @@ import (
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/server"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
 
 func main() {
-	srv, err := server.New(server.Config{Pipeline: pipeline.Config{
+	srv, err := server.New(server.Config{Pipeline: runtime.Config{
 		Engine: engine.Config{
 			Plan:       plan.MustLeftDeep(0, 1, 2),
 			WindowSize: 2000,

@@ -10,8 +10,8 @@ import (
 // controller tests.
 type clock struct{ t time.Time }
 
-func newClock() *clock              { return &clock{t: time.Unix(1000, 0)} }
-func (c *clock) now() time.Time     { return c.t }
+func newClock() *clock               { return &clock{t: time.Unix(1000, 0)} }
+func (c *clock) now() time.Time      { return c.t }
 func (c *clock) add(d time.Duration) { c.t = c.t.Add(d) }
 
 func TestZeroConfigAdmitsEverything(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/durable"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/runtime"
 	"jisc/internal/server"
 	"jisc/internal/workload"
@@ -142,7 +141,7 @@ func BatchBench(cfg Config, batches []int, w io.Writer) (BatchReport, error) {
 				dur = opts
 			}
 			srv, err := server.New(server.Config{
-				Pipeline: pipeline.Config{
+				Pipeline: runtime.Config{
 					Engine: engine.Config{
 						Plan:       initialPlan(streams),
 						WindowSize: cfg.Window,

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"jisc/internal/storage"
 )
 
 // The catalog is the server-level log of query topology: one CREATE
@@ -27,12 +29,12 @@ type CatalogEntry struct {
 
 // Catalog is the open, appendable catalog log.
 type Catalog struct {
-	fs   FS
+	fs   storage.FS
 	path string
 	dir  string
 
 	mu     sync.Mutex
-	f      File
+	f      storage.File
 	seq    uint64
 	buf    []byte
 	closed bool

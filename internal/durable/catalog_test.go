@@ -2,6 +2,8 @@ package durable
 
 import (
 	"testing"
+
+	"jisc/internal/storage"
 )
 
 func reopenCatalog(t *testing.T, dir string, stats *Stats) (*Catalog, []CatalogEntry) {
@@ -71,11 +73,11 @@ func TestCatalogTruncatesTornTail(t *testing.T) {
 	c.Close()
 
 	path := CatalogPath(dir)
-	n, err := OS().Size(path)
+	n, err := storage.OS().Size(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := OS().Truncate(path, n-2); err != nil {
+	if err := storage.OS().Truncate(path, n-2); err != nil {
 		t.Fatal(err)
 	}
 	stats := &Stats{}
@@ -107,7 +109,7 @@ func TestCatalogRejectsForeignRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := OS().Create(CatalogPath(dir))
+	f, err := storage.OS().Create(CatalogPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestCatalogCrashConsistency(t *testing.T) {
 			}
 		}
 		c.Close()
-		n, err := OS().Size(CatalogPath(dir))
+		n, err := storage.OS().Size(CatalogPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +142,7 @@ func TestCatalogCrashConsistency(t *testing.T) {
 	}()
 	for budget := int64(0); budget <= full; budget++ {
 		dir := t.TempDir()
-		crash := NewCrashFS(OS(), budget)
+		crash := storage.NewCrashFS(storage.OS(), budget)
 		c, _, _, err := OpenCatalog(Options{Dir: dir, FS: crash}, nil)
 		if err != nil {
 			continue // crashed before the catalog existed

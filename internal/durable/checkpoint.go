@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"jisc/internal/storage"
 )
 
 // Checkpoint files (and every snapshot the server's CHECKPOINT command
@@ -64,7 +66,7 @@ func decodeEnvelope(data []byte) ([]byte, error) {
 // WriteSnapshotFile writes payload to path inside the validated
 // envelope, atomically: temp file, fsync, rename, directory fsync.
 // A reader never observes a partial file under path.
-func WriteSnapshotFile(fs FS, path string, payload []byte) error {
+func WriteSnapshotFile(fs storage.FS, path string, payload []byte) error {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
@@ -93,7 +95,7 @@ func WriteSnapshotFile(fs FS, path string, payload []byte) error {
 
 // ReadSnapshotFile reads path and validates its envelope, returning
 // the payload.
-func ReadSnapshotFile(fs FS, path string) ([]byte, error) {
+func ReadSnapshotFile(fs storage.FS, path string) ([]byte, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
@@ -125,7 +127,7 @@ func parseCheckpointName(name string) (uint64, bool) {
 
 // writeCheckpoint writes a shard checkpoint covering WAL records up to
 // and including seq, then prunes old checkpoints down to keep.
-func writeCheckpoint(fs FS, dir string, seq uint64, payload []byte, keep int) error {
+func writeCheckpoint(fs storage.FS, dir string, seq uint64, payload []byte, keep int) error {
 	if err := WriteSnapshotFile(fs, filepath.Join(dir, checkpointName(seq)), payload); err != nil {
 		return err
 	}
@@ -146,7 +148,7 @@ func WriteShardCheckpoint(opts Options, shard int, seq uint64, payload []byte) e
 }
 
 // pruneCheckpoints removes all but the newest keep checkpoint files.
-func pruneCheckpoints(fs FS, dir string, keep int) error {
+func pruneCheckpoints(fs storage.FS, dir string, keep int) error {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return err
@@ -174,7 +176,7 @@ func pruneCheckpoints(fs FS, dir string, keep int) error {
 // returns the covered sequence number and payload, or (0, nil) when no
 // valid checkpoint exists. skipped counts checkpoints that failed
 // validation on the way.
-func latestCheckpoint(fs FS, dir string) (seq uint64, payload []byte, skipped int, err error) {
+func latestCheckpoint(fs storage.FS, dir string) (seq uint64, payload []byte, skipped int, err error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return 0, nil, 0, err

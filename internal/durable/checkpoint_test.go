@@ -5,16 +5,18 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"jisc/internal/storage"
 )
 
 func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.snap")
 	payload := []byte("engine state bytes")
-	if err := WriteSnapshotFile(OS(), path, payload); err != nil {
+	if err := WriteSnapshotFile(storage.OS(), path, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshotFile(OS(), path)
+	got, err := ReadSnapshotFile(storage.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +74,11 @@ func TestCheckpointAtomicUnderCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 		crashOpts := opts
-		crashOpts.FS = NewCrashFS(OS(), budget)
+		crashOpts.FS = storage.NewCrashFS(storage.OS(), budget)
 		// The crashing write may fail; that's the point.
 		err := WriteShardCheckpoint(crashOpts, 0, 2, newPayload)
 
-		seq, payload, _, lerr := latestCheckpoint(OS(), ShardDir(dir, 0))
+		seq, payload, _, lerr := latestCheckpoint(storage.OS(), ShardDir(dir, 0))
 		if lerr != nil {
 			t.Fatalf("budget %d: latestCheckpoint: %v", budget, lerr)
 		}
@@ -106,7 +108,7 @@ func TestCheckpointPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names, err := OS().ReadDir(ShardDir(dir, 0))
+	names, err := storage.OS().ReadDir(ShardDir(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestLatestCheckpointFallsBackPastCorruption(t *testing.T) {
 	// Hand-plant a corrupt newer checkpoint, bypassing the atomic
 	// writer (as a buggy copy or partial scp might).
 	bad := filepath.Join(ShardDir(dir, 0), checkpointName(9))
-	f, err := OS().Create(bad)
+	f, err := storage.OS().Create(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestLatestCheckpointFallsBackPastCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	seq, payload, skipped, err := latestCheckpoint(OS(), ShardDir(dir, 0))
+	seq, payload, skipped, err := latestCheckpoint(storage.OS(), ShardDir(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"jisc/internal/storage"
 )
 
 // Policy selects when the write-ahead log fsyncs.
@@ -119,7 +121,7 @@ type Options struct {
 	KeepCheckpoints int
 	// FS overrides the filesystem, for fault injection. Default: the
 	// real one.
-	FS FS
+	FS storage.FS
 }
 
 // Enabled reports whether the options turn durability on.
@@ -149,7 +151,7 @@ func (o Options) WithDefaults() Options {
 		o.KeepCheckpoints = defaultKeepCheckpoints
 	}
 	if o.FS == nil {
-		o.FS = OS()
+		o.FS = storage.OS()
 	}
 	return o
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"jisc/internal/obs"
+	"jisc/internal/storage"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -41,7 +42,7 @@ func parseSegmentName(name string) (uint64, bool) {
 
 // listSegments returns dir's log segments sorted by first sequence
 // number.
-func listSegments(fs FS, dir string) ([]segment, error) {
+func listSegments(fs storage.FS, dir string) ([]segment, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -62,7 +63,7 @@ func listSegments(fs FS, dir string) ([]segment, error) {
 // is flushed by the appender (FsyncAlways) or by a background flusher
 // on the group-commit interval (FsyncBatch, FsyncOff).
 type Log struct {
-	fs       FS
+	fs       storage.FS
 	dir      string
 	policy   Policy
 	flushInt time.Duration
@@ -71,7 +72,7 @@ type Log struct {
 	stats    *Stats
 
 	mu      sync.Mutex
-	f       File
+	f       storage.File
 	w       *bufio.Writer
 	dirty   bool
 	seq     uint64 // last assigned record sequence number

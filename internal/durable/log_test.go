@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"jisc/internal/storage"
 	"jisc/internal/tuple"
 )
 
@@ -154,7 +155,7 @@ func TestLogCrashLeavesDecodablePrefix(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		n, err := OS().Size(filepath.Join(dir, segmentName(1)))
+		n, err := storage.OS().Size(filepath.Join(dir, segmentName(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,9 +164,9 @@ func TestLogCrashLeavesDecodablePrefix(t *testing.T) {
 	for budget := int64(0); budget <= full; budget++ {
 		dir := filepath.Join(t.TempDir(), "wal")
 		opts := testOptions(dir)
-		crash := NewCrashFS(OS(), budget)
+		crash := storage.NewCrashFS(storage.OS(), budget)
 		opts.FS = crash
-		if err := OS().MkdirAll(dir); err != nil {
+		if err := storage.OS().MkdirAll(dir); err != nil {
 			t.Fatal(err)
 		}
 		l, err := openLogAt(opts, dir, nil, &Stats{}, 0, nil, 0)
@@ -180,7 +181,7 @@ func TestLogCrashLeavesDecodablePrefix(t *testing.T) {
 			applied++
 		}
 		l.Close()
-		data, err := readFile(OS(), filepath.Join(dir, segmentName(1)))
+		data, err := readFile(storage.OS(), filepath.Join(dir, segmentName(1)))
 		if err != nil {
 			if budget == 0 {
 				continue // crash before the segment was even created

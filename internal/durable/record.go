@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"jisc/internal/storage"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -161,7 +162,7 @@ func appendFrame(buf []byte, r Record) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("durable: encoding unknown record kind %d", r.Kind)
 	}
-	SealFrame(buf, start)
+	storage.SealFrame(buf, start)
 	return buf, nil
 }
 
@@ -299,7 +300,7 @@ func takeString16(b []byte, what string) (string, []byte, error) {
 func scanFrames(data []byte, fn func(Record) error) (int64, error) {
 	off := 0
 	for {
-		payload, n, ok := NextFrame(data[off:], maxPayload)
+		payload, n, ok := storage.NextFrame(data[off:], maxPayload)
 		if !ok {
 			return int64(off), nil
 		}

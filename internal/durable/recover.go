@@ -10,6 +10,7 @@ import (
 	"jisc/internal/engine"
 	"jisc/internal/obs"
 	"jisc/internal/plan"
+	"jisc/internal/storage"
 	"jisc/internal/workload"
 )
 
@@ -185,7 +186,7 @@ func MarkRecovery(stats *Stats, start time.Time) {
 	}
 }
 
-func readFile(fs FS, path string) ([]byte, error) {
+func readFile(fs storage.FS, path string) ([]byte, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/engine"
 	"jisc/internal/plan"
+	"jisc/internal/storage"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -224,7 +225,7 @@ func TestRecoverShardFromCheckpointPlusTail(t *testing.T) {
 		t.Fatalf("counters diverged:\n got %+v\nwant %+v", m, wantMet)
 	}
 	// Dead segments (fully covered by the checkpoint) must be gone.
-	segs, err := listSegments(OS(), dir)
+	segs, err := listSegments(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestRecoverShardFromCheckpointPlusTail(t *testing.T) {
 func TestRecoverShardDetectsGap(t *testing.T) {
 	root := t.TempDir()
 	dir := ShardDir(root, 0)
-	if err := OS().MkdirAll(dir); err != nil {
+	if err := storage.OS().MkdirAll(dir); err != nil {
 		t.Fatal(err)
 	}
 	var data []byte
@@ -257,7 +258,7 @@ func TestRecoverShardDetectsGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f, err := OS().Create(filepath.Join(dir, segmentName(1)))
+	f, err := storage.OS().Create(filepath.Join(dir, segmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestRecoverShardRefusesMidLogCorruption(t *testing.T) {
 		}
 	}
 	log.Close()
-	segs, err := listSegments(OS(), dir)
+	segs, err := listSegments(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +298,11 @@ func TestRecoverShardRefusesMidLogCorruption(t *testing.T) {
 		t.Fatalf("need ≥2 segments, have %d", len(segs))
 	}
 	first := filepath.Join(dir, segs[0].name)
-	n, err := OS().Size(first)
+	n, err := storage.OS().Size(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := OS().Truncate(first, n-1); err != nil {
+	if err := storage.OS().Truncate(first, n-1); err != nil {
 		t.Fatal(err)
 	}
 	_, err = RecoverShard(opts, 0, testEngineConfig(nil), nil, nil)
@@ -330,11 +331,11 @@ func TestRecoverShardTruncatesTornActiveTail(t *testing.T) {
 	}
 	log.Close()
 	seg := filepath.Join(dir, segmentName(1))
-	n, err := OS().Size(seg)
+	n, err := storage.OS().Size(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := OS().Truncate(seg, n-3); err != nil {
+	if err := storage.OS().Truncate(seg, n-3); err != nil {
 		t.Fatal(err)
 	}
 	stats := &Stats{}

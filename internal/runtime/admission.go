@@ -9,11 +9,7 @@ package runtime
 // shard workers, which release the reservation when the message
 // leaves the queue and shed it counted if its deadline passed first.
 
-import (
-	"fmt"
-
-	"jisc/internal/admission"
-)
+import "jisc/internal/admission"
 
 // EventBytes is the in-flight cost model: what one queued tuple is
 // charged against the admission controller's byte budget. It
@@ -47,22 +43,6 @@ func (rt *Runtime) admit(tuples int) (deadlineNS, cost int64, ok bool, err error
 		return 0, 0, false, admission.Busy("in-flight budget exhausted")
 	}
 	return deadline, cost, true, nil
-}
-
-// validateAdmission checks the admission section of a Config at New
-// time.
-func validateAdmission(cfg Config) error {
-	if cfg.Admission == nil {
-		return nil
-	}
-	if cfg.Admission.FeedDeadline() > 0 && cfg.Durability.Enabled() {
-		// A deadline shed happens at dequeue, after the WAL append:
-		// replay would resurrect the shed batch and recovered STATS
-		// would diverge from the live run. Rate and budget limits are
-		// fine — they act before the log.
-		return fmt.Errorf("runtime: a feed deadline cannot be combined with durability; shed before the log or not at all")
-	}
-	return nil
 }
 
 // PauseAuto suspends the autopilot's decision-making (a no-op when

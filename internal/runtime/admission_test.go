@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"jisc/internal/admission"
-	"jisc/internal/durable"
 	"jisc/internal/engine"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
@@ -148,33 +147,6 @@ func TestFeedDeadlineShedsAtDequeue(t *testing.T) {
 	if s.InflightBytes != 0 {
 		t.Fatalf("InflightBytes = %d after deadline sheds, want 0", s.InflightBytes)
 	}
-}
-
-// TestNewRejectsDeadlineWithDurability: a feed deadline sheds after the
-// WAL append, so replay would resurrect the shed batch — New must
-// refuse the combination. Rate limits act before the log and stay
-// legal.
-func TestNewRejectsDeadlineWithDurability(t *testing.T) {
-	dopts := durable.Options{Dir: "wal", Fsync: durable.FsyncOff, CheckpointInterval: -1, FS: durable.NewMemFS()}
-	eng := engine.Config{Plan: plan.MustLeftDeep(0, 1), WindowSize: 32}
-
-	if _, err := New(Config{
-		Engine:     eng,
-		Durability: dopts,
-		Admission:  admission.MustNew(admission.Config{FeedDeadline: time.Millisecond}),
-	}); err == nil {
-		t.Fatal("New accepted feed deadline + durability")
-	}
-
-	rt, err := New(Config{
-		Engine:     eng,
-		Durability: dopts,
-		Admission:  admission.MustNew(admission.Config{Rate: 1e6}),
-	})
-	if err != nil {
-		t.Fatalf("rate limit + durability refused: %v", err)
-	}
-	rt.Close()
 }
 
 // TestDrainingRuntimeRejectsBusy: once the controller drains, Feed and

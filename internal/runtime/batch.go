@@ -17,7 +17,6 @@ package runtime
 import (
 	"sync"
 
-	"jisc/internal/admission"
 	"jisc/internal/durable"
 	"jisc/internal/workload"
 )
@@ -48,74 +47,27 @@ type scatter struct {
 
 var scatterPool = sync.Pool{New: func() any { return new(scatter) }}
 
-// FeedBatch enqueues evs as one message: the tuples are processed in
-// order, observably identically to len(evs) Feed calls, but with the
-// channel send, queue slot, and (on a durable runtime) WAL frame paid
-// once. The slice is copied; the caller may reuse evs immediately.
-// Under the Shed policy a full queue drops the whole batch, counted
-// tuple by tuple in Shed. Returns ErrClosed after Close.
-func (r *Runner) FeedBatch(evs []workload.Event) error {
-	if len(evs) == 0 {
-		return nil
-	}
-	b := getBatch()
-	*b = append((*b)[:0], evs...)
-	return r.feedBatchOwned(b)
-}
-
-// feedBatchOwned enqueues a staging slice the runner now owns: it is
-// recycled by the worker after processing, or here on shed/error.
-func (r *Runner) feedBatchOwned(b *[]workload.Event) error {
-	return r.feedBatchOwnedAdmitted(b, 0, 0)
-}
-
-// feedBatchOwnedAdmitted is feedBatchOwned carrying admission
-// metadata: the cost reservation transfers to the worker on a
-// successful enqueue and is released here on queue shed or a closed
-// runner — exactly-once release on every path.
-func (r *Runner) feedBatchOwnedAdmitted(b *[]workload.Event, deadlineNS, cost int64) error {
-	m := message{kind: msgFeedBatch, batch: b, deadlineNS: deadlineNS, cost: cost}
-	if r.overflow == Shed {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.closed {
-			r.adm.Release(cost)
-			putBatch(b)
-			return ErrClosed
-		}
-		select {
-		case r.in <- m:
-		default:
-			r.shed.Add(uint64(len(*b)))
-			r.adm.Release(cost)
-			putBatch(b)
-		}
-		return nil
-	}
-	if err := r.send(m); err != nil {
-		r.adm.Release(cost)
-		putBatch(b)
-		return err
-	}
-	return nil
-}
-
 // FeedBatch scatters evs across shards by join-key hash and delivers
-// one sub-batch message per touched shard, in ascending shard order.
-// Tuples that route to the same shard keep their relative order, so
-// the per-shard outcome is identical to feeding evs one at a time;
-// tuples on different shards were never ordered relative to each other
-// to begin with (Feed interleaves them under worker scheduling too).
+// one sub-batch message per touched shard, in ascending shard order:
+// the tuples are processed in order, observably identically to
+// len(evs) Feed calls, but with the channel send and queue slot paid
+// once per shard. Tuples that route to the same shard keep their
+// relative order, so the per-shard outcome is identical to feeding evs
+// one at a time; tuples on different shards were never ordered relative
+// to each other to begin with (Feed interleaves them under worker
+// scheduling too). Under the Shed policy a full shard queue drops that
+// shard's whole sub-batch, counted tuple by tuple in Shed.
 //
 // With durability on, each touched shard appends one FEEDB record
-// carrying its whole sub-batch — one fsync per shard per batch — under
-// the same log mutex discipline as Feed, so WAL order still equals
+// carrying its whole sub-batch — one fsync per shard per batch — in the
+// same critical section as its enqueue, so WAL order still equals
 // apply order. On error, sub-batches already delivered to earlier
 // shards stay delivered (exactly the partial outcome a crash between
 // two per-event Feeds would leave); the caller may retry the whole
 // batch, which at-least-once delivery permits.
 //
-// The slice is copied; the caller may reuse evs immediately.
+// The slice is copied; the caller may reuse evs immediately. Returns
+// ErrClosed after Close.
 func (rt *Runtime) FeedBatch(evs []workload.Event) error {
 	if len(evs) == 0 {
 		return nil
@@ -125,7 +77,7 @@ func (rt *Runtime) FeedBatch(evs []workload.Event) error {
 	// returns BUSY with nothing delivered anywhere. The reservation is
 	// split across sub-batches by tuple count (shares sum exactly to
 	// the admitted total), so each shard worker releases its own part.
-	deadlineNS, _, ok, admErr := rt.admit(len(evs))
+	deadlineNS, cost, ok, admErr := rt.admit(len(evs))
 	if !ok {
 		return admErr
 	}
@@ -133,11 +85,7 @@ func (rt *Runtime) FeedBatch(evs []workload.Event) error {
 	if n == 1 {
 		b := getBatch()
 		*b = append((*b)[:0], evs...)
-		cost := batchCost(rt.adm, len(evs))
-		if rt.dur != nil {
-			return rt.feedBatchDurableOwned(0, b, cost)
-		}
-		return rt.shards[0].feedBatchOwnedAdmitted(b, deadlineNS, cost)
+		return rt.shards[0].feedBatch(b, deadlineNS, cost)
 	}
 	sc := scatterPool.Get().(*scatter)
 	if cap(sc.bufs) < n {
@@ -160,59 +108,35 @@ func (rt *Runtime) FeedBatch(evs []workload.Event) error {
 			continue
 		}
 		bufs[i] = nil
-		cost := batchCost(rt.adm, len(*b))
+		// cost is a whole number of EventBytes per tuple (0 without
+		// admission), so the proportional share is exact.
+		share := cost * int64(len(*b)) / int64(len(evs))
 		if firstErr != nil {
-			rt.adm.Release(cost) // an earlier shard failed; don't deliver a gap
+			rt.adm.Release(share) // an earlier shard failed; don't deliver a gap
 			putBatch(b)
 			continue
 		}
-		var err error
-		if rt.dur != nil {
-			err = rt.feedBatchDurableOwned(i, b, cost)
-		} else {
-			err = rt.shards[i].feedBatchOwnedAdmitted(b, deadlineNS, cost)
-		}
-		if err != nil {
-			firstErr = err
-		}
+		firstErr = rt.shards[i].feedBatch(b, deadlineNS, share)
 	}
 	scatterPool.Put(sc)
 	return firstErr
 }
 
-// batchCost is the admission byte reservation a sub-batch of n tuples
-// carries — zero when admission is off, so messages on the default
-// path stay all-zero.
-func batchCost(adm *admission.Controller, n int) int64 {
-	if adm == nil {
-		return 0
-	}
-	return int64(n) * EventBytes
-}
-
-// feedBatchDurableOwned logs one FEEDB record then enqueues the
-// sub-batch under shard i's log mutex — the batch-granular analogue of
-// feedDurable. cost is the sub-batch's admission reservation (released
-// here on a log error, by the worker otherwise); deadlines never reach
-// the durable path.
-func (rt *Runtime) feedBatchDurableOwned(i int, b *[]workload.Event, cost int64) error {
-	d := rt.dur[i]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// One record per batch; a batch beyond the frame's u16 count field
-	// splits across records, still inside this one critical section so
-	// no checkpoint can pin a sequence between the pieces.
-	for evs := *b; len(evs) > 0; {
-		chunk := evs
-		if len(chunk) > durable.MaxBatchEvents {
-			chunk = chunk[:durable.MaxBatchEvents]
+// feedBatch submits a staging slice the shard now owns, logging it
+// first on a durable shard.
+func (s *shard) feedBatch(b *[]workload.Event, deadlineNS, cost int64) error {
+	return s.submit(func(l *durable.Log) error {
+		// One record per batch; a batch beyond the frame's u16 count
+		// field splits across records, still inside submit's one
+		// critical section so no checkpoint can pin a sequence between
+		// the pieces.
+		for evs := *b; len(evs) > 0; {
+			chunk := evs[:min(len(evs), durable.MaxBatchEvents)]
+			if _, err := l.AppendFeedBatch(chunk); err != nil {
+				return err
+			}
+			evs = evs[len(chunk):]
 		}
-		if _, err := d.log.AppendFeedBatch(chunk); err != nil {
-			rt.adm.Release(cost)
-			putBatch(b)
-			return err
-		}
-		evs = evs[len(chunk):]
-	}
-	return rt.shards[i].feedBatchOwnedAdmitted(b, 0, cost)
+		return nil
+	}, message{batch: b, deadlineNS: deadlineNS, cost: cost})
 }

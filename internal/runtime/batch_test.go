@@ -9,6 +9,7 @@ import (
 	"jisc/internal/durable"
 	"jisc/internal/engine"
 	"jisc/internal/plan"
+	"jisc/internal/storage"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -81,11 +82,11 @@ func TestRuntimeFeedBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunnerFeedBatchShedAccounting floods a tiny queue with batches:
+// TestFeedBatchShedAccounting floods a tiny queue with batches:
 // FeedBatch never blocks under Shed, whole sub-batches drop, and every
 // tuple is accounted as either processed or shed.
-func TestRunnerFeedBatchShedAccounting(t *testing.T) {
-	r := MustNewRunner(Config{
+func TestFeedBatchShedAccounting(t *testing.T) {
+	r := MustNew(Config{
 		Engine: engine.Config{
 			Plan:   plan.MustLeftDeep(0, 1),
 			Output: func(engine.Delta) {},
@@ -129,7 +130,7 @@ func TestRunnerFeedBatchShedAccounting(t *testing.T) {
 func TestDurableFeedBatchRecovery(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			fs := durable.NewMemFS()
+			fs := storage.NewMemFS()
 			dopts := durable.Options{Dir: "wal", Fsync: durable.FsyncAlways, CheckpointInterval: -1, FS: fs}
 			evs := batchWorkload(300)
 

@@ -217,7 +217,7 @@ func TestDurableRecoveryConvergesPartialMigration(t *testing.T) {
 	}
 	// Simulate dying mid-fan-out: shard 0 logs and applies the MIGRATE,
 	// shard 1 never hears about it.
-	if err := rt.migrateDurable(0, p2); err != nil {
+	if err := rt.shards[0].migrate(p2); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Flush(); err != nil {
@@ -228,11 +228,7 @@ func TestDurableRecoveryConvergesPartialMigration(t *testing.T) {
 	rt2 := MustNew(durConfig(2, dir, nil))
 	defer rt2.Close()
 	for i := 0; i < rt2.Shards(); i++ {
-		p, err := rt2.Shard(i).Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.String() != p2.String() {
+		if p := shardPlan(t, rt2, i); p.String() != p2.String() {
 			t.Fatalf("shard %d on plan %s after recovery, want %s", i, p, p2)
 		}
 	}
@@ -305,24 +301,5 @@ func TestDurableBackgroundCheckpointLoop(t *testing.T) {
 			t.Fatal("background loop wrote no checkpoint")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestDurabilityRejectsShedOverflow(t *testing.T) {
-	cfg := durConfig(1, t.TempDir(), nil)
-	cfg.Overflow = Shed
-	cfg.QueueSize = 4
-	if _, err := New(cfg); err == nil {
-		t.Fatal("Shed + durability accepted; shed tuples would resurrect on replay")
-	}
-}
-
-// Feed after Close must fail rather than ack an event that will never
-// be processed or logged.
-func TestDurableFeedAfterCloseFails(t *testing.T) {
-	rt := MustNew(durConfig(1, t.TempDir(), nil))
-	rt.Close()
-	if err := rt.Feed(workload.Event{Stream: 0, Key: 1}); err == nil {
-		t.Fatal("Feed after Close succeeded")
 	}
 }

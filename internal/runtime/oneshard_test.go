@@ -1,7 +1,13 @@
-package pipeline
+package runtime
+
+// The single-worker harness is a one-shard Runtime: these tests pin its
+// queue semantics (channel order is the buffer-clearing phase, Block vs
+// Shed, in-band controls, errors after Close).
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +24,7 @@ func ev(s tuple.StreamID, k tuple.Value) workload.Event {
 	return workload.Event{Stream: s, Key: k}
 }
 
-func TestRunnerBasicFlow(t *testing.T) {
+func TestOneShardBasicFlow(t *testing.T) {
 	var outputs atomic.Int64
 	r := MustNew(Config{Engine: engine.Config{
 		Plan:   plan.MustLeftDeep(0, 1),
@@ -39,7 +45,7 @@ func TestRunnerBasicFlow(t *testing.T) {
 	}
 }
 
-func TestRunnerQueueIsBufferClearingPhase(t *testing.T) {
+func TestQueueIsBufferClearingPhase(t *testing.T) {
 	var outs []string
 	r := MustNew(Config{Engine: engine.Config{
 		Plan:     plan.MustLeftDeep(0, 1, 2),
@@ -71,7 +77,7 @@ func TestRunnerQueueIsBufferClearingPhase(t *testing.T) {
 	}
 }
 
-func TestRunnerConcurrentProducers(t *testing.T) {
+func TestOneShardConcurrentProducers(t *testing.T) {
 	var outputs atomic.Int64
 	r := MustNew(Config{
 		Engine: engine.Config{
@@ -132,9 +138,9 @@ func TestRunnerConcurrentProducers(t *testing.T) {
 	}
 }
 
-// Concurrent runners under JISC and Moving State must produce the
+// Concurrent runtimes under JISC and Moving State must produce the
 // same output multiset for the same serialized message sequence.
-func TestRunnerStrategiesAgree(t *testing.T) {
+func TestStrategiesAgree(t *testing.T) {
 	type res struct {
 		mu   sync.Mutex
 		outs map[string]int
@@ -178,34 +184,7 @@ func TestRunnerStrategiesAgree(t *testing.T) {
 	}
 }
 
-func TestRunnerClosedErrors(t *testing.T) {
-	r := MustNew(Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)}})
-	r.Close()
-	r.Close() // idempotent
-	if err := r.Feed(ev(0, 1)); err != ErrClosed {
-		t.Fatalf("Feed after close: %v", err)
-	}
-	if err := r.Migrate(plan.MustLeftDeep(1, 0)); err != ErrClosed {
-		t.Fatalf("Migrate after close: %v", err)
-	}
-	if err := r.Flush(); err != ErrClosed {
-		t.Fatalf("Flush after close: %v", err)
-	}
-	if _, err := r.Metrics(); err != ErrClosed {
-		t.Fatalf("Metrics after close: %v", err)
-	}
-}
-
-func TestRunnerConfigValidation(t *testing.T) {
-	if _, err := New(Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)}, QueueSize: -1}); err == nil {
-		t.Error("negative queue accepted")
-	}
-	if _, err := New(Config{}); err == nil {
-		t.Error("nil plan accepted")
-	}
-}
-
-func TestRunnerMigrateErrorPropagates(t *testing.T) {
+func TestMigrateErrorPropagates(t *testing.T) {
 	r := MustNew(Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)}}) // Static
 	defer r.Close()
 	if err := r.Migrate(plan.MustLeftDeep(1, 0)); err == nil {
@@ -213,7 +192,7 @@ func TestRunnerMigrateErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestRunnerQueueLen(t *testing.T) {
+func TestQueueLen(t *testing.T) {
 	r := MustNew(Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)}, QueueSize: 8})
 	defer r.Close()
 	if err := r.Flush(); err != nil {
@@ -224,7 +203,7 @@ func TestRunnerQueueLen(t *testing.T) {
 	}
 }
 
-func TestRunnerLoadShedding(t *testing.T) {
+func TestLoadShedding(t *testing.T) {
 	r := MustNew(Config{
 		Engine: engine.Config{
 			Plan:   plan.MustLeftDeep(0, 1),
@@ -257,7 +236,7 @@ func TestRunnerLoadShedding(t *testing.T) {
 	}
 }
 
-func TestRunnerBlockPolicyProcessesEverything(t *testing.T) {
+func TestBlockPolicyProcessesEverything(t *testing.T) {
 	r := MustNew(Config{
 		Engine:    engine.Config{Plan: plan.MustLeftDeep(0, 1)},
 		QueueSize: 2,
@@ -281,15 +260,20 @@ func TestRunnerBlockPolicyProcessesEverything(t *testing.T) {
 	}
 }
 
-func TestRunnerCheckpoint(t *testing.T) {
+// TestCheckpointShard: a checkpoint taken in-band restores into an
+// engine that continues the join.
+func TestCheckpointShard(t *testing.T) {
 	r := MustNew(Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1), WindowSize: 8, Strategy: core.New()}})
 	defer r.Close()
 	if err := r.Feed(ev(0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := r.Checkpoint(&buf); err != nil {
+	if err := r.CheckpointShard(0, &buf); err != nil {
 		t.Fatal(err)
+	}
+	if err := r.CheckpointShard(1, &buf); err == nil {
+		t.Fatal("out-of-range shard accepted")
 	}
 	var n int
 	restored, err := engine.Restore(&buf, engine.Config{
@@ -302,5 +286,43 @@ func TestRunnerCheckpoint(t *testing.T) {
 	restored.Feed(ev(1, 3))
 	if n != 1 {
 		t.Fatalf("restored results = %d", n)
+	}
+}
+
+// TestClosedErrors: after Close every entry point that reaches a shard
+// answers ErrClosed — the same error whether or not a log sits in
+// front of the queue — rather than acking work that will never be
+// processed or logged.
+func TestClosedErrors(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"plain":   {Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1), Strategy: core.New()}},
+		"durable": durConfig(2, t.TempDir(), nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := MustNew(cfg)
+			r.Close()
+			r.Close() // idempotent
+			calls := map[string]func() error{
+				"Feed":            func() error { return r.Feed(ev(0, 1)) },
+				"FeedBatch":       func() error { return r.FeedBatch([]workload.Event{ev(0, 1), ev(1, 2)}) },
+				"Migrate":         func() error { return r.Migrate(plan.MustLeftDeep(1, 0)) },
+				"Flush":           r.Flush,
+				"Metrics":         func() error { _, err := r.Metrics(); return err },
+				"Plan":            func() error { _, err := r.Plan(); return err },
+				"ScanStats":       func() error { _, err := r.ScanStats(); return err },
+				"StateBytes":      func() error { _, err := r.StateBytes(); return err },
+				"CheckpointShard": func() error { return r.CheckpointShard(0, io.Discard) },
+			}
+			for call, fn := range calls {
+				if err := fn(); err != ErrClosed {
+					t.Errorf("%s after Close: %v, want ErrClosed", call, err)
+				}
+			}
+			if r.Durable() {
+				if err := r.CheckpointNow(); !errors.Is(err, ErrClosed) {
+					t.Errorf("CheckpointNow after Close: %v, want ErrClosed", err)
+				}
+			}
+		})
 	}
 }

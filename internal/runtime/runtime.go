@@ -1,6 +1,22 @@
+// Package runtime is the one execution entry point around the
+// deterministic engine: config → N shards → router → merged
+// metrics/output. A Runtime hash-partitions a query across N shards —
+// each a worker goroutine owning one engine behind a buffered input
+// queue (the §2.1 input buffers) — fans plan transitions out to every
+// shard, and merges their metrics without control-channel round trips
+// (the collectors are atomic). cmd/jiscd, cmd/jiscbench, the public
+// jisc.AsyncQuery and internal/server all construct it through New; a
+// one-shard Runtime is the single-worker harness.
+//
+// The harness makes the paper's latency story observable with real
+// wall-clock concurrency: under a lazy strategy (core.JISC) the worker
+// keeps emitting results throughout a transition, while an eager
+// strategy (migrate.MovingState) stalls the worker and the queue
+// grows — exactly the input-buffer-overflow risk §3.2 warns about.
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,14 +37,123 @@ import (
 	"jisc/internal/workload"
 )
 
+// ErrClosed is returned by Runtime methods after Close.
+var ErrClosed = errors.New("runtime: closed")
+
+// Overflow selects what Feed does when the input queue is full.
+type Overflow int
+
+const (
+	// Block applies backpressure: Feed waits for queue space.
+	Block Overflow = iota
+	// Shed drops the newest tuple instead of blocking — the "tuple
+	// load shedding ... when tuples overflow the input buffers" that
+	// §2.1 mentions as the alternative to halting. Shed tuples are
+	// counted (Runtime.Shed) and simply never existed as far as the
+	// query is concerned.
+	Shed
+)
+
+// Config parameterizes a Runtime.
+type Config struct {
+	// Engine configures the wrapped engine(s). Engine.Output is
+	// invoked on the worker goroutine; with several shards, calls are
+	// serialized across shards.
+	Engine engine.Config
+	// ShardOutput, when non-nil, gives each shard its own result sink in
+	// place of the shared Engine.Output (over which it takes precedence):
+	// it is called once per shard at construction. out receives that shard's
+	// results on its worker goroutine with no lock around the call — so
+	// never concurrently with itself, but concurrently with the other
+	// shards' sinks. batchEnd (may be nil) runs on the same goroutine
+	// after every feed message the worker has processed, and after a
+	// transition before Migrate is answered: a sink that buffers results
+	// hands them on there. The worker thus never waits on its queue or
+	// answers a control message (Flush, Metrics, Checkpoint, …) with
+	// results still buffered — after Flush returns, every result of the
+	// earlier feeds has passed a batchEnd.
+	ShardOutput func(shard int) (out engine.Output, batchEnd func())
+	// QueueSize is the input-queue capacity (default 1024), per
+	// shard. Feed blocks when the queue is full — the backpressure
+	// equivalent of the paper's buffer-overflow discussion.
+	QueueSize int
+	// Overflow selects blocking backpressure (default) or load
+	// shedding when the queue is full. Control messages (Migrate,
+	// Flush, Metrics) always block; only tuples are shed.
+	Overflow Overflow
+	// Shards is the worker count (default 1).
+	Shards int
+	// Obs, when non-nil, turns on latency instrumentation: each
+	// shard's engine records into Obs.Recorder(shard) — merged by
+	// Runtime.ObsSnapshot — and migration lifecycle events go to
+	// Obs.Tracer. Takes precedence over Engine.Obs.
+	Obs *obs.Set
+	// Durability, when enabled (Dir set), makes the Runtime durable:
+	// every Feed and Migrate is appended to a per-shard write-ahead log
+	// before it is enqueued, background checkpoints bound replay time,
+	// and New recovers each shard from disk (checkpoint + WAL tail)
+	// instead of starting empty. Incompatible with the Shed overflow
+	// policy.
+	Durability durable.Options
+	// Adaptive, when non-nil, starts a closed-loop autopilot on the
+	// Runtime: an adaptive.Controller goroutine that watches the merged
+	// scan statistics and migrates all shards when a better plan is
+	// confirmed (New starts it — after recovery on the durable path —
+	// and Close stops it first). Its Tracer/Query default from Obs.
+	// See also Runtime.StartAuto.
+	Adaptive *adaptive.Config
+	// Admission, when non-nil, puts the controller's degradation
+	// ladder in front of Feed/FeedBatch: rate-limited traffic is shed
+	// counted, traffic beyond the in-flight byte budget is rejected
+	// with a retriable BUSY error, and (with FeedDeadline set) workers
+	// shed admitted batches whose deadline passed before dequeue. One
+	// controller spans all shards of a Runtime. A FeedDeadline is
+	// incompatible with Durability.
+	Admission *admission.Controller
+}
+
+// validate is the one check of a Config, run at the top of New.
+func (cfg Config) validate() error {
+	switch {
+	case cfg.Shards < 0:
+		return fmt.Errorf("runtime: need at least 1 shard, got %d", cfg.Shards)
+	case cfg.QueueSize < 0:
+		return fmt.Errorf("runtime: negative queue size %d", cfg.QueueSize)
+	case !cfg.Durability.Enabled():
+		return nil
+	case cfg.Overflow == Shed:
+		// A shed tuple is dropped after acknowledgment without ever
+		// reaching the log, so the WAL could not tell a shed tuple from
+		// a lost one — replay would be nondeterministic. Backpressure
+		// (Block) is the only overflow policy with an exact log.
+		return errors.New("runtime: the Shed overflow policy cannot be combined with durability (the log cannot tell a shed tuple from a lost one); use Block")
+	case cfg.Admission.FeedDeadline() > 0:
+		// A deadline shed happens at dequeue, after the WAL append:
+		// replay would resurrect the shed batch and recovered STATS
+		// would diverge from the live run. Rate and budget limits are
+		// fine — they act before the log.
+		return errors.New("runtime: a feed deadline cannot be combined with durability (replay would resurrect a batch shed after it was logged); shed before the log or not at all")
+	}
+	return nil
+}
+
+// shardSink resolves shard i's result sink: the Config.ShardOutput
+// pair when one is configured, else the engine's own Output.
+func (cfg Config) shardSink(i int) (out engine.Output, batchEnd func()) {
+	if cfg.ShardOutput == nil {
+		return cfg.Engine.Output, nil
+	}
+	return cfg.ShardOutput(i)
+}
+
 // Runtime scales one continuous equi-join query across shard workers
 // by hash-partitioning the join key: tuples with equal keys land on
 // the same shard, and since every join in the query matches on that
 // key, shards never need to exchange state. Each shard is a full
-// Runner (engine + input queue); plan transitions fan out to all
+// engine behind its own input queue; plan transitions fan out to all
 // shards, each of which migrates independently under the configured
 // strategy — JISC's lazy completion then proceeds per shard, on that
-// shard's keys only.
+// shard's keys only. All methods are safe for concurrent use.
 //
 // Windows are per shard: a count window of W tuples bounds each
 // shard's per-stream state separately (the usual semantics of
@@ -36,7 +161,7 @@ import (
 // (windows larger than the data) the output multiset is identical to
 // a single-engine run; the tests assert exactly that.
 type Runtime struct {
-	shards []*Runner
+	shards []*shard
 	obs    *obs.Set
 	adm    *admission.Controller // nil = admit everything
 
@@ -44,10 +169,8 @@ type Runtime struct {
 	// Config.ShardOutput sinks are per shard and never take it.
 	outMu sync.Mutex
 
-	// Durability state, nil/zero when Config.Durability is off. dur[i]
-	// pairs shard i's WAL with the mutex that keeps WAL order identical
-	// to enqueue order.
-	dur       []*durShard
+	// Durability state, zero when Config.Durability is off (each
+	// shard's log lives on the shard).
 	durOpts   durable.Options
 	durStats  *durable.Stats
 	ckptStop  chan struct{}
@@ -65,63 +188,77 @@ type Runtime struct {
 // cfg.ShardOutput sinks are per shard and are not.
 // cfg.QueueSize applies per shard.
 func New(cfg Config) (*Runtime, error) {
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	if shards < 0 {
-		return nil, fmt.Errorf("runtime: need at least 1 shard, got %d", shards)
-	}
-	if err := validateAdmission(cfg); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rt := &Runtime{obs: cfg.Obs, adm: cfg.Admission}
-	userOut := cfg.Engine.Output
-	if userOut != nil && shards > 1 {
+	n, queue := cfg.Shards, cfg.QueueSize
+	if n == 0 {
+		n = 1
+	}
+	if queue == 0 {
+		queue = 1024
+	}
+	rt := &Runtime{obs: cfg.Obs, adm: cfg.Admission, shards: make([]*shard, n)}
+	if userOut := cfg.Engine.Output; userOut != nil && n > 1 {
 		cfg.Engine.Output = func(d engine.Delta) {
 			rt.outMu.Lock()
 			userOut(d)
 			rt.outMu.Unlock()
 		}
 	}
-	if cfg.Durability.Enabled() {
-		if err := rt.recoverDurable(cfg, shards); err != nil {
-			return nil, err
-		}
-		return rt.startConfiguredAuto(cfg)
-	}
-	baseEng := cfg.Engine
-	budget := resolveStateBudget(baseEng.StateBudget, baseEng.Kind)
-	for i := 0; i < shards; i++ {
-		cfg.Engine = shardSpill(baseEng, budget, shards, i)
+	engCfgs := make([]engine.Config, n)
+	budget := resolveStateBudget(cfg.Engine.StateBudget, cfg.Engine.Kind)
+	for i := range rt.shards {
+		s := &shard{in: make(chan message, queue), overflow: cfg.Overflow, adm: cfg.Admission}
+		engCfgs[i] = shardSpill(cfg.Engine, budget, n, i)
 		if cfg.Obs != nil {
 			// One recorder per shard; Set.Snapshot merges them, which
 			// is exact because bucket boundaries are shared.
-			cfg.Engine.Obs = cfg.Obs.Recorder(i)
+			engCfgs[i].Obs = cfg.Obs.Recorder(i)
 		}
-		r, err := newShardRunner(cfg, i)
-		if err != nil {
-			for _, prev := range rt.shards {
-				prev.Close()
+		engCfgs[i].Output, s.batchEnd = cfg.shardSink(i)
+		rt.shards[i] = s
+	}
+	var err error
+	if cfg.Durability.Enabled() {
+		err = rt.recoverDurable(cfg.Durability.WithDefaults(), engCfgs)
+	} else {
+		for i, s := range rt.shards {
+			if s.eng, err = engine.New(engCfgs[i]); err != nil {
+				break
 			}
-			return nil, err
 		}
-		rt.shards = append(rt.shards, r)
 	}
-	return rt.startConfiguredAuto(cfg)
-}
-
-// startConfiguredAuto starts the autopilot requested by Config.Adaptive
-// on a fully constructed (and, on the durable path, recovered) runtime.
-func (rt *Runtime) startConfiguredAuto(cfg Config) (*Runtime, error) {
-	if cfg.Adaptive == nil {
-		return rt, nil
-	}
-	if err := rt.StartAuto(*cfg.Adaptive); err != nil {
-		rt.Close()
+	if err != nil {
+		for _, s := range rt.shards {
+			s.discard()
+		}
 		return nil, err
 	}
+	for _, s := range rt.shards {
+		s.start()
+	}
+	if rt.durOpts.CheckpointInterval > 0 {
+		rt.ckptStop = make(chan struct{})
+		rt.ckptDone = make(chan struct{})
+		go rt.checkpointLoop(rt.durOpts.CheckpointInterval)
+	}
+	if cfg.Adaptive != nil {
+		if err := rt.StartAuto(*cfg.Adaptive); err != nil {
+			rt.Close()
+			return nil, err
+		}
+	}
 	return rt, nil
+}
+
+// MustNew is New but panics on error.
+func MustNew(cfg Config) *Runtime {
+	rt, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return rt
 }
 
 // StartAuto starts a closed-loop autopilot on the runtime: an
@@ -222,53 +359,8 @@ func shardSpill(engCfg engine.Config, total int64, shards, i int) engine.Config 
 	return engCfg
 }
 
-// SpillStats merges the tiered state store counters across shards; ok
-// is false when spilling is off. The counters are atomic — safe from
-// any goroutine, concurrently with the workers, including after Close.
-func (rt *Runtime) SpillStats() (statestore.Stats, bool) {
-	var total statestore.Stats
-	any := false
-	for _, r := range rt.shards {
-		if s, ok := r.SpillStats(); ok {
-			total = total.Add(s)
-			any = true
-		}
-	}
-	return total, any
-}
-
-// StateBytes sums the resident state footprint across shards, each
-// read in-band on its worker after previously enqueued messages.
-func (rt *Runtime) StateBytes() (int64, error) {
-	var total int64
-	for _, r := range rt.shards {
-		b, err := r.StateBytes()
-		if err != nil {
-			return 0, err
-		}
-		total += b
-	}
-	return total, nil
-}
-
-// MustNew is New but panics on error.
-func MustNew(cfg Config) *Runtime {
-	rt, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return rt
-}
-
 // Shards returns the shard count.
 func (rt *Runtime) Shards() int { return len(rt.shards) }
-
-// Partitions returns the shard count under its historical name.
-func (rt *Runtime) Partitions() int { return len(rt.shards) }
-
-// Shard returns shard i's Runner, for per-shard operations
-// (checkpointing, diagnostics).
-func (rt *Runtime) Shard(i int) *Runner { return rt.shards[i] }
 
 // ShardOf returns the shard index a join key routes to in an n-shard
 // runtime. Fibonacci hashing spreads sequential keys. Exported so an
@@ -282,48 +374,68 @@ func ShardOf(key tuple.Value, n int) int {
 	return int(h % uint64(n))
 }
 
-// route picks the shard index for a join key.
-func (rt *Runtime) route(ev workload.Event) int {
-	return ShardOf(ev.Key, len(rt.shards))
-}
-
 // Feed enqueues one tuple on its key's shard, after the admission
 // ladder when admission is configured: a rate-shed tuple returns nil
 // (counted, never existed), a budget reject returns a retriable BUSY
-// error. With durability on, the tuple is appended to that shard's
-// write-ahead log first; it is not enqueued (and Feed does not return
-// nil) unless the append succeeded.
+// error. Under the Block policy Feed waits while the queue is full;
+// under Shed it drops the tuple instead (counted by Shed). With
+// durability on, the tuple is appended to that shard's write-ahead log
+// first; it is not enqueued (and Feed does not return nil) unless the
+// append succeeded. Returns ErrClosed after Close.
 func (rt *Runtime) Feed(ev workload.Event) error {
 	deadlineNS, cost, ok, err := rt.admit(1)
 	if !ok {
 		return err
 	}
-	i := rt.route(ev)
-	if rt.dur != nil {
-		return rt.feedDurable(i, ev, cost)
-	}
-	return rt.shards[i].feedAdmitted(ev, deadlineNS, cost)
+	return rt.shards[ShardOf(ev.Key, len(rt.shards))].submit(
+		func(l *durable.Log) error {
+			_, err := l.AppendFeed(ev.Stream, ev.Key)
+			return err
+		},
+		message{ev: ev, deadlineNS: deadlineNS, cost: cost})
 }
 
-// Migrate transitions every shard to the new plan, in-band per shard.
-// It returns the first error; shards that already migrated stay on the
-// new plan (they run the same strategy, so a retry converges). With
-// durability on, each shard logs a MIGRATE record before applying —
-// recovery replays it, so a node that dies mid-lazy-migration resumes
-// with the same incomplete-state metadata.
-func (rt *Runtime) Migrate(p *plan.Plan) error {
-	for i, r := range rt.shards {
-		if rt.dur != nil {
-			if err := rt.migrateDurable(i, p); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := r.Migrate(p); err != nil {
+// each runs fn in-band on every shard's worker in shard order, each
+// after all that shard's previously enqueued messages, and waits for
+// each before moving on — fn never runs concurrently with itself.
+func (rt *Runtime) each(fn func(i int, e *engine.Engine)) error {
+	for i, s := range rt.shards {
+		if err := s.do(nil, func(e *engine.Engine) error { fn(i, e); return nil }); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Migrate transitions every shard to the new plan, in-band per shard:
+// tuples enqueued before the call are processed by the old plan, tuples
+// enqueued after it by the new one. It returns the first error; shards
+// that already migrated stay on the new plan (they run the same
+// strategy, so a retry converges). With durability on, each shard logs
+// a MIGRATE record before applying — recovery replays it, so a node
+// that dies mid-lazy-migration resumes with the same incomplete-state
+// metadata.
+func (rt *Runtime) Migrate(p *plan.Plan) error {
+	for _, s := range rt.shards {
+		if err := s.migrate(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// migrate is one shard's step of the Migrate fan-out.
+func (s *shard) migrate(p *plan.Plan) error {
+	return s.do(
+		func(l *durable.Log) error {
+			_, err := l.AppendMigrate(p.String())
+			return err
+		},
+		func(e *engine.Engine) error {
+			err := e.Migrate(p)
+			s.batchEnd()
+			return err
+		})
 }
 
 // Flush waits for every shard to drain: when it returns, every tuple
@@ -333,25 +445,16 @@ func (rt *Runtime) Migrate(p *plan.Plan) error {
 // Flush, the runtime's cumulative output is a pure function of the
 // fed event sequence, independent of worker scheduling.
 func (rt *Runtime) Flush() error {
-	for _, r := range rt.shards {
-		if err := r.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return rt.each(func(int, *engine.Engine) {})
 }
 
 // Metrics aggregates the shard counters in-band: each shard reports
 // after all its previously enqueued messages. See Snapshot for the
 // live, non-blocking variant.
 func (rt *Runtime) Metrics() (metrics.Snapshot, error) {
-	snaps := make([]metrics.Snapshot, 0, len(rt.shards))
-	for _, r := range rt.shards {
-		s, err := r.Metrics()
-		if err != nil {
-			return metrics.Snapshot{}, err
-		}
-		snaps = append(snaps, s)
+	snaps := make([]metrics.Snapshot, len(rt.shards))
+	if err := rt.each(func(i int, e *engine.Engine) { snaps[i] = e.Metrics() }); err != nil {
+		return metrics.Snapshot{}, err
 	}
 	return metrics.MergeShards(snaps), nil
 }
@@ -359,11 +462,13 @@ func (rt *Runtime) Metrics() (metrics.Snapshot, error) {
 // Snapshot merges the shard counters live, without control-channel
 // round trips: the per-engine collectors are atomic, so monitoring
 // reads them concurrently with the workers and never queues behind
-// tuples. Safe from any goroutine, including after Close.
+// tuples. Unlike Metrics it reflects the instant of the call, not the
+// point after previously enqueued work. Safe from any goroutine,
+// including after Close.
 func (rt *Runtime) Snapshot() metrics.Snapshot {
-	snaps := make([]metrics.Snapshot, 0, len(rt.shards))
-	for _, r := range rt.shards {
-		snaps = append(snaps, r.Snapshot())
+	snaps := make([]metrics.Snapshot, len(rt.shards))
+	for i, s := range rt.shards {
+		snaps[i] = s.eng.Metrics()
 	}
 	return metrics.MergeShards(snaps)
 }
@@ -382,40 +487,42 @@ func (rt *Runtime) ObsSnapshot() obs.SetSnapshot { return rt.obs.Snapshot() }
 // shards.
 func (rt *Runtime) Shed() uint64 {
 	var total uint64
-	for _, r := range rt.shards {
-		total += r.Shed()
+	for _, s := range rt.shards {
+		total += s.shed.Load()
 	}
 	return total
 }
 
-// QueueLen sums the input-buffer occupancy across shards.
+// QueueLen sums the queued, unprocessed messages across shards — the
+// input-buffer occupancy §3.2's overflow discussion is about.
 func (rt *Runtime) QueueLen() int {
 	total := 0
-	for _, r := range rt.shards {
-		total += r.QueueLen()
+	for _, s := range rt.shards {
+		total += len(s.in)
 	}
 	return total
 }
 
-// Plan returns the currently executing plan, observed on shard 0 —
-// migrations fan out to every shard in order, so shard 0 is never
-// behind the others' plan.
-func (rt *Runtime) Plan() (*plan.Plan, error) { return rt.shards[0].Plan() }
+// Plan returns the currently executing plan, observed on shard 0's
+// worker after all its previously enqueued messages — migrations fan
+// out to every shard in order, so shard 0 is never behind the others'
+// plan.
+func (rt *Runtime) Plan() (p *plan.Plan, err error) {
+	err = rt.shards[0].do(nil, func(e *engine.Engine) error { p = e.Plan(); return nil })
+	return p, err
+}
 
-// ScanStats sums the per-stream scan counters across shards, each read
-// in-band on its worker. The sums are cumulative like the per-shard
-// counters; consumers diff successive readings (optimizer.Advisor
-// rebaselines when a transition resets them). During a Migrate fan-out
-// shards can briefly disagree on the plan; summing over the stream
-// union keeps the reading well-defined.
+// ScanStats sums the per-stream scan counters across shards. The
+// counters are plain worker-owned fields, so the in-band round trip is
+// what makes the read race-free. The sums are cumulative like the
+// per-shard counters; consumers diff successive readings
+// (optimizer.Advisor rebaselines when a transition resets them). During
+// a Migrate fan-out shards can briefly disagree on the plan; summing
+// over the stream union keeps the reading well-defined.
 func (rt *Runtime) ScanStats() ([]engine.ScanStats, error) {
 	byStream := make(map[tuple.StreamID]engine.ScanStats)
-	for _, r := range rt.shards {
-		stats, err := r.ScanStats()
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range stats {
+	err := rt.each(func(_ int, e *engine.Engine) {
+		for _, s := range e.ScanStats() {
 			agg := byStream[s.Stream]
 			agg.Stream = s.Stream
 			agg.Probes += s.Probes
@@ -424,6 +531,9 @@ func (rt *Runtime) ScanStats() ([]engine.ScanStats, error) {
 			agg.ProbeSamples += s.ProbeSamples
 			byStream[s.Stream] = agg
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]engine.ScanStats, 0, len(byStream))
 	for _, s := range byStream {
@@ -433,31 +543,46 @@ func (rt *Runtime) ScanStats() ([]engine.ScanStats, error) {
 	return out, nil
 }
 
-// Checkpoint serializes the single shard's state to w. With several
-// shards there is no single consistent stream; use CheckpointShard
-// per shard instead.
-func (rt *Runtime) Checkpoint(w io.Writer) error {
-	if len(rt.shards) > 1 {
-		return fmt.Errorf("runtime: %d shards have no single checkpoint stream; checkpoint each shard", len(rt.shards))
+// StateBytes sums the resident state footprint across shards, each
+// read in-band on its worker after previously enqueued messages.
+func (rt *Runtime) StateBytes() (int64, error) {
+	var total int64
+	if err := rt.each(func(_ int, e *engine.Engine) { total += e.StateBytes() }); err != nil {
+		return 0, err
 	}
-	return rt.shards[0].Checkpoint(w)
+	return total, nil
 }
 
-// CheckpointShard serializes shard i's state to w, in-band on that
-// shard's worker.
+// SpillStats merges the tiered state store counters across shards; ok
+// is false when spilling is off. The counters are atomic — safe from
+// any goroutine, concurrently with the workers, including after Close.
+func (rt *Runtime) SpillStats() (statestore.Stats, bool) {
+	var total statestore.Stats
+	any := false
+	for _, s := range rt.shards {
+		if st, ok := s.eng.SpillStats(); ok {
+			total = total.Add(st)
+			any = true
+		}
+	}
+	return total, any
+}
+
+// CheckpointShard serializes shard i's state to w on that shard's
+// worker, after all its previously enqueued messages — a consistent
+// snapshot without stopping producers (they block on the queue at most
+// briefly). w must not be touched until CheckpointShard returns.
 func (rt *Runtime) CheckpointShard(i int, w io.Writer) error {
 	if i < 0 || i >= len(rt.shards) {
 		return fmt.Errorf("runtime: no shard %d (have %d)", i, len(rt.shards))
 	}
-	return rt.shards[i].Checkpoint(w)
+	return rt.shards[i].do(nil, func(e *engine.Engine) error { return e.Checkpoint(w) })
 }
 
-// Close stops every shard. With durability on, each shard's log is
-// flushed and closed before its worker: a Feed that raced with Close
-// either logged-and-enqueued its tuple (the worker drains it) or
-// failed at the log, never one without the other. Close writes no
-// final checkpoint — a graceful shutdown under FsyncAlways leaves the
-// same disk state as a crash, which is exactly what the recovery-
+// Close stops every shard, draining its queue first, and returns once
+// all processing has finished; it is idempotent. Close writes no final
+// checkpoint — a graceful shutdown under FsyncAlways leaves the same
+// disk state as a crash, which is exactly what the recovery-
 // equivalence tests rely on.
 func (rt *Runtime) Close() {
 	rt.closeOnce.Do(func() {
@@ -468,14 +593,8 @@ func (rt *Runtime) Close() {
 			close(rt.ckptStop)
 			<-rt.ckptDone
 		}
-		for i, r := range rt.shards {
-			if rt.dur != nil {
-				d := rt.dur[i]
-				d.mu.Lock()
-				d.log.Close()
-				d.mu.Unlock()
-			}
-			r.Close()
+		for _, s := range rt.shards {
+			s.close()
 		}
 	})
 }

@@ -1,9 +1,12 @@
 package runtime
 
 import (
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"jisc/internal/admission"
 	"jisc/internal/core"
 	"jisc/internal/engine"
 	"jisc/internal/obs"
@@ -20,13 +23,52 @@ func TestNewDefaultsToOneShard(t *testing.T) {
 	}
 }
 
-func TestNewRejectsNegativeShards(t *testing.T) {
-	if _, err := New(Config{
-		Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)},
-		Shards: -1,
-	}); err == nil {
-		t.Fatal("negative shard count accepted")
+// TestConfigValidate is the one table for everything New refuses up
+// front, and for the neighbouring configurations it must keep
+// accepting.
+func TestConfigValidate(t *testing.T) {
+	eng := engine.Config{Plan: plan.MustLeftDeep(0, 1), WindowSize: 32}
+	deadline := admission.MustNew(admission.Config{FeedDeadline: time.Millisecond})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // substring of the error; "" = accepted
+	}{
+		{"negative shards", Config{Engine: eng, Shards: -1}, "at least 1 shard"},
+		{"negative queue", Config{Engine: eng, QueueSize: -1}, "negative queue size"},
+		{"negative queue, durable", Config{Engine: eng, QueueSize: -1, Durability: memWAL()}, "negative queue size"},
+		{"nil plan", Config{}, "plan"},
+		{"nil plan, sharded", Config{Shards: 2}, "plan"},
+		// Shed tuples would resurrect on replay.
+		{"shed + durability", Config{Engine: eng, Overflow: Shed, QueueSize: 4, Durability: memWAL()}, "Shed overflow policy"},
+		// A deadline sheds after the WAL append; rate and budget limits
+		// act before the log and stay legal.
+		{"deadline + durability", Config{Engine: eng, Admission: deadline, Durability: memWAL()}, "feed deadline"},
+		{"rate + durability", Config{Engine: eng, Admission: admission.MustNew(admission.Config{Rate: 1e6}), Durability: memWAL()}, ""},
+		{"shed alone", Config{Engine: eng, Overflow: Shed}, ""},
+		{"deadline alone", Config{Engine: eng, Admission: deadline}, ""},
+		{"zero shards = one", Config{Engine: eng}, ""},
+	} {
+		rt, err := New(tc.cfg)
+		switch {
+		case err == nil:
+			rt.Close()
+			if tc.want != "" {
+				t.Errorf("%s: accepted, want an error naming %q", tc.name, tc.want)
+			}
+		case tc.want == "" || !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
+}
+
+// shardPlan reads shard i's plan in-band on its worker.
+func shardPlan(t *testing.T, rt *Runtime, i int) (p *plan.Plan) {
+	t.Helper()
+	if err := rt.shards[i].do(nil, func(e *engine.Engine) error { p = e.Plan(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestRouteKeyAffinity(t *testing.T) {
@@ -36,13 +78,22 @@ func TestRouteKeyAffinity(t *testing.T) {
 	})
 	defer rt.Close()
 	// Same key must always land on the same shard, whatever the
-	// stream: equi-join matching is per key.
-	for key := tuple.Value(0); key < 64; key++ {
-		a := rt.route(workload.Event{Stream: 0, Key: key})
-		b := rt.route(workload.Event{Stream: 1, Key: key})
-		if a != b {
-			t.Fatalf("key %d routed to different shards", key)
+	// stream: equi-join matching is per key, so every pair joins only
+	// if both halves met on one shard.
+	const keys = 64
+	for key := tuple.Value(0); key < keys; key++ {
+		if err := rt.Feed(workload.Event{Stream: 0, Key: key}); err != nil {
+			t.Fatal(err)
 		}
+		if err := rt.Feed(workload.Event{Stream: 1, Key: key}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Snapshot().Output; got != keys {
+		t.Fatalf("Output = %d, want %d: a key's two streams were routed apart", got, keys)
 	}
 }
 
@@ -113,31 +164,16 @@ func TestMigrateFansOutToAllShards(t *testing.T) {
 	if err := rt.Migrate(target); err != nil {
 		t.Fatal(err)
 	}
+	if rt.Shards() != 3 {
+		t.Fatalf("Shards = %d, want 3", rt.Shards())
+	}
 	for i := 0; i < rt.Shards(); i++ {
-		p, err := rt.Shard(i).Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.String() != target.String() {
+		if p := shardPlan(t, rt, i); p.String() != target.String() {
 			t.Fatalf("shard %d on plan %s, want %s", i, p, target)
 		}
 	}
 	if m, err := rt.Metrics(); err != nil || m.Transitions != 1 {
 		t.Fatalf("merged Transitions = %d (err %v), want 1", m.Transitions, err)
-	}
-}
-
-func TestCheckpointRequiresSingleShard(t *testing.T) {
-	rt := MustNew(Config{
-		Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)},
-		Shards: 2,
-	})
-	defer rt.Close()
-	if err := rt.Checkpoint(nil); err == nil {
-		t.Fatal("multi-shard Checkpoint accepted")
-	}
-	if err := rt.CheckpointShard(5, nil); err == nil {
-		t.Fatal("out-of-range shard accepted")
 	}
 }
 
@@ -200,37 +236,10 @@ func TestObsWiringShardedMigration(t *testing.T) {
 	}
 }
 
-// TestObsStandaloneRunner checks the single-runner wiring: Config.Obs
-// without a Runtime lands on shard 0's recorder.
-func TestObsStandaloneRunner(t *testing.T) {
-	set := obs.NewSet("q", 16)
-	r := MustNewRunner(Config{
-		Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1), WindowSize: 64},
-		Obs:    set,
-	})
-	defer r.Close()
-	for i := 0; i < 200; i++ {
-		if err := r.Feed(workload.Event{
-			Stream: tuple.StreamID(i % 2), Key: tuple.Value(i % 8),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Obs() != set.Recorder(0) {
-		t.Fatal("runner recorder is not the set's shard-0 recorder")
-	}
-	if r.Obs().Feed.Count() == 0 {
-		t.Fatal("no feed samples recorded")
-	}
-}
-
 // TestShardOutputBatchBoundary: each shard emits into its own sink with
 // no lock around it, and every control message is answered with the
-// sink handed off — with and without durability, whose runners are
-// built on a separate path.
+// sink handed off — with and without durability, whose engines are
+// recovered rather than built.
 func TestShardOutputBatchBoundary(t *testing.T) {
 	for _, durableOn := range []bool{false, true} {
 		type sink struct{ buffered, delivered, boundaries int }

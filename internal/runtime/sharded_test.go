@@ -1,4 +1,4 @@
-package pipeline
+package runtime
 
 import (
 	"sync"
@@ -11,22 +11,12 @@ import (
 	"jisc/internal/workload"
 )
 
-func TestPartitionedValidation(t *testing.T) {
-	cfg := Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)}}
-	if _, err := NewPartitioned(cfg, 0); err == nil {
-		t.Error("zero partitions accepted")
-	}
-	if _, err := NewPartitioned(Config{}, 2); err == nil {
-		t.Error("nil plan accepted")
-	}
-}
-
 // With eviction-free windows, the partitioned run produces exactly the
 // single-engine results: hash partitioning by the join key is lossless
 // for equi-joins. Partitions number tuples locally, so results are
 // compared by join key (each key lives on exactly one partition), not
 // by provenance fingerprint.
-func TestPartitionedMatchesSingleEngine(t *testing.T) {
+func TestShardedMatchesSingleEngine(t *testing.T) {
 	const n = 1200
 	src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 12, Seed: 17})
 	events := src.Take(n)
@@ -39,14 +29,14 @@ func TestPartitionedMatchesSingleEngine(t *testing.T) {
 
 	parts := map[tuple.Value]int{}
 	var mu sync.Mutex
-	pp := MustNewPartitioned(Config{Engine: engine.Config{
+	pp := MustNew(Config{Shards: 4, Engine: engine.Config{
 		Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: n, Strategy: core.New(),
 		Output: func(d engine.Delta) {
 			mu.Lock()
 			parts[d.Tuple.Key]++
 			mu.Unlock()
 		},
-	}}, 4)
+	}})
 	defer pp.Close()
 
 	target := plan.MustLeftDeep(2, 0, 1)
@@ -87,19 +77,7 @@ func TestPartitionedMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-func TestPartitionedShardCount(t *testing.T) {
-	// Key-routing affinity itself is covered in internal/runtime,
-	// where the router lives.
-	pp := MustNewPartitioned(Config{Engine: engine.Config{
-		Plan: plan.MustLeftDeep(0, 1), WindowSize: 100,
-	}}, 3)
-	defer pp.Close()
-	if pp.Partitions() != 3 {
-		t.Fatalf("Partitions = %d", pp.Partitions())
-	}
-}
-
-// TestPartitionedConcurrentEquivalence is the strong form of the
+// TestShardedConcurrentEquivalence is the strong form of the
 // equivalence check: one producer goroutine per stream feeds the
 // partitioned runtime while a plan transition lands mid-stream, and
 // the per-key output counts must still equal a single-threaded
@@ -110,7 +88,7 @@ func TestPartitionedShardCount(t *testing.T) {
 // and duplicates nothing (Theorem 1). Run under -race this also
 // exercises the router, the per-shard engines, and the merged metrics
 // concurrently.
-func TestPartitionedConcurrentEquivalence(t *testing.T) {
+func TestShardedConcurrentEquivalence(t *testing.T) {
 	const (
 		streams = 3
 		perStr  = 300
@@ -141,11 +119,12 @@ func TestPartitionedConcurrentEquivalence(t *testing.T) {
 		}
 	}
 
-	// Partitioned run: one producer per stream, migration fired from
+	// Sharded run: one producer per stream, migration fired from
 	// the main goroutine while they are in flight.
 	parts := map[tuple.Value]int{}
 	var mu sync.Mutex
-	pp := MustNewPartitioned(Config{
+	pp := MustNew(Config{
+		Shards: 4,
 		Engine: engine.Config{
 			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: window, Strategy: core.New(),
 			Output: func(d engine.Delta) {
@@ -155,7 +134,7 @@ func TestPartitionedConcurrentEquivalence(t *testing.T) {
 			},
 		},
 		QueueSize: 32, // small queues so producers and workers overlap
-	}, 4)
+	})
 	defer pp.Close()
 
 	var wg sync.WaitGroup
@@ -201,44 +180,5 @@ func TestPartitionedConcurrentEquivalence(t *testing.T) {
 	}
 	if m.Transitions != 1 {
 		t.Fatalf("merged Transitions = %d, want 1", m.Transitions)
-	}
-}
-
-func TestPartitionedConcurrentProducers(t *testing.T) {
-	var outputs int
-	var mu sync.Mutex
-	pp := MustNewPartitioned(Config{
-		Engine: engine.Config{
-			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 256, Strategy: core.New(),
-			Output: func(engine.Delta) { mu.Lock(); outputs++; mu.Unlock() },
-		},
-		QueueSize: 64,
-	}, 4)
-	defer pp.Close()
-
-	var wg sync.WaitGroup
-	for s := tuple.StreamID(0); s < 3; s++ {
-		wg.Add(1)
-		go func(s tuple.StreamID) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				if err := pp.Feed(workload.Event{Stream: s, Key: tuple.Value(i % 16)}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(s)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	if err := pp.Migrate(plan.MustLeftDeep(1, 2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if err := pp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if outputs == 0 {
-		t.Fatal("no outputs under concurrency")
 	}
 }

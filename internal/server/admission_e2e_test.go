@@ -12,8 +12,8 @@ import (
 	"jisc/internal/admission"
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/workload"
 )
 
@@ -22,7 +22,7 @@ import (
 func admissionServer(t *testing.T, adm admission.Config, readTO, writeTO time.Duration) *Server {
 	t.Helper()
 	s, err := New(Config{
-		Pipeline: pipeline.Config{Engine: engine.Config{
+		Pipeline: runtime.Config{Engine: engine.Config{
 			Plan:       plan.MustLeftDeep(0, 1, 2),
 			WindowSize: 100,
 			Strategy:   core.New(),
@@ -233,7 +233,7 @@ func TestServerReadTimeout(t *testing.T) {
 func TestBlockedSubscriberCannotStallFeeds(t *testing.T) {
 	noLeak(t)
 	s, err := New(Config{
-		Pipeline: pipeline.Config{Engine: engine.Config{
+		Pipeline: runtime.Config{Engine: engine.Config{
 			Plan:       plan.MustLeftDeep(0, 1),
 			WindowSize: 2000,
 			Strategy:   core.New(),

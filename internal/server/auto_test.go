@@ -8,8 +8,8 @@ import (
 	"jisc/internal/adaptive"
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 )
 
 func TestServerAutoCommand(t *testing.T) {
@@ -61,7 +61,7 @@ func TestServerAutoCommand(t *testing.T) {
 // is live on the default query before the first connection.
 func TestServerAutoStartFlag(t *testing.T) {
 	s, err := New(Config{
-		Pipeline: pipeline.Config{Engine: engine.Config{
+		Pipeline: runtime.Config{Engine: engine.Config{
 			Plan:       plan.MustLeftDeep(0, 1, 2),
 			WindowSize: 100,
 			Strategy:   core.New(),
@@ -83,7 +83,7 @@ func TestServerAutoStartFlag(t *testing.T) {
 
 	// AutoStart without a default query cannot work.
 	if _, err := New(Config{
-		Pipeline:  pipeline.Config{Engine: engine.Config{Strategy: core.New()}},
+		Pipeline:  runtime.Config{Engine: engine.Config{Strategy: core.New()}},
 		AutoStart: true,
 	}); err == nil {
 		t.Fatal("AutoStart accepted with no default query")

@@ -14,8 +14,8 @@ import (
 	"jisc/internal/chaosnet"
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/testseed"
 )
 
@@ -265,7 +265,7 @@ func TestChaosDrainUnderFire(t *testing.T) {
 	seed := testseed.Seed(t, 0xc4a09)
 	dir := t.TempDir()
 	s, err := New(Config{
-		Pipeline: pipeline.Config{Engine: engine.Config{
+		Pipeline: runtime.Config{Engine: engine.Config{
 			Plan:       plan.MustLeftDeep(0, 1, 2),
 			WindowSize: 100,
 			Strategy:   core.New(),

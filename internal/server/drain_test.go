@@ -11,8 +11,8 @@ import (
 	"jisc/internal/admission"
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 )
 
 // TestDrainFenceRejectsMutations: with the drain flag up, every
@@ -130,7 +130,7 @@ func TestDrainDurableZeroLoss(t *testing.T) {
 // plane — a plan migration mid-flush would race the final checkpoint.
 func TestDrainPausesAutopilot(t *testing.T) {
 	noLeak(t)
-	s, err := New(Config{Pipeline: pipeline.Config{Engine: engine.Config{
+	s, err := New(Config{Pipeline: runtime.Config{Engine: engine.Config{
 		Plan:       plan.MustLeftDeep(0, 1, 2),
 		WindowSize: 100,
 		Strategy:   core.New(),
@@ -161,7 +161,7 @@ func TestDrainPausesAutopilot(t *testing.T) {
 func TestDrainConcurrentWithIngest(t *testing.T) {
 	noLeak(t)
 	s, err := New(Config{
-		Pipeline: pipeline.Config{Engine: engine.Config{
+		Pipeline: runtime.Config{Engine: engine.Config{
 			Plan:       plan.MustLeftDeep(0, 1, 2),
 			WindowSize: 100,
 			Strategy:   core.New(),

@@ -12,7 +12,6 @@ import (
 	"jisc/internal/admission"
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
 	"jisc/internal/runtime"
 	"jisc/internal/tuple"
@@ -22,7 +21,7 @@ import (
 // itself rather than by connections.
 func egressQuery(t testing.TB, shards, bufSize int) *query {
 	t.Helper()
-	q, err := newQuery("q", pipeline.Config{
+	q, err := newQuery("q", runtime.Config{
 		Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 20, Strategy: core.New()},
 		Shards: shards,
 	}, bufSize, admission.Config{})
@@ -126,7 +125,7 @@ func TestEgressNoSubscriberEncodesNothing(t *testing.T) {
 // not drop a subscriber that has kept up.
 func TestBigBatchKeepsHealthySubscriber(t *testing.T) {
 	noLeak(t)
-	s, err := New(Config{Pipeline: pipeline.Config{Engine: engine.Config{
+	s, err := New(Config{Pipeline: runtime.Config{Engine: engine.Config{
 		Plan: plan.MustLeftDeep(0, 1), WindowSize: 2000, Strategy: core.New(),
 	}}})
 	if err != nil {
@@ -213,7 +212,7 @@ func TestEgressBarrier(t *testing.T) {
 func TestShardedFanout(t *testing.T) {
 	noLeak(t)
 	const shards = 2
-	pcfg := pipeline.Config{
+	pcfg := runtime.Config{
 		Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 20, Strategy: core.New()},
 		Shards: shards,
 	}

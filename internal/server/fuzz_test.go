@@ -4,15 +4,15 @@ import (
 	"bufio"
 	"net"
 	"path/filepath"
-	"runtime"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 )
 
 // FuzzServerCommand throws arbitrary bytes at the full line protocol.
@@ -55,8 +55,8 @@ func FuzzServerCommand(f *testing.F) {
 		if len(data) > 1<<14 {
 			t.Skip("oversized input")
 		}
-		base := runtime.NumGoroutine()
-		s, err := New(Config{Pipeline: pipeline.Config{Engine: engine.Config{
+		base := goruntime.NumGoroutine()
+		s, err := New(Config{Pipeline: runtime.Config{Engine: engine.Config{
 			Plan:       plan.MustLeftDeep(0, 1, 2),
 			WindowSize: 32,
 			Strategy:   core.New(),
@@ -124,11 +124,11 @@ func FuzzServerCommand(f *testing.F) {
 		// fast and name the stacks.
 		s.Close()
 		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > base {
+		for goruntime.NumGoroutine() > base {
 			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
 				t.Fatalf("goroutine leak after input %q: %d live, baseline %d\n%s",
-					data, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+					data, goruntime.NumGoroutine(), base, buf[:goruntime.Stack(buf, true)])
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

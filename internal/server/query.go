@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -12,8 +11,8 @@ import (
 	"jisc/internal/durable"
 	"jisc/internal/engine"
 	"jisc/internal/obs"
-	"jisc/internal/pipeline"
 	"jisc/internal/runtime"
+	"jisc/internal/storage"
 	"jisc/internal/tuple"
 )
 
@@ -53,7 +52,7 @@ type query struct {
 	bufSize int // lines a subscriber may fall behind before it is dropped
 }
 
-func newQuery(name string, cfg pipeline.Config, bufSize int, admCfg admission.Config) (*query, error) {
+func newQuery(name string, cfg runtime.Config, bufSize int, admCfg admission.Config) (*query, error) {
 	q := &query{name: name, subs: make(map[int]*subscriber), bufSize: bufSize}
 	if cfg.Engine.Plan != nil {
 		for _, id := range cfg.Engine.Plan.Streams.Streams() {
@@ -140,21 +139,17 @@ func (q *query) subscribers() int { return int(q.nsubs.Load()) }
 // a torn file under the requested name, and a load of a corrupt file
 // fails with a clear error instead of undefined engine state.
 func (q *query) checkpoint(path string) error {
-	writeOne := func(p string, ckpt func(w io.Writer) error) error {
+	n := q.runner.Shards()
+	for i := 0; i < n; i++ {
+		p := path
+		if n > 1 {
+			p = fmt.Sprintf("%s.%d", path, i)
+		}
 		var buf bytes.Buffer
-		if err := ckpt(&buf); err != nil {
+		if err := q.runner.CheckpointShard(i, &buf); err != nil {
 			return err
 		}
-		return durable.WriteSnapshotFile(durable.OS(), p, buf.Bytes())
-	}
-	if q.runner.Shards() == 1 {
-		return writeOne(path, q.runner.Checkpoint)
-	}
-	for i := 0; i < q.runner.Shards(); i++ {
-		i := i
-		if err := writeOne(fmt.Sprintf("%s.%d", path, i), func(w io.Writer) error {
-			return q.runner.CheckpointShard(i, w)
-		}); err != nil {
+		if err := durable.WriteSnapshotFile(storage.OS(), p, buf.Bytes()); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,8 @@
 // Package server exposes running continuous queries over a TCP line
 // protocol, so external producers can feed streams and external
 // consumers can subscribe to results — the shape a deployed DSMS node
-// takes. The server hosts any number of named queries (each an
-// AsyncQuery runner); plan transitions arrive as protocol commands and
+// takes. The server hosts any number of named queries (each a
+// runtime.Runtime); plan transitions arrive as protocol commands and
 // migrate the live queries under the configured strategy (JISC by
 // default: no halt, steady output to subscribers).
 //
@@ -119,8 +119,8 @@ import (
 	"jisc/internal/admission"
 	"jisc/internal/core"
 	"jisc/internal/durable"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -137,7 +137,7 @@ type Config struct {
 	// server with no default query (CREATE adds queries at runtime).
 	// Its Durability field is owned by the server and must be zero;
 	// set Config.Durable instead.
-	Pipeline pipeline.Config
+	Pipeline runtime.Config
 	// SubscriberBuffer is how many result lines a subscriber may fall
 	// behind (default 1024): one that is this far behind when further
 	// results are handed to it is disconnected and counted in
@@ -184,7 +184,7 @@ type Config struct {
 
 // Server hosts named continuous queries over TCP.
 type Server struct {
-	template pipeline.Config
+	template runtime.Config
 	bufSize  int
 	ln       net.Listener
 	durable  durable.Options
@@ -415,7 +415,7 @@ func (s *Server) queryDir(name string) string {
 
 // newDurableQuery builds a query whose runtime persists under the
 // server's durability root.
-func (s *Server) newDurableQuery(name string, cfg pipeline.Config) (*query, error) {
+func (s *Server) newDurableQuery(name string, cfg runtime.Config) (*query, error) {
 	cfg.Durability = s.durable
 	cfg.Durability.Dir = s.queryDir(name)
 	return newQuery(name, cfg, s.bufSize, s.admCfg)

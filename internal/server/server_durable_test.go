@@ -7,13 +7,13 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/durable"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 )
 
 func durableServerConfig(dir string) Config {
 	return Config{
-		Pipeline: pipeline.Config{Engine: engine.Config{
+		Pipeline: runtime.Config{Engine: engine.Config{
 			Plan:       plan.MustLeftDeep(0, 1, 2),
 			WindowSize: 100,
 			Strategy:   core.New(),

@@ -13,14 +13,15 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/durable"
 	"jisc/internal/engine"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
+	"jisc/internal/storage"
 	"jisc/internal/workload"
 )
 
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := New(Config{Pipeline: pipeline.Config{Engine: engine.Config{
+	s, err := New(Config{Pipeline: runtime.Config{Engine: engine.Config{
 		Plan:       plan.MustLeftDeep(0, 1, 2),
 		WindowSize: 100,
 		Strategy:   core.New(),
@@ -149,14 +150,14 @@ func TestServerErrors(t *testing.T) {
 }
 
 func TestServerConfigValidation(t *testing.T) {
-	if _, err := New(Config{Pipeline: pipeline.Config{Engine: engine.Config{
+	if _, err := New(Config{Pipeline: runtime.Config{Engine: engine.Config{
 		Plan:   plan.MustLeftDeep(0, 1),
 		Output: func(engine.Delta) {},
 	}}}); err == nil {
 		t.Error("output-owning config accepted")
 	}
 	if _, err := New(Config{
-		Pipeline:         pipeline.Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)}},
+		Pipeline:         runtime.Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1)}},
 		SubscriberBuffer: -1,
 	}); err == nil {
 		t.Error("negative buffer accepted")
@@ -293,7 +294,7 @@ func TestServerCheckpointCommand(t *testing.T) {
 	if err := c.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := durable.ReadSnapshotFile(durable.OS(), path)
+	payload, err := durable.ReadSnapshotFile(storage.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

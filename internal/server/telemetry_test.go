@@ -11,8 +11,8 @@ import (
 	"jisc/internal/admission"
 	"jisc/internal/engine"
 	"jisc/internal/obs"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -183,7 +183,7 @@ func TestStatsLatencyFields(t *testing.T) {
 // TestSubscriberDropCounted: a subscriber that falls behind is
 // disconnected — and that drop is counted and traced, never silent.
 func TestSubscriberDropCounted(t *testing.T) {
-	q, err := newQuery("q", pipeline.Config{Engine: engine.Config{
+	q, err := newQuery("q", runtime.Config{Engine: engine.Config{
 		Plan: plan.MustLeftDeep(0, 1), WindowSize: 16,
 	}}, 2, admission.Config{})
 	if err != nil {

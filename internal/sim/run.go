@@ -474,8 +474,8 @@ func runCrash(sc Scenario) *Mismatch {
 		}
 	}
 
-	inner := durable.NewMemFS()
-	cfs := durable.NewCrashFS(inner, sc.CrashBudget)
+	inner := storage.NewMemFS()
+	cfs := storage.NewCrashFS(inner, sc.CrashBudget)
 	dopts := durable.Options{
 		Dir:                "sim",
 		Fsync:              durable.FsyncAlways,

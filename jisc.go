@@ -29,8 +29,8 @@ import (
 	"jisc/internal/engine"
 	"jisc/internal/metrics"
 	"jisc/internal/migrate"
-	"jisc/internal/pipeline"
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -172,15 +172,16 @@ func RestoreQuery(r io.Reader, cfg QueryConfig) (*Query, error) {
 }
 
 // AsyncQuery runs a query on a dedicated goroutine with a buffered
-// input queue; all methods are safe for concurrent use.
+// input queue (a one-shard runtime); all methods are safe for
+// concurrent use.
 type AsyncQuery struct {
-	r *pipeline.Runner
+	r *runtime.Runtime
 }
 
 // NewAsyncQuery builds and starts an asynchronous query. queueSize
 // bounds the input buffer (0 = default 1024).
 func NewAsyncQuery(cfg QueryConfig, queueSize int) (*AsyncQuery, error) {
-	r, err := pipeline.New(pipeline.Config{
+	r, err := runtime.New(runtime.Config{
 		Engine: engine.Config{
 			Plan:       cfg.Plan,
 			WindowSize: cfg.WindowSize,

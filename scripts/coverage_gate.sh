@@ -11,7 +11,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=$(tr -d '[:space:]' < .github/coverage-baseline.txt)
-go test -coverprofile=coverage.out ./... > /dev/null
+# The benchmark driver and the example programs are main packages run
+# end to end, not unit-tested libraries; counting their statements would
+# make the total track how much driver code exists, not how well the
+# system is tested.
+pkgs=$(go list ./... | grep -v -e '/benchmark$' -e '/examples/')
+# shellcheck disable=SC2086 # one argument per package
+go test -coverprofile=coverage.out $pkgs > /dev/null
 total=$(go tool cover -func=coverage.out | tail -1 | awk '{sub(/%/, "", $3); print $3}')
 echo "total statement coverage: ${total}% (baseline ${baseline}%)"
 if ! awk -v t="$total" -v b="$baseline" 'BEGIN { exit !(t + 0.2 >= b) }'; then
