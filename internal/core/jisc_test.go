@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"jisc/internal/engine"
@@ -369,13 +371,15 @@ func TestAggregateUnaffectedByTransition(t *testing.T) {
 // maintained from additions minus retractions must agree between JISC
 // and Moving State at the end of a scenario with transitions.
 func TestRevisionStreamEquivalence(t *testing.T) {
-	run := func(strat engine.Strategy) map[string]bool {
+	run := func(strat engine.Strategy, golden uint64) map[string]bool {
 		live := map[string]bool{}
+		stream := fnv.New64a()
 		e := engine.MustNew(engine.Config{
 			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 6,
-			Strategy: strat, EmitExpiry: true,
+			Strategy: strat, EmitExpiry: true, Deterministic: true,
 			Output: func(d engine.Delta) {
 				fp := d.Tuple.Fingerprint()
+				fmt.Fprintf(stream, "%v %s\n", d.Retraction, fp)
 				if d.Retraction {
 					if !live[fp] {
 						t.Errorf("%s: retraction of non-live %s", strat.Name(), fp)
@@ -402,10 +406,17 @@ func TestRevisionStreamEquivalence(t *testing.T) {
 			}
 			e.Feed(src.Next())
 		}
+		if h := stream.Sum64(); h != golden {
+			t.Errorf("%s: revision stream hashes to %#x, recorded %#x", strat.Name(), h, golden)
+		}
 		return live
 	}
-	a := run(New())
-	b := run(migrate.MovingState{})
+	// The recorded hashes are the delta streams (results and
+	// retractions, in order) at commit 382bfb7, before the root state
+	// became conditional on EmitExpiry: byte-identical with it on.
+	const golden = 0xc11118ea4e821842
+	a := run(New(), golden)
+	b := run(migrate.MovingState{}, golden)
 	if len(a) != len(b) {
 		t.Fatalf("live sets differ: %d vs %d", len(a), len(b))
 	}

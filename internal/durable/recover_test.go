@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -241,6 +242,98 @@ func TestRecoverShardFromCheckpointPlusTail(t *testing.T) {
 	}
 	if rec.Log.LastSeq() != uint64(len(evs)) {
 		t.Fatalf("LastSeq = %d, want %d", rec.Log.LastSeq(), len(evs))
+	}
+}
+
+// Recovery across the checkpoint format change: a shard directory left
+// by the build before the root rule — a snapVersion 2 checkpoint that
+// carries the root join's output state, plus a WAL tail — recovers into
+// an engine that does not store root output. The root entries are
+// dropped (nothing would ever evict them), the tail replays, and the
+// run finishes with the output of an uninterrupted one.
+func TestRecoverShardFromOlderCheckpoint(t *testing.T) {
+	// testdata/snap_v2_rootstored.gob: evs[:ckptAt] under
+	// testEngineConfig with the MIGRATE before evs[migrateAt].
+	const ckptAt, migrateAt, crashAt = 12, 9, 30
+	evs := append(testWorkload(8), testWorkload(8)...)
+	p2 := plan.MustLeftDeep(2, 0, 1)
+	old, err := os.ReadFile("../engine/testdata/snap_v2_rootstored.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var refOut []string
+	refEng, err := engine.New(testEngineConfig(func(d engine.Delta) { refOut = append(refOut, deltaLine(d)) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refEng.Close()
+	var refAtCrash int
+	for i, ev := range evs {
+		if i == migrateAt {
+			if err := refEng.Migrate(p2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == crashAt {
+			refAtCrash = len(refOut)
+		}
+		refEng.Feed(ev)
+	}
+
+	root := t.TempDir()
+	opts := Options{Dir: root, Fsync: FsyncAlways}.WithDefaults()
+	dir := ShardDir(root, 0)
+	if err := opts.FS.MkdirAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	log, err := openLogAt(opts, dir, nil, &Stats{}, 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < crashAt; i++ {
+		if i == migrateAt {
+			if _, err := log.AppendMigrate(p2.String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := log.AppendFeed(evs[i].Stream, evs[i].Key); err != nil {
+			t.Fatal(err)
+		}
+		if i == ckptAt-1 {
+			if err := WriteShardCheckpoint(opts, 0, log.LastSeq(), old); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	log.Close()
+
+	var postOut []string
+	rec, err := RecoverShard(opts, 0, testEngineConfig(func(d engine.Delta) { postOut = append(postOut, deltaLine(d)) }), nil, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Log.Close()
+	defer rec.Engine.Close()
+	if rec.CheckpointSeq != ckptAt+1 || rec.ReplayedEvents != crashAt-ckptAt {
+		t.Fatalf("checkpoint seq %d, replayed %d events; want %d and %d", rec.CheckpointSeq, rec.ReplayedEvents, ckptAt+1, crashAt-ckptAt)
+	}
+	if n := rec.Engine.Root().St.Size(); n != 0 {
+		t.Fatalf("root state holds %d tuples after recovery, want 0", n)
+	}
+	for _, ev := range evs[crashAt:] {
+		rec.Engine.Feed(ev)
+	}
+	want := refOut[refAtCrash:]
+	if len(want) == 0 || strings.Join(postOut, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("output after recovery:\n got %v\nwant %v", postOut, want)
+	}
+	// Inserts and Evictions continue from the older build's counts, which
+	// included the root's; everything the root rule leaves alone matches.
+	m, refMet := rec.Engine.Metrics(), refEng.Metrics()
+	if m.Input != refMet.Input || m.Output != refMet.Output || m.Probes != refMet.Probes ||
+		m.Completions != refMet.Completions || m.CompletedEntries != refMet.CompletedEntries || m.Transitions != refMet.Transitions {
+		t.Fatalf("counters diverged:\n got %+v\nwant %+v", m, refMet)
 	}
 }
 

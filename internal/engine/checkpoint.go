@@ -21,8 +21,13 @@ import (
 
 // snapVersion guards the checkpoint format. Version 2 added the
 // lifetime metrics counters, so a restored node's STATS continue from
-// where the crashed one left off.
-const snapVersion = 2
+// where the crashed one left off. Version 3 added RootStored, since a
+// hash root's output state exists only under EmitExpiry (storesOutput);
+// version 2 checkpoints always carry it, and Restore still reads them.
+const (
+	snapVersion       = 3
+	snapVersionRootIn = 2
+)
 
 type tupleSnap struct {
 	Key     tuple.Value
@@ -84,6 +89,10 @@ type engineSnap struct {
 	Probes         map[tuple.StreamSet]uint64
 	Matches        map[tuple.StreamSet]uint64
 	Counters       metrics.Snapshot
+	// RootStored reports that the root's table snapshot holds the
+	// root's output state; false for a hash root checkpointed without
+	// EmitExpiry, whose table is empty by construction.
+	RootStored bool
 }
 
 // Checkpoint writes the engine's execution state to w. The engine must
@@ -107,6 +116,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		Probes:         map[tuple.StreamSet]uint64{},
 		Matches:        map[tuple.StreamSet]uint64{},
 		Counters:       e.met.Snapshot(),
+		RootStored:     e.storesOutput(e.root),
 	}
 	for _, n := range e.Nodes() {
 		snap.Probes[n.Set] = n.Probes
@@ -164,8 +174,12 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("engine: decoding checkpoint: %w", err)
 	}
-	if snap.Version != snapVersion {
-		return nil, fmt.Errorf("engine: checkpoint snapVersion %d, this build reads %d (re-checkpoint with a matching build)", snap.Version, snapVersion)
+	switch snap.Version {
+	case snapVersion:
+	case snapVersionRootIn:
+		snap.RootStored = true
+	default:
+		return nil, fmt.Errorf("engine: checkpoint snapVersion %d, this build reads %d and %d (re-checkpoint with a matching build)", snap.Version, snapVersionRootIn, snapVersion)
 	}
 	p, err := plan.Parse(snap.Plan)
 	if err != nil {
@@ -184,6 +198,16 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
+	}
+
+	// The root rule in both directions: a retraction stream cannot
+	// resume from a checkpoint that did not keep the results it would
+	// retract, and root entries this engine would never evict are
+	// dropped below (they were emitted before the checkpoint).
+	rootStored := e.storesOutput(e.root)
+	if rootStored && !snap.RootStored {
+		e.Close()
+		return nil, fmt.Errorf("engine: checkpoint was taken without EmitExpiry and holds no root output state; restoring it with EmitExpiry would never retract the results emitted before it")
 	}
 
 	e.met.Restore(snap.Counters)
@@ -212,6 +236,9 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: checkpoint table %v has no matching operator", ts.Set)
 		}
 		n.St.Clear()
+		if n == e.root && !rootStored {
+			ts.Entries = nil
+		}
 		for _, en := range ts.Entries {
 			n.St.Insert(en.tuple())
 		}

@@ -57,7 +57,9 @@ type Config struct {
 	// pipelines: when a window slide removes results from the root
 	// state, each removal is emitted as a retraction Delta, so
 	// downstream aggregates (§4.7) track the live window instead of
-	// the all-time output. Set-difference pipelines always emit
+	// the all-time output. It is also what makes a hash-join root keep
+	// its output state at all: without it results are emitted and not
+	// stored (DESIGN.md §6.8). Set-difference pipelines always emit
 	// retractions regardless of this flag.
 	EmitExpiry bool
 	// Now supplies time for latency metrics; defaults to time.Now.

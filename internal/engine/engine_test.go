@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,7 +111,7 @@ func TestEvictionPropagatesToJoinStates(t *testing.T) {
 }
 
 func TestRootStateBounded(t *testing.T) {
-	e := MustNew(Config{Plan: plan.MustLeftDeep(0, 1), WindowSize: 4})
+	e := MustNew(Config{Plan: plan.MustLeftDeep(0, 1), WindowSize: 4, EmitExpiry: true})
 	for i := 0; i < 200; i++ {
 		e.Feed(ev(0, 1))
 		e.Feed(ev(1, 1))
@@ -160,10 +163,14 @@ func TestMigrationClassifiesStates(t *testing.T) {
 	if n013.St.Complete() || n013.St.Size() != 0 {
 		t.Errorf("{0,1,3}: complete=%v size=%d", n013.St.Complete(), n013.St.Size())
 	}
-	// Root {0,1,2,3} existed: complete with the old result.
+	// Root {0,1,2,3} existed: complete. Its one result was emitted, not
+	// stored — nothing reads a root state unless EmitExpiry does.
 	root := e.Root()
-	if !root.St.Complete() || root.St.Size() != 1 {
+	if !root.St.Complete() || root.St.Size() != 0 {
 		t.Errorf("root: complete=%v size=%d", root.St.Complete(), root.St.Size())
+	}
+	if got := e.Metrics(); got.Output != 1 || got.Inserts != 4+2 {
+		t.Errorf("output=%d inserts=%d, want 1 result and 4 scan + 2 intermediate inserts", got.Output, got.Inserts)
 	}
 	// Old state {0,1,2} must be discarded from the store.
 	if e.NodeBySet(tuple.NewStreamSet(0, 1, 2)) != nil {
@@ -435,6 +442,62 @@ func TestEmitExpiryRevisionStream(t *testing.T) {
 	if retracts != 1 {
 		t.Fatalf("retractions = %d", retracts)
 	}
+	var keys []string
+	for _, d := range out {
+		keys = append(keys, deltaKey(d))
+	}
+	if h := deltaStreamHash(keys); h != emitExpiryDeltaStreamGolden {
+		t.Errorf("revision stream %v hashes to %#x, recorded %#x", keys, h, uint64(emitExpiryDeltaStreamGolden))
+	}
+}
+
+// The root join's output state is materialised only for retractions:
+// the same input leaves the root table empty without EmitExpiry and
+// populated with it, the results are the same, and the insert and
+// eviction counters differ by exactly the root's share.
+func TestRootStoredOnlyForRetractions(t *testing.T) {
+	run := func(emitExpiry bool) (*Engine, []string) {
+		var adds []string
+		e := MustNew(Config{
+			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 3, EmitExpiry: emitExpiry,
+			Output: func(d Delta) {
+				if !d.Retraction {
+					adds = append(adds, d.Tuple.Fingerprint())
+				}
+			},
+		})
+		for i := 0; i < 60; i++ {
+			e.Feed(ev(tuple.StreamID(i%3), tuple.Value(i/3%2)))
+		}
+		return e, adds
+	}
+	plain, plainAdds := run(false)
+	exp, expAdds := run(true)
+	if len(plainAdds) == 0 || len(plainAdds) != len(expAdds) {
+		t.Fatalf("results: %d without EmitExpiry, %d with", len(plainAdds), len(expAdds))
+	}
+	for i := range plainAdds {
+		if plainAdds[i] != expAdds[i] {
+			t.Fatalf("result %d: %s without EmitExpiry, %s with", i, plainAdds[i], expAdds[i])
+		}
+	}
+	if n := plain.Root().St.Size(); n != 0 {
+		t.Errorf("root state holds %d tuples without EmitExpiry, want 0", n)
+	}
+	if n := exp.Root().St.Size(); n == 0 {
+		t.Error("root state empty with EmitExpiry")
+	}
+	pm, em := plain.Metrics(), exp.Metrics()
+	if pm.Output != em.Output || pm.Probes != em.Probes {
+		t.Errorf("output/probes %d/%d without EmitExpiry, %d/%d with", pm.Output, pm.Probes, em.Output, em.Probes)
+	}
+	if em.Inserts-pm.Inserts != em.Output {
+		t.Errorf("inserts %d vs %d: want a difference of the %d root results", pm.Inserts, em.Inserts, em.Output)
+	}
+	rootEvicted := em.Output - uint64(exp.Root().St.Size())
+	if em.Evictions-pm.Evictions != rootEvicted {
+		t.Errorf("evictions %d vs %d: want a difference of the %d expired root results", pm.Evictions, em.Evictions, rootEvicted)
+	}
 }
 
 func TestNoExpiryEmissionByDefault(t *testing.T) {
@@ -532,5 +595,20 @@ func TestNodeStatsCount(t *testing.T) {
 	s0 := e.Scan(0)
 	if s0.Probes != 2 || s0.Matches != 1 {
 		t.Fatalf("scan0 stats: probes=%d matches=%d", s0.Probes, s0.Matches)
+	}
+}
+
+// Restore names the versions it reads: 3 (RootStored recorded) and 2
+// (root entries always present); anything else is refused.
+func TestRestoreRejectsUnknownSnapVersion(t *testing.T) {
+	for _, v := range []int{1, snapVersion + 1} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(engineSnap{Version: v, Plan: "(0⋈1)"}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Restore(&buf, Config{})
+		if err == nil || !strings.Contains(err.Error(), "snapVersion") {
+			t.Errorf("version %d: err = %v, want a snapVersion refusal", v, err)
+		}
 	}
 }

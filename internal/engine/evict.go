@@ -28,6 +28,9 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 
 	last := scan
 	for j := scan.Parent; j != nil; j = j.Parent {
+		if !e.storesOutput(j) {
+			break // the root's results were emitted, not stored
+		}
 		last = j
 		var removed []*tuple.Tuple
 		if j.St != nil {

@@ -22,12 +22,14 @@ type hashJoinOp struct{}
 func (hashJoinOp) Kind() Kind { return HashJoin }
 
 // Push implements Operator: probe the opposite child's hash state with
-// t's key, build composites through the engine's scratch builder, and
-// recurse upward. With instrumentation on, one in obs.sampleEvery
-// probes is timed (probe and build separately) — sampling keeps the
-// two extra clock reads off most of the hot path.
+// t's key, build composites through the engine's scratch builder, store
+// them where a later probe can read them (storesOutput), and recurse
+// upward. With instrumentation on, one in obs.sampleEvery probes is
+// timed (probe and build separately) — sampling keeps the two extra
+// clock reads off most of the hot path.
 func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
 	opp := j.Opposite(from)
+	stored := e.storesOutput(j)
 	e.strategy.BeforeProbe(e, j, opp, t, fresh)
 	e.met.Probes.Add(1)
 	timed := e.obs.SampleProbe()
@@ -44,16 +46,31 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
 	opp.Matches += uint64(len(matches))
 	for i, m := range matches {
 		out := e.scratch.builder().Join(t, m)
-		j.St.Insert(out)
+		if stored {
+			j.St.Insert(out)
+			e.met.Inserts.Add(1)
+		}
 		if timed && i == 0 {
 			// Time only the first build of a timed probe, reusing the
 			// probe-end clock read as the build start: one extra read
 			// per sample instead of two per match.
 			e.obs.Build.Record(e.now().Sub(t1))
 		}
-		e.met.Inserts.Add(1)
 		e.pushUp(j, out, fresh)
 	}
+}
+
+// storesOutput reports whether join node j materialises its output
+// state. A state exists to be probed by the join above it or reused by
+// a later plan (§2.1, Definition 1). A hash root's has neither reader:
+// it has no parent, and its stream set — all of them — exists in every
+// plan, so it is never incomplete and never adopted elsewhere. Only
+// EmitExpiry reads it, to find the results a window slide retracts;
+// without that the root's output is emitted, not stored, and its table
+// stays allocated but empty (n.St != nil still means "hash node").
+// Set-difference and nested-loops roots keep their state.
+func (e *Engine) storesOutput(j *Node) bool {
+	return j.Parent != nil || j.Kind != HashJoin || e.cfg.EmitExpiry
 }
 
 // recordProbe folds one timed probe of n's state into the engine-wide

@@ -45,7 +45,8 @@ type Operator interface {
 	// Push processes t, the freshly produced output of child `from`,
 	// at node j: probe/scan the opposite state, construct result
 	// composites through the engine's scratch builder, insert them
-	// into j's state, and recurse upward via e.pushUp.
+	// into j's state (a hash root's only under EmitExpiry, see
+	// storesOutput), and recurse upward via e.pushUp.
 	Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool)
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"jisc/internal/plan"
@@ -54,6 +55,9 @@ func TestSpillBoundedMemoryEquivalence(t *testing.T) {
 	if working == 0 {
 		t.Fatal("reference run accumulated no state")
 	}
+	if h := deltaStreamHash(want); h != spillDeltaStreamGolden {
+		t.Errorf("revision stream hash %#x over %d deltas, recorded %#x", h, len(want), uint64(spillDeltaStreamGolden))
+	}
 
 	budget := working / 4
 	var got []string
@@ -97,6 +101,26 @@ func TestSpillBoundedMemoryEquivalence(t *testing.T) {
 	if working < 4*budget {
 		t.Fatalf("working set %d is not ≥ 4× budget %d", working, budget)
 	}
+}
+
+// spillDeltaStreamGolden and emitExpiryDeltaStreamGolden are the
+// revision streams (results and retractions, in order) these tests
+// produced at commit 382bfb7, before the root state became conditional
+// on EmitExpiry: with the flag on, the stream must stay byte-identical.
+const (
+	spillDeltaStreamGolden      = 0x6b02e44c339bfa87
+	emitExpiryDeltaStreamGolden = 0xdb0245ed6185eae7
+)
+
+// deltaStreamHash is FNV-1a over the deltaKey lines of a revision
+// stream.
+func deltaStreamHash(keys []string) uint64 {
+	h := fnv.New64a()
+	for _, k := range keys {
+		h.Write([]byte(k))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
 }
 
 func deltaKey(d Delta) string {

@@ -30,13 +30,16 @@ type Collector struct {
 	Output atomic.Uint64
 	// Probes counts hash/list probes performed by join operators.
 	Probes atomic.Uint64
-	// Inserts counts state insertions.
+	// Inserts counts state insertions: tuples stored where a later probe
+	// can read them. A result the root emits without storing (DESIGN.md
+	// §6.8) is an Output, not an Insert.
 	Inserts atomic.Uint64
 	// Completions counts on-demand state-completion invocations (JISC).
 	Completions atomic.Uint64
 	// CompletedEntries counts tuples materialized by state completion.
 	CompletedEntries atomic.Uint64
-	// Evictions counts window-expiry removals applied to states.
+	// Evictions counts window-expiry removals applied to states: one
+	// per stored tuple removed, so it follows Inserts.
 	Evictions atomic.Uint64
 	// DupDropped counts outputs suppressed by duplicate elimination
 	// (Parallel Track).

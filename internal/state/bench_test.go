@@ -1,6 +1,7 @@
 package state
 
 import (
+	"fmt"
 	"testing"
 
 	"jisc/internal/tuple"
@@ -63,5 +64,38 @@ func BenchmarkEvict(b *testing.B) {
 		oldest++
 		t.Insert(tuple.NewBase(0, seq, tuple.Value(seq%domain), seq))
 		seq++
+	}
+}
+
+// BenchmarkRemoveRefHotBucket measures window expiry against one hot
+// key's bucket in a 3-stream join state where 20 tuples per stream
+// carry the key: 400 entries when two of the streams vary (the
+// intermediate state of the benchmark's migrate-hotkey workload), 8 000
+// when all three do (its root state, when stored). Each iteration
+// expires one stream-0 tuple — a scan of the whole bucket that removes
+// a twentieth of it — and puts the removed entries back.
+func BenchmarkRemoveRefHotBucket(b *testing.B) {
+	const perStream = 20
+	for _, entries := range []int{400, 8000} {
+		b.Run(fmt.Sprint(entries), func(b *testing.B) {
+			t := NewTable(tuple.NewStreamSet(0, 1, 2))
+			for i := 0; i < entries; i++ {
+				s0, s1, s2 := i%perStream, i/perStream%perStream, i/(perStream*perStream)
+				tup := tuple.Join(tuple.Join(tuple.NewBase(0, uint64(s0), 7, 1), tuple.NewBase(1, uint64(s1), 7, 1)), tuple.NewBase(2, uint64(s2), 7, 1))
+				t.Insert(tup)
+			}
+			back := make([]*tuple.Tuple, 0, entries/perStream)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				back = append(back[:0], t.RemoveRef(7, tuple.Ref{Stream: 0, Seq: uint64(i % perStream)})...)
+				if len(back) != entries/perStream {
+					b.Fatalf("removed %d entries, want %d", len(back), entries/perStream)
+				}
+				for _, tup := range back {
+					t.Insert(tup)
+				}
+			}
+		})
 	}
 }

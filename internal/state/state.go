@@ -15,6 +15,7 @@ package state
 
 import (
 	"fmt"
+	"math/bits"
 
 	"jisc/internal/tuple"
 )
@@ -328,6 +329,13 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 // upward). The bucket is compacted in place; an emptied bucket's
 // backing array is recycled for later Inserts.
 //
+// The tuples of one bucket all cover the same stream set (a join
+// state's composites cover the table's Set, a set-difference state's
+// passing tuples the outer stream alone) and Refs holds one ref per
+// covered stream in stream order, so ref can only sit at one index —
+// the number of covered streams below ref.Stream — and membership is
+// one Seq compare per tuple, not a search.
+//
 // On a tombstone-mode table (scan states) a spilled bucket is not
 // faulted: the eviction is recorded as a backend tombstone and nil is
 // returned — base tuples have no derived results below them, so the
@@ -358,14 +366,19 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 			defer t.backend.MaybeSpill()
 		}
 	}
-	bucket, ok := t.buckets[key]
-	if !ok {
+	bucket := t.buckets[key]
+	if len(bucket) == 0 {
 		return nil
 	}
+	set := bucket[0].Set
+	if !set.Has(ref.Stream) {
+		return nil
+	}
+	slot := bits.OnesCount64(uint64(set) & (1<<ref.Stream - 1))
 	t.removed = t.removed[:0]
 	kept := bucket[:0]
 	for _, tup := range bucket {
-		if tup.Contains(ref) {
+		if tup.Refs[slot].Seq == ref.Seq {
 			t.removed = append(t.removed, tup)
 		} else {
 			kept = append(kept, tup)

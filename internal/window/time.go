@@ -11,7 +11,8 @@ import (
 // entry that fell out of the window.
 type Slider interface {
 	// Slide admits one tuple and returns the expired entries, oldest
-	// first.
+	// first. The slice is owned by the window and valid only until the
+	// next Slide.
 	Slide(ref tuple.Ref, key tuple.Value, ts uint64) []Entry
 	// Len returns the number of live tuples.
 	Len() int
@@ -22,10 +23,12 @@ type Slider interface {
 // Slide implements Slider for the count-based Window: at most one
 // entry expires per admission. The timestamp is ignored.
 func (w *Window) Slide(ref tuple.Ref, key tuple.Value, _ uint64) []Entry {
-	if exp, ok := w.Admit(ref, key); ok {
-		return []Entry{exp}
+	exp, ok := w.Admit(ref, key)
+	if !ok {
+		return nil
 	}
-	return nil
+	w.expired[0] = exp
+	return w.expired[:]
 }
 
 // TimeWindow is a time-based sliding window (§2.1 covers sliding

@@ -27,6 +27,9 @@ type Window struct {
 	buf   []Entry
 	head  int // index of oldest
 	count int
+	// expired backs Slide's one-entry result, so a full window slides
+	// without allocating.
+	expired [1]Entry
 }
 
 // New returns a window of the given size (tuples) for stream id.

@@ -158,11 +158,16 @@ func (q *Query) Plan() *Plan { return q.eng.Plan() }
 func (q *Query) Checkpoint(w io.Writer) error { return q.eng.Checkpoint(w) }
 
 // RestoreQuery resumes a query from a Checkpoint. cfg supplies the
-// non-serializable parts (Strategy, Output); its Plan is ignored.
+// non-serializable parts (Strategy, Output) and EmitExpiry; its Plan is
+// ignored. A checkpoint holds the results a window slide would retract
+// only when it was taken with EmitExpiry: restoring one taken without
+// it into an EmitExpiry query is an error, the other direction drops
+// them.
 func RestoreQuery(r io.Reader, cfg QueryConfig) (*Query, error) {
 	eng, err := engine.Restore(r, engine.Config{
 		WindowSize: cfg.WindowSize,
 		Strategy:   strategyOf(cfg.Strategy),
+		EmitExpiry: cfg.EmitExpiry,
 		Output:     engine.Output(cfg.Output),
 	})
 	if err != nil {

@@ -2,6 +2,8 @@ package jisc
 
 import (
 	"bytes"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -118,6 +120,140 @@ func TestQueryCheckpointRestore(t *testing.T) {
 	if results != 1 {
 		t.Fatalf("results = %d, want 1", results)
 	}
+}
+
+// rootRuleEvents is the input behind the checkpoints of
+// TestRestoreQueryRootRule: every key on all three streams, eight keys,
+// twice over, so the second pass joins (and, with a window of 8, expires)
+// tuples of the first.
+func rootRuleEvents() []Event {
+	var evs []Event
+	for pass := 0; pass < 2; pass++ {
+		for k := 0; k < 8; k++ {
+			for s := 0; s < 3; s++ {
+				evs = append(evs, Event{Stream: StreamID(s), Key: Value(k)})
+			}
+		}
+	}
+	return evs
+}
+
+// A checkpoint carries the root join's output state only when the
+// query retracts (EmitExpiry); restore follows the rule in both
+// directions.
+func TestRestoreQueryRootRule(t *testing.T) {
+	const cut = 12 // tuples before the checkpoint, a MIGRATE before the tenth
+	evs := rootRuleEvents()
+	line := func(d Delta) string {
+		if d.Retraction {
+			return "-" + d.Tuple.Fingerprint()
+		}
+		return "+" + d.Tuple.Fingerprint()
+	}
+	// feed runs evs[from:to] through q, with the MIGRATE at its place.
+	feed := func(t *testing.T, q *Query, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if i == 9 {
+				if err := q.Migrate(LeftDeep(2, 0, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			q.Feed(evs[i])
+		}
+	}
+	// reference returns the deltas an uninterrupted query emits after
+	// the cut, and a checkpoint taken at the cut.
+	reference := func(t *testing.T, window int, emitExpiry bool) (after []string, ckpt []byte) {
+		t.Helper()
+		var out []string
+		q, err := NewQuery(QueryConfig{
+			Plan: LeftDeep(0, 1, 2), WindowSize: window, EmitExpiry: emitExpiry,
+			Output: func(d Delta) { out = append(out, line(d)) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, q, 0, cut)
+		var buf bytes.Buffer
+		if err := q.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		before := len(out)
+		feed(t, q, cut, len(evs))
+		return out[before:], buf.Bytes()
+	}
+	resume := func(t *testing.T, ckpt []byte, window int, emitExpiry bool) (*Query, []string) {
+		t.Helper()
+		var out []string
+		q, err := RestoreQuery(bytes.NewReader(ckpt), QueryConfig{
+			WindowSize: window, EmitExpiry: emitExpiry,
+			Output: func(d Delta) { out = append(out, line(d)) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, q, cut, len(evs))
+		return q, out
+	}
+	same := func(t *testing.T, got, want []string) {
+		t.Helper()
+		if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("deltas after restore:\n got %v\nwant %v", got, want)
+		}
+	}
+
+	t.Run("v2 into plain drops root", func(t *testing.T) {
+		// Written by the commit before the root rule (snapVersion 2, four
+		// root entries), from evs[:cut] with a window of 1000.
+		old, err := os.ReadFile("internal/engine/testdata/snap_v2_rootstored.gob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := reference(t, 1000, false)
+		q, got := resume(t, old, 1000, false)
+		same(t, got, want)
+		if n := q.eng.Root().St.Size(); n != 0 {
+			t.Fatalf("root state holds %d tuples after restore, want 0 (nothing would ever evict them)", n)
+		}
+	})
+	t.Run("v2 into EmitExpiry keeps root", func(t *testing.T) {
+		old, err := os.ReadFile("internal/engine/testdata/snap_v2_rootstored.gob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := RestoreQuery(bytes.NewReader(old), QueryConfig{WindowSize: 1000, EmitExpiry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := q.eng.Root().St.Size(); n != 4 {
+			t.Fatalf("root state holds %d tuples after restore, want the checkpoint's 4", n)
+		}
+	})
+	t.Run("EmitExpiry into plain drops root", func(t *testing.T) {
+		_, ckpt := reference(t, 8, true)
+		want, _ := reference(t, 8, false)
+		q, got := resume(t, ckpt, 8, false)
+		same(t, got, want)
+		if n := q.eng.Root().St.Size(); n != 0 {
+			t.Fatalf("root state holds %d tuples after restore, want 0", n)
+		}
+	})
+	t.Run("EmitExpiry into EmitExpiry resumes retractions", func(t *testing.T) {
+		want, ckpt := reference(t, 8, true)
+		_, got := resume(t, ckpt, 8, true)
+		same(t, got, want)
+		if !strings.Contains(strings.Join(got, "\n"), "-") {
+			t.Fatalf("no retraction after restore: %v", got)
+		}
+	})
+	t.Run("plain into EmitExpiry is refused", func(t *testing.T) {
+		_, ckpt := reference(t, 8, false)
+		_, err := RestoreQuery(bytes.NewReader(ckpt), QueryConfig{WindowSize: 8, EmitExpiry: true})
+		if err == nil || !strings.Contains(err.Error(), "EmitExpiry") {
+			t.Fatalf("err = %v, want a refusal naming EmitExpiry", err)
+		}
+	})
 }
 
 func TestSetDiffQueryFacade(t *testing.T) {
