@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"testing"
 
 	"jisc/internal/core"
@@ -88,5 +89,65 @@ func TestSpillSurvivesMigration(t *testing.T) {
 	spill, ok := bounded.SpillStats()
 	if !ok || spill.Spills == 0 || spill.Faults == 0 {
 		t.Fatalf("migration run never exercised the spill tier: %+v (on=%v)", spill, ok)
+	}
+}
+
+// TestSpillCheckpointKeepsBucketOrder checkpoints an engine whose keys
+// are split between a spilled and a resident part, restores it, and
+// requires the rest of the run to emit what the uninterrupted,
+// unbounded run emits, delta for delta: a checkpoint lists each bucket
+// in arrival order whichever tiers its tuples sit in.
+func TestSpillCheckpointKeepsBucketOrder(t *testing.T) {
+	evs := make([]workload.Event, 0, 4000)
+	rng := uint64(0xA0761D6478BD642F)
+	for i := 0; i < 4000; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		evs = append(evs, workload.Event{Stream: tuple.StreamID(i % 3), Key: tuple.Value(rng >> 33 % 48)})
+	}
+	var out []string
+	cfg := engine.Config{
+		Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 400, Strategy: core.New(), Deterministic: true,
+		Output: func(d engine.Delta) { out = append(out, d.Tuple.Fingerprint()) },
+	}
+	ref := engine.MustNew(cfg)
+	defer ref.Close()
+	var working int64
+	for _, ev := range evs {
+		ref.Feed(ev)
+		working = max(working, ref.StateBytes())
+	}
+	want := out
+	out = nil
+
+	cfg.StateBudget = working / 4
+	cfg.SpillFS = storage.NewMemFS()
+	e := engine.MustNew(cfg)
+	for _, ev := range evs[:len(evs)/2] {
+		e.Feed(ev)
+	}
+	if st, _ := e.SpillStats(); st.SpilledBuckets == 0 {
+		t.Fatalf("nothing is spilled at the checkpoint: %+v", st)
+	}
+	var snap bytes.Buffer
+	if err := e.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	cfg.SpillFS = storage.NewMemFS()
+	restored, err := engine.Restore(&snap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	for _, ev := range evs[len(evs)/2:] {
+		restored.Feed(ev)
+	}
+	if len(out) != len(want) {
+		t.Fatalf("checkpointed run emitted %d deltas, uninterrupted %d", len(out), len(want))
+	}
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("delta %d diverged: checkpointed %q, uninterrupted %q", i, out[i], want[i])
+		}
 	}
 }

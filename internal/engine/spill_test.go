@@ -64,8 +64,7 @@ func TestSpillBoundedMemoryEquivalence(t *testing.T) {
 	bounded := cfg
 	bounded.StateBudget = budget
 	bounded.SpillFS = storage.NewMemFS()
-	// Small segments keep MemFS faults cheap (its Open snapshots the
-	// whole file); production uses *os.File ReaderAt spans instead.
+	// Small segments, so the run rotates as well as compacts.
 	bounded.SpillSegmentBytes = 64 << 10
 	bounded.Output = func(d Delta) { got = append(got, deltaKey(d)) }
 	be := MustNew(bounded)

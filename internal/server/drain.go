@@ -9,6 +9,8 @@ package server
 //     surviving connections into a retriable "ERR BUSY draining", and
 //     each query's admission controller rejects at its own door too
 //     (defense in depth for callers that bypass the command loop);
+//     commands that read the flag just before it went up are waited
+//     out, inside the timeout of step 4;
 //  3. pause autopilots — a plan migration mid-drain would re-lengthen
 //     exactly the queues the drain is emptying, so decision-making is
 //     suspended (not stopped: Pause never joins a goroutine);
@@ -57,6 +59,11 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 	flushed := make(chan error, 1)
 	go func() {
+		// A handler that read the fence down may still be feeding; its
+		// batch must be in a queue before the flush barrier goes in.
+		//lint:ignore SA2001 the lock is taken only to wait out its readers
+		s.inflight.Lock()
+		s.inflight.Unlock()
 		var first error
 		for _, q := range queries {
 			if err := q.runner.Flush(); err != nil && first == nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -211,5 +212,60 @@ func TestDrainConcurrentWithIngest(t *testing.T) {
 	case <-waitDone:
 	case <-time.After(10 * time.Second):
 		t.Fatal("feeders hung after drain")
+	}
+}
+
+// TestDrainWaitsOutInflightMutation holds a FEEDB handler between its
+// fence check and its FeedBatch while Drain raises the fence: the
+// drain must wait for that batch before its flush barrier, so the
+// final checkpoint covers it and the successor replays nothing.
+func TestDrainWaitsOutInflightMutation(t *testing.T) {
+	noLeak(t)
+	dir := t.TempDir()
+	s := startDurableServer(t, dir)
+	atFence, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.fenceHook = func() {
+		once.Do(func() {
+			close(atFence)
+			<-release
+		})
+	}
+	c := dial(t, s)
+	resp := make(chan string, 1)
+	go func() {
+		fmt.Fprintln(c.conn, "FEEDB 0 1 2 3")
+		line, _ := c.r.ReadString('\n')
+		resp <- strings.TrimSpace(line)
+	}()
+	<-atFence
+
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(10 * time.Second) }()
+	for !s.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-drained:
+		close(release)
+		t.Fatalf("Drain returned (%v) with a mutating command still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if got := <-resp; got != "OK" {
+		t.Fatalf("the held FEEDB answered %q, want OK: it passed the fence before the drain", got)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+
+	s2 := startDurableServer(t, dir)
+	defer s2.Close()
+	c2 := dial(t, s2)
+	if got := statField(t, c2.cmd(t, "STATS"), "input"); got != "3" {
+		t.Fatalf("successor input = %s, want the held batch's 3 tuples", got)
+	}
+	if got := s2.DurableStats().RecoveredEvents; got != 0 {
+		t.Fatalf("RecoveredEvents = %d, want 0: the final checkpoint must cover the held batch", got)
 	}
 }

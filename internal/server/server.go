@@ -206,7 +206,13 @@ type Server struct {
 	// draining is the graceful-drain fence: once up, mutating commands
 	// draw "ERR BUSY draining" while reads (STATS, PLAN, LIST) keep
 	// answering. See Drain.
-	draining     atomic.Bool
+	draining atomic.Bool
+	// inflight is read-held by a handler from its fence check to the
+	// end of a mutating command; Drain write-locks it once, after
+	// raising the fence, to wait those commands out. fenceHook, set by
+	// tests only, runs in such a handler right after the fence check.
+	inflight     sync.RWMutex
+	fenceHook    func()
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 
@@ -816,17 +822,27 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		var werr error
 		verb, rest, _ := strings.Cut(line, " ")
-		if s.draining.Load() {
+		mutating := false
+		switch strings.ToUpper(verb) {
+		case "FEED", "FEEDB", "MIGRATE", "CREATE", "DROP", "CHECKPOINT", "AUTO":
 			// The drain fence: mutating commands are rejected retriably
 			// (the client's BUSY backoff will land on the replacement
 			// process after the rolling restart) while reads keep
-			// answering so operators can watch the drain progress.
-			switch strings.ToUpper(verb) {
-			case "FEED", "FEEDB", "MIGRATE", "CREATE", "DROP", "CHECKPOINT", "AUTO":
+			// answering so operators can watch the drain progress. The
+			// flag is read under the in-flight lock, held until the
+			// command is done, so Drain can wait out every command that
+			// saw the fence down before it takes the final checkpoint.
+			s.inflight.RLock()
+			if s.draining.Load() {
+				s.inflight.RUnlock()
 				if respond(admission.Busy("draining")) != nil {
 					return
 				}
 				continue
+			}
+			mutating = true
+			if s.fenceHook != nil {
+				s.fenceHook()
 			}
 		}
 		switch strings.ToUpper(verb) {
@@ -1059,6 +1075,9 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		default:
 			werr = lw.writeLine("ERR unknown command %q", verb)
+		}
+		if mutating {
+			s.inflight.RUnlock()
 		}
 		if werr != nil {
 			return

@@ -66,11 +66,15 @@ func TupleBytes(t *tuple.Tuple) int64 {
 	return 64 + 16*int64(len(t.Refs)) + 8*int64(len(t.Payload))
 }
 
-// spillInfo is the resident-side record of one spilled bucket: how
+// spillInfo is the resident-side record of one key's spilled part: how
 // many live tuples it holds and their accounted byte footprint, so
 // size and ContainsKey answers stay exact without touching the
 // backend, and tombstoned tuples can be deducted proportionally.
+// newest is the highest sequence number spilled — kept on
+// tombstone-mode tables only, where it routes an expiring ref to the
+// spilled or the resident part.
 type spillInfo struct {
-	count int
-	bytes int64
+	count  int
+	bytes  int64
+	newest uint64
 }

@@ -49,8 +49,10 @@ type Table struct {
 	// faulting the bucket in. Only sound for single-stream states,
 	// whose tuples are uniform base tuples with exactly one ref.
 	tombstone bool
-	// spilled maps each spilled key to its live count and accounted
-	// bytes. A key is in at most one of buckets and spilled.
+	// spilled maps each key with a spilled part to that part's live
+	// count and accounted bytes. A key may also have a resident part in
+	// buckets: the tuples inserted since it spilled, all newer than the
+	// spilled ones.
 	spilled map[tuple.Value]spillInfo
 	// hot holds the CLOCK reference bits: touched resident buckets,
 	// checked-and-cleared by the backend's hand via ClockTouched.
@@ -238,14 +240,10 @@ func (t *Table) DropPending(key tuple.Value) (drained bool) {
 }
 
 // Insert stores tup under its key. New buckets reuse backing arrays
-// recycled from previously emptied ones. A spilled bucket is faulted
-// back first so a key is never split across tiers.
+// recycled from previously emptied ones. Insert never faults: under a
+// spilled key it starts (or extends) a resident part beside the spilled
+// one, and the next Probe merges the two.
 func (t *Table) Insert(tup *tuple.Tuple) {
-	if t.backend != nil {
-		if _, sp := t.spilled[tup.Key]; sp {
-			t.fault(tup.Key)
-		}
-	}
 	bucket, ok := t.buckets[tup.Key]
 	if !ok && len(t.free) > 0 {
 		bucket = t.free[len(t.free)-1]
@@ -274,40 +272,44 @@ func (t *Table) Probe(key tuple.Value) []*tuple.Tuple {
 	if t.backend == nil {
 		return bucket
 	}
-	if bucket == nil {
-		if _, sp := t.spilled[key]; sp {
-			bucket = t.fault(key)
-			t.backend.MaybeSpill()
-		}
+	if _, sp := t.spilled[key]; sp {
+		bucket = t.fault(key)
+		t.backend.MaybeSpill()
 		return bucket
 	}
-	if t.backend.Pressured() {
+	if bucket != nil && t.backend.Pressured() {
 		t.hot[key] = struct{}{}
 	}
 	return bucket
 }
 
-// fault brings the spilled bucket for key back into residency and
-// returns its tuples. It deliberately does not trigger MaybeSpill —
-// callers do, after they have captured the returned slice — so the
-// just-faulted bucket cannot be detached mid-operation.
+// fault brings the spilled part of key back into residency, in front
+// of any resident part so the bucket stays in arrival order, and
+// returns the whole bucket. It deliberately does not trigger
+// MaybeSpill — callers do, after they have captured the returned
+// slice — so the just-faulted bucket cannot be detached mid-operation.
 func (t *Table) fault(key tuple.Value) []*tuple.Tuple {
 	info := t.spilled[key]
 	tuples := t.backend.Fault(t, key)
 	delete(t.spilled, key)
 	t.size += len(tuples) - info.count
+	resident, ok := t.buckets[key]
 	if len(tuples) == 0 {
-		return nil
+		return resident
 	}
 	var b int64
 	for _, tup := range tuples {
 		b += TupleBytes(tup)
 	}
-	t.buckets[key] = tuples
+	// The faulted slice is fresh; the old resident array is left to the
+	// collector rather than recycled, since Probe callers may hold it.
+	t.buckets[key] = append(tuples, resident...)
 	t.hot[key] = struct{}{}
 	t.account(b)
-	t.backend.Admit(t, key)
-	return tuples
+	if !ok {
+		t.backend.Admit(t, key)
+	}
+	return t.buckets[key]
 }
 
 // ContainsKey reports whether any tuple is stored under key, resident
@@ -336,11 +338,13 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 // the number of covered streams below ref.Stream — and membership is
 // one Seq compare per tuple, not a search.
 //
-// On a tombstone-mode table (scan states) a spilled bucket is not
-// faulted: the eviction is recorded as a backend tombstone and nil is
-// returned — base tuples have no derived results below them, so the
-// caller needs no removed set. Other tables fault the bucket in first
-// so the exact removed tuples can be reported.
+// On a tombstone-mode table (scan states) a spilled part is not
+// faulted: windows expire in arrival order, so a ref no newer than the
+// spilled part's newest is in it and is recorded as a backend
+// tombstone, returning nil — base tuples have no derived results below
+// them, so the caller needs no removed set — and a newer ref can only
+// be in the resident part. Other tables fault the spilled part in
+// first so the exact removed tuples can be reported.
 //
 // The returned slice is owned by the table and valid only until the
 // next RemoveRef call on it; callers needing the tuples longer must
@@ -348,7 +352,10 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 	if t.backend != nil {
 		if info, sp := t.spilled[key]; sp {
-			if t.tombstone && info.count > 0 {
+			if !t.tombstone {
+				t.fault(key)
+				defer t.backend.MaybeSpill()
+			} else if ref.Seq <= info.newest {
 				per := info.bytes / int64(info.count)
 				info.count--
 				info.bytes -= per
@@ -362,8 +369,6 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 				t.size--
 				return nil
 			}
-			t.fault(key)
-			defer t.backend.MaybeSpill()
 		}
 	}
 	bucket := t.buckets[key]
@@ -445,17 +450,28 @@ func (t *Table) Size() int { return t.size }
 
 // DistinctKeys returns the number of distinct join-attribute values
 // present — the quantity the §4.3 counter is initialized from.
-func (t *Table) DistinctKeys() int { return len(t.buckets) + len(t.spilled) }
+// A key with both a resident and a spilled part counts once.
+func (t *Table) DistinctKeys() int {
+	n := len(t.buckets) + len(t.spilled)
+	for k := range t.spilled {
+		if _, ok := t.buckets[k]; ok {
+			n--
+		}
+	}
+	return n
+}
 
 // Keys returns the distinct join-attribute values present, resident or
-// spilled. Order is unspecified.
+// spilled, each once. Order is unspecified.
 func (t *Table) Keys() []tuple.Value {
 	out := make([]tuple.Value, 0, len(t.buckets)+len(t.spilled))
 	for k := range t.buckets {
 		out = append(out, k)
 	}
 	for k := range t.spilled {
-		out = append(out, k)
+		if _, ok := t.buckets[k]; !ok {
+			out = append(out, k)
+		}
 	}
 	return out
 }
@@ -502,20 +518,30 @@ func (t *Table) RestoreMeta(complete bool, attempted []tuple.Value, pending []tu
 }
 
 // Each calls fn for every stored tuple until fn returns false.
-// Spilled buckets are read through the backend without admitting
-// them, so iteration (checkpointing, discard scans) does not perturb
-// residency.
+// Spilled parts are read through the backend without admitting them,
+// so iteration (checkpointing, discard scans) does not perturb
+// residency. A key's spilled part is visited before its resident part:
+// a checkpoint restored in iteration order rebuilds every bucket in
+// arrival order.
 func (t *Table) Each(fn func(*tuple.Tuple) bool) {
-	for _, bucket := range t.buckets {
-		for _, tup := range bucket {
+	for key := range t.spilled {
+		if !t.backend.Peek(t, key, fn) {
+			return
+		}
+		for _, tup := range t.buckets[key] {
 			if !fn(tup) {
 				return
 			}
 		}
 	}
-	for key := range t.spilled {
-		if !t.backend.Peek(t, key, fn) {
-			return
+	for key, bucket := range t.buckets {
+		if _, sp := t.spilled[key]; sp {
+			continue
+		}
+		for _, tup := range bucket {
+			if !fn(tup) {
+				return
+			}
 		}
 	}
 }
@@ -560,16 +586,17 @@ func (t *Table) CountOld(cutoff uint64, oldest func(*tuple.Tuple) uint64) int {
 }
 
 // ResidentBucket returns the resident tuples under key — nil when the
-// bucket is spilled or absent. It never faults and never sets the
+// bucket is wholly spilled or absent. It never faults and never sets the
 // reference bit; it is the backend's view of spill candidates.
 func (t *Table) ResidentBucket(key tuple.Value) []*tuple.Tuple {
 	return t.buckets[key]
 }
 
-// MarkSpilled detaches the resident bucket for key after the backend
-// has durably captured it, returning the accounted bytes and tuple
-// count now spilled. The bucket's backing array is deliberately not
-// recycled into the free list: Probe callers may still hold it.
+// MarkSpilled detaches the resident bucket for key once the backend
+// has captured it, adding it to the key's spilled part, and returns
+// the accounted bytes and tuple count that moved. The bucket's backing
+// array is deliberately not recycled into the free list: Probe callers
+// may still hold it.
 func (t *Table) MarkSpilled(key tuple.Value) (bytes int64, count int) {
 	bucket := t.buckets[key]
 	if len(bucket) == 0 {
@@ -581,7 +608,13 @@ func (t *Table) MarkSpilled(key tuple.Value) (bytes int64, count int) {
 	}
 	delete(t.buckets, key)
 	delete(t.hot, key)
-	t.spilled[key] = spillInfo{count: len(bucket), bytes: b}
+	info := t.spilled[key]
+	info.count += len(bucket)
+	info.bytes += b
+	if t.tombstone {
+		info.newest = bucket[len(bucket)-1].Refs[0].Seq
+	}
+	t.spilled[key] = info
 	t.account(-b)
 	return b, len(bucket)
 }
@@ -597,7 +630,7 @@ func (t *Table) ClockTouched(key tuple.Value) bool {
 	return false
 }
 
-// SpilledKeys returns the number of spilled buckets. Zero without a
+// SpilledKeys returns the number of keys with a spilled part. Zero without a
 // backend.
 func (t *Table) SpilledKeys() int { return len(t.spilled) }
 

@@ -8,6 +8,7 @@ package statestore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"jisc/internal/storage"
 	"jisc/internal/tuple"
@@ -118,6 +119,12 @@ func appendTuple(buf []byte, t *tuple.Tuple) []byte {
 // any structural violation (wrong kind, zero or oversized count,
 // truncation, trailing bytes) is an error.
 func decodeBucket(p []byte) (key tuple.Value, set tuple.StreamSet, tuples []*tuple.Tuple, err error) {
+	return decodeBucketInto(nil, p)
+}
+
+// decodeBucketInto is decodeBucket appending the tuples to dst; on
+// error nothing of dst is returned.
+func decodeBucketInto(dst []*tuple.Tuple, p []byte) (key tuple.Value, set tuple.StreamSet, tuples []*tuple.Tuple, err error) {
 	if len(p) < frameFixed {
 		return 0, 0, nil, fmt.Errorf("statestore: payload of %d bytes is shorter than the bucket header", len(p))
 	}
@@ -131,7 +138,7 @@ func decodeBucket(p []byte) (key tuple.Value, set tuple.StreamSet, tuples []*tup
 		return 0, 0, nil, fmt.Errorf("statestore: bucket frame count %d outside (0, %d]", count, maxTuplesPerFrame)
 	}
 	b := p[frameFixed:]
-	tuples = make([]*tuple.Tuple, 0, count)
+	tuples = slices.Grow(dst, count)
 	for i := 0; i < count; i++ {
 		if len(b) < tupleFixed {
 			return 0, 0, nil, fmt.Errorf("statestore: bucket frame truncated in tuple %d header", i)

@@ -3,9 +3,7 @@ package statestore
 import (
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -48,6 +46,11 @@ const (
 	DefaultSegmentBytes    = 1 << 20
 	DefaultGarbageRatio    = 0.5
 	DefaultMinCompactBytes = 64 << 10
+
+	// tailBytes is the flush threshold of the active segment's
+	// in-memory tail: appends reach the file in writes of at least this
+	// size (the last write before a rotation excepted).
+	tailBytes = 64 << 10
 )
 
 // ckey names one bucket: which table, which join-attribute value.
@@ -60,22 +63,52 @@ type ckey struct {
 // newest (active) segment accepts appends; older ones are read-only
 // until compaction rewrites the live set and deletes them.
 type segment struct {
-	id   uint64
 	path string
-	w    storage.File // nil once the segment stops accepting appends
-	size int64
+	w    storage.File     // nil once the segment stops accepting appends
+	r    storage.ReaderAt // open from creation until the file is deleted
+	// size is the logical length; the first flushed bytes are in the
+	// file and tail holds the rest until the next flush. A segment whose
+	// flush failed keeps its tail for good: its spans are served from
+	// memory and the file's bytes past flushed are never read.
+	size    int64
+	flushed int64
+	tail    []byte
+	// dir lists every span appended to the segment, in offset order: the
+	// entry it was written for and where. Compaction walks it instead of
+	// the index. A record is live while its entry's oldest span is still
+	// the one it names; the entry's later spans are copied with it.
+	dir []dirent
 }
 
-// bucketEntry locates one spilled bucket: a contiguous run of frames
-// in one segment, plus the tombstone high-water mark and the live
-// accounting needed to decide compaction.
-type bucketEntry struct {
-	seg *segment
+type dirent struct {
+	e   *bucketEntry
 	off int64
-	n   int64 // encoded bytes of the bucket's frames
+}
 
-	// liveEnc/perEnc track how much of n is still live as tombstones
-	// land — perEnc is the per-tuple share fixed at spill time.
+func (sg *segment) close() {
+	if sg.w != nil {
+		sg.w.Close()
+		sg.w = nil
+	}
+	sg.r.Close()
+}
+
+// span is one contiguous run of bucket frames in a segment.
+type span struct {
+	seg    *segment
+	off, n int64
+}
+
+// bucketEntry locates the spilled part of one key: its spans, oldest
+// first (one per spill since the last fault or compaction), plus the
+// tombstone high-water mark and the live accounting needed to decide
+// compaction.
+type bucketEntry struct {
+	spans []span
+
+	// liveEnc/perEnc track how much of the spans' bytes is still live
+	// as tombstones land — perEnc is the per-tuple share, refreshed at
+	// each spill.
 	liveEnc int64
 	perEnc  int64
 	// memBytes/perMem are the same accounting in resident-equivalent
@@ -88,6 +121,10 @@ type bucketEntry struct {
 	// filtered out on fault, peek, and compaction.
 	count       int
 	deadThrough uint64
+	// dirty records that a tombstone landed since the spans were
+	// written, so compaction must decode and filter them instead of
+	// copying their bytes.
+	dirty bool
 }
 
 // Store is the spill backend for one shard's tables. It is confined to
@@ -108,7 +145,7 @@ type Store struct {
 	faultLat   *obs.Histogram
 
 	index  map[*state.Table]map[tuple.Value]*bucketEntry
-	segs   map[uint64]*segment
+	segs   []*segment
 	active *segment
 	next   uint64
 
@@ -124,7 +161,12 @@ type Store struct {
 	// keeps running fail-open (garbage just accumulates).
 	compactBroken bool
 
-	buf []byte // reusable frame-encoding buffer
+	rbuf []byte         // reusable read buffer of faults and peeks
+	free []*bucketEntry // entries of faulted keys, recycled by spill
+	// During a compaction cdata holds the flushed bytes of old segment
+	// cseg, read once, so its spans are not read one by one.
+	cseg  *segment
+	cdata []byte
 
 	resident       atomic.Int64
 	peak           atomic.Int64
@@ -174,7 +216,6 @@ func Open(opts Options) (*Store, error) {
 		minCompact: opts.MinCompactBytes,
 		faultLat:   opts.FaultLatency,
 		index:      make(map[*state.Table]map[tuple.Value]*bucketEntry),
-		segs:       make(map[uint64]*segment),
 		inRing:     make(map[ckey]struct{}),
 	}
 	if err := s.rotate(); err != nil {
@@ -187,36 +228,76 @@ func Open(opts Options) (*Store, error) {
 // contents are a cache; nothing durable lives here).
 func (s *Store) Close() error {
 	for _, sg := range s.segs {
-		if sg.w != nil {
-			sg.w.Close()
-			sg.w = nil
-		}
+		sg.close()
 	}
 	return s.fs.RemoveAll(s.dir)
 }
 
-func (s *Store) segPath(id uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("spill-%016x.seg", id))
-}
-
-// rotate closes the active segment for appends and opens a fresh one.
-func (s *Store) rotate() error {
-	if s.active != nil && s.active.w != nil {
-		s.active.w.Close()
-		s.active.w = nil
-	}
-	id := s.next
+// newSegment creates the next segment file with both its handles open
+// and an empty tail.
+func (s *Store) newSegment() (*segment, error) {
+	path := filepath.Join(s.dir, fmt.Sprintf("spill-%016x.seg", s.next))
+	seg := &segment{path: path, tail: make([]byte, 0, tailBytes)}
 	s.next++
-	seg := &segment{id: id, path: s.segPath(id)}
 	w, err := s.fs.Create(seg.path)
 	if err != nil {
-		return fmt.Errorf("statestore: creating segment %s: %w", seg.path, err)
+		return nil, fmt.Errorf("statestore: creating segment %s: %w", seg.path, err)
 	}
 	seg.w = w
-	s.segs[id] = seg
+	if seg.r, err = s.fs.OpenReaderAt(seg.path); err != nil {
+		w.Close()
+		_ = s.fs.Remove(seg.path)
+		return nil, fmt.Errorf("statestore: opening segment %s: %w", seg.path, err)
+	}
+	return seg, nil
+}
+
+// flush writes seg's tail to its file in one write. On failure the
+// segment is abandoned for appends and keeps its tail, so no span is
+// lost and none points into a torn region of the file.
+func (s *Store) flush(seg *segment) error {
+	if len(seg.tail) == 0 {
+		return nil
+	}
+	if _, err := seg.w.Write(seg.tail); err != nil {
+		seg.w.Close()
+		seg.w = nil
+		return err
+	}
+	seg.flushed = seg.size
+	seg.tail = seg.tail[:0]
+	return nil
+}
+
+// rotate flushes the active segment, closes it for appends and opens a
+// fresh one.
+func (s *Store) rotate() error {
+	if old := s.active; old != nil && old.w != nil {
+		if err := s.flush(old); err != nil {
+			s.spillErrors.Add(1)
+		} else {
+			old.w.Close()
+			old.w, old.tail = nil, nil
+		}
+	}
+	seg, err := s.newSegment()
+	if err != nil {
+		return err
+	}
+	s.segs = append(s.segs, seg)
 	s.active = seg
 	s.nsegs.Store(int64(len(s.segs)))
 	return nil
+}
+
+// appendBucket encodes tuples as one run of frames at the segment's
+// tail.
+func (sg *segment) appendBucket(key tuple.Value, set tuple.StreamSet, tuples []*tuple.Tuple) span {
+	before := len(sg.tail)
+	sg.tail = appendBucket(sg.tail, key, set, tuples)
+	sp := span{seg: sg, off: sg.size, n: int64(len(sg.tail) - before)}
+	sg.size += sp.n
+	return sp
 }
 
 // Account implements state.Backend: the single resident-byte counter
@@ -249,23 +330,17 @@ func (s *Store) Admit(t *state.Table, key tuple.Value) {
 // away; the first CLOCK pass after pressure starts sees the untracked
 // buckets cold and evicts in admission order until the bits warm up.
 func (s *Store) Pressured() bool {
-	return s.resident.Load() >= s.budget-s.budget>>3
+	return s.budget > 0 && s.resident.Load() >= s.budget-s.budget>>3
 }
 
 // MaybeSpill implements state.Backend: spill cold buckets while the
 // resident accounting exceeds the budget. A write failure fails open —
-// the bucket stays resident and the loop stops, so a sick disk
-// degrades to the old all-in-memory behavior instead of losing state.
+// the loop stops and what the failed write carried stays in memory, so
+// a sick disk degrades to the old all-in-memory behavior instead of
+// losing state.
 func (s *Store) MaybeSpill() {
-	if s.budget <= 0 {
-		return
-	}
-	for s.resident.Load() > s.budget {
-		ck, ok := s.victim()
-		if !ok {
-			return
-		}
-		if !s.spill(ck) {
+	for s.budget > 0 && s.resident.Load() > s.budget {
+		if ck, ok := s.victim(); !ok || !s.spill(ck) {
 			return
 		}
 	}
@@ -305,64 +380,65 @@ func (s *Store) dropAt(i int) {
 	s.ring = s.ring[:last]
 }
 
-// spill writes ck's bucket to the active segment and detaches it from
-// the table. Returns false on a write failure (fail open).
+// spill appends ck's resident bucket to the active segment's tail as
+// one more span of the key's spilled part and detaches it from the
+// table; nothing is read. Returns false when the disk failed (fail
+// open): a segment that cannot be created leaves the bucket resident,
+// a tail that cannot be flushed keeps serving its spans from memory.
 func (s *Store) spill(ck ckey) bool {
 	bucket := ck.t.ResidentBucket(ck.key)
 	if len(bucket) == 0 {
 		return true
 	}
-	s.buf = appendBucket(s.buf[:0], ck.key, ck.t.Set, bucket)
-	n := int64(len(s.buf))
 	// Rotate past the size threshold, or to replace an active segment
 	// whose writer died on an earlier failure.
-	if s.active.w == nil || (s.active.size > 0 && s.active.size+n > s.segBytes) {
+	if s.active.w == nil || s.active.size >= s.segBytes {
 		if err := s.rotate(); err != nil {
 			s.spillErrors.Add(1)
 			s.Admit(ck.t, ck.key)
 			return false
 		}
 	}
-	off := s.active.size
-	if _, err := s.active.w.Write(s.buf); err != nil {
-		// The active segment tail may now hold a torn frame; abandon it
-		// for appends so offsets never point into the torn region.
-		s.spillErrors.Add(1)
-		s.Admit(ck.t, ck.key)
-		_ = s.rotate()
-		return false
-	}
-	s.active.size += n
-	s.encTotal.Add(n)
-	s.encLive.Add(n)
+	seg := s.active
+	sp := seg.appendBucket(ck.key, ck.t.Set, bucket)
+	s.encTotal.Add(sp.n)
+	s.encLive.Add(sp.n)
 	mem, count := ck.t.MarkSpilled(ck.key)
 	m := s.index[ck.t]
 	if m == nil {
 		m = make(map[tuple.Value]*bucketEntry)
 		s.index[ck.t] = m
 	}
-	m[ck.key] = &bucketEntry{
-		seg:      s.active,
-		off:      off,
-		n:        n,
-		liveEnc:  n,
-		perEnc:   n / int64(count),
-		memBytes: mem,
-		perMem:   mem / int64(count),
-		count:    count,
+	e := m[ck.key]
+	if e == nil {
+		if n := len(s.free); n > 0 {
+			e, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			e = &bucketEntry{}
+		}
+		m[ck.key] = e
+		s.spilledBuckets.Add(1)
 	}
+	e.spans = append(e.spans, sp)
+	seg.dir = append(seg.dir, dirent{e, sp.off})
+	e.count += count
+	e.liveEnc += sp.n
+	e.perEnc = e.liveEnc / int64(e.count)
+	e.memBytes += mem
+	e.perMem = e.memBytes / int64(e.count)
 	s.spilledMem.Add(mem)
-	s.spilledBuckets.Add(1)
 	s.spills.Add(1)
+	if len(seg.tail) >= tailBytes {
+		if err := s.flush(seg); err != nil {
+			s.spillErrors.Add(1)
+			return false
+		}
+	}
 	return true
 }
 
-func (s *Store) entry(t *state.Table, key tuple.Value) *bucketEntry {
-	return s.index[t][key]
-}
-
-// removeEntry forgets one spilled bucket, turning its frames into
-// garbage.
+// removeEntry forgets the spilled part of one key, turning its frames
+// into garbage.
 func (s *Store) removeEntry(t *state.Table, key tuple.Value, e *bucketEntry) {
 	delete(s.index[t], key)
 	if len(s.index[t]) == 0 {
@@ -371,25 +447,25 @@ func (s *Store) removeEntry(t *state.Table, key tuple.Value, e *bucketEntry) {
 	s.encLive.Add(-e.liveEnc)
 	s.spilledMem.Add(-e.memBytes)
 	s.spilledBuckets.Add(-1)
+	clear(e.spans) // a stale span would pin its deleted segment
+	*e = bucketEntry{spans: e.spans[:0]}
+	s.free = append(s.free, e)
 }
 
-// Fault implements state.Backend: read the bucket back, forget its
-// spilled copy, count and latency-sample the miss.
+// Fault implements state.Backend: read the key's spilled part back,
+// forget the spilled copy, count and latency-sample the miss.
 func (s *Store) Fault(t *state.Table, key tuple.Value) []*tuple.Tuple {
-	start := time.Now()
-	e := s.entry(t, key)
+	e := s.index[t][key]
 	if e == nil {
 		return nil
 	}
+	start := time.Now()
 	tuples, err := s.load(e)
 	if err != nil {
 		// The resident copy was discarded when the bucket spilled; an
 		// unreadable segment is unrecoverable state loss, not a
 		// degradable condition.
 		panic(fmt.Sprintf("statestore: faulting bucket key=%d of %v: %v", key, t.Set, err))
-	}
-	if len(tuples) != e.count {
-		panic(fmt.Sprintf("statestore: bucket key=%d of %v decoded %d live tuples, accounting says %d", key, t.Set, len(tuples), e.count))
 	}
 	s.removeEntry(t, key, e)
 	s.faults.Add(1)
@@ -401,10 +477,12 @@ func (s *Store) Fault(t *state.Table, key tuple.Value) []*tuple.Tuple {
 	return tuples
 }
 
-// Peek implements state.Backend: iterate a spilled bucket without
-// admitting it.
+// Peek implements state.Backend: iterate a key's spilled part without
+// admitting it. The part is decoded in full before fn first runs, so
+// an fn that re-enters the table (and with it the store's read buffer)
+// cannot disturb the iteration.
 func (s *Store) Peek(t *state.Table, key tuple.Value, fn func(*tuple.Tuple) bool) bool {
-	e := s.entry(t, key)
+	e := s.index[t][key]
 	if e == nil {
 		return true
 	}
@@ -423,7 +501,7 @@ func (s *Store) Peek(t *state.Table, key tuple.Value, fn func(*tuple.Tuple) bool
 // Tombstone implements state.Backend: record window eviction of
 // spilled base tuples without faulting.
 func (s *Store) Tombstone(t *state.Table, key tuple.Value, deadThrough uint64, last bool) {
-	e := s.entry(t, key)
+	e := s.index[t][key]
 	if e == nil {
 		return
 	}
@@ -436,17 +514,12 @@ func (s *Store) Tombstone(t *state.Table, key tuple.Value, deadThrough uint64, l
 	if deadThrough > e.deadThrough {
 		e.deadThrough = deadThrough
 	}
+	e.dirty = true
 	e.count--
-	d := e.perEnc
-	if d > e.liveEnc {
-		d = e.liveEnc
-	}
+	d := min(e.perEnc, e.liveEnc)
 	e.liveEnc -= d
 	s.encLive.Add(-d)
-	dm := e.perMem
-	if dm > e.memBytes {
-		dm = e.memBytes
-	}
+	dm := min(e.perMem, e.memBytes)
 	e.memBytes -= dm
 	s.spilledMem.Add(-dm)
 	s.maybeCompact()
@@ -456,12 +529,8 @@ func (s *Store) Tombstone(t *state.Table, key tuple.Value, deadThrough uint64, l
 // entry of t (Clear, table teardown).
 func (s *Store) Drop(t *state.Table) {
 	for key, e := range s.index[t] {
-		_ = key
-		s.encLive.Add(-e.liveEnc)
-		s.spilledMem.Add(-e.memBytes)
-		s.spilledBuckets.Add(-1)
+		s.removeEntry(t, key, e)
 	}
-	delete(s.index, t)
 	for i := 0; i < len(s.ring); {
 		if s.ring[i].t == t {
 			s.dropAt(i)
@@ -475,63 +544,64 @@ func (s *Store) Drop(t *state.Table) {
 	s.maybeCompact()
 }
 
-// load reads and decodes one bucket's frames, filtering tombstoned
-// tuples.
-func (s *Store) load(e *bucketEntry) ([]*tuple.Tuple, error) {
-	data := make([]byte, e.n)
-	if err := readSpan(s.fs, e.seg.path, e.off, data); err != nil {
-		return nil, err
+// read returns the encoded bytes of one span, valid until the next
+// read: a slice of the segment's tail when the span has not reached the
+// file yet, otherwise one positional read through the segment's open
+// handle into the store's buffer.
+func (s *Store) read(sp span) ([]byte, error) {
+	sg := sp.seg
+	if sp.off >= sg.flushed {
+		return sg.tail[sp.off-sg.flushed:][:sp.n], nil
 	}
-	return decodeSpan(data, e)
+	if sg == s.cseg {
+		return s.cdata[sp.off:][:sp.n], nil
+	}
+	if int64(cap(s.rbuf)) < sp.n {
+		s.rbuf = make([]byte, sp.n)
+	}
+	buf := s.rbuf[:sp.n]
+	if n, err := sg.r.ReadAt(buf, sp.off); n < len(buf) {
+		return nil, fmt.Errorf("reading %s offset %d: %w", sg.path, sp.off, err)
+	}
+	return buf, nil
 }
 
-// decodeSpan decodes one spilled bucket's span of frames, dropping
-// tuples at or below the entry's tombstone mark.
-func decodeSpan(data []byte, e *bucketEntry) ([]*tuple.Tuple, error) {
-	var out []*tuple.Tuple
-	off := 0
-	for off < len(data) {
-		payload, n, ok := storage.NextFrame(data[off:], maxSpillPayload)
-		if !ok {
-			return nil, fmt.Errorf("corrupt frame at %s offset %d", e.seg.path, e.off+int64(off))
-		}
-		_, _, tuples, err := decodeBucket(payload)
+// load reads and decodes a key's spans, oldest first, dropping tuples
+// at or below the entry's tombstone mark. Memory-served and disk-served
+// spans pass the same frame CRC check, and the survivors must be as
+// many as the accounting says.
+func (s *Store) load(e *bucketEntry) ([]*tuple.Tuple, error) {
+	out := make([]*tuple.Tuple, 0, e.count)
+	for _, sp := range e.spans {
+		data, err := s.read(sp)
 		if err != nil {
-			return nil, fmt.Errorf("CRC-valid frame at %s offset %d does not decode: %w", e.seg.path, e.off+int64(off), err)
+			return nil, err
 		}
-		for _, tup := range tuples {
-			if e.deadThrough > 0 && len(tup.Refs) == 1 && tup.Refs[0].Seq <= e.deadThrough {
-				continue
+		for off := 0; off < len(data); {
+			payload, n, ok := storage.NextFrame(data[off:], maxSpillPayload)
+			if !ok {
+				return nil, fmt.Errorf("corrupt frame at %s offset %d", sp.seg.path, sp.off+int64(off))
 			}
-			out = append(out, tup)
+			live := len(out)
+			if _, _, out, err = decodeBucketInto(out, payload); err != nil {
+				return nil, fmt.Errorf("CRC-valid frame at %s offset %d does not decode: %w", sp.seg.path, sp.off+int64(off), err)
+			}
+			if e.deadThrough > 0 {
+				for _, tup := range out[live:] {
+					if len(tup.Refs) != 1 || tup.Refs[0].Seq > e.deadThrough {
+						out[live] = tup
+						live++
+					}
+				}
+				out = out[:live]
+			}
+			off += n
 		}
-		off += n
+	}
+	if len(out) != e.count {
+		return nil, fmt.Errorf("decoded %d live tuples, accounting says %d", len(out), e.count)
 	}
 	return out, nil
-}
-
-// readSpan reads data-len bytes at off from path, using the cheapest
-// access the FS reader supports: ReaderAt (*os.File), then Seeker,
-// then a discard-and-read fallback (MemFS snapshots).
-func readSpan(fs storage.FS, path string, off int64, data []byte) error {
-	rc, err := fs.Open(path)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	switch r := rc.(type) {
-	case io.ReaderAt:
-		_, err = r.ReadAt(data, off)
-	case io.ReadSeeker:
-		if _, err = r.Seek(off, io.SeekStart); err == nil {
-			_, err = io.ReadFull(r, data)
-		}
-	default:
-		if _, err = io.CopyN(io.Discard, rc, off); err == nil {
-			_, err = io.ReadFull(rc, data)
-		}
-	}
-	return err
 }
 
 // maybeCompact rewrites the live set once garbage crosses the
@@ -553,128 +623,110 @@ func (s *Store) maybeCompact() {
 	}
 }
 
-// compact rewrites every live bucket into one fresh segment and
-// deletes the old files. The rewrite is staged: nothing in the index
-// changes until the new segment is fully written, so a failure leaves
-// the store exactly as it was.
+// compact rewrites every live spilled part into one fresh segment, each
+// as a single span, and deletes the old files. Old segments are taken
+// in turn, their flushed bytes read once and their directories walked
+// in offset order. The rewrite is staged in the new segment's
+// directory: nothing in the index changes until it has taken every
+// part, so a failure leaves the store exactly as it was.
 func (s *Store) compact() error {
-	id := s.next
-	s.next++
-	seg := &segment{id: id, path: s.segPath(id)}
-	w, err := s.fs.Create(seg.path)
+	seg, err := s.newSegment()
 	if err != nil {
 		return err
 	}
-	type staged struct {
-		t   *state.Table
-		key tuple.Value
-		e   *bucketEntry
-	}
-	// Visit live buckets in segment/offset order and read each old
-	// segment once: per-bucket opens are O(file size) on snapshotting
-	// filesystems (MemFS), which would make one compaction pass
-	// quadratic in the spilled set.
-	var live []staged
-	for t, m := range s.index {
-		for key, e := range m {
-			live = append(live, staged{t, key, e})
-		}
-	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].e.seg.id != live[j].e.seg.id {
-			return live[i].e.seg.id < live[j].e.seg.id
-		}
-		return live[i].e.off < live[j].e.off
-	})
-	var (
-		curSeg  *segment
-		segData []byte
-	)
-	var entries []staged
-	var mem int64
-	for _, lv := range live {
-		t, key, e := lv.t, lv.key, lv.e
-		if e.seg != curSeg {
-			rc, err := s.fs.Open(e.seg.path)
-			if err == nil {
-				segData, err = io.ReadAll(rc)
-				rc.Close()
-			}
-			if err != nil {
-				panic(fmt.Sprintf("statestore: compacting segment %s: %v", e.seg.path, err))
-			}
-			curSeg = e.seg
-		}
-		if e.off+e.n > int64(len(segData)) {
-			panic(fmt.Sprintf("statestore: compacting bucket key=%d of %v: span [%d,%d) past end of %s (%d bytes)",
-				key, t.Set, e.off, e.off+e.n, e.seg.path, len(segData)))
-		}
-		tuples, err := decodeSpan(segData[e.off:e.off+e.n], e)
-		if err != nil {
-			// Unreadable live data during compaction is the same
-			// unrecoverable loss as a failed fault.
-			panic(fmt.Sprintf("statestore: compacting bucket key=%d of %v: %v", key, t.Set, err))
-		}
-		if len(tuples) == 0 {
-			entries = append(entries, staged{t, key, nil})
-			continue
-		}
-		s.buf = appendBucket(s.buf[:0], key, t.Set, tuples)
-		n := int64(len(s.buf))
-		if _, err := w.Write(s.buf); err != nil {
-			w.Close()
-			_ = s.fs.Remove(seg.path)
-			return err
-		}
-		var mb int64
-		for _, tup := range tuples {
-			mb += state.TupleBytes(tup)
-		}
-		entries = append(entries, staged{t, key, &bucketEntry{
-			seg:      seg,
-			off:      seg.size,
-			n:        n,
-			liveEnc:  n,
-			perEnc:   n / int64(len(tuples)),
-			memBytes: mb,
-			perMem:   mb / int64(len(tuples)),
-			count:    len(tuples),
-			// Keep the tombstone mark: the filtered tuples are gone
-			// from the rewrite, and future evictions only raise it.
-			deadThrough: e.deadThrough,
-		}})
-		mem += mb
-		seg.size += n
-	}
-	seg.w = w
+	defer func() { s.cseg, s.cdata = nil, nil }()
 	for _, old := range s.segs {
-		if old.w != nil {
-			old.w.Close()
-			old.w = nil
+		s.cseg = nil
+		if int64(cap(s.cdata)) < old.flushed {
+			s.cdata = make([]byte, old.flushed)
 		}
+		if n, err := old.r.ReadAt(s.cdata[:old.flushed], 0); int64(n) < old.flushed {
+			panic(fmt.Sprintf("statestore: compacting segment %s: read %d of %d bytes: %v", old.path, n, old.flushed, err))
+		}
+		s.cseg = old
+		for _, d := range old.dir {
+			e := d.e
+			if len(e.spans) == 0 || e.spans[0].seg != old || e.spans[0].off != d.off {
+				continue
+			}
+			seg.dir = append(seg.dir, dirent{e, seg.size})
+			if err := s.rewrite(seg, e); err != nil {
+				// Unreadable live data during compaction is the same
+				// unrecoverable loss as a failed fault.
+				panic(fmt.Sprintf("statestore: compacting %s: %v", old.path, err))
+			}
+			if len(seg.tail) >= tailBytes {
+				if err := s.flush(seg); err != nil {
+					seg.close()
+					_ = s.fs.Remove(seg.path)
+					return err
+				}
+			}
+		}
+	}
+	for _, old := range s.segs {
+		old.close()
 		_ = s.fs.Remove(old.path)
 	}
-	s.segs = map[uint64]*segment{seg.id: seg}
+	s.segs = []*segment{seg}
 	s.active = seg
-	var buckets int64
-	for _, st := range entries {
-		if st.e == nil {
-			delete(s.index[st.t], st.key)
-			if len(s.index[st.t]) == 0 {
-				delete(s.index, st.t)
-			}
-			continue
+	end := seg.size
+	for i := len(seg.dir) - 1; i >= 0; i-- {
+		e, off := seg.dir[i].e, seg.dir[i].off
+		clear(e.spans)
+		e.spans = append(e.spans[:0], span{seg, off, end - off})
+		if e.dirty {
+			// The tombstone mark stays: the filtered tuples are gone
+			// from the rewrite, and future evictions only raise it.
+			e.dirty = false
+			e.liveEnc = end - off
+			e.perEnc = e.liveEnc / int64(e.count)
 		}
-		s.index[st.t][st.key] = st.e
-		buckets++
+		end = off
 	}
 	s.encTotal.Store(seg.size)
 	s.encLive.Store(seg.size)
-	s.spilledMem.Store(mem)
-	s.spilledBuckets.Store(buckets)
 	s.nsegs.Store(1)
 	s.compactions.Add(1)
 	return nil
+}
+
+// rewrite appends e's live content to seg as one run of frames: a part
+// no tombstone has touched is CRC-checked and copied byte for byte, the
+// others are decoded, filtered and re-encoded.
+func (s *Store) rewrite(seg *segment, e *bucketEntry) error {
+	if e.dirty {
+		tuples, err := s.load(e)
+		if err == nil {
+			seg.appendBucket(tuples[0].Key, tuples[0].Set, tuples)
+		}
+		return err
+	}
+	for _, sp := range e.spans {
+		data, err := s.read(sp)
+		if err != nil {
+			return err
+		}
+		if !validFrames(data) {
+			return fmt.Errorf("corrupt frame at %s offset %d", sp.seg.path, sp.off)
+		}
+		seg.tail = append(seg.tail, data...)
+		seg.size += sp.n
+	}
+	return nil
+}
+
+// validFrames reports whether data is exactly a run of CRC-valid
+// frames.
+func validFrames(data []byte) bool {
+	for len(data) > 0 {
+		_, n, ok := storage.NextFrame(data, maxSpillPayload)
+		if !ok {
+			return false
+		}
+		data = data[n:]
+	}
+	return true
 }
 
 // Stats is a point-in-time snapshot of the store's counters. Safe to

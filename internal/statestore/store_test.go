@@ -203,24 +203,109 @@ func TestClearDropsSpilled(t *testing.T) {
 	}
 }
 
-func TestInsertIntoSpilledBucketFaultsFirst(t *testing.T) {
+// seqs lists the stream-0 sequence numbers of tuples, in order.
+func seqs(tuples []*tuple.Tuple) []uint64 {
+	out := make([]uint64, len(tuples))
+	for i, tup := range tuples {
+		out[i] = tup.Refs[0].Seq
+	}
+	return out
+}
+
+// TestInsertUnderSpilledKeyNeverFaults pins write-only spills: an
+// insert under a spilled key reads nothing and starts a resident part
+// beside the spilled one; the table's answers stay exact while the key
+// is split; a second spill of the key adds a span; and the next probe
+// returns every part in arrival order.
+func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
+	for _, tombstones := range []bool{true, false} {
+		perTuple := state.TupleBytes(base(0, 1, 1))
+		fs := &CountingFS{FS: storage.NewMemFS()}
+		s := mustOpen(t, Options{Budget: 2 * perTuple, FS: fs})
+		tbl := state.NewTable(tuple.NewStreamSet(0))
+		tbl.SetBackend(s, tombstones)
+		fill(tbl, 6) // keys 0..5, seqs 1..6; key 0 is long spilled
+		if tbl.ResidentBucket(0) != nil {
+			t.Fatal("key 0 still resident; the test needs it spilled")
+		}
+		tbl.Insert(base(0, 100, 0))
+		if got := seqs(tbl.ResidentBucket(0)); fmt.Sprint(got) != "[100]" {
+			t.Fatalf("resident part of key 0 = %v, want [100]", got)
+		}
+		// Push the resident part out too, then start a third part.
+		for i := 6; i < 10; i++ {
+			tbl.Insert(base(0, uint64(i+1), tuple.Value(i)))
+		}
+		if tbl.ResidentBucket(0) != nil {
+			t.Fatal("second part of key 0 was not spilled")
+		}
+		tbl.Insert(base(0, 200, 0))
+		if st := s.Stats(); st.Faults != 0 || fs.Reads.Load() != 0 {
+			t.Fatalf("inserts faulted %d times and read %d times, want none", st.Faults, fs.Reads.Load())
+		}
+		if tbl.Size() != 12 || !tbl.ContainsKey(0) || tbl.DistinctKeys() != 10 || len(tbl.Keys()) != 10 {
+			t.Fatalf("split key miscounted: size %d, contains %v, distinct %d, keys %d",
+				tbl.Size(), tbl.ContainsKey(0), tbl.DistinctKeys(), len(tbl.Keys()))
+		}
+		var each []uint64
+		tbl.Each(func(tup *tuple.Tuple) bool {
+			if tup.Key == 0 {
+				each = append(each, tup.Refs[0].Seq)
+			}
+			return true
+		})
+		if fmt.Sprint(each) != "[1 100 200]" {
+			t.Fatalf("Each visited key 0 as %v, want [1 100 200]", each)
+		}
+		if got := seqs(tbl.Probe(0)); fmt.Sprint(got) != "[1 100 200]" {
+			t.Fatalf("probe of key 0 = %v, want [1 100 200] (tombstones %v)", got, tombstones)
+		}
+		if st := s.Stats(); st.Faults != 1 || st.FaultTuples != 2 {
+			t.Fatalf("one fault of two spans expected, got %+v", st)
+		}
+		if tbl.Size() != 12 || tbl.DistinctKeys() != 10 {
+			t.Fatalf("after the merge: size %d, distinct %d", tbl.Size(), tbl.DistinctKeys())
+		}
+	}
+}
+
+// TestTombstoneRoutesBySeq covers expiry of a split key on a scan
+// table: refs no newer than the spilled part are tombstoned there,
+// newer ones leave the resident part, and nothing is read either way.
+func TestTombstoneRoutesBySeq(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
 	s := mustOpen(t, Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetBackend(s, true)
-	fill(tbl, 6)
-	// Key 0 is almost certainly spilled; inserting another tuple under
-	// it must keep the bucket whole.
-	tbl.Insert(base(0, 100, 0))
-	got := tbl.Probe(0)
-	if len(got) != 2 {
-		t.Fatalf("bucket 0 has %d tuples, want 2", len(got))
+	tbl.Insert(base(0, 1, 0))
+	tbl.Insert(base(0, 2, 0))
+	for i := 1; i < 5; i++ {
+		tbl.Insert(base(0, uint64(i+2), tuple.Value(i)))
+	}
+	tbl.Insert(base(0, 7, 0)) // resident part beside the spilled {1, 2}
+	if tbl.ResidentBucket(0) == nil || tbl.SpilledKeys() == 0 {
+		t.Fatal("key 0 is not split")
+	}
+	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1})
+	if got := seqs(tbl.ResidentBucket(0)); fmt.Sprint(got) != "[7]" || tbl.Size() != 6 {
+		t.Fatalf("expiring seq 1 touched the resident part: %v, size %d", got, tbl.Size())
+	}
+	if got := tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 7}); len(got) != 1 || !tbl.ContainsKey(0) {
+		t.Fatalf("expiring seq 7 removed %v, key present %v", got, tbl.ContainsKey(0))
+	}
+	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 2})
+	if tbl.ContainsKey(0) || tbl.Size() != 4 {
+		t.Fatalf("key 0 should be gone: contains %v, size %d", tbl.ContainsKey(0), tbl.Size())
+	}
+	if st := s.Stats(); st.Faults != 0 || st.Tombstones != 2 {
+		t.Fatalf("want 2 tombstones and no fault, got %+v", st)
 	}
 }
 
 func TestCompaction(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
-	s := mustOpen(t, Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024})
+	fs := &CountingFS{FS: storage.NewMemFS()}
+	s := mustOpen(t, Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024, FS: fs})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetBackend(s, true)
 
@@ -232,6 +317,9 @@ func TestCompaction(t *testing.T) {
 		tbl.RemoveRef(tuple.Value(i), tuple.Ref{Stream: 0, Seq: uint64(i + 1)})
 	}
 	st := s.Stats()
+	if o, c := fs.Opens.Load(), fs.Closes.Load(); o-c != st.Segments {
+		t.Fatalf("%d read handles open for %d segments (opened %d, closed %d)", o-c, st.Segments, o, c)
+	}
 	if st.Compactions == 0 {
 		t.Fatalf("expected compactions, got %+v", st)
 	}
@@ -250,6 +338,65 @@ func TestCompaction(t *testing.T) {
 	}
 	if tbl.Size() != 8 {
 		t.Fatalf("size = %d, want 8", tbl.Size())
+	}
+}
+
+// TestCompactionCopyMatchesDecode runs the same history twice — once
+// with no tombstone on the surviving keys, so compaction copies their
+// spans byte for byte, once with one tuple of each expired first, so it
+// decodes, filters and re-encodes them — and requires both to fault
+// back exactly what an unbacked table holds, multi-span keys included.
+func TestCompactionCopyMatchesDecode(t *testing.T) {
+	for _, tombstoned := range []bool{false, true} {
+		perTuple := state.TupleBytes(base(0, 1, 1))
+		s := mustOpen(t, Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024})
+		tbl, model := state.NewTable(tuple.NewStreamSet(0)), state.NewTable(tuple.NewStreamSet(0))
+		tbl.SetBackend(s, true)
+		seq := uint64(0)
+		insert := func(key tuple.Value) {
+			seq++
+			tbl.Insert(base(0, seq, key))
+			model.Insert(base(0, seq, key))
+		}
+		// Keys 0..7 survive with three tuples in two or three spans each;
+		// keys 100.. are filler that becomes garbage.
+		for round := 0; round < 3; round++ {
+			for k := 0; k < 8; k++ {
+				insert(tuple.Value(k))
+			}
+		}
+		for k := 100; k < 180; k++ {
+			insert(tuple.Value(k))
+		}
+		if tombstoned {
+			for k := 0; k < 8; k++ {
+				ref := tuple.Ref{Stream: 0, Seq: uint64(k + 1)}
+				tbl.RemoveRef(tuple.Value(k), ref)
+				model.RemoveRef(tuple.Value(k), ref)
+			}
+		}
+		before := s.Stats().Compactions
+		for k := 100; k < 180; k++ {
+			ref := tuple.Ref{Stream: 0, Seq: uint64(24 + k - 100 + 1)}
+			tbl.RemoveRef(tuple.Value(k), ref)
+			model.RemoveRef(tuple.Value(k), ref)
+		}
+		st := s.Stats()
+		if st.Compactions == before {
+			t.Fatalf("tombstoned=%v: no compaction ran: %+v", tombstoned, st)
+		}
+		if st.Faults != 0 {
+			t.Fatalf("tombstoned=%v: eviction faulted: %+v", tombstoned, st)
+		}
+		for k := 0; k < 8; k++ {
+			got, want := seqs(tbl.Probe(tuple.Value(k))), seqs(model.Probe(tuple.Value(k)))
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("tombstoned=%v key %d: faulted %v, model %v", tombstoned, k, got, want)
+			}
+		}
+		if tbl.Size() != model.Size() {
+			t.Fatalf("tombstoned=%v: size %d, model %d", tombstoned, tbl.Size(), model.Size())
+		}
 	}
 }
 
@@ -288,6 +435,38 @@ func TestUnboundedBudgetNeverSpills(t *testing.T) {
 	}
 }
 
+// An unbounded store is never under pressure, so tables attached to it
+// skip the reference-bit map write on every touch.
+func TestUnboundedBudgetKeepsNoReferenceBits(t *testing.T) {
+	for _, budget := range []int64{0, -1} {
+		s := mustOpen(t, Options{Budget: budget})
+		tbl := state.NewTable(tuple.NewStreamSet(0))
+		tbl.SetBackend(s, true)
+		fill(tbl, 100)
+		if s.Pressured() {
+			t.Fatalf("budget %d: unbounded store reports pressure", budget)
+		}
+		for i := 0; i < 100; i++ {
+			tbl.Probe(tuple.Value(i))
+			if tbl.ClockTouched(tuple.Value(i)) {
+				t.Fatalf("budget %d: key %d carries a reference bit", budget, i)
+			}
+		}
+	}
+}
+
+// crashNow exhausts a CrashFS's write budget.
+func crashNow(crash *storage.CrashFS) {
+	for !crash.Crashed() {
+		f, err := crash.Create("burn")
+		if err != nil {
+			break
+		}
+		f.Write(make([]byte, 1<<16))
+		f.Close()
+	}
+}
+
 func TestSpillWriteFailureFailsOpen(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
 	// Let the store set itself up, then cut the disk.
@@ -296,30 +475,68 @@ func TestSpillWriteFailureFailsOpen(t *testing.T) {
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetBackend(s, true)
 	fill(tbl, 4)
-	// Exhaust the write budget.
-	for crash.Crashed() == false {
-		p := make([]byte, 1<<16)
-		f, err := crash.Create("burn")
-		if err != nil {
-			break
-		}
-		f.Write(p)
-		f.Close()
-	}
-	// Inserts keep working; buckets stay resident; errors are counted.
-	for i := 100; i < 120; i++ {
+	crashNow(crash)
+	// Inserts keep working. Spills are buffered, so the store meets the
+	// dead disk when the tail first fills: that flush fails, the buckets
+	// it carried stay readable from memory, and every later bucket stays
+	// resident because no new segment can be created.
+	const n = 4000 // ≈ 200 KiB encoded, three tails' worth
+	for i := 100; i < 100+n; i++ {
 		tbl.Insert(base(0, uint64(i+1), tuple.Value(i)))
 	}
 	st := s.Stats()
 	if st.SpillErrors == 0 {
 		t.Fatalf("expected spill errors, got %+v", st)
 	}
-	if tbl.Size() != 24 {
-		t.Fatalf("size = %d, want 24", tbl.Size())
+	if st.SegmentBytes > 2*tailBytes {
+		t.Fatalf("%d bytes spilled after the disk died; only the first tail should be", st.SegmentBytes)
 	}
-	for i := 100; i < 120; i++ {
-		if len(tbl.Probe(tuple.Value(i))) != 1 {
-			t.Fatalf("key %d lost after write failure", i)
+	if tbl.Size() != 4+n {
+		t.Fatalf("size = %d, want %d", tbl.Size(), 4+n)
+	}
+	for i := 100; i < 100+n; i++ {
+		got := tbl.Probe(tuple.Value(i))
+		if len(got) != 1 || got[0].Refs[0].Seq != uint64(i+1) {
+			t.Fatalf("key %d lost after write failure: %v", i, got)
+		}
+	}
+}
+
+// TestFailedFlushLosesNoBucket is the buffered-tail half of fail-open:
+// many buckets are detached into one tail, the flush that would carry
+// them fails, and each is still there — through a probe, through
+// iteration, and through window expiry.
+func TestFailedFlushLosesNoBucket(t *testing.T) {
+	crash := storage.NewCrashFS(storage.NewMemFS(), 1<<20)
+	s := mustOpen(t, Options{Budget: 1, FS: crash}) // everything spills
+	tbl := state.NewTable(tuple.NewStreamSet(0))
+	tbl.SetBackend(s, true)
+	fill(tbl, 200) // far less than a tail: nothing has been written yet
+	if st := s.Stats(); st.Spills < 199 || st.SpillErrors != 0 {
+		t.Fatalf("set-up: %+v", st)
+	}
+	crashNow(crash)
+	// Fill the tail; its flush fails.
+	for i := 200; s.Stats().SpillErrors == 0; i++ {
+		if i > 5000 {
+			t.Fatal("the tail never flushed")
+		}
+		tbl.Insert(base(0, uint64(i+1), tuple.Value(i)))
+	}
+	size := tbl.Size()
+	seen := 0
+	tbl.Each(func(*tuple.Tuple) bool { seen++; return true })
+	if seen != size {
+		t.Fatalf("Each saw %d of %d tuples after the failed flush", seen, size)
+	}
+	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1})
+	if tbl.ContainsKey(0) || tbl.Size() != size-1 {
+		t.Fatal("expiry of a bucket in the unflushed tail went wrong")
+	}
+	for i := 1; i < 200; i++ {
+		got := tbl.Probe(tuple.Value(i))
+		if len(got) != 1 || got[0].Refs[0].Seq != uint64(i+1) {
+			t.Fatalf("key %d, detached before the failed flush, reads back %v", i, got)
 		}
 	}
 }
@@ -374,8 +591,8 @@ func TestListAccounting(t *testing.T) {
 	}
 }
 
-// TestRealFS exercises the ReaderAt read path against the actual
-// filesystem (every other test runs on MemFS).
+// TestRealFS exercises the read path against the actual filesystem
+// (most other tests run on MemFS).
 func TestRealFS(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
 	s := mustOpen(t, Options{Budget: 2 * perTuple, Dir: t.TempDir() + "/spill"})

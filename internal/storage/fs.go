@@ -20,6 +20,10 @@ type FS interface {
 	OpenAppend(path string) (File, error)
 	// Open opens path for reading.
 	Open(path string) (io.ReadCloser, error)
+	// OpenReaderAt opens path for positional reads. Unlike Open's
+	// reader, the handle sees bytes appended after it was opened, so a
+	// long-lived handle on a file still being written stays current.
+	OpenReaderAt(path string) (ReaderAt, error)
 	// ReadDir returns the names in dir, sorted. A missing directory
 	// yields an empty list, not an error.
 	ReadDir(dir string) ([]string, error)
@@ -41,6 +45,12 @@ type File interface {
 	Close() error
 }
 
+// ReaderAt is a positional read handle (see FS.OpenReaderAt).
+type ReaderAt interface {
+	io.ReaderAt
+	io.Closer
+}
+
 // OS returns the real filesystem.
 func OS() FS { return osFS{} }
 
@@ -56,7 +66,8 @@ func (osFS) OpenAppend(path string) (File, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 }
 
-func (osFS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
+func (osFS) Open(path string) (io.ReadCloser, error)    { return os.Open(path) }
+func (osFS) OpenReaderAt(path string) (ReaderAt, error) { return os.Open(path) }
 
 func (osFS) ReadDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
@@ -185,8 +196,11 @@ func (c *CrashFS) OpenAppend(path string) (File, error) {
 }
 
 func (c *CrashFS) Open(path string) (io.ReadCloser, error) { return c.inner.Open(path) }
-func (c *CrashFS) ReadDir(dir string) ([]string, error)    { return c.inner.ReadDir(dir) }
-func (c *CrashFS) Size(path string) (int64, error)         { return c.inner.Size(path) }
+func (c *CrashFS) OpenReaderAt(path string) (ReaderAt, error) {
+	return c.inner.OpenReaderAt(path)
+}
+func (c *CrashFS) ReadDir(dir string) ([]string, error) { return c.inner.ReadDir(dir) }
+func (c *CrashFS) Size(path string) (int64, error)      { return c.inner.Size(path) }
 
 func (c *CrashFS) Rename(oldPath, newPath string) error {
 	if err := c.mutate(); err != nil {

@@ -91,6 +91,38 @@ func (m *MemFS) Open(path string) (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(snapshot)), nil
 }
 
+// memReaderAt reads the live content of one MemFS file.
+type memReaderAt struct {
+	fs   *MemFS
+	path string
+}
+
+func (r memReaderAt) ReadAt(p []byte, off int64) (n int, err error) {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	if data := r.fs.files[r.path]; off < int64(len(data)) {
+		n = copy(p, data[off:])
+	}
+	if n < len(p) {
+		err = io.EOF
+	}
+	return n, err
+}
+
+func (memReaderAt) Close() error { return nil }
+
+// OpenReaderAt implements FS: positional reads of the file's current
+// content (no snapshot).
+func (m *MemFS) OpenReaderAt(path string) (ReaderAt, error) {
+	m.mu.Lock()
+	_, ok := m.files[path]
+	m.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("memfs: open %s: file does not exist", path)
+	}
+	return memReaderAt{fs: m, path: path}, nil
+}
+
 // ReadDir implements FS: immediate children of dir, sorted. A missing
 // directory yields an empty list, like the OS implementation.
 func (m *MemFS) ReadDir(dir string) ([]string, error) {
