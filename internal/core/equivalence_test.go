@@ -9,6 +9,7 @@ import (
 
 	"jisc/internal/eddy"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
 	"jisc/internal/testseed"
@@ -28,7 +29,16 @@ type runner struct {
 	name    string
 	feed    func(workload.Event)
 	migrate func(*plan.Plan) error
-	outs    map[string]int
+	// sink receives an engine-backed executor's deltas — each result
+	// lent, read, cloned and poisoned — and counts them into outs; the
+	// eddies have none and hand their own tuples to add.
+	sink *enginetest.Sink
+	outs map[string]int
+}
+
+func newEngineRunner(name string) *runner {
+	s := enginetest.NewSink()
+	return &runner{name: name, sink: s, outs: s.Outs}
 }
 
 func (r *runner) add(t *tuple.Tuple) { r.outs[t.Fingerprint()]++ }
@@ -38,14 +48,10 @@ func newRunners(t *testing.T, p *plan.Plan, win int) []*runner {
 	var rs []*runner
 
 	mk := func(name string, strat engine.Strategy) {
-		r := &runner{name: name, outs: map[string]int{}}
+		r := newEngineRunner(name)
 		e := engine.MustNew(engine.Config{
 			Plan: p, WindowSize: win, Strategy: strat,
-			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					r.add(d.Tuple)
-				}
-			},
+			Output: r.sink.Output,
 		})
 		r.feed = e.Feed
 		r.migrate = e.Migrate
@@ -56,14 +62,10 @@ func newRunners(t *testing.T, p *plan.Plan, win int) []*runner {
 	mk("moving-state", migrate.MovingState{})
 
 	{
-		r := &runner{name: "parallel-track", outs: map[string]int{}}
+		r := newEngineRunner("parallel-track")
 		pt := migrate.MustNewParallelTrack(migrate.PTConfig{
 			Plan: p, WindowSize: win, CheckEvery: 7,
-			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					r.add(d.Tuple)
-				}
-			},
+			Output: r.sink.Output,
 		})
 		r.feed = pt.Feed
 		r.migrate = pt.Migrate
@@ -180,6 +182,11 @@ func scenario(t *testing.T, seed int64, streams, win, events, transitions int, o
 		}
 	}
 	for _, r := range rs {
+		if r.sink != nil {
+			if err := r.sink.Check(); err != nil {
+				t.Errorf("%s (seed %d): %v", r.name, seed, err)
+			}
+		}
 		if r == oracle {
 			continue
 		}
@@ -238,11 +245,16 @@ func TestEquivalenceBushy(t *testing.T) {
 
 		outs := map[string]map[string]int{}
 		for _, strat := range []engine.Strategy{New(), migrate.MovingState{}} {
-			outs[strat.Name()] = map[string]int{}
-			dst := outs[strat.Name()]
+			sink := enginetest.NewSink()
+			defer func() {
+				if err := sink.Check(); err != nil {
+					t.Errorf("bushy %s (seed %d): %v", strat.Name(), seed, err)
+				}
+			}()
+			outs[strat.Name()] = sink.Outs
 			e := engine.MustNew(engine.Config{
 				Plan: p, WindowSize: 6, Strategy: strat,
-				Output: func(d engine.Delta) { dst[d.Tuple.Fingerprint()]++ },
+				Output: sink.Output,
 			})
 			src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 5, Seed: seed})
 			rng2 := rand.New(rand.NewSource(seed + 1))

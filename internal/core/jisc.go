@@ -124,7 +124,9 @@ func noEpisode() {}
 // the paper trades the migration stall into — and returns its closer.
 // The episode duration lands in the Completion histogram; start/end
 // events (with the triggering key and the tuples materialized) go to
-// the tracer.
+// the tracer once it is over, stamped with the two instants the
+// duration was measured between: an episode reads the clock twice, not
+// once more per event, and times the completion, not the tracing.
 func beginEpisode(e *engine.Engine, key tuple.Value) func() {
 	o := e.Obs()
 	if o == nil {
@@ -132,19 +134,18 @@ func beginEpisode(e *engine.Engine, key tuple.Value) func() {
 	}
 	met := e.Collector()
 	before := met.CompletedEntries.Load()
-	o.Tracer.Emit(obs.Event{
-		Kind: obs.EvCompletionStart, Query: o.Query, Shard: o.Shard,
-		Tick: e.Tick(), Key: int64(key),
-	})
 	start := e.Now()
 	return func() {
-		d := e.Now().Sub(start)
-		o.Completion.Record(d)
-		o.Tracer.Emit(obs.Event{
-			Kind: obs.EvCompletionEnd, Query: o.Query, Shard: o.Shard,
+		end := e.Now()
+		ev := obs.Event{
+			Kind: obs.EvCompletionStart, Time: start, Query: o.Query, Shard: o.Shard,
 			Tick: e.Tick(), Key: int64(key),
-			Count: met.CompletedEntries.Load() - before, Dur: d,
-		})
+		}
+		o.Tracer.Emit(ev)
+		ev.Kind, ev.Time, ev.Dur = obs.EvCompletionEnd, end, end.Sub(start)
+		ev.Count = met.CompletedEntries.Load() - before
+		o.Completion.Record(ev.Dur)
+		o.Tracer.Emit(ev)
 	}
 }
 

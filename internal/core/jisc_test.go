@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+	"time"
 
 	"jisc/internal/engine"
 	"jisc/internal/migrate"
+	"jisc/internal/obs"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
@@ -20,7 +22,7 @@ func newJISC(t *testing.T, p *plan.Plan, win int, out *[]engine.Delta) *engine.E
 	t.Helper()
 	cfg := engine.Config{Plan: p, WindowSize: win, Strategy: New()}
 	if out != nil {
-		cfg.Output = func(d engine.Delta) { *out = append(*out, d) }
+		cfg.Output = func(d engine.Delta) { d.Tuple = d.Tuple.Clone(); *out = append(*out, d) }
 	}
 	return engine.MustNew(cfg)
 }
@@ -447,7 +449,7 @@ func TestEvictWalkPassesCounterDropCompletedState(t *testing.T) {
 		WindowSize:  100,
 		WindowSizes: map[tuple.StreamID]int{2: 2},
 		Strategy:    New(),
-		Output:      func(d engine.Delta) { out = append(out, d) },
+		Output:      func(d engine.Delta) { d.Tuple = d.Tuple.Clone(); out = append(out, d) },
 	})
 	e.Feed(ev(0, 2))
 	e.Feed(ev(2, 2))
@@ -470,5 +472,57 @@ func TestEvictWalkPassesCounterDropCompletedState(t *testing.T) {
 		if !d.Retraction && d.Tuple.Set.Count() == 4 {
 			t.Fatalf("stale adopted-state entry produced output %s after 2#1 expired", d.Tuple.Fingerprint())
 		}
+	}
+}
+
+// TestEpisodeReadsClockTwice: a completion episode reads the engine's
+// clock at its start and at its end and nowhere else — its two trace
+// events carry those instants instead of each reading a clock of their
+// own — so on a clock that advances one tick per read every episode
+// lasts exactly one tick and the events bracket the recorded duration.
+func TestEpisodeReadsClockTwice(t *testing.T) {
+	set := obs.NewSet("q", 1<<12)
+	var reads, tracerReads int
+	set.Tracer.Now = func() time.Time { tracerReads++; return time.Unix(1, 0) }
+	e := engine.MustNew(engine.Config{
+		Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 1000, Strategy: New(),
+		Obs: set.Recorder(0),
+		Now: func() time.Time { reads++; return time.Unix(0, int64(reads)) },
+	})
+	defer e.Close()
+	const keys = 40
+	for k := 0; k < keys; k++ {
+		for s := 0; s < 4; s++ {
+			e.Feed(ev(tuple.StreamID(s), tuple.Value(k)))
+		}
+	}
+	if err := e.Migrate(plan.MustLeftDeep(3, 2, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	tracerBefore := tracerReads
+	for k := 0; k < keys; k++ {
+		e.Feed(ev(0, tuple.Value(k)))
+	}
+	if tracerReads != tracerBefore {
+		t.Errorf("the tracer read its own clock %d times during the episodes", tracerReads-tracerBefore)
+	}
+	var start obs.Event
+	episodes := 0
+	for _, ev := range set.Tracer.Events() {
+		switch ev.Kind {
+		case obs.EvCompletionStart:
+			start = ev
+		case obs.EvCompletionEnd:
+			episodes++
+			if ev.Dur != time.Nanosecond {
+				t.Fatalf("episode for key %d lasted %v on a one-tick-per-read clock: something read the clock inside it", ev.Key, ev.Dur)
+			}
+			if start.Key != ev.Key || !start.Time.Add(ev.Dur).Equal(ev.Time) {
+				t.Fatalf("events at %v and %v do not bracket the recorded %v", start.Time, ev.Time, ev.Dur)
+			}
+		}
+	}
+	if got := set.Snapshot().Completion.Count; episodes < keys || got != uint64(episodes) {
+		t.Fatalf("%d episodes traced, %d recorded, want at least %d and equal", episodes, got, keys)
 	}
 }

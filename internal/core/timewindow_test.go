@@ -19,7 +19,7 @@ func TestTimeWindowJoinSemantics(t *testing.T) {
 	var out []engine.Delta
 	e := engine.MustNew(engine.Config{
 		Plan: plan.MustLeftDeep(0, 1), TimeSpan: 3,
-		Output: func(d engine.Delta) { out = append(out, d) },
+		Output: func(d engine.Delta) { d.Tuple = d.Tuple.Clone(); out = append(out, d) },
 	})
 	// Ticks advance one per Feed.
 	e.Feed(ev(0, 7)) // tick 1

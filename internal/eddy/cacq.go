@@ -167,7 +167,7 @@ func (c *CACQ) FeedStamped(ev workload.Event, seq, tick uint64) {
 			}
 		}
 		if done {
-			c.met.MarkOutputAt(c.now)
+			c.met.MarkOutputsAt(1, c.now)
 			if c.out != nil {
 				c.out(u)
 			}

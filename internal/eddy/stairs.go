@@ -202,7 +202,7 @@ func (s *Stairs) FeedStamped(ev workload.Event, seq, tick uint64) {
 		cur = next
 	}
 	for _, r := range cur {
-		s.met.MarkOutputAt(s.now)
+		s.met.MarkOutputsAt(1, s.now)
 		if s.out != nil {
 			s.out(r)
 		}

@@ -15,7 +15,7 @@ import (
 type Delta = engine.Delta
 
 func collect(dst *[]Delta) engine.Output {
-	return func(d Delta) { *dst = append(*dst, d) }
+	return func(d Delta) { d.Tuple = d.Tuple.Clone(); *dst = append(*dst, d) }
 }
 
 func feedAll(e *engine.Engine, evs []workload.Event) {

@@ -110,8 +110,8 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		TimeSpan:       e.cfg.TimeSpan,
 		Tick:           e.tick,
 		TransitionTick: e.transitionTick,
-		Seqs:           e.seqs,
-		LastArrival:    e.lastArrival,
+		Seqs:           map[tuple.StreamID]uint64{},
+		LastArrival:    map[tuple.StreamID]map[tuple.Value]uint64{},
 		Born:           e.born,
 		Probes:         map[tuple.StreamSet]uint64{},
 		Matches:        map[tuple.StreamSet]uint64{},
@@ -144,8 +144,11 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		}
 	}
 	for _, id := range e.plan.Streams.Streams() {
+		st := &e.streams[id]
+		snap.Seqs[id] = st.seq
+		snap.LastArrival[id] = st.lastArrival
 		ws := windowSnap{Stream: id}
-		switch win := e.windows[id].(type) {
+		switch win := st.window.(type) {
 		case *window.TimeWindow:
 			win.EachTimed(func(en window.Entry, ts uint64) bool {
 				ws.Entries = append(ws.Entries, en.Ref)
@@ -213,11 +216,11 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 	e.met.Restore(snap.Counters)
 	e.tick = snap.Tick
 	e.transitionTick = snap.TransitionTick
-	for id, s := range snap.Seqs {
-		e.seqs[id] = s
-	}
-	for id, m := range snap.LastArrival {
-		e.lastArrival[id] = m
+	for _, id := range p.Streams.Streams() {
+		e.streams[id].seq = snap.Seqs[id]
+		if m := snap.LastArrival[id]; m != nil {
+			e.streams[id].lastArrival = m
+		}
 	}
 	for set, born := range snap.Born {
 		e.born[set] = born
@@ -263,10 +266,10 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		n.Ls.RestoreMeta(ls.Complete, ls.Attempted)
 	}
 	for _, ws := range snap.Windows {
-		win, ok := e.windows[ws.Stream]
-		if !ok {
+		if e.Scan(ws.Stream) == nil {
 			return nil, fmt.Errorf("engine: checkpoint window for unknown stream %d", ws.Stream)
 		}
+		win := e.streams[ws.Stream].window
 		for i, ref := range ws.Entries {
 			var ts uint64
 			if ws.Times != nil {

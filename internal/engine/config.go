@@ -41,7 +41,8 @@ type Config struct {
 	ThetaNodes func(set tuple.StreamSet) bool
 	// Strategy handles plan transitions (default Static).
 	Strategy Strategy
-	// Output receives root results; may be nil.
+	// Output receives root results — lent, not given (see Output); nil
+	// is allowed, and then an unstored root builds none.
 	Output Output
 	// Observer, when non-nil, receives a TransitionEvent after every
 	// plan transition's classification — the observability hook

@@ -23,7 +23,6 @@
 //	transition.go Migrate and the §4.1 buffer-clearing phase
 //	evict.go      bottom-up eviction propagation, §4.3 counters
 //	static.go     the no-migration baseline strategy
-//	scratch.go    per-run scratch allocator (arena tuple builder)
 package engine
 
 import (
@@ -70,11 +69,13 @@ type Strategy interface {
 
 // Engine executes one continuous query.
 type Engine struct {
-	cfg     Config
-	plan    *plan.Plan
-	root    *Node
-	scans   map[tuple.StreamID]*Node
-	windows map[tuple.StreamID]window.Slider
+	cfg  Config
+	plan *plan.Plan
+	root *Node
+	// streams is the per-stream feed state, indexed by StreamID (dense
+	// from zero, fixed across migrations); a slot whose stream the plan
+	// does not scan is zero.
+	streams []streamState
 	// states is the state store: one table per live stream set.
 	// Surviving a transition means staying in this map.
 	states map[tuple.StreamSet]*state.Table
@@ -92,22 +93,41 @@ type Engine struct {
 	met      metrics.Collector
 	obs      *obs.Recorder
 	now      func() time.Time
-	scratch  scratch
+	// bld is the engine's scratch allocator, acquired from the shared
+	// pool for the engine's lifetime: the arenas base tuples and stored
+	// composites are carved from, and the one transient composite an
+	// unstored root's results are lent in. One builder per engine keeps
+	// it single-threaded without locks.
+	bld *tuple.Builder
 
 	// tick is the global arrival counter; transitionTick is the tick
 	// of the most recent plan transition (Definition 2 freshness).
 	tick           uint64
 	transitionTick uint64
-	seqs           map[tuple.StreamID]uint64
-	// lastArrival[stream][key] is the tick of the most recent arrival
-	// of key on stream, backing Definition 2's fresh/attempted
-	// classification in O(1).
-	lastArrival map[tuple.StreamID]map[tuple.Value]uint64
 
 	// pending models the input buffers of §4.1: tuples received but
 	// not yet processed. Migrate drains it through the old plan (the
 	// buffer-clearing phase) before switching.
 	pending []workload.Event
+}
+
+// streamState is what the engine keeps per input stream.
+type streamState struct {
+	scan   *Node // the stream's leaf in the current operator tree
+	window window.Slider
+	seq    uint64 // of the stream's newest tuple
+	// lastArrival[key] is the tick of the most recent arrival of key,
+	// backing Definition 2's fresh/attempted classification in O(1).
+	lastArrival map[tuple.Value]uint64
+}
+
+// stream returns id's feed state; a stream outside the plan is a
+// caller bug (the network boundary checks membership first).
+func (e *Engine) stream(id tuple.StreamID) *streamState {
+	if int(id) >= len(e.streams) || e.streams[id].scan == nil {
+		panic(fmt.Sprintf("engine: tuple for unknown stream %d", id))
+	}
+	return &e.streams[id]
 }
 
 // New builds an engine for cfg.
@@ -147,26 +167,25 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Now = time.Now
 	}
 	e := &Engine{
-		cfg:         cfg,
-		strategy:    cfg.Strategy,
-		out:         cfg.Output,
-		obs:         cfg.Obs,
-		now:         cfg.Now,
-		scans:       make(map[tuple.StreamID]*Node),
-		windows:     make(map[tuple.StreamID]window.Slider),
-		states:      make(map[tuple.StreamSet]*state.Table),
-		lists:       make(map[tuple.StreamSet]*state.List),
-		born:        make(map[tuple.StreamSet]uint64),
-		seqs:        make(map[tuple.StreamID]uint64),
-		lastArrival: make(map[tuple.StreamID]map[tuple.Value]uint64),
+		cfg:      cfg,
+		strategy: cfg.Strategy,
+		out:      cfg.Output,
+		obs:      cfg.Obs,
+		now:      cfg.Now,
+		states:   make(map[tuple.StreamSet]*state.Table),
+		lists:    make(map[tuple.StreamSet]*state.List),
+		born:     make(map[tuple.StreamSet]uint64),
+		bld:      tuple.AcquireBuilder(),
 	}
-	e.scratch.init()
 	if err := e.validateKinds(cfg.Plan); err != nil {
 		return nil, err
 	}
-	for _, id := range cfg.Plan.Streams.Streams() {
+	ids := cfg.Plan.Streams.Streams()
+	e.streams = make([]streamState, int(ids[len(ids)-1])+1)
+	for _, id := range ids {
+		st := &e.streams[id]
 		if cfg.TimeSpan > 0 {
-			e.windows[id] = window.NewTime(id, cfg.TimeSpan)
+			st.window = window.NewTime(id, cfg.TimeSpan)
 		} else {
 			size := cfg.WindowSize
 			if s, ok := cfg.WindowSizes[id]; ok {
@@ -175,9 +194,9 @@ func New(cfg Config) (*Engine, error) {
 			if size <= 0 {
 				return nil, fmt.Errorf("engine: non-positive window size %d for stream %d", size, id)
 			}
-			e.windows[id] = window.New(id, size)
+			st.window = window.New(id, size)
 		}
-		e.lastArrival[id] = make(map[tuple.Value]uint64)
+		st.lastArrival = make(map[tuple.Value]uint64)
 	}
 	if cfg.StateBudget > 0 {
 		opts := statestore.Options{
@@ -228,8 +247,13 @@ func (e *Engine) Plan() *plan.Plan { return e.plan }
 // Root returns the root operator.
 func (e *Engine) Root() *Node { return e.root }
 
-// Scan returns the scan node of stream id.
-func (e *Engine) Scan(id tuple.StreamID) *Node { return e.scans[id] }
+// Scan returns the scan node of stream id, nil when the plan has none.
+func (e *Engine) Scan(id tuple.StreamID) *Node {
+	if int(id) >= len(e.streams) {
+		return nil
+	}
+	return e.streams[id].scan
+}
 
 // Tick returns the global arrival counter.
 func (e *Engine) Tick() uint64 { return e.tick }
@@ -262,7 +286,7 @@ func (e *Engine) Theta() func(probe, stored *tuple.Tuple) bool { return e.cfg.Th
 // Builder returns the engine's arena-backed tuple builder — the
 // per-run scratch allocator operators and strategies construct
 // composite tuples through.
-func (e *Engine) Builder() *tuple.Builder { return e.scratch.builder() }
+func (e *Engine) Builder() *tuple.Builder { return e.bld }
 
 // SetOutput replaces the output callback. The engine must be quiescent
 // (no Feed in progress). The durability layer uses it to silence
@@ -274,11 +298,14 @@ func (e *Engine) SetOutput(out Output) {
 	e.cfg.Output = out
 }
 
-// Close releases the engine's pooled scratch resources and, when
-// spilling is enabled, the spill tier's segment directory. The engine
-// must not be fed afterwards; tuples it produced stay valid.
+// Close releases the engine's pooled builder and, when spilling is
+// enabled, the spill tier's segment directory. The engine must not be
+// fed afterwards; tuples it stored or handed out for keeping stay valid.
 func (e *Engine) Close() {
-	e.scratch.release()
+	if e.bld != nil {
+		e.bld.Release()
+		e.bld = nil
+	}
 	if e.store != nil {
 		e.store.Close()
 	}
@@ -326,7 +353,7 @@ func (e *Engine) Feed(ev workload.Event) {
 // and new plans and deduplicates by provenance). FeedStamped bypasses
 // the input buffer and must not be mixed with Enqueue.
 func (e *Engine) FeedStamped(ev workload.Event, seq, tick uint64) {
-	e.processStamped(ev, seq, tick)
+	e.processStamped(e.stream(ev.Stream), ev, seq, tick)
 }
 
 // FeedBatch processes evs in arrival order, observably identical to
@@ -350,7 +377,8 @@ func (e *Engine) FeedBatch(evs []workload.Event) {
 	}
 	for i := range evs {
 		ev := evs[i]
-		e.processCore(ev, e.seqs[ev.Stream]+1, e.tick+1)
+		st := e.stream(ev.Stream)
+		e.processCore(st, ev, st.seq+1, e.tick+1)
 		if e.cfg.AfterFeed != nil {
 			e.cfg.AfterFeed(e.tick)
 		}
@@ -382,16 +410,17 @@ func (e *Engine) drain() {
 // process runs one input tuple through the pipeline to completion,
 // assigning the next sequence number and tick.
 func (e *Engine) process(ev workload.Event) {
-	e.processStamped(ev, e.seqs[ev.Stream]+1, e.tick+1)
+	st := e.stream(ev.Stream)
+	e.processStamped(st, ev, st.seq+1, e.tick+1)
 }
 
-func (e *Engine) processStamped(ev workload.Event, seq, tick uint64) {
+func (e *Engine) processStamped(st *streamState, ev workload.Event, seq, tick uint64) {
 	var start time.Time
 	timedFeed := e.obs.SampleFeed()
 	if timedFeed {
 		start = e.now()
 	}
-	e.processCore(ev, seq, tick)
+	e.processCore(st, ev, seq, tick)
 	if timedFeed {
 		e.obs.Feed.Record(e.now().Sub(start))
 	}
@@ -403,27 +432,23 @@ func (e *Engine) processStamped(ev workload.Event, seq, tick uint64) {
 // processCore is the per-tuple pipeline — window slide, eviction, scan
 // insert, probe/build push-up — without the obs sampling or AfterFeed
 // hook, which the per-event and batched entry points layer differently.
-func (e *Engine) processCore(ev workload.Event, seq, tick uint64) {
-	scan, ok := e.scans[ev.Stream]
-	if !ok {
-		panic(fmt.Sprintf("engine: tuple for unknown stream %d", ev.Stream))
-	}
+func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint64) {
+	scan := st.scan
 	e.tick = tick
 	e.met.Input.Add(1)
-	e.seqs[ev.Stream] = seq
+	st.seq = seq
 
 	// Definition 2: fresh iff no tuple with this key arrived on this
 	// stream since the last transition.
-	la := e.lastArrival[ev.Stream]
-	fresh := la[ev.Key] <= e.transitionTick
-	la[ev.Key] = e.tick
+	fresh := st.lastArrival[ev.Key] <= e.transitionTick
+	st.lastArrival[ev.Key] = e.tick
 
 	// Slide the window first so the new tuple never joins expired ones.
-	for _, expired := range e.windows[ev.Stream].Slide(tuple.Ref{Stream: ev.Stream, Seq: seq}, ev.Key, e.tick) {
+	for _, expired := range st.window.Slide(tuple.Ref{Stream: ev.Stream, Seq: seq}, ev.Key, e.tick) {
 		e.evict(scan, expired)
 	}
 
-	t := e.scratch.builder().Base(ev.Stream, seq, ev.Key, e.tick)
+	t := e.bld.Base(ev.Stream, seq, ev.Key, e.tick)
 	scan.St.Insert(t)
 	e.met.Inserts.Add(1)
 	e.pushUp(scan, t, fresh)
@@ -459,7 +484,7 @@ func (e *Engine) emit(d Delta) {
 		}
 		return
 	}
-	e.met.MarkOutputAt(e.now)
+	e.met.MarkOutputsAt(1, e.now)
 	if e.out != nil {
 		e.out(d)
 	}

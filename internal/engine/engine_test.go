@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +13,10 @@ import (
 	"jisc/internal/workload"
 )
 
+// collect keeps every delta: a Clone, since an unstored root only lends
+// its result for the call.
 func collect(dst *[]Delta) Output {
-	return func(d Delta) { *dst = append(*dst, d) }
+	return func(d Delta) { d.Tuple = d.Tuple.Clone(); *dst = append(*dst, d) }
 }
 
 func feedAll(e *Engine, evs []workload.Event) {
@@ -371,13 +374,31 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestFeedUnknownStreamPanics: a stream the plan does not scan — past
+// the per-stream table or in a gap of it — panics with the one message,
+// on every entry point, before anything is counted.
 func TestFeedUnknownStreamPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unknown stream")
+	for name, feed := range map[string]func(*Engine, workload.Event){
+		"Feed":        (*Engine).Feed,
+		"FeedBatch":   func(e *Engine, ev workload.Event) { e.FeedBatch([]workload.Event{ev}) },
+		"FeedStamped": func(e *Engine, ev workload.Event) { e.FeedStamped(ev, 1, 1) },
+	} {
+		for _, stream := range []tuple.StreamID{1, 5} {
+			e := MustNew(Config{Plan: plan.MustLeftDeep(0, 2)})
+			func() {
+				defer func() {
+					want := fmt.Sprintf("engine: tuple for unknown stream %d", stream)
+					if got := recover(); got != want {
+						t.Errorf("%s on stream %d: panic %v, want %q", name, stream, got, want)
+					}
+				}()
+				feed(e, ev(stream, 1))
+			}()
+			if m := e.Metrics(); m.Input != 0 || e.Scan(stream) != nil || e.Scan(2) == nil {
+				t.Errorf("%s: input = %d after a rejected feed; scans %d, 2 = %v, %v", name, m.Input, stream, e.Scan(stream), e.Scan(2))
+			}
 		}
-	}()
-	MustNew(Config{Plan: plan.MustLeftDeep(0, 1)}).Feed(ev(5, 1))
+	}
 }
 
 func BenchmarkEngineSteadyState(b *testing.B) {

@@ -36,6 +36,33 @@ func hotKeyEvents(n int, seed uint64) []workload.Event {
 	return evs
 }
 
+// runHotKey feeds evs in 256-tuple batches through a 3-way JISC engine
+// with a window of 1000, rotating the left-deep order with a MIGRATE
+// every 15 000 tuples, and returns the final counters and the peak of
+// the resident state bytes sampled after each batch.
+func runHotKey(t testing.TB, evs []workload.Event, emitExpiry bool, out engine.Output) (m metrics.Snapshot, peak int64) {
+	e := engine.MustNew(engine.Config{
+		Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 1000,
+		Strategy: core.New(), EmitExpiry: emitExpiry, Output: out,
+	})
+	defer e.Close()
+	order := []tuple.StreamID{0, 1, 2}
+	for i := 0; i < len(evs); i += 256 {
+		end := min(i+256, len(evs))
+		if i > 0 && i/15_000 != (i-256)/15_000 {
+			order = append(order[1:], order[0])
+			if err := e.Migrate(plan.MustLeftDeep(order...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.FeedBatch(evs[i:end])
+		if b := e.StateBytes(); b > peak {
+			peak = b
+		}
+	}
+	return e.Metrics(), peak
+}
+
 // TestHotKeyEvictionWork gates the seed-deterministic work counters of
 // window expiry on the migrate-hotkey shape (3 streams, window 1000, a
 // 2% hot key, a MIGRATE every 15 000 tuples rotating the left-deep
@@ -48,30 +75,8 @@ func hotKeyEvents(n int, seed uint64) []workload.Event {
 func TestHotKeyEvictionWork(t *testing.T) {
 	const n = 90_000
 	evs := hotKeyEvents(n, 3)
-	run := func(emitExpiry bool) (m metrics.Snapshot, peak int64) {
-		e := engine.MustNew(engine.Config{
-			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 1000,
-			Strategy: core.New(), EmitExpiry: emitExpiry,
-		})
-		defer e.Close()
-		order := []tuple.StreamID{0, 1, 2}
-		for i := 0; i < n; i += 256 {
-			end := i + 256
-			if end > n {
-				end = n
-			}
-			if i > 0 && i/15_000 != (i-256)/15_000 {
-				order = append(order[1:], order[0])
-				if err := e.Migrate(plan.MustLeftDeep(order...)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			e.FeedBatch(evs[i:end])
-			if b := e.StateBytes(); b > peak {
-				peak = b
-			}
-		}
-		return e.Metrics(), peak
+	run := func(emitExpiry bool) (metrics.Snapshot, int64) {
+		return runHotKey(t, evs, emitExpiry, nil)
 	}
 	got, peak := run(false)
 	stored, storedPeak := run(true)

@@ -29,7 +29,6 @@ func (hashJoinOp) Kind() Kind { return HashJoin }
 // clock reads off most of the hot path.
 func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
 	opp := j.Opposite(from)
-	stored := e.storesOutput(j)
 	e.strategy.BeforeProbe(e, j, opp, t, fresh)
 	e.met.Probes.Add(1)
 	timed := e.obs.SampleProbe()
@@ -44,12 +43,14 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
 	}
 	opp.Probes++
 	opp.Matches += uint64(len(matches))
+	if !e.storesOutput(j) {
+		e.forward(t, matches, timed, t1)
+		return
+	}
 	for i, m := range matches {
-		out := e.scratch.builder().Join(t, m)
-		if stored {
-			j.St.Insert(out)
-			e.met.Inserts.Add(1)
-		}
+		out := e.bld.Join(t, m)
+		j.St.Insert(out)
+		e.met.Inserts.Add(1)
 		if timed && i == 0 {
 			// Time only the first build of a timed probe, reusing the
 			// probe-end clock read as the build start: one extra read
@@ -57,6 +58,28 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
 			e.obs.Build.Record(e.now().Sub(t1))
 		}
 		e.pushUp(j, out, fresh)
+	}
+}
+
+// forward emits one probe's results at a root that does not store them
+// (storesOutput). Only the output callback reads such a result, so each
+// is built into the builder's one transient composite and overwritten
+// by the next (Delta has the rule), and the probe is counted with one
+// add. Without a callback — WAL replay — nothing is built at all.
+func (e *Engine) forward(t *tuple.Tuple, matches []*tuple.Tuple, timed bool, probed time.Time) {
+	if len(matches) == 0 {
+		return
+	}
+	e.met.MarkOutputsAt(uint64(len(matches)), e.now)
+	if e.out == nil {
+		return
+	}
+	for i, m := range matches {
+		out := e.bld.JoinTransient(t, m)
+		if timed && i == 0 {
+			e.obs.Build.Record(e.now().Sub(probed)) // as in Push
+		}
+		e.out(Delta{Tuple: out})
 	}
 }
 

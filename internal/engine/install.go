@@ -24,7 +24,7 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 		if n.IsLeaf() {
 			node.Stream = n.Stream
 			node.Kind = HashJoin // scan windows are always key-hashed
-			e.scans[n.Stream] = node
+			e.streams[n.Stream].scan = node
 			node.St = e.ensureTable(set, initial)
 			return node
 		}

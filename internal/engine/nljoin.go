@@ -43,7 +43,7 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
 			hit = pred(m, t)
 		}
 		if hit {
-			out := e.scratch.builder().JoinTheta(t, m)
+			out := e.bld.JoinTheta(t, m)
 			j.Ls.Insert(out)
 			e.met.Inserts.Add(1)
 			e.pushUp(j, out, fresh)

@@ -45,8 +45,9 @@ type Operator interface {
 	// Push processes t, the freshly produced output of child `from`,
 	// at node j: probe/scan the opposite state, construct result
 	// composites through the engine's scratch builder, insert them
-	// into j's state (a hash root's only under EmitExpiry, see
-	// storesOutput), and recurse upward via e.pushUp.
+	// into j's state and recurse upward via e.pushUp — or, at a hash
+	// root without EmitExpiry (storesOutput), forward them to the
+	// output unstored.
 	Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool)
 }
 
@@ -68,13 +69,21 @@ func operatorFor(k Kind) Operator {
 // can retract previously emitted results, so outputs carry a sign;
 // joins only ever emit additions.
 type Delta struct {
+	// Tuple is the result. A root that does not store its output (a
+	// hash join without EmitExpiry, see storesOutput) only lends it: it
+	// is valid until the Output callback returns, then overwritten by
+	// the next result — Tuple.Clone() to keep it. Stored roots
+	// (EmitExpiry, set-difference, nested-loops) hand out arena tuples
+	// that stay valid.
 	Tuple *tuple.Tuple
 	// Retraction is true when the result is withdrawn (set-difference
 	// semantics or window expiry at the root).
 	Retraction bool
 }
 
-// Output receives root results.
+// Output receives root results on the goroutine feeding the engine. It
+// reads what it needs of d.Tuple before returning — an unstored root
+// only lends it (see Delta) — and so works with every root.
 type Output func(Delta)
 
 // Executor is the contract shared by every execution strategy in the

@@ -26,10 +26,7 @@ func (e *Engine) ScanStats() []ScanStats {
 	streams := e.plan.Streams.Streams()
 	out := make([]ScanStats, 0, len(streams))
 	for _, id := range streams {
-		scan := e.scans[id]
-		if scan == nil {
-			continue
-		}
+		scan := e.streams[id].scan
 		out = append(out, ScanStats{
 			Stream:       id,
 			Probes:       scan.Probes,

@@ -84,10 +84,11 @@ func (c *Collector) MarkOutput(now time.Time) {
 	}
 }
 
-// MarkOutputAt is MarkOutput for the per-result hot path: it reads
-// clock only for the first output after a transition.
-func (c *Collector) MarkOutputAt(clock func() time.Time) {
-	c.Output.Add(1)
+// MarkOutputsAt is MarkOutput for the hot path: it counts the n ≥ 1
+// outputs one probe produced with a single add, and reads clock only
+// for the first output after a transition.
+func (c *Collector) MarkOutputsAt(n uint64, clock func() time.Time) {
+	c.Output.Add(n)
 	if c.awaitingOutput.Load() {
 		c.closeLatency(clock())
 	}

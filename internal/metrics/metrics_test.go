@@ -162,3 +162,26 @@ func TestThroughput(t *testing.T) {
 		t.Fatalf("Throughput = %f, want 2000", got)
 	}
 }
+
+// TestMarkOutputsAtCountsAProbeAtOnce: one call counts all of a probe's
+// results and reads the clock only to close the latency a transition
+// left open — once, whatever the count.
+func TestMarkOutputsAtCountsAProbeAtOnce(t *testing.T) {
+	var c Collector
+	t0 := time.Unix(100, 0)
+	reads := 0
+	clock := func() time.Time { reads++; return t0.Add(time.Duration(reads) * time.Millisecond) }
+	c.MarkOutputsAt(7, clock)
+	if c.Output.Load() != 7 || reads != 0 {
+		t.Fatalf("output=%d after 7 results, clock read %d times with no transition pending", c.Output.Load(), reads)
+	}
+	c.MarkTransition(t0)
+	c.MarkOutputsAt(400, clock)
+	c.MarkOutputsAt(3, clock)
+	if c.Output.Load() != 410 || reads != 1 {
+		t.Fatalf("output=%d, clock read %d times; want 410 and 1", c.Output.Load(), reads)
+	}
+	if lat := c.OutputLatencies(); len(lat) != 1 || lat[0] != time.Millisecond {
+		t.Fatalf("latencies = %v, want one of 1ms", lat)
+	}
+}

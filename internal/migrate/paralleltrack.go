@@ -178,7 +178,7 @@ func (pt *ParallelTrack) emit(tr *track, d engine.Delta) {
 		}
 		pt.seen[fp] = struct{}{}
 	}
-	pt.met.MarkOutputAt(pt.now)
+	pt.met.MarkOutputsAt(1, pt.now)
 	if pt.out != nil {
 		pt.out(d)
 	}

@@ -8,6 +8,7 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/durable"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/plan"
 	"jisc/internal/storage"
 	"jisc/internal/tuple"
@@ -19,18 +20,19 @@ func batchWorkload(n int) []workload.Event {
 	return src.Take(n)
 }
 
-func countOutputs(mu *sync.Mutex, dst map[string]int) engine.Config {
+// countOutputs is the equivalence tests' engine: its results go to
+// sink — read, cloned and poisoned, as every consumer may assume —
+// under mu, which the shards' workers share.
+func countOutputs(mu *sync.Mutex, sink *enginetest.Sink) engine.Config {
 	return engine.Config{
 		Plan:          plan.MustLeftDeep(0, 1, 2),
 		WindowSize:    16,
 		Strategy:      core.New(),
 		Deterministic: true,
 		Output: func(d engine.Delta) {
-			if !d.Retraction {
-				mu.Lock()
-				dst[d.Tuple.Fingerprint()]++
-				mu.Unlock()
-			}
+			mu.Lock()
+			sink.Output(d)
+			mu.Unlock()
 		},
 	}
 }
@@ -43,10 +45,11 @@ func TestRuntimeFeedBatchEquivalence(t *testing.T) {
 		for _, chunk := range []int{1, 8, 64, 600} {
 			t.Run(fmt.Sprintf("shards=%d/chunk=%d", shards, chunk), func(t *testing.T) {
 				var refMu, batMu sync.Mutex
-				refOuts, batOuts := map[string]int{}, map[string]int{}
-				ref := MustNew(Config{Engine: countOutputs(&refMu, refOuts), Shards: shards})
+				refSink, batSink := enginetest.NewSink(), enginetest.NewSink()
+				refOuts, batOuts := refSink.Outs, batSink.Outs
+				ref := MustNew(Config{Engine: countOutputs(&refMu, refSink), Shards: shards})
 				defer ref.Close()
-				bat := MustNew(Config{Engine: countOutputs(&batMu, batOuts), Shards: shards})
+				bat := MustNew(Config{Engine: countOutputs(&batMu, batSink), Shards: shards})
 				defer bat.Close()
 				for _, ev := range evs {
 					if err := ref.Feed(ev); err != nil {
@@ -68,6 +71,11 @@ func TestRuntimeFeedBatchEquivalence(t *testing.T) {
 				if rm.Input != bm.Input || rm.Output != bm.Output {
 					t.Fatalf("counters diverge: ref Input=%d Output=%d, batch Input=%d Output=%d",
 						rm.Input, rm.Output, bm.Input, bm.Output)
+				}
+				for _, s := range []*enginetest.Sink{refSink, batSink} {
+					if err := s.Check(); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if len(refOuts) != len(batOuts) {
 					t.Fatalf("distinct outputs: ref %d, batch %d", len(refOuts), len(batOuts))
@@ -135,8 +143,7 @@ func TestDurableFeedBatchRecovery(t *testing.T) {
 			evs := batchWorkload(300)
 
 			var mu sync.Mutex
-			outs := map[string]int{}
-			rt, err := New(Config{Engine: countOutputs(&mu, outs), Shards: shards, Durability: dopts})
+			rt, err := New(Config{Engine: countOutputs(&mu, enginetest.NewSink()), Shards: shards, Durability: dopts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,8 +159,8 @@ func TestDurableFeedBatchRecovery(t *testing.T) {
 			rt.Close()
 
 			var mu2 sync.Mutex
-			outs2 := map[string]int{}
-			rt2, err := New(Config{Engine: countOutputs(&mu2, outs2), Shards: shards, Durability: dopts})
+			replayed := enginetest.NewSink()
+			rt2, err := New(Config{Engine: countOutputs(&mu2, replayed), Shards: shards, Durability: dopts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,8 +172,8 @@ func TestDurableFeedBatchRecovery(t *testing.T) {
 			if got := rt2.DurableStats().RecoveredEvents; got != uint64(len(evs)) {
 				t.Fatalf("RecoveredEvents = %d, want %d", got, len(evs))
 			}
-			if len(outs2) != 0 {
-				t.Fatalf("replay re-emitted %d outputs", len(outs2))
+			if len(replayed.Outs) != 0 {
+				t.Fatalf("replay re-emitted %d outputs", len(replayed.Outs))
 			}
 			// The recovered runtime still ingests batches.
 			if err := rt2.FeedBatch(evs[:50]); err != nil {

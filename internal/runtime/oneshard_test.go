@@ -14,6 +14,7 @@ import (
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
@@ -141,19 +142,11 @@ func TestOneShardConcurrentProducers(t *testing.T) {
 // Concurrent runtimes under JISC and Moving State must produce the
 // same output multiset for the same serialized message sequence.
 func TestStrategiesAgree(t *testing.T) {
-	type res struct {
-		mu   sync.Mutex
-		outs map[string]int
-	}
 	run := func(strat engine.Strategy) map[string]int {
-		rs := &res{outs: map[string]int{}}
+		sink := enginetest.NewSink() // the one shard's worker is its only writer
 		r := MustNew(Config{Engine: engine.Config{
 			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 8, Strategy: strat,
-			Output: func(d engine.Delta) {
-				rs.mu.Lock()
-				rs.outs[d.Tuple.Fingerprint()]++
-				rs.mu.Unlock()
-			},
+			Output: sink.Output,
 		}})
 		defer r.Close()
 		src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 4, Seed: 9})
@@ -170,7 +163,10 @@ func TestStrategiesAgree(t *testing.T) {
 		if err := r.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return rs.outs
+		if err := sink.Check(); err != nil {
+			t.Fatal(err)
+		}
+		return sink.Outs
 	}
 	a := run(core.New())
 	b := run(migrate.MovingState{})

@@ -2,11 +2,12 @@ package server
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"sync"
 
 	"jisc/internal/engine"
 	"jisc/internal/obs"
+	"jisc/internal/tuple"
 )
 
 // Result egress: engine → chunk → subscriber → socket, batch-granular.
@@ -32,18 +33,19 @@ const chunkBytes = 32 << 10
 // the room a one-off backlog grew is returned to the collector.
 const retainBytes = 1 << 20
 
-// appendResultLine appends d's wire line, "RESULT|RETRACT <key>
-// <fingerprint>\n", to dst.
-func appendResultLine(dst []byte, d engine.Delta) []byte {
-	if d.Retraction {
-		dst = append(dst, "RETRACT "...)
-	} else {
-		dst = append(dst, "RESULT "...)
-	}
-	dst = strconv.AppendInt(dst, int64(d.Tuple.Key), 10)
-	dst = append(dst, ' ')
-	dst = d.Tuple.AppendFingerprint(dst)
-	return append(dst, '\n')
+// fragSlots is the size of a stream's fragment table, indexed by seq
+// mod fragSlots: results name tuples still in their window, so a window
+// of up to fragSlots tuples never collides and a larger one only
+// re-encodes more. A fixed constant — 128 KiB per stream per shard, and
+// a miss costs what having no table would (DESIGN.md §17).
+const fragSlots, fragText = 4096, 23
+
+// fragment is one encoded "<stream>#<seq>" (at most fragText = 2 + 1 +
+// 20 bytes), tagged with its seq; n is zero in an empty slot.
+type fragment struct {
+	seq  uint64
+	n    uint8
+	text [fragText]byte
 }
 
 // egress is one shard's end of a query's result path. All its fields
@@ -52,6 +54,16 @@ type egress struct {
 	q     *query
 	buf   []byte // whole result lines not yet handed off
 	lines int    // lines in buf
+
+	// A base tuple appears in every result it joins into, so its
+	// fragment is encoded once and copied after that: frags[stream] is
+	// a direct-mapped table, allocated at the stream's first result.
+	// prefix is the last "RESULT <key> " (or RETRACT) written, reused
+	// while key and verb repeat, as they do within a probe's results.
+	frags      [tuple.MaxStreams][]fragment
+	prefix     []byte
+	prefixKey  tuple.Value
+	prefixSign bool // prefix is a RETRACT
 }
 
 // emit is the shard's engine.Output. With no subscriber it encodes
@@ -61,11 +73,60 @@ func (e *egress) emit(d engine.Delta) {
 	if len(e.buf) == 0 && e.q.nsubs.Load() == 0 {
 		return
 	}
-	e.buf = appendResultLine(e.buf, d)
+	e.buf = e.appendLine(e.buf, d)
 	e.lines++
 	if len(e.buf) >= chunkBytes {
 		e.flush()
 	}
+}
+
+// appendLine appends d's wire line, "RESULT|RETRACT <key>
+// <fingerprint>\n", to dst. The bytes are those of
+// Tuple.AppendFingerprint — the fragments come from the same
+// Ref.AppendText, through the table.
+func (e *egress) appendLine(dst []byte, d engine.Delta) []byte {
+	if len(e.prefix) == 0 || e.prefixKey != d.Tuple.Key || e.prefixSign != d.Retraction {
+		verb := "RESULT "
+		if d.Retraction {
+			verb = "RETRACT "
+		}
+		e.prefix = tuple.AppendInt(append(e.prefix[:0], verb...), int64(d.Tuple.Key))
+		e.prefix = append(e.prefix, ' ')
+		e.prefixKey, e.prefixSign = d.Tuple.Key, d.Retraction
+	}
+	// Room for the longest line these refs can make, once: a fragment
+	// is then a fixed-size copy of its whole slot text, and the next
+	// write overwrites what lies past its length.
+	refs := d.Tuple.Refs
+	n := len(dst)
+	dst = slices.Grow(dst, len(e.prefix)+len(refs)*(fragText+1)+1)
+	dst = dst[:cap(dst)]
+	n += copy(dst[n:], e.prefix)
+	for i, r := range refs {
+		if i > 0 {
+			dst[n] = '|'
+			n++
+		}
+		f := e.fragment(r)
+		*(*[fragText]byte)(dst[n:]) = f.text
+		n += int(f.n)
+	}
+	dst[n] = '\n'
+	return dst[:n+1]
+}
+
+// fragment returns r's slot, encoding r into it first unless its tag
+// says it already holds r.
+func (e *egress) fragment(r tuple.Ref) *fragment {
+	if e.frags[r.Stream] == nil {
+		e.frags[r.Stream] = make([]fragment, fragSlots)
+	}
+	f := &e.frags[r.Stream][r.Seq%fragSlots]
+	if f.seq != r.Seq || f.n == 0 {
+		f.seq = r.Seq
+		f.n = uint8(len(r.AppendText(f.text[:0])))
+	}
+	return f
 }
 
 // flush hands the chunk to every subscriber. It never blocks on a

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"jisc/internal/admission"
@@ -14,6 +17,7 @@ import (
 	"jisc/internal/engine"
 	"jisc/internal/plan"
 	"jisc/internal/runtime"
+	"jisc/internal/testseed"
 	"jisc/internal/tuple"
 )
 
@@ -38,38 +42,101 @@ func composite(key tuple.Value, refs ...tuple.Ref) *tuple.Tuple {
 	return &tuple.Tuple{Key: key, Refs: refs}
 }
 
-// TestResultLineGolden pins the wire format: the append encoder is
-// byte-for-byte the "%s %d %s\n" line the server used to Sprintf.
-func TestResultLineGolden(t *testing.T) {
-	var six []tuple.Ref
-	for i := 0; i < 6; i++ {
-		six = append(six, tuple.Ref{Stream: tuple.StreamID(10 * i), Seq: uint64(1) << (10 * i)})
+// wireLine is the reference for a result line: fmt over the delta's
+// fields, sharing nothing with the encoder under test.
+func wireLine(d engine.Delta) string {
+	verb := "RESULT"
+	if d.Retraction {
+		verb = "RETRACT"
 	}
+	refs := make([]string, len(d.Tuple.Refs))
+	for i, r := range d.Tuple.Refs {
+		refs[i] = fmt.Sprintf("%d#%d", r.Stream, r.Seq)
+	}
+	return fmt.Sprintf("%s %d %s\n", verb, d.Tuple.Key, strings.Join(refs, "|"))
+}
+
+// TestResultLineGolden pins the wire format: one egress, with its
+// fragment tables and its prefix warm from every line before, writes
+// byte-for-byte the "%s %d %s\n" line the server used to Sprintf —
+// across digit-count boundaries, two seqs that share a slot, all 64
+// streams, negative and zero keys, retractions, and keys that
+// alternate so the cached prefix is replaced on every line.
+func TestResultLineGolden(t *testing.T) {
 	var tuples []*tuple.Tuple
-	for n := 1; n <= len(six); n++ {
-		tuples = append(tuples, composite(tuple.Value(n), six[:n]...))
+	for _, seq := range []uint64{0, 9, 10, 99, 100, 999, 1000, 1<<32 - 1, 1 << 32, 1<<64 - 1} {
+		tuples = append(tuples, composite(tuple.Value(seq%7), tuple.Ref{Stream: 0, Seq: seq}))
+	}
+	// Seqs fragSlots apart land in one slot: each evicts the other, and
+	// neither may ever be served the other's text.
+	for _, seq := range []uint64{5, 5 + fragSlots, 5, 5 + 2*fragSlots, 5 + fragSlots, 0, fragSlots} {
+		tuples = append(tuples, composite(1, tuple.Ref{Stream: 3, Seq: seq}, tuple.Ref{Stream: 4, Seq: seq}))
+	}
+	var all []tuple.Ref
+	for s := 0; s < tuple.MaxStreams; s++ {
+		all = append(all, tuple.Ref{Stream: tuple.StreamID(s), Seq: uint64(s) * 1_000_003})
+	}
+	for n := 1; n <= len(all); n += 9 {
+		tuples = append(tuples, composite(tuple.Value(n), all[:n]...))
 	}
 	tuples = append(tuples,
+		composite(0, tuple.Ref{Stream: 0, Seq: 0}),
 		composite(-1, tuple.Ref{Stream: 0, Seq: 0}),
 		composite(-9223372036854775808, tuple.Ref{Stream: 63, Seq: 18446744073709551615}),
 		composite(9223372036854775807, tuple.Ref{Stream: 12, Seq: 1234567}, tuple.Ref{Stream: 13, Seq: 89}),
 	)
-	prefix := "RESULT 1 0#1\n"
-	for _, tp := range tuples {
-		for _, retract := range []bool{false, true} {
-			verb := "RESULT"
-			if retract {
-				verb = "RETRACT"
-			}
-			want := fmt.Sprintf("%s %d %s\n", verb, tp.Key, tp.Fingerprint())
-			d := engine.Delta{Tuple: tp, Retraction: retract}
-			if got := string(appendResultLine(nil, d)); got != want {
-				t.Errorf("line = %q, want %q", got, want)
-			}
-			if got := string(appendResultLine([]byte(prefix), d)); got != prefix+want {
-				t.Errorf("appended = %q, want %q", got, prefix+want)
-			}
+	e := &egress{}
+	check := func(d engine.Delta) {
+		t.Helper()
+		want := wireLine(d)
+		if got := string(e.appendLine(nil, d)); got != want {
+			t.Errorf("line = %q, want %q", got, want)
 		}
+		const before = "RESULT 1 0#1\n"
+		if got := string(e.appendLine([]byte(before), d)); got != before+want {
+			t.Errorf("appended = %q, want %q", got, before+want)
+		}
+		if fp := d.Tuple.Fingerprint(); !strings.HasSuffix(want, " "+fp+"\n") {
+			t.Errorf("Fingerprint() = %q, not the tail of %q", fp, want)
+		}
+	}
+	for _, tp := range tuples {
+		check(engine.Delta{Tuple: tp})
+		check(engine.Delta{Tuple: tp, Retraction: true})
+	}
+	// Interleaved keys and verbs: the prefix is rebuilt each time, from
+	// longer to shorter and back.
+	a, b := composite(-123456, tuple.Ref{Stream: 1, Seq: 7}), composite(8, tuple.Ref{Stream: 1, Seq: 7})
+	for i := 0; i < 6; i++ {
+		check(engine.Delta{Tuple: a, Retraction: i%3 == 0})
+		check(engine.Delta{Tuple: b})
+	}
+}
+
+// TestResultLineRandomRefs: a million random refs through one egress —
+// most of them colliding with an earlier one in the fragment table —
+// and through Ref.AppendText, against strconv.
+func TestResultLineRandomRefs(t *testing.T) {
+	e := &egress{}
+	var line, want, ref []byte
+	n := 0
+	check := func(stream uint8, seq uint64, key int64, small bool) bool {
+		if small {
+			seq %= 3 * fragSlots // revisit slots: hits, and misses on a full slot
+		}
+		r := tuple.Ref{Stream: tuple.StreamID(stream % tuple.MaxStreams), Seq: seq}
+		ref = strconv.AppendUint(append(strconv.AppendUint(ref[:0], uint64(r.Stream), 10), '#'), r.Seq, 10)
+		want = append(strconv.AppendInt(append(want[:0], "RESULT "...), key, 10), ' ')
+		want = append(append(want, ref...), '\n')
+		line = e.appendLine(line[:0], engine.Delta{Tuple: &tuple.Tuple{Key: tuple.Value(key), Refs: []tuple.Ref{r}}})
+		n++
+		return bytes.Equal(line, want) && bytes.Equal(r.AppendText(nil), ref)
+	}
+	if err := quick.Check(check, testseed.Quick(t, 19, 1_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	if n < 1_000_000 {
+		t.Fatalf("checked %d refs", n)
 	}
 }
 
@@ -95,7 +162,7 @@ func TestEgressSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
 		t.Fatalf("%v allocations per %d-result batch, want 0", allocs, perBatch)
 	}
-	if want := perBatch * len(appendResultLine(nil, d)); len(chunk) != want {
+	if want := perBatch * len(wireLine(d)); len(chunk) != want {
 		t.Fatalf("took %d bytes, want %d", len(chunk), want)
 	}
 }
@@ -224,7 +291,7 @@ func TestShardedFanout(t *testing.T) {
 	want := make([][]string, shards)
 	rcfg := pcfg
 	rcfg.ShardOutput = func(i int) (engine.Output, func()) {
-		return func(d engine.Delta) { want[i] = append(want[i], string(appendResultLine(nil, d))) }, nil
+		return func(d engine.Delta) { want[i] = append(want[i], wireLine(d)) }, nil
 	}
 	ref, err := runtime.New(rcfg)
 	if err != nil {
@@ -369,3 +436,38 @@ func BenchmarkBroadcast(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAppendFingerprintEgress is the wire encoder alone on a 3-ref
+// result, per line: "cached" re-encodes one result, so every fragment
+// and the prefix come from the tables (the hot-key case, where a base
+// tuple recurs in result after result); "uncached" moves every seq by
+// fragSlots+1 within six digits and flips the key each line, so every
+// fragment and the prefix are encoded afresh.
+func BenchmarkAppendFingerprintEgress(b *testing.B) {
+	for _, cached := range []bool{true, false} {
+		name := "uncached"
+		if cached {
+			name = "cached"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := &egress{}
+			refs := []tuple.Ref{{Stream: 0, Seq: 123456}, {Stream: 1, Seq: 7}, {Stream: 2, Seq: 99}}
+			d := engine.Delta{Tuple: &tuple.Tuple{Key: 7, Refs: refs}}
+			buf := e.appendLine(make([]byte, 0, 128), d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !cached {
+					for j := range refs {
+						refs[j].Seq = 100_000 + (refs[j].Seq+fragSlots+1)%900_000
+					}
+					d.Tuple.Key ^= 1
+				}
+				buf = e.appendLine(buf[:0], d)
+			}
+			fingerprintSink = buf
+		})
+	}
+}
+
+var fingerprintSink []byte

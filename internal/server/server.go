@@ -114,6 +114,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"jisc/internal/adaptive"
 	"jisc/internal/admission"
@@ -733,20 +734,27 @@ func bufferedLine(br *bufio.Reader) (string, int, bool) {
 }
 
 // splitQuery interprets the optional leading query name of a command:
-// when the first field names a hosted query, it is consumed; otherwise
-// the default query is addressed.
+// when the first field names a hosted query, it is consumed and the
+// remaining fields are returned joined by single spaces; otherwise the
+// default query is addressed and rest comes back untouched. Only the
+// first field is cut out to be looked up — a FEEDB payload is not
+// tokenised to find out that its first word is a stream number.
 func (s *Server) splitQuery(rest string) (*query, string, error) {
-	fields := strings.Fields(rest)
-	if len(fields) > 0 {
-		s.mu.Lock()
-		q, ok := s.queries[fields[0]]
-		s.mu.Unlock()
-		if ok {
-			return q, strings.Join(fields[1:], " "), nil
-		}
+	first := strings.TrimLeftFunc(rest, unicode.IsSpace)
+	after := ""
+	if i := strings.IndexFunc(first, unicode.IsSpace); i >= 0 {
+		first, after = first[:i], first[i:]
 	}
-	q, err := s.lookup(DefaultQuery)
-	if err != nil {
+	s.mu.Lock()
+	q, named := s.queries[first]
+	if !named {
+		q = s.queries[DefaultQuery]
+	}
+	s.mu.Unlock()
+	switch {
+	case named:
+		return q, strings.Join(strings.Fields(after), " "), nil
+	case q == nil:
 		return nil, "", fmt.Errorf("no default query; name one of %v", s.Queries())
 	}
 	return q, rest, nil

@@ -478,3 +478,41 @@ func TestScopedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSplitQuery: only the first word is looked up. A hosted query's
+// name is consumed and what follows comes back with its blanks
+// normalised; any other first word — a stream number, an unknown name —
+// addresses the default query with the payload exactly as it arrived.
+func TestSplitQuery(t *testing.T) {
+	s := newTestServer(t)
+	c := dial(t, s)
+	if resp := c.cmd(t, "CREATE side 50 0,1"); resp != "OK" {
+		t.Fatalf("create: %s", resp)
+	}
+	cases := []struct{ rest, query, args string }{
+		{"side", "side", ""},
+		{" \t side\t", "side", ""},
+		{"side 0 7", "side", "0 7"},
+		{"\t side \t0   7 \t 8 ", "side", "0 7 8"},
+		{"0 7 8", DefaultQuery, "0 7 8"},
+		{" \t0  7\t8 ", DefaultQuery, " \t0  7\t8 "},
+		{"sidecar 0 7", DefaultQuery, "sidecar 0 7"},
+		{"default 1 2", DefaultQuery, "1 2"},
+		{"", DefaultQuery, ""},
+		{" \t ", DefaultQuery, " \t "},
+	}
+	for _, tc := range cases {
+		q, args, err := s.splitQuery(tc.rest)
+		if err != nil || q.name != tc.query || args != tc.args {
+			t.Errorf("splitQuery(%q) = %v, %q, %v; want query %q, args %q", tc.rest, q, args, err, tc.query, tc.args)
+		}
+	}
+	empty, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	if _, _, err := empty.splitQuery("0 7"); err == nil || !strings.Contains(err.Error(), "no default query") {
+		t.Errorf("no default query: err = %v", err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"jisc/internal/adaptive"
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 )
 
 // runAutopilot drives a JISC engine whose plan is chosen by a
@@ -30,17 +31,14 @@ func runAutopilotCount(sc Scenario) (*Mismatch, uint64) {
 	if err != nil {
 		return harnessErr(sc, 0, err), 0
 	}
-	outs := map[string]int{}
+	snk := enginetest.NewSink()
+	outs := snk.Outs
 	e := engine.MustNew(engine.Config{
 		Plan:          plans[0],
 		WindowSizes:   winMap(sc),
 		Strategy:      core.New(),
 		Deterministic: true,
-		Output: func(d engine.Delta) {
-			if !d.Retraction {
-				outs[d.Tuple.Fingerprint()]++
-			}
-		},
+		Output:        snk.Output,
 	})
 	ctl := adaptive.MustNew(adaptive.SingleEngine{E: e}, adaptive.Config{
 		Confirm:          2,
@@ -90,5 +88,5 @@ func runAutopilotCount(sc Scenario) (*Mismatch, uint64) {
 			}
 		}
 	}
-	return compare(len(sc.Events), scheduled), ctl.Migrations()
+	return lent(sc, compare(len(sc.Events), scheduled), snk), ctl.Migrations()
 }

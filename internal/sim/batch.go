@@ -11,6 +11,7 @@ import (
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/runtime"
 	"jisc/internal/workload"
 )
@@ -28,28 +29,24 @@ func runBatched(sc Scenario) *Mismatch {
 	}
 	wm := winMap(sc)
 
-	mk := func(outs map[string]int) engine.Config {
+	mk := func(snk *enginetest.Sink) engine.Config {
 		return engine.Config{
 			Plan:          plans[0],
 			WindowSizes:   wm,
 			Strategy:      core.New(),
 			Deterministic: true,
-			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					outs[d.Tuple.Fingerprint()]++
-				}
-			},
+			Output:        snk.Output,
 		}
 	}
 
-	refOuts := map[string]int{}
-	ref := engine.MustNew(mk(refOuts))
+	refSink, batSink := enginetest.NewSink(), enginetest.NewSink()
+	refOuts, batOuts := refSink.Outs, batSink.Outs
+	ref := engine.MustNew(mk(refSink))
 
-	batOuts := map[string]int{}
 	var bat *engine.Engine
 	var migErr error
 	fed, mig := 0, 0
-	batCfg := mk(batOuts)
+	batCfg := mk(batSink)
 	batCfg.AfterFeed = func(uint64) {
 		fed++
 		for mig < len(sc.Migrations) && sc.Migrations[mig].At == fed {
@@ -105,7 +102,7 @@ func runBatched(sc Scenario) *Mismatch {
 			return m
 		}
 	}
-	return compare(len(sc.Events))
+	return lent(sc, compare(len(sc.Events)), refSink, batSink)
 }
 
 // runShardedBatched drives the sharded runtime through FeedBatch —
@@ -120,10 +117,9 @@ func runShardedBatched(sc Scenario) *Mismatch {
 		return harnessErr(sc, 0, err)
 	}
 	shards := sc.Shards
-	outs := make([]map[string]int, shards)
+	sinks := shardSinks(shards)
 	oracles := make([]*oracle, shards)
-	for i := range outs {
-		outs[i] = map[string]int{}
+	for i := range oracles {
 		oracles[i] = newOracle(sc.Windows)
 	}
 	rt, err := runtime.New(runtime.Config{
@@ -133,9 +129,7 @@ func runShardedBatched(sc Scenario) *Mismatch {
 			Strategy:      core.New(),
 			Deterministic: true,
 			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					outs[runtime.ShardOf(d.Tuple.Key, shards)][d.Tuple.Fingerprint()]++
-				}
+				sinks[runtime.ShardOf(d.Tuple.Key, shards)].Output(d)
 			},
 		},
 		Shards: shards,
@@ -164,9 +158,9 @@ func runShardedBatched(sc Scenario) *Mismatch {
 		}
 		var want uint64
 		for i := range oracles {
-			if !multisetsEqual(oracles[i].outs, outs[i]) {
+			if !multisetsEqual(oracles[i].outs, sinks[i].Outs) {
 				return &Mismatch{Scenario: sc, Engine: fmt.Sprintf("sharded-batched/shard-%d", i), Batch: fed,
-					Detail: "FeedBatch output multiset diverges from per-shard oracle:\n" + diffMultisets(oracles[i].outs, outs[i])}
+					Detail: "FeedBatch output multiset diverges from per-shard oracle:\n" + diffMultisets(oracles[i].outs, sinks[i].Outs)}
 			}
 			want += total(oracles[i].outs)
 		}
@@ -210,5 +204,5 @@ func runShardedBatched(sc Scenario) *Mismatch {
 	if err := flush(); err != nil {
 		return harnessErr(sc, len(sc.Events), err)
 	}
-	return compare(len(sc.Events), transitions)
+	return lent(sc, compare(len(sc.Events), transitions), sinks...)
 }

@@ -27,6 +27,7 @@ import (
 	"jisc/internal/admission"
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/runtime"
 )
 
@@ -120,17 +121,14 @@ func runOverloadCount(sc Scenario) (*Mismatch, uint64, uint64) {
 	model := &bucketModel{rate: sc.OverloadRate, burst: burst, tokens: burst, last: clock}
 	shadow := admission.NewTokenBucket(sc.OverloadRate, burst, now())
 
-	outs := map[string]int{}
+	snk := enginetest.NewSink()
+	outs := snk.Outs
 	e := engine.MustNew(engine.Config{
 		Plan:          plans[0],
 		WindowSizes:   winMap(sc),
 		Strategy:      core.New(),
 		Deterministic: true,
-		Output: func(d engine.Delta) {
-			if !d.Retraction {
-				outs[d.Tuple.Fingerprint()]++
-			}
-		},
+		Output:        snk.Output,
 	})
 	defer e.Close()
 	orc := newOracle(sc.Windows)
@@ -257,5 +255,5 @@ func runOverloadCount(sc Scenario) (*Mismatch, uint64, uint64) {
 			Detail: fmt.Sprintf("counters diverge: Input=%d (want %d) Transitions=%d (want %d) Output=%d (want %d)",
 				s.Input, admitted, s.Transitions, transitions, s.Output, total(outs))}, uint64(shedT), uint64(rejT)
 	}
-	return nil, uint64(shedT), uint64(rejT)
+	return lent(sc, nil, snk), uint64(shedT), uint64(rejT)
 }

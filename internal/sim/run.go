@@ -6,6 +6,7 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/durable"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/metrics"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
@@ -101,7 +102,8 @@ func runSpill(sc Scenario) *Mismatch {
 	if err != nil {
 		return harnessErr(sc, 0, err)
 	}
-	outs := map[string]int{}
+	snk := enginetest.NewSink()
+	outs := snk.Outs
 	e := engine.MustNew(engine.Config{
 		Plan:              plans[0],
 		WindowSizes:       winMap(sc),
@@ -110,11 +112,7 @@ func runSpill(sc Scenario) *Mismatch {
 		StateBudget:       sc.SpillBudget,
 		SpillFS:           storage.NewMemFS(),
 		SpillSegmentBytes: 4 << 10,
-		Output: func(d engine.Delta) {
-			if !d.Retraction {
-				outs[d.Tuple.Fingerprint()]++
-			}
-		},
+		Output:            snk.Output,
 	})
 	defer e.Close()
 	orc := newOracle(sc.Windows)
@@ -155,7 +153,22 @@ func runSpill(sc Scenario) *Mismatch {
 			}
 		}
 	}
-	return compare(len(sc.Events), transitions)
+	return lent(sc, compare(len(sc.Events), transitions), snk)
+}
+
+// lent closes a run: m when the run has already diverged, otherwise a
+// mismatch for the first sink whose kept clones do not re-read to what
+// it read inside the callbacks (the lending rule of engine.Output).
+func lent(sc Scenario, m *Mismatch, sinks ...*enginetest.Sink) *Mismatch {
+	if m != nil {
+		return m
+	}
+	for _, s := range sinks {
+		if err := s.Check(); err != nil {
+			return &Mismatch{Scenario: sc, Engine: "output-lending", Batch: len(sc.Events), Detail: err.Error()}
+		}
+	}
+	return nil
 }
 
 // harnessErr wraps an unexpected infrastructure error (plan parse,
@@ -197,7 +210,11 @@ type executor struct {
 	feed    func(workload.Event)
 	migrate func(*plan.Plan) error
 	metrics func() metrics.Snapshot
-	outs    map[string]int
+	sink    *enginetest.Sink
+}
+
+func newExecutor(name string) *executor {
+	return &executor{name: name, sink: enginetest.NewSink()}
 }
 
 // runQuartet drives the three migration strategies and the oracle
@@ -212,17 +229,13 @@ func runQuartet(sc Scenario) *Mismatch {
 
 	var exes []*executor
 	mkEngine := func(name string, strat engine.Strategy) {
-		ex := &executor{name: name, outs: map[string]int{}}
+		ex := newExecutor(name)
 		e := engine.MustNew(engine.Config{
 			Plan:          plans[0],
 			WindowSizes:   wm,
 			Strategy:      strat,
 			Deterministic: true,
-			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					ex.outs[d.Tuple.Fingerprint()]++
-				}
-			},
+			Output:        ex.sink.Output,
 		})
 		ex.feed = e.Feed
 		ex.migrate = e.Migrate
@@ -232,17 +245,13 @@ func runQuartet(sc Scenario) *Mismatch {
 	mkEngine("jisc", &core.JISC{FaultSkipEveryNth: sc.FaultSkip})
 	mkEngine("moving-state", migrate.MovingState{})
 	{
-		ex := &executor{name: "parallel-track", outs: map[string]int{}}
+		ex := newExecutor("parallel-track")
 		pt := migrate.MustNewParallelTrack(migrate.PTConfig{
 			Plan:          plans[0],
 			WindowSizes:   wm,
 			CheckEvery:    sc.CheckEvery,
 			Deterministic: true,
-			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					ex.outs[d.Tuple.Fingerprint()]++
-				}
-			},
+			Output:        ex.sink.Output,
 		})
 		ex.feed = pt.Feed
 		ex.migrate = pt.Migrate
@@ -253,15 +262,15 @@ func runQuartet(sc Scenario) *Mismatch {
 
 	compare := func(fed, transitions int) *Mismatch {
 		for _, ex := range exes {
-			if !multisetsEqual(orc.outs, ex.outs) {
+			if !multisetsEqual(orc.outs, ex.sink.Outs) {
 				return &Mismatch{Scenario: sc, Engine: ex.name, Batch: fed,
-					Detail: "output multiset diverges from oracle:\n" + diffMultisets(orc.outs, ex.outs)}
+					Detail: "output multiset diverges from oracle:\n" + diffMultisets(orc.outs, ex.sink.Outs)}
 			}
 			s := ex.metrics()
-			if s.Input != uint64(fed) || s.Transitions != uint64(transitions) || s.Output != total(ex.outs) {
+			if s.Input != uint64(fed) || s.Transitions != uint64(transitions) || s.Output != total(ex.sink.Outs) {
 				return &Mismatch{Scenario: sc, Engine: ex.name, Batch: fed,
 					Detail: fmt.Sprintf("counters diverge: Input=%d (want %d) Transitions=%d (want %d) Output=%d (want %d)",
-						s.Input, fed, s.Transitions, transitions, s.Output, total(ex.outs))}
+						s.Input, fed, s.Transitions, transitions, s.Output, total(ex.sink.Outs))}
 			}
 		}
 		return nil
@@ -293,7 +302,11 @@ func runQuartet(sc Scenario) *Mismatch {
 			}
 		}
 	}
-	return compare(len(sc.Events), transitions)
+	sinks := make([]*enginetest.Sink, len(exes))
+	for i, ex := range exes {
+		sinks[i] = ex.sink
+	}
+	return lent(sc, compare(len(sc.Events), transitions), sinks...)
 }
 
 // runSharded drives the sharded runtime (hash-partitioned by join
@@ -308,10 +321,9 @@ func runSharded(sc Scenario) *Mismatch {
 		return harnessErr(sc, 0, err)
 	}
 	shards := sc.Shards
-	outs := make([]map[string]int, shards)
+	sinks := shardSinks(shards)
 	oracles := make([]*oracle, shards)
-	for i := range outs {
-		outs[i] = map[string]int{}
+	for i := range oracles {
 		oracles[i] = newOracle(sc.Windows)
 	}
 	rt, err := runtime.New(runtime.Config{
@@ -321,9 +333,7 @@ func runSharded(sc Scenario) *Mismatch {
 			Strategy:      core.New(),
 			Deterministic: true,
 			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					outs[runtime.ShardOf(d.Tuple.Key, shards)][d.Tuple.Fingerprint()]++
-				}
+				sinks[runtime.ShardOf(d.Tuple.Key, shards)].Output(d)
 			},
 		},
 		Shards: shards,
@@ -339,9 +349,9 @@ func runSharded(sc Scenario) *Mismatch {
 		}
 		var want uint64
 		for i := range oracles {
-			if !multisetsEqual(oracles[i].outs, outs[i]) {
+			if !multisetsEqual(oracles[i].outs, sinks[i].Outs) {
 				return &Mismatch{Scenario: sc, Engine: fmt.Sprintf("sharded/shard-%d", i), Batch: fed,
-					Detail: "output multiset diverges from per-shard oracle:\n" + diffMultisets(oracles[i].outs, outs[i])}
+					Detail: "output multiset diverges from per-shard oracle:\n" + diffMultisets(oracles[i].outs, sinks[i].Outs)}
 			}
 			want += total(oracles[i].outs)
 		}
@@ -380,7 +390,18 @@ func runSharded(sc Scenario) *Mismatch {
 			}
 		}
 	}
-	return compare(len(sc.Events), transitions)
+	return lent(sc, compare(len(sc.Events), transitions), sinks...)
+}
+
+// shardSinks returns one sink per shard: fingerprints are comparable
+// only within a shard, so results are sorted by the shard their key
+// hashes to.
+func shardSinks(shards int) []*enginetest.Sink {
+	sinks := make([]*enginetest.Sink, shards)
+	for i := range sinks {
+		sinks[i] = enginetest.NewSink()
+	}
+	return sinks
 }
 
 // crashOp is one operation of the crash schedule: a plan switch (when
@@ -460,17 +481,13 @@ func runCrash(sc Scenario) *Mismatch {
 	}
 	flushPend()
 
-	engCfg := func(outs map[string]int) engine.Config {
+	engCfg := func(snk *enginetest.Sink) engine.Config {
 		return engine.Config{
 			Plan:          plans[0],
 			WindowSizes:   winMap(sc),
 			Strategy:      core.New(),
 			Deterministic: true,
-			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					outs[d.Tuple.Fingerprint()]++
-				}
-			},
+			Output:        snk.Output,
 		}
 	}
 
@@ -482,8 +499,8 @@ func runCrash(sc Scenario) *Mismatch {
 		CheckpointInterval: -1,
 		FS:                 cfs,
 	}
-	preOuts := map[string]int{}
-	rt1, err := runtime.New(runtime.Config{Engine: engCfg(preOuts), Shards: sc.Shards, Durability: dopts})
+	pre, post, ref := enginetest.NewSink(), enginetest.NewSink(), enginetest.NewSink()
+	rt1, err := runtime.New(runtime.Config{Engine: engCfg(pre), Shards: sc.Shards, Durability: dopts})
 	if err != nil {
 		return harnessErr(sc, 0, fmt.Errorf("durable runtime: %w", err))
 	}
@@ -518,8 +535,7 @@ func runCrash(sc Scenario) *Mismatch {
 	// Reboot from what landed on the inner filesystem.
 	ropts := dopts
 	ropts.FS = inner
-	postOuts := map[string]int{}
-	rt2, err := runtime.New(runtime.Config{Engine: engCfg(postOuts), Shards: sc.Shards, Durability: ropts})
+	rt2, err := runtime.New(runtime.Config{Engine: engCfg(post), Shards: sc.Shards, Durability: ropts})
 	if err != nil {
 		return &Mismatch{Scenario: sc, Engine: "recovery", Batch: ackedEvents,
 			Detail: fmt.Sprintf("recovery failed: %v", err)}
@@ -534,8 +550,7 @@ func runCrash(sc Scenario) *Mismatch {
 	// recovery converged the laggards, so it counts as applied.
 	absorbed := failed >= 0 && ops[failed].migrate != nil && recSnap.Transitions > uint64(ackedMigs)
 
-	refOuts := map[string]int{}
-	rtRef, err := runtime.New(runtime.Config{Engine: engCfg(refOuts), Shards: sc.Shards})
+	rtRef, err := runtime.New(runtime.Config{Engine: engCfg(ref), Shards: sc.Shards})
 	if err != nil {
 		return harnessErr(sc, 0, err)
 	}
@@ -635,15 +650,15 @@ func runCrash(sc Scenario) *Mismatch {
 				finalRec.Input, finalRef.Input, finalRec.Output, finalRef.Output, finalRec.Transitions, finalRef.Transitions)}
 	}
 	union := map[string]int{}
-	for k, c := range preOuts {
+	for k, c := range pre.Outs {
 		union[k] += c
 	}
-	for k, c := range postOuts {
+	for k, c := range post.Outs {
 		union[k] += c
 	}
-	if !multisetsEqual(refOuts, union) {
+	if !multisetsEqual(ref.Outs, union) {
 		return &Mismatch{Scenario: sc, Engine: "recovery", Batch: len(sc.Events),
-			Detail: "pre-crash + post-recovery output multiset diverges from uninterrupted reference:\n" + diffMultisets(refOuts, union)}
+			Detail: "pre-crash + post-recovery output multiset diverges from uninterrupted reference:\n" + diffMultisets(ref.Outs, union)}
 	}
-	return nil
+	return lent(sc, nil, pre, post, ref)
 }

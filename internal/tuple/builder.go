@@ -22,10 +22,14 @@ const (
 // Builders are pooled: Acquire one per run, Release it when the run is
 // done. Release never recycles memory that was handed out — only the
 // unused tail of the current chunks travels back through the pool — so
-// released tuples remain valid forever.
+// released tuples remain valid forever. The one exception is the
+// composite JoinTransient lends, which is never handed out for keeping.
 type Builder struct {
 	tuples []Tuple
 	refs   []Ref
+	// lent is JoinTransient's one composite, outside the arenas.
+	lent     Tuple
+	lentRefs []Ref
 }
 
 var builderPool = sync.Pool{New: func() any { return new(Builder) }}
@@ -87,6 +91,19 @@ func (b *Builder) Join(x, y *Tuple) *Tuple {
 	t := b.alloc()
 	joinInto(t, b.allocRefs(len(x.Refs)+len(y.Refs)), x, y)
 	return t
+}
+
+// JoinTransient is Join into the builder's one reusable composite,
+// overwritten by the next call: for a composite that is only forwarded
+// — read by a callback and dropped — at no arena cost. Whoever needs it
+// longer takes a Clone.
+func (b *Builder) JoinTransient(x, y *Tuple) *Tuple {
+	n := len(x.Refs) + len(y.Refs)
+	if cap(b.lentRefs) < n {
+		b.lentRefs = make([]Ref, n)
+	}
+	joinInto(&b.lent, b.lentRefs[:n], x, y)
+	return &b.lent
 }
 
 // JoinTheta merges two tuples for a theta (non-equi) join; the

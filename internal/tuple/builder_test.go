@@ -104,3 +104,35 @@ func TestMergeRefs(t *testing.T) {
 		t.Fatalf("mergeRefs empty-left = %v", dst[:3])
 	}
 }
+
+// TestJoinTransientReusesOneComposite: every JoinTransient returns the
+// same tuple, rewritten — equal to Join's while it lasts, gone with the
+// next call, and never carved from the arenas Join draws on.
+func TestJoinTransientReusesOneComposite(t *testing.T) {
+	b := AcquireBuilder()
+	defer b.Release()
+	a, c, d := NewBase(0, 1, 7, 1), NewBase(1, 2, 7, 2), NewBase(2, 3, 7, 3)
+	first := b.JoinTransient(a, c)
+	if want := Join(a, c); first.Fingerprint() != want.Fingerprint() || first.Set != want.Set ||
+		first.Arrival != want.Arrival || first.Oldest != want.Oldest || first.Key != want.Key {
+		t.Fatalf("transient = %v, want %v", first, want)
+	}
+	kept := first.Clone()
+	wide := b.JoinTransient(b.Join(a, c), d)
+	if wide != first || first.Fingerprint() != "0#1|1#2|2#3" || kept.Fingerprint() != "0#1|1#2" {
+		t.Fatalf("second transient %p reads %v (first was %p); clone reads %v", wide, wide, first, kept)
+	}
+	stored := b.Join(a, d)
+	if allocs := testing.AllocsPerRun(100, func() { b.JoinTransient(a, c) }); allocs != 0 {
+		t.Fatalf("%v allocations per transient join", allocs)
+	}
+	if stored.Fingerprint() != "0#1|2#3" {
+		t.Fatalf("arena tuple disturbed by transient joins: %v", stored)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("overlapping transient join did not panic")
+		}
+	}()
+	b.JoinTransient(a, a)
+}

@@ -13,8 +13,8 @@ package tuple
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -249,20 +249,85 @@ func (t *Tuple) Fingerprint() string {
 // encoder behind Fingerprint and the server's result lines; with spare
 // capacity in dst it allocates nothing.
 func (t *Tuple) AppendFingerprint(dst []byte) []byte {
-	// Hot path: Parallel Track dedups every root emission through this,
-	// the sim harness fingerprints every output of every engine, and the
-	// server encodes every delivered result. Append digits directly
-	// instead of going through fmt.
+	// Hot path: Parallel Track dedups every root emission through this
+	// and the sim harness fingerprints every output of every engine.
 	for i, r := range t.Refs {
 		if i > 0 {
 			dst = append(dst, '|')
 		}
-		dst = strconv.AppendUint(dst, uint64(r.Stream), 10)
-		dst = append(dst, '#')
-		dst = strconv.AppendUint(dst, r.Seq, 10)
+		dst = r.AppendText(dst)
 	}
 	return dst
 }
+
+// Clone returns a copy of t that shares no memory with it: how an
+// output callback keeps a result the engine only lent (engine.Output).
+func (t *Tuple) Clone() *Tuple {
+	c := *t
+	c.Refs = slices.Clone(t.Refs)
+	c.Payload = slices.Clone(t.Payload)
+	return &c
+}
+
+// AppendText appends the ref's fingerprint fragment, "stream#seq".
+func (r Ref) AppendText(dst []byte) []byte {
+	dst = AppendUint(dst, uint64(r.Stream))
+	dst = append(dst, '#')
+	return AppendUint(dst, r.Seq)
+}
+
+// AppendInt appends v in decimal — the join key of a result line.
+func AppendInt(dst []byte, v int64) []byte {
+	if v < 0 {
+		return AppendUint(append(dst, '-'), -uint64(v))
+	}
+	return AppendUint(dst, uint64(v))
+}
+
+// AppendUint appends v in decimal — the digit writer behind every
+// fingerprint and result line. The digits are counted, dst grows once
+// by that count, and they are written in place from the last backwards,
+// two at a time: no scratch array to fill and copy out.
+func AppendUint(dst []byte, v uint64) []byte {
+	if v < 10 {
+		return append(dst, byte('0'+v))
+	}
+	// From the bit length, 1233/4096 ≈ log10(2) gives the digit count
+	// or one too many; the table settles which.
+	n := (bits.Len64(v)*1233)>>12 + 1
+	if v < pow10[n-1] {
+		n--
+	}
+	i := len(dst) + n
+	if i > cap(dst) {
+		dst = slices.Grow(dst, n)
+	}
+	dst = dst[:i]
+	for ; v >= 100; v /= 100 {
+		d := v % 100 * 2
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[d], digitPairs[d+1]
+	}
+	if v >= 10 {
+		dst[i-2], dst[i-1] = digitPairs[v*2], digitPairs[v*2+1]
+	} else {
+		dst[i-1] = byte('0' + v)
+	}
+	return dst
+}
+
+// pow10[k] is 10^k.
+var pow10 = [20]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// digitPairs holds "00" … "99" back to back.
+const digitPairs = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
 
 func (t *Tuple) String() string {
 	return fmt.Sprintf("Tuple(key=%d set=%v refs=%s)", t.Key, t.Set, t.Fingerprint())

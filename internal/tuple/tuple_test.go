@@ -3,6 +3,7 @@ package tuple
 import (
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -299,4 +300,58 @@ func BenchmarkAppendFingerprint(b *testing.B) {
 		buf = tp.AppendFingerprint(buf[:0])
 	}
 	fingerprintSink = buf
+}
+
+// TestAppendUintMatchesStrconv: the in-place digit writer against
+// strconv at every digit-count boundary and on random values, into an
+// empty slice, a full one and one with room.
+func TestAppendUintMatchesStrconv(t *testing.T) {
+	check := func(v uint64) bool {
+		want := strconv.FormatUint(v, 10)
+		full := []byte("x")
+		roomy := append(make([]byte, 0, 64), 'x')
+		return string(AppendUint(nil, v)) == want &&
+			string(AppendUint(full[:1:1], v)) == "x"+want &&
+			string(AppendUint(roomy, v)) == "x"+want &&
+			string(AppendInt(nil, int64(v))) == strconv.FormatInt(int64(v), 10)
+	}
+	p := uint64(1)
+	for d := 0; d < 20; d++ {
+		for _, v := range []uint64{p - 1, p, p + 1, 2*p - 1, 9*p + p/2} {
+			if !check(v) {
+				t.Errorf("AppendUint(%d) = %q", v, AppendUint(nil, v))
+			}
+		}
+		p *= 10 // wraps after 10^19; the values stay valid inputs
+	}
+	for _, v := range []uint64{0, 1<<63 - 1, 1 << 63, 1<<64 - 1} {
+		if !check(v) {
+			t.Errorf("AppendUint(%d) = %q, AppendInt = %q", v, AppendUint(nil, v), AppendInt(nil, int64(v)))
+		}
+	}
+	if err := quick.Check(check, testseed.Quick(t, 7, 200_000)); err != nil {
+		t.Error(err)
+	}
+	narrow := func(v uint32, shift uint8) bool { return check(uint64(v) >> (shift % 32)) }
+	if err := quick.Check(narrow, testseed.Quick(t, 8, 200_000)); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCloneSharesNothing: a clone reads the same and survives its
+// original being overwritten — refs and payload both.
+func TestCloneSharesNothing(t *testing.T) {
+	orig := Join(NewBase(0, 5, 7, 10), NewBase(1, 6, 7, 11))
+	orig.Payload = []Value{1, 2}
+	c := orig.Clone()
+	if c.Fingerprint() != "0#5|1#6" || c.Key != 7 || c.Set != orig.Set || c.Arrival != 11 || c.Oldest != 10 {
+		t.Fatalf("clone = %v", c)
+	}
+	orig.Refs[0], orig.Payload[0], orig.Key = Ref{9, 9}, 9, 9
+	if c.Fingerprint() != "0#5|1#6" || c.Payload[0] != 1 || c.Key != 7 {
+		t.Fatalf("clone changed with its original: %v payload %v", c, c.Payload)
+	}
+	if base := NewBase(2, 1, 3, 1).Clone(); base.Payload != nil || !base.IsBase() {
+		t.Fatalf("base clone = %+v", base)
+	}
 }

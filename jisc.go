@@ -40,7 +40,11 @@ type (
 	// Event is one input tuple: a stream number and a join key.
 	Event = workload.Event
 	// Delta is one output: a result tuple, possibly a retraction
-	// (set-difference queries only).
+	// (set-difference queries, or join queries with EmitExpiry). A join
+	// query without EmitExpiry only lends Delta.Tuple to the Output
+	// callback: it is valid until the callback returns and is then
+	// overwritten by the next result, so a callback that keeps results
+	// keeps d.Tuple.Clone().
 	Delta = engine.Delta
 	// Tuple is a base or composite result tuple.
 	Tuple = tuple.Tuple
@@ -85,7 +89,8 @@ type QueryConfig struct {
 	// a previously emitted join result, turning the output into a
 	// revision stream (always on for set-difference queries).
 	EmitExpiry bool
-	// Output receives root results; may be nil.
+	// Output receives root results; may be nil. It must not retain
+	// Delta.Tuple past its return (see Delta).
 	Output func(Delta)
 }
 

@@ -12,7 +12,7 @@ func TestQueryQuickPath(t *testing.T) {
 	q, err := NewQuery(QueryConfig{
 		Plan:       LeftDeep(0, 1, 2),
 		WindowSize: 100,
-		Output:     func(d Delta) { results = append(results, d) },
+		Output:     func(d Delta) { d.Tuple = d.Tuple.Clone(); results = append(results, d) },
 	})
 	if err != nil {
 		t.Fatal(err)
