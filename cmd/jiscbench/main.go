@@ -11,11 +11,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"jisc/internal/bench"
@@ -23,25 +21,15 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to reproduce: 7, 8, 9, 10a, 10b, 11, 12, props, stairs, proc, skew, mem, timeline, overlap, all")
-		window   = flag.Int("window", 1000, "per-stream sliding window size in tuples (paper: 10000)")
-		domain   = flag.Int64("domain", 0, "join-key domain size (default: window, ≈1 match per probe per level)")
-		tuples   = flag.Int("tuples", 50000, "tuples per measurement (paper: 10000000)")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		joins    = flag.Int("joins", 20, "joins for figures 9, 11, 12 (paper: 20)")
-		ptcheck  = flag.Int("ptcheck", 0, "Parallel Track discard-scan period in tuples (0 = window/10)")
-		reps     = flag.Int("reps", 3, "repetitions per timing-sensitive measurement (min/median reported)")
-		shards   = flag.Int("shards", 1, "run the Fig-7/8 JISC measurement through the sharded runtime with N shards")
-		latency  = flag.Bool("latency", false, "run the per-phase transition latency benchmark (p50/p95/p99/max per strategy) instead of a figure")
-		latOut   = flag.String("latencyout", "BENCH_latency.json", "output path for the -latency JSON report")
-		wal      = flag.Bool("wal", false, "run the WAL ingest-throughput benchmark (fsync off/batch/always vs baseline, 1-4 shards) instead of a figure")
-		walOut   = flag.String("walout", "BENCH_wal.json", "output path for the -wal JSON report")
-		batch    = flag.Bool("batch", false, "run the batched-ingest throughput benchmark (batch sizes 1/8/64/256 through the runtime and TCP paths, with and without the WAL) instead of a figure")
-		batchOut = flag.String("batchout", "BENCH_batch.json", "output path for the -batch JSON report")
-		adapt    = flag.Bool("adaptive", false, "run the autopilot benchmark (static plan rotations vs the closed-loop controller on a hose-shift workload) instead of a figure")
-		adaptOut = flag.String("adaptiveout", "BENCH_adaptive.json", "output path for the -adaptive JSON report")
-		spill    = flag.Bool("spill", false, "run the tiered-state spill benchmark (budgets of ∞/2x/1x/¼x the measured working set) instead of a figure")
-		spillOut = flag.String("spillout", "BENCH_spill.json", "output path for the -spill JSON report")
+		fig     = flag.String("fig", "all", "figure to reproduce: 7, 8, 9, 10a, 10b, 11, 12, props, stairs, proc, skew, mem, timeline, overlap, all")
+		window  = flag.Int("window", 1000, "per-stream sliding window size in tuples (paper: 10000)")
+		domain  = flag.Int64("domain", 0, "join-key domain size (default: window, ≈1 match per probe per level)")
+		tuples  = flag.Int("tuples", 50000, "tuples per measurement (paper: 10000000)")
+		seed    = flag.Int64("seed", 1, "workload seed")
+		joins   = flag.Int("joins", 20, "joins for figures 9, 11, 12 (paper: 20)")
+		ptcheck = flag.Int("ptcheck", 0, "Parallel Track discard-scan period in tuples (0 = window/10)")
+		reps    = flag.Int("reps", 3, "repetitions per timing-sensitive measurement (min/median reported)")
+		shards  = flag.Int("shards", 1, "run the Fig-7/8 JISC measurement through the sharded runtime with N shards")
 	)
 	flag.Parse()
 
@@ -61,37 +49,6 @@ func main() {
 
 	want := func(name string) bool {
 		return *fig == "all" || strings.EqualFold(*fig, name)
-	}
-
-	if *latency {
-		run("Transition latency (Fig 7/8 conditions)", func() error {
-			return runLatency(cfg, *latOut, w)
-		})
-		return
-	}
-	if *wal {
-		run("WAL ingest throughput", func() error {
-			return runWAL(cfg, *walOut, w)
-		})
-		return
-	}
-	if *batch {
-		run("Batched ingest throughput", func() error {
-			return runBatch(cfg, *batchOut, w)
-		})
-		return
-	}
-	if *adapt {
-		run("Adaptive control plane", func() error {
-			return runAdaptive(cfg, *adaptOut, w)
-		})
-		return
-	}
-	if *spill {
-		run("Tiered-state spill sweep", func() error {
-			return runSpill(cfg, *spillOut, w)
-		})
-		return
 	}
 
 	joinSweep := []int{4, 8, 12, 16, 20}
@@ -185,179 +142,4 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// runLatency runs the per-phase transition latency benchmark for the
-// best- and worst-case swaps and writes the JSON report to out. It
-// uses 8 joins — the mid-point of the paper's sweep — so the eager
-// Moving State recomputation is visible without dominating runtime.
-func runLatency(cfg bench.Config, out string, w *os.File) error {
-	const latJoins = 8
-	best, err := bench.LatencyBench(cfg, latJoins, false, w)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	worst, err := bench.LatencyBench(cfg, latJoins, true, w)
-	if err != nil {
-		return err
-	}
-	report := struct {
-		Description string              `json:"description"`
-		Go          string              `json:"go"`
-		Config      bench.Config        `json:"config"`
-		BestCase    bench.LatencyReport `json:"best_case"`
-		WorstCase   bench.LatencyReport `json:"worst_case"`
-	}{
-		Description: "Per-tuple feed latency (p50/p95/p99/max, ns) across a plan transition " +
-			"under Fig 7/8 conditions: steady state, the migration stage (until Parallel " +
-			"Track discards the old plan), and post-migration, plus the synchronous " +
-			"Migrate-call stall per strategy. Regenerate with: jiscbench -latency",
-		Go:        runtime.Version(),
-		Config:    cfg,
-		BestCase:  best,
-		WorstCase: worst,
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", out)
-	return nil
-}
-
-// runBatch measures ingest throughput per batch size through each
-// ingest entry point and writes the JSON report to out. Batch size 1
-// is the per-event baseline within each mode.
-func runBatch(cfg bench.Config, out string, w *os.File) error {
-	report, err := bench.BatchBench(cfg, []int{1, 8, 64, 256}, w)
-	if err != nil {
-		return err
-	}
-	full := struct {
-		Description string            `json:"description"`
-		Go          string            `json:"go"`
-		Config      bench.Config      `json:"config"`
-		Report      bench.BatchReport `json:"report"`
-	}{
-		Description: "Ingest throughput (tuples/s, best of reps) per batch size through the " +
-			"in-process runtime (Feed vs FeedBatch) and the TCP line protocol (FEED round " +
-			"trips vs pipelined FEEDB lines), each with and without the write-ahead log " +
-			"under group commit. Batch size 1 is the per-event pre-refactor baseline within " +
-			"each mode. Regenerate with: jiscbench -batch",
-		Go:     runtime.Version(),
-		Config: cfg,
-		Report: report,
-	}
-	buf, err := json.MarshalIndent(full, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", out)
-	return nil
-}
-
-// runAdaptive measures every static plan rotation and the autopilot
-// on the two-phase hose-shift workload and writes the JSON report to
-// out.
-func runAdaptive(cfg bench.Config, out string, w *os.File) error {
-	report, err := bench.AdaptiveBench(cfg, w)
-	if err != nil {
-		return err
-	}
-	full := struct {
-		Description string               `json:"description"`
-		Go          string               `json:"go"`
-		Config      bench.Config         `json:"config"`
-		Report      bench.AdaptiveReport `json:"report"`
-	}{
-		Description: "Autopilot vs static plans (tuples/s, best of reps) on a 4-stream, 3-join " +
-			"query whose hose stream shifts mid-run from stream 0 to stream 3. Each left-deep " +
-			"rotation runs the identical tuple sequence statically; the autopilot starts from " +
-			"the measured-worst order with a live controller. Acceptance: vs_worst > 1.0 and " +
-			"vs_best >= 0.9. Regenerate with: jiscbench -adaptive",
-		Go:     runtime.Version(),
-		Config: cfg,
-		Report: report,
-	}
-	buf, err := json.MarshalIndent(full, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", out)
-	return nil
-}
-
-// runSpill measures ingest throughput per state-budget point against
-// the unbounded baseline and writes the JSON report to out.
-func runSpill(cfg bench.Config, out string, w *os.File) error {
-	report, err := bench.SpillBench(cfg, w)
-	if err != nil {
-		return err
-	}
-	full := struct {
-		Description string            `json:"description"`
-		Go          string            `json:"go"`
-		Config      bench.Config      `json:"config"`
-		Report      bench.SpillReport `json:"report"`
-	}{
-		Description: "Ingest throughput (tuples/s, best of reps) with the tiered state store off " +
-			"(unbounded baseline) and under resident-byte budgets of 2x, 1x, and 1/4x the " +
-			"measured peak working set. A budget that never binds (2x) should cost only the " +
-			"accounting (within ~10% of baseline); 1/4x runs with most state in spill " +
-			"segments, faulting buckets back per probe. Regenerate with: jiscbench -spill",
-		Go:     runtime.Version(),
-		Config: cfg,
-		Report: report,
-	}
-	buf, err := json.MarshalIndent(full, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", out)
-	return nil
-}
-
-// runWAL measures ingest throughput per fsync policy against the
-// durability-off baseline and writes the JSON report to out.
-func runWAL(cfg bench.Config, out string, w *os.File) error {
-	report, err := bench.WALBench(cfg, []int{1, 2, 4}, w)
-	if err != nil {
-		return err
-	}
-	full := struct {
-		Description string          `json:"description"`
-		Go          string          `json:"go"`
-		Config      bench.Config    `json:"config"`
-		Report      bench.WALReport `json:"report"`
-	}{
-		Description: "Ingest throughput (tuples/s, best of reps) through the sharded runtime " +
-			"with durability off (baseline) and with the write-ahead log under each fsync " +
-			"policy: off (no fsync), batch (group commit, the default), always (fsync per " +
-			"acknowledgment). Regenerate with: jiscbench -wal",
-		Go:     runtime.Version(),
-		Config: cfg,
-		Report: report,
-	}
-	buf, err := json.MarshalIndent(full, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", out)
-	return nil
 }

@@ -52,17 +52,22 @@ import (
 	"jisc/internal/server"
 )
 
-// parseStateBudget turns the -state-budget flag into the runtime's
-// StateBudget convention: "" → 0 (auto from GOMEMLIMIT when set),
-// "off" → -1 (never spill), otherwise a byte count with an optional
-// k/m/g suffix (powers of 1024).
-func parseStateBudget(s string) (int64, error) {
+// parseBytes parses a byte-size flag: "" → 0 (the flag's default:
+// -state-budget derives from GOMEMLIMIT when set, -inflight-budget is
+// unlimited), "off" → -1 where allowOff says the flag has such a
+// setting (-state-budget: never spill), otherwise a positive byte
+// count with an optional k/m/g suffix (powers of 1024).
+func parseBytes(flagName, s string, allowOff bool) (int64, error) {
 	s = strings.TrimSpace(strings.ToLower(s))
 	if s == "" {
 		return 0, nil
 	}
-	if s == "off" {
-		return -1, nil
+	orOff := ""
+	if allowOff {
+		if s == "off" {
+			return -1, nil
+		}
+		orOff = `, or "off"`
 	}
 	mult := int64(1)
 	switch s[len(s)-1] {
@@ -75,30 +80,7 @@ func parseStateBudget(s string) (int64, error) {
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad -state-budget %q: want a positive byte count with optional k/m/g suffix, or \"off\"", s)
-	}
-	return n * mult, nil
-}
-
-// parseInflightBudget parses -inflight-budget: "" → 0 (unlimited),
-// otherwise a positive byte count with an optional k/m/g suffix.
-func parseInflightBudget(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
-	if s == "" {
-		return 0, nil
-	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'k':
-		mult, s = 1<<10, s[:len(s)-1]
-	case 'm':
-		mult, s = 1<<20, s[:len(s)-1]
-	case 'g':
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad -inflight-budget %q: want a positive byte count with optional k/m/g suffix", s)
+		return 0, fmt.Errorf("bad -%s %q: want a positive byte count with optional k/m/g suffix%s", flagName, s, orOff)
 	}
 	return n * mult, nil
 }
@@ -159,11 +141,11 @@ func main() {
 	if *shedding {
 		overflow = runtime.Shed
 	}
-	stateBudget, err := parseStateBudget(*budget)
+	stateBudget, err := parseBytes("state-budget", *budget, true)
 	if err != nil {
 		die(err)
 	}
-	inflightBudget, err := parseInflightBudget(*inflight)
+	inflightBudget, err := parseBytes("inflight-budget", *inflight, false)
 	if err != nil {
 		die(err)
 	}

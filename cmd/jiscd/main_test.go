@@ -188,3 +188,39 @@ func TestJiscdRejectsShedWithWAL(t *testing.T) {
 		}
 	}
 }
+
+// TestParseBytes: the one byte-size parser behind -state-budget (which
+// has an "off") and -inflight-budget (which has not).
+func TestParseBytes(t *testing.T) {
+	for _, tc := range []struct {
+		in       string
+		allowOff bool
+		want     int64
+		bad      bool
+	}{
+		{"", true, 0, false},
+		{"", false, 0, false},
+		{"off", true, -1, false},
+		{" OFF ", true, -1, false},
+		{"off", false, 0, true},
+		{"4096", false, 4096, false},
+		{"64k", true, 64 << 10, false},
+		{"64M", false, 64 << 20, false},
+		{"1g", true, 1 << 30, false},
+		{"0", false, 0, true},
+		{"-5m", true, 0, true},
+		{"m", false, 0, true},
+		{"12q", true, 0, true},
+	} {
+		got, err := parseBytes("some-budget", tc.in, tc.allowOff)
+		if (err != nil) != tc.bad || got != tc.want {
+			t.Errorf("parseBytes(%q, off=%v) = %d, %v; want %d, error=%v", tc.in, tc.allowOff, got, err, tc.want, tc.bad)
+		}
+		if err != nil {
+			msg := err.Error()
+			if !strings.Contains(msg, "-some-budget") || strings.Contains(msg, `or "off"`) != tc.allowOff {
+				t.Errorf("parseBytes(%q, off=%v) error %q: want the flag named and \"off\" offered only where it is accepted", tc.in, tc.allowOff, msg)
+			}
+		}
+	}
+}

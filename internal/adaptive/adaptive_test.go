@@ -326,3 +326,88 @@ func TestSingleEngineAutopilot(t *testing.T) {
 		t.Fatalf("hose stream 0 still leads the plan %v after %d migrations", order, c.Migrations())
 	}
 }
+
+const hoseShiftWindow = 300
+
+// hoseShiftEvents is the two-phase workload no static plan is right
+// for: 4 streams, 120 k tuples; in the first half stream 0 is the hose
+// (its keys land in two buckets, so every probe against its window
+// fans out to half of it), in the second half stream 3 is. The cold
+// streams spread over ten windows of keys, so most of their keys miss
+// — the contrast is what makes probe order matter.
+func hoseShiftEvents() []workload.Event {
+	const tuples, cold = 120_000, 10 * hoseShiftWindow
+	phase := func(salt string, domains []int64) []workload.Event {
+		return workload.MustNewSource(workload.Config{
+			Streams: 4, Domain: hoseShiftWindow, Domains: domains,
+			Seed: int64(workload.DeriveSeed(1, salt)),
+		}).Take(tuples / 2)
+	}
+	evs := phase("adaptive-a", []int64{2, cold, cold, cold})
+	return append(evs, phase("adaptive-b", []int64{cold, cold, cold, 2})...)
+}
+
+// TestAutopilotHoseShiftWork is the closed loop's payoff as a count,
+// not a time: every left-deep rotation runs the hose-shift workload
+// statically, then the autopilot runs it from the worst of them on a
+// logical clock. The autopilot must probe less than the plan it was
+// started on and within 5% of the best static plan, and emit the same
+// results. Seed-deterministic — the numbers repeat exactly.
+func TestAutopilotHoseShiftWork(t *testing.T) {
+	evs := hoseShiftEvents()
+	run := func(initial *plan.Plan, auto bool) (probes, output, migrations uint64) {
+		e := engine.MustNew(engine.Config{Plan: initial, WindowSize: hoseShiftWindow, Strategy: core.New()})
+		var c *Controller
+		if auto {
+			c = MustNew(SingleEngine{E: e}, Config{Confirm: 2, Cooldown: 2 * time.Second, RegressionFactor: -1})
+		}
+		clock := t0
+		for i, ev := range evs {
+			e.Feed(ev)
+			if c != nil && i%500 == 0 {
+				clock = clock.Add(time.Second)
+				c.Step(clock)
+			}
+		}
+		if c != nil {
+			migrations = c.Migrations()
+		}
+		m := e.Metrics()
+		return m.Probes, m.Output, migrations
+	}
+	var worst *plan.Plan
+	var worstProbes, bestProbes, wantOutput uint64
+	for r := 0; r < 4; r++ {
+		p := plan.MustLeftDeep(tuple.StreamID(r), tuple.StreamID((r+1)%4), tuple.StreamID((r+2)%4), tuple.StreamID((r+3)%4))
+		probes, output, _ := run(p, false)
+		t.Logf("static %s: %d probes, %d outputs", p, probes, output)
+		if r > 0 && output != wantOutput {
+			t.Fatalf("static %s emitted %d results, the others %d", p, output, wantOutput)
+		}
+		wantOutput = output
+		if probes > worstProbes {
+			worst, worstProbes = p, probes
+		}
+		if bestProbes == 0 || probes < bestProbes {
+			bestProbes = probes
+		}
+	}
+	if want := plan.MustLeftDeep(3, 0, 1, 2); !worst.Equal(want) {
+		t.Fatalf("worst static rotation is %s, the workload was built for %s", worst, want)
+	}
+	probes, output, migrations := run(worst, true)
+	t.Logf("autopilot from %s: %d probes (%.2fx worst, %.2fx best), %d outputs, %d migrations",
+		worst, probes, float64(probes)/float64(worstProbes), float64(probes)/float64(bestProbes), output, migrations)
+	if output != wantOutput {
+		t.Errorf("autopilot emitted %d results, the static plans %d", output, wantOutput)
+	}
+	if migrations == 0 {
+		t.Error("the autopilot never left the worst plan")
+	}
+	if probes >= worstProbes {
+		t.Errorf("autopilot probed %d times, no fewer than the worst static plan's %d", probes, worstProbes)
+	}
+	if float64(probes) > 1.05*float64(bestProbes) {
+		t.Errorf("autopilot probed %d times, more than 5%% over the best static plan's %d", probes, bestProbes)
+	}
+}

@@ -171,7 +171,8 @@ func TestWritePromHistogram(t *testing.T) {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
 	var b strings.Builder
-	WritePromHistogram(&b, "jisc_feed_seconds", PromLabels("default"), h.Snapshot())
+	WritePromType(&b, "jisc_feed_seconds", "histogram")
+	WritePromHistogramSeries(&b, "jisc_feed_seconds", PromLabels("default"), h.Snapshot(), true)
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE jisc_feed_seconds histogram",

@@ -3,17 +3,16 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
 // Prometheus text exposition (version 0.0.4), hand-rolled so the
-// telemetry endpoint needs no dependency. Histograms are exported in
-// seconds, as Prometheus convention requires; only non-empty buckets
-// are emitted (cumulative counts stay correct under any subset of
-// boundaries), keeping the scrape small despite the fixed bucket
-// table. The Series variants emit samples without a TYPE header, for
-// endpoints exporting the same metric across several queries — the
-// format allows one TYPE line per metric name.
+// telemetry endpoint needs no dependency. A family is one TYPE line
+// followed by one series per query — the format allows one TYPE line
+// per metric name. Only non-empty histogram buckets are emitted
+// (cumulative counts stay correct under any subset of boundaries),
+// keeping the scrape small despite the fixed bucket table.
 
 // PromLabels formats the single query label. Values are escaped per
 // the exposition format.
@@ -34,38 +33,23 @@ func WritePromType(w io.Writer, name, kind string) {
 	fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
 }
 
-// WritePromCounter emits one counter sample with a TYPE header.
-func WritePromCounter(w io.Writer, name, labels string, v uint64) {
-	WritePromType(w, name, "counter")
-	WritePromCounterSeries(w, name, labels, v)
-}
-
-// WritePromCounterSeries emits one counter sample without a header.
+// WritePromCounterSeries emits one counter sample. labels is in
+// "k=\"v\"" form, no braces, and may be empty.
 func WritePromCounterSeries(w io.Writer, name, labels string, v uint64) {
 	fmt.Fprintf(w, "%s{%s} %d\n", name, labels, v)
 }
 
-// WritePromGauge emits one gauge sample with a TYPE header.
-func WritePromGauge(w io.Writer, name, labels string, v float64) {
-	WritePromType(w, name, "gauge")
-	WritePromGaugeSeries(w, name, labels, v)
-}
-
-// WritePromGaugeSeries emits one gauge sample without a header.
+// WritePromGaugeSeries emits one gauge sample.
 func WritePromGaugeSeries(w io.Writer, name, labels string, v float64) {
 	fmt.Fprintf(w, "%s{%s} %g\n", name, labels, v)
 }
 
-// WritePromHistogram emits s as a Prometheus histogram named name
-// (unit: seconds) with the given extra labels ("k=\"v\"" form, no
-// braces, may be empty), preceded by its TYPE header.
-func WritePromHistogram(w io.Writer, name, labels string, s HistSnapshot) {
-	WritePromType(w, name, "histogram")
-	WritePromHistogramSeries(w, name, labels, s)
-}
-
-// WritePromHistogramSeries is WritePromHistogram without the header.
-func WritePromHistogramSeries(w io.Writer, name, labels string, s HistSnapshot) {
+// WritePromHistogramSeries emits s as the series of one histogram.
+// With seconds set the observations are nanoseconds and leave in
+// seconds, as Prometheus convention requires; otherwise they are
+// unitless values (batch sizes, counts) and the "le" bounds and the
+// sum are written as raw integers.
+func WritePromHistogramSeries(w io.Writer, name, labels string, s HistSnapshot, seconds bool) {
 	sep := ""
 	if labels != "" {
 		sep = ","
@@ -76,40 +60,18 @@ func WritePromHistogramSeries(w io.Writer, name, labels string, s HistSnapshot) 
 			continue
 		}
 		cum += c
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n",
-			name, labels, sep, formatSeconds(BucketBound(i)), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(s.Sum)/1e9)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
-}
-
-// WritePromHistogramRaw emits s as a histogram whose observations are
-// unitless values (batch sizes, counts) rather than nanoseconds: "le"
-// bounds and the sum are written as raw integers with no seconds
-// scaling. Preceded by its TYPE header.
-func WritePromHistogramRaw(w io.Writer, name, labels string, s HistSnapshot) {
-	WritePromType(w, name, "histogram")
-	WritePromHistogramRawSeries(w, name, labels, s)
-}
-
-// WritePromHistogramRawSeries is WritePromHistogramRaw without the
-// header.
-func WritePromHistogramRawSeries(w io.Writer, name, labels string, s HistSnapshot) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
+		le := strconv.FormatUint(BucketBound(i), 10)
+		if seconds {
+			le = formatSeconds(BucketBound(i))
 		}
-		cum += c
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%d\"} %d\n", name, labels, sep, BucketBound(i), cum)
+		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
-	fmt.Fprintf(w, "%s_sum{%s} %d\n", name, labels, s.Sum)
+	if seconds {
+		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(s.Sum)/1e9)
+	} else {
+		fmt.Fprintf(w, "%s_sum{%s} %d\n", name, labels, s.Sum)
+	}
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
 }
 

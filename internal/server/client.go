@@ -208,8 +208,9 @@ func (c *Client) Plan() (*plan.Plan, error) {
 	return plan.Parse(strings.TrimPrefix(resp, "PLAN "))
 }
 
-// Stats holds the server's one-line counters. The latency fields are
-// zero until the server has recorded feed-latency samples.
+// Stats holds the server's one-line counters, one field per STATS key
+// (metricTable says which). The latency fields are zero until the
+// server has recorded feed-latency samples.
 type Stats struct {
 	Input, Output, Transitions, Completions, Shed uint64
 	// FeedP50Ns and FeedP99Ns are the per-tuple feed-latency quantiles
@@ -220,6 +221,11 @@ type Stats struct {
 	// SubsDropped counts subscribers the server disconnected for
 	// falling behind.
 	SubsDropped uint64
+	// WALAppends counts write-ahead-log records, WALFsyncP99Ns is the
+	// 99th-percentile fsync duration, and RecoveredEvents counts the
+	// tuples replayed from the log at startup. All zero when the server
+	// runs without durability.
+	WALAppends, WALFsyncP99Ns, RecoveredEvents uint64
 	// BatchFillP50 is the median realized ingest batch size in tuples;
 	// BatchFlushes counts FeedBatch invocations on the server (FEEDB
 	// lines plus coalesced FEED runs).
@@ -254,6 +260,8 @@ func (c *Client) Stats() (Stats, error) {
 	return parseStats(resp)
 }
 
+// parseStats decodes a STATS line; keys without a row in metricTable
+// are ignored, so an older client survives a newer server.
 func parseStats(resp string) (Stats, error) {
 	var s Stats
 	for _, field := range strings.Fields(strings.TrimPrefix(resp, "STATS ")) {
@@ -265,55 +273,10 @@ func parseStats(resp string) (Stats, error) {
 		if err != nil {
 			return Stats{}, fmt.Errorf("server: bad stats field %q", field)
 		}
-		switch name {
-		case "input":
-			s.Input = n
-		case "output":
-			s.Output = n
-		case "transitions":
-			s.Transitions = n
-		case "completions":
-			s.Completions = n
-		case "shed":
-			s.Shed = n
-		case "feed_p50_ns":
-			s.FeedP50Ns = n
-		case "feed_p99_ns":
-			s.FeedP99Ns = n
-		case "episodes":
-			s.Episodes = n
-		case "subs_dropped":
-			s.SubsDropped = n
-		case "batch_fill_p50":
-			s.BatchFillP50 = n
-		case "batch_flushes":
-			s.BatchFlushes = n
-		case "state_bytes":
-			s.StateBytes = n
-		case "spill_faults":
-			s.SpillFaults = n
-		case "auto_enabled":
-			s.AutoEnabled = n
-		case "auto_proposals":
-			s.AutoProposals = n
-		case "auto_migrations":
-			s.AutoMigrations = n
-		case "auto_rollbacks":
-			s.AutoRollbacks = n
-		case "last_migration_age_ms":
-			s.LastMigrationAgeMS = n
-		case "admission_shed":
-			s.AdmissionShed = n
-		case "deadline_shed":
-			s.DeadlineShed = n
-		case "rejected":
-			s.Rejected = n
-		case "rejected_batches":
-			s.RejectedBatches = n
-		case "inflight_bytes":
-			s.InflightBytes = n
-		case "draining":
-			s.Draining = n
+		for i := range metricTable {
+			if r := &metricTable[i]; r.key == name && r.field != nil {
+				*r.field(&s) = n
+			}
 		}
 	}
 	return s, nil

@@ -39,7 +39,7 @@ func TestDrainFenceRejectsMutations(t *testing.T) {
 			t.Fatalf("%q during drain -> %q, want ERR BUSY draining", line, resp)
 		}
 	}
-	for _, line := range []string{"STATS", "PLAN", "LIST"} {
+	for _, line := range []string{"STATS", "PLAN", "LIST", "AUTO STATUS"} {
 		resp := c.cmd(t, line)
 		if strings.HasPrefix(resp, "ERR") {
 			t.Fatalf("read-only %q during drain -> %q", line, resp)

@@ -49,6 +49,12 @@ func FuzzServerCommand(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// Every row of the command table, and a verb that is in none.
+	for line := range commandLines() {
+		f.Add([]byte(line + "\n"))
+		f.Add([]byte(strings.ToLower(line) + " default 0 1\n"))
+	}
+	f.Add([]byte("NOSUCHVERB 0 1\nAUTO SIDEWAYS\n"))
 
 	ckptDir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {

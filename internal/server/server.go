@@ -42,50 +42,10 @@
 // (subs_dropped) and traced.
 //
 // The STATS response is one line of space-separated key=value fields
-// (all unsigned decimal, unknown fields must be ignored by clients):
-//
-//	input/output/transitions/completions/shed   lifetime counters
-//	feed_p50_ns, feed_p99_ns                    per-tuple feed-latency
-//	                                            quantiles (sampled;
-//	                                            0 until samples exist)
-//	episodes                                    completion episodes run
-//	subs_dropped                                subscribers dropped for
-//	                                            falling SubscriberBuffer
-//	                                            lines behind
-//	batch_fill_p50                              median realized ingest
-//	                                            batch size, in tuples
-//	                                            (0 until batches flow)
-//	batch_flushes                               ingest batches processed
-//	                                            (FeedBatch calls: FEEDB
-//	                                            lines plus coalesced
-//	                                            FEED runs)
-//	auto_enabled                                1 while the autopilot is
-//	                                            on for the query
-//	auto_proposals, auto_migrations,            plan changes proposed /
-//	auto_rollbacks                              installed / rolled back
-//	                                            by the autopilot since
-//	                                            its last AUTO ON
-//	last_migration_age_ms                       milliseconds since the
-//	                                            autopilot last installed
-//	                                            a plan (0 = never;
-//	                                            reported ≥ 1 otherwise)
-//	admission_shed                              tuples dropped by the
-//	                                            ingest rate limiter
-//	                                            (acknowledged OK)
-//	deadline_shed                               admitted tuples dropped
-//	                                            in queue past their
-//	                                            feed deadline
-//	rejected, rejected_batches                  tuples / batches refused
-//	                                            with ERR BUSY (in-flight
-//	                                            budget, or drain fence)
-//	inflight_bytes                              admitted-but-unprocessed
-//	                                            byte gauge (bounded by
-//	                                            the in-flight budget)
-//	draining                                    1 while a graceful drain
-//	                                            is in progress
-//
-// "AUTO STATUS [query]" answers with the same autopilot fields on one
-// "AUTO query=<name> ..." line.
+// (all unsigned decimal; clients must ignore fields they do not know),
+// and "AUTO STATUS [query]" answers with the autopilot's fields on one
+// "AUTO query=<name> ..." line. README.md, "Metrics reference", lists
+// every key with the /metrics family that carries the same quantity.
 //
 // Lines are read through a 1 MiB cap: an over-long command draws
 // "ERR line longer than ..." and the connection survives, it is not
@@ -205,8 +165,9 @@ type Server struct {
 	admCfg admission.Config
 	adm    *admission.Controller
 	// draining is the graceful-drain fence: once up, mutating commands
-	// draw "ERR BUSY draining" while reads (STATS, PLAN, LIST) keep
-	// answering. See Drain.
+	// (the fenced rows of the command table) draw "ERR BUSY draining"
+	// while reads (STATS, PLAN, LIST, AUTO STATUS) keep answering. See
+	// Drain.
 	draining atomic.Bool
 	// inflight is read-held by a handler from its fence check to the
 	// end of a mutating command; Drain write-locks it once, after
@@ -323,28 +284,6 @@ func (s *Server) autoOff(q *query) error {
 		}
 	}
 	return nil
-}
-
-// autoStats reads q's autopilot telemetry: the enabled flag, the
-// proposal/migration/rollback counters, and the age of the last
-// autopilot migration in milliseconds (0 = never; clamped to ≥ 1 when
-// one happened, so "never" stays unambiguous). All zeros while the
-// autopilot is off — the counters belong to the running controller.
-func autoStats(q *query) (enabled, proposals, migrations, rollbacks, ageMS uint64) {
-	c := q.runner.Auto()
-	if c == nil {
-		return 0, 0, 0, 0, 0
-	}
-	enabled = 1
-	proposals, migrations, rollbacks = c.Proposals(), c.Migrations(), c.Rollbacks()
-	if t := c.LastMigration(); !t.IsZero() {
-		ms := time.Since(t).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		ageMS = uint64(ms)
-	}
-	return enabled, proposals, migrations, rollbacks, ageMS
 }
 
 // recoverDurable restores the server's query topology from the
@@ -758,339 +697,6 @@ func (s *Server) splitQuery(rest string) (*query, string, error) {
 		return nil, "", fmt.Errorf("no default query; name one of %v", s.Queries())
 	}
 	return q, rest, nil
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.connWG.Done()
-	defer s.adm.ReleaseConn()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	lw := &lockedWriter{w: bufio.NewWriter(conn), conn: conn, timeout: s.writeTimeout}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	var batch []workload.Event
-	// Per-connection subscriptions: at most one per query.
-	type sub struct {
-		q  *query
-		id int
-	}
-	var subs []sub
-	var subWG sync.WaitGroup
-	defer func() {
-		for _, su := range subs {
-			su.q.unsubscribe(su.id)
-		}
-		subWG.Wait()
-	}()
-	respond := func(err error) error {
-		if err != nil {
-			return lw.writeLine("ERR %v", err)
-		}
-		return lw.writeLine("OK")
-	}
-	for {
-		if _, _, ok := bufferedLine(br); !ok {
-			// About to block (no complete line buffered): everything
-			// acknowledged so far goes out in one write.
-			if err := lw.flush(); err != nil {
-				return
-			}
-			if s.readTimeout > 0 {
-				// The command read deadline arms only once a line has
-				// started arriving: Peek blocks without a deadline (an
-				// idle connection may sit forever), but after the first
-				// byte the rest of the line must land within the
-				// timeout — a half-open peer or a byte-trickling client
-				// cannot pin the handler goroutine.
-				if _, err := br.Peek(1); err != nil {
-					return
-				}
-				conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-			}
-		}
-		line, rerr := readLine(br)
-		if s.readTimeout > 0 {
-			conn.SetReadDeadline(time.Time{})
-		}
-		if rerr == errLineTooLong {
-			if lw.writeLine("ERR line longer than %d bytes", maxLineBytes) != nil {
-				return
-			}
-			continue
-		}
-		if rerr != nil {
-			return
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var werr error
-		verb, rest, _ := strings.Cut(line, " ")
-		mutating := false
-		switch strings.ToUpper(verb) {
-		case "FEED", "FEEDB", "MIGRATE", "CREATE", "DROP", "CHECKPOINT", "AUTO":
-			// The drain fence: mutating commands are rejected retriably
-			// (the client's BUSY backoff will land on the replacement
-			// process after the rolling restart) while reads keep
-			// answering so operators can watch the drain progress. The
-			// flag is read under the in-flight lock, held until the
-			// command is done, so Drain can wait out every command that
-			// saw the fence down before it takes the final checkpoint.
-			s.inflight.RLock()
-			if s.draining.Load() {
-				s.inflight.RUnlock()
-				if respond(admission.Busy("draining")) != nil {
-					return
-				}
-				continue
-			}
-			mutating = true
-			if s.fenceHook != nil {
-				s.fenceHook()
-			}
-		}
-		switch strings.ToUpper(verb) {
-		case "FEED", "FEEDB", "MIGRATE", "CREATE", "DROP":
-			if !s.durable.Enabled() {
-				s.walDisabled.Add(1)
-			}
-		}
-		switch strings.ToUpper(verb) {
-		case "FEED":
-			q, args, err := s.splitQuery(rest)
-			var ev workload.Event
-			if err == nil {
-				ev, err = parseFeedEvent(args)
-			}
-			if err == nil && !q.hasStream(ev.Stream) {
-				err = fmt.Errorf("stream %d not in query %q", ev.Stream, q.name)
-			}
-			if err != nil {
-				werr = respond(err)
-				break
-			}
-			batch = append(batch[:0], ev)
-			// Coalesce consecutive FEEDs to the same query already
-			// sitting in the read buffer: the whole run becomes one
-			// FeedBatch — one queue slot and, on a durable server, one
-			// WAL frame — while the client still sees one OK per line.
-			acks := 1
-			for len(batch) < maxCoalesce {
-				next, consume, ok := bufferedLine(br)
-				if !ok {
-					break
-				}
-				v, r, _ := strings.Cut(strings.TrimSpace(next), " ")
-				if !strings.EqualFold(v, "FEED") {
-					break
-				}
-				q2, args2, err2 := s.splitQuery(r)
-				if err2 != nil || q2 != q {
-					break
-				}
-				ev2, err2 := parseFeedEvent(args2)
-				if err2 != nil || !q.hasStream(ev2.Stream) {
-					break
-				}
-				br.Discard(consume)
-				batch = append(batch, ev2)
-				acks++
-			}
-			if acks > 1 && !s.durable.Enabled() {
-				s.walDisabled.Add(uint64(acks - 1)) // the first FEED is counted above
-			}
-			ferr := q.runner.FeedBatch(batch)
-			for i := 0; i < acks && werr == nil; i++ {
-				werr = respond(ferr)
-			}
-		case "FEEDB":
-			q, args, err := s.splitQuery(rest)
-			if err == nil {
-				var evs []workload.Event
-				if evs, err = parseFeedBatch(args); err == nil {
-					if len(evs) > 0 && !q.hasStream(evs[0].Stream) {
-						err = fmt.Errorf("stream %d not in query %q", evs[0].Stream, q.name)
-					} else {
-						err = q.runner.FeedBatch(evs)
-					}
-				}
-			}
-			werr = respond(err)
-		case "MIGRATE":
-			q, args, err := s.splitQuery(rest)
-			if err == nil {
-				var p *plan.Plan
-				if p, err = plan.Parse(args); err == nil {
-					err = q.runner.Migrate(p)
-				}
-			}
-			werr = respond(err)
-		case "SUBSCRIBE":
-			q, _, err := s.splitQuery(rest)
-			if err != nil {
-				werr = respond(err)
-				break
-			}
-			already := false
-			for _, su := range subs {
-				if su.q == q {
-					already = true
-				}
-			}
-			if already {
-				werr = respond(fmt.Errorf("already subscribed to %q", q.name))
-				break
-			}
-			id, su := q.subscribe()
-			subs = append(subs, sub{q: q, id: id})
-			werr = respond(nil)
-			subWG.Add(1)
-			go func() {
-				defer subWG.Done()
-				// One socket write for everything handed off since the
-				// last one: bursts batch up, a lone result still goes
-				// out as soon as its batch ends.
-				var chunk []byte
-				for {
-					var ok bool
-					if chunk, ok = su.take(chunk); !ok {
-						return
-					}
-					if lw.writeChunk(chunk) != nil {
-						return
-					}
-				}
-			}()
-		case "AUTO":
-			action, qname, _ := strings.Cut(strings.TrimSpace(rest), " ")
-			q, leftover, err := s.splitQuery(qname)
-			if err != nil {
-				werr = respond(err)
-				break
-			}
-			if leftover != "" {
-				// Unlike FEED, AUTO takes no payload after the query name,
-				// so a leftover token is a typo'd name — don't let it fall
-				// through to the default query.
-				werr = respond(fmt.Errorf("no query %q", leftover))
-				break
-			}
-			switch strings.ToUpper(action) {
-			case "ON":
-				if !s.durable.Enabled() {
-					s.walDisabled.Add(1)
-				}
-				werr = respond(s.autoOn(q))
-			case "OFF":
-				if !s.durable.Enabled() {
-					s.walDisabled.Add(1)
-				}
-				werr = respond(s.autoOff(q))
-			case "STATUS":
-				en, pr, mg, rb, age := autoStats(q)
-				werr = lw.writeLine("AUTO query=%s enabled=%d proposals=%d migrations=%d rollbacks=%d last_migration_age_ms=%d",
-					q.name, en, pr, mg, rb, age)
-			default:
-				werr = respond(fmt.Errorf("AUTO wants ON, OFF, or STATUS"))
-			}
-		case "STATS":
-			q, _, err := s.splitQuery(rest)
-			if err != nil {
-				werr = respond(err)
-				break
-			}
-			m, merr := q.runner.Metrics()
-			if merr != nil {
-				werr = respond(merr)
-				break
-			}
-			o := q.obs.Snapshot()
-			ds := q.runner.DurableStats()
-			en, pr, mg, rb, age := autoStats(q)
-			stateBytes, sberr := q.runner.StateBytes()
-			if sberr != nil {
-				werr = respond(sberr)
-				break
-			}
-			spill, _ := q.runner.SpillStats()
-			adm := q.adm.Snapshot()
-			draining := 0
-			if s.draining.Load() {
-				draining = 1
-			}
-			werr = lw.writeLine("STATS input=%d output=%d transitions=%d completions=%d shed=%d feed_p50_ns=%d feed_p99_ns=%d episodes=%d subs_dropped=%d wal_appends=%d wal_fsync_p99_ns=%d recovered_events=%d batch_fill_p50=%d batch_flushes=%d state_bytes=%d spill_faults=%d auto_enabled=%d auto_proposals=%d auto_migrations=%d auto_rollbacks=%d last_migration_age_ms=%d admission_shed=%d deadline_shed=%d rejected=%d rejected_batches=%d inflight_bytes=%d draining=%d",
-				m.Input, m.Output, m.Transitions, m.Completions, q.runner.Shed(),
-				o.Feed.Quantile(0.50), o.Feed.Quantile(0.99), o.Completion.Count, q.dropped(),
-				ds.Appends, o.WALFsync.Quantile(0.99), ds.RecoveredEvents,
-				uint64(o.BatchFill.Quantile(0.50)), o.BatchFill.Count,
-				stateBytes, spill.Faults,
-				en, pr, mg, rb, age,
-				adm.ShedTuples, adm.DeadlineShedTuples, adm.RejectedTuples, adm.RejectedBatches,
-				adm.InflightBytes, draining)
-		case "PLAN":
-			q, _, err := s.splitQuery(rest)
-			if err != nil {
-				werr = respond(err)
-				break
-			}
-			p, perr := q.runner.Plan()
-			if perr != nil {
-				werr = respond(perr)
-				break
-			}
-			werr = lw.writeLine("PLAN %s", p)
-		case "CHECKPOINT":
-			q, args, err := s.splitQuery(rest)
-			if err != nil {
-				werr = respond(err)
-				break
-			}
-			path := strings.TrimSpace(args)
-			if path == "" {
-				werr = respond(fmt.Errorf("CHECKPOINT wants <path>"))
-				break
-			}
-			werr = respond(q.checkpoint(path))
-		case "CREATE":
-			fields := strings.Fields(rest)
-			if len(fields) < 3 {
-				werr = respond(fmt.Errorf("CREATE wants <name> <window> <plan>"))
-				break
-			}
-			win, err := strconv.Atoi(fields[1])
-			if err != nil || win <= 0 {
-				werr = respond(fmt.Errorf("bad window %q", fields[1]))
-				break
-			}
-			p, err := plan.Parse(strings.Join(fields[2:], " "))
-			if err == nil {
-				err = s.create(fields[0], win, p)
-			}
-			werr = respond(err)
-		case "DROP":
-			// Dropping a query this connection subscribes to closes
-			// that subscription; its streamer exits cleanly.
-			werr = respond(s.drop(strings.TrimSpace(rest)))
-		case "LIST":
-			werr = lw.writeLine("QUERIES %s", strings.Join(s.Queries(), " "))
-		case "QUIT":
-			lw.writeLine("OK")
-			lw.flush()
-			return
-		default:
-			werr = lw.writeLine("ERR unknown command %q", verb)
-		}
-		if mutating {
-			s.inflight.RUnlock()
-		}
-		if werr != nil {
-			return
-		}
-	}
 }
 
 func parseStream(field string) (tuple.StreamID, error) {

@@ -8,10 +8,7 @@ import (
 	"net/http/pprof"
 	"sort"
 
-	"jisc/internal/admission"
-	"jisc/internal/durable"
 	"jisc/internal/obs"
-	"jisc/internal/statestore"
 )
 
 // ServeTelemetry binds addr (e.g. "127.0.0.1:9090") and serves the
@@ -28,7 +25,8 @@ import (
 //
 // The endpoint is read-only and lock-free on the hot path: counters
 // and histograms are atomic snapshots, so scraping never queues behind
-// tuples. Server.Close shuts the endpoint down.
+// tuples (jisc_state_bytes of a query without a state budget is the
+// one in-band read, see gather). Server.Close shuts the endpoint down.
 func (s *Server) ServeTelemetry(addr string) error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -90,211 +88,18 @@ func (s *Server) sortedQueries() []*query {
 	return qs
 }
 
+// handleMetrics serves metricTable's families. A query whose view
+// cannot be read was dropped under the scrape and is left out.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	qs := s.sortedQueries()
-
-	counters := []struct {
-		name string
-		get  func(*query) uint64
-	}{
-		{"jisc_input_tuples_total", func(q *query) uint64 { return q.runner.Snapshot().Input }},
-		{"jisc_output_tuples_total", func(q *query) uint64 { return q.runner.Snapshot().Output }},
-		{"jisc_transitions_total", func(q *query) uint64 { return q.runner.Snapshot().Transitions }},
-		{"jisc_completions_total", func(q *query) uint64 { return q.runner.Snapshot().Completions }},
-		{"jisc_completed_entries_total", func(q *query) uint64 { return q.runner.Snapshot().CompletedEntries }},
-		{"jisc_shed_tuples_total", func(q *query) uint64 { return q.runner.Shed() }},
-		{"jisc_subscribers_dropped_total", func(q *query) uint64 { return q.dropped() }},
-		{"jisc_trace_events_total", func(q *query) uint64 { return q.obs.Tracer.Emitted() }},
-		{"jisc_trace_dropped_total", func(q *query) uint64 { return q.obs.Tracer.Dropped() }},
-	}
-	for _, c := range counters {
-		obs.WritePromType(w, c.name, "counter")
-		for _, q := range qs {
-			obs.WritePromCounterSeries(w, c.name, obs.PromLabels(q.name), c.get(q))
+	sv := s.serverView()
+	var views []view
+	for _, q := range s.sortedQueries() {
+		if v, err := gather(q, sv, false); err == nil {
+			views = append(views, v)
 		}
 	}
-
-	obs.WritePromType(w, "jisc_subscribers", "gauge")
-	for _, q := range qs {
-		obs.WritePromGaugeSeries(w, "jisc_subscribers", obs.PromLabels(q.name), float64(q.subscribers()))
-	}
-	obs.WritePromType(w, "jisc_queue_depth", "gauge")
-	for _, q := range qs {
-		obs.WritePromGaugeSeries(w, "jisc_queue_depth", obs.PromLabels(q.name), float64(q.runner.QueueLen()))
-	}
-
-	// Durability: per-query WAL and checkpoint counters, plus the
-	// server-wide "running without a WAL" accounting. All are atomic
-	// snapshots, zero for non-durable servers.
-	walCounters := []struct {
-		name string
-		get  func(durable.StatsSnapshot) uint64
-	}{
-		{"jisc_wal_appends_total", func(d durable.StatsSnapshot) uint64 { return d.Appends }},
-		{"jisc_wal_append_bytes_total", func(d durable.StatsSnapshot) uint64 { return d.AppendBytes }},
-		{"jisc_wal_fsyncs_total", func(d durable.StatsSnapshot) uint64 { return d.Fsyncs }},
-		{"jisc_wal_rotations_total", func(d durable.StatsSnapshot) uint64 { return d.Rotations }},
-		{"jisc_wal_segments_removed_total", func(d durable.StatsSnapshot) uint64 { return d.SegmentsRemoved }},
-		{"jisc_wal_torn_truncations_total", func(d durable.StatsSnapshot) uint64 { return d.TornTruncations }},
-		{"jisc_checkpoints_total", func(d durable.StatsSnapshot) uint64 { return d.Checkpoints }},
-		{"jisc_checkpoint_failures_total", func(d durable.StatsSnapshot) uint64 { return d.CheckpointFailures }},
-		{"jisc_recovered_events_total", func(d durable.StatsSnapshot) uint64 { return d.RecoveredEvents }},
-	}
-	durSnaps := make([]durable.StatsSnapshot, len(qs))
-	for i, q := range qs {
-		durSnaps[i] = q.runner.DurableStats()
-	}
-	for _, c := range walCounters {
-		obs.WritePromType(w, c.name, "counter")
-		for i, q := range qs {
-			obs.WritePromCounterSeries(w, c.name, obs.PromLabels(q.name), c.get(durSnaps[i]))
-		}
-	}
-	obs.WritePromType(w, "jisc_wal_segments", "gauge")
-	for _, q := range qs {
-		obs.WritePromGaugeSeries(w, "jisc_wal_segments", obs.PromLabels(q.name), float64(q.runner.WALSegments()))
-	}
-	obs.WritePromType(w, "jisc_recovery_seconds", "gauge")
-	for i, q := range qs {
-		obs.WritePromGaugeSeries(w, "jisc_recovery_seconds", obs.PromLabels(q.name), float64(durSnaps[i].RecoveryNs)/1e9)
-	}
-	// Tiered state: resident footprint, spill segment count, and the
-	// fault counter. Segments and faults stay 0 for queries running
-	// without a state budget. With spilling on, state bytes come from
-	// the store's atomic accounting (lock-free); without it the only
-	// race-free read is in-band on each worker, so the scrape may
-	// briefly queue behind tuples there.
-	spillSnaps := make([]statestore.Stats, len(qs))
-	spillOn := make([]bool, len(qs))
-	for i, q := range qs {
-		spillSnaps[i], spillOn[i] = q.runner.SpillStats()
-	}
-	obs.WritePromType(w, "jisc_state_bytes", "gauge")
-	for i, q := range qs {
-		if spillOn[i] {
-			obs.WritePromGaugeSeries(w, "jisc_state_bytes", obs.PromLabels(q.name), float64(spillSnaps[i].ResidentBytes))
-		} else if b, err := q.runner.StateBytes(); err == nil {
-			obs.WritePromGaugeSeries(w, "jisc_state_bytes", obs.PromLabels(q.name), float64(b))
-		}
-	}
-	obs.WritePromType(w, "jisc_spill_segments", "gauge")
-	for i, q := range qs {
-		obs.WritePromGaugeSeries(w, "jisc_spill_segments", obs.PromLabels(q.name), float64(spillSnaps[i].Segments))
-	}
-	obs.WritePromType(w, "jisc_spill_fault_total", "counter")
-	for i, q := range qs {
-		obs.WritePromCounterSeries(w, "jisc_spill_fault_total", obs.PromLabels(q.name), spillSnaps[i].Faults)
-	}
-
-	walDisabled := 1.0
-	if s.durable.Enabled() {
-		walDisabled = 0
-	}
-	obs.WritePromGauge(w, "jisc_wal_disabled", "", walDisabled)
-	obs.WritePromCounter(w, "jisc_wal_disabled_mutations_total", "", s.walDisabled.Load())
-
-	// Autopilot: the enabled gauge, the decision counters, and the age
-	// of the last self-driven migration. All zeros while AUTO is off.
-	autoSnaps := make([][5]uint64, len(qs))
-	for i, q := range qs {
-		en, pr, mg, rb, age := autoStats(q)
-		autoSnaps[i] = [5]uint64{en, pr, mg, rb, age}
-	}
-	obs.WritePromType(w, "jisc_auto_enabled", "gauge")
-	for i, q := range qs {
-		obs.WritePromGaugeSeries(w, "jisc_auto_enabled", obs.PromLabels(q.name), float64(autoSnaps[i][0]))
-	}
-	autoCounters := []struct {
-		name string
-		idx  int
-	}{
-		{"jisc_auto_proposals_total", 1},
-		{"jisc_auto_migrations_total", 2},
-		{"jisc_auto_rollbacks_total", 3},
-	}
-	for _, c := range autoCounters {
-		obs.WritePromType(w, c.name, "counter")
-		for i, q := range qs {
-			obs.WritePromCounterSeries(w, c.name, obs.PromLabels(q.name), autoSnaps[i][c.idx])
-		}
-	}
-	obs.WritePromType(w, "jisc_auto_last_migration_seconds", "gauge")
-	for i, q := range qs {
-		obs.WritePromGaugeSeries(w, "jisc_auto_last_migration_seconds", obs.PromLabels(q.name), float64(autoSnaps[i][4])/1e3)
-	}
-
-	hists := []struct {
-		name string
-		get  func(obs.SetSnapshot) obs.HistSnapshot
-	}{
-		{"jisc_feed_latency_seconds", func(s obs.SetSnapshot) obs.HistSnapshot { return s.Feed }},
-		{"jisc_probe_seconds", func(s obs.SetSnapshot) obs.HistSnapshot { return s.Probe }},
-		{"jisc_build_seconds", func(s obs.SetSnapshot) obs.HistSnapshot { return s.Build }},
-		{"jisc_completion_episode_seconds", func(s obs.SetSnapshot) obs.HistSnapshot { return s.Completion }},
-		{"jisc_migrate_seconds", func(s obs.SetSnapshot) obs.HistSnapshot { return s.Migrate }},
-		{"jisc_wal_append_seconds", func(s obs.SetSnapshot) obs.HistSnapshot { return s.WALAppend }},
-		{"jisc_wal_fsync_seconds", func(s obs.SetSnapshot) obs.HistSnapshot { return s.WALFsync }},
-		{"jisc_spill_fault_seconds", func(s obs.SetSnapshot) obs.HistSnapshot { return s.SpillFault }},
-	}
-	snaps := make([]obs.SetSnapshot, len(qs))
-	for i, q := range qs {
-		snaps[i] = q.obs.Snapshot()
-	}
-	for _, h := range hists {
-		obs.WritePromType(w, h.name, "histogram")
-		for i, q := range qs {
-			obs.WritePromHistogramSeries(w, h.name, obs.PromLabels(q.name), h.get(snaps[i]))
-		}
-	}
-
-	// Batched ingest: realized batch sizes as a raw (unitless)
-	// histogram, plus the batch-flush counter (its _count, duplicated
-	// as a plain counter for easy rate() queries).
-	obs.WritePromType(w, "jisc_batch_fill", "histogram")
-	for i, q := range qs {
-		obs.WritePromHistogramRawSeries(w, "jisc_batch_fill", obs.PromLabels(q.name), snaps[i].BatchFill)
-	}
-	obs.WritePromType(w, "jisc_batch_flush_total", "counter")
-	for i, q := range qs {
-		obs.WritePromCounterSeries(w, "jisc_batch_flush_total", obs.PromLabels(q.name), snaps[i].BatchFill.Count)
-	}
-
-	// Admission: the degradation-ladder counters per query (zero when
-	// admission is off — the nil controller snapshots to zeros), the
-	// in-flight byte gauge the budget bounds, and the server-wide
-	// connection gate.
-	admSnaps := make([]admission.Stats, len(qs))
-	for i, q := range qs {
-		admSnaps[i] = q.adm.Snapshot()
-	}
-	admCounters := []struct {
-		name string
-		get  func(admission.Stats) uint64
-	}{
-		{"jisc_admission_shed_tuples_total", func(a admission.Stats) uint64 { return a.ShedTuples }},
-		{"jisc_admission_deadline_shed_tuples_total", func(a admission.Stats) uint64 { return a.DeadlineShedTuples }},
-		{"jisc_admission_rejected_tuples_total", func(a admission.Stats) uint64 { return a.RejectedTuples }},
-		{"jisc_admission_rejected_batches_total", func(a admission.Stats) uint64 { return a.RejectedBatches }},
-	}
-	for _, c := range admCounters {
-		obs.WritePromType(w, c.name, "counter")
-		for i, q := range qs {
-			obs.WritePromCounterSeries(w, c.name, obs.PromLabels(q.name), c.get(admSnaps[i]))
-		}
-	}
-	obs.WritePromType(w, "jisc_admission_inflight_bytes", "gauge")
-	for i, q := range qs {
-		obs.WritePromGaugeSeries(w, "jisc_admission_inflight_bytes", obs.PromLabels(q.name), float64(admSnaps[i].InflightBytes))
-	}
-	connStats := s.adm.Snapshot()
-	obs.WritePromGauge(w, "jisc_admission_conns", "", float64(connStats.Conns))
-	obs.WritePromCounter(w, "jisc_admission_conns_rejected_total", "", connStats.ConnRejected)
-	draining := 0.0
-	if s.draining.Load() {
-		draining = 1
-	}
-	obs.WritePromGauge(w, "jisc_draining", "", draining)
+	writeMetrics(w, &view{serverView: sv}, views)
 }
 
 // traceDump is the /trace response shape.
