@@ -104,20 +104,6 @@ func (o *oracle) feed(ev workload.Event) {
 	emit(0)
 }
 
-// multisetsEqual is the per-batch hot-path check; diffMultisets
-// renders the difference only once a divergence is found.
-func multisetsEqual(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // total is the output count the STATS Output counter must equal.
 func total(outs map[string]int) uint64 {
 	var n uint64
@@ -128,7 +114,8 @@ func total(outs map[string]int) uint64 {
 }
 
 // diffMultisets renders the difference between two output multisets,
-// empty when they are equal.
+// empty when they are equal. (maps.Equal is the per-batch hot-path
+// check; this runs only once a divergence is found.)
 func diffMultisets(want, got map[string]int) string {
 	var keys []string
 	seen := map[string]bool{}
@@ -157,4 +144,29 @@ func diffMultisets(want, got map[string]int) string {
 		}
 	}
 	return b.String()
+}
+
+// bucketModel is the independent re-implementation of the admission
+// TokenBucket arithmetic: identical float operations in identical
+// order, so with the same observation timestamps its trajectory must
+// equal the real bucket's bit for bit — any drift is a mismatch, not a
+// tolerance.
+type bucketModel struct {
+	rate, burst, tokens float64
+	last                int64
+}
+
+func (m *bucketModel) take(n float64, ns int64) bool {
+	if elapsed := ns - m.last; elapsed > 0 {
+		m.tokens += float64(elapsed) / 1e9 * m.rate
+		if m.tokens > m.burst {
+			m.tokens = m.burst
+		}
+		m.last = ns
+	}
+	if m.tokens < n {
+		return false
+	}
+	m.tokens -= n
+	return true
 }

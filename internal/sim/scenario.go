@@ -4,35 +4,22 @@
 // scenario.
 //
 // One uint64 seed fully determines a Scenario — query shape, window
-// sizes, key distribution, event interleaving, migration schedule,
-// shard count, and crash point. Each scenario executes under four
-// engines (JISC lazy completion, Moving State, Parallel Track, and a
-// naive oracle that recomputes the multi-way join from raw window
-// contents on every arrival) and the harness asserts identical output
-// multisets and identical STATS-visible counters after every tuple
-// batch. Scenarios that draw a shard count > 1 additionally run the
-// sharded runtime against per-shard oracles, and scenarios that draw
-// a crash point run the durable runtime over a fault-injection
-// filesystem and assert post-recovery equivalence. About half of all
-// scenarios (UseFeedBatch) also exercise the batched ingest path —
-// engine FeedBatch with migrations landing mid-batch, the sharded
-// runtime's scatter path, and FEEDB WAL frames under crashes — each
-// differentially compared against the per-event path. About a quarter
-// (UseAutopilot) additionally run under a single-stepped
-// adaptive.Controller, so the plans actually executed are chosen by
-// the live autopilot — and whatever it decides, the output multiset
-// must still match the oracle. About a third (UseSpill) additionally
-// run a JISC engine under a tiny randomized state budget, so nearly
-// every bucket lives in spill segments and faults back on demand —
-// migrations included, the output must still match the oracle. And
-// about a quarter (UseOverload) run the whole event log through an
-// admission.Controller driven by a logical clock: chunks are shed by
-// the rate limiter and rejected by the in-flight budget exactly as a
-// live server would under overload, every decision is checked bit for
-// bit against an independent token-bucket/budget model, every offered
-// tuple must land in exactly one of admitted/shed/rejected, and the
-// engine's output must equal a drop-aware oracle fed only the
-// admitted events.
+// sizes, key distribution, event interleaving, migration schedule, and
+// which of the six optional layers (the layers table) are on with what
+// parameters. Run executes a scenario once, in one driver loop over
+// its events. The subjects are the three strategy executors that exist
+// only engine-direct (JISC lazy completion, Moving State, Parallel
+// Track), held to a naive oracle that recomputes the multi-way join
+// from raw window contents on every arrival, and one runtime.Runtime
+// whose Config is composed from every layer the scenario drew at once
+// — shards, batched ingest, a WAL over a crashing filesystem, a spill
+// budget, an admission controller on a logical clock, a single-stepped
+// autopilot — held to one oracle per shard that is fed exactly the
+// tuples the admission model says were admitted. After every tuple
+// batch the loop asserts identical output multisets and identical
+// STATS-visible counters. A crash is an event inside that loop: the
+// runtime is closed, reopened on what reached the disk, and the
+// oracles are reconciled from the recovered counters.
 //
 // On mismatch the harness shrinks (Shrink) and prints a one-line
 // repro: go test ./internal/sim -run 'TestSim$' -sim.seed=N.
@@ -45,6 +32,7 @@ import (
 	"strings"
 
 	"jisc/internal/plan"
+	"jisc/internal/runtime"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -63,7 +51,11 @@ type Migration struct {
 // Migrations directly, so Run must treat the struct — not the seed —
 // as the source of truth.
 type Scenario struct {
-	Seed    uint64
+	Seed uint64
+	// Forced names the layer GenerateForced turned on regardless of the
+	// seed's own draw ("" for none); Repro prints the sweep that forces
+	// it again.
+	Forced  string
 	Streams int
 	// InitPlan is the initial plan's infix form; Migrations hold the
 	// switch targets (ascending At).
@@ -77,65 +69,146 @@ type Scenario struct {
 	Weights []float64
 	Events  []workload.Event
 	// BatchSize is the tuple-batch length between differential
-	// comparisons.
+	// comparisons, and the FeedBatch chunk length under UseFeedBatch.
 	BatchSize int
 	// CheckEvery is the Parallel Track discard-scan period.
 	CheckEvery int
-	// Shards, when > 1, additionally runs the sharded runtime against
-	// per-shard oracles.
-	Shards int
-	// CrashBudget, when > 0, additionally runs the durable runtime
-	// over a CrashFS with this write budget and asserts post-recovery
-	// equivalence. CheckpointAt, when > 0, takes a manual checkpoint
-	// before feeding that event index.
-	CrashBudget  int64
-	CheckpointAt int
 	// FaultSkip is test-only fault injection: every FaultSkip-th JISC
 	// completion episode is skipped (core.JISC.FaultSkipEveryNth). The
 	// self-test sets it to prove the oracle catches the lost results.
 	FaultSkip int
-	// UseFeedBatch routes the scenario through the batched ingest path
-	// as well: the engine's FeedBatch (migrations land mid-batch via
-	// the AfterFeed hook), the sharded runtime's FeedBatch, and — when
-	// the scenario also draws a crash — FEEDB WAL frames, each compared
-	// differentially against the per-event path. BatchSize doubles as
-	// the chunk length.
+
+	// The six layers. Each configures the one runtime under test; all
+	// that are on are on at once.
+
+	// Shards is the runtime's worker count; each shard is held to its
+	// own oracle.
+	Shards int
+	// UseFeedBatch feeds the runtime through FeedBatch (the scatter path,
+	// FEEDB WAL frames) instead of per-event Feed, and the bare JISC
+	// engine through engine.FeedBatch with scheduled migrations landing
+	// mid-batch from the AfterFeed hook.
 	UseFeedBatch bool
-	// UseAutopilot additionally runs the scenario under a
-	// single-stepped adaptive.Controller choosing plans from live
-	// selectivities (on top of the scheduled Migrations), compared
-	// against the plan-independent oracle. Autopilot scenarios draw a
-	// left-deep InitPlan, since the advisor only advises left-deep
-	// current plans.
+	// CrashBudget, when > 0, runs the runtime durably over a CrashFS
+	// that cuts writes after this many bytes; the runtime is then
+	// rebooted from what survived. CheckpointAt, when > 0, takes a manual
+	// checkpoint before feeding that event index.
+	CrashBudget  int64
+	CheckpointAt int
+	// UseAutopilot single-steps an adaptive.Controller on the runtime
+	// after every drained batch, on top of the scheduled Migrations.
+	// Autopilot scenarios draw a left-deep InitPlan, since the advisor
+	// only advises left-deep current plans.
 	UseAutopilot bool
-	// UseSpill additionally runs a JISC engine whose state is governed
-	// by SpillBudget bytes — cold buckets spill to an in-memory
-	// filesystem and fault back on probe — compared against the
-	// oracle. Budgets of a few hundred bytes force nearly all state
+	// UseSpill bounds each shard's resident state to SpillBudget bytes:
+	// cold buckets spill to an in-memory filesystem and fault back on
+	// probe. Budgets of a few hundred bytes force nearly all state
 	// through the spill/fault cycle.
 	UseSpill    bool
 	SpillBudget int64
-	// UseOverload additionally runs the scenario through an
-	// admission.Controller under a logical clock: a token bucket of
-	// OverloadRate tuples/sec (capacity OverloadBurst) sheds chunks, an
-	// OverloadBudget-byte in-flight budget rejects them, and the run is
-	// checked three ways — every admission decision against an
-	// independent arithmetic model (bit for bit), every offered tuple
-	// conserved across admitted/shed/rejected, and the engine's output
-	// against a drop-aware oracle fed exactly the admitted events.
-	UseOverload    bool
-	OverloadRate   float64
-	OverloadBurst  float64
-	OverloadBudget int64
+	// UseOverload puts an admission.Controller on a logical clock in
+	// front of the runtime: a token bucket of OverloadRate tuples/sec
+	// (capacity OverloadBurst) sheds, an OverloadBudget-byte in-flight
+	// budget rejects. The shard workers are held at their result
+	// hand-off, so admitted bytes stay in flight, and let go every
+	// OverloadDrainEvery batches.
+	UseOverload        bool
+	OverloadRate       float64
+	OverloadBurst      float64
+	OverloadBudget     int64
+	OverloadDrainEvery int
+}
+
+// layer is one optional dimension of a scenario. The table is the one
+// list of them: Generate rolls each from its own sub-seed, the forced
+// sweeps turn one on for every seed, the shrinker turns each off, and
+// the diversity test counts their co-occurrences.
+type layer struct {
+	// name labels the sub-seed, the forced sweep and the Describe dump.
+	name string
+	// odds: Generate turns the layer on for one seed in odds. Zero for
+	// the shard count, which is drawn with the shape (1–4, so on for ¾).
+	odds int
+	// draw turns the layer on, taking its parameters from rng.
+	draw func(sc *Scenario, rng *rand.Rand)
+	on   func(sc *Scenario) bool
+	off  func(sc *Scenario)
+	// acts are the tallies of Acted that show the layer did something.
+	acts []int
+}
+
+var layers = []layer{
+	{name: "sharded",
+		draw: func(sc *Scenario, rng *rand.Rand) {
+			if sc.Shards == 1 {
+				sc.Shards = 2 + rng.Intn(3)
+			}
+		},
+		on:   func(sc *Scenario) bool { return sc.Shards > 1 },
+		off:  func(sc *Scenario) { sc.Shards = 1 },
+		acts: []int{actOffShard}},
+	{name: "crash", odds: 3,
+		draw: func(sc *Scenario, rng *rand.Rand) {
+			n := len(sc.Events)
+			sc.CrashBudget = 256 + rng.Int63n(int64(n)*30)
+			if rng.Intn(2) == 0 {
+				sc.CheckpointAt = 1 + rng.Intn(n)
+			}
+		},
+		on:   func(sc *Scenario) bool { return sc.CrashBudget > 0 },
+		off:  func(sc *Scenario) { sc.CrashBudget, sc.CheckpointAt = 0, 0 },
+		acts: []int{actCrash, actCheckpointRecovery}},
+	{name: "batched", odds: 2,
+		draw: func(sc *Scenario, _ *rand.Rand) { sc.UseFeedBatch = true },
+		on:   func(sc *Scenario) bool { return sc.UseFeedBatch },
+		off:  func(sc *Scenario) { sc.UseFeedBatch = false },
+		acts: []int{actScatter}},
+	{name: "autopilot", odds: 4,
+		draw: func(sc *Scenario, rng *rand.Rand) {
+			sc.UseAutopilot = true
+			sc.InitPlan = plan.MustLeftDeep(shuffledStreams(rng, sc.Streams)...).String()
+		},
+		on:   func(sc *Scenario) bool { return sc.UseAutopilot },
+		off:  func(sc *Scenario) { sc.UseAutopilot = false },
+		acts: []int{actInstall}},
+	{name: "spill", odds: 3,
+		draw: func(sc *Scenario, rng *rand.Rand) {
+			sc.UseSpill = true
+			sc.SpillBudget = 128 + rng.Int63n(4096)
+		},
+		on:   func(sc *Scenario) bool { return sc.UseSpill },
+		off:  func(sc *Scenario) { sc.UseSpill = false },
+		acts: []int{actSpill, actFault}},
+	// The rate brackets the offered rate (BatchSize tuples per logical
+	// millisecond) from ~0.3× to ~1.7×, so admit and shed interleave;
+	// the burst spans one to four batches; the budget spans one to seven
+	// batches' cost against a queue held for one to eight, so draws
+	// below the hold back up into rejects.
+	{name: "overload", odds: 4,
+		draw: func(sc *Scenario, rng *rand.Rand) {
+			sc.UseOverload = true
+			sc.OverloadRate = (0.3 + 1.4*rng.Float64()) * float64(sc.BatchSize) * 1000
+			sc.OverloadBurst = float64(sc.BatchSize) * (1 + 3*rng.Float64())
+			sc.OverloadBudget = int64(sc.BatchSize) * runtime.EventBytes * int64(1+rng.Intn(7))
+			sc.OverloadDrainEvery = 1 + rng.Intn(8)
+		},
+		on:   func(sc *Scenario) bool { return sc.UseOverload },
+		off:  func(sc *Scenario) { sc.UseOverload = false },
+		acts: []int{actShed, actReject}},
 }
 
 // Generate derives a complete Scenario from one seed. Independent
-// sub-generators (shape, events, migrations, crash point) use labeled
+// sub-generators (shape, events, migrations, one per layer) use labeled
 // derived seeds, so the draws are uncorrelated but each is a pure
 // function of the scenario seed.
-func Generate(seed uint64) Scenario {
+func Generate(seed uint64) Scenario { return GenerateForced(seed, "") }
+
+// GenerateForced is Generate with the named layer on whatever the seed
+// rolled for it. A layer forced on draws its parameters from the same
+// sub-seed, so the forced sweeps see the generator's own distribution.
+func GenerateForced(seed uint64, force string) Scenario {
 	rng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "shape")))
-	sc := Scenario{Seed: seed}
+	sc := Scenario{Seed: seed, Forced: force}
 	sc.Streams = 3 + rng.Intn(4)
 	sc.Domain = int64(2 + rng.Intn(9))
 	if rng.Intn(4) == 0 {
@@ -191,37 +264,11 @@ func Generate(seed uint64) Scenario {
 	sc.CheckEvery = 3 + mrng.Intn(9)
 	sc.Shards = 1 + mrng.Intn(4)
 
-	crng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "crash")))
-	if crng.Intn(3) == 0 {
-		sc.CrashBudget = 256 + crng.Int63n(int64(n)*30)
-		if crng.Intn(2) == 0 {
-			sc.CheckpointAt = 1 + crng.Intn(n)
+	for _, l := range layers {
+		lrng := rand.New(rand.NewSource(workload.DeriveSeed(seed, l.name)))
+		if rolled := l.odds > 0 && lrng.Intn(l.odds) == 0; rolled || l.name == force {
+			l.draw(&sc, lrng)
 		}
-	}
-
-	brng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "feedbatch")))
-	sc.UseFeedBatch = brng.Intn(2) == 0
-
-	arng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "autopilot")))
-	if arng.Intn(4) == 0 {
-		sc.UseAutopilot = true
-		ids := make([]tuple.StreamID, sc.Streams)
-		for i := range ids {
-			ids[i] = tuple.StreamID(i)
-		}
-		arng.Shuffle(sc.Streams, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		sc.InitPlan = plan.MustLeftDeep(ids...).String()
-	}
-
-	srng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "spill")))
-	if srng.Intn(3) == 0 {
-		sc.UseSpill = true
-		sc.SpillBudget = 128 + srng.Int63n(4096)
-	}
-
-	orng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "overload")))
-	if orng.Intn(4) == 0 {
-		drawOverload(&sc, orng)
 	}
 	return sc
 }
@@ -261,15 +308,21 @@ func limitFanout(sc *Scenario) {
 	}
 }
 
-// randPlan draws a random plan over streams 0..streams-1: a shuffled
-// left-deep order two thirds of the time, a random bushy tree
-// otherwise.
-func randPlan(rng *rand.Rand, streams int) string {
+// shuffledStreams draws a random order of streams 0..streams-1.
+func shuffledStreams(rng *rand.Rand, streams int) []tuple.StreamID {
 	ids := make([]tuple.StreamID, streams)
 	for i := range ids {
 		ids[i] = tuple.StreamID(i)
 	}
 	rng.Shuffle(streams, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	return ids
+}
+
+// randPlan draws a random plan over streams 0..streams-1: a shuffled
+// left-deep order two thirds of the time, a random bushy tree
+// otherwise.
+func randPlan(rng *rand.Rand, streams int) string {
+	ids := shuffledStreams(rng, streams)
 	if rng.Intn(3) > 0 {
 		return plan.MustLeftDeep(ids...).String()
 	}
@@ -290,8 +343,10 @@ func randPlan(rng *rand.Rand, streams int) string {
 // its seed instead.
 func Describe(sc Scenario) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  seed=%d streams=%d domain=%d dist=%d windows=%v shards=%d batch=%d checkEvery=%d crashBudget=%d ckptAt=%d faultSkip=%d feedBatch=%v autopilot=%v spill=%v spillBudget=%d overload=%v rate=%.1f oburst=%.1f obudget=%d\n",
-		sc.Seed, sc.Streams, sc.Domain, sc.Dist, sc.Windows, sc.Shards, sc.BatchSize, sc.CheckEvery, sc.CrashBudget, sc.CheckpointAt, sc.FaultSkip, sc.UseFeedBatch, sc.UseAutopilot, sc.UseSpill, sc.SpillBudget, sc.UseOverload, sc.OverloadRate, sc.OverloadBurst, sc.OverloadBudget)
+	fmt.Fprintf(&b, "  seed=%d streams=%d domain=%d dist=%d windows=%v batch=%d checkEvery=%d faultSkip=%d\n",
+		sc.Seed, sc.Streams, sc.Domain, sc.Dist, sc.Windows, sc.BatchSize, sc.CheckEvery, sc.FaultSkip)
+	fmt.Fprintf(&b, "  layers: forced=%q shards=%d feedBatch=%v crashBudget=%d ckptAt=%d autopilot=%v spill=%v spillBudget=%d overload=%v rate=%.1f oburst=%.1f obudget=%d drainEvery=%d\n",
+		sc.Forced, sc.Shards, sc.UseFeedBatch, sc.CrashBudget, sc.CheckpointAt, sc.UseAutopilot, sc.UseSpill, sc.SpillBudget, sc.UseOverload, sc.OverloadRate, sc.OverloadBurst, sc.OverloadBudget, sc.OverloadDrainEvery)
 	fmt.Fprintf(&b, "  plan %s\n", sc.InitPlan)
 	for _, m := range sc.Migrations {
 		fmt.Fprintf(&b, "  migrate@%d -> %s\n", m.At, m.Plan)

@@ -3,12 +3,12 @@ package sim
 import "jisc/internal/workload"
 
 // Shrink reduces a failing scenario to a minimal one that still
-// fails, ddmin-style: first truncate to the first divergence point
-// and strip the scenario's extra comparisons (crash run, sharding),
-// then alternately drop migrations and remove event chunks of halving
-// size until neither makes progress or the run budget is spent. check
-// is usually Run; because Run is deterministic, rerunning the
-// original seed reproduces the same minimal scenario.
+// fails, ddmin-style: first truncate to the first divergence point and
+// turn off every layer the failure does not need, then alternately
+// drop migrations and remove event chunks of halving size until
+// neither makes progress or the run budget is spent. check is usually
+// Run; because Run is deterministic, rerunning the original seed
+// reproduces the same minimal scenario.
 func Shrink(sc Scenario, m *Mismatch, check func(Scenario) *Mismatch, budget int) (Scenario, *Mismatch) {
 	best, bestM := sc, m
 	runs := 0
@@ -28,39 +28,15 @@ func Shrink(sc Scenario, m *Mismatch, check func(Scenario) *Mismatch, budget int
 		if bestM.Batch <= 0 || bestM.Batch >= len(best.Events) {
 			return false
 		}
-		return try(truncated(best, bestM.Batch))
+		return try(without(best, bestM.Batch, len(best.Events)-bestM.Batch))
 	}
 	truncate()
 
-	if best.CrashBudget != 0 || best.CheckpointAt != 0 {
-		c := best
-		c.CrashBudget, c.CheckpointAt = 0, 0
-		try(c)
-	}
-	if best.Shards > 1 {
-		c := best
-		c.Shards = 1
-		try(c)
-	}
-	if best.UseFeedBatch {
-		c := best
-		c.UseFeedBatch = false
-		try(c)
-	}
-	if best.UseAutopilot {
-		c := best
-		c.UseAutopilot = false
-		try(c)
-	}
-	if best.UseSpill {
-		c := best
-		c.UseSpill = false
-		try(c)
-	}
-	if best.UseOverload {
-		c := best
-		c.UseOverload = false
-		try(c)
+	for _, l := range layers {
+		if c := best; l.on(&c) {
+			l.off(&c)
+			try(c)
+		}
 	}
 
 	for progress := true; progress && runs < budget; {
@@ -92,24 +68,9 @@ func Shrink(sc Scenario, m *Mismatch, check func(Scenario) *Mismatch, budget int
 	return best, bestM
 }
 
-// truncated cuts the event log to its first n events, dropping
-// migrations scheduled after the cut.
-func truncated(sc Scenario, n int) Scenario {
-	c := sc
-	c.Events = append([]workload.Event{}, sc.Events[:n]...)
-	c.Migrations = nil
-	for _, m := range sc.Migrations {
-		if m.At <= n {
-			c.Migrations = append(c.Migrations, m)
-		}
-	}
-	clampAux(&c)
-	return c
-}
-
 // without removes the event chunk [start, start+size), remapping
 // migration indices so each switch keeps its position relative to the
-// surviving events.
+// surviving events, and keeping the checkpoint inside the log.
 func without(sc Scenario, start, size int) Scenario {
 	c := sc
 	c.Events = append(append([]workload.Event{}, sc.Events[:start]...), sc.Events[start+size:]...)
@@ -124,14 +85,6 @@ func without(sc Scenario, start, size int) Scenario {
 		}
 		c.Migrations = append(c.Migrations, Migration{At: at, Plan: m.Plan})
 	}
-	clampAux(&c)
+	c.CheckpointAt = min(c.CheckpointAt, len(c.Events))
 	return c
-}
-
-// clampAux keeps the auxiliary draw points inside the shrunk event
-// log.
-func clampAux(c *Scenario) {
-	if c.CheckpointAt > len(c.Events) {
-		c.CheckpointAt = len(c.Events)
-	}
 }

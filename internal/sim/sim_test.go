@@ -7,23 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"jisc/internal/plan"
-	"jisc/internal/tuple"
-	"jisc/internal/workload"
 )
-
-// leftDeepShuffle draws a seeded left-deep order, mirroring Generate's
-// autopilot branch for scenarios the generator didn't draw it on.
-func leftDeepShuffle(seed uint64, streams int) string {
-	rng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "autopilot-forced")))
-	ids := make([]tuple.StreamID, streams)
-	for i := range ids {
-		ids[i] = tuple.StreamID(i)
-	}
-	rng.Shuffle(streams, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	return plan.MustLeftDeep(ids...).String()
-}
 
 var (
 	simN    = flag.Int("sim.n", 200, "scenarios per TestSim run (seeds sim.base..sim.base+sim.n-1)")
@@ -31,32 +15,34 @@ var (
 	simSeed = flag.Uint64("sim.seed", 0, "when non-zero, run exactly this scenario seed (repro mode)")
 )
 
-func runSeed(t *testing.T, seed uint64) {
+// runSeed generates the seed's scenario with one layer forced on (""
+// for none), runs it, and on a divergence shrinks it and fails with a
+// repro line that names the sweep to paste.
+func runSeed(t *testing.T, seed uint64, forced string) Acted {
 	t.Helper()
-	sc := Generate(seed)
-	m := Run(sc)
-	if m == nil {
-		return
+	sc := GenerateForced(seed, forced)
+	acted, m := run(sc)
+	if m != nil {
+		min, mm := Shrink(sc, m, Run, 400)
+		t.Fatalf("scenario %d: %s\nrepro: %s\nminimal failing scenario (%d events, %d migrations):\n%s",
+			seed, mm, mm.Repro(), len(min.Events), len(min.Migrations), Describe(min))
 	}
-	min, mm := Shrink(sc, m, Run, 400)
-	t.Fatalf("scenario %d: %s\nrepro: %s\nminimal failing scenario (%d events, %d migrations):\n%s",
-		seed, mm, mm.Repro(), len(min.Events), len(min.Migrations), Describe(min))
+	return acted
 }
 
 // TestSim is the differential sweep: -sim.n seeded scenarios, each
-// run under all four engines (plus sharded and crash/recovery
-// comparisons where the scenario draws them). A single scenario can
-// be replayed with -sim.seed=N — the repro line every failure prints.
+// run once with every layer it drew. A single scenario can be replayed
+// with -sim.seed=N — the repro line every failure prints.
 func TestSim(t *testing.T) {
 	if *simSeed != 0 {
-		runSeed(t, *simSeed)
+		runSeed(t, *simSeed, "")
 		return
 	}
 	for seed := *simBase; seed < *simBase+uint64(*simN); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runSeed(t, seed)
+			runSeed(t, seed, "")
 		})
 	}
 }
@@ -74,198 +60,113 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestScenarioDiversity checks the generator actually exercises the
 // dimensions the harness exists for: migrations, back-to-back
-// switches, multiple shards, crash points, zipf skew, bushy plans.
+// switches, zipf skew, every layer — and every combination of layers:
+// each pair of the six must co-occur, and so must crash × spill ×
+// overload, the three that change what a tuple's fate can be.
 func TestScenarioDiversity(t *testing.T) {
-	var migrations, backToBack, sharded, crashes, zipf, bushy, batched, batchedCrash, autopilot, spill, overload int
 	const n = 300
+	counts := map[string]int{}
 	for seed := uint64(1); seed <= n; seed++ {
 		sc := Generate(seed)
 		if len(sc.Migrations) > 0 {
-			migrations++
-		}
-		if sc.UseSpill {
-			spill++
-		}
-		if sc.UseOverload {
-			overload++
-		}
-		if sc.UseFeedBatch {
-			batched++
-			if sc.CrashBudget > 0 {
-				batchedCrash++
-			}
+			counts["migrations"]++
 		}
 		for i := 1; i < len(sc.Migrations); i++ {
 			if sc.Migrations[i].At == sc.Migrations[i-1].At {
-				backToBack++
+				counts["back-to-back"]++
 				break
 			}
 		}
-		if sc.Shards > 1 {
-			sharded++
-		}
-		if sc.UseAutopilot {
-			autopilot++
-		}
-		if sc.CrashBudget > 0 {
-			crashes++
-		}
 		if sc.Dist != 0 {
-			zipf++
+			counts["zipf"]++
 		}
-		if strings.Contains(sc.InitPlan, "((") || strings.Contains(sc.InitPlan, "))") {
-			// Left-deep plans over ≥3 streams always nest strictly one
-			// side; doubled parens on both ends appear only in bushy
-			// shapes. Cheap proxy, exact enough for a diversity floor.
-			bushy++
-		}
-	}
-	for name, got := range map[string]int{
-		"migrations": migrations, "back-to-back": backToBack, "sharded": sharded,
-		"crashes": crashes, "zipf": zipf,
-		"batched": batched, "batched-crash": batchedCrash,
-		"autopilot": autopilot, "spill": spill, "overload": overload,
-	} {
-		if got < n/20 {
-			t.Errorf("generator drew %q in only %d/%d scenarios", name, got, n)
-		}
-	}
-	_ = bushy // shape variety is asserted indirectly by the sweep itself
-}
-
-// TestSimBatchedEquivalence forces the batched ingest dimension on for
-// every seed regardless of the generator's draw, so the FeedBatch
-// paths (engine mid-batch migrations, the sharded scatter, FEEDB crash
-// frames) get dense differential coverage even in a short sweep.
-func TestSimBatchedEquivalence(t *testing.T) {
-	crashes := 0
-	for seed := uint64(1); seed <= 120; seed++ {
-		seed := seed
-		sc := Generate(seed)
-		sc.UseFeedBatch = true
-		if sc.CrashBudget > 0 {
-			crashes++
-		}
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			if m := runBatched(sc); m != nil {
-				t.Fatalf("runBatched: %s", m)
+		for i, a := range layers {
+			if !a.on(&sc) {
+				continue
 			}
-			if sc.Shards > 1 {
-				if m := runShardedBatched(sc); m != nil {
-					t.Fatalf("runShardedBatched: %s", m)
+			counts[a.name]++
+			for _, b := range layers[i+1:] {
+				if b.on(&sc) {
+					counts[a.name+" × "+b.name]++
 				}
 			}
-			if sc.CrashBudget > 0 {
-				if m := runCrash(sc); m != nil {
-					t.Fatalf("batched runCrash: %s", m)
-				}
-			}
-		})
+		}
+		if sc.CrashBudget > 0 && sc.UseSpill && sc.UseOverload {
+			counts["crash × spill × overload"]++
+		}
 	}
-	if crashes < 6 {
-		t.Errorf("only %d/120 forced-batch scenarios drew a crash; the FEEDB crash path is under-covered", crashes)
+	floor := func(name string, min int) {
+		t.Logf("%-26s %d", name, counts[name])
+		if counts[name] < min {
+			t.Errorf("generator drew %q in only %d/%d scenarios, want at least %d", name, counts[name], n, min)
+		}
 	}
+	for _, name := range []string{"migrations", "back-to-back", "zipf"} {
+		floor(name, n/20)
+	}
+	for i, a := range layers {
+		floor(a.name, n/20)
+		for _, b := range layers[i+1:] {
+			floor(a.name+" × "+b.name, 5)
+		}
+	}
+	floor("crash × spill × overload", 3)
 }
 
-// TestSimAutopilotEquivalence forces the autopilot dimension on for
-// every seed regardless of the generator's draw, so the controller's
-// decisions (on top of each scenario's scheduled migrations) get dense
-// differential coverage. Across the forced sweep the controller must
-// actually install plans — a dimension that never acts covers nothing.
-func TestSimAutopilotEquivalence(t *testing.T) {
-	var installs uint64
-	var mu sync.Mutex
-	for seed := uint64(1); seed <= 120; seed++ {
+// forcedSweep runs seeds 1..n with one layer forced on for every seed,
+// whatever the generator rolled for it, so the layer gets dense
+// coverage — in combination with whatever else each seed drew — even in
+// a short sweep. Across the sweep the layer must actually act: a
+// runtime that never spills, a cut that never fires, a limiter that
+// never sheds covers nothing. -sim.seed=N replays one seed of the
+// sweep, which is the repro line its failures print.
+func forcedSweep(t *testing.T, name string, n uint64) {
+	if *simSeed != 0 {
+		runSeed(t, *simSeed, name)
+		return
+	}
+	var (
+		mu  sync.Mutex
+		sum Acted
+	)
+	for seed := uint64(1); seed <= n; seed++ {
 		seed := seed
-		sc := Generate(seed)
-		if !sc.UseAutopilot {
-			// Mirror what Generate does for autopilot draws: the advisor
-			// only advises left-deep current plans.
-			sc.UseAutopilot = true
-			sc.InitPlan = leftDeepShuffle(seed, sc.Streams)
-		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			m, n := runAutopilotCount(sc)
-			if m != nil {
-				t.Fatalf("runAutopilot: %s", m)
-			}
+			acted := runSeed(t, seed, name)
 			mu.Lock()
-			installs += n
-			mu.Unlock()
+			defer mu.Unlock()
+			for i, c := range acted {
+				sum[i] += c
+			}
 		})
 	}
 	t.Cleanup(func() {
-		if installs == 0 {
-			t.Errorf("the autopilot installed no plan across 120 forced scenarios; the dimension is inert")
+		for i, c := range sum {
+			t.Logf("%-26s %d", actNames[i], c)
+		}
+		for _, l := range layers {
+			if l.name != name {
+				continue
+			}
+			for _, act := range l.acts {
+				if sum[act] == 0 {
+					t.Errorf("no %s across %d scenarios with the %s layer forced on; the layer is inert", actNames[act], n, name)
+				}
+			}
 		}
 	})
 }
 
-// TestSimSpillEquivalence forces the tiered-state dimension on for
-// every seed: a JISC engine under a tiny randomized byte budget — so
-// nearly all state lives in spill segments and every probe faults —
-// must match the oracle exactly, scheduled migrations included. Sixty
-// seeds: thrashing budgets make spill runs an order of magnitude
-// slower than the other forced sweeps, and the 5000-scenario CI sweep
-// exercises the dimension on ~1/3 of its seeds anyway.
-func TestSimSpillEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 60; seed++ {
-		seed := seed
-		sc := Generate(seed)
-		if !sc.UseSpill {
-			rng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "spill-forced")))
-			sc.UseSpill = true
-			sc.SpillBudget = 128 + rng.Int63n(4096)
-		}
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			if m := runSpill(sc); m != nil {
-				t.Fatalf("runSpill: %s", m)
-			}
-		})
-	}
-}
-
-// TestSimOverloadEquivalence forces the admission dimension on for
-// every seed regardless of the generator's draw, so the overload run
-// — logical-clock admission decisions checked bit for bit against the
-// independent bucket/budget model, conservation, and the drop-aware
-// oracle — gets dense coverage in a short sweep. Across the forced
-// sweep both degradation rungs must actually fire: a dimension whose
-// limiter never sheds and whose budget never rejects covers nothing.
-func TestSimOverloadEquivalence(t *testing.T) {
-	var sheds, rejects uint64
-	var mu sync.Mutex
-	for seed := uint64(1); seed <= 120; seed++ {
-		seed := seed
-		sc := Generate(seed)
-		if !sc.UseOverload {
-			rng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "overload-forced")))
-			drawOverload(&sc, rng)
-		}
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			m, s, r := runOverloadCount(sc)
-			if m != nil {
-				t.Fatalf("runOverload: %s", m)
-			}
-			mu.Lock()
-			sheds += s
-			rejects += r
-			mu.Unlock()
-		})
-	}
-	t.Cleanup(func() {
-		if sheds == 0 {
-			t.Errorf("the rate limiter shed nothing across 120 forced scenarios; the shed rung is inert")
-		}
-		if rejects == 0 {
-			t.Errorf("the in-flight budget rejected nothing across 120 forced scenarios; the reject rung is inert")
-		}
-	})
-}
+// One sweep per row of the layers table; sweepName maps a layer to its
+// test. Fewer seeds where thrashing spill budgets make a run slow, and
+// where the layer is on for most seeds anyway.
+func TestSimShardedEquivalence(t *testing.T)   { forcedSweep(t, "sharded", 40) }
+func TestSimCrashEquivalence(t *testing.T)     { forcedSweep(t, "crash", 120) }
+func TestSimBatchedEquivalence(t *testing.T)   { forcedSweep(t, "batched", 120) }
+func TestSimAutopilotEquivalence(t *testing.T) { forcedSweep(t, "autopilot", 120) }
+func TestSimSpillEquivalence(t *testing.T)     { forcedSweep(t, "spill", 60) }
+func TestSimOverloadEquivalence(t *testing.T)  { forcedSweep(t, "overload", 120) }
 
 // TestSimCatchesInjectedFault is the harness's self-test (the
 // acceptance criterion of the simulation PR): deliberately skipping
@@ -313,5 +214,35 @@ func TestShrinkPreservesMigrationPositions(t *testing.T) {
 		if m.At != want[i] {
 			t.Errorf("migration %d: At=%d, want %d", i, m.At, want[i])
 		}
+	}
+}
+
+// TestShrinkDropsUnneededLayers holds the shrinker to its layer list:
+// a failure that needs only the spill layer must come back with every
+// other layer off.
+func TestShrinkDropsUnneededLayers(t *testing.T) {
+	sc := Generate(1)
+	rng := rand.New(rand.NewSource(1))
+	for _, l := range layers {
+		l.draw(&sc, rng)
+		if !l.on(&sc) {
+			t.Fatalf("drawing the %s layer left it off", l.name)
+		}
+	}
+	needsSpill := func(c Scenario) *Mismatch {
+		if !c.UseSpill {
+			return nil
+		}
+		return &Mismatch{Scenario: c, Engine: "fake"}
+	}
+	min, _ := Shrink(sc, needsSpill(sc), needsSpill, 400)
+	for _, l := range layers {
+		if on := l.on(&min); on != (l.name == "spill") {
+			t.Errorf("shrunk scenario has the %s layer on=%v", l.name, on)
+		}
+	}
+	if min.Shards != 1 || min.CrashBudget != 0 || min.CheckpointAt != 0 || min.UseFeedBatch {
+		t.Errorf("shrunk scenario keeps shards=%d crashBudget=%d ckptAt=%d feedBatch=%v, want one shard, no crash, per-event feed",
+			min.Shards, min.CrashBudget, min.CheckpointAt, min.UseFeedBatch)
 	}
 }
