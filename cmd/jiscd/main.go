@@ -85,6 +85,111 @@ func parseBytes(flagName, s string, allowOff bool) (int64, error) {
 	return n * mult, nil
 }
 
+// options holds the value of every flag; config is the one place they
+// are checked and turned into the server's configuration.
+type options struct {
+	addr, plan, strategy, telemetry   string
+	window, queue, shards, maxConns   int
+	timeSpan                          uint64
+	shed, auto                        bool
+	wal, fsync, stateBudget, spillDir string
+	fsyncInterval, checkpointInterval time.Duration
+	autoInterval, autoCooldown        time.Duration
+	ingestRate, ingestBurst           float64
+	inflightBudget                    string
+	feedDeadline, readTimeout         time.Duration
+	writeTimeout, drainTimeout        time.Duration
+}
+
+// config validates the flags against each other and builds the server
+// configuration. A flag that would silently do nothing — because the
+// flag it modifies is off — is an error naming it. -shed and
+// -feed-deadline with -wal are refused by the runtime's own validation,
+// which reaches the operator through server.New.
+func (o options) config() (server.Config, error) {
+	var cfg server.Config
+	p, err := plan.Parse(o.plan)
+	if err != nil {
+		return cfg, fmt.Errorf("bad -plan: %w", err)
+	}
+	var strategy engine.Strategy
+	switch o.strategy {
+	case "jisc":
+		strategy = core.New()
+	case "moving-state":
+		strategy = migrate.MovingState{}
+	case "static":
+		strategy = engine.Static{}
+	default:
+		return cfg, fmt.Errorf("unknown -strategy %q (want jisc, moving-state, or static)", o.strategy)
+	}
+	overflow := runtime.Block
+	if o.shed {
+		overflow = runtime.Shed
+	}
+	stateBudget, err := parseBytes("state-budget", o.stateBudget, true)
+	if err != nil {
+		return cfg, err
+	}
+	inflightBudget, err := parseBytes("inflight-budget", o.inflightBudget, false)
+	if err != nil {
+		return cfg, err
+	}
+	policy, err := durable.ParsePolicy(o.fsync)
+	if err != nil {
+		return cfg, fmt.Errorf("bad -fsync: %w", err)
+	}
+	switch {
+	case o.wal == "" && o.fsyncInterval != 0:
+		return cfg, fmt.Errorf("-fsync-interval %v without -wal: there is no log to group-commit", o.fsyncInterval)
+	case o.wal == "" && o.checkpointInterval != 0:
+		return cfg, fmt.Errorf("-checkpoint-interval %v without -wal: there is no directory to checkpoint into", o.checkpointInterval)
+	case o.ingestBurst != 0 && o.ingestRate == 0:
+		return cfg, fmt.Errorf("-ingest-burst %v without -ingest-rate: an unlimited rate has no bucket to burst above", o.ingestBurst)
+	case o.spillDir != "" && stateBudget < 0:
+		return cfg, fmt.Errorf("-spill-dir %s with -state-budget off: nothing will ever spill there", o.spillDir)
+	}
+	var dur durable.Options
+	if o.wal != "" {
+		dur = durable.Options{
+			Dir:                o.wal,
+			Fsync:              policy,
+			FlushInterval:      o.fsyncInterval,
+			CheckpointInterval: o.checkpointInterval,
+		}
+	}
+	return server.Config{
+		Pipeline: runtime.Config{
+			Engine: engine.Config{
+				Plan:        p,
+				WindowSize:  o.window,
+				TimeSpan:    o.timeSpan,
+				Strategy:    strategy,
+				StateBudget: stateBudget,
+				SpillDir:    o.spillDir,
+			},
+			QueueSize: o.queue,
+			Overflow:  overflow,
+			Shards:    o.shards,
+		},
+		Durable: dur,
+		Adaptive: adaptive.Config{
+			Interval: o.autoInterval,
+			Cooldown: o.autoCooldown,
+		},
+		AutoStart: o.auto,
+		Admission: admission.Config{
+			MaxConns:      o.maxConns,
+			Rate:          o.ingestRate,
+			Burst:         o.ingestBurst,
+			InflightBytes: inflightBudget,
+			FeedDeadline:  o.feedDeadline,
+		},
+		ReadTimeout:  o.readTimeout,
+		WriteTimeout: o.writeTimeout,
+	}, nil
+}
+
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7878", "listen address")
@@ -116,109 +221,50 @@ func main() {
 		drainTO      = flag.Duration("drain-timeout", 30*time.Second, "SIGTERM graceful-drain bound: how long to wait for in-flight batches to flush before giving up and exiting non-zero (0 = wait forever)")
 	)
 	flag.Parse()
+	o := options{
+		addr: *addr, plan: *planSrc, strategy: *strat, telemetry: *telemetry,
+		window: *window, queue: *queue, shards: *shards, maxConns: *maxConns,
+		timeSpan: *timeSpan, shed: *shedding, auto: *auto,
+		wal: *walDir, fsync: *fsyncMode, stateBudget: *budget, spillDir: *spillDir,
+		fsyncInterval: *fsyncIvl, checkpointInterval: *ckptIvl,
+		autoInterval: *autoIvl, autoCooldown: *autoCool,
+		ingestRate: *ingestRate, ingestBurst: *ingestBurst, inflightBudget: *inflight,
+		feedDeadline: *feedDeadline, readTimeout: *readTimeout,
+		writeTimeout: *writeTimeout, drainTimeout: *drainTO,
+	}
 
 	die := func(err error) {
 		fmt.Fprintf(os.Stderr, "jiscd: %v\n", err)
 		os.Exit(1)
 	}
-
-	p, err := plan.Parse(*planSrc)
+	cfg, err := o.config()
 	if err != nil {
 		die(err)
 	}
-	var strategy engine.Strategy
-	switch *strat {
-	case "jisc":
-		strategy = core.New()
-	case "moving-state":
-		strategy = migrate.MovingState{}
-	case "static":
-		strategy = engine.Static{}
-	default:
-		die(fmt.Errorf("unknown strategy %q", *strat))
-	}
-	overflow := runtime.Block
-	if *shedding {
-		overflow = runtime.Shed
-	}
-	stateBudget, err := parseBytes("state-budget", *budget, true)
+	srv, err := server.New(cfg)
 	if err != nil {
 		die(err)
 	}
-	inflightBudget, err := parseBytes("inflight-budget", *inflight, false)
-	if err != nil {
-		die(err)
-	}
-
-	var dur durable.Options
-	if *walDir != "" {
-		// -shed and -feed-deadline are refused with -wal by the runtime's
-		// own validation, which reaches die through server.New.
-		policy, err := durable.ParsePolicy(*fsyncMode)
-		if err != nil {
-			die(err)
-		}
-		dur = durable.Options{
-			Dir:                *walDir,
-			Fsync:              policy,
-			FlushInterval:      *fsyncIvl,
-			CheckpointInterval: *ckptIvl,
-		}
-	}
-
-	srv, err := server.New(server.Config{
-		Pipeline: runtime.Config{
-			Engine: engine.Config{
-				Plan:        p,
-				WindowSize:  *window,
-				TimeSpan:    *timeSpan,
-				Strategy:    strategy,
-				StateBudget: stateBudget,
-				SpillDir:    *spillDir,
-			},
-			QueueSize: *queue,
-			Overflow:  overflow,
-			Shards:    *shards,
-		},
-		Durable: dur,
-		Adaptive: adaptive.Config{
-			Interval: *autoIvl,
-			Cooldown: *autoCool,
-		},
-		AutoStart: *auto,
-		Admission: admission.Config{
-			MaxConns:      *maxConns,
-			Rate:          *ingestRate,
-			Burst:         *ingestBurst,
-			InflightBytes: inflightBudget,
-			FeedDeadline:  *feedDeadline,
-		},
-		ReadTimeout:  *readTimeout,
-		WriteTimeout: *writeTimeout,
-	})
-	if err != nil {
-		die(err)
-	}
-	if dur.Enabled() {
+	if cfg.Durable.Enabled() {
 		ds := srv.DurableStats()
 		fmt.Printf("jiscd: recovered from %s in %.3fs (%d events replayed, %d torn tails truncated; fsync %s)\n",
-			*walDir, float64(ds.RecoveryNs)/1e9, ds.RecoveredEvents, ds.TornTruncations, dur.Fsync)
+			o.wal, float64(ds.RecoveryNs)/1e9, ds.RecoveredEvents, ds.TornTruncations, cfg.Durable.Fsync)
 	}
-	if err := srv.Listen(*addr); err != nil {
+	if err := srv.Listen(o.addr); err != nil {
 		die(err)
 	}
-	if *telemetry != "" {
-		if err := srv.ServeTelemetry(*telemetry); err != nil {
+	if o.telemetry != "" {
+		if err := srv.ServeTelemetry(o.telemetry); err != nil {
 			die(err)
 		}
 		fmt.Printf("jiscd: telemetry on http://%s/metrics\n", srv.TelemetryAddr())
 	}
 	autopilot := ""
-	if *auto {
+	if o.auto {
 		autopilot = ", autopilot on"
 	}
 	fmt.Printf("jiscd: serving %s on %s (strategy %s, window %d, shards %d%s)\n",
-		p, srv.Addr(), *strat, *window, *shards, autopilot)
+		cfg.Pipeline.Engine.Plan, srv.Addr(), o.strategy, o.window, o.shards, autopilot)
 
 	// SIGTERM is the rolling-restart signal: stop accepting, fence new
 	// work behind BUSY, flush everything admitted, checkpoint (when
@@ -228,7 +274,7 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	if got := <-sig; got == syscall.SIGTERM {
 		fmt.Println("jiscd: draining (SIGTERM)")
-		if err := srv.Drain(*drainTO); err != nil {
+		if err := srv.Drain(o.drainTimeout); err != nil {
 			fmt.Fprintf(os.Stderr, "jiscd: drain: %v\n", err)
 			os.Exit(1)
 		}

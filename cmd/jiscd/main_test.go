@@ -11,6 +11,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"jisc/internal/durable"
+	"jisc/internal/runtime"
+	"jisc/internal/server"
 )
 
 // buildJiscd compiles the daemon once per test binary.
@@ -221,6 +225,76 @@ func TestParseBytes(t *testing.T) {
 			if !strings.Contains(msg, "-some-budget") || strings.Contains(msg, `or "off"`) != tc.allowOff {
 				t.Errorf("parseBytes(%q, off=%v) error %q: want the flag named and \"off\" offered only where it is accepted", tc.in, tc.allowOff, msg)
 			}
+		}
+	}
+}
+
+// flagDefaults is options as parsing no arguments leaves it.
+func flagDefaults() options {
+	return options{
+		addr: "127.0.0.1:7878", plan: "0,1,2", window: 10000, strategy: "jisc",
+		queue: 4096, shards: 1, fsync: "batch", drainTimeout: 30 * time.Second,
+	}
+}
+
+// TestOptionsConfig drives the one validation pass: what the flags
+// build, and that a flag which could only be ignored — a modifier of
+// something that is off — is refused with its name in the message.
+func TestOptionsConfig(t *testing.T) {
+	cfg, err := flagDefaults().config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng := cfg.Pipeline.Engine; eng.Plan.String() != "((0⋈1)⋈2)" || eng.WindowSize != 10000 || eng.Strategy.Name() != "jisc" ||
+		cfg.Pipeline.QueueSize != 4096 || cfg.Pipeline.Shards != 1 || cfg.Durable.Enabled() {
+		t.Errorf("defaults built %+v", cfg)
+	}
+
+	for _, tc := range []struct {
+		name string
+		set  func(*options)
+		want string // substring of the error; "" = accepted
+		ok   func(server.Config) bool
+	}{
+		{name: "wal", set: func(o *options) {
+			o.wal, o.fsync, o.fsyncInterval, o.checkpointInterval = "/w", "always", time.Millisecond, -1
+		}, ok: func(c server.Config) bool {
+			d := c.Durable
+			return d.Dir == "/w" && d.Fsync == durable.FsyncAlways && d.FlushInterval == time.Millisecond && d.CheckpointInterval == -1
+		}},
+		{name: "admission", set: func(o *options) {
+			o.ingestRate, o.ingestBurst, o.inflightBudget, o.maxConns = 50, 5, "8k", 2
+		}, ok: func(c server.Config) bool {
+			a := c.Admission
+			return a.Rate == 50 && a.Burst == 5 && a.InflightBytes == 8<<10 && a.MaxConns == 2
+		}},
+		{name: "spill", set: func(o *options) { o.stateBudget, o.spillDir, o.shed = "1m", "/s", true }, ok: func(c server.Config) bool {
+			return c.Pipeline.Engine.StateBudget == 1<<20 && c.Pipeline.Engine.SpillDir == "/s" && c.Pipeline.Overflow == runtime.Shed
+		}},
+		{name: "spill dir with an auto budget", set: func(o *options) { o.spillDir = "/s" }, ok: func(c server.Config) bool {
+			return c.Pipeline.Engine.StateBudget == 0
+		}},
+		{name: "bad plan", set: func(o *options) { o.plan = "(0 1" }, want: "-plan"},
+		{name: "bad strategy", set: func(o *options) { o.strategy = "eager" }, want: "-strategy"},
+		{name: "bad state budget", set: func(o *options) { o.stateBudget = "lots" }, want: "-state-budget"},
+		{name: "bad inflight budget", set: func(o *options) { o.inflightBudget = "off" }, want: "-inflight-budget"},
+		{name: "misspelt fsync with wal", set: func(o *options) { o.wal, o.fsync = "/w", "alway" }, want: "-fsync"},
+		{name: "misspelt fsync without wal", set: func(o *options) { o.fsync = "alway" }, want: "-fsync"},
+		{name: "fsync interval without wal", set: func(o *options) { o.fsyncInterval = time.Millisecond }, want: "-fsync-interval"},
+		{name: "checkpoint interval without wal", set: func(o *options) { o.checkpointInterval = -1 }, want: "-checkpoint-interval"},
+		{name: "burst without rate", set: func(o *options) { o.ingestBurst = 100 }, want: "-ingest-burst"},
+		{name: "spill dir with budget off", set: func(o *options) { o.stateBudget, o.spillDir = "off", "/s" }, want: "-spill-dir"},
+	} {
+		o := flagDefaults()
+		tc.set(&o)
+		cfg, err := o.config()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want == "" && !tc.ok(cfg):
+			t.Errorf("%s: built %+v", tc.name, cfg)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -52,10 +52,9 @@ func New() *JISC { return &JISC{} }
 func (c *JISC) Name() string { return "jisc" }
 
 // OnTransition implements engine.Strategy. The engine has already
-// performed the buffer-clearing phase (§4.1), re-attached surviving
-// states (keeping §4.5 completeness), and created the incomplete
-// states. JISC only arms the §4.3 completion counters, bottom-up so
-// Case 1/2 classification sees children first.
+// re-attached surviving states (keeping §4.5 completeness) and created
+// the incomplete states. JISC only arms the §4.3 completion counters,
+// bottom-up so Case 1/2 classification sees children first.
 func (c *JISC) OnTransition(e *engine.Engine) error {
 	for _, n := range e.Nodes() {
 		if n.IsLeaf() {
@@ -71,25 +70,14 @@ func (c *JISC) OnTransition(e *engine.Engine) error {
 // BeforeProbe implements engine.Strategy: when a tuple is about to
 // probe an incomplete state whose entries for the tuple's join
 // attribute value were never computed, complete exactly those entries
-// (Procedure 1 lines 5–6). The per-state attempted set guarantees the
-// §4.4 at-most-once property; the per-stream fresh flag is the paper's
-// O(1) fast path and is only trusted on left-deep plans, where the
-// probing tuple of an incomplete state is always a base tuple (in
-// bushy plans a composite's driving tuple may be attempted even though
-// this state never saw its key).
-func (c *JISC) BeforeProbe(e *engine.Engine, j, opp *engine.Node, t *tuple.Tuple, fresh bool) {
+// (Procedure 1 lines 5–6). The per-state attempted set is Definition
+// 2's classification and the §4.4 at-most-once guarantee in one place:
+// it is asked only while the state is incomplete, is bounded by the
+// state's keys, and is dropped when the state completes.
+func (c *JISC) BeforeProbe(e *engine.Engine, j, opp *engine.Node, t *tuple.Tuple) {
 	switch {
 	case opp.St != nil:
-		if opp.St.Complete() {
-			return
-		}
-		if !fresh && t.IsBase() && !c.DisableLeftDeepFastPath {
-			// Attempted base tuple: an earlier tuple with the same
-			// key from the same stream already drove this exact
-			// probe path since the transition.
-			return
-		}
-		if opp.St.Attempted(t.Key) {
+		if opp.St.Complete() || opp.St.Attempted(t.Key) {
 			return
 		}
 		if c.faultSkip() {

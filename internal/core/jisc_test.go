@@ -137,6 +137,59 @@ func TestRepeatedProbesCompleteOnce(t *testing.T) {
 	}
 }
 
+// Definition 2 is read off the probed state's attempted set and nothing
+// else: while the state stays incomplete, the first tuple with a key
+// after a transition starts a completion episode and marks the key, the
+// second with the same key starts none; a later transition that builds
+// the state anew starts with nothing attempted, and the same key
+// completes again.
+func TestAttemptedKeyCompletesOncePerTransition(t *testing.T) {
+	var out []engine.Delta
+	rec := &obs.Recorder{}
+	e := engine.MustNew(engine.Config{
+		Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 100, Strategy: New(), Obs: rec,
+		Output: func(d engine.Delta) { d.Tuple = d.Tuple.Clone(); out = append(out, d) },
+	})
+	defer e.Close()
+	// Two keys on both sides of the state to come, so completing one
+	// leaves the other pending and the state incomplete.
+	for _, k := range []tuple.Value{5, 6} {
+		e.Feed(ev(0, k))
+		e.Feed(ev(2, k))
+	}
+	with02, without := plan.MustLeftDeep(0, 2, 1), plan.MustLeftDeep(0, 1, 2)
+	migrate := func(p *plan.Plan) {
+		t.Helper()
+		if err := e.Migrate(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string, episodes uint64, attempted bool) {
+		t.Helper()
+		st := e.NodeBySet(tuple.NewStreamSet(0, 2)).St
+		if st.Complete() {
+			t.Fatalf("%s: {0,2} completed; the attempted set is no longer what decides", step)
+		}
+		if got := rec.Completion.Count(); got != episodes || st.Attempted(5) != attempted {
+			t.Fatalf("%s: %d episodes, attempted(5)=%v; want %d and %v", step, got, st.Attempted(5), episodes, attempted)
+		}
+	}
+	migrate(with02)
+	check("after the transition", 0, false)
+	e.Feed(ev(1, 5))
+	check("first key-5 probe", 1, true)
+	e.Feed(ev(1, 5))
+	check("second key-5 probe", 1, true)
+	migrate(without) // {0,2} is discarded …
+	migrate(with02)  // … and born again, empty
+	check("after the next transition", 1, false)
+	e.Feed(ev(1, 5))
+	check("first key-5 probe of the new state", 2, true)
+	if len(out) != 3 {
+		t.Fatalf("%d results, want one per stream-1 tuple", len(out))
+	}
+}
+
 // A post-transition tuple inserts entries into an incomplete state via
 // normal processing; a later probe of the same key must still complete
 // the pre-transition entries (the contains-check fast path of the
@@ -378,7 +431,7 @@ func TestRevisionStreamEquivalence(t *testing.T) {
 		stream := fnv.New64a()
 		e := engine.MustNew(engine.Config{
 			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 6,
-			Strategy: strat, EmitExpiry: true, Deterministic: true,
+			Strategy: strat, EmitExpiry: true,
 			Output: func(d engine.Delta) {
 				fp := d.Tuple.Fingerprint()
 				fmt.Fprintf(stream, "%v %s\n", d.Retraction, fp)

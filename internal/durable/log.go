@@ -12,7 +12,6 @@ import (
 
 	"jisc/internal/obs"
 	"jisc/internal/storage"
-	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
 
@@ -246,11 +245,6 @@ func (l *Log) rotateLocked(nextSeq uint64) error {
 		l.stats.Rotations.Add(1)
 	}
 	return l.openSegmentLocked(nextSeq)
-}
-
-// AppendFeed logs one input tuple and returns its sequence number.
-func (l *Log) AppendFeed(stream tuple.StreamID, key tuple.Value) (uint64, error) {
-	return l.append(Record{Kind: KindFeed, Stream: stream, Key: key})
 }
 
 // AppendFeedBatch logs a whole ingest batch as one feedbatch record —

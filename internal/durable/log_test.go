@@ -8,7 +8,13 @@ import (
 
 	"jisc/internal/storage"
 	"jisc/internal/tuple"
+	"jisc/internal/workload"
 )
+
+// appendOne logs one tuple the way the runtime does: a feedbatch of one.
+func appendOne(l *Log, stream tuple.StreamID, key tuple.Value) (uint64, error) {
+	return l.AppendFeedBatch([]workload.Event{{Stream: stream, Key: key}})
+}
 
 func testOptions(dir string) Options {
 	return Options{
@@ -41,7 +47,7 @@ func TestLogAppendAssignsContiguousSeqs(t *testing.T) {
 	l := openTestLog(t, testOptions(dir), dir)
 	defer l.Close()
 	for i := 1; i <= 5; i++ {
-		seq, err := l.AppendFeed(0, tuple.Value(i))
+		seq, err := appendOne(l, 0, tuple.Value(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +75,7 @@ func TestLogRotationAndTruncation(t *testing.T) {
 	defer l.Close()
 	var lastSeq uint64
 	for i := 0; i < 50; i++ {
-		if lastSeq, err = l.AppendFeed(1, tuple.Value(i)); err != nil {
+		if lastSeq, err = appendOne(l, 1, tuple.Value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +109,7 @@ func TestLogBatchPolicyFlushesOnInterval(t *testing.T) {
 	opts.FlushInterval = time.Millisecond
 	l := openTestLog(t, opts, dir)
 	defer l.Close()
-	if _, err := l.AppendFeed(0, 7); err != nil {
+	if _, err := appendOne(l, 0, 7); err != nil {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, segmentName(1))
@@ -122,7 +128,7 @@ func TestLogBatchPolicyFlushesOnInterval(t *testing.T) {
 func TestLogCloseIsIdempotentAndFinal(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	l := openTestLog(t, testOptions(dir), dir)
-	if _, err := l.AppendFeed(0, 1); err != nil {
+	if _, err := appendOne(l, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -131,7 +137,7 @@ func TestLogCloseIsIdempotentAndFinal(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendFeed(0, 2); !errors.Is(err, ErrLogClosed) {
+	if _, err := appendOne(l, 0, 2); !errors.Is(err, ErrLogClosed) {
 		t.Fatalf("append after close: %v, want ErrLogClosed", err)
 	}
 	if err := l.Sync(); !errors.Is(err, ErrLogClosed) {
@@ -148,7 +154,7 @@ func TestLogCrashLeavesDecodablePrefix(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "wal")
 		l := openTestLog(t, testOptions(dir), dir)
 		for i := 0; i < 10; i++ {
-			if _, err := l.AppendFeed(0, tuple.Value(i)); err != nil {
+			if _, err := appendOne(l, 0, tuple.Value(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -175,7 +181,7 @@ func TestLogCrashLeavesDecodablePrefix(t *testing.T) {
 		}
 		applied := 0
 		for i := 0; i < 10; i++ {
-			if _, err := l.AppendFeed(0, tuple.Value(i)); err != nil {
+			if _, err := appendOne(l, 0, tuple.Value(i)); err != nil {
 				break
 			}
 			applied++
@@ -190,8 +196,8 @@ func TestLogCrashLeavesDecodablePrefix(t *testing.T) {
 		}
 		decoded := 0
 		valid, serr := scanFrames(data, func(r Record) error {
-			if r.Key != tuple.Value(decoded) {
-				t.Fatalf("budget %d: record %d has key %d", budget, decoded, r.Key)
+			if len(r.Events) != 1 || r.Events[0].Key != tuple.Value(decoded) {
+				t.Fatalf("budget %d: record %d carries %v", budget, decoded, r.Events)
 			}
 			decoded++
 			return nil

@@ -29,15 +29,15 @@ import (
 // the seq they cover; replay skips records at or below it.
 //
 // feedbatch (the FEEDB frame) carries a whole ingest batch under one
-// seq and one fsync. Old logs written before it existed contain only
-// per-event feed frames and decode unchanged; new logs may interleave
-// both kinds freely.
+// seq and one fsync, and is the only feed record written: a lone tuple
+// is a batch of one. The per-event feed frame earlier builds wrote is
+// still decoded and replayed, alone or interleaved with feedbatch.
 
 // RecordKind discriminates log records.
 type RecordKind uint8
 
 const (
-	// KindFeed is one input tuple.
+	// KindFeed is one input tuple: read, never written (see above).
 	KindFeed RecordKind = iota + 1
 	// KindMigrate is a plan transition (the plan's infix form).
 	KindMigrate

@@ -100,7 +100,7 @@ func TestRecoverShardEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if _, err := log.AppendFeed(evs[i].Stream, evs[i].Key); err != nil {
+				if _, err := appendOne(log, evs[i].Stream, evs[i].Key); err != nil {
 					t.Fatal(err)
 				}
 				liveEng.Feed(evs[i])
@@ -137,7 +137,7 @@ func TestRecoverShardEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if _, err := rec.Log.AppendFeed(evs[i].Stream, evs[i].Key); err != nil {
+				if _, err := appendOne(rec.Log, evs[i].Stream, evs[i].Key); err != nil {
 					t.Fatal(err)
 				}
 				rec.Engine.Feed(evs[i])
@@ -187,7 +187,7 @@ func TestRecoverShardFromCheckpointPlusTail(t *testing.T) {
 	}
 	ckptAt := len(evs) / 2
 	for i, ev := range evs {
-		if _, err := log.AppendFeed(ev.Stream, ev.Key); err != nil {
+		if _, err := appendOne(log, ev.Stream, ev.Key); err != nil {
 			t.Fatal(err)
 		}
 		eng.Feed(ev)
@@ -297,7 +297,7 @@ func TestRecoverShardFromOlderCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := log.AppendFeed(evs[i].Stream, evs[i].Key); err != nil {
+		if _, err := appendOne(log, evs[i].Stream, evs[i].Key); err != nil {
 			t.Fatal(err)
 		}
 		if i == ckptAt-1 {
@@ -378,7 +378,7 @@ func TestRecoverShardRefusesMidLogCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := log.AppendFeed(0, tuple.Value(i)); err != nil {
+		if _, err := appendOne(log, 0, tuple.Value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,7 +418,7 @@ func TestRecoverShardTruncatesTornActiveTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := log.AppendFeed(0, tuple.Value(i)); err != nil {
+		if _, err := appendOne(log, 0, tuple.Value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -445,7 +445,7 @@ func TestRecoverShardTruncatesTornActiveTail(t *testing.T) {
 		t.Fatalf("torn tail not accounted: bytes=%d truncations=%d", rec.TornBytes, stats.TornTruncations.Load())
 	}
 	// The log must continue from the surviving sequence.
-	seq, err := rec.Log.AppendFeed(0, 99)
+	seq, err := appendOne(rec.Log, 0, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestRecoverShardFeedBatchFrames(t *testing.T) {
 		j := min(i+batch, len(evs))
 		if j-i == 1 {
 			// Mix in a per-event frame so both kinds coexist in one log.
-			if _, err := log.AppendFeed(evs[i].Stream, evs[i].Key); err != nil {
+			if _, err := appendOne(log, evs[i].Stream, evs[i].Key); err != nil {
 				t.Fatal(err)
 			}
 		} else if _, err := log.AppendFeedBatch(evs[i:j]); err != nil {

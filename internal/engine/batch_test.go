@@ -54,10 +54,9 @@ func TestFeedBatchEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
 			cfg := func(out *[]Delta) engine.Config {
 				return engine.Config{
-					Plan:          plan.MustLeftDeep(0, 1, 2),
-					WindowSize:    8,
-					Deterministic: true,
-					Output:        collect(out),
+					Plan:       plan.MustLeftDeep(0, 1, 2),
+					WindowSize: 8,
+					Output:     collect(out),
 				}
 			}
 			var refOut, batOut []Delta
@@ -97,7 +96,7 @@ func TestFeedBatchMidBatchMigration(t *testing.T) {
 	const migrateAt = 103 // mid-batch for every chunk size below
 
 	var refOut []Delta
-	ref := engine.MustNew(engine.Config{Plan: p0, WindowSize: 8, Strategy: core.New(), Deterministic: true, Output: collect(&refOut)})
+	ref := engine.MustNew(engine.Config{Plan: p0, WindowSize: 8, Strategy: core.New(), Output: collect(&refOut)})
 	for i, ev := range evs {
 		if i == migrateAt {
 			if err := ref.Migrate(p1); err != nil {
@@ -113,7 +112,7 @@ func TestFeedBatchMidBatchMigration(t *testing.T) {
 		var bat *engine.Engine
 		var migErr error
 		bat = engine.MustNew(engine.Config{
-			Plan: p0, WindowSize: 8, Strategy: core.New(), Deterministic: true,
+			Plan: p0, WindowSize: 8, Strategy: core.New(),
 			Output: collect(&batOut),
 			AfterFeed: func(uint64) {
 				fed++
@@ -147,34 +146,21 @@ func TestFeedBatchMidBatchMigration(t *testing.T) {
 	}
 }
 
-// TestFeedBatchDrainsPending: tuples already in the §4.1 input buffer
-// are older than the batch and must be processed first.
-func TestFeedBatchDrainsPending(t *testing.T) {
-	var out []Delta
-	e := engine.MustNew(engine.Config{Plan: plan.MustLeftDeep(0, 1), Output: collect(&out)})
-	e.Enqueue(ev(0, 7))
-	e.FeedBatch([]workload.Event{ev(1, 7)})
-	if len(out) != 1 {
-		t.Fatalf("want the enqueued tuple drained before the batch (1 join result), got %d", len(out))
-	}
-	if got := e.Metrics().Input; got != 2 {
-		t.Fatalf("Input = %d, want 2", got)
-	}
-}
-
 // TestFeedBatchRecordsFill: the batch-fill histogram counts one
-// observation per batch, valued at the batch length.
+// observation per batch, valued at the batch length — and a lone Feed
+// is a batch of one.
 func TestFeedBatchRecordsFill(t *testing.T) {
 	rec := &obs.Recorder{}
 	e := engine.MustNew(engine.Config{Plan: plan.MustLeftDeep(0, 1), Obs: rec})
 	evs := []workload.Event{ev(0, 1), ev(1, 1), ev(0, 2), ev(1, 2), ev(0, 3), ev(1, 3)}
 	e.FeedBatch(evs[:3])
 	e.FeedBatch(evs[3:])
+	e.Feed(ev(0, 4))
 	s := rec.Snapshot()
-	if s.BatchFill.Count != 2 {
-		t.Fatalf("BatchFill.Count = %d, want 2", s.BatchFill.Count)
+	if s.BatchFill.Count != 3 {
+		t.Fatalf("BatchFill.Count = %d, want 3", s.BatchFill.Count)
 	}
-	if s.BatchFill.Sum != 6 {
-		t.Fatalf("BatchFill.Sum = %d, want 6", s.BatchFill.Sum)
+	if s.BatchFill.Sum != 7 {
+		t.Fatalf("BatchFill.Sum = %d, want 7", s.BatchFill.Sum)
 	}
 }

@@ -24,6 +24,10 @@ import (
 // where the crashed one left off. Version 3 added RootStored, since a
 // hash root's output state exists only under EmitExpiry (storesOutput);
 // version 2 checkpoints always carry it, and Restore still reads them.
+// Checkpoints of either version written by earlier builds also carry
+// the transition tick and a per-stream map of each key's last arrival;
+// gob skips fields the struct no longer names, and the per-state
+// attempted sets those shadowed are all a restored engine needs.
 const (
 	snapVersion       = 3
 	snapVersionRootIn = 2
@@ -73,22 +77,20 @@ type windowSnap struct {
 }
 
 type engineSnap struct {
-	Version        int
-	Plan           string
-	Kind           int
-	WindowSize     int
-	TimeSpan       uint64
-	Tick           uint64
-	TransitionTick uint64
-	Seqs           map[tuple.StreamID]uint64
-	LastArrival    map[tuple.StreamID]map[tuple.Value]uint64
-	Born           map[tuple.StreamSet]uint64
-	Tables         []tableSnap
-	Lists          []listSnap
-	Windows        []windowSnap
-	Probes         map[tuple.StreamSet]uint64
-	Matches        map[tuple.StreamSet]uint64
-	Counters       metrics.Snapshot
+	Version    int
+	Plan       string
+	Kind       int
+	WindowSize int
+	TimeSpan   uint64
+	Tick       uint64
+	Seqs       map[tuple.StreamID]uint64
+	Born       map[tuple.StreamSet]uint64
+	Tables     []tableSnap
+	Lists      []listSnap
+	Windows    []windowSnap
+	Probes     map[tuple.StreamSet]uint64
+	Matches    map[tuple.StreamSet]uint64
+	Counters   metrics.Snapshot
 	// RootStored reports that the root's table snapshot holds the
 	// root's output state; false for a hash root checkpointed without
 	// EmitExpiry, whose table is empty by construction.
@@ -96,27 +98,21 @@ type engineSnap struct {
 }
 
 // Checkpoint writes the engine's execution state to w. The engine must
-// be quiescent (no Feed in progress); input buffers must be drained
-// first (call Drain).
+// be quiescent (no Feed in progress).
 func (e *Engine) Checkpoint(w io.Writer) error {
-	if len(e.pending) > 0 {
-		return fmt.Errorf("engine: checkpoint with %d buffered tuples; Drain first", len(e.pending))
-	}
 	snap := engineSnap{
-		Version:        snapVersion,
-		Plan:           e.plan.String(),
-		Kind:           int(e.cfg.Kind),
-		WindowSize:     e.cfg.WindowSize,
-		TimeSpan:       e.cfg.TimeSpan,
-		Tick:           e.tick,
-		TransitionTick: e.transitionTick,
-		Seqs:           map[tuple.StreamID]uint64{},
-		LastArrival:    map[tuple.StreamID]map[tuple.Value]uint64{},
-		Born:           e.born,
-		Probes:         map[tuple.StreamSet]uint64{},
-		Matches:        map[tuple.StreamSet]uint64{},
-		Counters:       e.met.Snapshot(),
-		RootStored:     e.storesOutput(e.root),
+		Version:    snapVersion,
+		Plan:       e.plan.String(),
+		Kind:       int(e.cfg.Kind),
+		WindowSize: e.cfg.WindowSize,
+		TimeSpan:   e.cfg.TimeSpan,
+		Tick:       e.tick,
+		Seqs:       map[tuple.StreamID]uint64{},
+		Born:       e.born,
+		Probes:     map[tuple.StreamSet]uint64{},
+		Matches:    map[tuple.StreamSet]uint64{},
+		Counters:   e.met.Snapshot(),
+		RootStored: e.storesOutput(e.root),
 	}
 	for _, n := range e.Nodes() {
 		snap.Probes[n.Set] = n.Probes
@@ -146,7 +142,6 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	for _, id := range e.plan.Streams.Streams() {
 		st := &e.streams[id]
 		snap.Seqs[id] = st.seq
-		snap.LastArrival[id] = st.lastArrival
 		ws := windowSnap{Stream: id}
 		switch win := st.window.(type) {
 		case *window.TimeWindow:
@@ -215,12 +210,8 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 
 	e.met.Restore(snap.Counters)
 	e.tick = snap.Tick
-	e.transitionTick = snap.TransitionTick
 	for _, id := range p.Streams.Streams() {
 		e.streams[id].seq = snap.Seqs[id]
-		if m := snap.LastArrival[id]; m != nil {
-			e.streams[id].lastArrival = m
-		}
 	}
 	for set, born := range snap.Born {
 		e.born[set] = born

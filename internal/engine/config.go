@@ -44,10 +44,6 @@ type Config struct {
 	// Output receives root results — lent, not given (see Output); nil
 	// is allowed, and then an unstored root builds none.
 	Output Output
-	// Observer, when non-nil, receives a TransitionEvent after every
-	// plan transition's classification — the observability hook
-	// monitoring and tests use to watch migrations.
-	Observer func(TransitionEvent)
 	// Obs, when non-nil, turns on latency instrumentation: per-tuple
 	// feed latency, sampled per-operator probe/build time, Migrate
 	// duration, and (through the recorder's Tracer) migration
@@ -87,31 +83,9 @@ type Config struct {
 	// (default 1 MiB). The simulation harness shrinks it to force
 	// multi-segment stores under tiny budgets.
 	SpillSegmentBytes int64
-	// Deterministic makes the engine bit-for-bit reproducible across
-	// processes: key sets iterated during state completion and eager
-	// fills (IterKeys) are visited in sorted order instead of Go's
-	// randomized map order. Output multisets never depend on that
-	// order, but intermediate insertion orders do — the simulation
-	// harness's shrinker re-runs scenarios and relies on every run of
-	// a seed behaving identically. Costs one sort per completion; off
-	// by default.
-	Deterministic bool
 	// AfterFeed, when non-nil, runs after each input tuple has been
-	// processed to completion, with the tuple's arrival tick. Unlike
-	// wrapping Feed, it also fires for tuples drained from the input
-	// buffer during Migrate's buffer-clearing phase — the batch
-	// boundary callback the simulation harness observes per-tuple
-	// progress through.
+	// processed to completion, with the tuple's arrival tick — inside a
+	// FeedBatch too, where wrapping Feed would see only the batch. The
+	// simulation harness observes per-tuple progress through it.
 	AfterFeed func(tick uint64)
-}
-
-// TransitionEvent describes one applied plan transition.
-type TransitionEvent struct {
-	// Old and New are the plans' infix forms.
-	Old, New string
-	// Complete and Incomplete count the new plan's join states by
-	// Definition 1 classification.
-	Complete, Incomplete int
-	// Tick is the arrival tick at which the transition applied.
-	Tick uint64
 }

@@ -7,20 +7,21 @@
 // states when the plan changes at runtime.
 //
 // The engine is deterministic and single-threaded: Feed processes one
-// input tuple to completion before returning, which makes the
-// cross-strategy equivalence tests exact. Package pipeline provides
-// the concurrent sharded harness around it.
+// input tuple to completion before returning and nothing depends on map
+// order, which makes the equivalence tests and the work-counter gates
+// exact. The §4.1 input buffer is package runtime's shard queue, which
+// is also the concurrent sharded harness around it.
 //
 // File layout (the runtime layer, see DESIGN.md):
 //
 //	engine.go     Engine struct, construction, the feed hot path
-//	config.go     Config and TransitionEvent
+//	config.go     Config
 //	operator.go   Kind, Node, the Operator interface, Executor
 //	hashjoin.go   symmetric hash join operator
 //	nljoin.go     nested-loops theta join operator
 //	setdiff.go    streaming set-difference operator
 //	install.go    plan → operator tree construction, state store
-//	transition.go Migrate and the §4.1 buffer-clearing phase
+//	transition.go Migrate
 //	evict.go      bottom-up eviction propagation, §4.3 counters
 //	static.go     the no-migration baseline strategy
 package engine
@@ -28,7 +29,7 @@ package engine
 import (
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"jisc/internal/metrics"
@@ -52,15 +53,15 @@ import (
 // changes.
 type Strategy interface {
 	Name() string
-	// OnTransition runs after the buffer-clearing phase, with the new
-	// operator tree built and surviving states re-attached. The
-	// engine has already marked states absent from the old plan
-	// incomplete; the strategy decides how/when they get filled.
+	// OnTransition runs with the new operator tree built and surviving
+	// states re-attached. The engine has already marked states absent
+	// from the old plan incomplete; the strategy decides how/when they
+	// get filled.
 	OnTransition(e *Engine) error
 	// BeforeProbe runs when t, pushed up from child `from`, is about
 	// to probe the state of the opposite child `opp` at join j. JISC
 	// completes missing entries here; eager strategies do nothing.
-	BeforeProbe(e *Engine, j, opp *Node, t *tuple.Tuple, fresh bool)
+	BeforeProbe(e *Engine, j, opp *Node, t *tuple.Tuple)
 	// EvictContinue reports whether eviction propagation must proceed
 	// past join j although no stored entry matched (§4.2: removals
 	// continue through incomplete states).
@@ -100,15 +101,8 @@ type Engine struct {
 	// it single-threaded without locks.
 	bld *tuple.Builder
 
-	// tick is the global arrival counter; transitionTick is the tick
-	// of the most recent plan transition (Definition 2 freshness).
-	tick           uint64
-	transitionTick uint64
-
-	// pending models the input buffers of §4.1: tuples received but
-	// not yet processed. Migrate drains it through the old plan (the
-	// buffer-clearing phase) before switching.
-	pending []workload.Event
+	// tick is the global arrival counter.
+	tick uint64
 }
 
 // streamState is what the engine keeps per input stream.
@@ -116,9 +110,6 @@ type streamState struct {
 	scan   *Node // the stream's leaf in the current operator tree
 	window window.Slider
 	seq    uint64 // of the stream's newest tuple
-	// lastArrival[key] is the tick of the most recent arrival of key,
-	// backing Definition 2's fresh/attempted classification in O(1).
-	lastArrival map[tuple.Value]uint64
 }
 
 // stream returns id's feed state; a stream outside the plan is a
@@ -196,7 +187,6 @@ func New(cfg Config) (*Engine, error) {
 			}
 			st.window = window.New(id, size)
 		}
-		st.lastArrival = make(map[tuple.Value]uint64)
 	}
 	if cfg.StateBudget > 0 {
 		opts := statestore.Options{
@@ -257,9 +247,6 @@ func (e *Engine) Scan(id tuple.StreamID) *Node {
 
 // Tick returns the global arrival counter.
 func (e *Engine) Tick() uint64 { return e.tick }
-
-// TransitionTick returns the tick of the most recent transition.
-func (e *Engine) TransitionTick() uint64 { return e.transitionTick }
 
 // Metrics implements Executor. The collector is atomic, so this is
 // safe to call from any goroutine, concurrently with Feed.
@@ -340,36 +327,23 @@ func (e *Engine) StateBytes() int64 {
 	return b
 }
 
-// Feed implements Executor: enqueue and immediately process ev.
+// Feed implements Executor: a batch of one.
 func (e *Engine) Feed(ev workload.Event) {
-	e.pending = append(e.pending, ev)
-	e.drain()
+	evs := [1]workload.Event{ev}
+	e.FeedBatch(evs[:])
 }
 
-// FeedStamped processes ev immediately using caller-assigned identity:
-// seq is the per-stream sequence number and tick the global arrival
-// tick, both strictly increasing. It lets several plan instances agree
-// on tuple identity (Parallel Track runs the same input through old
-// and new plans and deduplicates by provenance). FeedStamped bypasses
-// the input buffer and must not be mixed with Enqueue.
-func (e *Engine) FeedStamped(ev workload.Event, seq, tick uint64) {
-	e.processStamped(e.stream(ev.Stream), ev, seq, tick)
-}
-
-// FeedBatch processes evs in arrival order, observably identical to
-// len(evs) consecutive Feed calls — same window slides, same eviction
-// points, same counters — but with the per-tuple entry overhead paid
-// once per batch: a single obs sampling decision and at most one clock
-// pair (recording the mean per-tuple latency), plus one batch-fill
-// observation. Config.AfterFeed still fires after every tuple, so a
-// deterministic harness can interleave Migrate calls mid-batch; the
-// engine's input buffer is drained first so previously Enqueued tuples
-// stay older than the batch.
+// FeedBatch processes evs in arrival order, each tuple to completion
+// before the next — same window slides, same eviction points, same
+// counters as feeding them one call at a time — with the entry
+// overhead paid once per call: a single obs sampling decision and at
+// most one clock pair (recording the mean per-tuple latency), plus one
+// batch-fill observation. Config.AfterFeed fires after every tuple, so
+// a deterministic harness can interleave Migrate calls mid-batch.
 func (e *Engine) FeedBatch(evs []workload.Event) {
 	if len(evs) == 0 {
 		return
 	}
-	e.drain()
 	var start time.Time
 	timed := e.obs.SampleFeed()
 	if timed {
@@ -389,59 +363,23 @@ func (e *Engine) FeedBatch(evs []workload.Event) {
 	e.obs.ObserveBatchFill(len(evs))
 }
 
-// Enqueue buffers ev without processing — used by tests that exercise
-// the §4.1 buffer-clearing phase explicitly, and by the Parallel Track
-// wrapper.
-func (e *Engine) Enqueue(ev workload.Event) { e.pending = append(e.pending, ev) }
-
-// Drain processes all buffered tuples through the current plan.
-func (e *Engine) Drain() { e.drain() }
-
-func (e *Engine) drain() {
-	for i := 0; i < len(e.pending); i++ {
-		e.process(e.pending[i])
-	}
-	e.pending = e.pending[:0]
-	if cap(e.pending) > 1024 {
-		e.pending = nil
-	}
+// FeedStamped processes ev using caller-assigned identity: seq is the
+// per-stream sequence number and tick the global arrival tick, both
+// strictly increasing. It lets several plan instances agree on tuple
+// identity (Parallel Track runs the same input through old and new
+// plans and deduplicates by provenance). Latency sampling and
+// Config.AfterFeed are FeedBatch's.
+func (e *Engine) FeedStamped(ev workload.Event, seq, tick uint64) {
+	e.processCore(e.stream(ev.Stream), ev, seq, tick)
 }
 
-// process runs one input tuple through the pipeline to completion,
-// assigning the next sequence number and tick.
-func (e *Engine) process(ev workload.Event) {
-	st := e.stream(ev.Stream)
-	e.processStamped(st, ev, st.seq+1, e.tick+1)
-}
-
-func (e *Engine) processStamped(st *streamState, ev workload.Event, seq, tick uint64) {
-	var start time.Time
-	timedFeed := e.obs.SampleFeed()
-	if timedFeed {
-		start = e.now()
-	}
-	e.processCore(st, ev, seq, tick)
-	if timedFeed {
-		e.obs.Feed.Record(e.now().Sub(start))
-	}
-	if e.cfg.AfterFeed != nil {
-		e.cfg.AfterFeed(e.tick)
-	}
-}
-
-// processCore is the per-tuple pipeline — window slide, eviction, scan
-// insert, probe/build push-up — without the obs sampling or AfterFeed
-// hook, which the per-event and batched entry points layer differently.
+// processCore is the per-tuple pipeline: window slide, eviction, scan
+// insert, probe/build push-up.
 func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint64) {
 	scan := st.scan
 	e.tick = tick
 	e.met.Input.Add(1)
 	st.seq = seq
-
-	// Definition 2: fresh iff no tuple with this key arrived on this
-	// stream since the last transition.
-	fresh := st.lastArrival[ev.Key] <= e.transitionTick
-	st.lastArrival[ev.Key] = e.tick
 
 	// Slide the window first so the new tuple never joins expired ones.
 	for _, expired := range st.window.Slide(tuple.Ref{Stream: ev.Stream, Seq: seq}, ev.Key, e.tick) {
@@ -451,29 +389,28 @@ func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint6
 	t := e.bld.Base(ev.Stream, seq, ev.Key, e.tick)
 	scan.St.Insert(t)
 	e.met.Inserts.Add(1)
-	e.pushUp(scan, t, fresh)
+	e.pushUp(scan, t)
 }
 
-// IterKeys returns st's distinct keys for iteration by a strategy's
-// completion or eager-fill pass: sorted ascending when the engine was
-// configured Deterministic, in map order otherwise.
+// IterKeys returns st's distinct keys in ascending order for a
+// strategy's eager fill or full completion pass, so insertion orders —
+// and with them spill victims and fault counts — never depend on map
+// order. The per-key completion path does not come through here.
 func (e *Engine) IterKeys(st *state.Table) []tuple.Value {
 	keys := st.Keys()
-	if e.cfg.Deterministic {
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	}
+	slices.Sort(keys)
 	return keys
 }
 
 // pushUp delivers t (the freshly produced output of child) to child's
 // parent operator, recursing upward; at the root it emits.
-func (e *Engine) pushUp(child *Node, t *tuple.Tuple, fresh bool) {
+func (e *Engine) pushUp(child *Node, t *tuple.Tuple) {
 	j := child.Parent
 	if j == nil {
 		e.emit(Delta{Tuple: t})
 		return
 	}
-	j.Op.Push(e, j, child, t, fresh)
+	j.Op.Push(e, j, child, t)
 }
 
 // emit delivers a root result.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"jisc/internal/obs"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
@@ -145,10 +146,10 @@ func TestMigrateRejectsDifferentStreams(t *testing.T) {
 // classification directly.
 type nopStrategy struct{}
 
-func (nopStrategy) Name() string                                          { return "nop" }
-func (nopStrategy) OnTransition(*Engine) error                            { return nil }
-func (nopStrategy) BeforeProbe(*Engine, *Node, *Node, *tuple.Tuple, bool) {}
-func (nopStrategy) EvictContinue(*Engine, *Node, tuple.Value) bool        { return false }
+func (nopStrategy) Name() string                                    { return "nop" }
+func (nopStrategy) OnTransition(*Engine) error                      { return nil }
+func (nopStrategy) BeforeProbe(*Engine, *Node, *Node, *tuple.Tuple) {}
+func (nopStrategy) EvictContinue(*Engine, *Node, tuple.Value) bool  { return false }
 
 func TestMigrationClassifiesStates(t *testing.T) {
 	e := MustNew(Config{Plan: plan.MustLeftDeep(0, 1, 2, 3), Strategy: nopStrategy{}})
@@ -205,65 +206,6 @@ func TestOverlappedTransitionKeepsIncomplete(t *testing.T) {
 		t.Fatalf("Born changed across overlapped transition: %d -> %d", born, n12b.Born)
 	}
 }
-
-func TestBufferClearingPhase(t *testing.T) {
-	var out []Delta
-	e := MustNew(Config{Plan: plan.MustLeftDeep(0, 1, 2), Strategy: nopStrategy{}, Output: collect(&out)})
-	// Buffer tuples without processing, then migrate: the §4.1
-	// buffer-clearing phase must process them through the OLD plan.
-	e.Enqueue(ev(0, 3))
-	e.Enqueue(ev(1, 3))
-	e.Enqueue(ev(2, 3))
-	if err := e.Migrate(plan.MustLeftDeep(2, 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("buffered tuples not drained through old plan: %d outputs", len(out))
-	}
-	// The old plan's state {0,1} must have been populated during the
-	// drain and then discarded; the new {2,1} state starts incomplete.
-	if n := e.NodeBySet(tuple.NewStreamSet(1, 2)); n.St.Complete() {
-		t.Error("{1,2} should be incomplete")
-	}
-}
-
-func TestFreshnessTracking(t *testing.T) {
-	e := MustNew(Config{Plan: plan.MustLeftDeep(0, 1, 2), Strategy: recordFresh{}})
-	freshLog = nil
-	e.Feed(ev(2, 5))
-	e.Feed(ev(2, 5))
-	if err := e.Migrate(plan.MustLeftDeep(0, 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	e.Feed(ev(2, 5)) // first arrival of (2,5) after transition: fresh
-	e.Feed(ev(2, 5)) // attempted
-	e.Feed(ev(2, 6)) // different key: fresh
-	// Note the second pre-transition arrival reports attempted: with
-	// no transition yet the flag is never consulted, so the engine
-	// does not special-case it.
-	want := []bool{true, false, true, false, true}
-	if len(freshLog) != len(want) {
-		t.Fatalf("freshLog = %v", freshLog)
-	}
-	for i := range want {
-		if freshLog[i] != want[i] {
-			t.Fatalf("freshLog[%d] = %v, want %v (%v)", i, freshLog[i], want[i], freshLog)
-		}
-	}
-}
-
-var freshLog []bool
-
-type recordFresh struct{}
-
-func (recordFresh) Name() string               { return "record-fresh" }
-func (recordFresh) OnTransition(*Engine) error { return nil }
-func (recordFresh) BeforeProbe(e *Engine, j, opp *Node, t *tuple.Tuple, fresh bool) {
-	if t.IsBase() {
-		freshLog = append(freshLog, fresh)
-	}
-}
-func (recordFresh) EvictContinue(*Engine, *Node, tuple.Value) bool { return false }
 
 func TestNLJoinBasics(t *testing.T) {
 	var out []Delta
@@ -410,28 +352,39 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	}
 }
 
-func TestObserverReceivesTransitionEvents(t *testing.T) {
-	var events []TransitionEvent
-	e := MustNew(Config{
-		Plan: plan.MustLeftDeep(0, 1, 2, 3), Strategy: nopStrategy{},
-		Observer: func(ev TransitionEvent) { events = append(events, ev) },
-	})
+// The tracer's plan-installed event carries what a transition did: the
+// two plans, the tick, and the Definition 1 classification of the new
+// plan's join states (Count incomplete, Extra complete), followed by one
+// event per state.
+func TestMigrateTracesPlanInstalled(t *testing.T) {
+	rec := obs.NewSet("q", 0).Recorder(0)
+	e := MustNew(Config{Plan: plan.MustLeftDeep(0, 1, 2, 3), Strategy: nopStrategy{}, Obs: rec})
 	feedAll(e, []workload.Event{ev(0, 1), ev(1, 1), ev(2, 1), ev(3, 1)})
 	if err := e.Migrate(plan.MustLeftDeep(0, 1, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("events = %d", len(events))
+	events := rec.Tracer.Events()
+	if len(events) != 4 {
+		t.Fatalf("events = %+v, want plan-installed and three states", events)
 	}
 	got := events[0]
-	if got.Old != "(((0⋈1)⋈2)⋈3)" || got.New != "(((0⋈1)⋈3)⋈2)" {
+	if got.Kind != obs.EvPlanInstalled || got.Note != "(((0⋈1)⋈2)⋈3) -> (((0⋈1)⋈3)⋈2)" {
 		t.Fatalf("plans: %+v", got)
 	}
-	if got.Incomplete != 1 || got.Complete != 2 {
+	if got.Count != 1 || got.Extra != 2 {
 		t.Fatalf("classification: %+v", got)
 	}
 	if got.Tick != 4 {
 		t.Fatalf("tick = %d", got.Tick)
+	}
+	incomplete := 0
+	for _, ev := range events[1:] {
+		if ev.Kind == obs.EvStateIncomplete {
+			incomplete++
+		}
+	}
+	if incomplete != 1 {
+		t.Fatalf("state events: %+v", events[1:])
 	}
 }
 
@@ -603,8 +556,8 @@ func TestFeedStampedIdentity(t *testing.T) {
 	if out[0].Tuple.Fingerprint() != "0#7|1#3" {
 		t.Fatalf("fingerprint = %s", out[0].Tuple.Fingerprint())
 	}
-	if a.Tick() != 101 || a.TransitionTick() != 0 {
-		t.Fatalf("ticks: %d %d", a.Tick(), a.TransitionTick())
+	if a.Tick() != 101 {
+		t.Fatalf("tick: %d", a.Tick())
 	}
 }
 

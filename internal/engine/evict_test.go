@@ -1,37 +1,54 @@
 package engine_test
 
 import (
+	"runtime"
 	"testing"
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
 	"jisc/internal/metrics"
+	"jisc/internal/obs"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
 
+// splitmix64 is the tests' own generator, so a seed's key sequence
+// never depends on the Go release.
+type splitmix64 uint64
+
+func (x *splitmix64) next() uint64 {
+	*x += 0x9E3779B97F4A7C15
+	z := uint64(*x)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
 // hotKeyEvents is the benchmark's migrate-hotkey input shape: tuples
 // round-robin over three streams, 98% of keys uniform over 4000 and 2%
-// one hot key, from a splitmix64 sequence so the test owns its
-// randomness.
+// one hot key.
 func hotKeyEvents(n int, seed uint64) []workload.Event {
 	const hot = tuple.Value(1 << 40)
 	evs := make([]workload.Event, n)
-	x := seed
-	next := func() uint64 {
-		x += 0x9E3779B97F4A7C15
-		z := x
-		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-		z = (z ^ z>>27) * 0x94D049BB133111EB
-		return z ^ z>>31
-	}
+	rng := splitmix64(seed)
 	for i := range evs {
 		key := hot
-		if next()%100 >= 2 {
-			key = tuple.Value(next() % 4000)
+		if rng.next()%100 >= 2 {
+			key = tuple.Value(rng.next() % 4000)
 		}
 		evs[i] = workload.Event{Stream: tuple.StreamID(i % 3), Key: key}
+	}
+	return evs
+}
+
+// uniformEvents is the benchmark's migrate-uniform input shape: tuples
+// round-robin over the streams, keys uniform over the domain.
+func uniformEvents(n, streams int, domain, seed uint64) []workload.Event {
+	evs := make([]workload.Event, n)
+	rng := splitmix64(seed)
+	for i := range evs {
+		evs[i] = workload.Event{Stream: tuple.StreamID(i % streams), Key: tuple.Value(rng.next() % domain)}
 	}
 	return evs
 }
@@ -108,6 +125,136 @@ func TestHotKeyEvictionWork(t *testing.T) {
 	t.Logf("per tuple: inserts %.3f evictions %.3f outputs %.3f probes %.3f; peak %d B (root stored: %.3f / %.3f, %d B)",
 		per(got.Inserts), per(got.Evictions), per(got.Output), per(got.Probes), peak,
 		per(stored.Inserts), per(stored.Evictions), storedPeak)
+}
+
+// migrationWork is what a migrating run did, counted: the engine's work
+// counters and the number of completion episodes.
+type migrationWork struct {
+	Probes, Inserts, Evictions, Output, Completions, CompletedEntries, Episodes uint64
+}
+
+// runMigrating feeds evs in 256-tuple batches through a JISC engine,
+// migrating to the next of plans (cyclically) at the first batch
+// boundary past every multiple of `every` tuples.
+func runMigrating(t *testing.T, cfg engine.Config, evs []workload.Event, every int, plans []*plan.Plan) migrationWork {
+	rec := &obs.Recorder{}
+	cfg.Strategy, cfg.Obs = core.New(), rec
+	e := engine.MustNew(cfg)
+	defer e.Close()
+	next := 0
+	for i := 0; i < len(evs); i += 256 {
+		if i > 0 && i/every != (i-256)/every {
+			if err := e.Migrate(plans[next%len(plans)]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		e.FeedBatch(evs[i:min(i+256, len(evs))])
+	}
+	m := e.Metrics()
+	if m.Input != uint64(len(evs)) || m.Transitions != uint64(next) || next == 0 {
+		t.Fatalf("input=%d transitions=%d, want %d and %d", m.Input, m.Transitions, len(evs), next)
+	}
+	return migrationWork{m.Probes, m.Inserts, m.Evictions, m.Output, m.Completions, m.CompletedEntries, rec.Completion.Count()}
+}
+
+// TestMigrateUniformWork gates the seed-deterministic work of lazy
+// migration on the migrate-uniform shape (6 streams, window 1000, keys
+// uniform over 1250, the left-deep order rotated every 20 000 tuples),
+// and on a bushy plan and a set-difference pipeline, where a probing
+// tuple's own history never said whether the probed state had attempted
+// its key. The counts are those of commit 43950d7, which also kept a
+// per-stream last-arrival map to skip the attempted-set lookup for a
+// repeated base key; the per-state attempted set alone (Definition 2,
+// §4.4) decides the same episodes, so every number is exact: a
+// completion started twice, or skipped, moves Completions and Episodes,
+// and a lost or duplicated entry moves CompletedEntries and Output.
+func TestMigrateUniformWork(t *testing.T) {
+	rotations := func(order ...tuple.StreamID) []*plan.Plan {
+		var ps []*plan.Plan
+		for range order {
+			order = append(order[1:], order[0])
+			ps = append(ps, plan.MustLeftDeep(order...))
+		}
+		return ps
+	}
+	cases := []struct {
+		name  string
+		cfg   engine.Config
+		evs   []workload.Event
+		every int
+		plans []*plan.Plan
+		want  migrationWork
+	}{
+		{
+			name:  "left-deep",
+			cfg:   engine.Config{Plan: plan.MustLeftDeep(0, 1, 2, 3, 4, 5), WindowSize: 1000},
+			evs:   uniformEvents(120_000, 6, 1250, 3),
+			every: 20_000,
+			plans: rotations(0, 1, 2, 3, 4, 5),
+			want: migrationWork{Probes: 268214, Inserts: 268214, Evictions: 252505, Output: 37219,
+				Completions: 24121, CompletedEntries: 4501, Episodes: 12246},
+		},
+		{
+			name:  "bushy",
+			cfg:   engine.Config{Plan: plan.MustParse("((0 1) (2 3))"), WindowSize: 500},
+			evs:   uniformEvents(40_000, 4, 600, 3),
+			every: 8_000,
+			plans: []*plan.Plan{plan.MustParse("((0 2) (1 3))"), plan.MustParse("((0 3) (2 1))"), plan.MustParse("((0 1) (2 3))")},
+			want: migrationWork{Probes: 72156, Inserts: 72156, Evictions: 66804, Output: 22063,
+				Completions: 4152, CompletedEntries: 749, Episodes: 4152},
+		},
+		{
+			name:  "set-difference",
+			cfg:   engine.Config{Plan: plan.MustLeftDeep(0, 1, 2, 3), Kind: engine.SetDiff, WindowSize: 500},
+			evs:   uniformEvents(40_000, 4, 600, 3),
+			every: 8_000,
+			plans: []*plan.Plan{plan.MustLeftDeep(0, 2, 3, 1), plan.MustLeftDeep(0, 3, 1, 2), plan.MustLeftDeep(0, 1, 2, 3)},
+			want: migrationWork{Probes: 52950, Inserts: 55783, Evictions: 38000, Output: 2833,
+				Completions: 3671, CompletedEntries: 671, Episodes: 2720},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := runMigrating(t, tc.cfg, tc.evs, tc.every, tc.plans)
+			if got != tc.want {
+				t.Errorf("work %+v, want %+v", got, tc.want)
+			}
+			t.Logf("%+v", got)
+		})
+	}
+}
+
+// TestStateBoundedByWindow: what an engine keeps is bounded by its
+// windows, not by the key domain. Two million tuples whose keys never
+// repeat leave the heap where half a million left it — every structure
+// that holds a key also lets go of it when the tuple expires. Commit
+// 43950d7 read 15.2 MB at 0.5 M tuples and 58.3 MB at 2 M on this
+// input: its per-stream last-arrival maps gained an entry per distinct
+// key and never lost one.
+func TestStateBoundedByWindow(t *testing.T) {
+	e := engine.MustNew(engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 1000})
+	defer e.Close()
+	evs := make([]workload.Event, 250)
+	fed := 0
+	heapAfter := func(n int) uint64 {
+		for fed < n {
+			for j := range evs {
+				evs[j] = workload.Event{Stream: tuple.StreamID(fed % 3), Key: tuple.Value(fed)}
+				fed++
+			}
+			e.FeedBatch(evs)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	early, late := heapAfter(500_000), heapAfter(2_000_000)
+	t.Logf("HeapAlloc %d B at 0.5 M tuples, %d B at 2 M", early, late)
+	if late > early+1<<20 {
+		t.Errorf("heap grew %d B between 0.5 M and 2 M never-repeating keys, want ≤ 1 MiB", late-early)
+	}
 }
 
 // TestFeedBatchSteadyStateAllocs pins the hot path's allocation

@@ -8,8 +8,8 @@ import (
 
 // hashJoinOp implements Procedure 1 for symmetric hash join. Note one
 // deliberate deviation from the paper's pseudo-code: completion runs
-// whenever a fresh tuple probes an incomplete state, not only when the
-// probe finds nothing. An incomplete state can contain post-transition
+// whenever a key's first probe reaches an incomplete state, not only when
+// the probe finds nothing. An incomplete state can contain post-transition
 // entries for the probed key (inserted by normal processing of newer
 // tuples) while its pre-transition entries are still missing; probing
 // those partial entries without completing first would lose results.
@@ -27,9 +27,9 @@ func (hashJoinOp) Kind() Kind { return HashJoin }
 // upward. With instrumentation on, one in obs.sampleEvery probes is
 // timed (probe and build separately) — sampling keeps the two extra
 // clock reads off most of the hot path.
-func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
+func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
-	e.strategy.BeforeProbe(e, j, opp, t, fresh)
+	e.strategy.BeforeProbe(e, j, opp, t)
 	e.met.Probes.Add(1)
 	timed := e.obs.SampleProbe()
 	var t0, t1 time.Time
@@ -57,7 +57,7 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
 			// per sample instead of two per match.
 			e.obs.Build.Record(e.now().Sub(t1))
 		}
-		e.pushUp(j, out, fresh)
+		e.pushUp(j, out)
 	}
 }
 

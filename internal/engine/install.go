@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"jisc/internal/plan"
 	"jisc/internal/state"
@@ -43,22 +44,32 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 	}
 	e.root = build(p.Root)
 	e.plan = p
-	// Discard states whose stream set is not in the new plan. Release
-	// detaches each from the spill tier first, so spilled buckets and
-	// byte accounting don't leak into the budget.
-	for set, st := range e.states {
+	// Discard states whose stream set is not in the new plan, in
+	// ascending set order. Release detaches each from the spill tier, so
+	// spilled buckets and byte accounting don't leak into the budget,
+	// and that reorders the store's clock ring: ranging over the maps
+	// here made the victims, and the fault counts, differ run to run.
+	var dead []tuple.StreamSet
+	for set := range e.states {
 		if !live[set] {
-			st.Release()
-			delete(e.states, set)
-			delete(e.born, set)
+			dead = append(dead, set)
 		}
 	}
-	for set, ls := range e.lists {
+	for set := range e.lists {
 		if !live[set] {
-			ls.Release()
-			delete(e.lists, set)
-			delete(e.born, set)
+			dead = append(dead, set)
 		}
+	}
+	slices.Sort(dead)
+	for _, set := range dead {
+		if st, ok := e.states[set]; ok {
+			st.Release()
+			delete(e.states, set)
+		} else {
+			e.lists[set].Release()
+			delete(e.lists, set)
+		}
+		delete(e.born, set)
 	}
 }
 

@@ -17,9 +17,9 @@ type nlJoinOp struct{}
 func (nlJoinOp) Kind() Kind { return NLJoin }
 
 // Push implements Operator.
-func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
+func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
-	e.strategy.BeforeProbe(e, j, opp, t, fresh)
+	e.strategy.BeforeProbe(e, j, opp, t)
 	e.met.Probes.Add(1)
 	// The whole opposite-state scan is one probe for timing purposes:
 	// that is the unit of work an arriving tuple pays at this operator.
@@ -46,7 +46,7 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
 			out := e.bld.JoinTheta(t, m)
 			j.Ls.Insert(out)
 			e.met.Inserts.Add(1)
-			e.pushUp(j, out, fresh)
+			e.pushUp(j, out)
 		}
 		return true
 	})

@@ -48,7 +48,7 @@ type Operator interface {
 	// into j's state and recurse upward via e.pushUp — or, at a hash
 	// root without EmitExpiry (storesOutput), forward them to the
 	// output unstored.
-	Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool)
+	Push(e *Engine, j, from *Node, t *tuple.Tuple)
 }
 
 // operatorFor returns the singleton Operator implementing k.

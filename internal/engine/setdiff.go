@@ -44,17 +44,17 @@ type setDiffOp struct{}
 func (setDiffOp) Kind() Kind { return SetDiff }
 
 // Push implements Operator.
-func (setDiffOp) Push(e *Engine, j, from *Node, t *tuple.Tuple, fresh bool) {
+func (setDiffOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	if from == j.Right {
 		e.diffInnerArrival(j, t)
 		return
 	}
-	e.diffOuterAddition(j, t, fresh)
+	e.diffOuterAddition(j, t)
 }
 
 // diffOuterAddition handles a new left-child passing tuple at j: store
 // and propagate it unless the inner stream suppresses its key.
-func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple, fresh bool) {
+func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple) {
 	e.met.Probes.Add(1)
 	timed := e.obs.SampleProbe()
 	var t0 time.Time
@@ -70,7 +70,7 @@ func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple, fresh bool) {
 	}
 	j.St.Insert(t)
 	e.met.Inserts.Add(1)
-	e.pushUp(j, t, fresh)
+	e.pushUp(j, t)
 }
 
 // diffInnerArrival handles a new inner-stream tuple b at j: every
@@ -162,7 +162,7 @@ func (e *Engine) diffInnerExpiry(j, scan *Node, exp window.Entry) {
 		}
 		j.St.Insert(t)
 		e.met.Inserts.Add(1)
-		e.pushUp(j, t, false)
+		e.pushUp(j, t)
 	}
 	if !j.St.Complete() {
 		if j.St.MarkAttempted(exp.Key) {

@@ -35,11 +35,10 @@ func TestSpillSurvivesMigration(t *testing.T) {
 	run := func(budget int64) ([]string, metrics.Snapshot, *engine.Engine) {
 		var out []string
 		cfg := engine.Config{
-			Plan:          plan.MustLeftDeep(0, 1, 2),
-			WindowSize:    500,
-			Strategy:      core.New(),
-			Deterministic: true,
-			StateBudget:   budget,
+			Plan:        plan.MustLeftDeep(0, 1, 2),
+			WindowSize:  500,
+			Strategy:    core.New(),
+			StateBudget: budget,
 			Output: func(d engine.Delta) {
 				s := d.Tuple.Fingerprint()
 				if d.Retraction {
@@ -106,7 +105,7 @@ func TestSpillCheckpointKeepsBucketOrder(t *testing.T) {
 	}
 	var out []string
 	cfg := engine.Config{
-		Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 400, Strategy: core.New(), Deterministic: true,
+		Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 400, Strategy: core.New(),
 		Output: func(d engine.Delta) { out = append(out, d.Tuple.Fingerprint()) },
 	}
 	ref := engine.MustNew(cfg)

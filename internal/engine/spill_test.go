@@ -33,10 +33,9 @@ func TestSpillBoundedMemoryEquivalence(t *testing.T) {
 	const n = 6000
 	evs := spillWorkload(n)
 	cfg := Config{
-		Plan:          plan.MustLeftDeep(0, 1),
-		WindowSize:    1500,
-		EmitExpiry:    true, // exercise the eviction/retraction path through spilled buckets
-		Deterministic: true,
+		Plan:       plan.MustLeftDeep(0, 1),
+		WindowSize: 1500,
+		EmitExpiry: true, // exercise the eviction/retraction path through spilled buckets
 	}
 
 	// Reference run: unbounded, tracking the peak working set.

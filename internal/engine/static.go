@@ -25,7 +25,7 @@ func (Static) OnTransition(*Engine) error {
 }
 
 // BeforeProbe implements Strategy (no-op).
-func (Static) BeforeProbe(*Engine, *Node, *Node, *tuple.Tuple, bool) {}
+func (Static) BeforeProbe(*Engine, *Node, *Node, *tuple.Tuple) {}
 
 // EvictContinue implements Strategy (standard stop-at-no-match rule).
 func (Static) EvictContinue(*Engine, *Node, tuple.Value) bool { return false }

@@ -8,10 +8,11 @@ import (
 	"jisc/internal/plan"
 )
 
-// Migrate implements Executor: transition to newPlan per §4.1 — clear
-// the input buffers through the old plan, rebuild the operator tree
-// re-attaching surviving states, discard dead states, then let the
-// strategy prepare the rest (eagerly or lazily).
+// Migrate implements Executor: transition to newPlan per §4.1 —
+// rebuild the operator tree re-attaching surviving states, discard dead
+// states, then let the strategy prepare the rest (eagerly or lazily).
+// The buffer-clearing phase is the caller's: the runtime's shard queue
+// runs Migrate after every tuple received before it.
 func (e *Engine) Migrate(newPlan *plan.Plan) error {
 	if newPlan.Streams != e.plan.Streams {
 		return fmt.Errorf("engine: new plan covers %v, old covers %v", newPlan.Streams, e.plan.Streams)
@@ -39,61 +40,50 @@ func (e *Engine) Migrate(newPlan *plan.Plan) error {
 		start = e.now()
 	}
 	e.met.MarkTransition(e.now())
-	// Buffer-clearing phase: everything received before the
-	// transition is processed through the old plan.
-	e.drain()
 	oldPlan := e.plan.String()
-	e.transitionTick = e.tick
 	e.install(newPlan, false)
 	if err := e.strategy.OnTransition(e); err != nil {
 		return err
 	}
-	// The Migrate duration is the halt an eager strategy pays (buffer
-	// clearing + OnTransition); under JISC it stays near zero — the
-	// latency trade the paper's Figures 7/8 are about.
-	var dur time.Duration
-	if e.obs != nil {
-		dur = e.now().Sub(start)
-		e.obs.Migrate.Record(dur)
+	if e.obs == nil {
+		return nil
 	}
-	var tracer *obs.Tracer
-	if e.obs != nil {
-		tracer = e.obs.Tracer
+	// The Migrate duration is the halt an eager strategy pays
+	// (OnTransition); under JISC it stays near zero — the latency trade
+	// the paper's Figures 7/8 are about.
+	dur := e.now().Sub(start)
+	e.obs.Migrate.Record(dur)
+	tracer := e.obs.Tracer
+	if tracer == nil {
+		return nil
 	}
-	if e.cfg.Observer != nil || tracer != nil {
-		ev := TransitionEvent{Old: oldPlan, New: newPlan.String(), Tick: e.tick}
-		var stateEvents []obs.Event
-		for _, n := range e.Nodes() {
-			if n.IsLeaf() {
-				continue
-			}
-			kind := obs.EvStateIncomplete
-			if childComplete(n) {
-				ev.Complete++
-				kind = obs.EvStateComplete
-			} else {
-				ev.Incomplete++
-			}
-			if tracer != nil {
-				stateEvents = append(stateEvents, obs.Event{
-					Kind: kind, Query: e.obs.Query, Shard: e.obs.Shard,
-					Tick: e.tick, Note: n.Set.String(),
-				})
-			}
+	// One plan-installed event carrying the Definition 1 classification
+	// of the new plan's join states, then one event per state.
+	var complete, incomplete uint64
+	var stateEvents []obs.Event
+	for _, n := range e.Nodes() {
+		if n.IsLeaf() {
+			continue
 		}
-		if tracer != nil {
-			tracer.Emit(obs.Event{
-				Kind: obs.EvPlanInstalled, Query: e.obs.Query, Shard: e.obs.Shard,
-				Tick: e.tick, Count: uint64(ev.Incomplete), Extra: uint64(ev.Complete),
-				Dur: dur, Note: oldPlan + " -> " + ev.New,
-			})
-			for _, se := range stateEvents {
-				tracer.Emit(se)
-			}
+		kind := obs.EvStateIncomplete
+		if childComplete(n) {
+			complete++
+			kind = obs.EvStateComplete
+		} else {
+			incomplete++
 		}
-		if e.cfg.Observer != nil {
-			e.cfg.Observer(ev)
-		}
+		stateEvents = append(stateEvents, obs.Event{
+			Kind: kind, Query: e.obs.Query, Shard: e.obs.Shard,
+			Tick: e.tick, Note: n.Set.String(),
+		})
+	}
+	tracer.Emit(obs.Event{
+		Kind: obs.EvPlanInstalled, Query: e.obs.Query, Shard: e.obs.Shard,
+		Tick: e.tick, Count: incomplete, Extra: complete,
+		Dur: dur, Note: oldPlan + " -> " + newPlan.String(),
+	})
+	for _, se := range stateEvents {
+		tracer.Emit(se)
 	}
 	return nil
 }

@@ -108,7 +108,7 @@ func fillDiff(e *engine.Engine, n *engine.Node) {
 
 // BeforeProbe implements engine.Strategy (no-op: every state is
 // complete after OnTransition).
-func (MovingState) BeforeProbe(*engine.Engine, *engine.Node, *engine.Node, *tuple.Tuple, bool) {}
+func (MovingState) BeforeProbe(*engine.Engine, *engine.Node, *engine.Node, *tuple.Tuple) {}
 
 // EvictContinue implements engine.Strategy (standard rule).
 func (MovingState) EvictContinue(*engine.Engine, *engine.Node, tuple.Value) bool { return false }

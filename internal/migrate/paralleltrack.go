@@ -40,13 +40,12 @@ type track struct {
 type ParallelTrack struct {
 	tracks []*track // oldest first; the last one is the newest plan
 
-	windowSize    int
-	windowSizes   map[tuple.StreamID]int
-	deterministic bool
-	streams       tuple.StreamSet
-	out           engine.Output
-	met           metrics.Collector
-	now           func() time.Time
+	windowSize  int
+	windowSizes map[tuple.StreamID]int
+	streams     tuple.StreamSet
+	out         engine.Output
+	met         metrics.Collector
+	now         func() time.Time
 
 	// checkEvery is the input-count period of the old-plan discard
 	// scan (§3.3 calls out its cost).
@@ -67,9 +66,6 @@ type PTConfig struct {
 	// WindowSizes optionally overrides WindowSize per stream, mirroring
 	// engine.Config.WindowSizes; every track's engine gets the same map.
 	WindowSizes map[tuple.StreamID]int
-	// Deterministic is forwarded to each track's engine (sorted key
-	// iteration during fills), so simulation runs replay bit-for-bit.
-	Deterministic bool
 	// Output receives deduplicated root results; may be nil.
 	Output engine.Output
 	// CheckEvery is the discard-scan period in input tuples
@@ -94,15 +90,14 @@ func NewParallelTrack(cfg PTConfig) (*ParallelTrack, error) {
 		cfg.Now = time.Now
 	}
 	pt := &ParallelTrack{
-		windowSize:    cfg.WindowSize,
-		windowSizes:   cfg.WindowSizes,
-		deterministic: cfg.Deterministic,
-		streams:       cfg.Plan.Streams,
-		out:           cfg.Output,
-		now:           cfg.Now,
-		checkEvery:    uint64(cfg.CheckEvery),
-		seqs:          make(map[tuple.StreamID]uint64),
-		seen:          make(map[string]struct{}),
+		windowSize:  cfg.WindowSize,
+		windowSizes: cfg.WindowSizes,
+		streams:     cfg.Plan.Streams,
+		out:         cfg.Output,
+		now:         cfg.Now,
+		checkEvery:  uint64(cfg.CheckEvery),
+		seqs:        make(map[tuple.StreamID]uint64),
+		seen:        make(map[string]struct{}),
 	}
 	tr, err := pt.newTrack(cfg.Plan, 0)
 	if err != nil {
@@ -124,11 +119,10 @@ func MustNewParallelTrack(cfg PTConfig) *ParallelTrack {
 func (pt *ParallelTrack) newTrack(p *plan.Plan, born uint64) (*track, error) {
 	tr := &track{born: born}
 	eng, err := engine.New(engine.Config{
-		Plan:          p,
-		WindowSize:    pt.windowSize,
-		WindowSizes:   pt.windowSizes,
-		Strategy:      engine.Static{},
-		Deterministic: pt.deterministic,
+		Plan:        p,
+		WindowSize:  pt.windowSize,
+		WindowSizes: pt.windowSizes,
+		Strategy:    engine.Static{},
 		Output: func(d engine.Delta) {
 			pt.emit(tr, d)
 		},

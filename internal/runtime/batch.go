@@ -1,18 +1,17 @@
 package runtime
 
-// Batch-granular ingest. Runtime.FeedBatch scatters a caller's batch
-// into per-shard staging slices by join-key hash and hands each
-// touched shard one channel message carrying its whole sub-batch — one
-// send, one WAL frame, one engine.FeedBatch per shard instead of one
-// of each per tuple. Staging slices come from a pool and are recycled
-// by the shard worker after processing, so the steady-state batch path
-// allocates nothing per call.
+// Ingest. Runtime.FeedBatch is the one way a tuple reaches a shard
+// (Feed is a batch of one): it scatters a caller's batch into per-shard
+// staging slices by join-key hash and hands each touched shard one
+// channel message carrying its whole sub-batch — one send, one WAL
+// frame, one engine.FeedBatch per shard. Staging slices come from a
+// pool and are recycled by the shard worker after processing, so the
+// steady-state path allocates nothing per call.
 //
-// Semantics match the per-event path exactly: tuples keep their
-// arrival order within a shard (scattering preserves relative order,
-// and channel order is processing order), Flush remains a drain
-// barrier, and under the Shed policy a full shard queue drops that
-// shard's whole sub-batch with every dropped tuple counted.
+// Tuples keep their arrival order within a shard (scattering preserves
+// relative order, and channel order is processing order), Flush is a
+// drain barrier, and under the Shed policy a full shard queue drops
+// that shard's whole sub-batch with every dropped tuple counted.
 
 import (
 	"sync"
@@ -48,23 +47,23 @@ type scatter struct {
 var scatterPool = sync.Pool{New: func() any { return new(scatter) }}
 
 // FeedBatch scatters evs across shards by join-key hash and delivers
-// one sub-batch message per touched shard, in ascending shard order:
-// the tuples are processed in order, observably identically to
-// len(evs) Feed calls, but with the channel send and queue slot paid
-// once per shard. Tuples that route to the same shard keep their
-// relative order, so the per-shard outcome is identical to feeding evs
-// one at a time; tuples on different shards were never ordered relative
-// to each other to begin with (Feed interleaves them under worker
-// scheduling too). Under the Shed policy a full shard queue drops that
-// shard's whole sub-batch, counted tuple by tuple in Shed.
+// one sub-batch message per touched shard, in ascending shard order,
+// with the channel send and queue slot paid once per shard. Tuples that
+// route to the same shard keep their relative order, so the per-shard
+// outcome is identical to feeding evs one at a time; tuples on
+// different shards were never ordered relative to each other to begin
+// with (worker scheduling interleaves them). Under the Block policy
+// FeedBatch waits while a queue is full; under Shed a full shard queue
+// drops that shard's whole sub-batch, counted tuple by tuple in Shed.
 //
 // With durability on, each touched shard appends one FEEDB record
 // carrying its whole sub-batch — one fsync per shard per batch — in the
 // same critical section as its enqueue, so WAL order still equals
-// apply order. On error, sub-batches already delivered to earlier
-// shards stay delivered (exactly the partial outcome a crash between
-// two per-event Feeds would leave); the caller may retry the whole
-// batch, which at-least-once delivery permits.
+// apply order; a sub-batch is not enqueued unless its append succeeded.
+// On error, sub-batches already delivered to earlier shards stay
+// delivered (exactly the partial outcome a crash between two calls
+// would leave); the caller may retry the whole batch, which
+// at-least-once delivery permits.
 //
 // The slice is copied; the caller may reuse evs immediately. Returns
 // ErrClosed after Close.
@@ -82,10 +81,11 @@ func (rt *Runtime) FeedBatch(evs []workload.Event) error {
 		return admErr
 	}
 	n := len(rt.shards)
-	if n == 1 {
+	if n == 1 || len(evs) == 1 {
+		// One destination: nothing to scatter.
 		b := getBatch()
 		*b = append((*b)[:0], evs...)
-		return rt.shards[0].feedBatch(b, deadlineNS, cost)
+		return rt.shards[ShardOf(evs[0].Key, n)].feedBatch(b, deadlineNS, cost)
 	}
 	sc := scatterPool.Get().(*scatter)
 	if cap(sc.bufs) < n {

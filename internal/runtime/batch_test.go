@@ -25,10 +25,9 @@ func batchWorkload(n int) []workload.Event {
 // under mu, which the shards' workers share.
 func countOutputs(mu *sync.Mutex, sink *enginetest.Sink) engine.Config {
 	return engine.Config{
-		Plan:          plan.MustLeftDeep(0, 1, 2),
-		WindowSize:    16,
-		Strategy:      core.New(),
-		Deterministic: true,
+		Plan:       plan.MustLeftDeep(0, 1, 2),
+		WindowSize: 16,
+		Strategy:   core.New(),
 		Output: func(d engine.Delta) {
 			mu.Lock()
 			sink.Output(d)

@@ -374,25 +374,11 @@ func ShardOf(key tuple.Value, n int) int {
 	return int(h % uint64(n))
 }
 
-// Feed enqueues one tuple on its key's shard, after the admission
-// ladder when admission is configured: a rate-shed tuple returns nil
-// (counted, never existed), a budget reject returns a retriable BUSY
-// error. Under the Block policy Feed waits while the queue is full;
-// under Shed it drops the tuple instead (counted by Shed). With
-// durability on, the tuple is appended to that shard's write-ahead log
-// first; it is not enqueued (and Feed does not return nil) unless the
-// append succeeded. Returns ErrClosed after Close.
+// Feed is FeedBatch of one tuple: the same admission ladder, overflow
+// policy and, with durability on, log record before the enqueue.
 func (rt *Runtime) Feed(ev workload.Event) error {
-	deadlineNS, cost, ok, err := rt.admit(1)
-	if !ok {
-		return err
-	}
-	return rt.shards[ShardOf(ev.Key, len(rt.shards))].submit(
-		func(l *durable.Log) error {
-			_, err := l.AppendFeed(ev.Stream, ev.Key)
-			return err
-		},
-		message{ev: ev, deadlineNS: deadlineNS, cost: cost})
+	evs := [1]workload.Event{ev}
+	return rt.FeedBatch(evs[:])
 }
 
 // each runs fn in-band on every shard's worker in shard order, each

@@ -12,12 +12,10 @@ import (
 
 // message is one slot of a shard's input queue. There are two shapes:
 // a control (ctl set) is a closure the worker runs against the engine;
-// anything else is a feed — a pooled batch when batch is set, the
-// inline ev otherwise.
+// anything else is a feed carrying a pooled batch.
 type message struct {
 	ctl   func(*engine.Engine)
 	batch *[]workload.Event // pooled; recycled by the worker
-	ev    workload.Event
 
 	// Admission metadata of a feed, zero without an admission
 	// controller: deadlineNS is the unix-nano point after which the
@@ -27,14 +25,6 @@ type message struct {
 	// (processed or deadline-shed), by submit when it is never queued.
 	deadlineNS int64
 	cost       int64
-}
-
-// tuples is the number of tuples a feed message carries.
-func (m *message) tuples() int {
-	if m.batch != nil {
-		return len(*m.batch)
-	}
-	return 1
 }
 
 // shard is one worker goroutine owning one engine behind a buffered
@@ -92,20 +82,14 @@ func (s *shard) loop() {
 		// late — the paper's load-shed escape hatch, applied at the
 		// moment lateness is known. The reservation is returned either
 		// way.
-		switch {
-		case s.adm.DeadlineExpired(m.deadlineNS):
-			s.adm.CountDeadlineShed(m.tuples())
-		case m.batch != nil:
+		if s.adm.DeadlineExpired(m.deadlineNS) {
+			s.adm.CountDeadlineShed(len(*m.batch))
+		} else {
 			s.eng.FeedBatch(*m.batch)
-			s.batchEnd()
-		default:
-			s.eng.Feed(m.ev)
 			s.batchEnd()
 		}
 		s.adm.Release(m.cost)
-		if m.batch != nil {
-			putBatch(m.batch)
-		}
+		putBatch(m.batch)
 	}
 }
 
@@ -136,7 +120,7 @@ func (s *shard) submit(record func(*durable.Log) error, m message) error {
 			case s.in <- m:
 				queued = true
 			default:
-				s.shed.Add(uint64(m.tuples()))
+				s.shed.Add(uint64(len(*m.batch)))
 			}
 		default:
 			s.in <- m

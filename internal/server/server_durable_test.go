@@ -1,8 +1,15 @@
 package server
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"jisc/internal/core"
 	"jisc/internal/durable"
@@ -220,5 +227,137 @@ func TestServerCountsWALDisabledMutations(t *testing.T) {
 	}
 	if got := s2.WALDisabledMutations(); got != 0 {
 		t.Fatalf("durable server counted %d unlogged mutations", got)
+	}
+}
+
+// walFrame encodes one write-ahead-log frame by hand, from the format
+// on disk rather than through the durable package's encoder:
+// len:u32 | crc32c(payload):u32 | payload, payload = kind:u8 | seq:u64 |
+// body, little endian.
+func walFrame(kind byte, seq uint64, body []byte) []byte {
+	payload := binary.LittleEndian.AppendUint64([]byte{kind}, seq)
+	payload = append(payload, body...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, payload...)
+}
+
+// earlierBuildWAL encodes protocol lines as the shard log of a build
+// that still wrote a lone FEED as a per-event feed frame (kind 1,
+// stream:u8 | key:u64), next to the feedbatch (kind 5, count:u16 |
+// count × (stream:u8 | key:u64)) and migrate (kind 2, len:u16 | plan)
+// frames every build writes.
+func earlierBuildWAL(t *testing.T, lines []string) []byte {
+	t.Helper()
+	tuple := func(body []byte, stream, key string) []byte {
+		s, err1 := strconv.ParseUint(stream, 10, 8)
+		k, err2 := strconv.ParseInt(key, 10, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("bad tuple %s %s", stream, key)
+		}
+		return binary.LittleEndian.AppendUint64(append(body, byte(s)), uint64(k))
+	}
+	var wal []byte
+	for i, line := range lines {
+		seq, f := uint64(i+1), strings.Fields(line)
+		switch f[0] {
+		case "FEED":
+			wal = append(wal, walFrame(1, seq, tuple(nil, f[1], f[2]))...)
+		case "FEEDB":
+			body := binary.LittleEndian.AppendUint16(nil, uint16(len(f)-2))
+			for _, key := range f[2:] {
+				body = tuple(body, f[1], key)
+			}
+			wal = append(wal, walFrame(5, seq, body)...)
+		case "MIGRATE":
+			p := strings.TrimPrefix(line, "MIGRATE ")
+			body := binary.LittleEndian.AppendUint16(nil, uint16(len(p)))
+			wal = append(wal, walFrame(2, seq, append(body, p...))...)
+		default:
+			t.Fatalf("no frame for %q", line)
+		}
+	}
+	return wal
+}
+
+// TestServerRecoversEarlierBuildsWAL: the log writes one feed record
+// kind and reads two. A shard log holding per-event feed frames
+// interleaved with feedbatch and migrate frames — what a build before
+// this one left behind — recovers to the STATS line and plan of the
+// same input logged by this build (feedbatch frames only), and both
+// servers then answer the same further input with the same results.
+func TestServerRecoversEarlierBuildsWAL(t *testing.T) {
+	lines := []string{
+		"FEED 0 7", "FEED 1 7", "FEEDB 2 7 8 9", "FEED 0 8", "FEEDB 1 8 9 9",
+		"MIGRATE ((0⋈2)⋈1)", // {0,2} is born incomplete; the tail below completes key 9 only
+		"FEED 0 9", "FEEDB 1 9 7", "FEED 2 9",
+	}
+	more := []string{"FEED 1 8", "FEEDB 0 7 8 9", "FEED 2 8", "FEED 1 7"}
+
+	dirNew := t.TempDir()
+	s := startDurableServer(t, dirNew)
+	c := dial(t, s)
+	for _, line := range lines {
+		if resp := c.cmd(t, line); resp != "OK" {
+			t.Fatalf("%s -> %s", line, resp)
+		}
+	}
+	s.Close() // no final checkpoint: disk state is crash-equivalent
+
+	dirOld := t.TempDir()
+	shard := durable.ShardDir(filepath.Join(dirOld, "q-"+DefaultQuery), 0)
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shard, "wal-0000000000000001.seg"), earlierBuildWAL(t, lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := func(dir string) (stats, plan string, results []string) {
+		t.Helper()
+		s := startDurableServer(t, dir)
+		defer s.Close()
+		c := dial(t, s)
+		raw, plan := c.cmd(t, "STATS"), c.cmd(t, "PLAN")
+		var counted []string // the line minus its wall-clock fields
+		for _, f := range strings.Fields(raw) {
+			if key, _, _ := strings.Cut(f, "="); !strings.HasSuffix(key, "_ns") && !strings.HasSuffix(key, "_ms") {
+				counted = append(counted, f)
+			}
+		}
+		stats = strings.Join(counted, " ")
+		sub := dial(t, s)
+		if resp := sub.cmd(t, "SUBSCRIBE"); resp != "OK" {
+			t.Fatalf("subscribe: %s", resp)
+		}
+		for _, line := range more {
+			if resp := c.cmd(t, line); resp != "OK" {
+				t.Fatalf("%s -> %s", line, resp)
+			}
+		}
+		after := c.cmd(t, "STATS")
+		produced, _ := strconv.Atoi(statField(t, after, "output"))
+		before, _ := strconv.Atoi(statField(t, stats, "output"))
+		sub.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for len(results) < produced-before {
+			line, err := sub.r.ReadString('\n')
+			if err != nil {
+				t.Fatalf("after %d of %d results: %v", len(results), produced-before, err)
+			}
+			results = append(results, strings.TrimSpace(line))
+		}
+		sort.Strings(results)
+		return stats, plan, results
+	}
+	statsNew, planNew, resultsNew := recovered(dirNew)
+	statsOld, planOld, resultsOld := recovered(dirOld)
+	if statsOld != statsNew || planOld != planNew {
+		t.Errorf("recovered from the earlier build's log:\n%s\n%s\nfrom this build's:\n%s\n%s", statsOld, planOld, statsNew, planNew)
+	}
+	if statField(t, statsOld, "recovered_events") != "13" || statField(t, statsOld, "transitions") != "1" {
+		t.Errorf("earlier build's log replayed short: %s", statsOld)
+	}
+	if len(resultsNew) == 0 || strings.Join(resultsOld, "\n") != strings.Join(resultsNew, "\n") {
+		t.Errorf("results after recovery:\nearlier build's log %v\nthis build's log %v", resultsOld, resultsNew)
 	}
 }

@@ -247,11 +247,10 @@ func newExec(sc Scenario) (*exec, error) {
 	})
 	add("parallel-track", func(out engine.Output) bareEngine {
 		return migrate.MustNewParallelTrack(migrate.PTConfig{
-			Plan:          x.plans[0],
-			WindowSizes:   x.windows(),
-			CheckEvery:    sc.CheckEvery,
-			Deterministic: true,
-			Output:        out,
+			Plan:        x.plans[0],
+			WindowSizes: x.windows(),
+			CheckEvery:  sc.CheckEvery,
+			Output:      out,
 		})
 	})
 
@@ -289,11 +288,10 @@ func (x *exec) windows() map[tuple.StreamID]int {
 
 func (x *exec) engineConfig(strat engine.Strategy, out engine.Output) engine.Config {
 	return engine.Config{
-		Plan:          x.plans[0],
-		WindowSizes:   x.windows(),
-		Strategy:      strat,
-		Deterministic: true,
-		Output:        out,
+		Plan:        x.plans[0],
+		WindowSizes: x.windows(),
+		Strategy:    strat,
+		Output:      out,
 	}
 }
 
