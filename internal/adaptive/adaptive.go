@@ -1,6 +1,7 @@
 // Package adaptive closes the paper's re-optimization loop: a
 // per-query Controller periodically snapshots per-operator selectivity
-// and latency statistics from the sharded runtime, asks
+// statistics (and the feed latency its regression guard reads) from
+// the sharded runtime, asks
 // optimizer.Advisor for a better plan, and installs accepted proposals
 // through the runtime's normal migration path — so WAL MIGRATE
 // records, JISC completion episodes, and migration tracing all work
@@ -11,19 +12,22 @@
 // part. The controller layers four on top of the advisor's own
 // improvement hysteresis:
 //
-//   - confirmation: a proposal must be re-derived on Confirm
+//   - confirmation: a proposal must be re-derived on confirm
 //     consecutive decision ticks before it is acted on, so a
 //     selectivity blip that oscillates around the improvement
 //     threshold never migrates;
 //   - cooldown: accepted migrations are separated by at least Cooldown
 //     of wall-clock time;
-//   - rate limit: at most MaxPerWindow migrations per RateWindow,
+//   - rate limit: at most maxPerWindow migrations per rateWindow,
 //     whatever the statistics do;
 //   - regression guard: after each migration the controller compares
-//     the post-migration feed p99 (over RegressionWindow) against the
-//     pre-migration window; if it worsened beyond RegressionFactor×,
+//     the post-migration feed p99 (over regressionWindow) against the
+//     pre-migration window; if it worsened beyond regressionFactor×,
 //     the previous plan is restored and the regressed plan is vetoed
-//     for VetoHold.
+//     for vetoHoldCooldowns × Cooldown.
+//
+// Cooldown is the only guard an operator sets (jiscd -auto-cooldown);
+// the rest are constants.
 //
 // A Controller can run as a background goroutine (Start/Stop — the
 // server and cmd/jiscd mode) or be single-stepped with an injected
@@ -38,7 +42,6 @@ import (
 	"time"
 
 	"jisc/internal/engine"
-	"jisc/internal/metrics"
 	"jisc/internal/obs"
 	"jisc/internal/optimizer"
 	"jisc/internal/plan"
@@ -50,8 +53,6 @@ type Target interface {
 	// ScanStats returns cumulative per-stream scan counters (summed
 	// across shards), ascending by stream ID.
 	ScanStats() ([]engine.ScanStats, error)
-	// Snapshot returns the live merged metrics counters.
-	Snapshot() metrics.Snapshot
 	// ObsSnapshot returns the merged latency histograms; an empty
 	// snapshot (Feed.Count == 0) disables the regression guard.
 	ObsSnapshot() obs.SetSnapshot
@@ -62,59 +63,36 @@ type Target interface {
 }
 
 // Config parameterizes a Controller. The zero value of every field
-// selects a sane default; only Target is required.
+// selects a sane default.
 type Config struct {
 	// Interval is the decision-tick period of the background loop
 	// (default 500ms). Ignored when the controller is single-stepped.
 	Interval time.Duration
 	// Cooldown is the minimum wall-clock time between accepted
 	// migrations (default 5s). It should not be shorter than
-	// RegressionWindow, or a new migration can supersede an unresolved
+	// regressionWindow, or a new migration can supersede an unresolved
 	// regression guard.
 	Cooldown time.Duration
-	// Confirm is how many consecutive decision ticks must re-derive the
-	// same proposal before it is installed (default 2) — the
-	// anti-flapping hysteresis on top of the advisor's MinImprovement.
-	Confirm int
-	// MaxPerWindow caps accepted migrations per RateWindow (default 4
-	// per minute). Rollbacks do not consume the budget.
-	MaxPerWindow int
-	// RateWindow is the rate-limit window (default 1m).
-	RateWindow time.Duration
-	// RegressionFactor triggers a rollback when the post-migration feed
-	// p99 exceeds the pre-migration p99 times this factor (default 2.0;
-	// negative disables the guard). The guard also stays quiet when
-	// either window holds fewer than 8 samples — in particular whenever
-	// the target runs without obs instrumentation.
-	RegressionFactor float64
-	// RegressionWindow is how long after a migration the guard waits
-	// before judging it (default 2s).
-	RegressionWindow time.Duration
-	// VetoHold is how long a rolled-back plan stays uninstallable
-	// (default 5×Cooldown).
-	VetoHold time.Duration
-
-	// MinImprovement, Decay, MinProbes, and UseLatency pass through to
-	// the optimizer.Advisor (MinImprovement default 0.2). The advisor's
-	// own tuple-count cooldown stays 0: pacing is the controller's job.
-	MinImprovement float64
-	Decay          float64
-	MinProbes      uint64
-	UseLatency     bool
+	// MinProbes passes through to the optimizer.Advisor (default 16).
+	MinProbes uint64
 
 	// Tracer receives EvAutoDecision/EvAutoRollback (and the advisor's
 	// EvPlanProposed) events; Query labels them. May be nil.
 	Tracer *obs.Tracer
 	Query  string
-
-	// Now supplies the background loop's clock (default time.Now).
-	// Single-stepped controllers pass the time to Step directly.
-	Now func() time.Time
 }
 
-// minGuardSamples is the fewest feed-latency samples either regression
-// window may hold for the guard to judge a migration.
-const minGuardSamples = 8
+// The controller's guard rails, each at the value the served autopilot
+// has always run with.
+const (
+	confirm           = 2               // ticks that must re-derive a proposal, so a blip around the threshold never migrates
+	maxPerWindow      = 4               // migrations (not rollbacks) allowed per rateWindow, whatever the statistics do
+	rateWindow        = time.Minute     // the span maxPerWindow counts over
+	regressionFactor  = 2.0             // feed-p99 growth past which a migration is rolled back
+	regressionWindow  = 2 * time.Second // how long a migration runs before the guard judges it
+	vetoHoldCooldowns = 5               // Cooldowns a rolled-back plan stays barred, so it cannot flap straight back
+	minGuardSamples   = 8               // feed-latency samples either window needs before the guard judges at all
+)
 
 // Controller is one query's closed-loop autopilot. All methods are
 // safe for concurrent use; decision state is serialized by an internal
@@ -134,12 +112,12 @@ type Controller struct {
 	pending   *plan.Plan // current confirmation candidate
 	confirms  int
 	cooldown  time.Time   // start of the active cooldown period
-	recent    []time.Time // accepted migrations inside RateWindow
+	recent    []time.Time // accepted migrations inside rateWindow
 	veto      string      // plan string barred until vetoUntil
 	vetoUntil time.Time
 
 	// Regression-guard state. anchor is a trailing cumulative snapshot
-	// of the feed histogram, re-taken roughly every RegressionWindow, so
+	// of the feed histogram, re-taken roughly every regressionWindow, so
 	// feed.Sub(anchor) at migration time is the pre-migration window.
 	guardArmed bool
 	prevPlan   *plan.Plan
@@ -164,11 +142,8 @@ func New(target Target, cfg Config) (*Controller, error) {
 	if target == nil {
 		return nil, fmt.Errorf("adaptive: nil target")
 	}
-	if cfg.Interval < 0 || cfg.Cooldown < 0 || cfg.RateWindow < 0 || cfg.RegressionWindow < 0 || cfg.VetoHold < 0 {
+	if cfg.Interval < 0 || cfg.Cooldown < 0 {
 		return nil, fmt.Errorf("adaptive: negative duration in config")
-	}
-	if cfg.Confirm < 0 || cfg.MaxPerWindow < 0 {
-		return nil, fmt.Errorf("adaptive: negative count in config")
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = 500 * time.Millisecond
@@ -176,44 +151,16 @@ func New(target Target, cfg Config) (*Controller, error) {
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	if cfg.Confirm == 0 {
-		cfg.Confirm = 2
-	}
-	if cfg.MaxPerWindow == 0 {
-		cfg.MaxPerWindow = 4
-	}
-	if cfg.RateWindow == 0 {
-		cfg.RateWindow = time.Minute
-	}
-	if cfg.RegressionFactor == 0 {
-		cfg.RegressionFactor = 2.0
-	}
-	if cfg.RegressionWindow == 0 {
-		cfg.RegressionWindow = 2 * time.Second
-	}
-	if cfg.VetoHold == 0 {
-		cfg.VetoHold = 5 * cfg.Cooldown
-	}
-	if cfg.MinImprovement == 0 {
-		cfg.MinImprovement = 0.2
-	}
-	adv, err := optimizer.New(optimizer.Config{
-		MinImprovement: cfg.MinImprovement,
-		Decay:          cfg.Decay,
-		MinProbes:      cfg.MinProbes,
-		UseLatency:     cfg.UseLatency,
-		Tracer:         cfg.Tracer,
-		Query:          cfg.Query,
-	})
-	if err != nil {
-		return nil, err
-	}
 	return &Controller{
-		cfg:     cfg,
-		target:  target,
-		advisor: adv,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		target: target,
+		advisor: optimizer.New(optimizer.Config{
+			MinProbes: cfg.MinProbes,
+			Tracer:    cfg.Tracer,
+			Query:     cfg.Query,
+		}),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}, nil
 }
 
@@ -244,7 +191,7 @@ func (c *Controller) loop() {
 		case <-c.stop:
 			return
 		case <-t.C:
-			c.Step(c.now())
+			c.Step(time.Now())
 		}
 	}
 }
@@ -267,27 +214,13 @@ func (c *Controller) Stop() {
 // Running reports whether the background loop is active.
 func (c *Controller) Running() bool { return c.started.Load() }
 
-// Pause suspends decision-making without stopping the background loop:
-// Step returns immediately while paused, so no migration can start.
+// Pause ends decision-making without stopping the background loop:
+// Step returns immediately from then on, so no migration can start.
 // The server pauses autopilots during a graceful drain — a plan
 // transition racing the drain barrier would re-lengthen the queues the
-// drain is emptying. Unlike Stop, Pause is reversible and does not
-// join the loop goroutine, so it is safe from any context.
+// drain is emptying. Unlike Stop, Pause does not join the loop
+// goroutine, so it is safe from any context.
 func (c *Controller) Pause() { c.paused.Store(true) }
-
-// Resume lifts a Pause. Confirmation streaks and cooldowns resume
-// where they left off.
-func (c *Controller) Resume() { c.paused.Store(false) }
-
-// Paused reports whether decision-making is suspended.
-func (c *Controller) Paused() bool { return c.paused.Load() }
-
-func (c *Controller) now() time.Time {
-	if c.cfg.Now != nil {
-		return c.cfg.Now()
-	}
-	return time.Now()
-}
 
 // Proposals returns how many plan changes the advisor has proposed
 // (confirmed or not).
@@ -327,17 +260,17 @@ func (c *Controller) Step(now time.Time) {
 	if err != nil {
 		return // target closing; the loop will be stopped shortly
 	}
-	c.advisor.ObserveScanStats(stats, c.target.Snapshot().Input)
+	c.advisor.ObserveScanStats(stats)
 	feed := c.target.ObsSnapshot().Feed
 
 	if c.guardArmed {
-		if now.Sub(c.migratedAt) >= c.cfg.RegressionWindow {
+		if now.Sub(c.migratedAt) >= regressionWindow {
 			c.guardArmed = false
 			c.judge(now, feed)
 			c.anchor, c.anchorAt = feed, now
 		}
-	} else if now.Sub(c.anchorAt) >= c.cfg.RegressionWindow {
-		// Keep the trailing anchor about one RegressionWindow behind, so
+	} else if now.Sub(c.anchorAt) >= regressionWindow {
+		// Keep the trailing anchor about one regressionWindow behind, so
 		// the pre-migration baseline spans a window comparable to the
 		// post-migration one.
 		c.anchor, c.anchorAt = feed, now
@@ -360,7 +293,7 @@ func (c *Controller) Step(now time.Time) {
 	} else {
 		c.pending, c.confirms = p, 1
 	}
-	if c.confirms < c.cfg.Confirm {
+	if c.confirms < confirm {
 		return
 	}
 	if p.String() == c.veto && now.Before(c.vetoUntil) {
@@ -371,12 +304,12 @@ func (c *Controller) Step(now time.Time) {
 	}
 	keep := c.recent[:0]
 	for _, t := range c.recent {
-		if now.Sub(t) < c.cfg.RateWindow {
+		if now.Sub(t) < rateWindow {
 			keep = append(keep, t)
 		}
 	}
 	c.recent = keep
-	if len(c.recent) >= c.cfg.MaxPerWindow {
+	if len(c.recent) >= maxPerWindow {
 		return
 	}
 
@@ -398,7 +331,7 @@ func (c *Controller) Step(now time.Time) {
 	c.atFeed = c.target.ObsSnapshot().Feed
 	c.migratedAt = now
 	c.anchor, c.anchorAt = c.atFeed, now
-	c.guardArmed = c.cfg.RegressionFactor > 0
+	c.guardArmed = true
 
 	c.cfg.Tracer.Emit(obs.Event{
 		Kind: obs.EvAutoDecision, Query: c.cfg.Query, Count: n,
@@ -408,7 +341,7 @@ func (c *Controller) Step(now time.Time) {
 
 // judge resolves an armed regression guard: compare the post-migration
 // feed p99 against the pre-migration baseline and roll back on a
-// regression beyond RegressionFactor.
+// regression beyond regressionFactor.
 func (c *Controller) judge(now time.Time, feed obs.HistSnapshot) {
 	post := feed.Sub(c.atFeed)
 	if c.baseline.Count < minGuardSamples || post.Count < minGuardSamples {
@@ -416,14 +349,14 @@ func (c *Controller) judge(now time.Time, feed obs.HistSnapshot) {
 	}
 	baseP99 := c.baseline.Quantile(0.99)
 	postP99 := post.Quantile(0.99)
-	if float64(postP99) <= float64(baseP99)*c.cfg.RegressionFactor {
+	if float64(postP99) <= float64(baseP99)*regressionFactor {
 		return
 	}
 	if err := c.target.Migrate(c.prevPlan); err != nil {
 		return
 	}
 	n := c.rollbacks.Add(1)
-	c.veto, c.vetoUntil = c.installed, now.Add(c.cfg.VetoHold)
+	c.veto, c.vetoUntil = c.installed, now.Add(vetoHoldCooldowns*c.cfg.Cooldown)
 	c.cooldown = now
 	c.pending, c.confirms = nil, 0
 	c.cfg.Tracer.Emit(obs.Event{
@@ -441,7 +374,6 @@ func (c *Controller) judge(now time.Time, feed obs.HistSnapshot) {
 type SingleEngine struct{ E *engine.Engine }
 
 func (s SingleEngine) ScanStats() ([]engine.ScanStats, error) { return s.E.ScanStats(), nil }
-func (s SingleEngine) Snapshot() metrics.Snapshot             { return s.E.Metrics() }
 func (s SingleEngine) Plan() (*plan.Plan, error)              { return s.E.Plan(), nil }
 func (s SingleEngine) Migrate(p *plan.Plan) error             { return s.E.Migrate(p) }
 

@@ -7,7 +7,6 @@ import (
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/metrics"
 	"jisc/internal/obs"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
@@ -19,7 +18,6 @@ import (
 // and records every Migrate.
 type fakeTarget struct {
 	stats      []engine.ScanStats
-	input      uint64
 	snap       obs.SetSnapshot
 	cur        *plan.Plan
 	migrated   []string
@@ -28,7 +26,6 @@ type fakeTarget struct {
 }
 
 func (f *fakeTarget) ScanStats() ([]engine.ScanStats, error) { return f.stats, f.scanErr }
-func (f *fakeTarget) Snapshot() metrics.Snapshot             { return metrics.Snapshot{Input: f.input} }
 func (f *fakeTarget) ObsSnapshot() obs.SetSnapshot           { return f.snap }
 func (f *fakeTarget) Plan() (*plan.Plan, error)              { return f.cur, nil }
 
@@ -41,9 +38,11 @@ func (f *fakeTarget) Migrate(p *plan.Plan) error {
 	return nil
 }
 
-// setSel sets the cumulative counters so that, with Decay 1, this
-// tick's selectivity estimate for stream i is sel[i]. Each call adds
-// 1000 probes per stream and input tuples.
+// setSel adds one observation window to the cumulative counters: 1000
+// probes per stream, stream i matching at sel[i]. The advisor folds
+// each window in at half weight, so an estimate reaches sel[i] at once
+// when it is the stream's first and halves its distance every tick
+// after.
 func (f *fakeTarget) setSel(sel ...float64) {
 	if f.stats == nil {
 		f.stats = make([]engine.ScanStats, len(sel))
@@ -55,7 +54,6 @@ func (f *fakeTarget) setSel(sel ...float64) {
 		f.stats[i].Probes += 1000
 		f.stats[i].Matches += uint64(s * 1000)
 	}
-	f.input += 100
 }
 
 func newFake() *fakeTarget {
@@ -76,21 +74,24 @@ func hist(n int, ns ...uint64) obs.SetSnapshot {
 
 var t0 = time.Unix(1000, 0)
 
+// at is t0 plus sec seconds.
+func at(sec float64) time.Time { return t0.Add(time.Duration(sec * float64(time.Second))) }
+
 func TestConfirmStreakGatesMigration(t *testing.T) {
 	f := newFake()
-	c := MustNew(f, Config{Confirm: 3, Decay: 1, MinProbes: 1, RegressionFactor: -1})
-	for tick := 0; tick < 3; tick++ {
+	c := MustNew(f, Config{MinProbes: 1})
+	for tick := 0; tick < confirm; tick++ {
 		f.setSel(1.0, 0.5, 0.0) // best order [2 1 0], current [0 1 2]
-		c.Step(t0.Add(time.Duration(tick) * time.Second))
-		if tick < 2 && c.Migrations() != 0 {
-			t.Fatalf("migrated after %d confirmations, want %d", tick+1, 3)
+		c.Step(at(float64(tick)))
+		if tick < confirm-1 && c.Migrations() != 0 {
+			t.Fatalf("migrated after %d confirmations, want %d", tick+1, confirm)
 		}
 	}
 	if c.Migrations() != 1 {
-		t.Fatalf("Migrations = %d after 3 confirming ticks, want 1", c.Migrations())
+		t.Fatalf("Migrations = %d after %d confirming ticks, want 1", c.Migrations(), confirm)
 	}
-	if c.Proposals() != 3 {
-		t.Fatalf("Proposals = %d, want 3", c.Proposals())
+	if c.Proposals() != confirm {
+		t.Fatalf("Proposals = %d, want %d", c.Proposals(), confirm)
 	}
 	want := plan.MustLeftDeep(2, 1, 0).String()
 	if len(f.migrated) != 1 || f.migrated[0] != want {
@@ -100,18 +101,18 @@ func TestConfirmStreakGatesMigration(t *testing.T) {
 
 // TestHysteresisNoFlap: selectivities that oscillate between "the
 // current plan is best" and "reverse it" on alternating ticks never
-// produce Confirm consecutive identical proposals, so the controller
+// produce confirm consecutive identical proposals, so the controller
 // never migrates — the §5.1.2 anti-thrashing property.
 func TestHysteresisNoFlap(t *testing.T) {
 	f := newFake()
-	c := MustNew(f, Config{Confirm: 2, Decay: 1, MinProbes: 1, RegressionFactor: -1})
+	c := MustNew(f, Config{MinProbes: 1})
 	for tick := 0; tick < 20; tick++ {
 		if tick%2 == 0 {
 			f.setSel(1.0, 0.5, 0.0) // would propose [2 1 0]
 		} else {
 			f.setSel(0.0, 0.5, 1.0) // current [0 1 2] is already best
 		}
-		c.Step(t0.Add(time.Duration(tick) * time.Second))
+		c.Step(at(float64(tick)))
 	}
 	if c.Migrations() != 0 {
 		t.Fatalf("oscillating statistics migrated %d times, want 0 (migrations: %v)", c.Migrations(), f.migrated)
@@ -123,62 +124,76 @@ func TestHysteresisNoFlap(t *testing.T) {
 
 func TestCooldownEnforced(t *testing.T) {
 	f := newFake()
-	c := MustNew(f, Config{Confirm: 1, Cooldown: 10 * time.Second, Decay: 1, MinProbes: 1, RegressionFactor: -1})
-	f.setSel(1.0, 0.5, 0.0)
-	c.Step(t0)
+	c := MustNew(f, Config{Cooldown: 10 * time.Second, MinProbes: 1})
+	step := func(sec float64, sel ...float64) {
+		f.setSel(sel...)
+		c.Step(at(sec))
+	}
+	step(0, 1.0, 0.5, 0.0)
+	step(1, 1.0, 0.5, 0.0)
 	if c.Migrations() != 1 {
 		t.Fatalf("first migration did not happen: Migrations = %d", c.Migrations())
 	}
 	// Now the installed plan is [2 1 0]; flip the statistics so the
-	// original order is best again.
-	f.setSel(0.0, 0.5, 1.0)
-	c.Step(t0.Add(time.Second))
+	// original order is best again, long enough for the advisor to
+	// confirm it well inside the cooldown.
+	for sec := 2.0; sec <= 6; sec++ {
+		step(sec, 0.0, 0.5, 1.0)
+	}
+	if c.Proposals() < 2+confirm {
+		t.Fatalf("Proposals = %d: the flipped order was never confirmed, so the cooldown was not tested", c.Proposals())
+	}
 	if c.Migrations() != 1 {
 		t.Fatalf("migration inside the cooldown window: Migrations = %d", c.Migrations())
 	}
-	f.setSel(0.0, 0.5, 1.0)
-	c.Step(t0.Add(11 * time.Second))
+	step(12, 0.0, 0.5, 1.0)
 	if c.Migrations() != 2 {
 		t.Fatalf("migration after the cooldown expired did not happen: Migrations = %d", c.Migrations())
 	}
 }
 
+// TestRateLimitCapsMigrationsPerWindow: the cooldown is too short to
+// pace anything and the statistics turn against each plan as soon as
+// it is installed, so only the rate limit stops the flapping —
+// maxPerWindow migrations in one rateWindow, and the budget re-opens
+// when the window rolls.
 func TestRateLimitCapsMigrationsPerWindow(t *testing.T) {
 	f := newFake()
-	c := MustNew(f, Config{
-		Confirm: 1, Cooldown: time.Nanosecond, MaxPerWindow: 2, RateWindow: time.Minute,
-		Decay: 1, MinProbes: 1, RegressionFactor: -1,
-	})
-	// Alternate which order is best so every tick confirms a fresh
-	// proposal; only the rate limit can stop the flapping now.
-	for tick := 0; tick < 8; tick++ {
-		if tick%2 == 0 {
+	c := MustNew(f, Config{Cooldown: time.Nanosecond, MinProbes: 1})
+	forward := true
+	step := func(sec float64) {
+		if forward {
 			f.setSel(1.0, 0.5, 0.0)
 		} else {
 			f.setSel(0.0, 0.5, 1.0)
 		}
-		c.Step(t0.Add(time.Duration(tick) * time.Second))
+		before := c.Migrations()
+		c.Step(at(sec))
+		if c.Migrations() != before {
+			forward = !forward
+		}
 	}
-	if c.Migrations() != 2 {
-		t.Fatalf("Migrations = %d inside one rate window, want 2", c.Migrations())
+	for sec := 0.0; sec < 40; sec++ {
+		step(sec)
 	}
-	// A new window re-opens the budget.
-	f.setSel(1.0, 0.5, 0.0)
-	c.Step(t0.Add(2 * time.Minute))
-	if c.Migrations() != 3 {
-		t.Fatalf("Migrations = %d after the rate window rolled, want 3", c.Migrations())
+	if c.Migrations() != maxPerWindow {
+		t.Fatalf("Migrations = %d inside one rate window, want %d", c.Migrations(), maxPerWindow)
+	}
+	// A new window re-opens the budget: the proposal the limit held
+	// back installs.
+	step((2 * rateWindow).Seconds())
+	if c.Migrations() != maxPerWindow+1 {
+		t.Fatalf("Migrations = %d after the rate window rolled, want %d", c.Migrations(), maxPerWindow+1)
 	}
 }
 
 // TestRollbackOnRegression injects a feed-latency regression after a
 // migration and checks the guard restores the previous plan, counts
-// the rollback, and vetoes the regressed plan for VetoHold.
+// the rollback, and vetoes the regressed plan for vetoHoldCooldowns
+// cooldowns — and no longer.
 func TestRollbackOnRegression(t *testing.T) {
 	f := newFake()
-	c := MustNew(f, Config{
-		Confirm: 1, Cooldown: time.Nanosecond, Decay: 1, MinProbes: 1,
-		RegressionFactor: 2.0, RegressionWindow: 2 * time.Second, VetoHold: time.Hour,
-	})
+	c := MustNew(f, Config{Cooldown: time.Second, MinProbes: 1})
 	// Tick 1: neutral statistics, just anchors the baseline window at
 	// 10 samples of 1ms.
 	f.snap = hist(10, 1e6)
@@ -187,35 +202,46 @@ func TestRollbackOnRegression(t *testing.T) {
 	if c.Migrations() != 0 {
 		t.Fatalf("neutral statistics migrated: %v", f.migrated)
 	}
-	// Tick 2 (inside the anchor window): a confirmed improvement
-	// migrates; the baseline is the 10 further 1ms samples since tick 1.
+	// Ticks 2 and 3 (inside the anchor window): an improvement confirmed
+	// on the second migrates; the baseline is the 10 further 1ms samples
+	// since tick 1.
 	f.snap = hist(20, 1e6)
-	f.setSel(1.0, 0.5, 0.0)
-	c.Step(t0.Add(time.Second))
+	for _, sec := range []float64{0.5, 1} {
+		f.setSel(1.0, 0.5, 0.0)
+		c.Step(at(sec))
+	}
 	if c.Migrations() != 1 {
 		t.Fatalf("Migrations = %d, want 1", c.Migrations())
 	}
 	bad := f.cur.String()
-	// Tick 3, one RegressionWindow later: everything fed since the
+	// Tick 4, one regressionWindow later: everything fed since the
 	// migration took 100ms — a 100× p99 regression.
 	f.snap = hist(20, 1e6).Add(hist(20, 1e8))
 	f.setSel(1.0, 0.5, 0.0)
-	c.Step(t0.Add(3100 * time.Millisecond))
+	rolledBack := at(1).Add(regressionWindow + 100*time.Millisecond)
+	c.Step(rolledBack)
 	if c.Rollbacks() != 1 {
 		t.Fatalf("Rollbacks = %d, want 1", c.Rollbacks())
 	}
 	if got := f.cur.String(); got != plan.MustLeftDeep(0, 1, 2).String() {
 		t.Fatalf("current plan after rollback is %s, want the previous plan", got)
 	}
-	// The regressed plan is vetoed: identical favorable statistics must
-	// not reinstall it.
+	// The regressed plan is vetoed: identical favorable statistics,
+	// confirmed and past the cooldown, must not reinstall it until the
+	// veto lapses.
 	migs := c.Migrations()
-	for tick := 0; tick < 4; tick++ {
+	vetoEnd := rolledBack.Add(vetoHoldCooldowns * time.Second)
+	for now := rolledBack.Add(time.Second); now.Before(vetoEnd); now = now.Add(time.Second) {
 		f.setSel(1.0, 0.5, 0.0)
-		c.Step(t0.Add(time.Duration(10+tick) * time.Second))
+		c.Step(now)
 	}
 	if c.Migrations() != migs {
 		t.Fatalf("vetoed plan %s was reinstalled (migrations %v)", bad, f.migrated)
+	}
+	f.setSel(1.0, 0.5, 0.0)
+	c.Step(vetoEnd)
+	if c.Migrations() != migs+1 {
+		t.Fatalf("Migrations = %d once the veto lapsed, want %d", c.Migrations(), migs+1)
 	}
 }
 
@@ -224,12 +250,13 @@ func TestRollbackOnRegression(t *testing.T) {
 // deterministic-simulation mode depends on it.
 func TestGuardSilentWithoutSamples(t *testing.T) {
 	f := newFake()
-	c := MustNew(f, Config{Confirm: 1, Cooldown: time.Nanosecond, Decay: 1, MinProbes: 1,
-		RegressionFactor: 2.0, RegressionWindow: time.Second})
-	f.setSel(1.0, 0.5, 0.0)
-	c.Step(t0)
+	c := MustNew(f, Config{Cooldown: time.Nanosecond, MinProbes: 1})
+	for tick := 0; tick < confirm; tick++ {
+		f.setSel(1.0, 0.5, 0.0)
+		c.Step(at(float64(tick)))
+	}
 	f.setSel(0.5, 0.5, 0.5)
-	c.Step(t0.Add(5 * time.Second))
+	c.Step(at(5))
 	if c.Rollbacks() != 0 {
 		t.Fatalf("Rollbacks = %d with an empty feed histogram, want 0", c.Rollbacks())
 	}
@@ -240,7 +267,7 @@ func TestGuardSilentWithoutSamples(t *testing.T) {
 
 func TestStepToleratesTargetErrors(t *testing.T) {
 	f := newFake()
-	c := MustNew(f, Config{Confirm: 1, Decay: 1, MinProbes: 1, RegressionFactor: -1})
+	c := MustNew(f, Config{MinProbes: 1})
 	f.scanErr = errors.New("closing")
 	f.setSel(1.0, 0.5, 0.0)
 	c.Step(t0) // must not panic or migrate
@@ -249,7 +276,13 @@ func TestStepToleratesTargetErrors(t *testing.T) {
 	}
 	f.scanErr = nil
 	f.migrateErr = errors.New("shard stopped")
-	c.Step(t0.Add(time.Second))
+	for tick := 1; tick <= confirm; tick++ {
+		f.setSel(1.0, 0.5, 0.0)
+		c.Step(at(float64(tick)))
+	}
+	if c.Proposals() != confirm {
+		t.Fatalf("Proposals = %d, want %d: the migration was never attempted", c.Proposals(), confirm)
+	}
 	if c.Migrations() != 0 {
 		t.Fatalf("a failed Migrate was counted: %d", c.Migrations())
 	}
@@ -263,8 +296,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(f, Config{Cooldown: -time.Second}); err == nil {
 		t.Error("negative cooldown accepted")
 	}
-	if _, err := New(f, Config{Confirm: -1}); err == nil {
-		t.Error("negative confirm accepted")
+	if _, err := New(f, Config{Interval: -time.Second}); err == nil {
+		t.Error("negative interval accepted")
 	}
 	c := MustNew(f, Config{})
 	if c.Running() {
@@ -278,7 +311,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestStartStopLifecycle(t *testing.T) {
 	f := newFake()
-	c := MustNew(f, Config{Interval: time.Millisecond, RegressionFactor: -1})
+	c := MustNew(f, Config{Interval: time.Millisecond})
 	c.Start()
 	c.Start() // idempotent
 	if !c.Running() {
@@ -301,9 +334,7 @@ func TestSingleEngineAutopilot(t *testing.T) {
 		WindowSize: 200,
 		Strategy:   core.New(),
 	})
-	c := MustNew(SingleEngine{E: e}, Config{
-		Confirm: 2, Cooldown: time.Second, MinProbes: 16, RegressionFactor: -1,
-	})
+	c := MustNew(SingleEngine{E: e}, Config{Cooldown: time.Second, MinProbes: 16})
 	src := workload.MustNewSource(workload.Config{
 		Streams: 3, Domain: 200, Seed: 7, Domains: []int64{4, 2000, 2000},
 	})
@@ -352,14 +383,17 @@ func hoseShiftEvents() []workload.Event {
 // statically, then the autopilot runs it from the worst of them on a
 // logical clock. The autopilot must probe less than the plan it was
 // started on and within 5% of the best static plan, and emit the same
-// results. Seed-deterministic — the numbers repeat exactly.
+// results. Seed-deterministic, so every count is pinned exactly: a
+// change to what the controller decides moves one of them.
 func TestAutopilotHoseShiftWork(t *testing.T) {
+	const wantOutput, wantAutoProbes, wantMigrations = 253, 126794, 14
+	wantStatic := []uint64{125670, 127438, 128594, 150252}
 	evs := hoseShiftEvents()
 	run := func(initial *plan.Plan, auto bool) (probes, output, migrations uint64) {
 		e := engine.MustNew(engine.Config{Plan: initial, WindowSize: hoseShiftWindow, Strategy: core.New()})
 		var c *Controller
 		if auto {
-			c = MustNew(SingleEngine{E: e}, Config{Confirm: 2, Cooldown: 2 * time.Second, RegressionFactor: -1})
+			c = MustNew(SingleEngine{E: e}, Config{Cooldown: 2 * time.Second})
 		}
 		clock := t0
 		for i, ev := range evs {
@@ -376,15 +410,14 @@ func TestAutopilotHoseShiftWork(t *testing.T) {
 		return m.Probes, m.Output, migrations
 	}
 	var worst *plan.Plan
-	var worstProbes, bestProbes, wantOutput uint64
+	var worstProbes, bestProbes uint64
 	for r := 0; r < 4; r++ {
 		p := plan.MustLeftDeep(tuple.StreamID(r), tuple.StreamID((r+1)%4), tuple.StreamID((r+2)%4), tuple.StreamID((r+3)%4))
 		probes, output, _ := run(p, false)
 		t.Logf("static %s: %d probes, %d outputs", p, probes, output)
-		if r > 0 && output != wantOutput {
-			t.Fatalf("static %s emitted %d results, the others %d", p, output, wantOutput)
+		if probes != wantStatic[r] || output != wantOutput {
+			t.Errorf("static %s: %d probes, %d outputs; want %d and %d", p, probes, output, wantStatic[r], wantOutput)
 		}
-		wantOutput = output
 		if probes > worstProbes {
 			worst, worstProbes = p, probes
 		}
@@ -398,11 +431,9 @@ func TestAutopilotHoseShiftWork(t *testing.T) {
 	probes, output, migrations := run(worst, true)
 	t.Logf("autopilot from %s: %d probes (%.2fx worst, %.2fx best), %d outputs, %d migrations",
 		worst, probes, float64(probes)/float64(worstProbes), float64(probes)/float64(bestProbes), output, migrations)
-	if output != wantOutput {
-		t.Errorf("autopilot emitted %d results, the static plans %d", output, wantOutput)
-	}
-	if migrations == 0 {
-		t.Error("the autopilot never left the worst plan")
+	if probes != wantAutoProbes || output != wantOutput || migrations != wantMigrations {
+		t.Errorf("autopilot: %d probes, %d outputs, %d migrations; want %d, %d and %d",
+			probes, output, migrations, wantAutoProbes, wantOutput, wantMigrations)
 	}
 	if probes >= worstProbes {
 		t.Errorf("autopilot probed %d times, no fewer than the worst static plan's %d", probes, worstProbes)

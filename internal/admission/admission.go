@@ -437,6 +437,3 @@ func (b *Budget) Release(n int64) {
 
 // Inflight returns the reserved total.
 func (b *Budget) Inflight() int64 { return b.cur.Load() }
-
-// Limit returns the configured bound.
-func (b *Budget) Limit() int64 { return b.limit }

@@ -18,6 +18,10 @@ type LatencyRow struct {
 	Window      int
 	JISC        time.Duration
 	MovingState time.Duration
+
+	// jiscWork and msWork are each strategy's MigrationWork up to that
+	// first output: the eager recomputation the latency stands for.
+	jiscWork, msWork uint64
 }
 
 // Figure10Hash reproduces Figure 10a: output latency after a
@@ -62,7 +66,7 @@ func figure10(cfg Config, joins int, windows []int, kind engine.Kind, theta func
 
 func latencyOne(cfg Config, joins, win int, kind engine.Kind, theta func(a, b *tuple.Tuple) bool) (LatencyRow, error) {
 	streams := joins + 1
-	measureOnce := func(strategy engine.Strategy) (time.Duration, error) {
+	measureOnce := func(strategy engine.Strategy) (time.Duration, uint64, error) {
 		p := initialPlan(streams)
 		e := engine.MustNew(engine.Config{
 			Plan: p, WindowSize: win, Kind: kind, Theta: theta, Strategy: strategy,
@@ -80,39 +84,41 @@ func latencyOne(cfg Config, joins, win int, kind engine.Kind, theta func(a, b *t
 			e.Feed(src.Next())
 		}
 		if err := e.Migrate(worstCaseSwap(p)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		// Feed until the first post-transition output appears; the
 		// collector measures transition-to-first-output.
 		for i := 0; i < 4*streams*win; i++ {
 			e.Feed(src.Next())
 			if m := e.Metrics(); len(m.OutputLatencies) > 0 {
-				return m.OutputLatencies[0], nil
+				return m.OutputLatencies[0], m.MigrationWork, nil
 			}
 		}
-		return 0, nil
+		return 0, e.Metrics().MigrationWork, nil
 	}
 	// Latency is a single short event; repeat and take the median to
-	// damp scheduler noise.
-	measure := func(strategy func() engine.Strategy) (time.Duration, error) {
+	// damp scheduler noise. The work is the same on every repetition.
+	measure := func(strategy func() engine.Strategy) (time.Duration, uint64, error) {
 		samples := make([]time.Duration, 0, cfg.reps())
+		var work uint64
 		for r := 0; r < cfg.reps(); r++ {
-			d, err := measureOnce(strategy())
+			d, w, err := measureOnce(strategy())
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			samples = append(samples, d)
+			work = w
 		}
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		return samples[len(samples)/2], nil
+		return samples[len(samples)/2], work, nil
 	}
-	jisc, err := measure(func() engine.Strategy { return core.New() })
+	jisc, jiscWork, err := measure(func() engine.Strategy { return core.New() })
 	if err != nil {
 		return LatencyRow{}, err
 	}
-	ms, err := measure(func() engine.Strategy { return migrate.MovingState{} })
+	ms, msWork, err := measure(func() engine.Strategy { return migrate.MovingState{} })
 	if err != nil {
 		return LatencyRow{}, err
 	}
-	return LatencyRow{Window: win, JISC: jisc, MovingState: ms}, nil
+	return LatencyRow{Window: win, JISC: jisc, MovingState: ms, jiscWork: jiscWork, msWork: msWork}, nil
 }

@@ -25,6 +25,11 @@ type MigrationRow struct {
 	JISC      time.Duration
 	PT        time.Duration
 	CACQ      time.Duration
+
+	// ptWork is Parallel Track's MigrationWork over the stage and
+	// jiscEntries JISC's CompletedEntries over the same tuples: the
+	// work the timings stand for, seed-deterministic.
+	ptWork, jiscEntries uint64
 }
 
 // SpeedupPT returns PT time / JISC time.
@@ -114,6 +119,7 @@ func migrationStageOne(cfg Config, joins int, swap func(*plan.Plan) *plan.Plan) 
 		}
 	}
 	ptTime := time.Since(start)
+	ptWork := pt.Metrics().MigrationWork
 
 	// Repetitions replay the identical stage on fresh executors; the
 	// minimum damps scheduler noise.
@@ -146,6 +152,7 @@ func migrationStageOne(cfg Config, joins int, swap func(*plan.Plan) *plan.Plan) 
 	// migration-stage tuples. With cfg.Shards > 1 the measurement
 	// exercises the sharded runtime entry point: warmup and stage are
 	// hash-partitioned across the shards and the transition fans out.
+	var jiscEntries uint64
 	runJISC := func() (time.Duration, error) {
 		if cfg.Shards > 1 {
 			// Windows are per shard, and each shard sees ~1/N of the
@@ -184,7 +191,9 @@ func migrationStageOne(cfg Config, joins int, swap func(*plan.Plan) *plan.Plan) 
 			if err := rt.Flush(); err != nil {
 				return 0, err
 			}
-			return time.Since(start), nil
+			d := time.Since(start)
+			jiscEntries = rt.Snapshot().CompletedEntries
+			return d, nil
 		}
 		je := engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: core.New()})
 		for _, ev := range warm {
@@ -193,7 +202,9 @@ func migrationStageOne(cfg Config, joins int, swap func(*plan.Plan) *plan.Plan) 
 		if err := je.Migrate(target); err != nil {
 			return 0, err
 		}
-		return timeFeed(je, stage), nil
+		d := timeFeed(je, stage)
+		jiscEntries = je.Metrics().CompletedEntries
+		return d, nil
 	}
 	jiscTime, err := runJISC()
 	if err != nil {
@@ -225,5 +236,6 @@ func migrationStageOne(cfg Config, joins int, swap func(*plan.Plan) *plan.Plan) 
 	return MigrationRow{
 		Joins: joins, MigTuples: len(stage),
 		JISC: jiscTime, PT: ptTime, CACQ: cacqTime,
+		ptWork: ptWork, jiscEntries: jiscEntries,
 	}, nil
 }

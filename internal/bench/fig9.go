@@ -7,6 +7,7 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/eddy"
 	"jisc/internal/engine"
+	"jisc/internal/metrics"
 )
 
 // NormalOpRow is one point of Figure 9: cumulative execution time
@@ -18,6 +19,10 @@ type NormalOpRow struct {
 	JISC   time.Duration
 	SHJ    time.Duration
 	CACQ   time.Duration
+
+	// jisc and shj are the two engines' counters at this point: the
+	// same input under either strategy does the same work.
+	jisc, shj metrics.Snapshot
 }
 
 // OverheadVsSHJ returns JISC time / pure-SHJ time (≈1 expected: JISC
@@ -58,7 +63,7 @@ func Figure9(cfg Config, joins, points int, w io.Writer) ([]NormalOpRow, error) 
 		tJISC += timeFeed(je, srcA.Take(chunk))
 		tSHJ += timeFeed(shj, srcB.Take(chunk))
 		tCACQ += timeFeed(cq, srcC.Take(chunk))
-		row := NormalOpRow{Tuples: i * chunk, JISC: tJISC, SHJ: tSHJ, CACQ: tCACQ}
+		row := NormalOpRow{Tuples: i * chunk, JISC: tJISC, SHJ: tSHJ, CACQ: tCACQ, jisc: je.Metrics(), shj: shj.Metrics()}
 		rows = append(rows, row)
 		fprintf(w, "%10d %12v %12v %12v %11.2f %11.2f\n",
 			row.Tuples, row.JISC.Round(time.Microsecond), row.SHJ.Round(time.Microsecond),

@@ -156,9 +156,6 @@ func (p *Proxy) SetPartitioned(v bool) {
 	}
 }
 
-// Partitioned reports the current partition state.
-func (p *Proxy) Partitioned() bool { return p.partitioned.Load() }
-
 // Stats returns a snapshot of the proxy's counters.
 func (p *Proxy) Stats() Stats {
 	return Stats{

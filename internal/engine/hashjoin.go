@@ -39,7 +39,7 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	matches := opp.St.Probe(t.Key)
 	if timed {
 		t1 = e.now()
-		e.recordProbe(opp, t1.Sub(t0))
+		e.obs.Probe.Record(t1.Sub(t0))
 	}
 	opp.Probes++
 	opp.Matches += uint64(len(matches))
@@ -94,14 +94,4 @@ func (e *Engine) forward(t *tuple.Tuple, matches []*tuple.Tuple, timed bool, pro
 // Set-difference and nested-loops roots keep their state.
 func (e *Engine) storesOutput(j *Node) bool {
 	return j.Parent != nil || j.Kind != HashJoin || e.cfg.EmitExpiry
-}
-
-// recordProbe folds one timed probe of n's state into the engine-wide
-// probe histogram and n's per-operator accumulators.
-func (e *Engine) recordProbe(n *Node, d time.Duration) {
-	e.obs.Probe.Record(d)
-	if d > 0 {
-		n.ProbeNanos += uint64(d)
-	}
-	n.ProbeSamples++
 }

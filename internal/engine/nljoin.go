@@ -53,8 +53,7 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	if timed {
 		// Includes the matches' downstream processing — for a
 		// nested-loops scan the two are inseparable without a clock
-		// read per stored entry, and the optimizer's left-deep cost
-		// model never reads nested-loops nodes anyway.
-		e.recordProbe(opp, e.now().Sub(t0))
+		// read per stored entry.
+		e.obs.Probe.Record(e.now().Sub(t0))
 	}
 }

@@ -140,13 +140,6 @@ type Node struct {
 	// one). They survive re-installation only while the state itself
 	// survives; fresh states start at zero.
 	Probes, Matches uint64
-
-	// ProbeNanos and ProbeSamples accumulate sampled probe durations
-	// against this node's state (recorded only when the engine has an
-	// obs.Recorder) — the per-operator latency signal the optimizer's
-	// cost model can weight selectivities with. Same lifecycle as
-	// Probes/Matches.
-	ProbeNanos, ProbeSamples uint64
 }
 
 // IsLeaf reports whether the node is a stream scan.

@@ -75,18 +75,9 @@ func (c *Collector) MarkTransition(now time.Time) {
 	c.mu.Unlock()
 }
 
-// MarkOutput records a root output at time now; the first one after a
-// transition closes the output-latency measurement.
-func (c *Collector) MarkOutput(now time.Time) {
-	c.Output.Add(1)
-	if c.awaitingOutput.Load() {
-		c.closeLatency(now)
-	}
-}
-
-// MarkOutputsAt is MarkOutput for the hot path: it counts the n ≥ 1
-// outputs one probe produced with a single add, and reads clock only
-// for the first output after a transition.
+// MarkOutputsAt records the n ≥ 1 root outputs one probe produced with
+// a single add. It reads clock only for the first output after a
+// transition, which closes the output-latency measurement.
 func (c *Collector) MarkOutputsAt(n uint64, clock func() time.Time) {
 	c.Output.Add(n)
 	if c.awaitingOutput.Load() {
@@ -111,20 +102,6 @@ func (c *Collector) OutputLatencies() []time.Duration {
 	out := make([]time.Duration, len(c.latencies))
 	copy(out, c.latencies)
 	return out
-}
-
-// MaxOutputLatency returns the largest recorded transition-to-first-
-// output latency, or zero when none was recorded.
-func (c *Collector) MaxOutputLatency() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var m time.Duration
-	for _, d := range c.latencies {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Restore overwrites the collector with s — used when resuming an
@@ -226,12 +203,4 @@ func (s Snapshot) String() string {
 		fmt.Fprintf(&b, " transitions=%d", s.Transitions)
 	}
 	return b.String()
-}
-
-// Throughput returns tuples per second for n tuples processed in d.
-func Throughput(n uint64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(n) / d.Seconds()
 }

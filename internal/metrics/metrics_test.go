@@ -6,6 +6,11 @@ import (
 	"time"
 )
 
+// markOutput records one root output at now.
+func markOutput(c *Collector, now time.Time) {
+	c.MarkOutputsAt(1, func() time.Time { return now })
+}
+
 func TestOutputLatency(t *testing.T) {
 	var c Collector
 	t0 := time.Unix(0, 0)
@@ -13,8 +18,8 @@ func TestOutputLatency(t *testing.T) {
 	if c.Transitions.Load() != 1 {
 		t.Fatalf("Transitions = %d", c.Transitions.Load())
 	}
-	c.MarkOutput(t0.Add(5 * time.Millisecond))
-	c.MarkOutput(t0.Add(9 * time.Millisecond)) // second output: no new latency sample
+	markOutput(&c, t0.Add(5*time.Millisecond))
+	markOutput(&c, t0.Add(9*time.Millisecond)) // second output: no new latency sample
 	if lat := c.OutputLatencies(); len(lat) != 1 {
 		t.Fatalf("latencies = %v, want one sample", lat)
 	} else if lat[0] != 5*time.Millisecond {
@@ -25,16 +30,9 @@ func TestOutputLatency(t *testing.T) {
 	}
 
 	c.MarkTransition(t0.Add(20 * time.Millisecond))
-	c.MarkOutput(t0.Add(120 * time.Millisecond))
-	if got := c.MaxOutputLatency(); got != 100*time.Millisecond {
-		t.Fatalf("MaxOutputLatency = %v, want 100ms", got)
-	}
-}
-
-func TestMaxOutputLatencyEmpty(t *testing.T) {
-	var c Collector
-	if c.MaxOutputLatency() != 0 {
-		t.Fatal("non-zero max latency with no samples")
+	markOutput(&c, t0.Add(120*time.Millisecond))
+	if lat := c.OutputLatencies(); len(lat) != 2 || lat[1] != 100*time.Millisecond {
+		t.Fatalf("latencies = %v, want a second one of 100ms", lat)
 	}
 }
 
@@ -42,11 +40,11 @@ func TestSnapshotIsCopy(t *testing.T) {
 	var c Collector
 	c.Input.Store(3)
 	c.MarkTransition(time.Unix(0, 0))
-	c.MarkOutput(time.Unix(1, 0))
+	markOutput(&c, time.Unix(1, 0))
 	s := c.Snapshot()
 	c.Input.Store(99)
 	c.MarkTransition(time.Unix(2, 0))
-	c.MarkOutput(time.Unix(2, 1))
+	markOutput(&c, time.Unix(2, 1))
 	if s.Input != 3 {
 		t.Fatal("Snapshot shares Input")
 	}
@@ -86,7 +84,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 				c.Input.Add(1)
 				c.Probes.Add(1)
 				if i%100 == 0 {
-					c.MarkOutput(time.Unix(int64(i), 0))
+					markOutput(&c, time.Unix(int64(i), 0))
 				}
 			}
 		}()
@@ -149,18 +147,6 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-func TestThroughput(t *testing.T) {
-	if got := Throughput(1000, time.Second); got != 1000 {
-		t.Fatalf("Throughput = %f", got)
-	}
-	if got := Throughput(1000, 0); got != 0 {
-		t.Fatalf("Throughput with zero duration = %f", got)
-	}
-	if got := Throughput(500, 250*time.Millisecond); got != 2000 {
-		t.Fatalf("Throughput = %f, want 2000", got)
-	}
 }
 
 // TestMarkOutputsAtCountsAProbeAtOnce: one call counts all of a probe's

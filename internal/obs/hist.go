@@ -187,11 +187,3 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 	}
 	return time.Duration(s.Max)
 }
-
-// Mean returns the average recorded duration, or 0 when empty.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Sum / s.Count)
-}

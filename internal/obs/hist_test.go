@@ -147,7 +147,7 @@ func TestQuantiles(t *testing.T) {
 	if s.Max != uint64(1000*time.Microsecond) {
 		t.Fatalf("max = %d", s.Max)
 	}
-	if m := s.Mean(); m < 400*time.Microsecond || m > 600*time.Microsecond {
+	if m := time.Duration(s.Sum / s.Count); m < 400*time.Microsecond || m > 600*time.Microsecond {
 		t.Fatalf("mean = %v", m)
 	}
 	if h.Count() != 1000 {

@@ -4,14 +4,13 @@
 // collector and advisor that watches per-operator selectivities in a
 // running engine, estimates the cost of alternative left-deep orders,
 // and proposes a transition when the current plan has drifted far
-// enough from the best one. Hysteresis (minimum improvement and
-// cooldown) implements the thrashing avoidance of §5.1.2 on the
-// triggering side; JISC's lazy migration handles it on the execution
-// side.
+// enough from the best one. A minimum improvement is the advisor's
+// share of the thrashing avoidance of §5.1.2 on the triggering side
+// (package adaptive paces what it accepts); JISC's lazy migration
+// handles it on the execution side.
 package optimizer
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -23,115 +22,55 @@ import (
 
 // Config parameterizes an Advisor.
 type Config struct {
-	// MinImprovement is the minimum relative cost reduction (e.g.
-	// 0.2 = 20%) a proposal must promise. Guards against thrashing.
-	MinImprovement float64
-	// Cooldown is the minimum number of observed tuples between
-	// proposals. Guards against reacting to noise bursts.
-	Cooldown uint64
-	// Decay is the exponential smoothing factor applied to new
-	// selectivity samples (0 < Decay ≤ 1; 1 = only the latest
-	// window of observations counts). Default 0.5.
-	Decay float64
 	// MinProbes is the number of probes a stream must have received
 	// since the last observation before its selectivity estimate is
 	// trusted. Default 16.
 	MinProbes uint64
-	// UseLatency makes the advisor weight the cost model by the
-	// measured per-stream probe latency (from the engine's sampled
-	// obs instrumentation) instead of treating every probe as equally
-	// expensive. With instrumentation off no latency estimates form
-	// and the advisor behaves as if UseLatency were false.
-	UseLatency bool
 	// Tracer, when non-nil, receives an EvPlanProposed event for every
 	// accepted proposal. Query labels those events.
 	Tracer *obs.Tracer
 	Query  string
 }
 
+// The advisor's two guards against thrashing on noisy estimates.
+const (
+	minImprovement = 0.2 // relative cost cut a proposal must promise, so near-ties never propose
+	decay          = 0.5 // weight of a new selectivity sample, so one noisy window moves an estimate only halfway
+)
+
 // Advisor accumulates selectivity estimates and proposes plans.
 type Advisor struct {
 	cfg Config
 	// sel holds the smoothed matches-per-probe estimate per stream.
 	sel map[tuple.StreamID]float64
-	// lat holds the smoothed probe latency (nanoseconds per probe of
-	// the stream's scan state), from the engine's sampled timings.
-	lat map[tuple.StreamID]float64
 	// lastProbes/lastMatches are the previous cumulative counters, so
 	// observations diff against them.
 	lastProbes  map[tuple.StreamID]uint64
 	lastMatches map[tuple.StreamID]uint64
-	lastNanos   map[tuple.StreamID]uint64
-	lastSamples map[tuple.StreamID]uint64
-	sinceInput  uint64
-	lastInput   uint64
 }
 
 // New returns an Advisor.
-func New(cfg Config) (*Advisor, error) {
-	if cfg.MinImprovement < 0 {
-		return nil, fmt.Errorf("optimizer: negative MinImprovement")
-	}
-	if cfg.Decay == 0 {
-		cfg.Decay = 0.5
-	}
-	if cfg.Decay < 0 || cfg.Decay > 1 {
-		return nil, fmt.Errorf("optimizer: Decay must be in (0,1], got %v", cfg.Decay)
-	}
+func New(cfg Config) *Advisor {
 	if cfg.MinProbes == 0 {
 		cfg.MinProbes = 16
 	}
 	return &Advisor{
 		cfg:         cfg,
 		sel:         make(map[tuple.StreamID]float64),
-		lat:         make(map[tuple.StreamID]float64),
 		lastProbes:  make(map[tuple.StreamID]uint64),
 		lastMatches: make(map[tuple.StreamID]uint64),
-		lastNanos:   make(map[tuple.StreamID]uint64),
-		lastSamples: make(map[tuple.StreamID]uint64),
-	}, nil
-}
-
-// MustNew is New but panics on error.
-func MustNew(cfg Config) *Advisor {
-	a, err := New(cfg)
-	if err != nil {
-		panic(err)
 	}
-	return a
-}
-
-// Observe pulls the per-scan probe/match counters (and, with
-// instrumentation on, the sampled probe-latency accumulators) from a
-// running engine and folds them into the smoothed estimates.
-func (a *Advisor) Observe(e *engine.Engine) {
-	for _, id := range e.Plan().Streams.Streams() {
-		scan := e.Scan(id)
-		if scan == nil {
-			continue
-		}
-		a.ObserveSample(id, scan.Probes, scan.Matches)
-		a.ObserveLatencySample(id, scan.ProbeNanos, scan.ProbeSamples)
-	}
-	in := e.Metrics().Input
-	a.sinceInput += in - a.lastInput
-	a.lastInput = in
 }
 
 // ObserveScanStats folds one cumulative per-stream counter reading —
-// typically runtime.ScanStats' cross-shard sums — plus the matching
-// cumulative input count into the estimates. Summed counters inherit
-// ObserveSample's reset handling: a plan transition zeroes every
-// shard's scan counters, the sums drop, and the advisor rebaselines.
-func (a *Advisor) ObserveScanStats(stats []engine.ScanStats, input uint64) {
+// an engine's ScanStats, or runtime.ScanStats' cross-shard sums — into
+// the estimates. Summed counters inherit ObserveSample's reset
+// handling: a plan transition zeroes every shard's scan counters, the
+// sums drop, and the advisor rebaselines.
+func (a *Advisor) ObserveScanStats(stats []engine.ScanStats) {
 	for _, s := range stats {
 		a.ObserveSample(s.Stream, s.Probes, s.Matches)
-		a.ObserveLatencySample(s.Stream, s.ProbeNanos, s.ProbeSamples)
 	}
-	if input >= a.lastInput {
-		a.sinceInput += input - a.lastInput
-	}
-	a.lastInput = input
 }
 
 // ObserveSample folds one cumulative (probes, matches) reading for a
@@ -155,36 +94,9 @@ func (a *Advisor) ObserveSample(id tuple.StreamID, probes, matches uint64) {
 	}
 	sample := float64(dm) / float64(dp)
 	if old, ok := a.sel[id]; ok {
-		a.sel[id] = old*(1-a.cfg.Decay) + sample*a.cfg.Decay
+		a.sel[id] = old*(1-decay) + sample*decay
 	} else {
 		a.sel[id] = sample
-	}
-}
-
-// ObserveLatencySample folds one cumulative (nanoseconds, samples)
-// probe-timing reading for a stream's scan state into the smoothed
-// latency estimate, with the same reset rebaselining as ObserveSample.
-// The accumulators come from the engine's sampled instrumentation
-// (Node.ProbeNanos/ProbeSamples); with instrumentation off they stay
-// zero and no estimate forms.
-func (a *Advisor) ObserveLatencySample(id tuple.StreamID, nanos, samples uint64) {
-	if nanos < a.lastNanos[id] || samples < a.lastSamples[id] {
-		a.lastNanos[id] = nanos
-		a.lastSamples[id] = samples
-		return
-	}
-	dn := nanos - a.lastNanos[id]
-	ds := samples - a.lastSamples[id]
-	a.lastNanos[id] = nanos
-	a.lastSamples[id] = samples
-	if ds == 0 {
-		return
-	}
-	sample := float64(dn) / float64(ds)
-	if old, ok := a.lat[id]; ok {
-		a.lat[id] = old*(1-a.cfg.Decay) + sample*a.cfg.Decay
-	} else {
-		a.lat[id] = sample
 	}
 }
 
@@ -193,13 +105,6 @@ func (a *Advisor) ObserveLatencySample(id tuple.StreamID, nanos, samples uint64)
 func (a *Advisor) Selectivity(id tuple.StreamID) (float64, bool) {
 	s, ok := a.sel[id]
 	return s, ok
-}
-
-// ProbeLatency returns the smoothed probe latency estimate for a
-// stream, in nanoseconds per probe, and whether one exists yet.
-func (a *Advisor) ProbeLatency(id tuple.StreamID) (float64, bool) {
-	l, ok := a.lat[id]
-	return l, ok
 }
 
 // CostOf estimates the per-input-tuple processing cost of a left-deep
@@ -247,119 +152,22 @@ func BestOrder(streams []tuple.StreamID, sel map[tuple.StreamID]float64) []tuple
 	return order
 }
 
-// LatencyCostOf estimates the per-input-tuple processing time of a
-// left-deep order: the expected number of probes into each level's
-// inner state (the prefix cardinality feeding that level) weighted by
-// that state's measured probe latency in nanoseconds. Streams without
-// a selectivity estimate count as 1; streams without a latency
-// estimate count as 1ns, which degrades gracefully to probe counting.
-func LatencyCostOf(order []tuple.StreamID, sel, lat map[tuple.StreamID]float64) float64 {
-	selOf := func(id tuple.StreamID) float64 {
-		if s, ok := sel[id]; ok {
-			return s
-		}
-		return 1
-	}
-	latOf := func(id tuple.StreamID) float64 {
-		if l, ok := lat[id]; ok && l > 0 {
-			return l
-		}
-		return 1
-	}
-	cost := 0.0
-	card := selOf(order[0])
-	for _, id := range order[1:] {
-		cost += card * latOf(id)
-		card *= selOf(id)
-	}
-	return cost
-}
-
-// LatencyOrder returns a left-deep order heuristically minimizing
-// LatencyCostOf. Interior positions follow the Ibaraki–Kameda rank,
-// descending (1 − sel)/lat: an adjacent exchange at positions k, k+1
-// (k ≥ 1; streams x before y, prefix product P) compares
-// P·lat_x + P·sel_x·lat_y against the swap, and x-first wins iff
-// (1−sel_x)/lat_x > (1−sel_y)/lat_y. The head is special — position
-// 0's own latency never enters the model (its state is not probed by
-// a prefix), so after rank-sorting, each stream is tried as the head
-// and the cheapest resulting order wins. With no latency estimates
-// the rank degenerates to descending (1 − sel), i.e. BestOrder's
-// ascending selectivity.
-func LatencyOrder(streams []tuple.StreamID, sel, lat map[tuple.StreamID]float64) []tuple.StreamID {
-	rank := func(id tuple.StreamID) float64 {
-		s, ok := sel[id]
-		if !ok {
-			s = 1
-		}
-		l, ok := lat[id]
-		if !ok || l <= 0 {
-			l = 1
-		}
-		return (1 - s) / l
-	}
-	ranked := append([]tuple.StreamID(nil), streams...)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		ri, rj := rank(ranked[i]), rank(ranked[j])
-		if ri != rj {
-			return ri > rj
-		}
-		return ranked[i] < ranked[j]
-	})
-	if len(ranked) < 3 {
-		return ranked
-	}
-	best := ranked
-	bestCost := LatencyCostOf(ranked, sel, lat)
-	for i := 1; i < len(ranked); i++ {
-		cand := make([]tuple.StreamID, 0, len(ranked))
-		cand = append(cand, ranked[i])
-		cand = append(cand, ranked[:i]...)
-		cand = append(cand, ranked[i+1:]...)
-		if c := LatencyCostOf(cand, sel, lat); c < bestCost {
-			best, bestCost = cand, c
-		}
-	}
-	return best
-}
-
 // Propose returns a better plan for the current one, if the estimated
-// improvement clears the hysteresis thresholds. With UseLatency set
-// and latency estimates available, candidates are compared under the
-// latency-weighted cost model; otherwise under pure cardinalities.
-// The cooldown counter resets on every proposal; accepted proposals
-// are traced as EvPlanProposed when a Tracer is configured.
+// improvement clears minImprovement. Accepted proposals are traced as
+// EvPlanProposed when a Tracer is configured.
 func (a *Advisor) Propose(current *plan.Plan) (*plan.Plan, bool) {
-	if a.sinceInput < a.cfg.Cooldown {
-		return nil, false
-	}
 	order, err := current.Order()
 	if err != nil {
 		return nil, false // only left-deep plans are advised
 	}
-	useLat := a.cfg.UseLatency && len(a.lat) > 0
-	costOf := func(o []tuple.StreamID) float64 {
-		if useLat {
-			return LatencyCostOf(o, a.sel, a.lat)
-		}
-		return CostOf(o, a.sel)
-	}
-	// Candidate orders: ascending selectivity always; the latency-rank
-	// order too when the latency signal is in play (the two differ
-	// exactly when probe costs are skewed across streams).
 	best := BestOrder(order, a.sel)
-	if useLat {
-		if cand := LatencyOrder(order, a.sel, a.lat); costOf(cand) < costOf(best) {
-			best = cand
-		}
-	}
-	curCost := costOf(order)
-	bestCost := costOf(best)
+	curCost := CostOf(order, a.sel)
+	bestCost := CostOf(best, a.sel)
 	if bestCost >= curCost {
 		return nil, false
 	}
 	improvement := (curCost - bestCost) / curCost
-	if math.IsNaN(improvement) || improvement < a.cfg.MinImprovement {
+	if math.IsNaN(improvement) || improvement < minImprovement {
 		return nil, false
 	}
 	p, err := plan.LeftDeep(best...)
@@ -369,7 +177,6 @@ func (a *Advisor) Propose(current *plan.Plan) (*plan.Plan, bool) {
 	if p.Equal(current) {
 		return nil, false
 	}
-	a.sinceInput = 0
 	a.cfg.Tracer.Emit(obs.Event{
 		Kind: obs.EvPlanProposed, Query: a.cfg.Query,
 		Count: uint64(improvement * 100),

@@ -45,23 +45,14 @@ func (rt *Runtime) admit(tuples int) (deadlineNS, cost int64, ok bool, err error
 	return deadline, cost, true, nil
 }
 
-// PauseAuto suspends the autopilot's decision-making (a no-op when
-// AUTO is off). The drain path pauses rather than stops: Pause is
-// reversible, takes effect immediately, and never joins a goroutine,
-// so it is safe while the drain holds server locks.
+// PauseAuto ends the autopilot's decision-making (a no-op when AUTO
+// is off). The drain path pauses rather than stops: Pause takes effect
+// immediately and never joins a goroutine, so it is safe while the
+// drain holds server locks.
 func (rt *Runtime) PauseAuto() {
 	rt.autoMu.Lock()
 	defer rt.autoMu.Unlock()
 	if rt.auto != nil {
 		rt.auto.Pause()
-	}
-}
-
-// ResumeAuto lifts a PauseAuto (a no-op when AUTO is off).
-func (rt *Runtime) ResumeAuto() {
-	rt.autoMu.Lock()
-	defer rt.autoMu.Unlock()
-	if rt.auto != nil {
-		rt.auto.Resume()
 	}
 }

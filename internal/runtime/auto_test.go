@@ -27,20 +27,13 @@ func TestAutopilotShiftWorkload(t *testing.T) {
 			Strategy:   core.New(),
 		},
 		Shards: 2,
-		Adaptive: &adaptive.Config{
-			Interval:         2 * time.Millisecond,
-			Confirm:          2,
-			Cooldown:         time.Hour,
-			MinProbes:        16,
-			RegressionFactor: -1,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if rt.Auto() == nil {
-		t.Fatal("Config.Adaptive did not start a controller")
+	if err := rt.StartAuto(adaptive.Config{Interval: 2 * time.Millisecond, Cooldown: time.Hour, MinProbes: 16}); err != nil {
+		t.Fatal(err)
 	}
 
 	// Stream 0 is a hose (tiny key domain): the initial order probes
@@ -99,7 +92,7 @@ func TestStartStopAutoLifecycle(t *testing.T) {
 	}
 	defer rt.Close()
 	if rt.Auto() != nil {
-		t.Fatal("autopilot running without Config.Adaptive")
+		t.Fatal("autopilot running before StartAuto")
 	}
 	if err := rt.StartAuto(adaptive.Config{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
@@ -157,7 +150,7 @@ func TestScanStatsMergesShards(t *testing.T) {
 	if probes == 0 {
 		t.Fatal("no probes recorded across shards")
 	}
-	// Fed tuples are visible through the Target-facing snapshot too.
+	// Fed tuples are visible through the merged snapshot too.
 	if got := rt.Snapshot().Input; got != fed {
 		t.Fatalf("Snapshot().Input = %d, want %d", got, fed)
 	}

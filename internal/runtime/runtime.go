@@ -95,13 +95,6 @@ type Config struct {
 	// instead of starting empty. Incompatible with the Shed overflow
 	// policy.
 	Durability durable.Options
-	// Adaptive, when non-nil, starts a closed-loop autopilot on the
-	// Runtime: an adaptive.Controller goroutine that watches the merged
-	// scan statistics and migrates all shards when a better plan is
-	// confirmed (New starts it — after recovery on the durable path —
-	// and Close stops it first). Its Tracer/Query default from Obs.
-	// See also Runtime.StartAuto.
-	Adaptive *adaptive.Config
 	// Admission, when non-nil, puts the controller's degradation
 	// ladder in front of Feed/FeedBatch: rate-limited traffic is shed
 	// counted, traffic beyond the in-flight byte budget is rejected
@@ -242,12 +235,6 @@ func New(cfg Config) (*Runtime, error) {
 		rt.ckptStop = make(chan struct{})
 		rt.ckptDone = make(chan struct{})
 		go rt.checkpointLoop(rt.durOpts.CheckpointInterval)
-	}
-	if cfg.Adaptive != nil {
-		if err := rt.StartAuto(*cfg.Adaptive); err != nil {
-			rt.Close()
-			return nil, err
-		}
 	}
 	return rt, nil
 }
@@ -513,8 +500,6 @@ func (rt *Runtime) ScanStats() ([]engine.ScanStats, error) {
 			agg.Stream = s.Stream
 			agg.Probes += s.Probes
 			agg.Matches += s.Matches
-			agg.ProbeNanos += s.ProbeNanos
-			agg.ProbeSamples += s.ProbeSamples
 			byStream[s.Stream] = agg
 		}
 	})

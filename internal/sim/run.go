@@ -374,15 +374,10 @@ func (x *exec) boot(fs storage.FS) error {
 	}
 	x.rt = rt
 	if sc.UseAutopilot {
-		// No regression guard: the runtime runs without obs
-		// instrumentation, and the sim must not depend on wall-clock
-		// latency.
-		x.ctl = adaptive.MustNew(rt, adaptive.Config{
-			Confirm:          2,
-			Cooldown:         2 * time.Second,
-			MinProbes:        4,
-			RegressionFactor: -1,
-		})
+		// The regression guard stays silent: the runtime runs without
+		// obs instrumentation, so its feed histogram is empty and the sim
+		// never depends on wall-clock latency.
+		x.ctl = adaptive.MustNew(rt, adaptive.Config{Cooldown: 2 * time.Second, MinProbes: 4})
 	}
 	return nil
 }

@@ -118,9 +118,10 @@ func TestScenarioDiversity(t *testing.T) {
 // coverage — in combination with whatever else each seed drew — even in
 // a short sweep. Across the sweep the layer must actually act: a
 // runtime that never spills, a cut that never fires, a limiter that
-// never sheds covers nothing. -sim.seed=N replays one seed of the
-// sweep, which is the repro line its failures print.
-func forcedSweep(t *testing.T, name string, n uint64) {
+// never sheds covers nothing. pin holds tallies the full sweep must
+// reach exactly. -sim.seed=N replays one seed of the sweep, which is
+// the repro line its failures print.
+func forcedSweep(t *testing.T, name string, n uint64, pin map[int]uint64) {
 	if *simSeed != 0 {
 		runSeed(t, *simSeed, name)
 		return
@@ -128,6 +129,7 @@ func forcedSweep(t *testing.T, name string, n uint64) {
 	var (
 		mu  sync.Mutex
 		sum Acted
+		ran uint64
 	)
 	for seed := uint64(1); seed <= n; seed++ {
 		seed := seed
@@ -136,6 +138,7 @@ func forcedSweep(t *testing.T, name string, n uint64) {
 			acted := runSeed(t, seed, name)
 			mu.Lock()
 			defer mu.Unlock()
+			ran++
 			for i, c := range acted {
 				sum[i] += c
 			}
@@ -144,6 +147,11 @@ func forcedSweep(t *testing.T, name string, n uint64) {
 	t.Cleanup(func() {
 		for i, c := range sum {
 			t.Logf("%-26s %d", actNames[i], c)
+		}
+		for act, want := range pin {
+			if ran == n && sum[act] != want { // a -run filter that skips seeds skips the pin
+				t.Errorf("%s across %d scenarios: %d, want %d", actNames[act], n, sum[act], want)
+			}
 		}
 		for _, l := range layers {
 			if l.name != name {
@@ -161,12 +169,18 @@ func forcedSweep(t *testing.T, name string, n uint64) {
 // One sweep per row of the layers table; sweepName maps a layer to its
 // test. Fewer seeds where thrashing spill budgets make a run slow, and
 // where the layer is on for most seeds anyway.
-func TestSimShardedEquivalence(t *testing.T)   { forcedSweep(t, "sharded", 40) }
-func TestSimCrashEquivalence(t *testing.T)     { forcedSweep(t, "crash", 120) }
-func TestSimBatchedEquivalence(t *testing.T)   { forcedSweep(t, "batched", 120) }
-func TestSimAutopilotEquivalence(t *testing.T) { forcedSweep(t, "autopilot", 120) }
-func TestSimSpillEquivalence(t *testing.T)     { forcedSweep(t, "spill", 60) }
-func TestSimOverloadEquivalence(t *testing.T)  { forcedSweep(t, "overload", 120) }
+func TestSimShardedEquivalence(t *testing.T)  { forcedSweep(t, "sharded", 40, nil) }
+func TestSimCrashEquivalence(t *testing.T)    { forcedSweep(t, "crash", 120, nil) }
+func TestSimBatchedEquivalence(t *testing.T)  { forcedSweep(t, "batched", 120, nil) }
+func TestSimSpillEquivalence(t *testing.T)    { forcedSweep(t, "spill", 60, nil) }
+func TestSimOverloadEquivalence(t *testing.T) { forcedSweep(t, "overload", 120, nil) }
+
+// TestSimAutopilotEquivalence pins the controller's decisions: the
+// autopilot is stepped on a logical clock, so the plans it installs
+// across the sweep are a count that moves only if what it decides does.
+func TestSimAutopilotEquivalence(t *testing.T) {
+	forcedSweep(t, "autopilot", 120, map[int]uint64{actInstall: 43})
+}
 
 // TestSimCatchesInjectedFault is the harness's self-test (the
 // acceptance criterion of the simulation PR): deliberately skipping

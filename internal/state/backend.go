@@ -58,12 +58,12 @@ type Backend interface {
 }
 
 // TupleBytes estimates the resident heap footprint of one tuple: the
-// struct itself plus its provenance refs and payload backing arrays.
-// The estimate is deliberately simple and deterministic — it is the
-// unit of the spill budget, compared against itself, not against the
-// allocator.
+// struct itself (56 bytes, a 64-byte allocation) plus its provenance
+// refs' backing array. The estimate is deliberately simple and
+// deterministic — it is the unit of the spill budget, compared against
+// itself, not against the allocator.
 func TupleBytes(t *tuple.Tuple) int64 {
-	return 64 + 16*int64(len(t.Refs)) + 8*int64(len(t.Payload))
+	return 64 + 16*int64(len(t.Refs))
 }
 
 // spillInfo is the resident-side record of one key's spilled part: how

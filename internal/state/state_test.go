@@ -233,10 +233,10 @@ func TestListBasics(t *testing.T) {
 	if l.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", l.Size())
 	}
-	probe := base(1, 1, 15)
-	got := l.Match(probe, func(p, s *tuple.Tuple) bool { return s.Key < p.Key })
-	if len(got) != 1 || got[0] != a {
-		t.Fatalf("Match = %v", got)
+	var got []*tuple.Tuple
+	l.Each(func(s *tuple.Tuple) bool { got = append(got, s); return true })
+	if len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("Each = %v, want insertion order", got)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 //
 //	payload := kind:u8(=1) | key:u64 | set:u64 | count:u16 | count × tuple
 //	tuple   := arrival:u64 | oldest:u64 | nrefs:u8 | nrefs × (stream:u8 | seq:u64)
-//	           | npay:u16 | npay × value:u64
 //
 // Key and Set are per-frame because they are bucket/table constants;
 // each decoded tuple inherits them. Frames are chunked so a frame
@@ -34,8 +33,8 @@ const (
 	// past it (or past softFrameBytes, whichever comes first).
 	maxTuplesPerFrame = 4096
 	// softFrameBytes is the chunking threshold: a frame is closed once
-	// its encoding crosses it, so even with maximal tuples (64 refs, a
-	// full u16 payload) the payload stays under maxSpillPayload.
+	// its encoding crosses it, so even with maximal tuples (255 refs)
+	// the payload stays under maxSpillPayload.
 	softFrameBytes = 128 << 10
 	// maxSpillPayload is the scan-time sanity bound on one frame's
 	// payload, mirroring the WAL's.
@@ -94,11 +93,10 @@ func appendBucketFrame(buf []byte, key tuple.Value, set tuple.StreamSet, tuples 
 }
 
 func appendTuple(buf []byte, t *tuple.Tuple) []byte {
-	if len(t.Refs) > 255 || len(t.Payload) > 1<<16-1 {
-		// Refs are bounded by tuple.MaxStreams (64) and payloads by the
-		// workload model; exceeding the wire widths means a corrupted
-		// tuple, not a data condition.
-		panic(fmt.Sprintf("statestore: tuple with %d refs / %d payload values exceeds the spill frame widths", len(t.Refs), len(t.Payload)))
+	if len(t.Refs) > 255 {
+		// Refs are bounded by tuple.MaxStreams (64); exceeding the wire
+		// width means a corrupted tuple, not a data condition.
+		panic(fmt.Sprintf("statestore: tuple with %d refs exceeds the spill frame width", len(t.Refs)))
 	}
 	buf = le.AppendUint64(buf, t.Arrival)
 	buf = le.AppendUint64(buf, t.Oldest)
@@ -106,10 +104,6 @@ func appendTuple(buf []byte, t *tuple.Tuple) []byte {
 	for _, r := range t.Refs {
 		buf = append(buf, byte(r.Stream))
 		buf = le.AppendUint64(buf, r.Seq)
-	}
-	buf = le.AppendUint16(buf, uint16(len(t.Payload)))
-	for _, v := range t.Payload {
-		buf = le.AppendUint64(buf, uint64(v))
 	}
 	return buf
 }
@@ -162,21 +156,6 @@ func decodeBucketInto(dst []*tuple.Tuple, p []byte) (key tuple.Value, set tuple.
 			t.Refs[j] = tuple.Ref{Stream: tuple.StreamID(b[9*j]), Seq: le.Uint64(b[9*j+1:])}
 		}
 		b = b[9*nrefs:]
-		if len(b) < 2 {
-			return 0, 0, nil, fmt.Errorf("statestore: bucket frame truncated before tuple %d payload count", i)
-		}
-		npay := int(le.Uint16(b))
-		b = b[2:]
-		if len(b) < 8*npay {
-			return 0, 0, nil, fmt.Errorf("statestore: bucket frame truncated in tuple %d payload", i)
-		}
-		if npay > 0 {
-			t.Payload = make([]tuple.Value, npay)
-			for j := 0; j < npay; j++ {
-				t.Payload[j] = tuple.Value(le.Uint64(b[8*j:]))
-			}
-		}
-		b = b[8*npay:]
 		tuples = append(tuples, t)
 	}
 	if len(b) != 0 {

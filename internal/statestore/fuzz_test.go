@@ -10,7 +10,7 @@ import (
 
 // seedPayloads returns canonical bucket payloads (frame headers
 // stripped) covering the encoder's shapes: single tuple, multi-tuple,
-// multi-ref composites, payload values.
+// multi-ref composites, a bucket of composites.
 func seedPayloads() [][]byte {
 	var seeds [][]byte
 	add := func(key tuple.Value, set tuple.StreamSet, tuples []*tuple.Tuple) {
@@ -24,9 +24,8 @@ func seedPayloads() [][]byte {
 	})
 	comp := tuple.Join(tuple.NewBase(0, 1, 4, 1), tuple.NewBase(1, 2, 4, 2))
 	add(4, comp.Set, []*tuple.Tuple{comp})
-	withPay := tuple.NewBase(3, 11, 99, 11)
-	withPay.Payload = []tuple.Value{1, -2, 3}
-	add(99, tuple.NewStreamSet(3), []*tuple.Tuple{withPay})
+	three := tuple.Join(comp, tuple.NewBase(3, 11, 4, 11))
+	add(4, three.Set, []*tuple.Tuple{three, tuple.Join(comp, tuple.NewBase(3, 12, 4, 12))})
 	return seeds
 }
 

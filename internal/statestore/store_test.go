@@ -79,15 +79,13 @@ func TestSpillAndFaultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMultiTupleBucketsAndPayloads(t *testing.T) {
+func TestMultiTupleBuckets(t *testing.T) {
 	s := mustOpen(t, Options{Budget: 1}) // everything spills
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetBackend(s, true)
 
 	for i := 0; i < 6; i++ {
-		tup := base(0, uint64(i+1), tuple.Value(i%2))
-		tup.Payload = []tuple.Value{tuple.Value(100 + i), tuple.Value(200 + i)}
-		tbl.Insert(tup)
+		tbl.Insert(base(0, uint64(i+1), tuple.Value(i%2)))
 	}
 	if tbl.Size() != 6 {
 		t.Fatalf("size = %d", tbl.Size())
@@ -97,10 +95,9 @@ func TestMultiTupleBucketsAndPayloads(t *testing.T) {
 		t.Fatalf("bucket 0 has %d tuples, want 3", len(got))
 	}
 	for _, tup := range got {
-		i := int(tup.Refs[0].Seq) - 1
-		want := []tuple.Value{tuple.Value(100 + i), tuple.Value(200 + i)}
-		if len(tup.Payload) != 2 || tup.Payload[0] != want[0] || tup.Payload[1] != want[1] {
-			t.Fatalf("payload lost in round trip: %v", tup)
+		seq := tup.Refs[0].Seq
+		if tup.Key != 0 || !tup.IsBase() || seq%2 != 1 || tup.Arrival != seq || tup.Oldest != seq {
+			t.Fatalf("tuple changed in the round trip: %v arrival %d oldest %d", tup, tup.Arrival, tup.Oldest)
 		}
 	}
 }

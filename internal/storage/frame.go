@@ -24,17 +24,10 @@ var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// AppendFramed appends payload to dst as one self-delimiting frame.
-func AppendFramed(dst, payload []byte) []byte {
-	dst = le.AppendUint32(dst, uint32(len(payload)))
-	dst = le.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
-}
-
 // SealFrame patches the FrameHeader bytes at start, treating
-// dst[start+FrameHeader:] as the frame's payload. Callers that build
-// the payload in place (reserving the header first) avoid the copy
-// AppendFramed would make.
+// dst[start+FrameHeader:] as the frame's payload: callers build the
+// payload in place after reserving the header, so framing copies
+// nothing.
 func SealFrame(dst []byte, start int) {
 	payload := dst[start+FrameHeader:]
 	le.PutUint32(dst[start:], uint32(len(payload)))

@@ -4,10 +4,10 @@
 //
 // The paper's execution model (JISC, EDBT 2014, §2.1) uses symmetric
 // hash joins on a single join attribute; a tuple therefore carries one
-// Key used for hashing/probing plus an opaque payload. Composite
-// tuples additionally carry provenance references (stream, sequence
-// number) so that sliding-window eviction can locate and remove every
-// intermediate result containing an expired base tuple.
+// Key used for hashing/probing. Composite tuples additionally carry
+// provenance references (stream, sequence number) so that
+// sliding-window eviction can locate and remove every intermediate
+// result containing an expired base tuple.
 package tuple
 
 import (
@@ -112,10 +112,6 @@ type Tuple struct {
 	// Refs holds the provenance of every constituent base tuple,
 	// sorted by (Stream, Seq).
 	Refs []Ref
-	// Payload carries opaque non-join attributes of a base tuple.
-	// Composites keep payloads reachable through their constituents
-	// only, so Payload is nil for composites.
-	Payload []Value
 	// Arrival is the global arrival tick of the newest constituent;
 	// it orders tuples across streams and marks pre- vs
 	// post-transition tuples.
@@ -265,7 +261,6 @@ func (t *Tuple) AppendFingerprint(dst []byte) []byte {
 func (t *Tuple) Clone() *Tuple {
 	c := *t
 	c.Refs = slices.Clone(t.Refs)
-	c.Payload = slices.Clone(t.Payload)
 	return &c
 }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"jisc/internal/testseed"
 )
@@ -339,19 +340,30 @@ func TestAppendUintMatchesStrconv(t *testing.T) {
 }
 
 // TestCloneSharesNothing: a clone reads the same and survives its
-// original being overwritten — refs and payload both.
+// original being overwritten, refs included.
 func TestCloneSharesNothing(t *testing.T) {
 	orig := Join(NewBase(0, 5, 7, 10), NewBase(1, 6, 7, 11))
-	orig.Payload = []Value{1, 2}
 	c := orig.Clone()
 	if c.Fingerprint() != "0#5|1#6" || c.Key != 7 || c.Set != orig.Set || c.Arrival != 11 || c.Oldest != 10 {
 		t.Fatalf("clone = %v", c)
 	}
-	orig.Refs[0], orig.Payload[0], orig.Key = Ref{9, 9}, 9, 9
-	if c.Fingerprint() != "0#5|1#6" || c.Payload[0] != 1 || c.Key != 7 {
-		t.Fatalf("clone changed with its original: %v payload %v", c, c.Payload)
+	orig.Refs[0], orig.Key = Ref{9, 9}, 9
+	if c.Fingerprint() != "0#5|1#6" || c.Key != 7 {
+		t.Fatalf("clone changed with its original: %v", c)
 	}
-	if base := NewBase(2, 1, 3, 1).Clone(); base.Payload != nil || !base.IsBase() {
+	if base := NewBase(2, 1, 3, 1).Clone(); !base.IsBase() {
 		t.Fatalf("base clone = %+v", base)
+	}
+}
+
+// TestTupleSize pins the struct every stored tuple pays for: key, set,
+// refs header, arrival and oldest — 56 bytes on a 64-bit platform, and
+// nothing that no one reads.
+func TestTupleSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("not a 64-bit platform")
+	}
+	if got := unsafe.Sizeof(Tuple{}); got != 56 {
+		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 56", got)
 	}
 }

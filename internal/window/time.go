@@ -61,9 +61,6 @@ func NewTime(id tuple.StreamID, span uint64) *TimeWindow {
 // Stream implements Slider.
 func (w *TimeWindow) Stream() tuple.StreamID { return w.stream }
 
-// Span returns the configured span.
-func (w *TimeWindow) Span() uint64 { return w.span }
-
 // Len implements Slider.
 func (w *TimeWindow) Len() int { return len(w.entries) - w.head }
 

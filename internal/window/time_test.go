@@ -8,7 +8,7 @@ import (
 
 func TestTimeWindowBasics(t *testing.T) {
 	w := NewTime(0, 10)
-	if w.Stream() != 0 || w.Span() != 10 {
+	if w.Stream() != 0 {
 		t.Fatal("accessors")
 	}
 	if exp := w.Slide(tuple.Ref{Stream: 0, Seq: 1}, 5, 100); len(exp) != 0 {
