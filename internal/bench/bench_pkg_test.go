@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"jisc/internal/metrics"
 )
@@ -298,20 +297,26 @@ func TestTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(rows) != 7 || at != 3 {
+		t.Fatalf("rows = %d, transition at %d", len(rows), at)
 	}
-	// Moving State's transition bucket must spike above its own
-	// steady buckets (the halt).
-	var steady time.Duration
+	// The stall in work rather than time: Moving State recomputes its
+	// new states eagerly in the transition bucket and does nothing after,
+	// JISC does no eager work at all and completes entries key by key
+	// from the transition on, and Parallel Track pays for its discard
+	// checks bucket after bucket. Seed-deterministic, so exact.
+	want := []struct{ jisc, ms, pt laneWork }{
+		{}, {}, {},
+		{laneWork{0, 54}, laneWork{3195, 0}, laneWork{8065, 0}},
+		{laneWork{0, 29}, laneWork{}, laneWork{50, 0}},
+		{laneWork{0, 90}, laneWork{}, laneWork{8026, 0}},
+		{laneWork{0, 58}, laneWork{}, laneWork{50, 0}},
+	}
 	for i, r := range rows {
-		if i != at {
-			steady += r.MS
+		if w := want[i]; r.jisc != w.jisc || r.ms != w.ms || r.pt != w.pt {
+			t.Errorf("bucket %d: JISC %+v, Moving State %+v, Parallel Track %+v; want %+v, %+v and %+v",
+				i, r.jisc, r.ms, r.pt, w.jisc, w.ms, w.pt)
 		}
-	}
-	steady /= time.Duration(len(rows) - 1)
-	if rows[at].MS < steady {
-		t.Errorf("Moving State transition bucket %v below steady %v", rows[at].MS, steady)
 	}
 	if _, _, err := Timeline(Config{}, 3, 5, 10, nil); err == nil {
 		t.Error("bad config accepted")

@@ -6,6 +6,7 @@ import (
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/metrics"
 	"jisc/internal/migrate"
 )
 
@@ -21,7 +22,15 @@ type TimelineRow struct {
 	JISC   time.Duration
 	MS     time.Duration
 	PT     time.Duration
+
+	// jisc, ms and pt are each strategy's work in the bucket: the
+	// seed-deterministic counterpart of its time.
+	jisc, ms, pt laneWork
 }
+
+// laneWork is what one strategy did in one bucket: the MigrationWork
+// and CompletedEntries it added.
+type laneWork struct{ migration, completed uint64 }
 
 // Timeline runs the per-bucket processing-time series. The transition
 // fires at the start of the middle bucket.
@@ -36,8 +45,14 @@ func Timeline(cfg Config, joins, buckets, bucketSize int, w io.Writer) ([]Timeli
 	transitionAt := buckets / 2
 
 	type lane struct {
-		name string
-		feed func(int) time.Duration // process bucket i, return time
+		feed    func(int) time.Duration // process bucket i, return time
+		metrics func() metrics.Snapshot
+	}
+	run := func(l *lane, bucket int) (time.Duration, laneWork) {
+		before := l.metrics()
+		d := l.feed(bucket)
+		after := l.metrics()
+		return d, laneWork{after.MigrationWork - before.MigrationWork, after.CompletedEntries - before.CompletedEntries}
 	}
 	mkEngine := func(strat engine.Strategy) *lane {
 		p := initialPlan(streams)
@@ -47,7 +62,7 @@ func Timeline(cfg Config, joins, buckets, bucketSize int, w io.Writer) ([]Timeli
 			e.Feed(src.Next())
 		}
 		return &lane{
-			name: strat.Name(),
+			metrics: e.Metrics,
 			feed: func(bucket int) time.Duration {
 				start := time.Now()
 				if bucket == transitionAt {
@@ -72,7 +87,7 @@ func Timeline(cfg Config, joins, buckets, bucketSize int, w io.Writer) ([]Timeli
 			pt.Feed(src.Next())
 		}
 		return &lane{
-			name: "parallel-track",
+			metrics: pt.Metrics,
 			feed: func(bucket int) time.Duration {
 				start := time.Now()
 				if bucket == transitionAt {
@@ -97,7 +112,10 @@ func Timeline(cfg Config, joins, buckets, bucketSize int, w io.Writer) ([]Timeli
 	fprintf(w, "%7s %12s %12s %12s\n", "bucket", "JISC", "MovingState", "ParTrack")
 	var rows []TimelineRow
 	for b := 0; b < buckets; b++ {
-		row := TimelineRow{Bucket: b, JISC: jl.feed(b), MS: ml.feed(b), PT: pl.feed(b)}
+		row := TimelineRow{Bucket: b}
+		row.JISC, row.jisc = run(jl, b)
+		row.MS, row.ms = run(ml, b)
+		row.PT, row.pt = run(pl, b)
 		rows = append(rows, row)
 		marker := ""
 		if b == transitionAt {

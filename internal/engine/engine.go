@@ -81,7 +81,7 @@ type Engine struct {
 	// Surviving a transition means staying in this map.
 	states map[tuple.StreamSet]*state.Table
 	lists  map[tuple.StreamSet]*state.List
-	// store is the tiered state backend, nil unless Config.StateBudget
+	// store is the spill tier of the states, nil unless Config.StateBudget
 	// is positive. Every table attaches to it on creation; lists only
 	// account (nested-loops scans have no bucket granularity to spill).
 	store *statestore.Store

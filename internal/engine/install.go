@@ -89,7 +89,7 @@ func (e *Engine) ensureTable(set tuple.StreamSet, initial bool) *state.Table {
 		// seq order, so spilled buckets can shrink by tombstone alone;
 		// join states need the removed tuples back (metrics, expiry
 		// retractions) and fault on eviction instead.
-		st.SetBackend(e.store, set.Count() == 1)
+		st.SetStore(e.store, set.Count() == 1)
 	}
 	e.states[set] = st
 	return st
@@ -108,7 +108,7 @@ func (e *Engine) ensureList(set tuple.StreamSet, initial bool) *state.List {
 		// Lists only account toward the budget; a nested-loops scan
 		// touches every stored tuple, so spilling them would fault the
 		// whole list back on each probe.
-		ls.SetBackend(e.store)
+		ls.SetStore(e.store)
 	}
 	e.lists[set] = ls
 	return ls

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"jisc/internal/statestore"
 	"jisc/internal/tuple"
 )
 
@@ -18,10 +19,10 @@ type List struct {
 	// bytes is the estimated heap footprint (TupleBytes summed) of the
 	// stored tuples. Lists never spill — a nested-loops state is
 	// scanned in full on every probe, so there is no cold bucket to
-	// tier out — but their footprint still counts against the backend
+	// tier out — but their footprint still counts against the store's
 	// budget so table spilling compensates for list growth.
-	bytes   int64
-	backend Backend
+	bytes int64
+	store *statestore.Store
 
 	// attempted suppresses repeated completion work per probing base
 	// ref (the nested-loops analogue of Definition 2, where tuples
@@ -69,29 +70,24 @@ func (l *List) MarkAttempted(ref tuple.Ref) {
 	}
 }
 
-// SetBackend attaches a tiering backend for byte accounting only.
-// Any tuples already stored are accounted immediately.
-func (l *List) SetBackend(b Backend) {
-	l.backend = b
-	if b != nil {
-		b.Account(l.bytes)
-	}
-}
+// SetStore attaches the spill store to the list, which must still be
+// empty, for byte accounting only.
+func (l *List) SetStore(s *statestore.Store) { l.store = s }
 
-// Release detaches the backend, dropping the list's byte accounting
-// from it. The list must not be used afterwards.
+// Release detaches the store, dropping the list's byte accounting from
+// it. The list must not be used afterwards.
 func (l *List) Release() {
-	if l.backend == nil {
+	if l.store == nil {
 		return
 	}
-	l.backend.Account(-l.bytes)
-	l.backend = nil
+	l.store.Account(-l.bytes)
+	l.store = nil
 }
 
 func (l *List) account(delta int64) {
 	l.bytes += delta
-	if l.backend != nil {
-		l.backend.Account(delta)
+	if l.store != nil {
+		l.store.Account(delta)
 	}
 }
 
@@ -102,8 +98,8 @@ func (l *List) Bytes() int64 { return l.bytes }
 func (l *List) Insert(tup *tuple.Tuple) {
 	l.tuples = append(l.tuples, tup)
 	l.account(TupleBytes(tup))
-	if l.backend != nil {
-		l.backend.MaybeSpill()
+	if l.store != nil {
+		l.store.MaybeSpill()
 	}
 }
 

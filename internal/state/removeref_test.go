@@ -89,7 +89,7 @@ func TestRemoveRefMatchesContains(t *testing.T) {
 		var store *statestore.Store
 		if spilled {
 			store = spillStore(t, 2048)
-			tb.SetBackend(store, false)
+			tb.SetStore(store, false)
 		}
 		model := refModel{}
 		const keys, seqs = 4, 5
@@ -130,7 +130,7 @@ func TestRemoveRefTombstoneModeMatchesContains(t *testing.T) {
 		const stream = tuple.StreamID(7)
 		tb := state.NewTable(tuple.NewStreamSet(stream))
 		store := spillStore(t, 1024)
-		tb.SetBackend(store, true)
+		tb.SetStore(store, true)
 		model := refModel{}
 		var window []*tuple.Tuple
 		for seq := uint64(1); seq <= 300; seq++ {
@@ -156,18 +156,25 @@ func TestRemoveRefTombstoneModeMatchesContains(t *testing.T) {
 
 // A set-difference state covers more streams than its tuples do: it
 // stores the outer stream's base tuples under the set of every stream
-// below it. The slot comes from the stored tuples, not the table's Set.
+// below it. The slot comes from the stored tuples, not the table's Set,
+// and a spilled bucket comes back with its tuples' Set, not the table's.
 func TestRemoveRefNarrowTuplesInWideTable(t *testing.T) {
-	tb := state.NewTable(tuple.NewStreamSet(0, 1, 2))
-	tb.Insert(tuple.NewBase(2, 1, 9, 1))
-	tb.Insert(tuple.NewBase(2, 2, 9, 2))
-	if got := tb.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 1}); got != nil {
-		t.Fatalf("ref of an uncovered stream removed %v", got)
-	}
-	if got := tb.RemoveRef(9, tuple.Ref{Stream: 2, Seq: 2}); len(got) != 1 || got[0].Refs[0].Seq != 2 {
-		t.Fatalf("RemoveRef(2#2) = %v, want the one tuple", got)
-	}
-	if tb.Size() != 1 {
-		t.Fatalf("Size = %d, want 1", tb.Size())
+	for _, spilled := range []bool{false, true} {
+		tb := state.NewTable(tuple.NewStreamSet(0, 1, 2))
+		if spilled {
+			tb.SetStore(spillStore(t, 1), false)
+		}
+		tb.Insert(tuple.NewBase(2, 1, 9, 1))
+		tb.Insert(tuple.NewBase(2, 2, 9, 2))
+		if got := tb.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 1}); got != nil {
+			t.Fatalf("spilled %v: ref of an uncovered stream removed %v", spilled, got)
+		}
+		got := tb.RemoveRef(9, tuple.Ref{Stream: 2, Seq: 2})
+		if len(got) != 1 || got[0].Refs[0].Seq != 2 || got[0].Set != tuple.NewStreamSet(2) {
+			t.Fatalf("spilled %v: RemoveRef(2#2) = %v, want the one tuple", spilled, got)
+		}
+		if tb.Size() != 1 {
+			t.Fatalf("spilled %v: Size = %d, want 1", spilled, tb.Size())
+		}
 	}
 }

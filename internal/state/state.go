@@ -7,18 +7,31 @@
 // completion-detection counter of §4.3.
 //
 // Every state maintains byte accounting (TupleBytes summed over its
-// resident tuples), and a Table can attach a tiering Backend that
-// spills cold buckets out of the heap and faults them back on demand —
-// just-in-time residency, the storage-level analogue of the paper's
-// just-in-time completion.
+// resident tuples), and a Table can attach an internal/statestore
+// Store that spills cold buckets out of the heap and faults them back
+// on demand — just-in-time residency, the storage-level analogue of
+// the paper's just-in-time completion. Spilling changes residency,
+// never contents: the table keeps each spilled key's statestore.Part,
+// the one record of it, so Size, ContainsKey, DistinctKeys and Keys
+// stay exact without I/O.
 package state
 
 import (
 	"fmt"
 	"math/bits"
 
+	"jisc/internal/statestore"
 	"jisc/internal/tuple"
 )
+
+// TupleBytes estimates the resident heap footprint of one tuple: the
+// struct itself (56 bytes, a 64-byte allocation) plus its provenance
+// refs' backing array. The estimate is deliberately simple and
+// deterministic — it is the unit of the spill budget, compared against
+// itself, not against the allocator.
+func TupleBytes(t *tuple.Tuple) int64 {
+	return 64 + 16*int64(len(t.Refs))
+}
 
 // Table is a hash multimap from join key to the tuples carrying that
 // key. It is the state of one operator in a pipelined plan: for a scan
@@ -37,25 +50,25 @@ type Table struct {
 	size int
 
 	// bytes is the estimated heap footprint (TupleBytes summed) of the
-	// resident tuples only; spilled buckets are accounted by spilled.
+	// resident tuples only; spilled parts are accounted by the store.
 	bytes int64
 
-	// backend, when non-nil, governs residency: cold buckets move out
-	// of buckets into the backend (tracked by spilled) and fault back
-	// in on access. Nil keeps everything resident.
-	backend Backend
+	// store, when non-nil, governs residency: cold buckets move out of
+	// buckets into the store's segments (their parts held in spilled)
+	// and fault back in on access. Nil keeps everything resident.
+	store *statestore.Store
 	// tombstone selects the scan-table eviction mode: window eviction
-	// of a spilled ref is recorded as a backend tombstone instead of
+	// of a spilled ref is recorded as a store tombstone instead of
 	// faulting the bucket in. Only sound for single-stream states,
 	// whose tuples are uniform base tuples with exactly one ref.
 	tombstone bool
-	// spilled maps each key with a spilled part to that part's live
-	// count and accounted bytes. A key may also have a resident part in
+	// spilled maps each key with a spilled part to that part, the only
+	// index of spilled parts. A key may also have a resident part in
 	// buckets: the tuples inserted since it spilled, all newer than the
 	// spilled ones.
-	spilled map[tuple.Value]spillInfo
+	spilled map[tuple.Value]*statestore.Part
 	// hot holds the CLOCK reference bits: touched resident buckets,
-	// checked-and-cleared by the backend's hand via ClockTouched.
+	// checked-and-cleared by the store's hand via ClockTouched.
 	hot map[tuple.Value]struct{}
 
 	// complete is Definition 1's flag. Scan states are always
@@ -104,49 +117,46 @@ func NewTable(set tuple.StreamSet) *Table {
 	}
 }
 
-// SetBackend attaches a tiering backend; tombstones selects the
-// scan-table eviction mode (see the tombstone field). Any tuples
-// already resident are accounted to the backend and admitted to its
-// hot tier.
-func (t *Table) SetBackend(b Backend, tombstones bool) {
-	t.backend = b
+// SetStore attaches the spill store to the table, which must still be
+// empty; tombstones selects the scan-table eviction mode (see the
+// tombstone field).
+func (t *Table) SetStore(s *statestore.Store, tombstones bool) {
+	t.store = s
 	t.tombstone = tombstones
-	t.spilled = make(map[tuple.Value]spillInfo)
-	t.hot = make(map[tuple.Value]struct{}, len(t.buckets))
-	if b == nil {
-		return
-	}
-	b.Account(t.bytes)
-	for k := range t.buckets {
-		t.hot[k] = struct{}{}
-		b.Admit(t, k)
-	}
-	b.MaybeSpill()
+	t.spilled = make(map[tuple.Value]*statestore.Part)
+	t.hot = make(map[tuple.Value]struct{})
 }
 
-// Release detaches the backend, dropping every spilled bucket and the
-// table's byte accounting from it. Called when the engine discards a
-// dead state; the table must not be used afterwards.
+// Release detaches the store, freeing every spilled part and dropping
+// the table's byte accounting from it. Called when the engine discards
+// a dead state; the table must not be used afterwards.
 func (t *Table) Release() {
-	if t.backend == nil {
+	if t.store == nil {
 		return
 	}
-	t.backend.Drop(t)
-	t.backend.Account(-t.bytes)
-	for _, info := range t.spilled {
-		t.size -= info.count
-	}
-	t.backend = nil
+	t.dropSpilled()
+	t.store.Account(-t.bytes)
+	t.store = nil
 	t.spilled = nil
 	t.hot = nil
 }
 
+// dropSpilled frees every spilled part, uncounting its tuples, and
+// purges the table from the store's CLOCK ring.
+func (t *Table) dropSpilled() {
+	for _, p := range t.spilled {
+		t.size -= p.Count()
+		t.store.Free(p)
+	}
+	t.store.Drop(t)
+}
+
 // account adjusts the resident byte estimate, mirroring the delta to
-// the backend when one is attached.
+// the store when one is attached.
 func (t *Table) account(delta int64) {
 	t.bytes += delta
-	if t.backend != nil {
-		t.backend.Account(delta)
+	if t.store != nil {
+		t.store.Account(delta)
 	}
 }
 
@@ -252,14 +262,14 @@ func (t *Table) Insert(tup *tuple.Tuple) {
 	t.buckets[tup.Key] = append(bucket, tup)
 	t.size++
 	t.account(TupleBytes(tup))
-	if t.backend != nil {
-		if t.backend.Pressured() {
+	if t.store != nil {
+		if t.store.Pressured() {
 			t.hot[tup.Key] = struct{}{}
 		}
 		if !ok {
-			t.backend.Admit(t, tup.Key)
+			t.store.Admit(t, tup.Key)
 		}
-		t.backend.MaybeSpill()
+		t.store.MaybeSpill()
 	}
 }
 
@@ -269,47 +279,43 @@ func (t *Table) Insert(tup *tuple.Tuple) {
 // spilled again before the caller is done with it.
 func (t *Table) Probe(key tuple.Value) []*tuple.Tuple {
 	bucket := t.buckets[key]
-	if t.backend == nil {
+	if t.store == nil {
 		return bucket
 	}
-	if _, sp := t.spilled[key]; sp {
-		bucket = t.fault(key)
-		t.backend.MaybeSpill()
+	if p, sp := t.spilled[key]; sp {
+		bucket = t.fault(key, p)
+		t.store.MaybeSpill()
 		return bucket
 	}
-	if bucket != nil && t.backend.Pressured() {
+	if bucket != nil && t.store.Pressured() {
 		t.hot[key] = struct{}{}
 	}
 	return bucket
 }
 
-// fault brings the spilled part of key back into residency, in front
-// of any resident part so the bucket stays in arrival order, and
-// returns the whole bucket. It deliberately does not trigger
-// MaybeSpill — callers do, after they have captured the returned
-// slice — so the just-faulted bucket cannot be detached mid-operation.
-func (t *Table) fault(key tuple.Value) []*tuple.Tuple {
-	info := t.spilled[key]
-	tuples := t.backend.Fault(t, key)
+// fault brings key's spilled part p back into residency, in front of
+// any resident part so the bucket stays in arrival order, and returns
+// the whole bucket. It deliberately does not trigger MaybeSpill —
+// callers do, after they have captured the returned slice — so the
+// just-faulted bucket cannot be detached mid-operation.
+func (t *Table) fault(key tuple.Value, p *statestore.Part) []*tuple.Tuple {
+	tuples := t.store.Fault(p)
 	delete(t.spilled, key)
-	t.size += len(tuples) - info.count
-	resident, ok := t.buckets[key]
-	if len(tuples) == 0 {
-		return resident
-	}
 	var b int64
 	for _, tup := range tuples {
 		b += TupleBytes(tup)
 	}
 	// The faulted slice is fresh; the old resident array is left to the
 	// collector rather than recycled, since Probe callers may hold it.
-	t.buckets[key] = append(tuples, resident...)
+	resident, ok := t.buckets[key]
+	bucket := append(tuples, resident...)
+	t.buckets[key] = bucket
 	t.hot[key] = struct{}{}
 	t.account(b)
 	if !ok {
-		t.backend.Admit(t, key)
+		t.store.Admit(t, key)
 	}
-	return t.buckets[key]
+	return bucket
 }
 
 // ContainsKey reports whether any tuple is stored under key, resident
@@ -318,12 +324,8 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 	if len(t.buckets[key]) > 0 {
 		return true
 	}
-	if t.backend != nil {
-		if info, ok := t.spilled[key]; ok && info.count > 0 {
-			return true
-		}
-	}
-	return false
+	_, sp := t.spilled[key]
+	return sp
 }
 
 // RemoveRef removes every tuple under key whose provenance contains
@@ -340,7 +342,7 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 //
 // On a tombstone-mode table (scan states) a spilled part is not
 // faulted: windows expire in arrival order, so a ref no newer than the
-// spilled part's newest is in it and is recorded as a backend
+// spilled part's newest is in it and is recorded as a store
 // tombstone, returning nil — base tuples have no derived results below
 // them, so the caller needs no removed set — and a newer ref can only
 // be in the resident part. Other tables fault the spilled part in
@@ -350,22 +352,15 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 // next RemoveRef call on it; callers needing the tuples longer must
 // copy them out.
 func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
-	if t.backend != nil {
-		if info, sp := t.spilled[key]; sp {
+	if t.store != nil {
+		if p, sp := t.spilled[key]; sp {
 			if !t.tombstone {
-				t.fault(key)
-				defer t.backend.MaybeSpill()
-			} else if ref.Seq <= info.newest {
-				per := info.bytes / int64(info.count)
-				info.count--
-				info.bytes -= per
-				last := info.count == 0
-				if last {
+				t.fault(key, p)
+				defer t.store.MaybeSpill()
+			} else if ref.Seq <= p.Newest() {
+				if t.store.Tombstone(p, ref.Seq) {
 					delete(t.spilled, key)
-				} else {
-					t.spilled[key] = info
 				}
-				t.backend.Tombstone(t, key, ref.Seq, last)
 				t.size--
 				return nil
 			}
@@ -405,7 +400,7 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 	}
 	if len(kept) == 0 {
 		delete(t.buckets, key)
-		if t.backend != nil {
+		if t.store != nil {
 			delete(t.hot, key)
 		}
 		if len(t.free) < maxFreeBuckets && cap(bucket) > 0 {
@@ -422,10 +417,10 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 // buckets between the passing and suppressed tables. A spilled bucket
 // is faulted in first.
 func (t *Table) RemoveKey(key tuple.Value) []*tuple.Tuple {
-	if t.backend != nil {
-		if _, sp := t.spilled[key]; sp {
-			t.fault(key)
-			defer t.backend.MaybeSpill()
+	if t.store != nil {
+		if p, sp := t.spilled[key]; sp {
+			t.fault(key, p)
+			defer t.store.MaybeSpill()
 		}
 	}
 	bucket, ok := t.buckets[key]
@@ -433,7 +428,7 @@ func (t *Table) RemoveKey(key tuple.Value) []*tuple.Tuple {
 		return nil
 	}
 	delete(t.buckets, key)
-	if t.backend != nil {
+	if t.store != nil {
 		delete(t.hot, key)
 	}
 	t.size -= len(bucket)
@@ -518,14 +513,14 @@ func (t *Table) RestoreMeta(complete bool, attempted []tuple.Value, pending []tu
 }
 
 // Each calls fn for every stored tuple until fn returns false.
-// Spilled parts are read through the backend without admitting them,
+// Spilled parts are read through the store without admitting them,
 // so iteration (checkpointing, discard scans) does not perturb
 // residency. A key's spilled part is visited before its resident part:
 // a checkpoint restored in iteration order rebuilds every bucket in
 // arrival order.
 func (t *Table) Each(fn func(*tuple.Tuple) bool) {
-	for key := range t.spilled {
-		if !t.backend.Peek(t, key, fn) {
+	for key, p := range t.spilled {
+		if !t.store.Peek(p, fn) {
 			return
 		}
 		for _, tup := range t.buckets[key] {
@@ -548,11 +543,11 @@ func (t *Table) Each(fn func(*tuple.Tuple) bool) {
 
 // Clear removes all tuples but keeps completeness metadata. The
 // recycled-array pools are dropped too, releasing the memory, and any
-// spilled buckets are discarded from the backend.
+// spilled parts are freed in the store.
 func (t *Table) Clear() {
-	if t.backend != nil {
-		t.backend.Drop(t)
-		t.spilled = make(map[tuple.Value]spillInfo)
+	if t.store != nil {
+		t.dropSpilled()
+		t.spilled = make(map[tuple.Value]*statestore.Part)
 		t.hot = make(map[tuple.Value]struct{})
 	}
 	t.account(-t.bytes)
@@ -574,8 +569,8 @@ func (t *Table) CountOld(cutoff uint64, oldest func(*tuple.Tuple) uint64) int {
 			}
 		}
 	}
-	for key := range t.spilled {
-		t.backend.Peek(t, key, func(tup *tuple.Tuple) bool {
+	for _, p := range t.spilled {
+		t.store.Peek(p, func(tup *tuple.Tuple) bool {
 			if oldest(tup) <= cutoff {
 				n++
 			}
@@ -587,36 +582,30 @@ func (t *Table) CountOld(cutoff uint64, oldest func(*tuple.Tuple) uint64) int {
 
 // ResidentBucket returns the resident tuples under key — nil when the
 // bucket is wholly spilled or absent. It never faults and never sets the
-// reference bit; it is the backend's view of spill candidates.
+// reference bit; it is the store's view of spill candidates.
 func (t *Table) ResidentBucket(key tuple.Value) []*tuple.Tuple {
 	return t.buckets[key]
 }
 
-// MarkSpilled detaches the resident bucket for key once the backend
-// has captured it, adding it to the key's spilled part, and returns
-// the accounted bytes and tuple count that moved. The bucket's backing
-// array is deliberately not recycled into the free list: Probe callers
-// may still hold it.
-func (t *Table) MarkSpilled(key tuple.Value) (bytes int64, count int) {
-	bucket := t.buckets[key]
-	if len(bucket) == 0 {
-		return 0, 0
-	}
+// MarkSpilled detaches the resident bucket for key once the store has
+// captured it into key's spilled part, which is fresh when key had
+// none, and returns the part and the accounted bytes that moved. The
+// bucket's backing array is deliberately not recycled into the free
+// list: Probe callers may still hold it.
+func (t *Table) MarkSpilled(key tuple.Value, fresh *statestore.Part) (*statestore.Part, int64) {
 	var b int64
-	for _, tup := range bucket {
+	for _, tup := range t.buckets[key] {
 		b += TupleBytes(tup)
 	}
 	delete(t.buckets, key)
 	delete(t.hot, key)
-	info := t.spilled[key]
-	info.count += len(bucket)
-	info.bytes += b
-	if t.tombstone {
-		info.newest = bucket[len(bucket)-1].Refs[0].Seq
+	p := t.spilled[key]
+	if p == nil {
+		p = fresh
+		t.spilled[key] = p
 	}
-	t.spilled[key] = info
 	t.account(-b)
-	return b, len(bucket)
+	return p, b
 }
 
 // ClockTouched reports whether key's bucket was touched since the last
@@ -629,10 +618,6 @@ func (t *Table) ClockTouched(key tuple.Value) bool {
 	}
 	return false
 }
-
-// SpilledKeys returns the number of keys with a spilled part. Zero without a
-// backend.
-func (t *Table) SpilledKeys() int { return len(t.spilled) }
 
 func (t *Table) String() string {
 	status := "complete"

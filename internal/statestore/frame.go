@@ -1,8 +1,11 @@
-// Package statestore implements the spill tier behind state.Backend:
-// a byte-accounted, memory-governed store that serializes cold hash
+// Package statestore is the spill tier below internal/state: a
+// byte-accounted, memory-governed store that serializes cold hash
 // buckets to per-shard, CRC32C-framed, log-structured segment files
 // and faults them back just in time — the storage-level analogue of
-// JISC's just-in-time completion. See DESIGN.md §15.
+// JISC's just-in-time completion. It is a leaf: it knows a table only
+// as the three calls of its CLOCK ring (Table), and each spilled key's
+// record (Part) is held by the key's table, not indexed here. See
+// DESIGN.md §15.
 package statestore
 
 import (
@@ -21,8 +24,8 @@ import (
 //	payload := kind:u8(=1) | key:u64 | set:u64 | count:u16 | count × tuple
 //	tuple   := arrival:u64 | oldest:u64 | nrefs:u8 | nrefs × (stream:u8 | seq:u64)
 //
-// Key and Set are per-frame because they are bucket/table constants;
-// each decoded tuple inherits them. Frames are chunked so a frame
+// Key and Set are per-frame because they are bucket constants; each
+// decoded tuple inherits them. Frames are chunked so a frame
 // never outgrows maxSpillPayload, keeping the scan bound shared with
 // the WAL.
 

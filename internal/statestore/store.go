@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"jisc/internal/obs"
-	"jisc/internal/state"
 	"jisc/internal/storage"
 	"jisc/internal/tuple"
 )
@@ -27,25 +26,22 @@ type Options struct {
 	// FS is the filesystem; nil means the real one.
 	FS storage.FS
 	// SegmentBytes rotates the active segment once it reaches this
-	// size. Zero means DefaultSegmentBytes.
+	// size. Zero means 1 MiB.
 	SegmentBytes int64
-	// GarbageRatio triggers compaction when garbage exceeds this
-	// fraction of total encoded bytes. Zero means DefaultGarbageRatio.
-	GarbageRatio float64
 	// MinCompactBytes suppresses compaction below this total encoded
-	// size, so tiny stores do not churn. Zero means
-	// DefaultMinCompactBytes.
+	// size, so tiny stores do not churn. Zero means 64 KiB.
 	MinCompactBytes int64
 	// FaultLatency, when non-nil, records the wall-clock latency of
 	// every bucket fault.
 	FaultLatency *obs.Histogram
 }
 
-// Tuning defaults.
 const (
-	DefaultSegmentBytes    = 1 << 20
-	DefaultGarbageRatio    = 0.5
-	DefaultMinCompactBytes = 64 << 10
+	defaultSegmentBytes    = 1 << 20
+	defaultMinCompactBytes = 64 << 10
+	// garbageRatio triggers compaction once garbage exceeds this
+	// fraction of the total encoded bytes.
+	garbageRatio = 0.5
 
 	// tailBytes is the flush threshold of the active segment's
 	// in-memory tail: appends reach the file in writes of at least this
@@ -53,9 +49,26 @@ const (
 	tailBytes = 64 << 10
 )
 
+// Table is what the CLOCK ring asks of a hash table whose buckets it
+// spills; state.Table implements it. The table, not the store, holds
+// each spilled key's Part: the store keeps no index of its own.
+type Table interface {
+	// ResidentBucket returns the resident tuples under key, nil when
+	// none are resident, without faulting or setting the reference bit.
+	ResidentBucket(key tuple.Value) []*tuple.Tuple
+	// ClockTouched reports whether key was touched since the last call,
+	// clearing its reference bit.
+	ClockTouched(key tuple.Value) bool
+	// MarkSpilled detaches the resident bucket of key, which the store
+	// has just captured, into key's spilled part — the one the table
+	// holds already, or fresh when it holds none — and returns that part
+	// and the accounted bytes that moved.
+	MarkSpilled(key tuple.Value, fresh *Part) (*Part, int64)
+}
+
 // ckey names one bucket: which table, which join-attribute value.
 type ckey struct {
-	t   *state.Table
+	t   Table
 	key tuple.Value
 }
 
@@ -74,14 +87,14 @@ type segment struct {
 	flushed int64
 	tail    []byte
 	// dir lists every span appended to the segment, in offset order: the
-	// entry it was written for and where. Compaction walks it instead of
-	// the index. A record is live while its entry's oldest span is still
-	// the one it names; the entry's later spans are copied with it.
+	// part it was written for and where. Compaction walks it. A record is
+	// live while its part's oldest span is still the one it names; the
+	// part's later spans are copied with it.
 	dir []dirent
 }
 
 type dirent struct {
-	e   *bucketEntry
+	p   *Part
 	off int64
 }
 
@@ -99,11 +112,12 @@ type span struct {
 	off, n int64
 }
 
-// bucketEntry locates the spilled part of one key: its spans, oldest
-// first (one per spill since the last fault or compaction), plus the
-// tombstone high-water mark and the live accounting needed to decide
-// compaction.
-type bucketEntry struct {
+// Part is the spilled part of one key, the one record of it: the key's
+// table holds it in place of the tuples. It locates the part's spans,
+// oldest first (one per spill since the last fault or compaction), and
+// carries the live count, the tombstone high-water mark and the live
+// accounting needed to decide compaction.
+type Part struct {
 	spans []span
 
 	// liveEnc/perEnc track how much of the spans' bytes is still live
@@ -121,15 +135,29 @@ type bucketEntry struct {
 	// filtered out on fault, peek, and compaction.
 	count       int
 	deadThrough uint64
+	// newest is the first ref's Seq of the last tuple spilled.
+	newest uint64
 	// dirty records that a tombstone landed since the spans were
 	// written, so compaction must decode and filter them instead of
 	// copying their bytes.
 	dirty bool
 }
 
-// Store is the spill backend for one shard's tables. It is confined to
-// the shard's goroutine like the tables themselves; only Stats may be
-// called concurrently (every counter it reads is atomic).
+// Count returns the number of live tuples in the part, at least one.
+func (p *Part) Count() int { return p.count }
+
+// Newest returns the first ref's sequence number of the last tuple
+// spilled into the part. On a scan table, whose tuples hold one ref
+// each and expire in seq order, it is the highest seq spilled: an
+// expiring ref no newer than it lies in the part, a newer one in the
+// resident bucket.
+func (p *Part) Newest() uint64 { return p.newest }
+
+// Store is the spill tier of one shard's tables. It keeps the resident
+// byte accounting, the segments and the CLOCK ring; the tables keep the
+// parts. It is confined to the shard's goroutine like the tables
+// themselves; only Stats may be called concurrently (every counter it
+// reads is atomic).
 //
 // Spill writes, faults, and compaction all run synchronously on the
 // shard worker, so when the disk cannot keep up the shard's input
@@ -140,11 +168,9 @@ type Store struct {
 	dir        string
 	fs         storage.FS
 	segBytes   int64
-	garbage    float64
 	minCompact int64
 	faultLat   *obs.Histogram
 
-	index  map[*state.Table]map[tuple.Value]*bucketEntry
 	segs   []*segment
 	active *segment
 	next   uint64
@@ -161,8 +187,8 @@ type Store struct {
 	// keeps running fail-open (garbage just accumulates).
 	compactBroken bool
 
-	rbuf []byte         // reusable read buffer of faults and peeks
-	free []*bucketEntry // entries of faulted keys, recycled by spill
+	rbuf []byte  // reusable read buffer of faults and peeks
+	free []*Part // freed parts, recycled by spill
 	// During a compaction cdata holds the flushed bytes of old segment
 	// cseg, read once, so its spans are not read one by one.
 	cseg  *segment
@@ -193,13 +219,10 @@ func Open(opts Options) (*Store, error) {
 		fs = storage.OS()
 	}
 	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.GarbageRatio <= 0 {
-		opts.GarbageRatio = DefaultGarbageRatio
+		opts.SegmentBytes = defaultSegmentBytes
 	}
 	if opts.MinCompactBytes <= 0 {
-		opts.MinCompactBytes = DefaultMinCompactBytes
+		opts.MinCompactBytes = defaultMinCompactBytes
 	}
 	if err := fs.RemoveAll(opts.Dir); err != nil {
 		return nil, fmt.Errorf("statestore: wiping %s: %w", opts.Dir, err)
@@ -212,10 +235,8 @@ func Open(opts Options) (*Store, error) {
 		dir:        opts.Dir,
 		fs:         fs,
 		segBytes:   opts.SegmentBytes,
-		garbage:    opts.GarbageRatio,
 		minCompact: opts.MinCompactBytes,
 		faultLat:   opts.FaultLatency,
-		index:      make(map[*state.Table]map[tuple.Value]*bucketEntry),
 		inRing:     make(map[ckey]struct{}),
 	}
 	if err := s.rotate(); err != nil {
@@ -300,8 +321,8 @@ func (sg *segment) appendBucket(key tuple.Value, set tuple.StreamSet, tuples []*
 	return sp
 }
 
-// Account implements state.Backend: the single resident-byte counter
-// every attached table and list feeds.
+// Account adjusts the single resident-byte counter every attached
+// table and list feeds, on each change of its resident footprint.
 func (s *Store) Account(delta int64) {
 	r := s.resident.Add(delta)
 	for {
@@ -312,10 +333,10 @@ func (s *Store) Account(delta int64) {
 	}
 }
 
-// Admit implements state.Backend: register a resident bucket with the
-// CLOCK ring. Re-admission of a bucket already in the ring is a no-op
-// (its reference bit, held by the table, was just set anyway).
-func (s *Store) Admit(t *state.Table, key tuple.Value) {
+// Admit registers a newly resident bucket (created or faulted back in)
+// with the CLOCK ring. Re-admission of a bucket already in the ring is
+// a no-op (its reference bit, held by the table, was just set anyway).
+func (s *Store) Admit(t Table, key tuple.Value) {
 	ck := ckey{t, key}
 	if _, ok := s.inRing[ck]; ok {
 		return
@@ -324,8 +345,8 @@ func (s *Store) Admit(t *state.Table, key tuple.Value) {
 	s.ring = append(s.ring, ck)
 }
 
-// Pressured implements state.Backend: resident accounting is within
-// an eighth of the budget. Reference-bit maintenance costs a map
+// Pressured reports that resident accounting is within an eighth of
+// the budget. Reference-bit maintenance costs a map
 // write per touch, so tables skip it while eviction is provably far
 // away; the first CLOCK pass after pressure starts sees the untracked
 // buckets cold and evicts in admission order until the bits warm up.
@@ -333,8 +354,8 @@ func (s *Store) Pressured() bool {
 	return s.budget > 0 && s.resident.Load() >= s.budget-s.budget>>3
 }
 
-// MaybeSpill implements state.Backend: spill cold buckets while the
-// resident accounting exceeds the budget. A write failure fails open —
+// MaybeSpill spills cold buckets while the resident accounting exceeds
+// the budget. Tables call it after operations that grow residency. A write failure fails open —
 // the loop stops and what the failed write carried stays in memory, so
 // a sick disk degrades to the old all-in-memory behavior instead of
 // losing state.
@@ -380,16 +401,14 @@ func (s *Store) dropAt(i int) {
 	s.ring = s.ring[:last]
 }
 
-// spill appends ck's resident bucket to the active segment's tail as
-// one more span of the key's spilled part and detaches it from the
-// table; nothing is read. Returns false when the disk failed (fail
-// open): a segment that cannot be created leaves the bucket resident,
-// a tail that cannot be flushed keeps serving its spans from memory.
+// spill appends ck's resident bucket, which victim found non-empty, to
+// the active segment's tail as one more span of the key's spilled part
+// and detaches it from the table; nothing is read. Returns false when
+// the disk failed (fail open): a segment that cannot be created leaves
+// the bucket resident, a tail that cannot be flushed keeps serving its
+// spans from memory.
 func (s *Store) spill(ck ckey) bool {
 	bucket := ck.t.ResidentBucket(ck.key)
-	if len(bucket) == 0 {
-		return true
-	}
 	// Rotate past the size threshold, or to replace an active segment
 	// whose writer died on an earlier failure.
 	if s.active.w == nil || s.active.size >= s.segBytes {
@@ -400,32 +419,26 @@ func (s *Store) spill(ck ckey) bool {
 		}
 	}
 	seg := s.active
-	sp := seg.appendBucket(ck.key, ck.t.Set, bucket)
+	sp := seg.appendBucket(ck.key, bucket[0].Set, bucket)
 	s.encTotal.Add(sp.n)
 	s.encLive.Add(sp.n)
-	mem, count := ck.t.MarkSpilled(ck.key)
-	m := s.index[ck.t]
-	if m == nil {
-		m = make(map[tuple.Value]*bucketEntry)
-		s.index[ck.t] = m
+	if len(s.free) == 0 {
+		s.free = append(s.free, &Part{})
 	}
-	e := m[ck.key]
-	if e == nil {
-		if n := len(s.free); n > 0 {
-			e, s.free = s.free[n-1], s.free[:n-1]
-		} else {
-			e = &bucketEntry{}
-		}
-		m[ck.key] = e
+	fresh := s.free[len(s.free)-1]
+	p, mem := ck.t.MarkSpilled(ck.key, fresh)
+	if p == fresh {
+		s.free = s.free[:len(s.free)-1]
 		s.spilledBuckets.Add(1)
 	}
-	e.spans = append(e.spans, sp)
-	seg.dir = append(seg.dir, dirent{e, sp.off})
-	e.count += count
-	e.liveEnc += sp.n
-	e.perEnc = e.liveEnc / int64(e.count)
-	e.memBytes += mem
-	e.perMem = e.memBytes / int64(e.count)
+	p.spans = append(p.spans, sp)
+	seg.dir = append(seg.dir, dirent{p, sp.off})
+	p.count += len(bucket)
+	p.newest = bucket[len(bucket)-1].Refs[0].Seq
+	p.liveEnc += sp.n
+	p.perEnc = p.liveEnc / int64(p.count)
+	p.memBytes += mem
+	p.perMem = p.memBytes / int64(p.count)
 	s.spilledMem.Add(mem)
 	s.spills.Add(1)
 	if len(seg.tail) >= tailBytes {
@@ -437,37 +450,31 @@ func (s *Store) spill(ck ckey) bool {
 	return true
 }
 
-// removeEntry forgets the spilled part of one key, turning its frames
-// into garbage.
-func (s *Store) removeEntry(t *state.Table, key tuple.Value, e *bucketEntry) {
-	delete(s.index[t], key)
-	if len(s.index[t]) == 0 {
-		delete(s.index, t)
-	}
-	s.encLive.Add(-e.liveEnc)
-	s.spilledMem.Add(-e.memBytes)
+// Free forgets a spilled part, turning its frames into garbage, and
+// recycles the record. The table that held p drops it: Clear, table
+// teardown, and through Fault and Tombstone.
+func (s *Store) Free(p *Part) {
+	s.encLive.Add(-p.liveEnc)
+	s.spilledMem.Add(-p.memBytes)
 	s.spilledBuckets.Add(-1)
-	clear(e.spans) // a stale span would pin its deleted segment
-	*e = bucketEntry{spans: e.spans[:0]}
-	s.free = append(s.free, e)
+	clear(p.spans) // a stale span would pin its deleted segment
+	*p = Part{spans: p.spans[:0]}
+	s.free = append(s.free, p)
 }
 
-// Fault implements state.Backend: read the key's spilled part back,
-// forget the spilled copy, count and latency-sample the miss.
-func (s *Store) Fault(t *state.Table, key tuple.Value) []*tuple.Tuple {
-	e := s.index[t][key]
-	if e == nil {
-		return nil
-	}
+// Fault reads a spilled part back and frees it, counting and
+// latency-sampling the miss. It returns the part's live tuples, oldest
+// first; the caller drops p.
+func (s *Store) Fault(p *Part) []*tuple.Tuple {
 	start := time.Now()
-	tuples, err := s.load(e)
+	tuples, err := s.load(p)
 	if err != nil {
 		// The resident copy was discarded when the bucket spilled; an
 		// unreadable segment is unrecoverable state loss, not a
 		// degradable condition.
-		panic(fmt.Sprintf("statestore: faulting bucket key=%d of %v: %v", key, t.Set, err))
+		panic(fmt.Sprintf("statestore: faulting a spilled part: %v", err))
 	}
-	s.removeEntry(t, key, e)
+	s.Free(p)
 	s.faults.Add(1)
 	s.faultTuples.Add(uint64(len(tuples)))
 	if s.faultLat != nil {
@@ -477,18 +484,15 @@ func (s *Store) Fault(t *state.Table, key tuple.Value) []*tuple.Tuple {
 	return tuples
 }
 
-// Peek implements state.Backend: iterate a key's spilled part without
-// admitting it. The part is decoded in full before fn first runs, so
-// an fn that re-enters the table (and with it the store's read buffer)
-// cannot disturb the iteration.
-func (s *Store) Peek(t *state.Table, key tuple.Value, fn func(*tuple.Tuple) bool) bool {
-	e := s.index[t][key]
-	if e == nil {
-		return true
-	}
-	tuples, err := s.load(e)
+// Peek calls fn for each live tuple of a spilled part, oldest first,
+// without admitting it; it returns false when fn stopped early. The
+// part is decoded in full before fn first runs, so an fn that re-enters
+// the table (and with it the store's read buffer) cannot disturb the
+// iteration.
+func (s *Store) Peek(p *Part, fn func(*tuple.Tuple) bool) bool {
+	tuples, err := s.load(p)
 	if err != nil {
-		panic(fmt.Sprintf("statestore: peeking bucket key=%d of %v: %v", key, t.Set, err))
+		panic(fmt.Sprintf("statestore: peeking a spilled part: %v", err))
 	}
 	for _, tup := range tuples {
 		if !fn(tup) {
@@ -498,39 +502,33 @@ func (s *Store) Peek(t *state.Table, key tuple.Value, fn func(*tuple.Tuple) bool
 	return true
 }
 
-// Tombstone implements state.Backend: record window eviction of
-// spilled base tuples without faulting.
-func (s *Store) Tombstone(t *state.Table, key tuple.Value, deadThrough uint64, last bool) {
-	e := s.index[t][key]
-	if e == nil {
-		return
-	}
+// Tombstone records window eviction of one single-ref tuple of a
+// spilled part, with sequence number deadThrough, without faulting. It
+// reports whether the part emptied; then it is freed and the caller
+// drops p.
+func (s *Store) Tombstone(p *Part, deadThrough uint64) (emptied bool) {
 	s.tombstones.Add(1)
-	if last {
-		s.removeEntry(t, key, e)
-		s.maybeCompact()
-		return
+	emptied = p.count == 1
+	if emptied {
+		s.Free(p)
+	} else {
+		p.deadThrough = max(p.deadThrough, deadThrough)
+		p.dirty = true
+		p.count--
+		d := min(p.perEnc, p.liveEnc)
+		p.liveEnc -= d
+		s.encLive.Add(-d)
+		dm := min(p.perMem, p.memBytes)
+		p.memBytes -= dm
+		s.spilledMem.Add(-dm)
 	}
-	if deadThrough > e.deadThrough {
-		e.deadThrough = deadThrough
-	}
-	e.dirty = true
-	e.count--
-	d := min(e.perEnc, e.liveEnc)
-	e.liveEnc -= d
-	s.encLive.Add(-d)
-	dm := min(e.perMem, e.memBytes)
-	e.memBytes -= dm
-	s.spilledMem.Add(-dm)
 	s.maybeCompact()
+	return emptied
 }
 
-// Drop implements state.Backend: forget every spilled bucket and ring
-// entry of t (Clear, table teardown).
-func (s *Store) Drop(t *state.Table) {
-	for key, e := range s.index[t] {
-		s.removeEntry(t, key, e)
-	}
+// Drop purges t's buckets from the CLOCK ring once t has freed its
+// spilled parts (Clear, table teardown).
+func (s *Store) Drop(t Table) {
 	for i := 0; i < len(s.ring); {
 		if s.ring[i].t == t {
 			s.dropAt(i)
@@ -566,13 +564,13 @@ func (s *Store) read(sp span) ([]byte, error) {
 	return buf, nil
 }
 
-// load reads and decodes a key's spans, oldest first, dropping tuples
-// at or below the entry's tombstone mark. Memory-served and disk-served
+// load reads and decodes a part's spans, oldest first, dropping tuples
+// at or below its tombstone mark. Memory-served and disk-served
 // spans pass the same frame CRC check, and the survivors must be as
 // many as the accounting says.
-func (s *Store) load(e *bucketEntry) ([]*tuple.Tuple, error) {
-	out := make([]*tuple.Tuple, 0, e.count)
-	for _, sp := range e.spans {
+func (s *Store) load(p *Part) ([]*tuple.Tuple, error) {
+	out := make([]*tuple.Tuple, 0, p.count)
+	for _, sp := range p.spans {
 		data, err := s.read(sp)
 		if err != nil {
 			return nil, err
@@ -586,9 +584,9 @@ func (s *Store) load(e *bucketEntry) ([]*tuple.Tuple, error) {
 			if _, _, out, err = decodeBucketInto(out, payload); err != nil {
 				return nil, fmt.Errorf("CRC-valid frame at %s offset %d does not decode: %w", sp.seg.path, sp.off+int64(off), err)
 			}
-			if e.deadThrough > 0 {
+			if p.deadThrough > 0 {
 				for _, tup := range out[live:] {
-					if len(tup.Refs) != 1 || tup.Refs[0].Seq > e.deadThrough {
+					if len(tup.Refs) != 1 || tup.Refs[0].Seq > p.deadThrough {
 						out[live] = tup
 						live++
 					}
@@ -598,14 +596,14 @@ func (s *Store) load(e *bucketEntry) ([]*tuple.Tuple, error) {
 			off += n
 		}
 	}
-	if len(out) != e.count {
-		return nil, fmt.Errorf("decoded %d live tuples, accounting says %d", len(out), e.count)
+	if len(out) != p.count {
+		return nil, fmt.Errorf("decoded %d live tuples, accounting says %d", len(out), p.count)
 	}
 	return out, nil
 }
 
-// maybeCompact rewrites the live set once garbage crosses the
-// configured ratio of total encoded bytes.
+// maybeCompact rewrites the live set once garbage crosses garbageRatio
+// of the total encoded bytes.
 func (s *Store) maybeCompact() {
 	if s.compactBroken {
 		return
@@ -614,7 +612,7 @@ func (s *Store) maybeCompact() {
 	if total < s.minCompact {
 		return
 	}
-	if float64(total-s.encLive.Load()) <= s.garbage*float64(total) {
+	if float64(total-s.encLive.Load()) <= garbageRatio*float64(total) {
 		return
 	}
 	if err := s.compact(); err != nil {
@@ -627,8 +625,8 @@ func (s *Store) maybeCompact() {
 // as a single span, and deletes the old files. Old segments are taken
 // in turn, their flushed bytes read once and their directories walked
 // in offset order. The rewrite is staged in the new segment's
-// directory: nothing in the index changes until it has taken every
-// part, so a failure leaves the store exactly as it was.
+// directory: no part changes until it has taken every one, so a
+// failure leaves the store exactly as it was.
 func (s *Store) compact() error {
 	seg, err := s.newSegment()
 	if err != nil {
@@ -645,12 +643,12 @@ func (s *Store) compact() error {
 		}
 		s.cseg = old
 		for _, d := range old.dir {
-			e := d.e
-			if len(e.spans) == 0 || e.spans[0].seg != old || e.spans[0].off != d.off {
+			p := d.p
+			if len(p.spans) == 0 || p.spans[0].seg != old || p.spans[0].off != d.off {
 				continue
 			}
-			seg.dir = append(seg.dir, dirent{e, seg.size})
-			if err := s.rewrite(seg, e); err != nil {
+			seg.dir = append(seg.dir, dirent{p, seg.size})
+			if err := s.rewrite(seg, p); err != nil {
 				// Unreadable live data during compaction is the same
 				// unrecoverable loss as a failed fault.
 				panic(fmt.Sprintf("statestore: compacting %s: %v", old.path, err))
@@ -672,15 +670,15 @@ func (s *Store) compact() error {
 	s.active = seg
 	end := seg.size
 	for i := len(seg.dir) - 1; i >= 0; i-- {
-		e, off := seg.dir[i].e, seg.dir[i].off
-		clear(e.spans)
-		e.spans = append(e.spans[:0], span{seg, off, end - off})
-		if e.dirty {
+		p, off := seg.dir[i].p, seg.dir[i].off
+		clear(p.spans)
+		p.spans = append(p.spans[:0], span{seg, off, end - off})
+		if p.dirty {
 			// The tombstone mark stays: the filtered tuples are gone
 			// from the rewrite, and future evictions only raise it.
-			e.dirty = false
-			e.liveEnc = end - off
-			e.perEnc = e.liveEnc / int64(e.count)
+			p.dirty = false
+			p.liveEnc = end - off
+			p.perEnc = p.liveEnc / int64(p.count)
 		}
 		end = off
 	}
@@ -691,18 +689,18 @@ func (s *Store) compact() error {
 	return nil
 }
 
-// rewrite appends e's live content to seg as one run of frames: a part
+// rewrite appends p's live content to seg as one run of frames: a part
 // no tombstone has touched is CRC-checked and copied byte for byte, the
 // others are decoded, filtered and re-encoded.
-func (s *Store) rewrite(seg *segment, e *bucketEntry) error {
-	if e.dirty {
-		tuples, err := s.load(e)
+func (s *Store) rewrite(seg *segment, p *Part) error {
+	if p.dirty {
+		tuples, err := s.load(p)
 		if err == nil {
 			seg.appendBucket(tuples[0].Key, tuples[0].Set, tuples)
 		}
 		return err
 	}
-	for _, sp := range e.spans {
+	for _, sp := range p.spans {
 		data, err := s.read(sp)
 		if err != nil {
 			return err
@@ -796,5 +794,3 @@ func (a Stats) Add(b Stats) Stats {
 		SpillErrors:       a.SpillErrors + b.SpillErrors,
 	}
 }
-
-var _ state.Backend = (*Store)(nil)

@@ -1,15 +1,16 @@
-package statestore
+package statestore_test
 
 import (
 	"fmt"
 	"testing"
 
 	"jisc/internal/state"
+	"jisc/internal/statestore"
 	"jisc/internal/storage"
 	"jisc/internal/tuple"
 )
 
-func mustOpen(t *testing.T, opts Options) *Store {
+func mustOpen(t *testing.T, opts statestore.Options) *statestore.Store {
 	t.Helper()
 	if opts.Dir == "" {
 		opts.Dir = "spill"
@@ -17,7 +18,7 @@ func mustOpen(t *testing.T, opts Options) *Store {
 	if opts.FS == nil {
 		opts.FS = storage.NewMemFS()
 	}
-	s, err := Open(opts)
+	s, err := statestore.Open(opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -38,9 +39,9 @@ func fill(tbl *state.Table, n int) {
 
 func TestSpillAndFaultRoundTrip(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
-	s := mustOpen(t, Options{Budget: 4 * perTuple})
+	s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 
 	fill(tbl, 16)
 	st := s.Stats()
@@ -80,9 +81,9 @@ func TestSpillAndFaultRoundTrip(t *testing.T) {
 }
 
 func TestMultiTupleBuckets(t *testing.T) {
-	s := mustOpen(t, Options{Budget: 1}) // everything spills
+	s := mustOpen(t, statestore.Options{Budget: 1}) // everything spills
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 
 	for i := 0; i < 6; i++ {
 		tbl.Insert(base(0, uint64(i+1), tuple.Value(i%2)))
@@ -104,9 +105,9 @@ func TestMultiTupleBuckets(t *testing.T) {
 
 func TestTombstoneEviction(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
-	s := mustOpen(t, Options{Budget: 2 * perTuple})
+	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 
 	// Two tuples per key so tombstones have a partial phase.
 	for i := 0; i < 8; i++ {
@@ -154,9 +155,9 @@ func TestTombstoneEviction(t *testing.T) {
 }
 
 func TestEachAndCountOldCoverSpilled(t *testing.T) {
-	s := mustOpen(t, Options{Budget: 1})
+	s := mustOpen(t, statestore.Options{Budget: 1})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	fill(tbl, 10)
 
 	faultsBefore := s.Stats().Faults
@@ -177,9 +178,9 @@ func TestEachAndCountOldCoverSpilled(t *testing.T) {
 }
 
 func TestClearDropsSpilled(t *testing.T) {
-	s := mustOpen(t, Options{Budget: 1})
+	s := mustOpen(t, statestore.Options{Budget: 1})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	fill(tbl, 10)
 
 	tbl.Clear()
@@ -217,10 +218,10 @@ func seqs(tuples []*tuple.Tuple) []uint64 {
 func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
 	for _, tombstones := range []bool{true, false} {
 		perTuple := state.TupleBytes(base(0, 1, 1))
-		fs := &CountingFS{FS: storage.NewMemFS()}
-		s := mustOpen(t, Options{Budget: 2 * perTuple, FS: fs})
+		fs := &statestore.CountingFS{FS: storage.NewMemFS()}
+		s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, FS: fs})
 		tbl := state.NewTable(tuple.NewStreamSet(0))
-		tbl.SetBackend(s, tombstones)
+		tbl.SetStore(s, tombstones)
 		fill(tbl, 6) // keys 0..5, seqs 1..6; key 0 is long spilled
 		if tbl.ResidentBucket(0) != nil {
 			t.Fatal("key 0 still resident; the test needs it spilled")
@@ -271,16 +272,16 @@ func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
 // newer ones leave the resident part, and nothing is read either way.
 func TestTombstoneRoutesBySeq(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
-	s := mustOpen(t, Options{Budget: 2 * perTuple})
+	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	tbl.Insert(base(0, 1, 0))
 	tbl.Insert(base(0, 2, 0))
 	for i := 1; i < 5; i++ {
 		tbl.Insert(base(0, uint64(i+2), tuple.Value(i)))
 	}
 	tbl.Insert(base(0, 7, 0)) // resident part beside the spilled {1, 2}
-	if tbl.ResidentBucket(0) == nil || tbl.SpilledKeys() == 0 {
+	if tbl.ResidentBucket(0) == nil || s.Stats().SpilledBuckets == 0 {
 		t.Fatal("key 0 is not split")
 	}
 	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1})
@@ -301,10 +302,10 @@ func TestTombstoneRoutesBySeq(t *testing.T) {
 
 func TestCompaction(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
-	fs := &CountingFS{FS: storage.NewMemFS()}
-	s := mustOpen(t, Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024, FS: fs})
+	fs := &statestore.CountingFS{FS: storage.NewMemFS()}
+	s := mustOpen(t, statestore.Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024, FS: fs})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 
 	// Spill a lot, then evict most of it so garbage accumulates.
 	for i := 0; i < 64; i++ {
@@ -346,9 +347,9 @@ func TestCompaction(t *testing.T) {
 func TestCompactionCopyMatchesDecode(t *testing.T) {
 	for _, tombstoned := range []bool{false, true} {
 		perTuple := state.TupleBytes(base(0, 1, 1))
-		s := mustOpen(t, Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024})
+		s := mustOpen(t, statestore.Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024})
 		tbl, model := state.NewTable(tuple.NewStreamSet(0)), state.NewTable(tuple.NewStreamSet(0))
-		tbl.SetBackend(s, true)
+		tbl.SetStore(s, true)
 		seq := uint64(0)
 		insert := func(key tuple.Value) {
 			seq++
@@ -399,9 +400,9 @@ func TestCompactionCopyMatchesDecode(t *testing.T) {
 
 func TestFaultLoadedSliceSurvivesRespill(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
-	s := mustOpen(t, Options{Budget: 2 * perTuple})
+	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	fill(tbl, 8)
 
 	// Hold the probe result, then force churn that re-spills the
@@ -419,9 +420,9 @@ func TestFaultLoadedSliceSurvivesRespill(t *testing.T) {
 }
 
 func TestUnboundedBudgetNeverSpills(t *testing.T) {
-	s := mustOpen(t, Options{Budget: 0})
+	s := mustOpen(t, statestore.Options{Budget: 0})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	fill(tbl, 100)
 	st := s.Stats()
 	if st.Spills != 0 {
@@ -436,9 +437,9 @@ func TestUnboundedBudgetNeverSpills(t *testing.T) {
 // skip the reference-bit map write on every touch.
 func TestUnboundedBudgetKeepsNoReferenceBits(t *testing.T) {
 	for _, budget := range []int64{0, -1} {
-		s := mustOpen(t, Options{Budget: budget})
+		s := mustOpen(t, statestore.Options{Budget: budget})
 		tbl := state.NewTable(tuple.NewStreamSet(0))
-		tbl.SetBackend(s, true)
+		tbl.SetStore(s, true)
 		fill(tbl, 100)
 		if s.Pressured() {
 			t.Fatalf("budget %d: unbounded store reports pressure", budget)
@@ -468,9 +469,9 @@ func TestSpillWriteFailureFailsOpen(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
 	// Let the store set itself up, then cut the disk.
 	crash := storage.NewCrashFS(storage.NewMemFS(), 1<<20)
-	s := mustOpen(t, Options{Budget: 2 * perTuple, FS: crash})
+	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, FS: crash})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	fill(tbl, 4)
 	crashNow(crash)
 	// Inserts keep working. Spills are buffered, so the store meets the
@@ -485,7 +486,7 @@ func TestSpillWriteFailureFailsOpen(t *testing.T) {
 	if st.SpillErrors == 0 {
 		t.Fatalf("expected spill errors, got %+v", st)
 	}
-	if st.SegmentBytes > 2*tailBytes {
+	if st.SegmentBytes > 2*statestore.TailBytes {
 		t.Fatalf("%d bytes spilled after the disk died; only the first tail should be", st.SegmentBytes)
 	}
 	if tbl.Size() != 4+n {
@@ -505,9 +506,9 @@ func TestSpillWriteFailureFailsOpen(t *testing.T) {
 // iteration, and through window expiry.
 func TestFailedFlushLosesNoBucket(t *testing.T) {
 	crash := storage.NewCrashFS(storage.NewMemFS(), 1<<20)
-	s := mustOpen(t, Options{Budget: 1, FS: crash}) // everything spills
+	s := mustOpen(t, statestore.Options{Budget: 1, FS: crash}) // everything spills
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	fill(tbl, 200) // far less than a tail: nothing has been written yet
 	if st := s.Stats(); st.Spills < 199 || st.SpillErrors != 0 {
 		t.Fatalf("set-up: %+v", st)
@@ -539,11 +540,11 @@ func TestFailedFlushLosesNoBucket(t *testing.T) {
 }
 
 func TestReleaseForgetsTable(t *testing.T) {
-	s := mustOpen(t, Options{Budget: 1})
+	s := mustOpen(t, statestore.Options{Budget: 1})
 	a := state.NewTable(tuple.NewStreamSet(0))
-	a.SetBackend(s, true)
+	a.SetStore(s, true)
 	b := state.NewTable(tuple.NewStreamSet(1))
-	b.SetBackend(s, true)
+	b.SetStore(s, true)
 	fill(a, 10)
 	for i := 0; i < 10; i++ {
 		b.Insert(base(1, uint64(i+1), tuple.Value(i)))
@@ -562,9 +563,9 @@ func TestReleaseForgetsTable(t *testing.T) {
 }
 
 func TestListAccounting(t *testing.T) {
-	s := mustOpen(t, Options{Budget: 0})
+	s := mustOpen(t, statestore.Options{Budget: 0})
 	l := state.NewList(tuple.NewStreamSet(0))
-	l.SetBackend(s)
+	l.SetStore(s)
 	var want int64
 	for i := 0; i < 10; i++ {
 		tup := base(0, uint64(i+1), tuple.Value(i))
@@ -592,9 +593,9 @@ func TestListAccounting(t *testing.T) {
 // (most other tests run on MemFS).
 func TestRealFS(t *testing.T) {
 	perTuple := state.TupleBytes(base(0, 1, 1))
-	s := mustOpen(t, Options{Budget: 2 * perTuple, Dir: t.TempDir() + "/spill"})
+	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, Dir: t.TempDir() + "/spill"})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	fill(tbl, 32)
 	for i := 0; i < 32; i++ {
 		got := tbl.Probe(tuple.Value(i))
@@ -608,9 +609,9 @@ func TestRealFS(t *testing.T) {
 }
 
 func TestSegmentRotation(t *testing.T) {
-	s := mustOpen(t, Options{Budget: 1, SegmentBytes: 256, MinCompactBytes: 1 << 30})
+	s := mustOpen(t, statestore.Options{Budget: 1, SegmentBytes: 256, MinCompactBytes: 1 << 30})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetBackend(s, true)
+	tbl.SetStore(s, true)
 	fill(tbl, 64)
 	if got := s.Stats().Segments; got < 2 {
 		t.Fatalf("segments = %d, want rotation past 1", got)
@@ -624,8 +625,8 @@ func TestSegmentRotation(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{ResidentBytes: 1, Faults: 2, Spills: 3}
-	b := Stats{ResidentBytes: 10, Faults: 20, Spills: 30}
+	a := statestore.Stats{ResidentBytes: 1, Faults: 2, Spills: 3}
+	b := statestore.Stats{ResidentBytes: 10, Faults: 20, Spills: 30}
 	c := a.Add(b)
 	if c.ResidentBytes != 11 || c.Faults != 22 || c.Spills != 33 {
 		t.Fatalf("Add: %+v", c)
