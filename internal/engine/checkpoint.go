@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"jisc/internal/metrics"
 	"jisc/internal/plan"
@@ -28,10 +30,41 @@ import (
 // the transition tick and a per-stream map of each key's last arrival;
 // gob skips fields the struct no longer names, and the per-state
 // attempted sets those shadowed are all a restored engine needs.
+// Version 4 writes the per-stream seqs, the birth ticks and the
+// per-node counts as slices in stream, set and plan order instead of
+// maps: gob encodes a map in iteration order, so two equal engines
+// wrote different bytes. Restore still reads the maps of versions 2
+// and 3.
 const (
-	snapVersion       = 3
+	snapVersion       = 4
+	snapVersionMaps   = 3
 	snapVersionRootIn = 2
 )
+
+// keyCount is one entry of a map the checkpoint carries, keyed by a
+// stream id or a stream set, as its uint64 value.
+type keyCount struct {
+	Key, N uint64
+}
+
+// sortedCounts returns m's entries in ascending key order.
+func sortedCounts[K ~uint8 | ~uint64](m map[K]uint64) []keyCount {
+	out := make([]keyCount, 0, len(m))
+	for k, n := range m {
+		out = append(out, keyCount{uint64(k), n})
+	}
+	slices.SortFunc(out, func(a, b keyCount) int { return cmp.Compare(a.Key, b.Key) })
+	return out
+}
+
+// countMap is sortedCounts' inverse.
+func countMap[K ~uint8 | ~uint64](kcs []keyCount) map[K]uint64 {
+	m := make(map[K]uint64, len(kcs))
+	for _, kc := range kcs {
+		m[K(kc.Key)] = kc.N
+	}
+	return m
+}
 
 type tupleSnap struct {
 	Key     tuple.Value
@@ -83,18 +116,23 @@ type engineSnap struct {
 	WindowSize int
 	TimeSpan   uint64
 	Tick       uint64
-	Seqs       map[tuple.StreamID]uint64
-	Born       map[tuple.StreamSet]uint64
+	SeqList    []keyCount // by stream
+	BornList   []keyCount // by state set
 	Tables     []tableSnap
 	Lists      []listSnap
 	Windows    []windowSnap
-	Probes     map[tuple.StreamSet]uint64
-	Matches    map[tuple.StreamSet]uint64
+	ProbeList  []keyCount // by node, in plan order
+	MatchList  []keyCount // by node, in plan order
 	Counters   metrics.Snapshot
 	// RootStored reports that the root's table snapshot holds the
 	// root's output state; false for a hash root checkpointed without
 	// EmitExpiry, whose table is empty by construction.
 	RootStored bool
+
+	// Versions 2 and 3 carried the four lists above as maps.
+	Seqs            map[tuple.StreamID]uint64
+	Born            map[tuple.StreamSet]uint64
+	Probes, Matches map[tuple.StreamSet]uint64
 }
 
 // Checkpoint writes the engine's execution state to w. The engine must
@@ -107,16 +145,13 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		WindowSize: e.cfg.WindowSize,
 		TimeSpan:   e.cfg.TimeSpan,
 		Tick:       e.tick,
-		Seqs:       map[tuple.StreamID]uint64{},
-		Born:       e.born,
-		Probes:     map[tuple.StreamSet]uint64{},
-		Matches:    map[tuple.StreamSet]uint64{},
+		BornList:   sortedCounts(e.born),
 		Counters:   e.met.Snapshot(),
 		RootStored: e.storesOutput(e.root),
 	}
 	for _, n := range e.Nodes() {
-		snap.Probes[n.Set] = n.Probes
-		snap.Matches[n.Set] = n.Matches
+		snap.ProbeList = append(snap.ProbeList, keyCount{uint64(n.Set), n.Probes})
+		snap.MatchList = append(snap.MatchList, keyCount{uint64(n.Set), n.Matches})
 		switch {
 		case n.St != nil:
 			ts := tableSnap{Set: n.Set, Complete: n.St.Complete()}
@@ -141,7 +176,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	}
 	for _, id := range e.plan.Streams.Streams() {
 		st := &e.streams[id]
-		snap.Seqs[id] = st.seq
+		snap.SeqList = append(snap.SeqList, keyCount{uint64(id), st.seq})
 		ws := windowSnap{Stream: id}
 		switch win := st.window.(type) {
 		case *window.TimeWindow:
@@ -174,10 +209,15 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 	}
 	switch snap.Version {
 	case snapVersion:
+		snap.Seqs = countMap[tuple.StreamID](snap.SeqList)
+		snap.Born = countMap[tuple.StreamSet](snap.BornList)
+		snap.Probes = countMap[tuple.StreamSet](snap.ProbeList)
+		snap.Matches = countMap[tuple.StreamSet](snap.MatchList)
+	case snapVersionMaps:
 	case snapVersionRootIn:
 		snap.RootStored = true
 	default:
-		return nil, fmt.Errorf("engine: checkpoint snapVersion %d, this build reads %d and %d (re-checkpoint with a matching build)", snap.Version, snapVersionRootIn, snapVersion)
+		return nil, fmt.Errorf("engine: checkpoint snapVersion %d, this build reads %d to %d (re-checkpoint with a matching build)", snap.Version, snapVersionRootIn, snapVersion)
 	}
 	p, err := plan.Parse(snap.Plan)
 	if err != nil {

@@ -13,10 +13,10 @@ import (
 // TestRestoreReadsParentShapedCheckpoint: a checkpoint that still
 // carries the per-stream last-arrival maps (and the transition tick
 // they were compared with) restores — gob skips the fields engineSnap
-// no longer names, snapVersion stays 3 — and, taken mid-migration with
-// states incomplete and keys attempted, resumes to the completions and
-// results of an uninterrupted run: the attempted sets it also carries
-// are the whole of Definition 2.
+// no longer names, and snapVersion 3's count maps still read — and,
+// taken mid-migration with states incomplete and keys attempted,
+// resumes to the completions and results of an uninterrupted run: the
+// attempted sets it also carries are the whole of Definition 2.
 func TestRestoreReadsParentShapedCheckpoint(t *testing.T) {
 	const migrateAt, ckptAt = 600, 640
 	evs := uniformEvents(1600, 4, 12, 7)

@@ -572,8 +572,9 @@ func TestNodeStatsCount(t *testing.T) {
 	}
 }
 
-// Restore names the versions it reads: 3 (RootStored recorded) and 2
-// (root entries always present); anything else is refused.
+// Restore names the versions it reads: 4 (counts in slices), 3
+// (RootStored recorded) and 2 (root entries always present); anything
+// else is refused.
 func TestRestoreRejectsUnknownSnapVersion(t *testing.T) {
 	for _, v := range []int{1, snapVersion + 1} {
 		var buf bytes.Buffer

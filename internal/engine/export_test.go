@@ -32,12 +32,23 @@ type parentSnap struct {
 }
 
 // AsParentCheckpoint re-encodes ckpt, a checkpoint written by this
-// build, in the shape commit 43950d7 wrote, carrying the given
-// transition tick and last-arrival maps.
+// build, in the shape commit 43950d7 wrote — snapVersion 3, its
+// per-stream and per-set counts in maps — carrying the given transition
+// tick and last-arrival maps.
 func AsParentCheckpoint(ckpt []byte, transitionTick uint64, lastArrival map[tuple.StreamID]map[tuple.Value]uint64) ([]byte, error) {
-	var snap parentSnap
-	if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&snap); err != nil {
+	var cur engineSnap
+	if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&cur); err != nil {
 		return nil, err
+	}
+	snap := parentSnap{
+		Version: snapVersionMaps, Plan: cur.Plan, Kind: cur.Kind,
+		WindowSize: cur.WindowSize, TimeSpan: cur.TimeSpan, Tick: cur.Tick,
+		Seqs:   countMap[tuple.StreamID](cur.SeqList),
+		Born:   countMap[tuple.StreamSet](cur.BornList),
+		Tables: cur.Tables, Lists: cur.Lists, Windows: cur.Windows,
+		Probes:   countMap[tuple.StreamSet](cur.ProbeList),
+		Matches:  countMap[tuple.StreamSet](cur.MatchList),
+		Counters: cur.Counters, RootStored: cur.RootStored,
 	}
 	snap.TransitionTick, snap.LastArrival = transitionTick, lastArrival
 	var buf bytes.Buffer

@@ -99,3 +99,30 @@ func BenchmarkRemoveRefHotBucket(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTableWindowChurn is a join state through repeated plan
+// transitions: a count-based sliding window over a key domain wider
+// than the window, so keys keep dying and being reborn, where each
+// arriving key is also marked attempted and the state is marked
+// incomplete again every period tuples — a transition's reset of
+// Definition 2's attempted set, which leaves slots kept only by the
+// mark to be cleared.
+func BenchmarkTableWindowChurn(b *testing.B) {
+	const domain, window, period = 4096, 1024, 8192
+	t := NewTable(tuple.NewStreamSet(0))
+	t.MarkIncomplete()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := tuple.Value(i * 7 % domain)
+		t.Insert(tuple.NewBase(0, uint64(i), key, uint64(i)))
+		t.MarkAttempted(key)
+		if i >= window {
+			old := i - window
+			t.RemoveRef(tuple.Value(old*7%domain), tuple.Ref{Stream: 0, Seq: uint64(old)})
+		}
+		if i%period == period-1 {
+			t.MarkIncomplete()
+		}
+	}
+}

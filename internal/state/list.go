@@ -1,6 +1,9 @@
 package state
 
 import (
+	"cmp"
+	"slices"
+
 	"jisc/internal/statestore"
 	"jisc/internal/tuple"
 )
@@ -142,12 +145,16 @@ func (l *List) RemoveRef(ref tuple.Ref) []*tuple.Tuple {
 func (l *List) Size() int { return len(l.tuples) }
 
 // AttemptedRefs returns the probing refs attempted since the last
-// transition (empty for complete lists). Used by checkpointing.
+// transition (empty for complete lists), ordered by stream and then
+// sequence so a checkpoint does not follow map order.
 func (l *List) AttemptedRefs() []tuple.Ref {
 	out := make([]tuple.Ref, 0, len(l.attempted))
 	for r := range l.attempted {
 		out = append(out, r)
 	}
+	slices.SortFunc(out, func(a, b tuple.Ref) int {
+		return cmp.Or(cmp.Compare(a.Stream, b.Stream), cmp.Compare(a.Seq, b.Seq))
+	})
 	return out
 }
 

@@ -6,12 +6,21 @@
 // of Definition 1, the per-key attempted set of Definition 2, and the
 // completion-detection counter of §4.3.
 //
+// A Table keeps one slot per key in one open-addressing index (see
+// index.go): the slot carries the resident bucket, the spilled part and
+// the flag bits — CLOCK reference, attempted, pending — so every
+// per-key touch is one hash probe. A slot lives while it holds tuples
+// or an attempted or pending mark, and is removed by backward shift
+// when the last of these goes. Iteration (Keys, Each, AttemptedKeys,
+// PendingKeys) follows slot order, which the history of calls decides
+// alone: equal call sequences iterate, and checkpoint, equally.
+//
 // Every state maintains byte accounting (TupleBytes summed over its
 // resident tuples), and a Table can attach an internal/statestore
 // Store that spills cold buckets out of the heap and faults them back
 // on demand — just-in-time residency, the storage-level analogue of
 // the paper's just-in-time completion. Spilling changes residency,
-// never contents: the table keeps each spilled key's statestore.Part,
+// never contents: the slot keeps each spilled key's statestore.Part,
 // the one record of it, so Size, ContainsKey, DistinctKeys and Keys
 // stay exact without I/O.
 package state
@@ -44,17 +53,23 @@ type Table struct {
 	// Set identifies which base streams the stored tuples cover.
 	Set tuple.StreamSet
 
-	buckets map[tuple.Value][]*tuple.Tuple
+	// idx holds one slot per key with tuples (resident, spilled or
+	// both: the resident part is the tuples inserted since the key
+	// spilled, all newer than the spilled ones) or a per-transition
+	// mark.
+	idx index
 	// size counts the logical contents — resident plus spilled tuples.
 	// Spilling changes residency, never size.
 	size int
+	// keys counts the slots that hold tuples: DistinctKeys.
+	keys int
 
 	// bytes is the estimated heap footprint (TupleBytes summed) of the
 	// resident tuples only; spilled parts are accounted by the store.
 	bytes int64
 
 	// store, when non-nil, governs residency: cold buckets move out of
-	// buckets into the store's segments (their parts held in spilled)
+	// their slots into the store's segments (the slot keeping the part)
 	// and fault back in on access. Nil keeps everything resident.
 	store *statestore.Store
 	// tombstone selects the scan-table eviction mode: window eviction
@@ -62,35 +77,26 @@ type Table struct {
 	// faulting the bucket in. Only sound for single-stream states,
 	// whose tuples are uniform base tuples with exactly one ref.
 	tombstone bool
-	// spilled maps each key with a spilled part to that part, the only
-	// index of spilled parts. A key may also have a resident part in
-	// buckets: the tuples inserted since it spilled, all newer than the
-	// spilled ones.
-	spilled map[tuple.Value]*statestore.Part
-	// hot holds the CLOCK reference bits: touched resident buckets,
-	// checked-and-cleared by the store's hand via ClockTouched.
-	hot map[tuple.Value]struct{}
 
 	// complete is Definition 1's flag. Scan states are always
 	// complete; join states become incomplete at a plan transition
 	// when their stream set did not exist (complete) in the old plan.
 	complete bool
 
-	// attempted records the join-attribute values whose entries have
-	// been computed (or found absent) since the last transition, so a
-	// second tuple with the same value performs no repeated work
-	// (Definition 2 / §4.4). Nil while the table is complete.
-	attempted map[tuple.Value]struct{}
+	// attempts counts the slots marked attempted: the keys whose
+	// entries have been computed (or found absent) since the last
+	// transition, so a second tuple with the same value performs no
+	// repeated work (Definition 2 / §4.4).
+	attempts int
 
-	// remaining implements the §4.3 completion counter: the distinct
-	// keys of the designated (smaller complete) child side that have
-	// not yet been completed here. When it drains, the state is
-	// declared complete. Nil when the counter is not applicable
-	// (Case 3: both children incomplete).
-	remaining map[tuple.Value]struct{}
+	// pending implements the §4.3 completion counter: the slots marked
+	// pending are the distinct keys of the designated (smaller complete)
+	// child side not yet completed here. When it drains, the state is
+	// declared complete.
+	pending int
 
-	// counterArmed distinguishes "no counter" (Case 3) from "counter
-	// drained".
+	// counterArmed distinguishes "no counter" (Case 3: both children
+	// incomplete) from "counter drained".
 	counterArmed bool
 
 	// free holds the backing arrays of emptied buckets for reuse by
@@ -110,11 +116,7 @@ const maxFreeBuckets = 64
 
 // NewTable returns an empty, complete table covering set.
 func NewTable(set tuple.StreamSet) *Table {
-	return &Table{
-		Set:      set,
-		buckets:  make(map[tuple.Value][]*tuple.Tuple),
-		complete: true,
-	}
+	return &Table{Set: set, complete: true}
 }
 
 // SetStore attaches the spill store to the table, which must still be
@@ -123,8 +125,6 @@ func NewTable(set tuple.StreamSet) *Table {
 func (t *Table) SetStore(s *statestore.Store, tombstones bool) {
 	t.store = s
 	t.tombstone = tombstones
-	t.spilled = make(map[tuple.Value]*statestore.Part)
-	t.hot = make(map[tuple.Value]struct{})
 }
 
 // Release detaches the store, freeing every spilled part and dropping
@@ -137,16 +137,19 @@ func (t *Table) Release() {
 	t.dropSpilled()
 	t.store.Account(-t.bytes)
 	t.store = nil
-	t.spilled = nil
-	t.hot = nil
 }
 
 // dropSpilled frees every spilled part, uncounting its tuples, and
-// purges the table from the store's CLOCK ring.
+// purges the table from the store's CLOCK ring. It leaves slots that
+// held only a part in place for the caller to sweep.
 func (t *Table) dropSpilled() {
-	for _, p := range t.spilled {
-		t.size -= p.Count()
-		t.store.Free(p)
+	for i := range t.idx.slots {
+		s := &t.idx.slots[i]
+		if s.part != nil {
+			t.size -= s.part.Count()
+			t.store.Free(s.part)
+			s.part = nil
+		}
 	}
 	t.store.Drop(t)
 }
@@ -160,6 +163,13 @@ func (t *Table) account(delta int64) {
 	}
 }
 
+// drop removes the slot at i if nothing keeps it live.
+func (t *Table) drop(i int) {
+	if !t.idx.slots[i].live() {
+		t.idx.remove(i)
+	}
+}
+
 // Bytes returns the estimated heap footprint of the resident tuples.
 func (t *Table) Bytes() int64 { return t.bytes }
 
@@ -170,8 +180,7 @@ func (t *Table) Complete() bool { return t.complete }
 // and resets the per-transition attempted set.
 func (t *Table) MarkIncomplete() {
 	t.complete = false
-	t.attempted = make(map[tuple.Value]struct{})
-	t.remaining = nil
+	t.clearMarks(attempted | pending)
 	t.counterArmed = false
 }
 
@@ -179,18 +188,41 @@ func (t *Table) MarkIncomplete() {
 // bookkeeping.
 func (t *Table) MarkComplete() {
 	t.complete = true
-	t.attempted = nil
-	t.remaining = nil
+	t.clearMarks(attempted | pending)
 	t.counterArmed = false
+}
+
+// clearMarks clears the given per-transition flags in place, removing
+// the slots only they kept. Nothing is swept when no slot carries them,
+// so marking a fresh state incomplete costs nothing.
+func (t *Table) clearMarks(marks uint8) {
+	if (marks&attempted == 0 || t.attempts == 0) && (marks&pending == 0 || t.pending == 0) {
+		return
+	}
+	t.idx.sweep(func(s *slot) { s.flags &^= marks })
+	if marks&attempted != 0 {
+		t.attempts = 0
+	}
+	if marks&pending != 0 {
+		t.pending = 0
+	}
 }
 
 // ArmCounter initializes the §4.3 completion counter with the distinct
 // keys of the designated complete child side (Case 1: the smaller of
 // the two complete children; Case 2: the single complete child).
 func (t *Table) ArmCounter(keys []tuple.Value) {
-	t.remaining = make(map[tuple.Value]struct{}, len(keys))
+	t.clearMarks(pending)
+	// Size the index for the child's keys at once: a state armed at
+	// install is empty, and growing it from minSlots one doubling at a
+	// time rehashes every key log2(len(keys)) times.
+	t.idx.reserve(t.idx.n + len(keys))
 	for _, k := range keys {
-		t.remaining[k] = struct{}{}
+		s := &t.idx.slots[t.idx.upsert(k)]
+		if s.flags&pending == 0 {
+			s.flags |= pending
+			t.pending++
+		}
 	}
 	t.counterArmed = true
 }
@@ -202,7 +234,7 @@ func (t *Table) CounterArmed() bool { return t.counterArmed }
 
 // Counter returns the current counter value (distinct keys still to
 // complete). Zero when unarmed.
-func (t *Table) Counter() int { return len(t.remaining) }
+func (t *Table) Counter() int { return t.pending }
 
 // Attempted reports whether entries for key were already computed (or
 // determined absent) since the last transition.
@@ -210,8 +242,8 @@ func (t *Table) Attempted(key tuple.Value) bool {
 	if t.complete {
 		return true
 	}
-	_, ok := t.attempted[key]
-	return ok
+	i := t.idx.find(key)
+	return i >= 0 && t.idx.slots[i].flags&attempted != 0
 }
 
 // MarkAttempted records that entries for key are now as complete as
@@ -222,14 +254,15 @@ func (t *Table) MarkAttempted(key tuple.Value) (drained bool) {
 	if t.complete {
 		return false
 	}
-	t.attempted[key] = struct{}{}
-	if t.counterArmed {
-		if _, ok := t.remaining[key]; ok {
-			delete(t.remaining, key)
-			if len(t.remaining) == 0 {
-				return true
-			}
-		}
+	s := &t.idx.slots[t.idx.upsert(key)]
+	if s.flags&attempted == 0 {
+		s.flags |= attempted
+		t.attempts++
+	}
+	if t.counterArmed && s.flags&pending != 0 {
+		s.flags &^= pending
+		t.pending--
+		return t.pending == 0
 	}
 	return false
 }
@@ -242,11 +275,14 @@ func (t *Table) DropPending(key tuple.Value) (drained bool) {
 	if t.complete || !t.counterArmed {
 		return false
 	}
-	if _, ok := t.remaining[key]; ok {
-		delete(t.remaining, key)
-		return len(t.remaining) == 0
+	i := t.idx.find(key)
+	if i < 0 || t.idx.slots[i].flags&pending == 0 {
+		return false
 	}
-	return false
+	t.idx.slots[i].flags &^= pending
+	t.pending--
+	t.drop(i)
+	return t.pending == 0
 }
 
 // Insert stores tup under its key. New buckets reuse backing arrays
@@ -254,19 +290,27 @@ func (t *Table) DropPending(key tuple.Value) (drained bool) {
 // spilled key it starts (or extends) a resident part beside the spilled
 // one, and the next Probe merges the two.
 func (t *Table) Insert(tup *tuple.Tuple) {
-	bucket, ok := t.buckets[tup.Key]
-	if !ok && len(t.free) > 0 {
-		bucket = t.free[len(t.free)-1]
-		t.free = t.free[:len(t.free)-1]
+	s := &t.idx.slots[t.idx.upsert(tup.Key)]
+	resident := len(s.bucket) > 0
+	if !resident {
+		if s.part == nil {
+			t.keys++
+		}
+		if len(t.free) > 0 {
+			s.bucket = t.free[len(t.free)-1]
+			t.free = t.free[:len(t.free)-1]
+		}
 	}
-	t.buckets[tup.Key] = append(bucket, tup)
+	s.bucket = append(s.bucket, tup)
 	t.size++
 	t.account(TupleBytes(tup))
 	if t.store != nil {
+		// The reference bit follows the accounting: Pressured reads the
+		// resident bytes this insert just added.
 		if t.store.Pressured() {
-			t.hot[tup.Key] = struct{}{}
+			s.flags |= hot
 		}
-		if !ok {
+		if !resident {
 			t.store.Admit(t, tup.Key)
 		}
 		t.store.MaybeSpill()
@@ -278,54 +322,54 @@ func (t *Table) Insert(tup *tuple.Tuple) {
 // callers must not mutate it. It remains valid even if the bucket is
 // spilled again before the caller is done with it.
 func (t *Table) Probe(key tuple.Value) []*tuple.Tuple {
-	bucket := t.buckets[key]
-	if t.store == nil {
-		return bucket
+	i := t.idx.find(key)
+	if i < 0 {
+		return nil
 	}
-	if p, sp := t.spilled[key]; sp {
-		bucket = t.fault(key, p)
+	s := &t.idx.slots[i]
+	if t.store == nil {
+		return s.bucket
+	}
+	if s.part != nil {
+		bucket := t.fault(s)
 		t.store.MaybeSpill()
 		return bucket
 	}
-	if bucket != nil && t.store.Pressured() {
-		t.hot[key] = struct{}{}
+	if len(s.bucket) > 0 && t.store.Pressured() {
+		s.flags |= hot
 	}
-	return bucket
+	return s.bucket
 }
 
-// fault brings key's spilled part p back into residency, in front of
+// fault brings the slot's spilled part back into residency, in front of
 // any resident part so the bucket stays in arrival order, and returns
 // the whole bucket. It deliberately does not trigger MaybeSpill —
 // callers do, after they have captured the returned slice — so the
 // just-faulted bucket cannot be detached mid-operation.
-func (t *Table) fault(key tuple.Value, p *statestore.Part) []*tuple.Tuple {
-	tuples := t.store.Fault(p)
-	delete(t.spilled, key)
+func (t *Table) fault(s *slot) []*tuple.Tuple {
+	tuples := t.store.Fault(s.part)
+	s.part = nil
 	var b int64
 	for _, tup := range tuples {
 		b += TupleBytes(tup)
 	}
 	// The faulted slice is fresh; the old resident array is left to the
 	// collector rather than recycled, since Probe callers may hold it.
-	resident, ok := t.buckets[key]
-	bucket := append(tuples, resident...)
-	t.buckets[key] = bucket
-	t.hot[key] = struct{}{}
+	resident := len(s.bucket) > 0
+	s.bucket = append(tuples, s.bucket...)
+	s.flags |= hot
 	t.account(b)
-	if !ok {
-		t.store.Admit(t, key)
+	if !resident {
+		t.store.Admit(t, s.key)
 	}
-	return bucket
+	return s.bucket
 }
 
 // ContainsKey reports whether any tuple is stored under key, resident
 // or spilled. It never faults.
 func (t *Table) ContainsKey(key tuple.Value) bool {
-	if len(t.buckets[key]) > 0 {
-		return true
-	}
-	_, sp := t.spilled[key]
-	return sp
+	i := t.idx.find(key)
+	return i >= 0 && t.idx.slots[i].holds()
 }
 
 // RemoveRef removes every tuple under key whose provenance contains
@@ -352,21 +396,28 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 // next RemoveRef call on it; callers needing the tuples longer must
 // copy them out.
 func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
-	if t.store != nil {
-		if p, sp := t.spilled[key]; sp {
-			if !t.tombstone {
-				t.fault(key, p)
-				defer t.store.MaybeSpill()
-			} else if ref.Seq <= p.Newest() {
-				if t.store.Tombstone(p, ref.Seq) {
-					delete(t.spilled, key)
+	i := t.idx.find(key)
+	if i < 0 {
+		return nil
+	}
+	s := &t.idx.slots[i]
+	if s.part != nil {
+		if !t.tombstone {
+			t.fault(s)
+			defer t.store.MaybeSpill()
+		} else if ref.Seq <= s.part.Newest() {
+			if t.store.Tombstone(s.part, ref.Seq) {
+				s.part = nil
+				if len(s.bucket) == 0 {
+					t.keys--
 				}
-				t.size--
-				return nil
+				t.drop(i)
 			}
+			t.size--
+			return nil
 		}
 	}
-	bucket := t.buckets[key]
+	bucket := s.bucket
 	if len(bucket) == 0 {
 		return nil
 	}
@@ -374,11 +425,11 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 	if !set.Has(ref.Stream) {
 		return nil
 	}
-	slot := bits.OnesCount64(uint64(set) & (1<<ref.Stream - 1))
+	at := bits.OnesCount64(uint64(set) & (1<<ref.Stream - 1))
 	t.removed = t.removed[:0]
 	kept := bucket[:0]
 	for _, tup := range bucket {
-		if tup.Refs[slot].Seq == ref.Seq {
+		if tup.Refs[at].Seq == ref.Seq {
 			t.removed = append(t.removed, tup)
 		} else {
 			kept = append(kept, tup)
@@ -395,20 +446,22 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 	t.account(-b)
 	// Zero the tail so removed tuples are not retained by the backing
 	// array.
-	for i := len(kept); i < len(bucket); i++ {
-		bucket[i] = nil
+	for j := len(kept); j < len(bucket); j++ {
+		bucket[j] = nil
 	}
-	if len(kept) == 0 {
-		delete(t.buckets, key)
-		if t.store != nil {
-			delete(t.hot, key)
-		}
-		if len(t.free) < maxFreeBuckets && cap(bucket) > 0 {
-			t.free = append(t.free, kept)
-		}
-	} else {
-		t.buckets[key] = kept
+	if len(kept) > 0 {
+		s.bucket = kept
+		return t.removed
 	}
+	s.bucket = nil
+	s.flags &^= hot
+	if s.part == nil {
+		t.keys--
+	}
+	if len(t.free) < maxFreeBuckets && cap(bucket) > 0 {
+		t.free = append(t.free, kept)
+	}
+	t.drop(i)
 	return t.removed
 }
 
@@ -417,20 +470,23 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 // buckets between the passing and suppressed tables. A spilled bucket
 // is faulted in first.
 func (t *Table) RemoveKey(key tuple.Value) []*tuple.Tuple {
-	if t.store != nil {
-		if p, sp := t.spilled[key]; sp {
-			t.fault(key, p)
-			defer t.store.MaybeSpill()
-		}
-	}
-	bucket, ok := t.buckets[key]
-	if !ok {
+	i := t.idx.find(key)
+	if i < 0 {
 		return nil
 	}
-	delete(t.buckets, key)
-	if t.store != nil {
-		delete(t.hot, key)
+	s := &t.idx.slots[i]
+	if s.part != nil {
+		t.fault(s)
+		defer t.store.MaybeSpill()
 	}
+	bucket := s.bucket
+	if len(bucket) == 0 {
+		return nil
+	}
+	s.bucket = nil
+	s.flags &^= hot
+	t.keys--
+	t.drop(i)
 	t.size -= len(bucket)
 	var b int64
 	for _, tup := range bucket {
@@ -446,53 +502,44 @@ func (t *Table) Size() int { return t.size }
 // DistinctKeys returns the number of distinct join-attribute values
 // present — the quantity the §4.3 counter is initialized from.
 // A key with both a resident and a spilled part counts once.
-func (t *Table) DistinctKeys() int {
-	n := len(t.buckets) + len(t.spilled)
-	for k := range t.spilled {
-		if _, ok := t.buckets[k]; ok {
-			n--
-		}
-	}
-	return n
-}
+func (t *Table) DistinctKeys() int { return t.keys }
 
 // Keys returns the distinct join-attribute values present, resident or
-// spilled, each once. Order is unspecified.
+// spilled, each once, in slot order.
 func (t *Table) Keys() []tuple.Value {
-	out := make([]tuple.Value, 0, len(t.buckets)+len(t.spilled))
-	for k := range t.buckets {
-		out = append(out, k)
-	}
-	for k := range t.spilled {
-		if _, ok := t.buckets[k]; !ok {
-			out = append(out, k)
+	out := make([]tuple.Value, 0, t.keys)
+	for i := range t.idx.slots {
+		if s := &t.idx.slots[i]; s.holds() {
+			out = append(out, s.key)
 		}
 	}
 	return out
 }
 
 // AttemptedKeys returns the keys attempted since the last transition
-// (empty for complete tables). Order is unspecified. Used by
-// checkpointing.
+// (empty for complete tables), in slot order. Used by checkpointing.
 func (t *Table) AttemptedKeys() []tuple.Value {
-	out := make([]tuple.Value, 0, len(t.attempted))
-	for k := range t.attempted {
-		out = append(out, k)
-	}
-	return out
+	return t.marked(attempted, t.attempts)
 }
 
-// PendingKeys returns the completion counter's remaining keys and
-// whether a counter is armed. Used by checkpointing.
+// PendingKeys returns the completion counter's remaining keys, in slot
+// order, and whether a counter is armed. Used by checkpointing.
 func (t *Table) PendingKeys() ([]tuple.Value, bool) {
 	if !t.counterArmed {
 		return nil, false
 	}
-	out := make([]tuple.Value, 0, len(t.remaining))
-	for k := range t.remaining {
-		out = append(out, k)
+	return t.marked(pending, t.pending), true
+}
+
+// marked returns the n keys whose slots carry flag, in slot order.
+func (t *Table) marked(flag uint8, n int) []tuple.Value {
+	out := make([]tuple.Value, 0, n)
+	for i := range t.idx.slots {
+		if s := &t.idx.slots[i]; s.flags&flag != 0 {
+			out = append(out, s.key)
+		}
 	}
-	return out, true
+	return out
 }
 
 // RestoreMeta reinstates completeness bookkeeping from a checkpoint:
@@ -505,35 +552,26 @@ func (t *Table) RestoreMeta(complete bool, attempted []tuple.Value, pending []tu
 	}
 	t.MarkIncomplete()
 	for _, k := range attempted {
-		t.attempted[k] = struct{}{}
+		t.MarkAttempted(k)
 	}
 	if counterArmed {
 		t.ArmCounter(pending)
 	}
 }
 
-// Each calls fn for every stored tuple until fn returns false.
-// Spilled parts are read through the store without admitting them,
-// so iteration (checkpointing, discard scans) does not perturb
+// Each calls fn for every stored tuple until fn returns false, in slot
+// order. Spilled parts are read through the store without admitting
+// them, so iteration (checkpointing, discard scans) does not perturb
 // residency. A key's spilled part is visited before its resident part:
 // a checkpoint restored in iteration order rebuilds every bucket in
 // arrival order.
 func (t *Table) Each(fn func(*tuple.Tuple) bool) {
-	for key, p := range t.spilled {
-		if !t.store.Peek(p, fn) {
+	for i := range t.idx.slots {
+		s := &t.idx.slots[i]
+		if s.part != nil && !t.store.Peek(s.part, fn) {
 			return
 		}
-		for _, tup := range t.buckets[key] {
-			if !fn(tup) {
-				return
-			}
-		}
-	}
-	for key, bucket := range t.buckets {
-		if _, sp := t.spilled[key]; sp {
-			continue
-		}
-		for _, tup := range bucket {
+		for _, tup := range s.bucket {
 			if !fn(tup) {
 				return
 			}
@@ -547,12 +585,17 @@ func (t *Table) Each(fn func(*tuple.Tuple) bool) {
 func (t *Table) Clear() {
 	if t.store != nil {
 		t.dropSpilled()
-		t.spilled = make(map[tuple.Value]*statestore.Part)
-		t.hot = make(map[tuple.Value]struct{})
 	}
 	t.account(-t.bytes)
-	t.buckets = make(map[tuple.Value][]*tuple.Tuple)
+	t.idx.sweep(func(s *slot) {
+		s.bucket = nil
+		s.flags &^= hot
+	})
+	if t.idx.n == 0 {
+		t.idx = index{}
+	}
 	t.size = 0
+	t.keys = 0
 	t.free = nil
 	t.removed = nil
 }
@@ -562,21 +605,12 @@ func (t *Table) Clear() {
 // periodic discard check (§3.3) scans states with this.
 func (t *Table) CountOld(cutoff uint64, oldest func(*tuple.Tuple) uint64) int {
 	n := 0
-	for _, bucket := range t.buckets {
-		for _, tup := range bucket {
-			if oldest(tup) <= cutoff {
-				n++
-			}
+	t.Each(func(tup *tuple.Tuple) bool {
+		if oldest(tup) <= cutoff {
+			n++
 		}
-	}
-	for _, p := range t.spilled {
-		t.store.Peek(p, func(tup *tuple.Tuple) bool {
-			if oldest(tup) <= cutoff {
-				n++
-			}
-			return true
-		})
-	}
+		return true
+	})
 	return n
 }
 
@@ -584,39 +618,43 @@ func (t *Table) CountOld(cutoff uint64, oldest func(*tuple.Tuple) uint64) int {
 // bucket is wholly spilled or absent. It never faults and never sets the
 // reference bit; it is the store's view of spill candidates.
 func (t *Table) ResidentBucket(key tuple.Value) []*tuple.Tuple {
-	return t.buckets[key]
+	if i := t.idx.find(key); i >= 0 {
+		return t.idx.slots[i].bucket
+	}
+	return nil
 }
 
 // MarkSpilled detaches the resident bucket for key once the store has
 // captured it into key's spilled part, which is fresh when key had
 // none, and returns the part and the accounted bytes that moved. The
 // bucket's backing array is deliberately not recycled into the free
-// list: Probe callers may still hold it.
+// list: Probe callers may still hold it. The store only spills a key
+// with a resident bucket, so its slot exists and stays.
 func (t *Table) MarkSpilled(key tuple.Value, fresh *statestore.Part) (*statestore.Part, int64) {
+	s := &t.idx.slots[t.idx.find(key)]
 	var b int64
-	for _, tup := range t.buckets[key] {
+	for _, tup := range s.bucket {
 		b += TupleBytes(tup)
 	}
-	delete(t.buckets, key)
-	delete(t.hot, key)
-	p := t.spilled[key]
-	if p == nil {
-		p = fresh
-		t.spilled[key] = p
+	s.bucket = nil
+	s.flags &^= hot
+	if s.part == nil {
+		s.part = fresh
 	}
 	t.account(-b)
-	return p, b
+	return s.part, b
 }
 
 // ClockTouched reports whether key's bucket was touched since the last
 // check, clearing the reference bit — the CLOCK hand's second-chance
 // test.
 func (t *Table) ClockTouched(key tuple.Value) bool {
-	if _, ok := t.hot[key]; ok {
-		delete(t.hot, key)
-		return true
+	i := t.idx.find(key)
+	if i < 0 || t.idx.slots[i].flags&hot == 0 {
+		return false
 	}
-	return false
+	t.idx.slots[i].flags &^= hot
+	return true
 }
 
 func (t *Table) String() string {
