@@ -29,14 +29,13 @@ func main() {
 		joins   = flag.Int("joins", 20, "joins for figures 9, 11, 12 (paper: 20)")
 		ptcheck = flag.Int("ptcheck", 0, "Parallel Track discard-scan period in tuples (0 = window/10)")
 		reps    = flag.Int("reps", 3, "repetitions per timing-sensitive measurement (min/median reported)")
-		shards  = flag.Int("shards", 1, "run the Fig-7/8 JISC measurement through the sharded runtime with N shards")
 	)
 	flag.Parse()
 
 	if *domain == 0 {
 		*domain = int64(*window)
 	}
-	cfg := bench.Config{Window: *window, Domain: *domain, Tuples: *tuples, Seed: *seed, PTCheckEvery: *ptcheck, Reps: *reps, Shards: *shards}
+	cfg := bench.Config{Window: *window, Domain: *domain, Tuples: *tuples, Seed: *seed, PTCheckEvery: *ptcheck, Reps: *reps}
 	w := os.Stdout
 
 	run := func(name string, f func() error) {

@@ -181,3 +181,13 @@ func TestSampleSwapPanicsOnSmallN(t *testing.T) {
 	}()
 	SampleSwap(rand.New(rand.NewSource(1)), 1)
 }
+
+// BenchmarkPropositionsMonteCarlo covers the §5 analysis table: the
+// cost of sampling the pairwise-exchange distribution.
+func BenchmarkPropositionsMonteCarlo(b *testing.B) {
+	rng := rand.New(rand.NewSource(testseed.Seed(b, 1)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SampleSwap(rng, 1024)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/eddy"
 	"jisc/internal/engine"
+	"jisc/internal/metrics"
 )
 
 // StairsRow is one point of the §4.6 ablation: eager STAIRs
@@ -18,11 +19,19 @@ type StairsRow struct {
 	Lazy         time.Duration
 	EagerLatency time.Duration // max transition-to-first-output
 	LazyLatency  time.Duration
+
+	// eagerWork is eager STAIRs' MigrationWork (entries promoted at
+	// transition time) and lazyWork JISC-on-STAIRs' CompletedEntries
+	// (entries promoted on demand): the promotion work, seed-deterministic.
+	eagerWork, lazyWork uint64
 }
 
 // StairsAblation compares eager STAIRs with JISC-on-STAIRs (§4.6).
 func StairsAblation(cfg Config, joins int, periods []int, w io.Writer) ([]StairsRow, error) {
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := positive("period", periods...); err != nil {
 		return nil, err
 	}
 	streams := joins + 1
@@ -31,40 +40,30 @@ func StairsAblation(cfg Config, joins int, periods []int, w io.Writer) ([]Stairs
 		"period", "eager", "lazy", "eager/lazy", "eager-latency", "lazy-latency")
 	var rows []StairsRow
 	for _, period := range periods {
-		run := func(lazy bool) (time.Duration, time.Duration, error) {
+		run := func(lazy bool) (time.Duration, time.Duration, metrics.Snapshot, error) {
 			s := eddy.MustNewStairs(eddy.StairsConfig{
 				Plan: initialPlan(streams), WindowSize: cfg.Window, Lazy: lazy,
 			})
-			src := cfg.source(streams)
-			cur := initialPlan(streams)
-			start := time.Now()
-			for i := 0; i < cfg.Tuples; i++ {
-				if i > 0 && i%period == 0 {
-					cur = worstCaseSwap(cur)
-					if err := s.Migrate(cur); err != nil {
-						return 0, 0, err
-					}
-				}
-				s.Feed(src.Next())
-			}
-			elapsed := time.Since(start)
+			elapsed, _, err := cfg.periodic(s, streams, cfg.Tuples, period, worstCaseSwap, nil)
+			m := s.Metrics()
 			var maxLat time.Duration
-			for _, l := range s.Metrics().OutputLatencies {
+			for _, l := range m.OutputLatencies {
 				if l > maxLat {
 					maxLat = l
 				}
 			}
-			return elapsed, maxLat, nil
+			return elapsed, maxLat, m, err
 		}
-		eager, eagerLat, err := run(false)
+		eager, eagerLat, em, err := run(false)
 		if err != nil {
 			return nil, err
 		}
-		lazy, lazyLat, err := run(true)
+		lazy, lazyLat, lm, err := run(true)
 		if err != nil {
 			return nil, err
 		}
-		row := StairsRow{Period: period, Eager: eager, Lazy: lazy, EagerLatency: eagerLat, LazyLatency: lazyLat}
+		row := StairsRow{Period: period, Eager: eager, Lazy: lazy, EagerLatency: eagerLat, LazyLatency: lazyLat,
+			eagerWork: em.MigrationWork, lazyWork: lm.CompletedEntries}
 		rows = append(rows, row)
 		fprintf(w, "%10d %12v %12v %9.2f %14v %14v\n",
 			row.Period, row.Eager.Round(time.Microsecond), row.Lazy.Round(time.Microsecond),
@@ -82,6 +81,10 @@ type ProcRow struct {
 	Joins int
 	Proc3 time.Duration // left-deep fast path
 	Proc2 time.Duration // generic recursion forced
+
+	// proc3 and proc2 are the two engines' counters after the stage:
+	// both procedures compute identical entries.
+	proc3, proc2 metrics.Snapshot
 }
 
 // ProcedureAblation compares Procedures 2 and 3 on left-deep plans.
@@ -94,7 +97,7 @@ func ProcedureAblation(cfg Config, joinCounts []int, w io.Writer) ([]ProcRow, er
 	var rows []ProcRow
 	for _, joins := range joinCounts {
 		streams := joins + 1
-		run := func(strategy engine.Strategy) (time.Duration, error) {
+		run := func(strategy engine.Strategy) (time.Duration, metrics.Snapshot, error) {
 			p := initialPlan(streams)
 			e := engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: strategy})
 			src := cfg.source(streams)
@@ -102,19 +105,19 @@ func ProcedureAblation(cfg Config, joinCounts []int, w io.Writer) ([]ProcRow, er
 				e.Feed(src.Next())
 			}
 			if err := e.Migrate(worstCaseSwap(p)); err != nil {
-				return 0, err
+				return 0, metrics.Snapshot{}, err
 			}
-			return timeFeed(e, src.Take(cfg.Tuples)), nil
+			return timeFeed(e, src.Take(cfg.Tuples)), e.Metrics(), nil
 		}
-		p3, err := run(core.New())
+		p3, m3, err := run(core.New())
 		if err != nil {
 			return nil, err
 		}
-		p2, err := run(&core.JISC{DisableLeftDeepFastPath: true})
+		p2, m2, err := run(&core.JISC{DisableLeftDeepFastPath: true})
 		if err != nil {
 			return nil, err
 		}
-		row := ProcRow{Joins: joins, Proc3: p3, Proc2: p2}
+		row := ProcRow{Joins: joins, Proc3: p3, Proc2: p2, proc3: m3, proc2: m2}
 		rows = append(rows, row)
 		fprintf(w, "%6d %12v %12v %9.2f\n",
 			row.Joins, row.Proc3.Round(time.Microsecond), row.Proc2.Round(time.Microsecond),

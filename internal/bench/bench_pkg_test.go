@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -81,12 +82,22 @@ func TestFigure7RunsAndJISCWins(t *testing.T) {
 }
 
 func TestFigure8Runs(t *testing.T) {
-	rows, err := Figure8(tiny(), []int{4}, nil)
+	rows, err := Figure8(tiny(), []int{3, 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].MigTuples == 0 {
+	if len(rows) != 2 || rows[0].MigTuples == 0 {
 		t.Fatalf("rows = %+v", rows)
+	}
+	// Worst case, in work: Parallel Track's double processing is what it
+	// was in the best case (Figure 7), while JISC completes every
+	// intermediate state and so materializes more entries than there.
+	want := []struct{ ptWork, jiscEntries uint64 }{{13985, 24}, {34530, 165}}
+	for i, r := range rows {
+		if r.ptWork != want[i].ptWork || r.jiscEntries != want[i].jiscEntries {
+			t.Errorf("joins=%d: Parallel Track migration work %d, JISC completed entries %d; want %d and %d",
+				r.Joins, r.ptWork, r.jiscEntries, want[i].ptWork, want[i].jiscEntries)
+		}
 	}
 }
 
@@ -120,6 +131,13 @@ func TestFigure10HashRuns(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// Moving State recomputes its incomplete states before the first
+	// output, JISC recomputes nothing.
+	for i, want := range []uint64{106, 189} {
+		if r := rows[i]; r.msWork != want || r.jiscWork != 0 {
+			t.Errorf("window %d: Moving State migration work %d, JISC %d; want %d and 0", r.Window, r.msWork, r.jiscWork, want)
+		}
+	}
 }
 
 func TestFigure10NLMovingStateLatencyExplodes(t *testing.T) {
@@ -144,21 +162,31 @@ func TestFigure10NLMovingStateLatencyExplodes(t *testing.T) {
 func TestFigure11And12Run(t *testing.T) {
 	cfg := tiny()
 	cfg.Tuples = 2000
-	rows, err := Figure11(cfg, 4, []int{500, 1000}, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Per period: transitions, Parallel Track's migration work and JISC's
+	// completed entries. Parallel Track pays about the same for either
+	// transition shape; JISC completes far fewer entries in the best case.
+	type work struct {
+		transitions         int
+		ptWork, jiscEntries uint64
 	}
-	for _, r := range rows {
-		if r.Transitions < 2 {
-			t.Errorf("period %d: only %d transitions", r.Period, r.Transitions)
+	for _, c := range []struct {
+		name string
+		fig  func(Config, int, []int, io.Writer) ([]FrequencyRow, error)
+		want []work
+	}{
+		{"Figure 11", Figure11, []work{{7, 177580, 459}, {3, 78775, 146}}},
+		{"Figure 12", Figure12, []work{{7, 182799, 68}, {3, 78717, 41}}},
+	} {
+		rows, err := c.fig(cfg, 4, []int{500, 1000}, nil)
+		if err != nil || len(rows) != len(c.want) {
+			t.Fatalf("%s: %d rows, %v", c.name, len(rows), err)
 		}
-	}
-	rows12, err := Figure12(cfg, 4, []int{1000}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows12) != 1 {
-		t.Fatalf("rows12 = %d", len(rows12))
+		for i, r := range rows {
+			if got := (work{r.Transitions, r.ptWork, r.jiscEntries}); got != c.want[i] {
+				t.Errorf("%s period %d: transitions, Parallel Track work, JISC entries = %+v, want %+v",
+					c.name, r.Period, got, c.want[i])
+			}
+		}
 	}
 }
 
@@ -189,50 +217,63 @@ func abs(x float64) float64 {
 	return x
 }
 
-func TestStairsAblationLazyWins(t *testing.T) {
-	cfg := tiny()
-	cfg.Tuples = 3000
-	rows, err := StairsAblation(cfg, 4, []int{600}, nil)
+// One worst-case routing change after 30,000 tuples over six streams:
+// eager STAIRs promotes every entry at the transition, JISC-on-STAIRs
+// only the entries later probes need.
+func TestStairsAblationPromotionWork(t *testing.T) {
+	cfg := Config{Window: 800, Domain: 800, Tuples: 60000, Seed: 99}
+	rows, err := StairsAblation(cfg, 5, []int{30000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
-	if r.Eager <= 0 || r.Lazy <= 0 {
-		t.Fatalf("timings: %+v", r)
+	if r := rows[0]; r.eagerWork != 2892 || r.lazyWork != 1132 {
+		t.Errorf("eager promotion work %d, lazy %d; want 2892 and 1132", r.eagerWork, r.lazyWork)
 	}
 }
 
-func TestProcedureAblationRuns(t *testing.T) {
+// Procedure 3 is Procedure 2's left-deep fast path: the same stage
+// completes, probes and emits exactly the same under either.
+func TestProcedureAblationSameWork(t *testing.T) {
 	cfg := tiny()
 	cfg.Tuples = 2000
 	rows, err := ProcedureAblation(cfg, []int{4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Proc2 <= 0 || rows[0].Proc3 <= 0 {
-		t.Fatalf("timings: %+v", rows[0])
+	for _, m := range []metrics.Snapshot{rows[0].proc3, rows[0].proc2} {
+		if m.Completions != 169 || m.CompletedEntries != 76 || m.Probes != 6098 || m.Output != 2215 {
+			t.Errorf("completions %d, completed entries %d, probes %d, outputs %d; want 169, 76, 6098 and 2215 for both procedures",
+				m.Completions, m.CompletedEntries, m.Probes, m.Output)
+		}
 	}
 }
 
+func errOf[T any](_ T, err error) error { return err }
+
 func TestBadConfigRejectedEverywhere(t *testing.T) {
-	bad := Config{}
-	if _, err := Figure7(bad, []int{3}, nil); err == nil {
-		t.Error("Figure7 accepted bad config")
-	}
-	if _, err := Figure9(bad, 3, 2, nil); err == nil {
-		t.Error("Figure9 accepted bad config")
-	}
-	if _, err := Figure10Hash(bad, 3, []int{10}, nil); err == nil {
-		t.Error("Figure10 accepted bad config")
-	}
-	if _, err := Figure11(bad, 3, []int{10}, nil); err == nil {
-		t.Error("Figure11 accepted bad config")
-	}
-	if _, err := StairsAblation(bad, 3, []int{10}, nil); err == nil {
-		t.Error("StairsAblation accepted bad config")
-	}
-	if _, err := ProcedureAblation(bad, []int{3}, nil); err == nil {
-		t.Error("ProcedureAblation accepted bad config")
+	bad, good := Config{}, tiny()
+	_, _, timelineErr := Timeline(good, 3, 5, 0, nil)
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"Figure7 config", errOf(Figure7(bad, []int{3}, nil))},
+		{"Figure9 config", errOf(Figure9(bad, 3, 2, nil))},
+		{"Figure10Hash config", errOf(Figure10Hash(bad, 3, []int{10}, nil))},
+		{"Figure11 config", errOf(Figure11(bad, 3, []int{10}, nil))},
+		{"StairsAblation config", errOf(StairsAblation(bad, 3, []int{10}, nil))},
+		{"ProcedureAblation config", errOf(ProcedureAblation(bad, []int{3}, nil))},
+		{"Figure10Hash window", errOf(Figure10Hash(good, 3, []int{10, 0}, nil))},
+		{"Figure10NL window", errOf(Figure10NL(good, 3, []int{-1}, nil))},
+		{"Figure11 period", errOf(Figure11(good, 3, []int{0}, nil))},
+		{"Figure12 period", errOf(Figure12(good, 3, []int{0}, nil))},
+		{"StairsAblation period", errOf(StairsAblation(good, 3, []int{0}, nil))},
+		{"OverlapAblation period", errOf(OverlapAblation(good, 3, []int{0}, nil))},
+		{"Timeline bucket", timelineErr},
+	} {
+		if c.err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 
@@ -266,21 +307,16 @@ func TestMemoryAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	// §5: Parallel Track holds two plans' states at once, while JISC and
+	// Moving State never hold more than one plan's.
+	want := []MemoryRow{{"jisc", 500, 476}, {"moving-state", 500, 476}, {"parallel-track", 500, 853}}
+	if len(rows) != len(want) {
 		t.Fatalf("rows = %+v", rows)
 	}
-	byName := map[string]MemoryRow{}
-	for _, r := range rows {
-		byName[r.Strategy] = r
-		if r.Steady == 0 || r.Peak == 0 {
-			t.Fatalf("empty measurement: %+v", r)
+	for i, r := range rows {
+		if r != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
 		}
-	}
-	// §5: Parallel Track holds two plans' states; its peak overhead
-	// must clearly exceed JISC's.
-	if byName["parallel-track"].Overhead() <= byName["jisc"].Overhead() {
-		t.Errorf("PT overhead %.2f not above JISC %.2f",
-			byName["parallel-track"].Overhead(), byName["jisc"].Overhead())
 	}
 	if _, err := MemoryAblation(Config{}, 3, nil); err == nil {
 		t.Error("bad config accepted")
@@ -332,8 +368,8 @@ func TestOverlapAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].PeakTracks <= 2 {
-		t.Errorf("peak tracks = %d, want > 2 (overlapped stacking)", rows[0].PeakTracks)
+	if rows[0].PeakTracks != 9 {
+		t.Errorf("peak tracks = %d, want 9 (overlapped stacking)", rows[0].PeakTracks)
 	}
 	if _, err := OverlapAblation(Config{}, 3, []int{10}, nil); err == nil {
 		t.Error("bad config accepted")

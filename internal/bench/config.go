@@ -14,6 +14,7 @@ import (
 	"io"
 	"time"
 
+	"jisc/internal/engine"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
@@ -40,14 +41,6 @@ type Config struct {
 	// median (latency) or minimum (throughput), damping scheduler
 	// noise. Zero means 1.
 	Reps int
-	// Shards, when above 1, runs the JISC measurement of the
-	// migration-stage experiments (Figures 7 and 8) through the
-	// sharded runtime entry point instead of the bare single-threaded
-	// engine: the workload is hash-partitioned across Shards workers
-	// and the transition fans out to every shard. The comparison
-	// baselines (Parallel Track, CACQ) have no sharded variant and
-	// always run single-threaded.
-	Shards int
 }
 
 // reps returns the repetition count, at least 1.
@@ -73,6 +66,17 @@ func PaperConfig() Config {
 func (c Config) validate() error {
 	if c.Window <= 0 || c.Domain <= 0 || c.Tuples <= 0 {
 		return fmt.Errorf("bench: Window, Domain, Tuples must be positive: %+v", c)
+	}
+	return nil
+}
+
+// positive rejects a driver argument — a transition period, a window
+// or a bucket size — that is not positive.
+func positive(what string, vs ...int) error {
+	for _, v := range vs {
+		if v <= 0 {
+			return fmt.Errorf("bench: %s must be positive, got %d", what, v)
+		}
 	}
 	return nil
 }
@@ -129,19 +133,38 @@ func (c Config) source(streams int) *workload.Source {
 	})
 }
 
-// feeder abstracts the executors under measurement.
-type feeder interface {
-	Feed(ev workload.Event)
-	Migrate(p *plan.Plan) error
-}
-
-// timeFeed feeds evs into f and returns the wall-clock duration.
-func timeFeed(f feeder, evs []workload.Event) time.Duration {
+// timeFeed feeds evs into x and returns the wall-clock duration.
+func timeFeed(x engine.Executor, evs []workload.Event) time.Duration {
 	start := time.Now()
 	for _, ev := range evs {
-		f.Feed(ev)
+		x.Feed(ev)
 	}
 	return time.Since(start)
+}
+
+// periodic feeds n tuples of a fresh source into x, which starts on
+// the identity plan, and moves it to swap(running plan) every period
+// tuples. after, if set, runs after each transition. It returns the
+// wall-clock time and the transitions made.
+func (c Config) periodic(x engine.Executor, streams, n, period int, swap func(*plan.Plan) *plan.Plan, after func()) (time.Duration, int, error) {
+	src := c.source(streams)
+	cur := initialPlan(streams)
+	transitions := 0
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if i > 0 && i%period == 0 {
+			cur = swap(cur)
+			if err := x.Migrate(cur); err != nil {
+				return 0, 0, err
+			}
+			transitions++
+			if after != nil {
+				after()
+			}
+		}
+		x.Feed(src.Next())
+	}
+	return time.Since(start), transitions, nil
 }
 
 // fprintf writes to w when non-nil.

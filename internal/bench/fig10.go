@@ -48,6 +48,9 @@ func figure10(cfg Config, joins int, windows []int, kind engine.Kind, theta func
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if err := positive("window", windows...); err != nil {
+		return nil, err
+	}
 	fprintf(w, "%s — output latency after a transition, %d joins\n", title, joins)
 	fprintf(w, "%10s %14s %14s %10s\n", "window", "JISC", "MovingState", "MS/JISC")
 	var rows []LatencyRow

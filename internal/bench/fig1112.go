@@ -22,6 +22,11 @@ type FrequencyRow struct {
 	JISC        time.Duration
 	PT          time.Duration
 	CACQ        time.Duration
+
+	// ptWork is Parallel Track's MigrationWork over the run and
+	// jiscEntries JISC's CompletedEntries: the migration work the
+	// timings stand for, seed-deterministic.
+	ptWork, jiscEntries uint64
 }
 
 // Figure11 reproduces §6.4's worst-case transition-frequency
@@ -39,6 +44,9 @@ func Figure12(cfg Config, joins int, periods []int, w io.Writer) ([]FrequencyRow
 
 func frequency(cfg Config, joins int, periods []int, swap func(*plan.Plan) *plan.Plan, title string, w io.Writer) ([]FrequencyRow, error) {
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := positive("period", periods...); err != nil {
 		return nil, err
 	}
 	fprintf(w, "%s — total time vs transition frequency, %d joins, %d tuples\n", title, joins, 2*cfg.Tuples)
@@ -62,23 +70,8 @@ func frequency(cfg Config, joins int, periods []int, swap func(*plan.Plan) *plan
 func frequencyOne(cfg Config, joins, period int, swap func(*plan.Plan) *plan.Plan) (FrequencyRow, error) {
 	streams := joins + 1
 	total := 2 * cfg.Tuples // as in §6.4: at least two transitions at every frequency
-
-	run := func(f feeder) (time.Duration, int, error) {
-		src := cfg.source(streams)
-		cur := initialPlan(streams)
-		transitions := 0
-		start := time.Now()
-		for i := 0; i < total; i++ {
-			if i > 0 && i%period == 0 {
-				cur = swap(cur)
-				if err := f.Migrate(cur); err != nil {
-					return 0, 0, err
-				}
-				transitions++
-			}
-			f.Feed(src.Next())
-		}
-		return time.Since(start), transitions, nil
+	run := func(x engine.Executor) (time.Duration, int, error) {
+		return cfg.periodic(x, streams, total, period, swap, nil)
 	}
 
 	p := initialPlan(streams)
@@ -94,13 +87,13 @@ func frequencyOne(cfg Config, joins, period int, swap func(*plan.Plan) *plan.Pla
 	if err != nil {
 		return FrequencyRow{}, err
 	}
-	cq := eddy.MustNewCACQ(eddy.CACQConfig{Plan: p, WindowSize: cfg.Window})
-	cacqTime, _, err := run(cq)
+	cacqTime, _, err := run(eddy.MustNewCACQ(eddy.CACQConfig{Plan: p, WindowSize: cfg.Window}))
 	if err != nil {
 		return FrequencyRow{}, err
 	}
 	return FrequencyRow{
 		Period: period, Transitions: trans,
 		JISC: jiscTime, PT: ptTime, CACQ: cacqTime,
+		ptWork: pt.Metrics().MigrationWork, jiscEntries: je.Metrics().CompletedEntries,
 	}, nil
 }

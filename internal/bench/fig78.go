@@ -2,14 +2,15 @@ package bench
 
 import (
 	"io"
+	"math"
 	"time"
 
 	"jisc/internal/core"
 	"jisc/internal/eddy"
 	"jisc/internal/engine"
+	"jisc/internal/metrics"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
-	"jisc/internal/runtime"
 	"jisc/internal/workload"
 )
 
@@ -62,9 +63,6 @@ func migrationStage(cfg Config, joinCounts []int, swap func(*plan.Plan) *plan.Pl
 		return nil, err
 	}
 	fprintf(w, "%s — migration-stage execution time, window=%d\n", title, cfg.Window)
-	if cfg.Shards > 1 {
-		fprintf(w, "(JISC column runs the sharded runtime with %d shards; PT/CACQ single-threaded)\n", cfg.Shards)
-	}
 	fprintf(w, "%6s %10s %12s %12s %12s %9s %9s\n",
 		"joins", "mig-tuples", "JISC", "ParTrack", "CACQ", "PT/JISC", "CACQ/JISC")
 	var rows []MigrationRow
@@ -89,25 +87,29 @@ func migrationStageOne(cfg Config, joins int, swap func(*plan.Plan) *plan.Plan) 
 	src := cfg.source(streams)
 	warm := src.Take(cfg.Tuples)
 
+	// start feeds x the warm-up and applies the transition.
+	start := func(x engine.Executor) error {
+		for _, ev := range warm {
+			x.Feed(ev)
+		}
+		return x.Migrate(target)
+	}
+	newPT := func() *migrate.ParallelTrack {
+		return migrate.MustNewParallelTrack(migrate.PTConfig{
+			Plan: p, WindowSize: cfg.Window, CheckEvery: ptCheckEvery(cfg),
+		})
+	}
+
 	// --- Parallel Track first: warm up, transition, then run until
 	// the old plan is discarded. The tuples consumed define the
 	// migration stage (§6.1: "we process tuples until the old plan of
 	// the Parallel Track Strategy is discarded").
-	newPT := func() (*migrate.ParallelTrack, error) {
-		pt := migrate.MustNewParallelTrack(migrate.PTConfig{
-			Plan: p, WindowSize: cfg.Window, CheckEvery: ptCheckEvery(cfg),
-		})
-		for _, ev := range warm {
-			pt.Feed(ev)
-		}
-		return pt, pt.Migrate(target)
-	}
-	pt, err := newPT()
-	if err != nil {
+	pt := newPT()
+	if err := start(pt); err != nil {
 		return MigrationRow{}, err
 	}
 	var stage []workload.Event
-	start := time.Now()
+	began := time.Now()
 	// Window turnover needs ~streams*window tuples; cap generously.
 	maxStage := 4 * streams * cfg.Window
 	for i := 0; i < maxStage; i++ {
@@ -118,124 +120,47 @@ func migrationStageOne(cfg Config, joins int, swap func(*plan.Plan) *plan.Plan) 
 			break
 		}
 	}
-	ptTime := time.Since(start)
-	ptWork := pt.Metrics().MigrationWork
+	ptTime := time.Since(began)
 
-	// Repetitions replay the identical stage on fresh executors; the
-	// minimum damps scheduler noise.
-	minDur := func(cur time.Duration, measure func() (time.Duration, error)) (time.Duration, error) {
-		best := cur
-		for r := 1; r < cfg.reps(); r++ {
-			d, err := measure()
-			if err != nil {
-				return 0, err
+	// replay runs the identical warm-up, transition and stage on `runs`
+	// fresh executors and returns the fastest stage (best if none beats
+	// it) — the minimum damps scheduler noise — and the last run's
+	// counters.
+	replay := func(mk func() engine.Executor, runs int, best time.Duration) (time.Duration, metrics.Snapshot, error) {
+		var m metrics.Snapshot
+		for r := 0; r < runs; r++ {
+			x := mk()
+			if err := start(x); err != nil {
+				return 0, m, err
 			}
-			if d < best {
+			if d := timeFeed(x, stage); d < best {
 				best = d
 			}
+			m = x.Metrics()
 		}
-		return best, nil
+		return best, m, nil
 	}
-
-	ptTime, err = minDur(ptTime, func() (time.Duration, error) {
-		pt, err := newPT()
-		if err != nil {
-			return 0, err
-		}
-		return timeFeed(pt, stage), nil
-	})
+	const unmeasured = time.Duration(math.MaxInt64)
+	ptTime, _, err := replay(func() engine.Executor { return newPT() }, cfg.reps()-1, ptTime)
 	if err != nil {
 		return MigrationRow{}, err
 	}
-
-	// --- JISC: identical warmup and transition, then replay the same
-	// migration-stage tuples. With cfg.Shards > 1 the measurement
-	// exercises the sharded runtime entry point: warmup and stage are
-	// hash-partitioned across the shards and the transition fans out.
-	var jiscEntries uint64
-	runJISC := func() (time.Duration, error) {
-		if cfg.Shards > 1 {
-			// Windows are per shard, and each shard sees ~1/N of the
-			// key domain. Splitting the window budget keeps the
-			// tuples-per-key density — and hence the join fan-out per
-			// level — the same as the single-engine run; giving every
-			// shard the full window would multiply the density by N
-			// and blow up intermediate states exponentially in the
-			// join count.
-			shardWin := cfg.Window / cfg.Shards
-			if shardWin < 1 {
-				shardWin = 1
-			}
-			rt := runtime.MustNew(runtime.Config{
-				Engine: engine.Config{Plan: p, WindowSize: shardWin, Strategy: core.New()},
-				Shards: cfg.Shards,
-			})
-			defer rt.Close()
-			for _, ev := range warm {
-				if err := rt.Feed(ev); err != nil {
-					return 0, err
-				}
-			}
-			if err := rt.Flush(); err != nil {
-				return 0, err
-			}
-			if err := rt.Migrate(target); err != nil {
-				return 0, err
-			}
-			start := time.Now()
-			for _, ev := range stage {
-				if err := rt.Feed(ev); err != nil {
-					return 0, err
-				}
-			}
-			if err := rt.Flush(); err != nil {
-				return 0, err
-			}
-			d := time.Since(start)
-			jiscEntries = rt.Snapshot().CompletedEntries
-			return d, nil
-		}
-		je := engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: core.New()})
-		for _, ev := range warm {
-			je.Feed(ev)
-		}
-		if err := je.Migrate(target); err != nil {
-			return 0, err
-		}
-		d := timeFeed(je, stage)
-		jiscEntries = je.Metrics().CompletedEntries
-		return d, nil
-	}
-	jiscTime, err := runJISC()
+	jiscTime, jm, err := replay(func() engine.Executor {
+		return engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: core.New()})
+	}, cfg.reps(), unmeasured)
 	if err != nil {
 		return MigrationRow{}, err
 	}
-	if jiscTime, err = minDur(jiscTime, runJISC); err != nil {
-		return MigrationRow{}, err
-	}
-
-	// --- CACQ: same protocol.
-	runCACQ := func() (time.Duration, error) {
-		cq := eddy.MustNewCACQ(eddy.CACQConfig{Plan: p, WindowSize: cfg.Window})
-		for _, ev := range warm {
-			cq.Feed(ev)
-		}
-		if err := cq.Migrate(target); err != nil {
-			return 0, err
-		}
-		return timeFeed(cq, stage), nil
-	}
-	cacqTime, err := runCACQ()
+	cacqTime, _, err := replay(func() engine.Executor {
+		return eddy.MustNewCACQ(eddy.CACQConfig{Plan: p, WindowSize: cfg.Window})
+	}, cfg.reps(), unmeasured)
 	if err != nil {
-		return MigrationRow{}, err
-	}
-	if cacqTime, err = minDur(cacqTime, runCACQ); err != nil {
 		return MigrationRow{}, err
 	}
 
 	return MigrationRow{
 		Joins: joins, MigTuples: len(stage),
 		JISC: jiscTime, PT: ptTime, CACQ: cacqTime,
-		ptWork: ptWork, jiscEntries: jiscEntries,
+		ptWork: pt.Metrics().MigrationWork, jiscEntries: jm.CompletedEntries,
 	}, nil
 }

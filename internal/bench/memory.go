@@ -41,67 +41,50 @@ func MemoryAblation(cfg Config, joins int, w io.Writer) ([]MemoryRow, error) {
 	fprintf(w, "%-14s %12s %12s %10s\n", "strategy", "steady", "peak", "peak/steady")
 
 	var rows []MemoryRow
+	p := initialPlan(streams)
+	// measure warms x up, migrates it and samples size every 256 of the
+	// next stage tuples, for as long as active holds.
+	measure := func(name string, x engine.Executor, size func() int, stage int, active func() bool) error {
+		src := cfg.source(streams)
+		for i := 0; i < cfg.Tuples; i++ {
+			x.Feed(src.Next())
+		}
+		steady := size()
+		if err := x.Migrate(worstCaseSwap(p)); err != nil {
+			return err
+		}
+		peak := size()
+		for i := 0; i < stage && active(); i++ {
+			x.Feed(src.Next())
+			if i%256 == 0 {
+				peak = max(peak, size())
+			}
+		}
+		row := MemoryRow{Strategy: name, Steady: steady, Peak: peak}
+		rows = append(rows, row)
+		fprintf(w, "%-14s %12d %12d %10.2f\n", row.Strategy, row.Steady, row.Peak, row.Overhead())
+		return nil
+	}
 
-	sizeOfPT := func(pt *migrate.ParallelTrack) int {
+	for _, strat := range []engine.Strategy{core.New(), migrate.MovingState{}} {
+		e := engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: strat})
+		if err := measure(strat.Name(), e, e.TotalStateSize, streams*cfg.Window, func() bool { return true }); err != nil {
+			return nil, err
+		}
+	}
+	// Parallel Track's stage ends when it discards the old plan.
+	pt := migrate.MustNewParallelTrack(migrate.PTConfig{
+		Plan: p, WindowSize: cfg.Window, CheckEvery: ptCheckEvery(cfg),
+	})
+	ptSize := func() int {
 		total := 0
 		for _, size := range pt.StateSizes() {
 			total += size
 		}
 		return total
 	}
-
-	// Engine-backed strategies.
-	for _, strat := range []engine.Strategy{core.New(), migrate.MovingState{}} {
-		p := initialPlan(streams)
-		e := engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: strat})
-		src := cfg.source(streams)
-		for i := 0; i < cfg.Tuples; i++ {
-			e.Feed(src.Next())
-		}
-		steady := e.TotalStateSize()
-		if err := e.Migrate(worstCaseSwap(p)); err != nil {
-			return nil, err
-		}
-		peak := e.TotalStateSize()
-		for i := 0; i < streams*cfg.Window; i++ {
-			e.Feed(src.Next())
-			if i%256 == 0 {
-				if s := e.TotalStateSize(); s > peak {
-					peak = s
-				}
-			}
-		}
-		row := MemoryRow{Strategy: strat.Name(), Steady: steady, Peak: peak}
-		rows = append(rows, row)
-		fprintf(w, "%-14s %12d %12d %10.2f\n", row.Strategy, row.Steady, row.Peak, row.Overhead())
-	}
-
-	// Parallel Track.
-	{
-		p := initialPlan(streams)
-		pt := migrate.MustNewParallelTrack(migrate.PTConfig{
-			Plan: p, WindowSize: cfg.Window, CheckEvery: ptCheckEvery(cfg),
-		})
-		src := cfg.source(streams)
-		for i := 0; i < cfg.Tuples; i++ {
-			pt.Feed(src.Next())
-		}
-		steady := sizeOfPT(pt)
-		if err := pt.Migrate(worstCaseSwap(p)); err != nil {
-			return nil, err
-		}
-		peak := steady
-		for i := 0; i < 2*streams*cfg.Window && pt.MigrationActive(); i++ {
-			pt.Feed(src.Next())
-			if i%256 == 0 {
-				if s := sizeOfPT(pt); s > peak {
-					peak = s
-				}
-			}
-		}
-		row := MemoryRow{Strategy: pt.Name(), Steady: steady, Peak: peak}
-		rows = append(rows, row)
-		fprintf(w, "%-14s %12d %12d %10.2f\n", row.Strategy, row.Steady, row.Peak, row.Overhead())
+	if err := measure(pt.Name(), pt, ptSize, 2*streams*cfg.Window, pt.MigrationActive); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -1,12 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"io"
 	"time"
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
-	"jisc/internal/metrics"
 	"jisc/internal/migrate"
 )
 
@@ -38,74 +38,45 @@ func Timeline(cfg Config, joins, buckets, bucketSize int, w io.Writer) ([]Timeli
 	if err := cfg.validate(); err != nil {
 		return nil, 0, err
 	}
+	if err := positive("bucket", bucketSize); err != nil {
+		return nil, 0, err
+	}
 	if buckets < 3 {
 		buckets = 3
 	}
 	streams := joins + 1
 	transitionAt := buckets / 2
+	p := initialPlan(streams)
+	target := worstCaseSwap(p)
 
-	type lane struct {
-		feed    func(int) time.Duration // process bucket i, return time
-		metrics func() metrics.Snapshot
-	}
-	run := func(l *lane, bucket int) (time.Duration, laneWork) {
-		before := l.metrics()
-		d := l.feed(bucket)
-		after := l.metrics()
-		return d, laneWork{after.MigrationWork - before.MigrationWork, after.CompletedEntries - before.CompletedEntries}
-	}
-	mkEngine := func(strat engine.Strategy) *lane {
-		p := initialPlan(streams)
-		e := engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: strat})
+	// lane fills x's windows and returns the function that processes one
+	// bucket, migrating at the start of the transition bucket.
+	lane := func(x engine.Executor) func(bucket int) (time.Duration, laneWork, error) {
 		src := cfg.source(streams)
 		for i := 0; i < streams*cfg.Window; i++ {
-			e.Feed(src.Next())
+			x.Feed(src.Next())
 		}
-		return &lane{
-			metrics: e.Metrics,
-			feed: func(bucket int) time.Duration {
-				start := time.Now()
-				if bucket == transitionAt {
-					if err := e.Migrate(worstCaseSwap(p)); err != nil {
-						panic(err)
-					}
+		return func(bucket int) (time.Duration, laneWork, error) {
+			before := x.Metrics()
+			start := time.Now()
+			if bucket == transitionAt {
+				if err := x.Migrate(target); err != nil {
+					return 0, laneWork{}, err
 				}
-				for i := 0; i < bucketSize; i++ {
-					e.Feed(src.Next())
-				}
-				return time.Since(start)
-			},
-		}
-	}
-	mkPT := func() *lane {
-		p := initialPlan(streams)
-		pt := migrate.MustNewParallelTrack(migrate.PTConfig{
-			Plan: p, WindowSize: cfg.Window, CheckEvery: ptCheckEvery(cfg),
-		})
-		src := cfg.source(streams)
-		for i := 0; i < streams*cfg.Window; i++ {
-			pt.Feed(src.Next())
-		}
-		return &lane{
-			metrics: pt.Metrics,
-			feed: func(bucket int) time.Duration {
-				start := time.Now()
-				if bucket == transitionAt {
-					if err := pt.Migrate(worstCaseSwap(p)); err != nil {
-						panic(err)
-					}
-				}
-				for i := 0; i < bucketSize; i++ {
-					pt.Feed(src.Next())
-				}
-				return time.Since(start)
-			},
+			}
+			for i := 0; i < bucketSize; i++ {
+				x.Feed(src.Next())
+			}
+			d := time.Since(start)
+			after := x.Metrics()
+			return d, laneWork{after.MigrationWork - before.MigrationWork, after.CompletedEntries - before.CompletedEntries}, nil
 		}
 	}
-
-	jl := mkEngine(core.New())
-	ml := mkEngine(migrate.MovingState{})
-	pl := mkPT()
+	jl := lane(engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: core.New()}))
+	ml := lane(engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: migrate.MovingState{}}))
+	pl := lane(migrate.MustNewParallelTrack(migrate.PTConfig{
+		Plan: p, WindowSize: cfg.Window, CheckEvery: ptCheckEvery(cfg),
+	}))
 
 	fprintf(w, "Steady output timeline (§5.1.1) — per-bucket processing time, %d joins, bucket=%d tuples, transition at bucket %d\n",
 		joins, bucketSize, transitionAt)
@@ -113,9 +84,13 @@ func Timeline(cfg Config, joins, buckets, bucketSize int, w io.Writer) ([]Timeli
 	var rows []TimelineRow
 	for b := 0; b < buckets; b++ {
 		row := TimelineRow{Bucket: b}
-		row.JISC, row.jisc = run(jl, b)
-		row.MS, row.ms = run(ml, b)
-		row.PT, row.pt = run(pl, b)
+		var errs [3]error
+		row.JISC, row.jisc, errs[0] = jl(b)
+		row.MS, row.ms, errs[1] = ml(b)
+		row.PT, row.pt, errs[2] = pl(b)
+		if err := errors.Join(errs[:]...); err != nil {
+			return nil, 0, err
+		}
 		rows = append(rows, row)
 		marker := ""
 		if b == transitionAt {
@@ -147,50 +122,31 @@ func OverlapAblation(cfg Config, joins int, periods []int, w io.Writer) ([]Overl
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if err := positive("period", periods...); err != nil {
+		return nil, err
+	}
 	streams := joins + 1
 	fprintf(w, "Overlapped transitions (§3.3) — %d joins, window=%d (turnover ≈ %d tuples)\n",
 		joins, cfg.Window, streams*cfg.Window)
 	fprintf(w, "%10s %12s %12s %12s %9s\n", "period", "peak-tracks", "JISC", "ParTrack", "PT/JISC")
 	var rows []OverlapRow
 	for _, period := range periods {
-		// JISC lane.
 		p := initialPlan(streams)
 		je := engine.MustNew(engine.Config{Plan: p, WindowSize: cfg.Window, Strategy: core.New()})
-		src := cfg.source(streams)
-		cur := p
-		start := time.Now()
-		for i := 0; i < cfg.Tuples; i++ {
-			if i > 0 && i%period == 0 {
-				cur = worstCaseSwap(cur)
-				if err := je.Migrate(cur); err != nil {
-					return nil, err
-				}
-			}
-			je.Feed(src.Next())
+		jiscTime, _, err := cfg.periodic(je, streams, cfg.Tuples, period, worstCaseSwap, nil)
+		if err != nil {
+			return nil, err
 		}
-		jiscTime := time.Since(start)
-
-		// Parallel Track lane.
 		pt := migrate.MustNewParallelTrack(migrate.PTConfig{
 			Plan: p, WindowSize: cfg.Window, CheckEvery: ptCheckEvery(cfg),
 		})
-		src = cfg.source(streams)
-		cur = p
 		peak := 1
-		start = time.Now()
-		for i := 0; i < cfg.Tuples; i++ {
-			if i > 0 && i%period == 0 {
-				cur = worstCaseSwap(cur)
-				if err := pt.Migrate(cur); err != nil {
-					return nil, err
-				}
-				if tr := pt.Tracks(); tr > peak {
-					peak = tr
-				}
-			}
-			pt.Feed(src.Next())
+		ptTime, _, err := cfg.periodic(pt, streams, cfg.Tuples, period, worstCaseSwap, func() {
+			peak = max(peak, pt.Tracks())
+		})
+		if err != nil {
+			return nil, err
 		}
-		ptTime := time.Since(start)
 
 		row := OverlapRow{Period: period, PeakTracks: peak, JISC: jiscTime, PT: ptTime}
 		rows = append(rows, row)

@@ -8,6 +8,7 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/engine"
 	"jisc/internal/plan"
+	"jisc/internal/workload"
 )
 
 // TestCheckpointBytesRepeat: two engines fed the same input, with the
@@ -41,5 +42,27 @@ func TestCheckpointBytesRepeat(t *testing.T) {
 		if got := checkpoint(); !bytes.Equal(got, first) {
 			t.Fatalf("run %d: checkpoint of %d bytes differs from the first run's %d", run, len(got), len(first))
 		}
+	}
+}
+
+// BenchmarkCheckpoint measures checkpoint serialization throughput of a
+// 4-way JISC engine with full windows of 1000.
+func BenchmarkCheckpoint(b *testing.B) {
+	e := engine.MustNew(engine.Config{
+		Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 1000, Strategy: core.New(),
+	})
+	defer e.Close()
+	src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 500, Seed: 1})
+	for i := 0; i < 8000; i++ {
+		e.Feed(src.Next())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(buf.Len()))
 	}
 }

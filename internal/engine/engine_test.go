@@ -343,12 +343,34 @@ func TestFeedUnknownStreamPanics(t *testing.T) {
 	}
 }
 
+// BenchmarkEngineSteadyState measures per-tuple cost on full windows as
+// the plan deepens (joins-N, window 500) and as the windows widen
+// (window-N, 3 joins). The key domain equals the window, so a probe
+// matches ≈1 tuple per level: the substrate behind every figure's x-axis.
 func BenchmarkEngineSteadyState(b *testing.B) {
-	e := MustNew(Config{Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 1000})
-	src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 10000, Seed: 1})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Feed(src.Next())
+	run := func(name string, streams, window int) {
+		b.Run(name, func(b *testing.B) {
+			order := make([]tuple.StreamID, streams)
+			for i := range order {
+				order[i] = tuple.StreamID(i)
+			}
+			e := MustNew(Config{Plan: plan.MustLeftDeep(order...), WindowSize: window})
+			src := workload.MustNewSource(workload.Config{Streams: streams, Domain: int64(window), Seed: 1})
+			for i := 0; i < streams*window; i++ {
+				e.Feed(src.Next())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Feed(src.Next())
+			}
+		})
+	}
+	for _, joins := range []int{2, 4, 8, 16} {
+		run(fmt.Sprintf("joins-%d", joins), joins+1, 500)
+	}
+	for _, window := range []int{100, 1000, 10000} {
+		run(fmt.Sprintf("window-%d", window), 4, window)
 	}
 }
 

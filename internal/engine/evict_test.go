@@ -225,6 +225,27 @@ func TestMigrateUniformWork(t *testing.T) {
 	}
 }
 
+// BenchmarkSetDiffPipeline measures steady-state set-difference
+// throughput (§4.7) under JISC after an inner reorder.
+func BenchmarkSetDiffPipeline(b *testing.B) {
+	e := engine.MustNew(engine.Config{
+		Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 500, Kind: engine.SetDiff, Strategy: core.New(),
+	})
+	defer e.Close()
+	src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 500, Seed: 1})
+	for i := 0; i < 4*500; i++ {
+		e.Feed(src.Next())
+	}
+	if err := e.Migrate(plan.MustLeftDeep(0, 3, 1, 2)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Feed(src.Next())
+	}
+}
+
 // TestStateBoundedByWindow: what an engine keeps is bounded by its
 // windows, not by the key domain. Two million tuples whose keys never
 // repeat leave the heap where half a million left it — every structure

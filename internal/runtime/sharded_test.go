@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -180,5 +181,32 @@ func TestShardedConcurrentEquivalence(t *testing.T) {
 	}
 	if m.Transitions != 1 {
 		t.Fatalf("merged Transitions = %d, want 1", m.Transitions)
+	}
+}
+
+// BenchmarkPartitionedThroughput compares one-shard and four-shard
+// feeding of a 4-way JISC join.
+func BenchmarkPartitionedThroughput(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("partitions-%d", shards), func(b *testing.B) {
+			pp := MustNew(Config{
+				Engine: engine.Config{
+					Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 500, Strategy: core.New(),
+				},
+				QueueSize: 4096,
+				Shards:    shards,
+			})
+			defer pp.Close()
+			src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 500, Seed: 1})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := pp.Feed(src.Next()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := pp.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -11,11 +11,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=$(tr -d '[:space:]' < .github/coverage-baseline.txt)
-# The benchmark driver and the example programs are main packages run
-# end to end, not unit-tested libraries; counting their statements would
-# make the total track how much driver code exists, not how well the
-# system is tested.
-pkgs=$(go list ./... | grep -v -e '/benchmark$' -e '/examples/')
+# The benchmark driver is a main package run end to end, not a
+# unit-tested library; counting its statements would make the total
+# track how much driver code exists, not how well the system is tested.
+pkgs=$(go list ./... | grep -v -e '/benchmark$')
 # shellcheck disable=SC2086 # one argument per package
 go test -coverprofile=coverage.out $pkgs > /dev/null
 total=$(go tool cover -func=coverage.out | tail -1 | awk '{sub(/%/, "", $3); print $3}')
