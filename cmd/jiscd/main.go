@@ -28,7 +28,8 @@
 //	SUBSCRIBE [query]
 //	CREATE <query> <window> <plan>
 //	DROP <query> | LIST
-//	STATS [query] | PLAN [query] | CHECKPOINT [query] <path> | QUIT
+//	STATS [query] | PLAN [query] | QUIT
+//	CHECKPOINT [query]              checkpoint now; with -wal only
 package main
 
 import (

@@ -11,8 +11,7 @@ import (
 	"jisc/internal/storage"
 )
 
-// Checkpoint files (and every snapshot the server's CHECKPOINT command
-// writes) are wrapped in a validated envelope:
+// Checkpoint files are wrapped in a validated envelope:
 //
 //	magic "JISCSNAP" | version:u32 | payloadLen:u64 | crc:u32 | payload
 //
@@ -63,10 +62,10 @@ func decodeEnvelope(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteSnapshotFile writes payload to path inside the validated
+// writeSnapshotFile writes payload to path inside the validated
 // envelope, atomically: temp file, fsync, rename, directory fsync.
 // A reader never observes a partial file under path.
-func WriteSnapshotFile(fs storage.FS, path string, payload []byte) error {
+func writeSnapshotFile(fs storage.FS, path string, payload []byte) error {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
@@ -93,9 +92,9 @@ func WriteSnapshotFile(fs storage.FS, path string, payload []byte) error {
 	return fs.SyncDir(filepath.Dir(path))
 }
 
-// ReadSnapshotFile reads path and validates its envelope, returning
+// readSnapshotFile reads path and validates its envelope, returning
 // the payload.
-func ReadSnapshotFile(fs storage.FS, path string) ([]byte, error) {
+func readSnapshotFile(fs storage.FS, path string) ([]byte, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
@@ -128,7 +127,7 @@ func parseCheckpointName(name string) (uint64, bool) {
 // writeCheckpoint writes a shard checkpoint covering WAL records up to
 // and including seq, then prunes old checkpoints down to keep.
 func writeCheckpoint(fs storage.FS, dir string, seq uint64, payload []byte, keep int) error {
-	if err := WriteSnapshotFile(fs, filepath.Join(dir, checkpointName(seq)), payload); err != nil {
+	if err := writeSnapshotFile(fs, filepath.Join(dir, checkpointName(seq)), payload); err != nil {
 		return err
 	}
 	return pruneCheckpoints(fs, dir, keep)
@@ -189,7 +188,7 @@ func latestCheckpoint(fs storage.FS, dir string) (seq uint64, payload []byte, sk
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	for _, s := range seqs {
-		p, rerr := ReadSnapshotFile(fs, filepath.Join(dir, checkpointName(s)))
+		p, rerr := readSnapshotFile(fs, filepath.Join(dir, checkpointName(s)))
 		if rerr != nil {
 			skipped++
 			continue

@@ -13,10 +13,10 @@ func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.snap")
 	payload := []byte("engine state bytes")
-	if err := WriteSnapshotFile(storage.OS(), path, payload); err != nil {
+	if err := writeSnapshotFile(storage.OS(), path, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshotFile(storage.OS(), path)
+	got, err := readSnapshotFile(storage.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 	// Discard states whose stream set is not in the new plan, in
 	// ascending set order. Release detaches each from the spill tier, so
 	// spilled buckets and byte accounting don't leak into the budget,
-	// and that reorders the store's clock ring: ranging over the maps
-	// here made the victims, and the fault counts, differ run to run.
+	// and may compact the store, so the order of releases shows in the
+	// store's counters: ranging over the maps here made them differ run
+	// to run.
 	var dead []tuple.StreamSet
 	for set := range e.states {
 		if !live[set] {

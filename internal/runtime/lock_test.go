@@ -6,7 +6,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"io"
 	goruntime "runtime"
 	"sort"
 	"strings"
@@ -71,11 +70,10 @@ func TestCloseRacesEveryEntryPoint(t *testing.T) {
 				evs := workload.MustNewSource(workload.Config{Streams: 3, Domain: 64, Seed: 5}).Take(32)
 				plans := []*plan.Plan{plan.MustLeftDeep(2, 0, 1), plan.MustLeftDeep(0, 1, 2)}
 				calls := map[string]func(i int) error{
-					"Feed":            func(i int) error { return rt.Feed(evs[i%len(evs)]) },
-					"FeedBatch":       func(i int) error { return rt.FeedBatch(evs[:1+i%len(evs)]) },
-					"Migrate":         func(i int) error { return rt.Migrate(plans[i%2]) },
-					"Metrics":         func(int) error { _, err := rt.Metrics(); return err },
-					"CheckpointShard": func(i int) error { return rt.CheckpointShard(i%shards, io.Discard) },
+					"Feed":      func(i int) error { return rt.Feed(evs[i%len(evs)]) },
+					"FeedBatch": func(i int) error { return rt.FeedBatch(evs[:1+i%len(evs)]) },
+					"Migrate":   func(i int) error { return rt.Migrate(plans[i%2]) },
+					"Metrics":   func(int) error { _, err := rt.Metrics(); return err },
 				}
 				if durableOn {
 					calls["CheckpointNow"] = func(int) error { return rt.CheckpointNow() }

@@ -5,9 +5,7 @@ package runtime
 // Shed, in-band controls, errors after Close).
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,35 +254,6 @@ func TestBlockPolicyProcessesEverything(t *testing.T) {
 	}
 }
 
-// TestCheckpointShard: a checkpoint taken in-band restores into an
-// engine that continues the join.
-func TestCheckpointShard(t *testing.T) {
-	r := MustNew(Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1), WindowSize: 8, Strategy: core.New()}})
-	defer r.Close()
-	if err := r.Feed(ev(0, 3)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.CheckpointShard(0, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CheckpointShard(1, &buf); err == nil {
-		t.Fatal("out-of-range shard accepted")
-	}
-	var n int
-	restored, err := engine.Restore(&buf, engine.Config{
-		WindowSize: 8, Strategy: core.New(),
-		Output: func(engine.Delta) { n++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored.Feed(ev(1, 3))
-	if n != 1 {
-		t.Fatalf("restored results = %d", n)
-	}
-}
-
 // TestClosedErrors: after Close every entry point that reaches a shard
 // answers ErrClosed — the same error whether or not a log sits in
 // front of the queue — rather than acking work that will never be
@@ -299,15 +268,14 @@ func TestClosedErrors(t *testing.T) {
 			r.Close()
 			r.Close() // idempotent
 			calls := map[string]func() error{
-				"Feed":            func() error { return r.Feed(ev(0, 1)) },
-				"FeedBatch":       func() error { return r.FeedBatch([]workload.Event{ev(0, 1), ev(1, 2)}) },
-				"Migrate":         func() error { return r.Migrate(plan.MustLeftDeep(1, 0)) },
-				"Flush":           r.Flush,
-				"Metrics":         func() error { _, err := r.Metrics(); return err },
-				"Plan":            func() error { _, err := r.Plan(); return err },
-				"ScanStats":       func() error { _, err := r.ScanStats(); return err },
-				"StateBytes":      func() error { _, err := r.StateBytes(); return err },
-				"CheckpointShard": func() error { return r.CheckpointShard(0, io.Discard) },
+				"Feed":       func() error { return r.Feed(ev(0, 1)) },
+				"FeedBatch":  func() error { return r.FeedBatch([]workload.Event{ev(0, 1), ev(1, 2)}) },
+				"Migrate":    func() error { return r.Migrate(plan.MustLeftDeep(1, 0)) },
+				"Flush":      r.Flush,
+				"Metrics":    func() error { _, err := r.Metrics(); return err },
+				"Plan":       func() error { _, err := r.Plan(); return err },
+				"ScanStats":  func() error { _, err := r.ScanStats(); return err },
+				"StateBytes": func() error { _, err := r.StateBytes(); return err },
 			}
 			for call, fn := range calls {
 				if err := fn(); err != ErrClosed {

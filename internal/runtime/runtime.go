@@ -18,7 +18,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"path/filepath"
 	"runtime/debug"
@@ -537,17 +536,6 @@ func (rt *Runtime) SpillStats() (statestore.Stats, bool) {
 		}
 	}
 	return total, any
-}
-
-// CheckpointShard serializes shard i's state to w on that shard's
-// worker, after all its previously enqueued messages — a consistent
-// snapshot without stopping producers (they block on the queue at most
-// briefly). w must not be touched until CheckpointShard returns.
-func (rt *Runtime) CheckpointShard(i int, w io.Writer) error {
-	if i < 0 || i >= len(rt.shards) {
-		return fmt.Errorf("runtime: no shard %d (have %d)", i, len(rt.shards))
-	}
-	return rt.shards[i].do(nil, func(e *engine.Engine) error { return e.Checkpoint(w) })
 }
 
 // Close stops every shard, draining its queue first, and returns once

@@ -282,10 +282,11 @@ func parseStats(resp string) (Stats, error) {
 	return s, nil
 }
 
-// Checkpoint asks the server to write a checkpoint to a server-local
-// path.
-func (c *Client) Checkpoint(path string) error {
-	_, err := c.roundTrip("CHECKPOINT " + path)
+// Checkpoint asks a durable server to checkpoint the default query now:
+// the checkpoint recovery reads, after which the log is truncated. A
+// server without a log answers an error.
+func (c *Client) Checkpoint() error {
+	_, err := c.roundTrip("CHECKPOINT")
 	return err
 }
 

@@ -333,12 +333,14 @@ func (c *session) plan(q *query, _ string) error {
 	return c.lw.writeLine("PLAN %s", p)
 }
 
+// checkpoint writes the checkpoint recovery reads, one per shard, and
+// truncates the log behind it. It writes nowhere a client names, so a
+// server without a log has nothing to write and answers ERR.
 func (c *session) checkpoint(q *query, args string) error {
-	path := strings.TrimSpace(args)
-	if path == "" {
-		return c.respond(fmt.Errorf("CHECKPOINT wants <path>"))
+	if args = strings.TrimSpace(args); args != "" {
+		return c.respond(fmt.Errorf("no query %q (CHECKPOINT takes a query name, not a path)", args))
 	}
-	return c.respond(q.checkpoint(path))
+	return c.respond(q.runner.CheckpointNow())
 }
 
 func (c *session) create(rest string) error {

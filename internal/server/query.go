@@ -1,18 +1,14 @@
 package server
 
 import (
-	"bytes"
-	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"jisc/internal/admission"
-	"jisc/internal/durable"
 	"jisc/internal/engine"
 	"jisc/internal/obs"
 	"jisc/internal/runtime"
-	"jisc/internal/storage"
 	"jisc/internal/tuple"
 )
 
@@ -129,32 +125,6 @@ func (q *query) unsubscribe(id int) {
 }
 
 func (q *query) subscribers() int { return int(q.nsubs.Load()) }
-
-// checkpoint writes the query's state to path. A single-shard query
-// produces one file; a sharded one produces path.0 … path.N-1, one
-// consistent snapshot per shard (shards never exchange state, so
-// per-shard files restore independently). Each file is a validated
-// snapshot envelope (magic, version, CRC) written atomically via temp
-// file + rename + directory fsync: a crash mid-CHECKPOINT never leaves
-// a torn file under the requested name, and a load of a corrupt file
-// fails with a clear error instead of undefined engine state.
-func (q *query) checkpoint(path string) error {
-	n := q.runner.Shards()
-	for i := 0; i < n; i++ {
-		p := path
-		if n > 1 {
-			p = fmt.Sprintf("%s.%d", path, i)
-		}
-		var buf bytes.Buffer
-		if err := q.runner.CheckpointShard(i, &buf); err != nil {
-			return err
-		}
-		if err := durable.WriteSnapshotFile(storage.OS(), p, buf.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func (q *query) close() {
 	q.runner.Close()

@@ -22,7 +22,9 @@
 //	SUBSCRIBE [query]                stream results on this connection
 //	STATS [query]                    one-line counters
 //	PLAN [query]                     current plan
-//	CHECKPOINT [query] <path>        write a checkpoint (server-local)
+//	CHECKPOINT [query]               checkpoint now (durable servers
+//	                                 only): every shard's snapshot at
+//	                                 its log position; the log truncates
 //	CREATE <query> <window> <plan>   start a new named query
 //	DROP <query>                     stop and remove a named query
 //	LIST                             names of the hosted queries
@@ -92,10 +94,9 @@ type Config struct {
 	// the template for CREATEd queries (strategy, queue size,
 	// overflow policy, shard count). Setting its Shards field above 1
 	// hash-partitions every hosted query across that many worker
-	// shards; CHECKPOINT then writes one file per shard
-	// (<path>.0 … <path>.N-1). Its Engine.Output and ShardOutput are
-	// owned by the server and must be nil. Engine.Plan may be nil to start the
-	// server with no default query (CREATE adds queries at runtime).
+	// shards. Its Engine.Output and ShardOutput are owned by the server
+	// and must be nil. Engine.Plan may be nil to start the server with
+	// no default query (CREATE adds queries at runtime).
 	// Its Durability field is owned by the server and must be zero;
 	// set Config.Durable instead.
 	Pipeline runtime.Config

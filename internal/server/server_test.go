@@ -2,20 +2,18 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"jisc/internal/core"
-	"jisc/internal/durable"
 	"jisc/internal/engine"
 	"jisc/internal/plan"
 	"jisc/internal/runtime"
-	"jisc/internal/storage"
 	"jisc/internal/workload"
 )
 
@@ -280,39 +278,86 @@ func TestClientSubscribe(t *testing.T) {
 	}
 }
 
+// TestServerCheckpointCommand: CHECKPOINT writes only the checkpoint
+// recovery reads. A path from the client is refused and nothing is
+// created; a server without a log refuses the command; a durable one
+// checkpoints every shard, after which a restart has nothing to replay.
 func TestServerCheckpointCommand(t *testing.T) {
 	s := newTestServer(t)
-	c, err := Dial(s.Addr().String())
+	c := dial(t, s)
+	path := filepath.Join(t.TempDir(), "x")
+	for _, line := range []string{"CHECKPOINT " + path, "CHECKPOINT", "CHECKPOINT default"} {
+		if resp := c.cmd(t, line); !strings.HasPrefix(resp, "ERR") {
+			t.Fatalf("%s on a server without a log -> %s, want ERR", line, resp)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("CHECKPOINT created %s: %v", path, err)
+	}
+	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Feed(workload.Event{Stream: 0, Key: 4}); err != nil {
-		t.Fatal(err)
+	defer cl.Close()
+	if err := cl.Checkpoint(); err == nil {
+		t.Fatal("a server without a log accepted CHECKPOINT")
 	}
-	path := filepath.Join(t.TempDir(), "srv.ckpt")
-	if err := c.Checkpoint(path); err != nil {
-		t.Fatal(err)
+
+	dir := t.TempDir()
+	start := func() *Server {
+		cfg := durableServerConfig(dir)
+		cfg.Pipeline.Shards = 2
+		ds, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Listen("127.0.0.1:0"); err != nil {
+			ds.Close()
+			t.Fatal(err)
+		}
+		if err := ds.ServeTelemetry("127.0.0.1:0"); err != nil {
+			ds.Close()
+			t.Fatal(err)
+		}
+		return ds
 	}
-	payload, err := durable.ReadSnapshotFile(storage.OS(), path)
-	if err != nil {
-		t.Fatal(err)
+	ds := start()
+	dc := dial(t, ds)
+	for _, line := range []string{"FEED 0 4", "FEED 1 4", "FEED 2 4", "FEED 0 5"} {
+		if resp := dc.cmd(t, line); resp != "OK" {
+			t.Fatalf("%s -> %s", line, resp)
+		}
 	}
-	var n int
-	restored, err := engine.Restore(bytes.NewReader(payload), engine.Config{
-		WindowSize: 100, Strategy: core.New(),
-		Output: func(engine.Delta) { n++ },
-	})
-	if err != nil {
-		t.Fatal(err)
+	if resp := dc.cmd(t, "CHECKPOINT "+path); !strings.HasPrefix(resp, "ERR") {
+		t.Fatalf("CHECKPOINT <path> on a durable server -> %s, want ERR", resp)
 	}
-	restored.Feed(workload.Event{Stream: 1, Key: 4})
-	restored.Feed(workload.Event{Stream: 2, Key: 4})
-	if n != 1 {
-		t.Fatalf("restored results = %d", n)
+	const before = `jisc_checkpoints_total{query="default"} 0`
+	if m := scrape(t, ds, "/metrics"); !strings.Contains(m, before) {
+		t.Fatalf("metrics missing %q", before)
 	}
-	if err := c.Checkpoint(""); err == nil {
-		t.Fatal("empty path accepted")
+	if resp := dc.cmd(t, "CHECKPOINT"); resp != "OK" {
+		t.Fatalf("CHECKPOINT -> %s", resp)
+	}
+	const after = `jisc_checkpoints_total{query="default"} 2` // one per shard
+	if m := scrape(t, ds, "/metrics"); !strings.Contains(m, after) {
+		t.Fatalf("metrics missing %q", after)
+	}
+	stats := dc.cmd(t, "STATS")
+	ds.Close()
+
+	s2 := start()
+	defer s2.Close()
+	stats2 := dial(t, s2).cmd(t, "STATS")
+	if got := statField(t, stats2, "recovered_events"); got != "0" {
+		t.Fatalf("restart after CHECKPOINT replayed %s events, want 0", got)
+	}
+	for _, k := range []string{"input", "output"} {
+		if got, want := statField(t, stats2, k), statField(t, stats, k); got != want {
+			t.Fatalf("after restart %s=%s, want %s", k, got, want)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("CHECKPOINT created %s: %v", path, err)
 	}
 }
 

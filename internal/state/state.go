@@ -125,6 +125,7 @@ func NewTable(set tuple.StreamSet) *Table {
 func (t *Table) SetStore(s *statestore.Store, tombstones bool) {
 	t.store = s
 	t.tombstone = tombstones
+	s.Attach(t)
 }
 
 // Release detaches the store, freeing every spilled part and dropping
@@ -135,13 +136,13 @@ func (t *Table) Release() {
 		return
 	}
 	t.dropSpilled()
+	t.store.Drop(t)
 	t.store.Account(-t.bytes)
 	t.store = nil
 }
 
-// dropSpilled frees every spilled part, uncounting its tuples, and
-// purges the table from the store's CLOCK ring. It leaves slots that
-// held only a part in place for the caller to sweep.
+// dropSpilled frees every spilled part, uncounting its tuples. It
+// leaves slots that held only a part in place for the caller to sweep.
 func (t *Table) dropSpilled() {
 	for i := range t.idx.slots {
 		s := &t.idx.slots[i]
@@ -151,7 +152,6 @@ func (t *Table) dropSpilled() {
 			s.part = nil
 		}
 	}
-	t.store.Drop(t)
 }
 
 // account adjusts the resident byte estimate, mirroring the delta to
@@ -305,14 +305,7 @@ func (t *Table) Insert(tup *tuple.Tuple) {
 	t.size++
 	t.account(TupleBytes(tup))
 	if t.store != nil {
-		// The reference bit follows the accounting: Pressured reads the
-		// resident bytes this insert just added.
-		if t.store.Pressured() {
-			s.flags |= hot
-		}
-		if !resident {
-			t.store.Admit(t, tup.Key)
-		}
+		s.flags |= hot
 		t.store.MaybeSpill()
 	}
 }
@@ -335,9 +328,7 @@ func (t *Table) Probe(key tuple.Value) []*tuple.Tuple {
 		t.store.MaybeSpill()
 		return bucket
 	}
-	if len(s.bucket) > 0 && t.store.Pressured() {
-		s.flags |= hot
-	}
+	s.flags |= hot
 	return s.bucket
 }
 
@@ -355,13 +346,9 @@ func (t *Table) fault(s *slot) []*tuple.Tuple {
 	}
 	// The faulted slice is fresh; the old resident array is left to the
 	// collector rather than recycled, since Probe callers may hold it.
-	resident := len(s.bucket) > 0
 	s.bucket = append(tuples, s.bucket...)
 	s.flags |= hot
 	t.account(b)
-	if !resident {
-		t.store.Admit(t, s.key)
-	}
 	return s.bucket
 }
 
@@ -581,7 +568,7 @@ func (t *Table) Each(fn func(*tuple.Tuple) bool) {
 
 // Clear removes all tuples but keeps completeness metadata. The
 // recycled-array pools are dropped too, releasing the memory, and any
-// spilled parts are freed in the store.
+// spilled parts are freed in the store; the table stays attached to it.
 func (t *Table) Clear() {
 	if t.store != nil {
 		t.dropSpilled()
@@ -614,6 +601,28 @@ func (t *Table) CountOld(cutoff uint64, oldest func(*tuple.Tuple) uint64) int {
 	return n
 }
 
+// Sweep is the store's CLOCK hand passing over the slots from position
+// from: it gives each touched resident bucket its second chance by
+// clearing the reference bit, and returns the first untouched one's key
+// and the position after it. A table with nothing resident is passed
+// without a walk.
+func (t *Table) Sweep(from int) (key tuple.Value, next int, ok bool) {
+	if t.bytes == 0 {
+		return 0, 0, false
+	}
+	for i := from; i < len(t.idx.slots); i++ {
+		s := &t.idx.slots[i]
+		if len(s.bucket) == 0 {
+			continue
+		}
+		if s.flags&hot == 0 {
+			return s.key, i + 1, true
+		}
+		s.flags &^= hot
+	}
+	return 0, 0, false
+}
+
 // ResidentBucket returns the resident tuples under key — nil when the
 // bucket is wholly spilled or absent. It never faults and never sets the
 // reference bit; it is the store's view of spill candidates.
@@ -629,7 +638,7 @@ func (t *Table) ResidentBucket(key tuple.Value) []*tuple.Tuple {
 // none, and returns the part and the accounted bytes that moved. The
 // bucket's backing array is deliberately not recycled into the free
 // list: Probe callers may still hold it. The store only spills a key
-// with a resident bucket, so its slot exists and stays.
+// Sweep found resident, so its slot exists and stays.
 func (t *Table) MarkSpilled(key tuple.Value, fresh *statestore.Part) (*statestore.Part, int64) {
 	s := &t.idx.slots[t.idx.find(key)]
 	var b int64
@@ -637,24 +646,11 @@ func (t *Table) MarkSpilled(key tuple.Value, fresh *statestore.Part) (*statestor
 		b += TupleBytes(tup)
 	}
 	s.bucket = nil
-	s.flags &^= hot
 	if s.part == nil {
 		s.part = fresh
 	}
 	t.account(-b)
 	return s.part, b
-}
-
-// ClockTouched reports whether key's bucket was touched since the last
-// check, clearing the reference bit — the CLOCK hand's second-chance
-// test.
-func (t *Table) ClockTouched(key tuple.Value) bool {
-	i := t.idx.find(key)
-	if i < 0 || t.idx.slots[i].flags&hot == 0 {
-		return false
-	}
-	t.idx.slots[i].flags &^= hot
-	return true
 }
 
 func (t *Table) String() string {

@@ -3,9 +3,9 @@
 // buckets to per-shard, CRC32C-framed, log-structured segment files
 // and faults them back just in time — the storage-level analogue of
 // JISC's just-in-time completion. It is a leaf: it knows a table only
-// as the three calls of its CLOCK ring (Table), and each spilled key's
-// record (Part) is held by the key's table, not indexed here. See
-// DESIGN.md §15.
+// as the three calls its CLOCK hand makes (Table), the hand walks the
+// tables' own slots, and each spilled key's record (Part) is held by
+// the key's table, not indexed here. See DESIGN.md §15.
 package statestore
 
 import (

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -49,27 +50,24 @@ const (
 	tailBytes = 64 << 10
 )
 
-// Table is what the CLOCK ring asks of a hash table whose buckets it
-// spills; state.Table implements it. The table, not the store, holds
-// each spilled key's Part: the store keeps no index of its own.
+// Table is what the CLOCK hand asks of a hash table whose buckets it
+// spills; state.Table implements it. The hand walks the table's own
+// slots, and the table, not the store, holds each spilled key's Part:
+// the store keeps no index of its own.
 type Table interface {
+	// Sweep walks the table's slots from position from, clearing the
+	// reference bit of each touched resident bucket, and returns the
+	// key of the first untouched one and the position after it; ok is
+	// false when the walk reached the last slot without finding one.
+	Sweep(from int) (key tuple.Value, next int, ok bool)
 	// ResidentBucket returns the resident tuples under key, nil when
 	// none are resident, without faulting or setting the reference bit.
 	ResidentBucket(key tuple.Value) []*tuple.Tuple
-	// ClockTouched reports whether key was touched since the last call,
-	// clearing its reference bit.
-	ClockTouched(key tuple.Value) bool
 	// MarkSpilled detaches the resident bucket of key, which the store
 	// has just captured, into key's spilled part — the one the table
 	// holds already, or fresh when it holds none — and returns that part
 	// and the accounted bytes that moved.
 	MarkSpilled(key tuple.Value, fresh *Part) (*Part, int64)
-}
-
-// ckey names one bucket: which table, which join-attribute value.
-type ckey struct {
-	t   Table
-	key tuple.Value
 }
 
 // segment is one log-structured spill file, spill-%016x.seg. Only the
@@ -154,10 +152,10 @@ func (p *Part) Count() int { return p.count }
 func (p *Part) Newest() uint64 { return p.newest }
 
 // Store is the spill tier of one shard's tables. It keeps the resident
-// byte accounting, the segments and the CLOCK ring; the tables keep the
-// parts. It is confined to the shard's goroutine like the tables
-// themselves; only Stats may be called concurrently (every counter it
-// reads is atomic).
+// byte accounting, the segments and the CLOCK hand; the tables keep the
+// parts and the reference bits. It is confined to the shard's goroutine
+// like the tables themselves; only Stats may be called concurrently
+// (every counter it reads is atomic).
 //
 // Spill writes, faults, and compaction all run synchronously on the
 // shard worker, so when the disk cannot keep up the shard's input
@@ -175,12 +173,13 @@ type Store struct {
 	active *segment
 	next   uint64
 
-	// ring/hand/inRing implement CLOCK over resident buckets. Stale
-	// entries (buckets evicted or spilled since admission) are removed
-	// lazily as the hand meets them.
-	ring   []ckey
-	hand   int
-	inRing map[ckey]struct{}
+	// tables are the attached tables in attach order. The CLOCK hand
+	// stands at slot position handSlot of tables[handTable]; positions
+	// move when a table grows or shrinks, which only makes the hand
+	// resume elsewhere.
+	tables    []Table
+	handTable int
+	handSlot  int
 
 	// compactBroken latches after a failed compaction so a sick disk
 	// is not hammered with a rewrite attempt per tombstone; the store
@@ -237,7 +236,6 @@ func Open(opts Options) (*Store, error) {
 		segBytes:   opts.SegmentBytes,
 		minCompact: opts.MinCompactBytes,
 		faultLat:   opts.FaultLatency,
-		inRing:     make(map[ckey]struct{}),
 	}
 	if err := s.rotate(); err != nil {
 		return nil, err
@@ -333,26 +331,9 @@ func (s *Store) Account(delta int64) {
 	}
 }
 
-// Admit registers a newly resident bucket (created or faulted back in)
-// with the CLOCK ring. Re-admission of a bucket already in the ring is
-// a no-op (its reference bit, held by the table, was just set anyway).
-func (s *Store) Admit(t Table, key tuple.Value) {
-	ck := ckey{t, key}
-	if _, ok := s.inRing[ck]; ok {
-		return
-	}
-	s.inRing[ck] = struct{}{}
-	s.ring = append(s.ring, ck)
-}
-
-// Pressured reports that resident accounting is within an eighth of
-// the budget. Reference-bit maintenance costs a map
-// write per touch, so tables skip it while eviction is provably far
-// away; the first CLOCK pass after pressure starts sees the untracked
-// buckets cold and evicts in admission order until the bits warm up.
-func (s *Store) Pressured() bool {
-	return s.budget > 0 && s.resident.Load() >= s.budget-s.budget>>3
-}
+// Attach adds t to the tables the CLOCK hand walks. A table attaches
+// once, while still empty, and detaches through Drop.
+func (s *Store) Attach(t Table) { s.tables = append(s.tables, t) }
 
 // MaybeSpill spills cold buckets while the resident accounting exceeds
 // the budget. Tables call it after operations that grow residency. A write failure fails open —
@@ -361,72 +342,57 @@ func (s *Store) Pressured() bool {
 // losing state.
 func (s *Store) MaybeSpill() {
 	for s.budget > 0 && s.resident.Load() > s.budget {
-		if ck, ok := s.victim(); !ok || !s.spill(ck) {
+		t, key, ok := s.victim()
+		if !ok || !s.spill(t, key) {
 			return
 		}
 	}
 }
 
-// victim runs the CLOCK hand: skip-and-clear touched buckets, drop
-// stale entries, return the first cold one. The pass bound guarantees
-// termination — after one full sweep every reference bit is clear.
-func (s *Store) victim() (ckey, bool) {
-	passes := 0
-	for len(s.ring) > 0 && passes <= 2*len(s.ring)+1 {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
+// victim moves the CLOCK hand table by table until one's Sweep finds a
+// cold resident bucket. Two revolutions bound the search: the first
+// clears every reference bit it passes, so the second stops at the
+// first resident bucket unless none is left.
+func (s *Store) victim() (Table, tuple.Value, bool) {
+	for range 2 * len(s.tables) {
+		if s.handTable >= len(s.tables) {
+			s.handTable, s.handSlot = 0, 0
 		}
-		ck := s.ring[s.hand]
-		if len(ck.t.ResidentBucket(ck.key)) == 0 {
-			s.dropAt(s.hand)
-			continue
+		t := s.tables[s.handTable]
+		if key, next, ok := t.Sweep(s.handSlot); ok {
+			s.handSlot = next
+			return t, key, true
 		}
-		if ck.t.ClockTouched(ck.key) {
-			s.hand++
-			passes++
-			continue
-		}
-		s.dropAt(s.hand)
-		return ck, true
+		s.handTable, s.handSlot = s.handTable+1, 0
 	}
-	return ckey{}, false
+	return nil, 0, false
 }
 
-// dropAt swap-removes ring[i] without advancing the hand.
-func (s *Store) dropAt(i int) {
-	delete(s.inRing, s.ring[i])
-	last := len(s.ring) - 1
-	s.ring[i] = s.ring[last]
-	s.ring[last] = ckey{}
-	s.ring = s.ring[:last]
-}
-
-// spill appends ck's resident bucket, which victim found non-empty, to
-// the active segment's tail as one more span of the key's spilled part
-// and detaches it from the table; nothing is read. Returns false when
-// the disk failed (fail open): a segment that cannot be created leaves
-// the bucket resident, a tail that cannot be flushed keeps serving its
-// spans from memory.
-func (s *Store) spill(ck ckey) bool {
-	bucket := ck.t.ResidentBucket(ck.key)
+// spill appends the resident bucket of t's key, which victim found
+// non-empty, to the active segment's tail as one more span of the
+// key's spilled part and detaches it from the table; nothing is read.
+// Returns false when the disk failed (fail open): a segment that cannot
+// be created leaves the bucket resident, a tail that cannot be flushed
+// keeps serving its spans from memory.
+func (s *Store) spill(t Table, key tuple.Value) bool {
+	bucket := t.ResidentBucket(key)
 	// Rotate past the size threshold, or to replace an active segment
 	// whose writer died on an earlier failure.
 	if s.active.w == nil || s.active.size >= s.segBytes {
 		if err := s.rotate(); err != nil {
 			s.spillErrors.Add(1)
-			s.Admit(ck.t, ck.key)
 			return false
 		}
 	}
 	seg := s.active
-	sp := seg.appendBucket(ck.key, bucket[0].Set, bucket)
+	sp := seg.appendBucket(key, bucket[0].Set, bucket)
 	s.encTotal.Add(sp.n)
 	s.encLive.Add(sp.n)
 	if len(s.free) == 0 {
 		s.free = append(s.free, &Part{})
 	}
 	fresh := s.free[len(s.free)-1]
-	p, mem := ck.t.MarkSpilled(ck.key, fresh)
+	p, mem := t.MarkSpilled(key, fresh)
 	if p == fresh {
 		s.free = s.free[:len(s.free)-1]
 		s.spilledBuckets.Add(1)
@@ -526,18 +492,17 @@ func (s *Store) Tombstone(p *Part, deadThrough uint64) (emptied bool) {
 	return emptied
 }
 
-// Drop purges t's buckets from the CLOCK ring once t has freed its
-// spilled parts (Clear, table teardown).
+// Drop detaches t once it has freed its spilled parts (table teardown)
+// and compacts if their frames tipped the garbage ratio. A hand on t
+// moves to the table after it.
 func (s *Store) Drop(t Table) {
-	for i := 0; i < len(s.ring); {
-		if s.ring[i].t == t {
-			s.dropAt(i)
-		} else {
-			i++
+	if i := slices.Index(s.tables, t); i >= 0 {
+		s.tables = slices.Delete(s.tables, i, i+1)
+		if i < s.handTable {
+			s.handTable--
+		} else if i == s.handTable {
+			s.handSlot = 0
 		}
-	}
-	if s.hand > len(s.ring) {
-		s.hand = 0
 	}
 	s.maybeCompact()
 }

@@ -2,6 +2,7 @@ package statestore_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"jisc/internal/state"
@@ -433,24 +434,156 @@ func TestUnboundedBudgetNeverSpills(t *testing.T) {
 	}
 }
 
-// An unbounded store is never under pressure, so tables attached to it
-// skip the reference-bit map write on every touch.
-func TestUnboundedBudgetKeepsNoReferenceBits(t *testing.T) {
-	for _, budget := range []int64{0, -1} {
-		s := mustOpen(t, statestore.Options{Budget: budget})
-		tbl := state.NewTable(tuple.NewStreamSet(0))
-		tbl.SetStore(s, true)
-		fill(tbl, 100)
-		if s.Pressured() {
-			t.Fatalf("budget %d: unbounded store reports pressure", budget)
+// coolAll clears every reference bit of tbl, as one pass of the hand
+// would, without spilling anything.
+func coolAll(tbl *state.Table) {
+	for from := 0; ; {
+		_, next, ok := tbl.Sweep(from)
+		if !ok {
+			return
 		}
-		for i := 0; i < 100; i++ {
-			tbl.Probe(tuple.Value(i))
-			if tbl.ClockTouched(tuple.Value(i)) {
-				t.Fatalf("budget %d: key %d carries a reference bit", budget, i)
-			}
+		from = next
+	}
+}
+
+// residentKeys lists which of keys 0..n-1 have a resident bucket.
+func residentKeys(tbl *state.Table, n int) []tuple.Value {
+	var out []tuple.Value
+	for k := range tuple.Value(n) {
+		if tbl.ResidentBucket(k) != nil {
+			out = append(out, k)
 		}
 	}
+	return out
+}
+
+// TestClockSweep pins the CLOCK hand that walks the tables' own slots.
+// Every case stays at six keys or fewer per table, so no index grows
+// and slot positions hold still under the hand.
+func TestClockSweep(t *testing.T) {
+	perTuple := state.TupleBytes(base(0, 1, 1))
+
+	// A bucket touched after the hand cleared it outlives every cold
+	// bucket: the hand meets all of them before it comes round again.
+	t.Run("second chance", func(t *testing.T) {
+		s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
+		tbl := state.NewTable(tuple.NewStreamSet(0))
+		tbl.SetStore(s, true)
+		fill(tbl, 6) // keys 0..5, two spilled
+		coolAll(tbl)
+		cold := residentKeys(tbl, 6)
+		if len(cold) != 4 || s.Stats().Spills != 2 {
+			t.Fatalf("set-up: resident %v, %+v", cold, s.Stats())
+		}
+		touched := cold[0]
+		tbl.Probe(touched)
+		// Each insert under a key spilled at set-up grows its hot resident
+		// part by one tuple and pushes one bucket out.
+		spilled := tuple.Value(0)
+		for slices.Contains(cold, spilled) {
+			spilled++
+		}
+		for i := range 3 {
+			tbl.Insert(base(0, uint64(100+i), spilled))
+		}
+		if got := s.Stats().Spills; got != 5 {
+			t.Fatalf("%d spills, want 5", got)
+		}
+		for _, k := range cold {
+			if resident := tbl.ResidentBucket(k) != nil; resident != (k == touched) {
+				t.Fatalf("key %d resident %v; only the touched key %d should be", k, resident, touched)
+			}
+		}
+	})
+
+	// The hand takes every cold bucket of one table, then walks on into
+	// the next one, which it passes over in slot order.
+	t.Run("crosses tables", func(t *testing.T) {
+		s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
+		a, b := state.NewTable(tuple.NewStreamSet(0)), state.NewTable(tuple.NewStreamSet(1))
+		a.SetStore(s, true)
+		b.SetStore(s, true)
+		fill(a, 2)
+		b.Insert(base(1, 1, 0))
+		b.Insert(base(1, 2, 1))
+		coolAll(a)
+		coolAll(b)
+		b.Insert(base(1, 3, 2))
+		b.Insert(base(1, 4, 3))
+		if a.Bytes() != 0 {
+			t.Fatalf("a keeps %d resident bytes; its two cold buckets go first", a.Bytes())
+		}
+		if tb, _, _ := s.Hand(); tb != 0 {
+			t.Fatalf("hand on table %d before a is walked to its end, want 0", tb)
+		}
+		b.Insert(base(1, 5, 4))
+		if tb, slot, _ := s.Hand(); tb != 1 || slot == 0 {
+			t.Fatalf("hand at table %d slot %d, want inside b", tb, slot)
+		}
+		if got := residentKeys(b, 5); len(got) != 4 || got[0] > 1 || got[1] != 2 {
+			t.Fatalf("b resident %v: one of the cold keys 0, 1 should have gone, the hot 2..4 stay", got)
+		}
+		if st := s.Stats(); st.Spills != 3 {
+			t.Fatalf("%d spills, want 3", st.Spills)
+		}
+	})
+
+	// Releasing a table before the hand shifts the hand with the list;
+	// releasing the one under it moves the hand to the next table.
+	t.Run("detach", func(t *testing.T) {
+		s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
+		a, b, c := state.NewTable(tuple.NewStreamSet(0)), state.NewTable(tuple.NewStreamSet(1)), state.NewTable(tuple.NewStreamSet(2))
+		for _, tb := range []*state.Table{a, b, c} {
+			tb.SetStore(s, true)
+		}
+		// a and b hold nothing, so the hand passes them without a walk.
+		for k := range 3 {
+			c.Insert(base(2, uint64(k+1), tuple.Value(k)))
+		}
+		tb, slot, n := s.Hand()
+		if tb != 2 || slot == 0 || n != 3 {
+			t.Fatalf("hand at table %d slot %d of %d, want inside c (2 of 3)", tb, slot, n)
+		}
+		a.Release()
+		if tb2, slot2, n2 := s.Hand(); tb2 != 1 || slot2 != slot || n2 != 2 {
+			t.Fatalf("after releasing a: table %d slot %d of %d, want 1 slot %d of 2", tb2, slot2, n2, slot)
+		}
+		c.Release()
+		if tb2, slot2, n2 := s.Hand(); tb2 != 1 || slot2 != 0 || n2 != 1 {
+			t.Fatalf("after releasing c: table %d slot %d of %d, want 1 slot 0 of 1", tb2, slot2, n2)
+		}
+		for k := range 3 {
+			b.Insert(base(1, uint64(k+1), tuple.Value(k)))
+		}
+		if tb2, slot2, _ := s.Hand(); tb2 != 0 || slot2 == 0 {
+			t.Fatalf("hand at table %d slot %d, want wrapped into b", tb2, slot2)
+		}
+		if st := s.Stats(); st.Spills != 2 || st.ResidentBytes != 2*perTuple {
+			t.Fatalf("want one spill from c and one from b: %+v", st)
+		}
+	})
+
+	// With every bucket hot the first revolution only clears bits and
+	// the second finds a victim; with nothing resident to take, the
+	// search gives up after two revolutions.
+	t.Run("two revolutions", func(t *testing.T) {
+		s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
+		tbl := state.NewTable(tuple.NewStreamSet(0))
+		tbl.SetStore(s, true)
+		fill(tbl, 5)
+		if st := s.Stats(); st.Spills != 1 {
+			t.Fatalf("all hot: %d spills, want 1", st.Spills)
+		}
+		// A list over the whole budget leaves the hand nothing to take.
+		l := state.NewList(tuple.NewStreamSet(1))
+		l.SetStore(s)
+		for k := range 8 {
+			l.Insert(base(1, uint64(k+1), tuple.Value(k)))
+		}
+		if st := s.Stats(); tbl.Bytes() != 0 || st.Spills != 5 || st.ResidentBytes != 8*perTuple {
+			t.Fatalf("table keeps %d resident bytes: %+v", tbl.Bytes(), st)
+		}
+	})
 }
 
 // crashNow exhausts a CrashFS's write budget.

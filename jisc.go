@@ -17,9 +17,12 @@
 //	...
 //	q.Migrate(jisc.LeftDeep(1, 2, 0)) // no halt, steady output
 //
-// The facade re-exports the pieces most applications need; advanced
-// use (custom strategies, the eddy framework, the benchmark harness)
-// imports the internal packages directly from examples and cmd/.
+// The facade re-exports the pieces most applications need. Its use
+// cases are checked Example functions (ExampleNewQuery,
+// ExampleNewSetDiffQuery, ExampleRestoreQuery, ExampleNewAsyncQuery);
+// advanced use (custom strategies, the eddy framework, the benchmark
+// harness) imports the internal packages directly, as cmd/ does and as
+// internal/adaptive's ExampleController_Step shows.
 package jisc
 
 import (
