@@ -1,11 +1,10 @@
 // Package adaptive closes the paper's re-optimization loop: a
 // per-query Controller periodically snapshots per-operator selectivity
 // statistics (and the feed latency its regression guard reads) from
-// the sharded runtime, asks
-// optimizer.Advisor for a better plan, and installs accepted proposals
-// through the runtime's normal migration path — so WAL MIGRATE
-// records, JISC completion episodes, and migration tracing all work
-// unchanged under autopilot.
+// the sharded runtime, asks its advisor (advisor.go) for a better
+// plan, and installs accepted proposals through the runtime's normal
+// migration path — so WAL MIGRATE records, JISC completion episodes,
+// and migration tracing all work unchanged under autopilot.
 //
 // The paper treats the transition trigger as orthogonal (§2) but its
 // §5.1.2 thrashing discussion makes the guard rails the interesting
@@ -43,7 +42,6 @@ import (
 
 	"jisc/internal/engine"
 	"jisc/internal/obs"
-	"jisc/internal/optimizer"
 	"jisc/internal/plan"
 )
 
@@ -73,7 +71,9 @@ type Config struct {
 	// regressionWindow, or a new migration can supersede an unresolved
 	// regression guard.
 	Cooldown time.Duration
-	// MinProbes passes through to the optimizer.Advisor (default 16).
+	// MinProbes is the number of probes a stream must have received
+	// since the advisor's last observation before its selectivity
+	// estimate is trusted (default 16).
 	MinProbes uint64
 
 	// Tracer receives EvAutoDecision/EvAutoRollback (and the advisor's
@@ -101,7 +101,7 @@ const (
 type Controller struct {
 	cfg     Config
 	target  Target
-	advisor *optimizer.Advisor
+	advisor *advisor
 
 	proposals  atomic.Uint64
 	migrations atomic.Uint64
@@ -151,17 +151,17 @@ func New(target Target, cfg Config) (*Controller, error) {
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	return &Controller{
+	if cfg.MinProbes == 0 {
+		cfg.MinProbes = 16
+	}
+	c := &Controller{
 		cfg:    cfg,
 		target: target,
-		advisor: optimizer.New(optimizer.Config{
-			MinProbes: cfg.MinProbes,
-			Tracer:    cfg.Tracer,
-			Query:     cfg.Query,
-		}),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}, nil
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	c.advisor = newAdvisor(&c.cfg)
+	return c, nil
 }
 
 // MustNew is New but panics on error.
@@ -260,7 +260,7 @@ func (c *Controller) Step(now time.Time) {
 	if err != nil {
 		return // target closing; the loop will be stopped shortly
 	}
-	c.advisor.ObserveScanStats(stats)
+	c.advisor.observeScanStats(stats)
 	feed := c.target.ObsSnapshot().Feed
 
 	if c.guardArmed {
@@ -280,7 +280,7 @@ func (c *Controller) Step(now time.Time) {
 	if err != nil {
 		return
 	}
-	p, ok := c.advisor.Propose(cur)
+	p, ok := c.advisor.propose(cur)
 	if !ok {
 		// The advisor no longer stands by the pending candidate (or the
 		// current plan is already best): drop the confirmation streak.

@@ -1,4 +1,4 @@
-package optimizer
+package adaptive
 
 import (
 	"math"
@@ -14,16 +14,16 @@ import (
 	"jisc/internal/workload"
 )
 
-// TestConfigValidation: the zero Config is usable, and its MinProbes
-// default (16) decides when a stream's first estimate forms.
-func TestConfigValidation(t *testing.T) {
-	a := New(Config{})
-	a.ObserveSample(0, 15, 15)
-	if _, ok := a.Selectivity(0); ok {
+// TestAdvisorMinProbesDefault: the zero Config is usable, and its
+// MinProbes default (16) decides when a stream's first estimate forms.
+func TestAdvisorMinProbesDefault(t *testing.T) {
+	a := MustNew(&fakeTarget{}, Config{}).advisor
+	a.observeSample(0, 15, 15)
+	if _, ok := a.sel[0]; ok {
 		t.Fatal("an estimate formed from 15 probes, under the default MinProbes")
 	}
-	a.ObserveSample(0, 31, 15) // 16 more probes, no matches
-	if s, ok := a.Selectivity(0); !ok || s != 0 {
+	a.observeSample(0, 31, 15) // 16 more probes, no matches
+	if s, ok := a.sel[0]; !ok || s != 0 {
 		t.Fatalf("sel = %v %v after 16 probes, want 0 true", s, ok)
 	}
 }
@@ -31,22 +31,22 @@ func TestConfigValidation(t *testing.T) {
 func TestCostOf(t *testing.T) {
 	sel := map[tuple.StreamID]float64{0: 1, 1: 0.5, 2: 2, 3: 1}
 	// order 0,1,2,3: prefixes 1*0.5, 1*0.5*2, 1*0.5*2*1 = 0.5+1+1 = 2.5
-	if got := CostOf([]tuple.StreamID{0, 1, 2, 3}, sel); math.Abs(got-2.5) > 1e-12 {
+	if got := costOf([]tuple.StreamID{0, 1, 2, 3}, sel); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("cost = %v, want 2.5", got)
 	}
 	// order 0,2,1,3: prefixes 2, 1, 1 = 4
-	if got := CostOf([]tuple.StreamID{0, 2, 1, 3}, sel); math.Abs(got-4) > 1e-12 {
+	if got := costOf([]tuple.StreamID{0, 2, 1, 3}, sel); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("cost = %v, want 4", got)
 	}
 	// Unknown streams count as selectivity 1.
-	if got := CostOf([]tuple.StreamID{9, 8}, nil); got != 1 {
+	if got := costOf([]tuple.StreamID{9, 8}, nil); got != 1 {
 		t.Fatalf("cost with nil sel = %v", got)
 	}
 }
 
 func TestBestOrderSortsAscending(t *testing.T) {
 	sel := map[tuple.StreamID]float64{0: 0.9, 1: 0.1, 2: 3, 3: 0.5}
-	got := BestOrder([]tuple.StreamID{0, 1, 2, 3}, sel)
+	got := bestOrder([]tuple.StreamID{0, 1, 2, 3}, sel)
 	want := []tuple.StreamID{1, 3, 0, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -55,7 +55,7 @@ func TestBestOrderSortsAscending(t *testing.T) {
 	}
 }
 
-// Property: BestOrder's cost is ≤ the cost of any random permutation.
+// Property: bestOrder's cost is ≤ the cost of any random permutation.
 func TestBestOrderOptimalProperty(t *testing.T) {
 	f := func(rawSel [6]uint8, perm1, perm2 uint8) bool {
 		streams := []tuple.StreamID{0, 1, 2, 3, 4, 5}
@@ -63,13 +63,13 @@ func TestBestOrderOptimalProperty(t *testing.T) {
 		for i, r := range rawSel {
 			sel[tuple.StreamID(i)] = float64(r%40)/10 + 0.05
 		}
-		best := BestOrder(streams, sel)
-		bestCost := CostOf(best, sel)
+		best := bestOrder(streams, sel)
+		bestCost := costOf(best, sel)
 		// Compare against a couple of derived permutations.
 		alt := append([]tuple.StreamID(nil), streams...)
 		i, j := int(perm1)%6, int(perm2)%6
 		alt[i], alt[j] = alt[j], alt[i]
-		return bestCost <= CostOf(alt, sel)+1e-9
+		return bestCost <= costOf(alt, sel)+1e-9
 	}
 	if err := quick.Check(f, testseed.Quick(t, 1, 500)); err != nil {
 		t.Fatal(err)
@@ -77,37 +77,37 @@ func TestBestOrderOptimalProperty(t *testing.T) {
 }
 
 func TestObserveSampleSmoothing(t *testing.T) {
-	a := New(Config{MinProbes: 1})
-	a.ObserveSample(0, 100, 100) // sel = 1.0
-	if s, ok := a.Selectivity(0); !ok || s != 1.0 {
+	a := newAdvisor(&Config{MinProbes: 1})
+	a.observeSample(0, 100, 100) // sel = 1.0
+	if s, ok := a.sel[0]; !ok || s != 1.0 {
 		t.Fatalf("sel = %v %v", s, ok)
 	}
-	a.ObserveSample(0, 200, 100) // window sample 0.0 -> smoothed 0.5
-	if s, _ := a.Selectivity(0); math.Abs(s-0.5) > 1e-12 {
+	a.observeSample(0, 200, 100) // window sample 0.0 -> smoothed 0.5
+	if s := a.sel[0]; math.Abs(s-0.5) > 1e-12 {
 		t.Fatalf("smoothed sel = %v, want 0.5", s)
 	}
 	// Too few new probes: estimate unchanged.
-	a.ObserveSample(0, 200, 100)
-	if s, _ := a.Selectivity(0); math.Abs(s-0.5) > 1e-12 {
+	a.observeSample(0, 200, 100)
+	if s := a.sel[0]; math.Abs(s-0.5) > 1e-12 {
 		t.Fatalf("estimate moved on zero probes: %v", s)
 	}
 }
 
 func TestProposeHysteresis(t *testing.T) {
 	tr := obs.NewTracer(8)
-	a := New(Config{MinProbes: 1, Tracer: tr, Query: "q"})
+	a := newAdvisor(&Config{MinProbes: 1, Tracer: tr, Query: "q"})
 	cur := plan.MustLeftDeep(0, 1, 2)
 	// No data: no proposal.
-	if _, ok := a.Propose(cur); ok {
+	if _, ok := a.propose(cur); ok {
 		t.Fatal("proposed with no observations")
 	}
 	// Feed strongly inverted selectivities.
-	a.ObserveSample(1, 100, 10)  // sel 0.1
-	a.ObserveSample(2, 100, 400) // sel 4.0
+	a.observeSample(1, 100, 10)  // sel 0.1
+	a.observeSample(2, 100, 400) // sel 4.0
 	// The expensive stream 2 sits in the middle of the current plan;
 	// moving it last shrinks the first prefix by 40x.
 	cur = plan.MustLeftDeep(0, 2, 1)
-	p, ok := a.Propose(cur)
+	p, ok := a.propose(cur)
 	if !ok {
 		t.Fatal("no proposal despite large improvement")
 	}
@@ -127,28 +127,28 @@ func TestProposeHysteresis(t *testing.T) {
 }
 
 func TestProposeRejectsSmallImprovement(t *testing.T) {
-	a := New(Config{MinProbes: 1})
-	a.ObserveSample(1, 100, 100) // 1.0
-	a.ObserveSample(2, 100, 110) // 1.1 — a 5% improvement at best
-	if _, ok := a.Propose(plan.MustLeftDeep(0, 2, 1)); ok {
+	a := newAdvisor(&Config{MinProbes: 1})
+	a.observeSample(1, 100, 100) // 1.0
+	a.observeSample(2, 100, 110) // 1.1 — a 5% improvement at best
+	if _, ok := a.propose(plan.MustLeftDeep(0, 2, 1)); ok {
 		t.Fatal("proposed for sub-threshold improvement")
 	}
 }
 
 func TestProposeSkipsBushy(t *testing.T) {
-	a := New(Config{})
+	a := newAdvisor(&Config{})
 	bushy := plan.MustNew(plan.Join(plan.Join(plan.Leaf(0), plan.Leaf(1)), plan.Join(plan.Leaf(2), plan.Leaf(3))))
-	if _, ok := a.Propose(bushy); ok {
+	if _, ok := a.propose(bushy); ok {
 		t.Fatal("advised a bushy plan")
 	}
 }
 
 func TestProposeNoChangeForOptimalPlan(t *testing.T) {
-	a := New(Config{MinProbes: 1})
-	a.ObserveSample(1, 100, 10)
-	a.ObserveSample(2, 100, 400)
+	a := newAdvisor(&Config{MinProbes: 1})
+	a.observeSample(1, 100, 10)
+	a.observeSample(2, 100, 400)
 	// Already optimal order.
-	if _, ok := a.Propose(plan.MustLeftDeep(0, 1, 2)); ok {
+	if _, ok := a.propose(plan.MustLeftDeep(0, 1, 2)); ok {
 		t.Fatal("proposed a no-op transition")
 	}
 }
@@ -168,13 +168,13 @@ func TestAdvisorDrivesEngineMigration(t *testing.T) {
 	e := engine.MustNew(engine.Config{
 		Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 64, Strategy: core.New(),
 	})
-	a := New(Config{MinProbes: 8})
+	a := newAdvisor(&Config{MinProbes: 8})
 	migrated := false
 	for i := 0; i < 4000 && !migrated; i++ {
 		e.Feed(src.Next())
 		if i%200 == 0 {
-			a.ObserveScanStats(e.ScanStats())
-			if p, ok := a.Propose(e.Plan()); ok {
+			a.observeScanStats(e.ScanStats())
+			if p, ok := a.propose(e.Plan()); ok {
 				if err := e.Migrate(p); err != nil {
 					t.Fatal(err)
 				}
@@ -204,19 +204,19 @@ func TestAdvisorDrivesEngineMigration(t *testing.T) {
 // previous one (fresh Nodes after a plan transition zero the counters)
 // must rebaseline, not fold in a wrapped-around delta.
 func TestObserveSampleResetRebaseline(t *testing.T) {
-	a := New(Config{MinProbes: 1})
-	a.ObserveSample(0, 100, 50)
-	if s, _ := a.Selectivity(0); s != 0.5 {
+	a := newAdvisor(&Config{MinProbes: 1})
+	a.observeSample(0, 100, 50)
+	if s := a.sel[0]; s != 0.5 {
 		t.Fatalf("sel = %v, want 0.5", s)
 	}
 	// Counters reset (e.g. after Migrate rebuilt the tree), then a few
 	// fresh probes with a different rate.
-	a.ObserveSample(0, 4, 4)
-	if s, _ := a.Selectivity(0); s != 0.5 {
+	a.observeSample(0, 4, 4)
+	if s := a.sel[0]; s != 0.5 {
 		t.Fatalf("sel after reset reading = %v, want unchanged 0.5", s)
 	}
-	a.ObserveSample(0, 14, 14) // sample 1.0, smoothed by half
-	if s, _ := a.Selectivity(0); s != 0.75 {
+	a.observeSample(0, 14, 14) // sample 1.0, smoothed by half
+	if s := a.sel[0]; s != 0.75 {
 		t.Fatalf("sel after fresh delta = %v, want 0.75", s)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"jisc/internal/eddy"
 	"jisc/internal/engine"
 	"jisc/internal/metrics"
+	"jisc/internal/tuple"
 )
 
 // StairsRow is one point of the §4.6 ablation: eager STAIRs
@@ -20,6 +21,9 @@ type StairsRow struct {
 	EagerLatency time.Duration // max transition-to-first-output
 	LazyLatency  time.Duration
 
+	// transitions is the routing changes the row made; a row with none
+	// has no latency to show.
+	transitions int
 	// eagerWork is eager STAIRs' MigrationWork (entries promoted at
 	// transition time) and lazyWork JISC-on-STAIRs' CompletedEntries
 	// (entries promoted on demand): the promotion work, seed-deterministic.
@@ -40,37 +44,41 @@ func StairsAblation(cfg Config, joins int, periods []int, w io.Writer) ([]Stairs
 		"period", "eager", "lazy", "eager/lazy", "eager-latency", "lazy-latency")
 	var rows []StairsRow
 	for _, period := range periods {
-		run := func(lazy bool) (time.Duration, time.Duration, metrics.Snapshot, error) {
+		run := func(lazy bool) (time.Duration, time.Duration, int, metrics.Snapshot, error) {
+			win := &outputWindow{now: time.Now}
 			s := eddy.MustNewStairs(eddy.StairsConfig{
 				Plan: initialPlan(streams), WindowSize: cfg.Window, Lazy: lazy,
+				Output: func(*tuple.Tuple) { win.output() },
 			})
-			elapsed, _, err := cfg.periodic(s, streams, cfg.Tuples, period, worstCaseSwap, nil)
-			m := s.Metrics()
-			var maxLat time.Duration
-			for _, l := range m.OutputLatencies {
-				if l > maxLat {
-					maxLat = l
-				}
-			}
-			return elapsed, maxLat, m, err
+			win.Executor = s
+			elapsed, transitions, err := cfg.periodic(win, streams, cfg.Tuples, period, worstCaseSwap, nil)
+			return elapsed, win.max, transitions, s.Metrics(), err
 		}
-		eager, eagerLat, em, err := run(false)
+		eager, eagerLat, transitions, em, err := run(false)
 		if err != nil {
 			return nil, err
 		}
-		lazy, lazyLat, lm, err := run(true)
+		lazy, lazyLat, _, lm, err := run(true)
 		if err != nil {
 			return nil, err
 		}
 		row := StairsRow{Period: period, Eager: eager, Lazy: lazy, EagerLatency: eagerLat, LazyLatency: lazyLat,
-			eagerWork: em.MigrationWork, lazyWork: lm.CompletedEntries}
+			transitions: transitions, eagerWork: em.MigrationWork, lazyWork: lm.CompletedEntries}
 		rows = append(rows, row)
-		fprintf(w, "%10d %12v %12v %9.2f %14v %14v\n",
+		fprintf(w, "%10d %12v %12v %9.2f %14s %14s\n",
 			row.Period, row.Eager.Round(time.Microsecond), row.Lazy.Round(time.Microsecond),
-			ratio(row.Eager, row.Lazy),
-			row.EagerLatency.Round(time.Microsecond), row.LazyLatency.Round(time.Microsecond))
+			ratio(row.Eager, row.Lazy), row.latency(row.EagerLatency), row.latency(row.LazyLatency))
 	}
 	return rows, nil
+}
+
+// latency formats one of the row's latencies, "-" when the row made
+// no transition to measure one after.
+func (r StairsRow) latency(d time.Duration) string {
+	if r.transitions == 0 {
+		return "-"
+	}
+	return d.Round(time.Microsecond).String()
 }
 
 // ProcRow is one point of the Procedure 2 vs Procedure 3 ablation: on

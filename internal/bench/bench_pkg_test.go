@@ -5,8 +5,15 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
+	"jisc/internal/core"
+	"jisc/internal/engine"
 	"jisc/internal/metrics"
+	"jisc/internal/migrate"
+	"jisc/internal/plan"
+	"jisc/internal/tuple"
+	"jisc/internal/workload"
 )
 
 // tiny returns a configuration small enough for unit tests. Three
@@ -159,6 +166,68 @@ func TestFigure10NLMovingStateLatencyExplodes(t *testing.T) {
 	}
 }
 
+// haltClock wraps a strategy so that its OnTransition advances a fake
+// clock by one second per unit of migration work done in it: the halt
+// an eager strategy pays, in numbers a test can assert.
+type haltClock struct {
+	engine.Strategy
+	clock *time.Time
+}
+
+func (h haltClock) OnTransition(e *engine.Engine) error {
+	before := e.Metrics().MigrationWork
+	err := h.Strategy.OnTransition(e)
+	*h.clock = h.clock.Add(time.Duration(e.Metrics().MigrationWork-before) * time.Second)
+	return err
+}
+
+// TestOutputLatencyWindow drives the figures' output-latency window on
+// a fake clock. Moving State's latency is its Migrate halt (three
+// entries of {1,2} recomputed: 3 s) plus the 2 ms of feeding until the
+// first result; JISC's is the 2 ms alone, because its first result
+// needs no recomputation — it completes the one key it probes on
+// demand. Results after the first leave the window closed.
+func TestOutputLatencyWindow(t *testing.T) {
+	for _, c := range []struct {
+		strategy engine.Strategy
+		want     time.Duration
+		work     uint64
+	}{
+		{migrate.MovingState{}, 3*time.Second + 2*time.Millisecond, 3},
+		{core.New(), 2 * time.Millisecond, 0},
+	} {
+		var clock time.Time
+		w := &outputWindow{now: func() time.Time { return clock }}
+		e := engine.MustNew(engine.Config{
+			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 10,
+			Strategy: haltClock{c.strategy, &clock},
+			Output:   func(engine.Delta) { w.output() },
+		})
+		feed := func(s tuple.StreamID, k tuple.Value) { e.Feed(workload.Event{Stream: s, Key: k}) }
+		for k := tuple.Value(1); k <= 3; k++ {
+			feed(1, k)
+			feed(2, k)
+		}
+		w.Executor = e
+		if err := w.Migrate(plan.MustLeftDeep(1, 2, 0)); err != nil {
+			t.Fatal(err)
+		}
+		clock = clock.Add(time.Millisecond)
+		feed(0, 9) // no match: the window stays open
+		clock = clock.Add(time.Millisecond)
+		feed(0, 1) // the first result closes it
+		clock = clock.Add(time.Second)
+		feed(0, 2)
+		name := c.strategy.Name()
+		if w.closed != 1 || w.max != c.want {
+			t.Errorf("%s: %d windows closed, latency %v; want 1 and %v", name, w.closed, w.max, c.want)
+		}
+		if m := e.Metrics(); m.Output != 2 || m.MigrationWork != c.work {
+			t.Errorf("%s: %d results, migration work %d; want 2 and %d", name, m.Output, m.MigrationWork, c.work)
+		}
+	}
+}
+
 func TestFigure11And12Run(t *testing.T) {
 	cfg := tiny()
 	cfg.Tuples = 2000
@@ -231,6 +300,32 @@ func TestStairsAblationPromotionWork(t *testing.T) {
 	}
 }
 
+// A row whose period is the whole input makes no transition, so it
+// prints "-" for both latencies instead of a measured-looking 0s; a row
+// with transitions prints a duration for each.
+func TestStairsAblationPrintsNoLatencyWithoutTransition(t *testing.T) {
+	cfg := tiny()
+	var buf bytes.Buffer
+	rows, err := StairsAblation(cfg, 3, []int{cfg.Tuples / 2, cfg.Tuples}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].transitions != 1 || rows[1].transitions != 0 {
+		t.Fatalf("transitions %d and %d, want 1 and 0", rows[0].transitions, rows[1].transitions)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	latencies := func(i int) (string, string) {
+		f := strings.Fields(lines[len(lines)-len(rows)+i])
+		return f[4], f[5]
+	}
+	if eager, lazy := latencies(0); !isDuration(eager) || !isDuration(lazy) {
+		t.Errorf("period %d prints latencies %q and %q, want two durations", rows[0].Period, eager, lazy)
+	}
+	if eager, lazy := latencies(1); eager != "-" || lazy != "-" {
+		t.Errorf("period %d prints latencies %q and %q, want - and -", rows[1].Period, eager, lazy)
+	}
+}
+
 // Procedure 3 is Procedure 2's left-deep fast path: the same stage
 // completes, probes and emits exactly the same under either.
 func TestProcedureAblationSameWork(t *testing.T) {
@@ -246,6 +341,11 @@ func TestProcedureAblationSameWork(t *testing.T) {
 				m.Completions, m.CompletedEntries, m.Probes, m.Output)
 		}
 	}
+}
+
+func isDuration(s string) bool {
+	_, err := time.ParseDuration(s)
+	return err == nil
 }
 
 func errOf[T any](_ T, err error) error { return err }

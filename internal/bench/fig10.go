@@ -8,8 +8,38 @@ import (
 	"jisc/internal/core"
 	"jisc/internal/engine"
 	"jisc/internal/migrate"
+	"jisc/internal/plan"
 	"jisc/internal/tuple"
 )
+
+// outputWindow wraps an executor to measure the figures' output
+// latency: the time from the moment a plan transition is triggered
+// until the first root result after it. Migrate stamps the clock just
+// before the executor's own, because an eager strategy halts inside
+// it; output, which the executor's output callback calls for every
+// root result, closes the open window.
+type outputWindow struct {
+	engine.Executor
+	now    func() time.Time
+	at     time.Time
+	open   bool
+	closed int           // windows closed so far
+	max    time.Duration // the longest of them
+}
+
+func (w *outputWindow) Migrate(p *plan.Plan) error {
+	w.at, w.open = w.now(), true
+	return w.Executor.Migrate(p)
+}
+
+func (w *outputWindow) output() {
+	if !w.open {
+		return
+	}
+	w.open = false
+	w.closed++
+	w.max = max(w.max, w.now().Sub(w.at))
+}
 
 // LatencyRow is one point of Figure 10: the time from the moment a
 // plan transition is triggered until the first output tuple, for JISC
@@ -71,9 +101,12 @@ func latencyOne(cfg Config, joins, win int, kind engine.Kind, theta func(a, b *t
 	streams := joins + 1
 	measureOnce := func(strategy engine.Strategy) (time.Duration, uint64, error) {
 		p := initialPlan(streams)
+		w := &outputWindow{now: time.Now}
 		e := engine.MustNew(engine.Config{
 			Plan: p, WindowSize: win, Kind: kind, Theta: theta, Strategy: strategy,
+			Output: func(engine.Delta) { w.output() },
 		})
+		w.Executor = e
 		// Scale the key domain with the window so the match rate per
 		// probe stays ≈1 across the sweep; with a fixed domain, small
 		// windows starve of outputs and the measurement degenerates
@@ -86,15 +119,14 @@ func latencyOne(cfg Config, joins, win int, kind engine.Kind, theta func(a, b *t
 		for i := 0; i < streams*win; i++ {
 			e.Feed(src.Next())
 		}
-		if err := e.Migrate(worstCaseSwap(p)); err != nil {
+		if err := w.Migrate(worstCaseSwap(p)); err != nil {
 			return 0, 0, err
 		}
-		// Feed until the first post-transition output appears; the
-		// collector measures transition-to-first-output.
+		// Feed until the first post-transition output closes the window.
 		for i := 0; i < 4*streams*win; i++ {
 			e.Feed(src.Next())
-			if m := e.Metrics(); len(m.OutputLatencies) > 0 {
-				return m.OutputLatencies[0], m.MigrationWork, nil
+			if w.closed > 0 {
+				return w.max, e.Metrics().MigrationWork, nil
 			}
 		}
 		return 0, e.Metrics().MigrationWork, nil

@@ -9,8 +9,8 @@ package eddy
 
 import (
 	"fmt"
-	"time"
 
+	"jisc/internal/engine"
 	"jisc/internal/metrics"
 	"jisc/internal/plan"
 	"jisc/internal/state"
@@ -39,7 +39,9 @@ type CACQ struct {
 
 	out func(*tuple.Tuple)
 	met metrics.Collector
-	now func() time.Time
+	// visits counts tuple passes through the eddy router: one per
+	// dispatch-queue pop, the per-tuple overhead of Figure 9b.
+	visits uint64
 
 	// queue is the eddy's dispatch queue, reused across inputs.
 	queue []*tuple.Tuple
@@ -59,8 +61,6 @@ type CACQConfig struct {
 	Routing Routing
 	// Output receives result tuples; may be nil.
 	Output func(*tuple.Tuple)
-	// Now supplies time for latency metrics (default time.Now).
-	Now func() time.Time
 }
 
 // NewCACQ builds the executor.
@@ -75,9 +75,6 @@ func NewCACQ(cfg CACQConfig) (*CACQ, error) {
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = 10000
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	c := &CACQ{
 		order:   order,
 		stems:   make(map[tuple.StreamID]*state.Table),
@@ -85,7 +82,6 @@ func NewCACQ(cfg CACQConfig) (*CACQ, error) {
 		seqs:    make(map[tuple.StreamID]uint64),
 		streams: cfg.Plan.Streams,
 		out:     cfg.Output,
-		now:     cfg.Now,
 	}
 	if cfg.Routing == Lottery {
 		c.lot = newLottery(order)
@@ -112,18 +108,15 @@ func (c *CACQ) Name() string { return "cacq" }
 // Metrics implements engine.Executor.
 func (c *CACQ) Metrics() metrics.Snapshot { return c.met.Snapshot() }
 
-// Order returns the current routing order.
-func (c *CACQ) Order() []tuple.StreamID { return append([]tuple.StreamID(nil), c.order...) }
+// EddyVisits returns how many tuple passes the eddy router has made.
+func (c *CACQ) EddyVisits() uint64 { return c.visits }
 
-// Feed implements engine.Executor.
+// Feed implements engine.Executor. Tuple identity (per-stream
+// sequence, global tick) follows the engine's, so outputs are
+// comparable across executors.
 func (c *CACQ) Feed(ev workload.Event) {
-	c.FeedStamped(ev, c.seqs[ev.Stream]+1, c.tick+1)
-}
-
-// FeedStamped processes ev with caller-assigned identity, mirroring
-// engine.FeedStamped so outputs are comparable across executors.
-func (c *CACQ) FeedStamped(ev workload.Event, seq, tick uint64) {
-	c.tick = tick
+	c.tick++
+	tick, seq := c.tick, c.seqs[ev.Stream]+1
 	c.seqs[ev.Stream] = seq
 	c.met.Input.Add(1)
 
@@ -149,7 +142,7 @@ func (c *CACQ) FeedStamped(ev workload.Event, seq, tick uint64) {
 	for len(c.queue) > 0 {
 		u := c.queue[len(c.queue)-1]
 		c.queue = c.queue[:len(c.queue)-1]
-		c.met.EddyVisits.Add(1)
+		c.visits++
 		// Routing decision: the next unvisited SteM — first in routing
 		// order, or the best filter under the lottery policy.
 		var next tuple.StreamID
@@ -167,7 +160,7 @@ func (c *CACQ) FeedStamped(ev workload.Event, seq, tick uint64) {
 			}
 		}
 		if done {
-			c.met.MarkOutputsAt(1, c.now)
+			c.met.Output.Add(1)
 			if c.out != nil {
 				c.out(u)
 			}
@@ -194,17 +187,9 @@ func (c *CACQ) Migrate(p *plan.Plan) error {
 	if err != nil {
 		return fmt.Errorf("cacq: routing requires a left-deep plan: %w", err)
 	}
-	c.met.MarkTransition(c.now())
+	c.met.Transitions.Add(1)
 	c.order = order
 	return nil
 }
 
-// compile-time checks: both eddy executors satisfy the shared
-// executor contract (the interface lives in package engine; keeping
-// the assertion here avoids an import there).
-var _ interface {
-	Name() string
-	Feed(workload.Event)
-	Migrate(*plan.Plan) error
-	Metrics() metrics.Snapshot
-} = (*CACQ)(nil)
+var _ engine.Executor = (*CACQ)(nil)

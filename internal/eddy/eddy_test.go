@@ -1,6 +1,7 @@
 package eddy
 
 import (
+	"slices"
 	"testing"
 
 	"jisc/internal/plan"
@@ -55,12 +56,8 @@ func TestCACQNoIntermediateStateAndFreeMigration(t *testing.T) {
 	if after.Probes != before.Probes || after.Inserts != before.Inserts {
 		t.Fatal("CACQ migration performed state work")
 	}
-	want := []tuple.StreamID{3, 2, 1, 0}
-	got := c.Order()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
-		}
+	if want := []tuple.StreamID{3, 2, 1, 0}; !slices.Equal(c.order, want) {
+		t.Fatalf("order = %v, want %v", c.order, want)
 	}
 }
 
@@ -69,8 +66,11 @@ func TestCACQEddyVisitsCounted(t *testing.T) {
 	c.Feed(ev(0, 5))
 	c.Feed(ev(1, 5))
 	c.Feed(ev(2, 5))
-	if c.Metrics().EddyVisits == 0 {
-		t.Fatal("no eddy visits recorded")
+	// One pass per dispatch-queue pop: the first tuple probes an empty
+	// SteM (1), the second joins once and dead-ends (2), the third
+	// climbs to a result (3).
+	if got := c.EddyVisits(); got != 6 {
+		t.Fatalf("eddy visits = %d, want 6", got)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestCACQLotteryPrefersSelectiveStem(t *testing.T) {
 		adverse.Feed(src1.Next())
 		adaptive.Feed(src2.Next())
 	}
-	av := adverse.Metrics().EddyVisits
-	lv := adaptive.Metrics().EddyVisits
+	av := adverse.EddyVisits()
+	lv := adaptive.EddyVisits()
 	if lv >= av {
 		t.Fatalf("lottery routing not cheaper: adaptive %d visits vs fixed-adverse %d", lv, av)
 	}

@@ -2,8 +2,8 @@ package eddy
 
 import (
 	"fmt"
-	"time"
 
+	"jisc/internal/engine"
 	"jisc/internal/metrics"
 	"jisc/internal/plan"
 	"jisc/internal/state"
@@ -42,7 +42,9 @@ type Stairs struct {
 
 	out func(*tuple.Tuple)
 	met metrics.Collector
-	now func() time.Time
+	// visits counts tuple passes through the eddy router: one per
+	// tuple routed into a stem or prefix state.
+	visits uint64
 }
 
 // StairsConfig parameterizes a Stairs executor.
@@ -57,8 +59,6 @@ type StairsConfig struct {
 	Lazy bool
 	// Output receives result tuples; may be nil.
 	Output func(*tuple.Tuple)
-	// Now supplies time for latency metrics (default time.Now).
-	Now func() time.Time
 }
 
 // NewStairs builds the executor.
@@ -73,9 +73,6 @@ func NewStairs(cfg StairsConfig) (*Stairs, error) {
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = 10000
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	s := &Stairs{
 		order:   order,
 		streams: cfg.Plan.Streams,
@@ -86,7 +83,6 @@ func NewStairs(cfg StairsConfig) (*Stairs, error) {
 		born:    make(map[tuple.StreamSet]uint64),
 		seqs:    make(map[tuple.StreamID]uint64),
 		out:     cfg.Output,
-		now:     cfg.Now,
 	}
 	for _, id := range order {
 		s.stems[id] = state.NewTable(tuple.NewStreamSet(id))
@@ -130,6 +126,9 @@ func (s *Stairs) Name() string {
 // Metrics implements engine.Executor.
 func (s *Stairs) Metrics() metrics.Snapshot { return s.met.Snapshot() }
 
+// EddyVisits returns how many tuple passes the eddy router has made.
+func (s *Stairs) EddyVisits() uint64 { return s.visits }
+
 // position returns the index of stream id in the routing order.
 func (s *Stairs) position(id tuple.StreamID) int {
 	for i, o := range s.order {
@@ -142,12 +141,8 @@ func (s *Stairs) position(id tuple.StreamID) int {
 
 // Feed implements engine.Executor.
 func (s *Stairs) Feed(ev workload.Event) {
-	s.FeedStamped(ev, s.seqs[ev.Stream]+1, s.tick+1)
-}
-
-// FeedStamped processes ev with caller-assigned identity.
-func (s *Stairs) FeedStamped(ev workload.Event, seq, tick uint64) {
-	s.tick = tick
+	s.tick++
+	tick, seq := s.tick, s.seqs[ev.Stream]+1
 	s.seqs[ev.Stream] = seq
 	s.met.Input.Add(1)
 
@@ -166,7 +161,7 @@ func (s *Stairs) FeedStamped(ev workload.Event, seq, tick uint64) {
 	p := s.position(ev.Stream)
 	prefixes := s.prefixSets()
 	var cur []*tuple.Tuple
-	s.met.EddyVisits.Add(1)
+	s.visits++
 	switch p {
 	case 0:
 		cur = s.probe(s.stems[s.order[1]], t)
@@ -189,7 +184,7 @@ func (s *Stairs) FeedStamped(ev workload.Event, seq, tick uint64) {
 		if len(cur) == 0 {
 			return
 		}
-		s.met.EddyVisits.Add(uint64(len(cur)))
+		s.visits += uint64(len(cur))
 		var next []*tuple.Tuple
 		stem := s.stems[s.order[k]]
 		for _, u := range cur {
@@ -201,9 +196,9 @@ func (s *Stairs) FeedStamped(ev workload.Event, seq, tick uint64) {
 		}
 		cur = next
 	}
-	for _, r := range cur {
-		s.met.MarkOutputsAt(1, s.now)
-		if s.out != nil {
+	s.met.Output.Add(uint64(len(cur)))
+	if s.out != nil {
+		for _, r := range cur {
 			s.out(r)
 		}
 	}
@@ -303,7 +298,7 @@ func (s *Stairs) Migrate(p *plan.Plan) error {
 	if err != nil {
 		return fmt.Errorf("stairs: routing requires a left-deep plan: %w", err)
 	}
-	s.met.MarkTransition(s.now())
+	s.met.Transitions.Add(1)
 	s.order = order
 
 	live := make(map[tuple.StreamSet]bool)
@@ -357,9 +352,4 @@ func (s *Stairs) promoteAll() {
 	}
 }
 
-var _ interface {
-	Name() string
-	Feed(workload.Event)
-	Migrate(*plan.Plan) error
-	Metrics() metrics.Snapshot
-} = (*Stairs)(nil)
+var _ engine.Executor = (*Stairs)(nil)

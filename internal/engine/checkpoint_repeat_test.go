@@ -66,3 +66,48 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.SetBytes(int64(buf.Len()))
 	}
 }
+
+// TestCheckpointDoesNotGrowWithMigrations: a checkpoint carries the
+// engine's counters and states, nothing per migration. Two engines fed
+// the same 250 tuples, one migrated before each of its first 130 feeds
+// and the other before every feed, checkpoint within a few bytes of
+// each other. Swapping the bottom two streams keeps every join state,
+// so both engines hold the same states, and one last migration of
+// both before the checkpoint zeroes the per-node probe counters, which
+// a transition rebuilds; what may differ is the varint width of the
+// lifetime counters, not a record per migration.
+func TestCheckpointDoesNotGrowWithMigrations(t *testing.T) {
+	evs := uniformEvents(250, 3, 16, 7)
+	plans := []*plan.Plan{plan.MustLeftDeep(0, 1, 2), plan.MustLeftDeep(1, 0, 2)}
+	checkpoint := func(migrations int) int {
+		e := engine.MustNew(engine.Config{
+			Plan: plans[0], WindowSize: 40, Strategy: core.New(),
+			Output: func(engine.Delta) {},
+		})
+		defer e.Close()
+		migrate := func(i int) {
+			if err := e.Migrate(plans[(i+1)%2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, ev := range evs {
+			if i < migrations {
+				migrate(i)
+			}
+			e.Feed(ev)
+		}
+		migrate(len(evs))
+		if got := e.Metrics().Transitions; got != uint64(migrations+1) {
+			t.Fatalf("transitions = %d, want %d", got, migrations+1)
+		}
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	some, all := checkpoint(130), checkpoint(250)
+	if d := all - some; d < -8 || d > 8 {
+		t.Fatalf("checkpoint after 131 migrations is %d B, after 251 it is %d B: %+d B, want within 8", some, all, d)
+	}
+}

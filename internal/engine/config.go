@@ -59,8 +59,8 @@ type Config struct {
 	// stored (DESIGN.md §6.8). Set-difference pipelines always emit
 	// retractions regardless of this flag.
 	EmitExpiry bool
-	// Now supplies time for latency metrics; defaults to time.Now.
-	// Tests inject a fake clock.
+	// Now supplies time for the Obs histograms and trace events;
+	// defaults to time.Now. Tests inject a fake clock.
 	Now func() time.Time
 	// StateBudget, when positive, bounds the engine's resident state
 	// bytes (state.TupleBytes accounting): a tiered statestore spills

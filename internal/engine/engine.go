@@ -421,7 +421,7 @@ func (e *Engine) emit(d Delta) {
 		}
 		return
 	}
-	e.met.MarkOutputsAt(1, e.now)
+	e.met.Output.Add(1)
 	if e.out != nil {
 		e.out(d)
 	}

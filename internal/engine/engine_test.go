@@ -260,23 +260,41 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
+// TestOutputLatencyMeasured: transition-to-first-output latency is the
+// caller's measurement (package bench), taken on the Output callback.
+// Without Obs the engine reads its clock neither in Migrate nor in
+// Feed, and the first result after a transition reaches Output from
+// the Feed that produces it, so a caller's stamp before Migrate and at
+// the first result measures exactly the time between them.
 func TestOutputLatencyMeasured(t *testing.T) {
 	clock := time.Unix(0, 0)
-	now := func() time.Time { return clock }
+	reads := 0
+	var firstAt time.Time
 	var out []Delta
+	keep := collect(&out)
 	e := MustNew(Config{
 		Plan: plan.MustLeftDeep(0, 1), Strategy: nopStrategy{},
-		Output: collect(&out), Now: now,
+		Output: func(d Delta) {
+			if len(out) == 0 {
+				firstAt = clock
+			}
+			keep(d)
+		},
+		Now: func() time.Time { reads++; return clock },
 	})
+	reads = 0
 	e.Feed(ev(0, 1))
+	start := clock
 	if err := e.Migrate(plan.MustLeftDeep(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	clock = clock.Add(3 * time.Second)
 	e.Feed(ev(1, 1))
-	lat := e.Metrics().OutputLatencies
-	if len(lat) != 1 || lat[0] != 3*time.Second {
-		t.Fatalf("latencies = %v", lat)
+	if len(out) != 1 || firstAt.Sub(start) != 3*time.Second {
+		t.Fatalf("%d results, first %v after the transition; want 1 and 3s", len(out), firstAt.Sub(start))
+	}
+	if reads != 0 {
+		t.Fatalf("engine read its clock %d times without Obs, want 0", reads)
 	}
 }
 

@@ -70,7 +70,7 @@ func (e *Engine) forward(t *tuple.Tuple, matches []*tuple.Tuple, timed bool, pro
 	if len(matches) == 0 {
 		return
 	}
-	e.met.MarkOutputsAt(uint64(len(matches)), e.now)
+	e.met.Output.Add(uint64(len(matches)))
 	if e.out == nil {
 		return
 	}

@@ -136,7 +136,7 @@ type Node struct {
 	// Probes and Matches count lookups against this node's state and
 	// the entries they returned — the per-operator selectivity signal
 	// a runtime optimizer feeds on (the paper treats the transition
-	// trigger policy as orthogonal, §2; package optimizer provides
+	// trigger policy as orthogonal, §2; package adaptive provides
 	// one). They survive re-installation only while the state itself
 	// survives; fresh states start at zero.
 	Probes, Matches uint64

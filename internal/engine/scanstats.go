@@ -3,11 +3,11 @@ package engine
 import "jisc/internal/tuple"
 
 // ScanStats is one cumulative reading of a scan node's selectivity
-// counters — the per-operator signal a runtime optimizer feeds on,
+// counters — the per-operator signal the autopilot's advisor feeds on,
 // detached from the live Node so it can cross goroutine boundaries.
 // Counters reset whenever the node's state is rebuilt (plan
 // transitions); consumers diff successive readings and rebaseline on
-// decreases, exactly like optimizer.Advisor.ObserveSample.
+// decreases, as package adaptive's advisor does.
 type ScanStats struct {
 	Stream  tuple.StreamID
 	Probes  uint64

@@ -39,7 +39,7 @@ func (e *Engine) Migrate(newPlan *plan.Plan) error {
 	if e.obs != nil {
 		start = e.now()
 	}
-	e.met.MarkTransition(e.now())
+	e.met.Transitions.Add(1)
 	oldPlan := e.plan.String()
 	e.install(newPlan, false)
 	if err := e.strategy.OnTransition(e); err != nil {

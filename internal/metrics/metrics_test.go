@@ -1,55 +1,78 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/gob"
 	"sync"
 	"testing"
-	"time"
 )
 
-// markOutput records one root output at now.
-func markOutput(c *Collector, now time.Time) {
-	c.MarkOutputsAt(1, func() time.Time { return now })
+// TestOutputLatency: output latency is a figure instrument (package
+// bench measures it), not something a Collector keeps. Transitions and
+// outputs are plain counts, so a snapshot — what a checkpoint encodes —
+// holds nothing per transition and does not grow with migrations: 130
+// and 250 transitions, each followed by an output, encode to the same
+// number of bytes.
+func TestOutputLatency(t *testing.T) {
+	encoded := func(transitions int) (Snapshot, int) {
+		var c Collector
+		for i := 0; i < transitions; i++ {
+			c.Transitions.Add(1)
+			c.Output.Add(1)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return c.Snapshot(), buf.Len()
+	}
+	few, fewBytes := encoded(130)
+	many, manyBytes := encoded(250)
+	if few != (Snapshot{Transitions: 130, Output: 130}) || many != (Snapshot{Transitions: 250, Output: 250}) {
+		t.Fatalf("snapshots %+v and %+v, want only the transition and output counts", few, many)
+	}
+	if fewBytes != manyBytes {
+		t.Fatalf("snapshot encodes to %d B after 130 transitions, %d B after 250; want equal", fewBytes, manyBytes)
+	}
 }
 
-func TestOutputLatency(t *testing.T) {
+// TestMarkOutputsAtCountsAProbeAtOnce: a probe's results count with one
+// Output.Add, so a snapshot taken concurrently sees whole probes only —
+// always a multiple of the probe's result count, never part of one.
+func TestMarkOutputsAtCountsAProbeAtOnce(t *testing.T) {
 	var c Collector
-	t0 := time.Unix(0, 0)
-	c.MarkTransition(t0)
-	if c.Transitions.Load() != 1 {
-		t.Fatalf("Transitions = %d", c.Transitions.Load())
+	const perProbe, probes = 7, 5000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < probes; i++ {
+			c.Output.Add(perProbe)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if out := c.Snapshot().Output; out%perProbe != 0 {
+			t.Fatalf("snapshot saw output=%d, part of a probe of %d results", out, perProbe)
+		}
 	}
-	markOutput(&c, t0.Add(5*time.Millisecond))
-	markOutput(&c, t0.Add(9*time.Millisecond)) // second output: no new latency sample
-	if lat := c.OutputLatencies(); len(lat) != 1 {
-		t.Fatalf("latencies = %v, want one sample", lat)
-	} else if lat[0] != 5*time.Millisecond {
-		t.Fatalf("latency = %v, want 5ms", lat[0])
-	}
-	if c.Output.Load() != 2 {
-		t.Fatalf("Output = %d, want 2", c.Output.Load())
-	}
-
-	c.MarkTransition(t0.Add(20 * time.Millisecond))
-	markOutput(&c, t0.Add(120*time.Millisecond))
-	if lat := c.OutputLatencies(); len(lat) != 2 || lat[1] != 100*time.Millisecond {
-		t.Fatalf("latencies = %v, want a second one of 100ms", lat)
+	if out := c.Snapshot().Output; out != perProbe*probes {
+		t.Fatalf("output=%d, want %d", out, perProbe*probes)
 	}
 }
 
 func TestSnapshotIsCopy(t *testing.T) {
 	var c Collector
 	c.Input.Store(3)
-	c.MarkTransition(time.Unix(0, 0))
-	markOutput(&c, time.Unix(1, 0))
+	c.Transitions.Add(1)
 	s := c.Snapshot()
 	c.Input.Store(99)
-	c.MarkTransition(time.Unix(2, 0))
-	markOutput(&c, time.Unix(2, 1))
-	if s.Input != 3 {
-		t.Fatal("Snapshot shares Input")
-	}
-	if len(s.OutputLatencies) != 1 || s.OutputLatencies[0] != time.Second {
-		t.Fatalf("Snapshot latencies = %v, want [1s]", s.OutputLatencies)
+	c.Transitions.Add(1)
+	if s.Input != 3 || s.Transitions != 1 {
+		t.Fatalf("Snapshot shares counters: %+v", s)
 	}
 	if s.String() == "" {
 		t.Fatal("empty String")
@@ -84,7 +107,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 				c.Input.Add(1)
 				c.Probes.Add(1)
 				if i%100 == 0 {
-					markOutput(&c, time.Unix(int64(i), 0))
+					c.Output.Add(1)
 				}
 			}
 		}()
@@ -98,17 +121,16 @@ func TestConcurrentSnapshot(t *testing.T) {
 	if s.Probes != workers*perWorker {
 		t.Fatalf("Probes = %d, want %d", s.Probes, workers*perWorker)
 	}
+	if s.Output != workers*perWorker/100 {
+		t.Fatalf("Output = %d, want %d", s.Output, workers*perWorker/100)
+	}
 }
 
 func TestSnapshotAdd(t *testing.T) {
-	a := Snapshot{Input: 1, Output: 2, Probes: 3, OutputLatencies: []time.Duration{time.Second}}
-	b := Snapshot{Input: 10, Output: 20, Probes: 30, OutputLatencies: []time.Duration{2 * time.Second}}
-	sum := a.Add(b)
-	if sum.Input != 11 || sum.Output != 22 || sum.Probes != 33 {
+	a := Snapshot{Input: 1, Output: 2, Probes: 3, MigrationWork: 4}
+	b := Snapshot{Input: 10, Output: 20, Probes: 30, MigrationWork: 40}
+	if sum := a.Add(b); sum != (Snapshot{Input: 11, Output: 22, Probes: 33, MigrationWork: 44}) {
 		t.Fatalf("Add = %+v", sum)
-	}
-	if len(sum.OutputLatencies) != 2 {
-		t.Fatalf("latencies = %v", sum.OutputLatencies)
 	}
 }
 
@@ -129,11 +151,10 @@ func TestMergeShards(t *testing.T) {
 
 func TestSnapshotStringSections(t *testing.T) {
 	s := Snapshot{
-		Input: 1, Output: 2, Completions: 3, CompletedEntries: 4,
-		DupDropped: 5, EddyVisits: 6, Transitions: 7,
+		Input: 1, Output: 2, Completions: 3, CompletedEntries: 4, Transitions: 7,
 	}
 	str := s.String()
-	for _, want := range []string{"completions=3", "dup-dropped=5", "eddy-visits=6", "transitions=7"} {
+	for _, want := range []string{"in=1 out=2", "completions=3(+4 entries)", "transitions=7"} {
 		if !contains(str, want) {
 			t.Errorf("String %q missing %q", str, want)
 		}
@@ -147,27 +168,4 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-// TestMarkOutputsAtCountsAProbeAtOnce: one call counts all of a probe's
-// results and reads the clock only to close the latency a transition
-// left open — once, whatever the count.
-func TestMarkOutputsAtCountsAProbeAtOnce(t *testing.T) {
-	var c Collector
-	t0 := time.Unix(100, 0)
-	reads := 0
-	clock := func() time.Time { reads++; return t0.Add(time.Duration(reads) * time.Millisecond) }
-	c.MarkOutputsAt(7, clock)
-	if c.Output.Load() != 7 || reads != 0 {
-		t.Fatalf("output=%d after 7 results, clock read %d times with no transition pending", c.Output.Load(), reads)
-	}
-	c.MarkTransition(t0)
-	c.MarkOutputsAt(400, clock)
-	c.MarkOutputsAt(3, clock)
-	if c.Output.Load() != 410 || reads != 1 {
-		t.Fatalf("output=%d, clock read %d times; want 410 and 1", c.Output.Load(), reads)
-	}
-	if lat := c.OutputLatencies(); len(lat) != 1 || lat[0] != time.Millisecond {
-		t.Fatalf("latencies = %v, want one of 1ms", lat)
-	}
 }

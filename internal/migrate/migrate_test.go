@@ -37,22 +37,55 @@ func TestMovingStateEagerlyFillsStates(t *testing.T) {
 	}
 }
 
+// haltClock wraps a strategy so that its OnTransition advances a fake
+// clock by one second per unit of migration work done in it: the halt
+// an eager strategy pays inside Migrate, in numbers a test can assert.
+type haltClock struct {
+	engine.Strategy
+	clock *time.Time
+}
+
+func (h haltClock) OnTransition(e *engine.Engine) error {
+	before := e.Metrics().MigrationWork
+	err := h.Strategy.OnTransition(e)
+	*h.clock = h.clock.Add(time.Duration(e.Metrics().MigrationWork-before) * time.Second)
+	return err
+}
+
+// TestMovingStateOutputLatencyIsTheHalt: Moving State recomputes the
+// new plan's {1,2} state (three entries) inside Migrate, so the first
+// result after the transition costs no further migration work and the
+// output latency a caller measures from before Migrate (package bench)
+// is the halt plus the feeding time until that result.
 func TestMovingStateOutputLatencyIsTheHalt(t *testing.T) {
-	clock := time.Unix(0, 0)
+	var clock, firstAt time.Time
+	outputs := 0
 	e := engine.MustNew(engine.Config{
-		Plan: plan.MustLeftDeep(0, 1, 2), Strategy: MovingState{},
-		Now: func() time.Time { return clock },
+		Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 100,
+		Strategy: haltClock{MovingState{}, &clock},
+		Output: func(engine.Delta) {
+			if outputs == 0 {
+				firstAt = clock
+			}
+			outputs++
+		},
 	})
-	e.Feed(ev(1, 1))
-	e.Feed(ev(2, 1))
+	for _, k := range []tuple.Value{1, 2, 3} {
+		e.Feed(ev(1, k))
+		e.Feed(ev(2, k))
+	}
+	start := clock
 	if err := e.Migrate(plan.MustLeftDeep(1, 2, 0)); err != nil {
 		t.Fatal(err)
 	}
-	clock = clock.Add(2 * time.Second) // models the recomputation halt
+	halt := e.Metrics().MigrationWork
+	clock = clock.Add(2 * time.Millisecond)
 	e.Feed(ev(0, 1))
-	lat := e.Metrics().OutputLatencies
-	if len(lat) != 1 || lat[0] != 2*time.Second {
-		t.Fatalf("latencies = %v", lat)
+	if halt != 3 || e.Metrics().MigrationWork != halt {
+		t.Fatalf("migration work %d in Migrate, %d after the first result; want 3 and 3", halt, e.Metrics().MigrationWork)
+	}
+	if want := 3*time.Second + 2*time.Millisecond; outputs != 1 || firstAt.Sub(start) != want {
+		t.Fatalf("%d results, first %v after the transition; want 1 and %v", outputs, firstAt.Sub(start), want)
 	}
 }
 
@@ -176,7 +209,7 @@ func TestParallelTrackDuplicateElimination(t *testing.T) {
 	if len(counts) != 2 {
 		t.Fatalf("outputs = %v, want the all-new pair and the mixed pair", counts)
 	}
-	if pt.Metrics().DupDropped == 0 {
+	if pt.DupDropped() == 0 {
 		t.Fatal("no duplicates recorded as dropped")
 	}
 }

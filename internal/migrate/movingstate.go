@@ -26,7 +26,8 @@ func (MovingState) Name() string { return "moving-state" }
 // OnTransition implements engine.Strategy: fill every incomplete state
 // bottom-up and mark it complete. The engine is single-threaded, so
 // the time this call takes is exactly the halt the paper describes —
-// the latency metrics window it via MarkTransition/MarkOutputsAt.
+// Figure 10's output-latency window opens before Migrate and so
+// contains it.
 func (MovingState) OnTransition(e *engine.Engine) error {
 	for _, n := range e.Nodes() {
 		if n.IsLeaf() {

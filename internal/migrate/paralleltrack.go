@@ -2,7 +2,6 @@ package migrate
 
 import (
 	"fmt"
-	"time"
 
 	"jisc/internal/engine"
 	"jisc/internal/metrics"
@@ -45,7 +44,9 @@ type ParallelTrack struct {
 	streams     tuple.StreamSet
 	out         engine.Output
 	met         metrics.Collector
-	now         func() time.Time
+	// dupDropped counts results suppressed by root duplicate
+	// elimination.
+	dupDropped uint64
 
 	// checkEvery is the input-count period of the old-plan discard
 	// scan (§3.3 calls out its cost).
@@ -71,8 +72,6 @@ type PTConfig struct {
 	// CheckEvery is the discard-scan period in input tuples
 	// (default 1000).
 	CheckEvery int
-	// Now supplies time for latency metrics (default time.Now).
-	Now func() time.Time
 }
 
 // NewParallelTrack builds the executor on its initial plan.
@@ -86,15 +85,11 @@ func NewParallelTrack(cfg PTConfig) (*ParallelTrack, error) {
 	if cfg.CheckEvery < 0 {
 		return nil, fmt.Errorf("paralleltrack: negative check period")
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	pt := &ParallelTrack{
 		windowSize:  cfg.WindowSize,
 		windowSizes: cfg.WindowSizes,
 		streams:     cfg.Plan.Streams,
 		out:         cfg.Output,
-		now:         cfg.Now,
 		checkEvery:  uint64(cfg.CheckEvery),
 		seqs:        make(map[tuple.StreamID]uint64),
 		seen:        make(map[string]struct{}),
@@ -126,7 +121,6 @@ func (pt *ParallelTrack) newTrack(p *plan.Plan, born uint64) (*track, error) {
 		Output: func(d engine.Delta) {
 			pt.emit(tr, d)
 		},
-		Now: pt.now,
 	})
 	if err != nil {
 		return nil, err
@@ -141,6 +135,10 @@ func (pt *ParallelTrack) Name() string { return "parallel-track" }
 // Tracks returns the number of concurrently running plans (1 in
 // steady state).
 func (pt *ParallelTrack) Tracks() int { return len(pt.tracks) }
+
+// DupDropped returns how many results root duplicate elimination has
+// suppressed.
+func (pt *ParallelTrack) DupDropped() uint64 { return pt.dupDropped }
 
 // Metrics implements engine.Executor.
 func (pt *ParallelTrack) Metrics() metrics.Snapshot {
@@ -167,12 +165,12 @@ func (pt *ParallelTrack) emit(tr *track, d engine.Delta) {
 	if len(pt.tracks) > 1 {
 		fp := d.Tuple.Fingerprint()
 		if _, dup := pt.seen[fp]; dup {
-			pt.met.DupDropped.Add(1)
+			pt.dupDropped++
 			return
 		}
 		pt.seen[fp] = struct{}{}
 	}
-	pt.met.MarkOutputsAt(1, pt.now)
+	pt.met.Output.Add(1)
 	if pt.out != nil {
 		pt.out(d)
 	}
@@ -203,7 +201,7 @@ func (pt *ParallelTrack) Migrate(p *plan.Plan) error {
 	if p.Streams != pt.streams {
 		return fmt.Errorf("paralleltrack: new plan covers %v, old covers %v", p.Streams, pt.streams)
 	}
-	pt.met.MarkTransition(pt.now())
+	pt.met.Transitions.Add(1)
 	tr, err := pt.newTrack(p, pt.inputs)
 	if err != nil {
 		return err

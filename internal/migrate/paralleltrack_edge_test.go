@@ -36,7 +36,7 @@ func TestParallelTrackOverlapArrivalDedup(t *testing.T) {
 	pt.Feed(ev(1, 5)) // 1#1 arrives during the overlap, lands in BOTH tracks
 	// Old track pairs 0#1 with 1#1; the new track has no stream-0
 	// tuple, so no duplicate yet.
-	if got := pt.Metrics().DupDropped; got != 0 {
+	if got := pt.DupDropped(); got != 0 {
 		t.Fatalf("DupDropped = %d before any duplicate was possible", got)
 	}
 	pt.Feed(ev(0, 5)) // 0#2: pairs with the overlap tuple 1#1 in BOTH tracks
@@ -44,7 +44,7 @@ func TestParallelTrackOverlapArrivalDedup(t *testing.T) {
 	if d := diffFingerprints(want, counts); d != "" {
 		t.Fatalf("overlap-arrival output multiset wrong:\n%s", d)
 	}
-	if got := pt.Metrics().DupDropped; got != 1 {
+	if got := pt.DupDropped(); got != 1 {
 		t.Fatalf("DupDropped = %d, want exactly 1 (the twin of 0#2|1#1)", got)
 	}
 }

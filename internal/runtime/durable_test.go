@@ -81,14 +81,14 @@ func runReference(t *testing.T, shards int, evs []workload.Event, migrateAt int,
 	return out, counterMapOf(m), p.String()
 }
 
-// counterMapOf flattens the deterministic counters of a snapshot for
-// comparison; latency samples are wall-clock and excluded.
+// counterMapOf flattens the counters of a snapshot into named values,
+// so a mismatch prints which counter moved.
 func counterMapOf(m metrics.Snapshot) map[string]uint64 {
 	return map[string]uint64{
 		"input": m.Input, "output": m.Output,
 		"probes": m.Probes, "inserts": m.Inserts,
 		"completions": m.Completions, "completed_entries": m.CompletedEntries,
-		"evictions": m.Evictions, "dup_dropped": m.DupDropped,
+		"evictions":   m.Evictions,
 		"transitions": m.Transitions,
 	}
 }

@@ -487,10 +487,10 @@ func (rt *Runtime) Plan() (p *plan.Plan, err error) {
 // ScanStats sums the per-stream scan counters across shards. The
 // counters are plain worker-owned fields, so the in-band round trip is
 // what makes the read race-free. The sums are cumulative like the
-// per-shard counters; consumers diff successive readings
-// (optimizer.Advisor rebaselines when a transition resets them). During
-// a Migrate fan-out shards can briefly disagree on the plan; summing
-// over the stream union keeps the reading well-defined.
+// per-shard counters; consumers diff successive readings (the
+// autopilot's advisor rebaselines when a transition resets them).
+// During a Migrate fan-out shards can briefly disagree on the plan;
+// summing over the stream union keeps the reading well-defined.
 func (rt *Runtime) ScanStats() ([]engine.ScanStats, error) {
 	byStream := make(map[tuple.StreamID]engine.ScanStats)
 	err := rt.each(func(_ int, e *engine.Engine) {

@@ -7,8 +7,8 @@
 // It is a leaf package by design: the durability layer (internal/
 // durable) and the tiered state store (internal/statestore) both build
 // on it, and durable itself depends on the engine for recovery — so
-// the shared primitives must live below both. durable re-exports the
-// names it historically owned as aliases.
+// the shared primitives must live below both. Both name them through
+// this package directly.
 package storage
 
 import (
