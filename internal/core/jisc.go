@@ -94,10 +94,10 @@ func (c *JISC) BeforeProbe(e *engine.Engine, j, opp *engine.Node, t *tuple.Tuple
 		}
 		end()
 	case opp.Ls != nil:
-		if opp.Ls.Complete() || opp.Ls.Attempted(t.Refs[0]) {
+		if opp.Ls.Complete() || opp.Ls.Attempted(t.First()) {
 			return
 		}
-		opp.Ls.MarkAttempted(t.Refs[0])
+		opp.Ls.MarkAttempted(t.First())
 		end := beginEpisode(e, t.Key)
 		c.completeNLState(e, opp)
 		end()
@@ -191,23 +191,24 @@ func (c *JISC) completeKeyLD(e *engine.Engine, n *engine.Node, key tuple.Value) 
 }
 
 // joinInto materializes the pre-Born entries of key at join node n
-// from its children's states.
+// from its children's states, each row built straight into n's run
+// from the children's lent views.
 func (c *JISC) joinInto(e *engine.Engine, n *engine.Node, key tuple.Value) {
 	met := e.Collector()
 	met.Completions.Add(1)
-	bld := e.Builder()
 	born := n.Born
 	left := n.Left.St.Probe(key)
 	right := n.Right.St.Probe(key)
-	for _, l := range left {
-		if l.Arrival > born {
+	var l, r tuple.Tuple
+	for i := range left.Len() {
+		if left.View(i, &l).Arrival > born {
 			continue
 		}
-		for _, r := range right {
-			if r.Arrival > born {
+		for j := range right.Len() {
+			if right.View(j, &r).Arrival > born {
 				continue
 			}
-			n.St.Insert(bld.Join(l, r))
+			n.St.InsertJoin(&l, &r)
 			met.CompletedEntries.Add(1)
 		}
 	}
@@ -252,7 +253,8 @@ func (c *JISC) completeNLState(e *engine.Engine, n *engine.Node) {
 				return true
 			}
 			if pred(l, r) {
-				n.Ls.Insert(bld.JoinTheta(l, r))
+				// A theta composite takes the left key.
+				n.Ls.Insert(bld.Join(l, r))
 				met.CompletedEntries.Add(1)
 			}
 			return true
@@ -320,9 +322,11 @@ func (c *JISC) completeDiffKey(e *engine.Engine, j *engine.Node, key tuple.Value
 	met.Completions.Add(1)
 	// Does the inner stream suppress this key (ignoring the excluded
 	// in-flight tuple)?
+	var t tuple.Tuple
 	suppressed := false
-	for _, b := range j.Right.St.Probe(key) {
-		if haveExclude && b.Refs[0] == exclude {
+	inner := j.Right.St.Probe(key)
+	for i := range inner.Len() {
+		if haveExclude && inner.View(i, &t).First() == exclude {
 			continue
 		}
 		suppressed = true
@@ -330,17 +334,17 @@ func (c *JISC) completeDiffKey(e *engine.Engine, j *engine.Node, key tuple.Value
 	}
 	if !suppressed {
 		existing := make(map[tuple.Ref]bool)
-		for _, t := range j.St.Probe(key) {
-			existing[t.Refs[0]] = true
+		stored := j.St.Probe(key)
+		for i := range stored.Len() {
+			existing[stored.View(i, &t).First()] = true
 		}
-		for _, t := range j.Left.St.Probe(key) {
-			if haveExclude && t.Refs[0] == exclude {
+		outer := j.Left.St.Probe(key)
+		for i := range outer.Len() {
+			ref := outer.View(i, &t).First()
+			if haveExclude && ref == exclude || existing[ref] {
 				continue
 			}
-			if existing[t.Refs[0]] {
-				continue
-			}
-			j.St.Insert(t)
+			j.St.Insert(&t)
 			met.CompletedEntries.Add(1)
 		}
 	}

@@ -49,7 +49,7 @@ func newDiffHarness(t *testing.T, strat engine.Strategy, streams, win int) *diff
 		Plan: plan.MustLeftDeep(order...), Kind: engine.SetDiff, WindowSize: win,
 		Strategy: strat,
 		Output: func(d engine.Delta) {
-			ref := d.Tuple.Refs[0]
+			ref := d.Tuple.First()
 			if d.Retraction {
 				if _, ok := h.passing[ref]; !ok {
 					t.Fatalf("retraction of non-passing tuple %v", ref)

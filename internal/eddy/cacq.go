@@ -169,10 +169,11 @@ func (c *CACQ) Feed(ev workload.Event) {
 		c.met.Probes.Add(1)
 		matches := c.stems[next].Probe(u.Key)
 		if c.lot != nil {
-			c.lot.observe(next, len(matches))
+			c.lot.observe(next, matches.Len())
 		}
-		for _, m := range matches {
-			c.queue = append(c.queue, tuple.Join(u, m))
+		var m tuple.Tuple
+		for i := range matches.Len() {
+			c.queue = append(c.queue, tuple.Join(u, matches.View(i, &m)))
 		}
 	}
 }

@@ -207,9 +207,10 @@ func (s *Stairs) Feed(ev workload.Event) {
 func (s *Stairs) probe(st *state.Table, t *tuple.Tuple) []*tuple.Tuple {
 	s.met.Probes.Add(1)
 	matches := st.Probe(t.Key)
-	out := make([]*tuple.Tuple, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, tuple.Join(t, m))
+	out := make([]*tuple.Tuple, 0, matches.Len())
+	var m tuple.Tuple
+	for i := range matches.Len() {
+		out = append(out, tuple.Join(t, matches.View(i, &m)))
 	}
 	return out
 }
@@ -232,7 +233,7 @@ func (s *Stairs) completeLazy(st *state.Table, prefixes []tuple.StreamSet, idx i
 	}
 	// Entries below the walk: either a completed prefix or the base
 	// stem of order[0].
-	var entries []*tuple.Tuple
+	var entries tuple.Rows
 	if low >= 0 {
 		entries = s.inter[prefixes[low]].Probe(key)
 	} else {
@@ -243,15 +244,17 @@ func (s *Stairs) completeLazy(st *state.Table, prefixes []tuple.StreamSet, idx i
 		born := s.born[prefixes[k]]
 		stem := s.stems[s.order[k+1]]
 		s.met.Completions.Add(1)
-		for _, l := range entries {
-			if l.Arrival > born {
+		rs := stem.Probe(key)
+		var l, r tuple.Tuple
+		for i := range entries.Len() {
+			if entries.View(i, &l).Arrival > born {
 				continue
 			}
-			for _, r := range stem.Probe(key) {
-				if r.Arrival > born {
+			for j := range rs.Len() {
+				if rs.View(j, &r).Arrival > born {
 					continue
 				}
-				target.Insert(tuple.Join(l, r))
+				target.InsertJoin(&l, &r)
 				s.met.CompletedEntries.Add(1)
 			}
 		}
@@ -277,7 +280,7 @@ func (s *Stairs) evict(exp window.Entry) {
 			continue
 		}
 		st := s.inter[set]
-		removed := len(st.RemoveRef(exp.Key, exp.Ref))
+		removed := st.RemoveRef(exp.Key, exp.Ref).Len()
 		s.met.Evictions.Add(uint64(removed))
 		if removed == 0 && !(s.lazy && !st.Complete() && !st.Attempted(exp.Key)) {
 			return
@@ -339,10 +342,12 @@ func (s *Stairs) promoteAll() {
 			below = s.inter[prefixes[k-1]]
 		}
 		stem := s.stems[s.order[k+1]]
+		var l, r tuple.Tuple
 		for _, key := range below.Keys() {
-			for _, l := range below.Probe(key) {
-				for _, r := range stem.Probe(key) {
-					st.Insert(tuple.Join(l, r))
+			ls, rs := below.Probe(key), stem.Probe(key)
+			for i := range ls.Len() {
+				for j := range rs.Len() {
+					st.InsertJoin(ls.View(i, &l), rs.View(j, &r))
 					s.met.MigrationWork.Add(1)
 				}
 			}

@@ -73,16 +73,42 @@ type tupleSnap struct {
 	Oldest  uint64
 }
 
+// snapOf copies t out: its refs in stream order, from its set and seqs.
 func snapOf(t *tuple.Tuple) tupleSnap {
-	return tupleSnap{Key: t.Key, Refs: t.Refs, Arrival: t.Arrival, Oldest: t.Oldest}
+	s := tupleSnap{Key: t.Key, Refs: make([]tuple.Ref, len(t.Seqs)), Arrival: t.Arrival, Oldest: t.Oldest}
+	for i, id := range t.Set.Streams() {
+		s.Refs[i] = tuple.Ref{Stream: id, Seq: t.Seqs[i]}
+	}
+	return s
 }
 
-func (s tupleSnap) tuple() *tuple.Tuple {
-	set := tuple.StreamSet(0)
-	for _, r := range s.Refs {
-		set = set.Add(r.Stream)
+// tuple rebuilds the snapped tuple. Refs must be in strictly ascending
+// stream order, as snapOf writes them: a tuple's seqs follow its set's
+// order, so a repeated or out-of-order stream would misplace every seq
+// after it. A checkpoint breaking that is refused, not repaired.
+func (s tupleSnap) tuple() (*tuple.Tuple, error) {
+	if len(s.Refs) == 0 {
+		return nil, fmt.Errorf("engine: checkpoint tuple with key %d has no refs", s.Key)
 	}
-	return &tuple.Tuple{Key: s.Key, Set: set, Refs: s.Refs, Arrival: s.Arrival, Oldest: s.Oldest}
+	t := &tuple.Tuple{Key: s.Key, Seqs: make([]uint64, len(s.Refs)), Arrival: s.Arrival, Oldest: s.Oldest}
+	for i, r := range s.Refs {
+		if r.Stream >= tuple.MaxStreams || (i > 0 && r.Stream <= s.Refs[i-1].Stream) {
+			return nil, fmt.Errorf("engine: checkpoint tuple with key %d: refs %v not in ascending stream order", s.Key, s.Refs)
+		}
+		t.Set = t.Set.Add(r.Stream)
+		t.Seqs[i] = r.Seq
+	}
+	return t, nil
+}
+
+// rowSet returns the stream set every tuple stored at hash node n
+// covers: n's own, or for a set-difference node the outer stream's,
+// whose tuples it passes through.
+func rowSet(n *Node) tuple.StreamSet {
+	for n.Kind == SetDiff {
+		n = n.Left
+	}
+	return n.Set
 }
 
 type tableSnap struct {
@@ -274,7 +300,14 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 			ts.Entries = nil
 		}
 		for _, en := range ts.Entries {
-			n.St.Insert(en.tuple())
+			t, err := en.tuple()
+			if err != nil {
+				return nil, err
+			}
+			if t.Set != rowSet(n) {
+				return nil, fmt.Errorf("engine: checkpoint table %v holds a tuple covering %v, want %v", ts.Set, t.Set, rowSet(n))
+			}
+			n.St.Insert(t)
 		}
 		n.St.RestoreMeta(ts.Complete, ts.Attempted, ts.Pending, ts.CounterArmed)
 		if ts.CounterArmed && ts.CounterSide != 0 {
@@ -292,7 +325,11 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		}
 		n.Ls.Clear()
 		for _, en := range ls.Entries {
-			n.Ls.Insert(en.tuple())
+			t, err := en.tuple()
+			if err != nil {
+				return nil, err
+			}
+			n.Ls.Insert(t)
 		}
 		n.Ls.RestoreMeta(ls.Complete, ls.Attempted)
 	}

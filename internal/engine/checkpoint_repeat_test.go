@@ -2,29 +2,47 @@ package engine_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
 	"jisc/internal/plan"
+	"jisc/internal/storage"
 	"jisc/internal/workload"
 )
 
-// TestCheckpointBytesRepeat: two engines fed the same input, with the
-// same migration mid-stream, write the same checkpoint byte for byte —
-// taken while the new plan's states are still incomplete, so the
-// attempted sets and the armed counters' pending keys are in it too.
-// Nothing the checkpoint carries may follow Go map order.
+// TestCheckpointBytesRepeat: engines fed the same input, with the same
+// migration mid-stream, write the same checkpoint byte for byte — taken
+// while the new plan's states are still incomplete, so the attempted
+// sets and the armed counters' pending keys are in it too. Nothing the
+// checkpoint carries may follow Go map order.
+//
+// The bytes are pinned to those the pointer layout wrote (a tuple per
+// heap object, before join state became rows): their length and
+// SHA-256. Runs under a state budget, which spill and fault buckets all
+// through, must write them too. Together these prove that the row
+// layout keeps every state's contents and order, and that spilling
+// never changes them.
 func TestCheckpointBytesRepeat(t *testing.T) {
-	const migrateAt, ckptAt = 600, 700
+	const (
+		migrateAt, ckptAt = 600, 700
+		wantLen           = 14720
+		wantSum           = "32d46b877aef2b7365aac8c15601218e18a129aeec950633080b4639329422f4"
+	)
 	evs := uniformEvents(1200, 4, 40, 11)
 	epoch := time.Unix(0, 0)
-	checkpoint := func() []byte {
-		e := engine.MustNew(engine.Config{
+	checkpoint := func(budget int64) {
+		cfg := engine.Config{
 			Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 60, Strategy: core.New(),
 			Now: func() time.Time { return epoch },
-		})
+		}
+		if budget > 0 {
+			cfg.StateBudget, cfg.SpillDir, cfg.SpillFS = budget, "spill", storage.NewMemFS()
+		}
+		e := engine.MustNew(cfg)
 		defer e.Close()
 		e.FeedBatch(evs[:migrateAt])
 		if err := e.Migrate(plan.MustLeftDeep(3, 2, 1, 0)); err != nil {
@@ -35,13 +53,15 @@ func TestCheckpointBytesRepeat(t *testing.T) {
 		if err := e.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
-	}
-	first := checkpoint()
-	for run := 1; run < 5; run++ {
-		if got := checkpoint(); !bytes.Equal(got, first) {
-			t.Fatalf("run %d: checkpoint of %d bytes differs from the first run's %d", run, len(got), len(first))
+		if sum := sha256.Sum256(buf.Bytes()); buf.Len() != wantLen || hex.EncodeToString(sum[:]) != wantSum {
+			t.Fatalf("budget %d: checkpoint is %d B with SHA-256 %x, want %d B with %s", budget, buf.Len(), sum, wantLen, wantSum)
 		}
+		if st, ok := e.SpillStats(); budget > 0 && (!ok || st.Spills == 0 || st.Faults == 0) {
+			t.Fatalf("budget %d: spills %d, faults %d; the run must spill and fault", budget, st.Spills, st.Faults)
+		}
+	}
+	for _, budget := range []int64{0, 0, 0, 0, 0, 4000, 8000, 16000} {
+		checkpoint(budget)
 	}
 }
 

@@ -63,7 +63,7 @@ type Config struct {
 	// defaults to time.Now. Tests inject a fake clock.
 	Now func() time.Time
 	// StateBudget, when positive, bounds the engine's resident state
-	// bytes (state.TupleBytes accounting): a tiered statestore spills
+	// bytes (row and slot bytes, state.TupleBytes): a tiered statestore spills
 	// cold hash buckets to CRC-framed segment files and faults them
 	// back just in time when a probe needs them — the storage-level
 	// analogue of JISC's lazy completion. Zero or negative keeps all

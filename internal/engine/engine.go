@@ -95,11 +95,19 @@ type Engine struct {
 	obs      *obs.Recorder
 	now      func() time.Time
 	// bld is the engine's scratch allocator, acquired from the shared
-	// pool for the engine's lifetime: the arenas base tuples and stored
-	// composites are carved from, and the one transient composite an
-	// unstored root's results are lent in. One builder per engine keeps
-	// it single-threaded without locks.
+	// pool for the engine's lifetime: the arenas nested-loops
+	// composites and a storing root's results are carved from, and the
+	// one transient composite an unstored root's results are lent in.
+	// One builder per engine keeps it single-threaded without locks.
+	// Hash-join composites are built straight into their state's rows
+	// (state.Table.InsertJoin).
 	bld *tuple.Builder
+	// base is the arriving tuple, lent up the tree while it is
+	// processed, and baseSeq its one seq; view is the scratch a removed
+	// row is read through.
+	base    tuple.Tuple
+	baseSeq [1]uint64
+	view    tuple.Tuple
 
 	// tick is the global arrival counter.
 	tick uint64
@@ -272,7 +280,7 @@ func (e *Engine) Theta() func(probe, stored *tuple.Tuple) bool { return e.cfg.Th
 
 // Builder returns the engine's arena-backed tuple builder — the
 // per-run scratch allocator operators and strategies construct
-// composite tuples through.
+// composites kept by pointer (nested-loops lists) through.
 func (e *Engine) Builder() *tuple.Builder { return e.bld }
 
 // SetOutput replaces the output callback. The engine must be quiescent
@@ -309,7 +317,7 @@ func (e *Engine) SpillStats() (statestore.Stats, bool) {
 }
 
 // StateBytes returns the resident byte footprint of the engine's state
-// (state.TupleBytes accounting). With spilling enabled it reads the
+// (row and slot bytes, state.TupleBytes). With spilling enabled it reads the
 // store's atomic counter and is safe from any goroutine; otherwise it
 // sums the live tables and lists and must run on the goroutine that
 // feeds the engine.
@@ -386,10 +394,11 @@ func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint6
 		e.evict(scan, expired)
 	}
 
-	t := e.bld.Base(ev.Stream, seq, ev.Key, e.tick)
-	scan.St.Insert(t)
+	e.baseSeq[0] = seq
+	e.base = tuple.Tuple{Key: ev.Key, Set: scan.Set, Seqs: e.baseSeq[:], Arrival: e.tick, Oldest: e.tick}
+	scan.St.Insert(&e.base)
 	e.met.Inserts.Add(1)
-	e.pushUp(scan, t)
+	e.pushUp(scan, &e.base)
 }
 
 // IterKeys returns st's distinct keys in ascending order for a
@@ -413,16 +422,16 @@ func (e *Engine) pushUp(child *Node, t *tuple.Tuple) {
 	j.Op.Push(e, j, child, t)
 }
 
-// emit delivers a root result.
+// emit delivers a result of a root that stores its output (forward
+// delivers the others). What it is handed is a view of a stored row or
+// of the arriving tuple, so the callback gets an arena copy, which
+// stays valid (Delta).
 func (e *Engine) emit(d Delta) {
-	if d.Retraction {
-		if e.out != nil {
-			e.out(d)
-		}
-		return
+	if !d.Retraction {
+		e.met.Output.Add(1)
 	}
-	e.met.Output.Add(1)
 	if e.out != nil {
+		d.Tuple = e.bld.Copy(d.Tuple)
 		e.out(d)
 	}
 }

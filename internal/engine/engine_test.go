@@ -627,3 +627,70 @@ func TestRestoreRejectsUnknownSnapVersion(t *testing.T) {
 		}
 	}
 }
+
+// A checkpointed tuple lists its refs in strictly ascending stream
+// order and covers the set its table's rows cover — the node's own, or
+// the outer stream at a set-difference node. Restore reads every
+// well-formed checkpoint back to the same bytes, and refuses a crafted
+// one that breaks either rule rather than misplacing seqs or panicking.
+func TestRestoreChecksTupleShape(t *testing.T) {
+	evs := []workload.Event{ev(0, 1), ev(1, 2), ev(2, 1), ev(0, 2), ev(1, 1), ev(0, 3), ev(2, 3)}
+	checkpoint := func(e *Engine) []byte {
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, kind := range []Kind{HashJoin, SetDiff} {
+		cfg := Config{Plan: plan.MustLeftDeep(0, 1, 2), Kind: kind, WindowSize: 50}
+		e := MustNew(cfg)
+		feedAll(e, evs)
+		ckpt := checkpoint(e)
+		e.Close()
+		cfg.Plan = nil
+		back, err := Restore(bytes.NewReader(ckpt), cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if again := checkpoint(back); !bytes.Equal(again, ckpt) {
+			t.Fatalf("%v: restored engine checkpoints to %d bytes, not the %d it read", kind, len(again), len(ckpt))
+		}
+		back.Close()
+	}
+
+	cfg := Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 50}
+	e := MustNew(cfg)
+	feedAll(e, evs)
+	ckpt := checkpoint(e)
+	e.Close()
+	cfg.Plan = nil
+	for name, edit := range map[string]func([]tuple.Ref) []tuple.Ref{
+		"repeated stream": func(r []tuple.Ref) []tuple.Ref { return []tuple.Ref{r[0], r[0]} },
+		"descending":      func(r []tuple.Ref) []tuple.Ref { return []tuple.Ref{r[1], r[0]} },
+		"other set":       func(r []tuple.Ref) []tuple.Ref { return r[:1] },
+		"no refs":         func([]tuple.Ref) []tuple.Ref { return nil },
+	} {
+		var snap engineSnap
+		if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		edited := false
+		for i := range snap.Tables {
+			if ts := &snap.Tables[i]; ts.Set == tuple.NewStreamSet(0, 1) && len(ts.Entries) > 0 {
+				ts.Entries[0].Refs = edit(ts.Entries[0].Refs)
+				edited = true
+			}
+		}
+		if !edited {
+			t.Fatal("the checkpoint holds no {0,1} join result to edit")
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(&buf, cfg); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+			t.Errorf("%s: Restore err = %v, want a refusal", name, err)
+		}
+	}
+}

@@ -32,19 +32,23 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 			break // the root's results were emitted, not stored
 		}
 		last = j
-		var removed []*tuple.Tuple
+		retract := j.Parent == nil && e.cfg.EmitExpiry
+		var removed int
 		if j.St != nil {
-			removed = j.St.RemoveRef(exp.Key, exp.Ref)
+			rows := j.St.RemoveRef(exp.Key, exp.Ref)
+			removed = rows.Len()
+			for i := 0; retract && i < removed; i++ {
+				e.emit(Delta{Tuple: rows.View(i, &e.view), Retraction: true})
+			}
 		} else {
-			removed = j.Ls.RemoveRef(exp.Ref)
-		}
-		e.met.Evictions.Add(uint64(len(removed)))
-		if j.Parent == nil && e.cfg.EmitExpiry {
-			for _, t := range removed {
-				e.emit(Delta{Tuple: t, Retraction: true})
+			tuples := j.Ls.RemoveRef(exp.Ref)
+			removed = len(tuples)
+			for i := 0; retract && i < removed; i++ {
+				e.emit(Delta{Tuple: tuples[i], Retraction: true})
 			}
 		}
-		if len(removed) == 0 && !e.strategy.EvictContinue(e, j, exp.Key) {
+		e.met.Evictions.Add(uint64(removed))
+		if removed == 0 && !e.strategy.EvictContinue(e, j, exp.Key) {
 			break
 		}
 	}

@@ -22,11 +22,12 @@ type hashJoinOp struct{}
 func (hashJoinOp) Kind() Kind { return HashJoin }
 
 // Push implements Operator: probe the opposite child's hash state with
-// t's key, build composites through the engine's scratch builder, store
-// them where a later probe can read them (storesOutput), and recurse
-// upward. With instrumentation on, one in obs.sampleEvery probes is
-// timed (probe and build separately) — sampling keeps the two extra
-// clock reads off most of the hot path.
+// t's key, build each composite straight into j's rows where a later
+// probe can read it (storesOutput), and recurse upward with the row's
+// view. Matches are lent as views of the opposite state's run, read in
+// place: a probe allocates nothing per match. With instrumentation on,
+// one in obs.sampleEvery probes is timed (probe and build separately) —
+// sampling keeps the two extra clock reads off most of the hot path.
 func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
 	e.strategy.BeforeProbe(e, j, opp, t)
@@ -41,15 +42,16 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 		t1 = e.now()
 		e.obs.Probe.Record(t1.Sub(t0))
 	}
+	n := matches.Len()
 	opp.Probes++
-	opp.Matches += uint64(len(matches))
+	opp.Matches += uint64(n)
 	if !e.storesOutput(j) {
-		e.forward(t, matches, timed, t1)
+		e.forward(t, matches, n, timed, t1)
 		return
 	}
-	for i, m := range matches {
-		out := e.bld.Join(t, m)
-		j.St.Insert(out)
+	var m tuple.Tuple
+	for i := range n {
+		out := j.St.InsertJoin(t, matches.View(i, &m))
 		e.met.Inserts.Add(1)
 		if timed && i == 0 {
 			// Time only the first build of a timed probe, reusing the
@@ -66,16 +68,17 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 // is built into the builder's one transient composite and overwritten
 // by the next (Delta has the rule), and the probe is counted with one
 // add. Without a callback — WAL replay — nothing is built at all.
-func (e *Engine) forward(t *tuple.Tuple, matches []*tuple.Tuple, timed bool, probed time.Time) {
-	if len(matches) == 0 {
+func (e *Engine) forward(t *tuple.Tuple, matches tuple.Rows, n int, timed bool, probed time.Time) {
+	if n == 0 {
 		return
 	}
-	e.met.Output.Add(uint64(len(matches)))
+	e.met.Output.Add(uint64(n))
 	if e.out == nil {
 		return
 	}
-	for i, m := range matches {
-		out := e.bld.JoinTransient(t, m)
+	var m tuple.Tuple
+	for i := range n {
+		out := e.bld.JoinTransient(t, matches.View(i, &m))
 		if timed && i == 0 {
 			e.obs.Build.Record(e.now().Sub(probed)) // as in Push
 		}

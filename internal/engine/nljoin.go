@@ -43,7 +43,10 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 			hit = pred(m, t)
 		}
 		if hit {
-			out := e.bld.JoinTheta(t, m)
+			// A theta composite takes the probing tuple's key: theta
+			// states are scanned, not hashed, so the key only matters
+			// for diagnostics.
+			out := e.bld.Join(t, m)
 			j.Ls.Insert(out)
 			e.met.Inserts.Add(1)
 			e.pushUp(j, out)

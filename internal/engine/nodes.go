@@ -66,7 +66,9 @@ func (e *Engine) TotalStateSize() int {
 }
 
 // EachEntry visits the node's stored output tuples regardless of the
-// backing state type (hash table or list), until fn returns false.
+// backing state type (hash table or list), until fn returns false. A
+// hash table lends a view the next call overwrites (state.Table.Each),
+// so fn must Clone a tuple it keeps past its call.
 func (n *Node) EachEntry(fn func(*tuple.Tuple) bool) {
 	if n.St != nil {
 		n.St.Each(fn)

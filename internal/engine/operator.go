@@ -73,8 +73,8 @@ type Delta struct {
 	// hash join without EmitExpiry, see storesOutput) only lends it: it
 	// is valid until the Output callback returns, then overwritten by
 	// the next result — Tuple.Clone() to keep it. Stored roots
-	// (EmitExpiry, set-difference, nested-loops) hand out arena tuples
-	// that stay valid.
+	// (EmitExpiry, set-difference, nested-loops) keep rows, not tuples,
+	// and hand out arena copies that stay valid.
 	Tuple *tuple.Tuple
 	// Retraction is true when the result is withdrawn (set-difference
 	// semantics or window expiry at the root).

@@ -81,9 +81,10 @@ func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple) {
 // below produce the right retractions.
 func (e *Engine) diffInnerArrival(j *Node, b *tuple.Tuple) {
 	e.met.Probes.Add(1)
-	e.materializeDiffKey(j, b.Key, b.Refs[0], true)
-	for _, t := range j.St.RemoveKey(b.Key) {
-		e.retractDiff(j, t)
+	e.materializeDiffKey(j, b.Key, b.First(), true)
+	rows := j.St.RemoveKey(b.Key)
+	for i := range rows.Len() {
+		e.retractDiff(j, rows.View(i, &e.view))
 	}
 }
 
@@ -110,7 +111,7 @@ func (e *Engine) retractDiff(below *Node, t *tuple.Tuple) {
 		e.emit(Delta{Tuple: t, Retraction: true})
 		return
 	}
-	if removed := u.St.RemoveRef(t.Key, t.Refs[0]); len(removed) > 0 {
+	if u.St.RemoveRef(t.Key, t.First()).Len() > 0 {
 		e.retractDiff(u, t)
 		return
 	}
@@ -140,7 +141,7 @@ func (e *Engine) setDiffEvict(scan *Node, exp window.Entry) {
 // child's state (materializing it for the key if needed) and
 // propagated upward as additions.
 func (e *Engine) diffInnerExpiry(j, scan *Node, exp window.Entry) {
-	last := len(scan.St.Probe(exp.Key)) == 1
+	last := scan.St.Probe(exp.Key).Len() == 1
 	scan.St.RemoveRef(exp.Key, exp.Ref)
 	if !last {
 		return
@@ -153,16 +154,19 @@ func (e *Engine) diffInnerExpiry(j, scan *Node, exp window.Entry) {
 	// insertions have to propagate as additions.
 	e.materializeDiffKey(j.Left, exp.Key, tuple.Ref{}, false)
 	have := make(map[tuple.Ref]bool)
-	for _, t := range j.St.Probe(exp.Key) {
-		have[t.Refs[0]] = true
+	var t tuple.Tuple
+	stored := j.St.Probe(exp.Key)
+	for i := range stored.Len() {
+		have[stored.View(i, &t).First()] = true
 	}
-	for _, t := range j.Left.St.Probe(exp.Key) {
-		if have[t.Refs[0]] {
+	left := j.Left.St.Probe(exp.Key)
+	for i := range left.Len() {
+		if have[left.View(i, &t).First()] {
 			continue
 		}
-		j.St.Insert(t)
+		j.St.Insert(&t)
 		e.met.Inserts.Add(1)
-		e.pushUp(j, t)
+		e.pushUp(j, &t)
 	}
 	if !j.St.Complete() {
 		if j.St.MarkAttempted(exp.Key) {

@@ -34,8 +34,8 @@ func (s *Sink) Output(d engine.Delta) {
 	}
 	s.Outs[d.Tuple.Fingerprint()]++
 	s.kept = append(s.kept, d.Tuple.Clone())
-	for i := range d.Tuple.Refs {
-		d.Tuple.Refs[i] = tuple.Ref{Stream: tuple.MaxStreams, Seq: ^uint64(0)}
+	for i := range d.Tuple.Seqs {
+		d.Tuple.Seqs[i] = ^uint64(0)
 	}
 	d.Tuple.Key, d.Tuple.Set = -1, 0
 }

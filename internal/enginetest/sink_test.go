@@ -35,7 +35,7 @@ func TestSinkPoisonsWhatItWasLent(t *testing.T) {
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}
-	s.kept[0].Refs[0].Seq = 99
+	s.kept[0].Seqs[0] = 99
 	if s.Check() == nil {
 		t.Fatal("Check passed a clone that changed")
 	}

@@ -56,17 +56,18 @@ func (MovingState) OnTransition(e *engine.Engine) error {
 // e.Nodes(), so child states are already complete here.
 func fillJoin(e *engine.Engine, n *engine.Node) {
 	met := e.Collector()
-	bld := e.Builder()
 	// Iterate the side with fewer distinct keys; Join output is
 	// orientation-independent (provenance is canonicalized).
 	small, big := n.Left.St, n.Right.St
 	if big.DistinctKeys() < small.DistinctKeys() {
 		small, big = big, small
 	}
+	var l, r tuple.Tuple
 	for _, key := range e.IterKeys(small) {
-		for _, l := range small.Probe(key) {
-			for _, r := range big.Probe(key) {
-				n.St.Insert(bld.Join(l, r))
+		ls, rs := small.Probe(key), big.Probe(key)
+		for i := range ls.Len() {
+			for j := range rs.Len() {
+				n.St.InsertJoin(ls.View(i, &l), rs.View(j, &r))
 				met.MigrationWork.Add(1)
 			}
 		}
@@ -83,7 +84,8 @@ func fillNL(e *engine.Engine, n *engine.Node) {
 		n.Right.EachEntry(func(r *tuple.Tuple) bool {
 			met.MigrationWork.Add(1)
 			if pred(l, r) {
-				n.Ls.Insert(bld.JoinTheta(l, r))
+				// A theta composite takes the left key.
+				n.Ls.Insert(bld.Join(l, r))
 			}
 			return true
 		})
@@ -100,8 +102,10 @@ func fillDiff(e *engine.Engine, n *engine.Node) {
 		if n.Right.St.ContainsKey(key) {
 			continue
 		}
-		for _, t := range n.Left.St.Probe(key) {
-			n.St.Insert(t)
+		rows := n.Left.St.Probe(key)
+		var t tuple.Tuple
+		for i := range rows.Len() {
+			n.St.Insert(rows.View(i, &t))
 			met.MigrationWork.Add(1)
 		}
 	}

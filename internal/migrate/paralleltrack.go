@@ -230,7 +230,7 @@ func (pt *ParallelTrack) discardCheck() {
 			if n.St == nil {
 				continue
 			}
-			old += n.St.CountOld(tr.supersededAt, func(t *tuple.Tuple) uint64 { return t.Oldest })
+			old += n.St.CountOld(tr.supersededAt)
 			pt.met.MigrationWork.Add(uint64(n.St.Size())) // scan cost
 		}
 		if old > 0 {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -97,17 +98,18 @@ func (e *egress) appendLine(dst []byte, d engine.Delta) []byte {
 	// Room for the longest line these refs can make, once: a fragment
 	// is then a fixed-size copy of its whole slot text, and the next
 	// write overwrites what lies past its length.
-	refs := d.Tuple.Refs
+	seqs, set := d.Tuple.Seqs, d.Tuple.Set
 	n := len(dst)
-	dst = slices.Grow(dst, len(e.prefix)+len(refs)*(fragText+1)+1)
+	dst = slices.Grow(dst, len(e.prefix)+len(seqs)*(fragText+1)+1)
 	dst = dst[:cap(dst)]
 	n += copy(dst[n:], e.prefix)
-	for i, r := range refs {
+	for i, seq := range seqs {
 		if i > 0 {
 			dst[n] = '|'
 			n++
 		}
-		f := e.fragment(r)
+		f := e.fragment(tuple.Ref{Stream: tuple.StreamID(bits.TrailingZeros64(uint64(set))), Seq: seq})
+		set &= set - 1
 		*(*[fragText]byte)(dst[n:]) = f.text
 		n += int(f.n)
 	}

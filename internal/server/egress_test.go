@@ -39,7 +39,12 @@ func egressQuery(t testing.TB, shards, bufSize int) *query {
 // composite builds a result tuple over the given refs (sorted, as the
 // engine's are).
 func composite(key tuple.Value, refs ...tuple.Ref) *tuple.Tuple {
-	return &tuple.Tuple{Key: key, Refs: refs}
+	t := &tuple.Tuple{Key: key}
+	for _, r := range refs {
+		t.Set = t.Set.Add(r.Stream)
+		t.Seqs = append(t.Seqs, r.Seq)
+	}
+	return t
 }
 
 // wireLine is the reference for a result line: fmt over the delta's
@@ -49,9 +54,9 @@ func wireLine(d engine.Delta) string {
 	if d.Retraction {
 		verb = "RETRACT"
 	}
-	refs := make([]string, len(d.Tuple.Refs))
-	for i, r := range d.Tuple.Refs {
-		refs[i] = fmt.Sprintf("%d#%d", r.Stream, r.Seq)
+	refs := make([]string, len(d.Tuple.Seqs))
+	for i, id := range d.Tuple.Set.Streams() {
+		refs[i] = fmt.Sprintf("%d#%d", id, d.Tuple.Seqs[i])
 	}
 	return fmt.Sprintf("%s %d %s\n", verb, d.Tuple.Key, strings.Join(refs, "|"))
 }
@@ -128,7 +133,7 @@ func TestResultLineRandomRefs(t *testing.T) {
 		ref = strconv.AppendUint(append(strconv.AppendUint(ref[:0], uint64(r.Stream), 10), '#'), r.Seq, 10)
 		want = append(strconv.AppendInt(append(want[:0], "RESULT "...), key, 10), ' ')
 		want = append(append(want, ref...), '\n')
-		line = e.appendLine(line[:0], engine.Delta{Tuple: &tuple.Tuple{Key: tuple.Value(key), Refs: []tuple.Ref{r}}})
+		line = e.appendLine(line[:0], engine.Delta{Tuple: composite(tuple.Value(key), r)})
 		n++
 		return bytes.Equal(line, want) && bytes.Equal(r.AppendText(nil), ref)
 	}
@@ -452,7 +457,7 @@ func BenchmarkAppendFingerprintEgress(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			e := &egress{}
 			refs := []tuple.Ref{{Stream: 0, Seq: 123456}, {Stream: 1, Seq: 7}, {Stream: 2, Seq: 99}}
-			d := engine.Delta{Tuple: &tuple.Tuple{Key: 7, Refs: refs}}
+			d := engine.Delta{Tuple: composite(7, refs...)}
 			buf := e.appendLine(make([]byte, 0, 128), d)
 			b.ReportAllocs()
 			b.ResetTimer()

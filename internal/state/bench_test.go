@@ -38,7 +38,7 @@ func BenchmarkProbe(b *testing.B) {
 	b.ResetTimer()
 	var hits int
 	for i := 0; i < b.N; i++ {
-		hits += len(t.Probe(tuple.Value(i % domain)))
+		hits += t.Probe(tuple.Value(i % domain)).Len()
 	}
 	_ = hits
 }
@@ -84,16 +84,17 @@ func BenchmarkRemoveRefHotBucket(b *testing.B) {
 				tup := tuple.Join(tuple.Join(tuple.NewBase(0, uint64(s0), 7, 1), tuple.NewBase(1, uint64(s1), 7, 1)), tuple.NewBase(2, uint64(s2), 7, 1))
 				t.Insert(tup)
 			}
-			back := make([]*tuple.Tuple, 0, entries/perStream)
+			back := tuple.Rows{Key: 7, Set: t.Set, Data: make([]uint64, 0, entries/perStream*tuple.RowWidth(t.Set))}
+			var v tuple.Tuple
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				back = append(back[:0], t.RemoveRef(7, tuple.Ref{Stream: 0, Seq: uint64(i % perStream)})...)
-				if len(back) != entries/perStream {
-					b.Fatalf("removed %d entries, want %d", len(back), entries/perStream)
+				back.Data = append(back.Data[:0], t.RemoveRef(7, tuple.Ref{Stream: 0, Seq: uint64(i % perStream)}).Data...)
+				if back.Len() != entries/perStream {
+					b.Fatalf("removed %d entries, want %d", back.Len(), entries/perStream)
 				}
-				for _, tup := range back {
-					t.Insert(tup)
+				for j := range back.Len() {
+					t.Insert(back.View(j, &v))
 				}
 			}
 		})

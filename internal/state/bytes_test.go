@@ -6,14 +6,15 @@ import (
 	"jisc/internal/tuple"
 )
 
-// sumBytes recomputes a table's resident footprint from scratch.
+// sumBytes recomputes a table's resident footprint from scratch: its
+// rows' bytes and a SlotBytes for each key holding rows.
 func sumBytes(t *Table) int64 {
 	var b int64
 	t.Each(func(tup *tuple.Tuple) bool {
-		b += TupleBytes(tup)
+		b += TupleBytes(tup.Set)
 		return true
 	})
-	return b
+	return b + SlotBytes*int64(t.DistinctKeys())
 }
 
 func TestTableByteAccounting(t *testing.T) {
@@ -57,13 +58,21 @@ func TestTableByteAccountingComposites(t *testing.T) {
 	b := tuple.NewBase(1, 2, 9, 2)
 	comp := tuple.Join(a, b)
 	tbl.Insert(comp)
-	want := TupleBytes(comp)
-	if want != 64+2*16 {
-		t.Fatalf("TupleBytes(2-ref composite) = %d", want)
+	if got := TupleBytes(comp.Set); got != 8*(2+2) {
+		t.Fatalf("TupleBytes(2-stream row) = %d, want 4 words", got)
 	}
-	if tbl.Bytes() != want {
+	if SlotBytes != 48 {
+		t.Fatalf("SlotBytes = %d, want 48: key, run header, part pointer, flags", SlotBytes)
+	}
+	// The slot is charged with its first row, once.
+	if want := TupleBytes(comp.Set) + SlotBytes; tbl.Bytes() != want {
 		t.Fatalf("accounted %d, want %d", tbl.Bytes(), want)
 	}
+	tbl.InsertJoin(b, tuple.NewBase(0, 3, 9, 3))
+	if want := 2*TupleBytes(comp.Set) + SlotBytes; tbl.Bytes() != want {
+		t.Fatalf("after a second row: accounted %d, want %d", tbl.Bytes(), want)
+	}
+	tbl.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 3})
 	tbl.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 1})
 	if tbl.Bytes() != 0 {
 		t.Fatalf("after eviction: %d", tbl.Bytes())
@@ -75,7 +84,7 @@ func TestListByteAccounting(t *testing.T) {
 	var want int64
 	for i := 0; i < 10; i++ {
 		tup := tuple.NewBase(0, uint64(i+1), tuple.Value(i), uint64(i+1))
-		want += TupleBytes(tup)
+		want += entryBytes(tup)
 		l.Insert(tup)
 	}
 	if l.Bytes() != want {
@@ -85,7 +94,7 @@ func TestListByteAccounting(t *testing.T) {
 	if len(removed) != 1 {
 		t.Fatalf("removed %d tuples", len(removed))
 	}
-	want -= TupleBytes(removed[0])
+	want -= entryBytes(removed[0])
 	if l.Bytes() != want {
 		t.Fatalf("after eviction: accounted %d, want %d", l.Bytes(), want)
 	}

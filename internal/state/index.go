@@ -22,19 +22,20 @@ const (
 	pending
 )
 
-// slot is everything a Table knows about one key: the resident bucket
-// (the tuples inserted since the key last spilled, newest last), the
-// spilled part the store holds for it, and the flag bits.
+// slot is everything a Table knows about one key: the resident run (the
+// rows inserted since the key last spilled, newest last), the spilled
+// part the store holds for it, and the flag bits. It holds no pointer
+// per tuple.
 type slot struct {
-	key    tuple.Value
-	bucket []*tuple.Tuple
-	part   *statestore.Part
-	flags  uint8
+	key   tuple.Value
+	run   []uint64
+	part  *statestore.Part
+	flags uint8
 }
 
-// holds reports whether the slot has tuples, resident or spilled —
+// holds reports whether the slot has rows, resident or spilled —
 // whether its key is one of the table's keys.
-func (s *slot) holds() bool { return len(s.bucket) > 0 || s.part != nil }
+func (s *slot) holds() bool { return len(s.run) > 0 || s.part != nil }
 
 // live reports whether the slot must stay: it holds tuples, or one of
 // the per-transition marks names its key.

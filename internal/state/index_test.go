@@ -114,7 +114,7 @@ func TestTableIndexMatchesModel(t *testing.T) {
 					m.buckets[k] = append(m.buckets[k], tup)
 				case r < 45:
 					op = "Probe"
-					if got, want := len(tb.Probe(k)), len(m.buckets[k]); got != want {
+					if got, want := tb.Probe(k).Len(), len(m.buckets[k]); got != want {
 						t.Fatalf("step %d: Probe(%d) = %d tuples, model %d", step, k, got, want)
 					}
 				case r < 65:
@@ -123,17 +123,17 @@ func TestTableIndexMatchesModel(t *testing.T) {
 					if len(b) == 0 {
 						break
 					}
-					ref := b[rng.Intn(len(b))].Refs[0]
-					if got := len(tb.RemoveRef(k, ref)); got != 1 {
+					ref := b[rng.Intn(len(b))].First()
+					if got := tb.RemoveRef(k, ref).Len(); got != 1 {
 						t.Fatalf("step %d: RemoveRef(%d, %v) removed %d tuples, want 1", step, k, ref, got)
 					}
-					m.buckets[k] = slices.DeleteFunc(b, func(tup *tuple.Tuple) bool { return tup.Refs[0] == ref })
+					m.buckets[k] = slices.DeleteFunc(b, func(tup *tuple.Tuple) bool { return tup.First() == ref })
 					if len(m.buckets[k]) == 0 {
 						delete(m.buckets, k)
 					}
 				case r < 68:
 					op = "RemoveKey"
-					if got, want := len(tb.RemoveKey(k)), len(m.buckets[k]); got != want {
+					if got, want := tb.RemoveKey(k).Len(), len(m.buckets[k]); got != want {
 						t.Fatalf("step %d: RemoveKey(%d) = %d tuples, model %d", step, k, got, want)
 					}
 					delete(m.buckets, k)

@@ -19,8 +19,8 @@ type List struct {
 	tuples   []*tuple.Tuple
 	complete bool
 
-	// bytes is the estimated heap footprint (TupleBytes summed) of the
-	// stored tuples. Lists never spill — a nested-loops state is
+	// bytes is the heap footprint (entryBytes summed) of the stored
+	// tuples. Lists never spill — a nested-loops state is
 	// scanned in full on every probe, so there is no cold bucket to
 	// tier out — but their footprint still counts against the store's
 	// budget so table spilling compensates for list growth.
@@ -94,13 +94,18 @@ func (l *List) account(delta int64) {
 	}
 }
 
+// entryBytes is a list entry's footprint: its pointer, the Tuple it
+// names (a 64-byte allocation) and the tuple's seqs. A list keeps its
+// tuples by pointer, unlike a Table's rows.
+func entryBytes(t *tuple.Tuple) int64 { return 72 + 8*int64(len(t.Seqs)) }
+
 // Bytes returns the estimated heap footprint of the stored tuples.
 func (l *List) Bytes() int64 { return l.bytes }
 
 // Insert appends tup.
 func (l *List) Insert(tup *tuple.Tuple) {
 	l.tuples = append(l.tuples, tup)
-	l.account(TupleBytes(tup))
+	l.account(entryBytes(tup))
 	if l.store != nil {
 		l.store.MaybeSpill()
 	}
@@ -135,7 +140,7 @@ func (l *List) RemoveRef(ref tuple.Ref) []*tuple.Tuple {
 	l.tuples = kept
 	var b int64
 	for _, tup := range l.removed {
-		b += TupleBytes(tup)
+		b += entryBytes(tup)
 	}
 	l.account(-b)
 	return l.removed

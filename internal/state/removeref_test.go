@@ -52,10 +52,11 @@ func tableContents(tb *state.Table) []string {
 	return out
 }
 
-func fingerprints(tups []*tuple.Tuple) []string {
-	out := make([]string, len(tups))
-	for i, tup := range tups {
-		out[i] = tup.Fingerprint()
+func fingerprints(rows tuple.Rows) []string {
+	out := make([]string, rows.Len())
+	var v tuple.Tuple
+	for i := range out {
+		out[i] = rows.View(i, &v).Fingerprint()
 	}
 	return out
 }
@@ -88,7 +89,7 @@ func TestRemoveRefMatchesContains(t *testing.T) {
 		spilled := trial%2 == 1
 		var store *statestore.Store
 		if spilled {
-			store = spillStore(t, 2048)
+			store = spillStore(t, 640)
 			tb.SetStore(store, false)
 		}
 		model := refModel{}
@@ -116,7 +117,7 @@ func TestRemoveRefMatchesContains(t *testing.T) {
 			t.Fatalf("trial %d: %d tuples left (Size %d), model has %d", trial, len(got), tb.Size(), len(want))
 		}
 		if spilled && store.Stats().Spills == 0 {
-			t.Fatalf("trial %d: nothing spilled under a %d-byte budget", trial, 2048)
+			t.Fatalf("trial %d: nothing spilled under a %d-byte budget", trial, 640)
 		}
 	}
 }
@@ -141,8 +142,8 @@ func TestRemoveRefTombstoneModeMatchesContains(t *testing.T) {
 			if len(window) > 40+rng.Intn(3) {
 				old := window[0]
 				window = window[1:]
-				tb.RemoveRef(old.Key, old.Refs[0])
-				model.removeRef(old.Key, old.Refs[0])
+				tb.RemoveRef(old.Key, old.First())
+				model.removeRef(old.Key, old.First())
 			}
 		}
 		if got, want := tableContents(tb), model.contents(); fmt.Sprint(got) != fmt.Sprint(want) || tb.Size() != len(want) {
@@ -166,12 +167,12 @@ func TestRemoveRefNarrowTuplesInWideTable(t *testing.T) {
 		}
 		tb.Insert(tuple.NewBase(2, 1, 9, 1))
 		tb.Insert(tuple.NewBase(2, 2, 9, 2))
-		if got := tb.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 1}); got != nil {
-			t.Fatalf("spilled %v: ref of an uncovered stream removed %v", spilled, got)
+		if got := tb.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 1}); got.Len() != 0 {
+			t.Fatalf("spilled %v: ref of an uncovered stream removed %v", spilled, fingerprints(got))
 		}
 		got := tb.RemoveRef(9, tuple.Ref{Stream: 2, Seq: 2})
-		if len(got) != 1 || got[0].Refs[0].Seq != 2 || got[0].Set != tuple.NewStreamSet(2) {
-			t.Fatalf("spilled %v: RemoveRef(2#2) = %v, want the one tuple", spilled, got)
+		if fp := fingerprints(got); len(fp) != 1 || fp[0] != "2#2" || got.Set != tuple.NewStreamSet(2) {
+			t.Fatalf("spilled %v: RemoveRef(2#2) = %v over %v, want the one tuple", spilled, fp, got.Set)
 		}
 		if tb.Size() != 1 {
 			t.Fatalf("spilled %v: Size = %d, want 1", spilled, tb.Size())

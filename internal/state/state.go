@@ -7,7 +7,7 @@
 // completion-detection counter of §4.3.
 //
 // A Table keeps one slot per key in one open-addressing index (see
-// index.go): the slot carries the resident bucket, the spilled part and
+// index.go): the slot carries the resident rows, the spilled part and
 // the flag bits — CLOCK reference, attempted, pending — so every
 // per-key touch is one hash probe. A slot lives while it holds tuples
 // or an attempted or pending mark, and is removed by backward shift
@@ -15,10 +15,13 @@
 // PendingKeys) follows slot order, which the history of calls decides
 // alone: equal call sequences iterate, and checkpoint, equally.
 //
-// Every state maintains byte accounting (TupleBytes summed over its
-// resident tuples), and a Table can attach an internal/statestore
-// Store that spills cold buckets out of the heap and faults them back
-// on demand — just-in-time residency, the storage-level analogue of
+// A table holds no pointer per tuple: the tuples under a key are one run
+// of fixed-width []uint64 rows (tuple.Rows) — arrival, oldest, then one
+// seq per covered stream — which Insert appends to and Probe lends as
+// views. Every state maintains byte accounting (TupleBytes per
+// resident row, SlotBytes per slot holding resident rows), and a Table
+// can attach an internal/statestore Store that spills cold buckets out
+// of the heap and faults them back on demand — just-in-time residency, the storage-level analogue of
 // the paper's just-in-time completion. Spilling changes residency,
 // never contents: the slot keeps each spilled key's statestore.Part,
 // the one record of it, so Size, ContainsKey, DistinctKeys and Keys
@@ -27,20 +30,20 @@ package state
 
 import (
 	"fmt"
-	"math/bits"
+	"unsafe"
 
 	"jisc/internal/statestore"
 	"jisc/internal/tuple"
 )
 
-// TupleBytes estimates the resident heap footprint of one tuple: the
-// struct itself (56 bytes, a 64-byte allocation) plus its provenance
-// refs' backing array. The estimate is deliberately simple and
-// deterministic — it is the unit of the spill budget, compared against
-// itself, not against the allocator.
-func TupleBytes(t *tuple.Tuple) int64 {
-	return 64 + 16*int64(len(t.Refs))
-}
+// TupleBytes is the resident footprint of one row covering set: its
+// words, exactly. With SlotBytes it is the unit of the spill budget;
+// slack in a run's capacity is not charged.
+func TupleBytes(set tuple.StreamSet) int64 { return 8 * int64(tuple.RowWidth(set)) }
+
+// SlotBytes is the footprint of one index slot, charged once while the
+// slot holds resident rows.
+const SlotBytes = int64(unsafe.Sizeof(slot{}))
 
 // Table is a hash multimap from join key to the tuples carrying that
 // key. It is the state of one operator in a pipelined plan: for a scan
@@ -50,11 +53,18 @@ func TupleBytes(t *tuple.Tuple) int64 {
 // A Table is not safe for concurrent use; the engine serializes access
 // and the concurrent pipeline confines each table to one goroutine.
 type Table struct {
-	// Set identifies which base streams the stored tuples cover.
+	// Set identifies the state: the base streams its join results
+	// cover.
 	Set tuple.StreamSet
+	// rows is the stream set every stored row covers and w its width:
+	// Set itself for scan and join states, the outer stream for a
+	// set-difference state, which passes outer tuples through. The first
+	// Insert fixes it.
+	rows tuple.StreamSet
+	w    int
 
-	// idx holds one slot per key with tuples (resident, spilled or
-	// both: the resident part is the tuples inserted since the key
+	// idx holds one slot per key with rows (resident, spilled or
+	// both: the resident run is the rows inserted since the key
 	// spilled, all newer than the spilled ones) or a per-transition
 	// mark.
 	idx index
@@ -64,8 +74,8 @@ type Table struct {
 	// keys counts the slots that hold tuples: DistinctKeys.
 	keys int
 
-	// bytes is the estimated heap footprint (TupleBytes summed) of the
-	// resident tuples only; spilled parts are accounted by the store.
+	// bytes is the heap footprint of the resident rows and of the slots
+	// holding them; spilled parts are accounted by the store.
 	bytes int64
 
 	// store, when non-nil, governs residency: cold buckets move out of
@@ -75,7 +85,7 @@ type Table struct {
 	// tombstone selects the scan-table eviction mode: window eviction
 	// of a spilled ref is recorded as a store tombstone instead of
 	// faulting the bucket in. Only sound for single-stream states,
-	// whose tuples are uniform base tuples with exactly one ref.
+	// whose rows are base tuples with exactly one seq.
 	tombstone bool
 
 	// complete is Definition 1's flag. Scan states are always
@@ -99,18 +109,21 @@ type Table struct {
 	// incomplete) from "counter drained".
 	counterArmed bool
 
-	// free holds the backing arrays of emptied buckets for reuse by
-	// Insert. Under a sliding window, keys continually drain and
-	// reappear; recycling the arrays keeps steady-state insertion
-	// allocation-free instead of growing a fresh slice per reborn key.
-	free [][]*tuple.Tuple
+	// free holds the runs RemoveRef emptied, for reuse by Insert.
+	// Under a sliding window, keys continually drain and reappear;
+	// recycling the runs keeps steady-state insertion allocation-free
+	// instead of growing a fresh slice per reborn key. No other run is
+	// recycled: a spilled or faulted one may still be lent.
+	free [][]uint64
 
 	// removed is the reusable result buffer of RemoveRef, so eviction
-	// does not allocate a fresh removed slice per generation.
-	removed []*tuple.Tuple
+	// does not allocate a fresh removed run per generation.
+	removed []uint64
+	// last is the view InsertJoin lends of the row it appended.
+	last tuple.Tuple
 }
 
-// maxFreeBuckets bounds the bucket-array free list so a transient
+// maxFreeBuckets bounds the run free list so a transient
 // burst of distinct keys cannot pin memory forever.
 const maxFreeBuckets = 64
 
@@ -141,7 +154,7 @@ func (t *Table) Release() {
 	t.store = nil
 }
 
-// dropSpilled frees every spilled part, uncounting its tuples. It
+// dropSpilled frees every spilled part, uncounting its rows. It
 // leaves slots that held only a part in place for the caller to sweep.
 func (t *Table) dropSpilled() {
 	for i := range t.idx.slots {
@@ -285,71 +298,104 @@ func (t *Table) DropPending(key tuple.Value) (drained bool) {
 	return t.pending == 0
 }
 
-// Insert stores tup under its key. New buckets reuse backing arrays
-// recycled from previously emptied ones. Insert never faults: under a
-// spilled key it starts (or extends) a resident part beside the spilled
-// one, and the next Probe merges the two.
+// Insert appends tup's row under its key. Insert never faults: under a
+// spilled key it starts (or extends) a resident run beside the spilled
+// part, and the next Probe merges the two.
 func (t *Table) Insert(tup *tuple.Tuple) {
-	s := &t.idx.slots[t.idx.upsert(tup.Key)]
-	resident := len(s.bucket) > 0
-	if !resident {
+	s := t.slotFor(tup.Key, tup.Set)
+	s.run = tuple.AppendRow(s.run, tup)
+	t.inserted(s)
+}
+
+// InsertJoin appends the row of the composite of a and b under a's key
+// — the result of joining them, built straight into the run — and
+// lends a view of it, valid for as long as the run is and overwritten
+// by the next InsertJoin.
+func (t *Table) InsertJoin(a, b *tuple.Tuple) *tuple.Tuple {
+	s := t.slotFor(a.Key, a.Set|b.Set)
+	s.run = tuple.AppendJoinRow(s.run, a, b)
+	row := s.run[len(s.run)-t.w:]
+	t.last = tuple.Tuple{Key: a.Key, Set: t.rows, Seqs: row[2:], Arrival: row[0], Oldest: row[1]}
+	t.inserted(s)
+	return &t.last
+}
+
+// slotFor returns key's slot for a row covering set, counting a new key
+// and charging the slot when it holds no resident rows yet. An empty
+// slot reuses a run recycled from an emptied one.
+func (t *Table) slotFor(key tuple.Value, set tuple.StreamSet) *slot {
+	if set != t.rows {
+		if t.rows != 0 {
+			panic(fmt.Sprintf("state: row covering %v inserted into %v, whose rows cover %v", set, t, t.rows))
+		}
+		t.rows, t.w = set, tuple.RowWidth(set)
+	}
+	s := &t.idx.slots[t.idx.upsert(key)]
+	if len(s.run) == 0 {
 		if s.part == nil {
 			t.keys++
 		}
 		if len(t.free) > 0 {
-			s.bucket = t.free[len(t.free)-1]
+			s.run = t.free[len(t.free)-1]
 			t.free = t.free[:len(t.free)-1]
 		}
+		t.account(SlotBytes)
 	}
-	s.bucket = append(s.bucket, tup)
+	return s
+}
+
+// inserted counts the row just appended to s and lets the store spill.
+func (t *Table) inserted(s *slot) {
 	t.size++
-	t.account(TupleBytes(tup))
+	t.account(8 * int64(t.w))
 	if t.store != nil {
 		s.flags |= hot
 		t.store.MaybeSpill()
 	}
 }
 
-// Probe returns the tuples stored under key, faulting the bucket back
-// in when it is spilled. The returned slice is owned by the table;
-// callers must not mutate it. It remains valid even if the bucket is
-// spilled again before the caller is done with it.
-func (t *Table) Probe(key tuple.Value) []*tuple.Tuple {
+// rowsOf returns the run of s as Rows.
+func (t *Table) rowsOf(s *slot) tuple.Rows { return tuple.Rows{Key: s.key, Set: t.rows, Data: s.run} }
+
+// Probe lends the rows stored under key, faulting the bucket back in
+// when it is spilled. The run is owned by the table; callers must not
+// mutate it. It remains valid for the whole operation, even if the
+// bucket is spilled again before the caller is done with it.
+func (t *Table) Probe(key tuple.Value) tuple.Rows {
 	i := t.idx.find(key)
 	if i < 0 {
-		return nil
+		return tuple.Rows{}
 	}
 	s := &t.idx.slots[i]
-	if t.store == nil {
-		return s.bucket
+	if s.part == nil {
+		if t.store != nil {
+			s.flags |= hot
+		}
+		return t.rowsOf(s)
 	}
-	if s.part != nil {
-		bucket := t.fault(s)
-		t.store.MaybeSpill()
-		return bucket
-	}
-	s.flags |= hot
-	return s.bucket
+	t.fault(s)
+	rows := t.rowsOf(s)
+	t.store.MaybeSpill()
+	return rows
 }
 
 // fault brings the slot's spilled part back into residency, in front of
-// any resident part so the bucket stays in arrival order, and returns
-// the whole bucket. It deliberately does not trigger MaybeSpill —
-// callers do, after they have captured the returned slice — so the
+// any resident rows so the run stays in arrival order: one fresh run,
+// the part's row bytes copied in. It deliberately does not trigger
+// MaybeSpill — callers do, after they have captured the run — so the
 // just-faulted bucket cannot be detached mid-operation.
-func (t *Table) fault(s *slot) []*tuple.Tuple {
-	tuples := t.store.Fault(s.part)
+func (t *Table) fault(s *slot) {
+	n := s.part.Count()
+	run := t.store.Fault(s.part, make([]uint64, 0, n*t.w+len(s.run)))
 	s.part = nil
-	var b int64
-	for _, tup := range tuples {
-		b += TupleBytes(tup)
+	if len(s.run) == 0 {
+		t.account(SlotBytes)
 	}
-	// The faulted slice is fresh; the old resident array is left to the
-	// collector rather than recycled, since Probe callers may hold it.
-	s.bucket = append(tuples, s.bucket...)
+	// The old resident run is left to the collector rather than
+	// recycled, since Probe callers may hold it.
+	s.run = append(run, s.run...)
 	s.flags |= hot
-	t.account(b)
-	return s.bucket
+	t.account(int64(n) * 8 * int64(t.w))
 }
 
 // ContainsKey reports whether any tuple is stored under key, resident
@@ -359,33 +405,30 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 	return i >= 0 && t.idx.slots[i].holds()
 }
 
-// RemoveRef removes every tuple under key whose provenance contains
-// ref, returning the removed tuples (needed to propagate eviction
-// upward). The bucket is compacted in place; an emptied bucket's
-// backing array is recycled for later Inserts.
+// RemoveRef removes every row under key whose provenance contains ref
+// and lends the removed rows (needed to propagate eviction upward). The
+// run is compacted in place; an emptied run is recycled for later
+// Inserts.
 //
-// The tuples of one bucket all cover the same stream set (a join
-// state's composites cover the table's Set, a set-difference state's
-// passing tuples the outer stream alone) and Refs holds one ref per
-// covered stream in stream order, so ref can only sit at one index —
-// the number of covered streams below ref.Stream — and membership is
-// one Seq compare per tuple, not a search.
+// Every row covers the table's row set, one seq per stream in stream
+// order, so ref can only sit at one column — the number of covered
+// streams below ref.Stream, past arrival and oldest — and membership is
+// one word compare per row, not a search.
 //
 // On a tombstone-mode table (scan states) a spilled part is not
 // faulted: windows expire in arrival order, so a ref no newer than the
 // spilled part's newest is in it and is recorded as a store
-// tombstone, returning nil — base tuples have no derived results below
-// them, so the caller needs no removed set — and a newer ref can only
-// be in the resident part. Other tables fault the spilled part in
-// first so the exact removed tuples can be reported.
+// tombstone, lending no rows — base tuples have no derived results
+// below them, so the caller needs no removed set — and a newer ref can
+// only be in the resident run. Other tables fault the spilled part in
+// first so the exact removed rows can be reported.
 //
-// The returned slice is owned by the table and valid only until the
-// next RemoveRef call on it; callers needing the tuples longer must
-// copy them out.
-func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
+// The removed rows are valid only until the next RemoveRef call on the
+// table; callers needing them longer must copy them out.
+func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) tuple.Rows {
 	i := t.idx.find(key)
 	if i < 0 {
-		return nil
+		return tuple.Rows{}
 	}
 	s := &t.idx.slots[i]
 	if s.part != nil {
@@ -395,95 +438,83 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) []*tuple.Tuple {
 		} else if ref.Seq <= s.part.Newest() {
 			if t.store.Tombstone(s.part, ref.Seq) {
 				s.part = nil
-				if len(s.bucket) == 0 {
+				if len(s.run) == 0 {
 					t.keys--
 				}
 				t.drop(i)
 			}
 			t.size--
-			return nil
+			return tuple.Rows{}
 		}
 	}
-	bucket := s.bucket
-	if len(bucket) == 0 {
-		return nil
+	run := s.run
+	if len(run) == 0 || !t.rows.Has(ref.Stream) {
+		return tuple.Rows{}
 	}
-	set := bucket[0].Set
-	if !set.Has(ref.Stream) {
-		return nil
-	}
-	at := bits.OnesCount64(uint64(set) & (1<<ref.Stream - 1))
+	// The rows kept between two removed ones move down in one copy.
+	at, w := 2+t.rows.Rank(ref.Stream), t.w
 	t.removed = t.removed[:0]
-	kept := bucket[:0]
-	for _, tup := range bucket {
-		if tup.Refs[at].Seq == ref.Seq {
-			t.removed = append(t.removed, tup)
-		} else {
-			kept = append(kept, tup)
+	kept, from := 0, 0
+	for off := at; off < len(run); off += w {
+		if run[off] == ref.Seq {
+			row := off - at
+			t.removed = append(t.removed, run[row:row+w]...)
+			kept += copy(run[kept:], run[from:row])
+			from = row + w
 		}
 	}
 	if len(t.removed) == 0 {
-		return nil
+		return tuple.Rows{}
 	}
-	t.size -= len(t.removed)
-	var b int64
-	for _, tup := range t.removed {
-		b += TupleBytes(tup)
+	kept += copy(run[kept:], run[from:])
+	t.size -= len(t.removed) / w
+	t.account(-8 * int64(len(t.removed)))
+	removed := tuple.Rows{Key: key, Set: t.rows, Data: t.removed}
+	if kept > 0 {
+		s.run = run[:kept]
+		return removed
 	}
-	t.account(-b)
-	// Zero the tail so removed tuples are not retained by the backing
-	// array.
-	for j := len(kept); j < len(bucket); j++ {
-		bucket[j] = nil
-	}
-	if len(kept) > 0 {
-		s.bucket = kept
-		return t.removed
-	}
-	s.bucket = nil
+	t.account(-SlotBytes)
+	s.run = nil
 	s.flags &^= hot
 	if s.part == nil {
 		t.keys--
 	}
-	if len(t.free) < maxFreeBuckets && cap(bucket) > 0 {
-		t.free = append(t.free, kept)
+	if len(t.free) < maxFreeBuckets {
+		t.free = append(t.free, run[:0])
 	}
 	t.drop(i)
-	return t.removed
+	return removed
 }
 
-// RemoveKey removes and returns every tuple stored under key —
+// RemoveKey removes every row stored under key and lends them —
 // set-difference suppression and requalification move whole key
 // buckets between the passing and suppressed tables. A spilled bucket
-// is faulted in first.
-func (t *Table) RemoveKey(key tuple.Value) []*tuple.Tuple {
+// is faulted in first. The run is detached, not recycled.
+func (t *Table) RemoveKey(key tuple.Value) tuple.Rows {
 	i := t.idx.find(key)
 	if i < 0 {
-		return nil
+		return tuple.Rows{}
 	}
 	s := &t.idx.slots[i]
 	if s.part != nil {
 		t.fault(s)
 		defer t.store.MaybeSpill()
 	}
-	bucket := s.bucket
-	if len(bucket) == 0 {
-		return nil
+	rows := t.rowsOf(s)
+	if len(s.run) == 0 {
+		return tuple.Rows{}
 	}
-	s.bucket = nil
+	t.size -= rows.Len()
+	t.account(-8*int64(len(s.run)) - SlotBytes)
+	s.run = nil
 	s.flags &^= hot
 	t.keys--
 	t.drop(i)
-	t.size -= len(bucket)
-	var b int64
-	for _, tup := range bucket {
-		b += TupleBytes(tup)
-	}
-	t.account(-b)
-	return bucket
+	return rows
 }
 
-// Size returns the number of stored tuples, resident plus spilled.
+// Size returns the number of stored rows, resident plus spilled.
 func (t *Table) Size() int { return t.size }
 
 // DistinctKeys returns the number of distinct join-attribute values
@@ -546,28 +577,35 @@ func (t *Table) RestoreMeta(complete bool, attempted []tuple.Value, pending []tu
 	}
 }
 
-// Each calls fn for every stored tuple until fn returns false, in slot
-// order. Spilled parts are read through the store without admitting
-// them, so iteration (checkpointing, discard scans) does not perturb
-// residency. A key's spilled part is visited before its resident part:
-// a checkpoint restored in iteration order rebuilds every bucket in
-// arrival order.
+// Each lends fn a view of every stored row until fn returns false, in
+// slot order; the view is overwritten by the next call. Spilled parts
+// are read through the store without admitting them, so iteration
+// (checkpointing, discard scans) does not perturb residency. A key's
+// spilled part is visited before its resident run: a checkpoint
+// restored in iteration order rebuilds every bucket in arrival order.
 func (t *Table) Each(fn func(*tuple.Tuple) bool) {
+	var v tuple.Tuple
+	each := func(rows tuple.Rows) bool {
+		for i := range rows.Len() {
+			if !fn(rows.View(i, &v)) {
+				return false
+			}
+		}
+		return true
+	}
 	for i := range t.idx.slots {
 		s := &t.idx.slots[i]
-		if s.part != nil && !t.store.Peek(s.part, fn) {
+		if s.part != nil && !each(tuple.Rows{Key: s.key, Set: t.rows, Data: t.store.Peek(s.part)}) {
 			return
 		}
-		for _, tup := range s.bucket {
-			if !fn(tup) {
-				return
-			}
+		if !each(t.rowsOf(s)) {
+			return
 		}
 	}
 }
 
-// Clear removes all tuples but keeps completeness metadata. The
-// recycled-array pools are dropped too, releasing the memory, and any
+// Clear removes all rows but keeps completeness metadata. The
+// recycled runs are dropped too, releasing the memory, and any
 // spilled parts are freed in the store; the table stays attached to it.
 func (t *Table) Clear() {
 	if t.store != nil {
@@ -575,7 +613,7 @@ func (t *Table) Clear() {
 	}
 	t.account(-t.bytes)
 	t.idx.sweep(func(s *slot) {
-		s.bucket = nil
+		s.run = nil
 		s.flags &^= hot
 	})
 	if t.idx.n == 0 {
@@ -587,13 +625,13 @@ func (t *Table) Clear() {
 	t.removed = nil
 }
 
-// CountOld returns how many stored tuples contain at least one
+// CountOld returns how many stored rows contain at least one
 // constituent that arrived at or before cutoff. Parallel Track's
 // periodic discard check (§3.3) scans states with this.
-func (t *Table) CountOld(cutoff uint64, oldest func(*tuple.Tuple) uint64) int {
+func (t *Table) CountOld(cutoff uint64) int {
 	n := 0
 	t.Each(func(tup *tuple.Tuple) bool {
-		if oldest(tup) <= cutoff {
+		if tup.Oldest <= cutoff {
 			n++
 		}
 		return true
@@ -612,7 +650,7 @@ func (t *Table) Sweep(from int) (key tuple.Value, next int, ok bool) {
 	}
 	for i := from; i < len(t.idx.slots); i++ {
 		s := &t.idx.slots[i]
-		if len(s.bucket) == 0 {
+		if len(s.run) == 0 {
 			continue
 		}
 		if s.flags&hot == 0 {
@@ -623,33 +661,30 @@ func (t *Table) Sweep(from int) (key tuple.Value, next int, ok bool) {
 	return 0, 0, false
 }
 
-// ResidentBucket returns the resident tuples under key — nil when the
+// ResidentBucket lends the resident rows under key — none when the
 // bucket is wholly spilled or absent. It never faults and never sets the
 // reference bit; it is the store's view of spill candidates.
-func (t *Table) ResidentBucket(key tuple.Value) []*tuple.Tuple {
+func (t *Table) ResidentBucket(key tuple.Value) tuple.Rows {
 	if i := t.idx.find(key); i >= 0 {
-		return t.idx.slots[i].bucket
+		return t.rowsOf(&t.idx.slots[i])
 	}
-	return nil
+	return tuple.Rows{}
 }
 
-// MarkSpilled detaches the resident bucket for key once the store has
+// MarkSpilled detaches the resident run for key once the store has
 // captured it into key's spilled part, which is fresh when key had
-// none, and returns the part and the accounted bytes that moved. The
-// bucket's backing array is deliberately not recycled into the free
-// list: Probe callers may still hold it. The store only spills a key
-// Sweep found resident, so its slot exists and stays.
+// none, and returns the part and the row bytes that moved; the slot's
+// charge is released with them. The run is deliberately not recycled
+// into the free list: Probe callers may still hold it. The store only
+// spills a key Sweep found resident, so its slot exists and stays.
 func (t *Table) MarkSpilled(key tuple.Value, fresh *statestore.Part) (*statestore.Part, int64) {
 	s := &t.idx.slots[t.idx.find(key)]
-	var b int64
-	for _, tup := range s.bucket {
-		b += TupleBytes(tup)
-	}
-	s.bucket = nil
+	b := 8 * int64(len(s.run))
+	s.run = nil
 	if s.part == nil {
 		s.part = fresh
 	}
-	t.account(-b)
+	t.account(-b - SlotBytes)
 	return s.part, b
 }
 

@@ -13,6 +13,16 @@ func base(id tuple.StreamID, seq uint64, key tuple.Value) *tuple.Tuple {
 	return tuple.NewBase(id, seq, key, seq)
 }
 
+// tuples copies lent rows out as tuples a test may keep.
+func tuples(r tuple.Rows) []*tuple.Tuple {
+	out := make([]*tuple.Tuple, r.Len())
+	var v tuple.Tuple
+	for i := range out {
+		out[i] = r.View(i, &v).Clone()
+	}
+	return out
+}
+
 func TestTableInsertProbe(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0))
 	tb.Insert(base(0, 1, 10))
@@ -24,10 +34,10 @@ func TestTableInsertProbe(t *testing.T) {
 	if tb.DistinctKeys() != 2 {
 		t.Fatalf("DistinctKeys = %d, want 2", tb.DistinctKeys())
 	}
-	if got := len(tb.Probe(10)); got != 2 {
+	if got := tb.Probe(10).Len(); got != 2 {
 		t.Errorf("Probe(10) len = %d, want 2", got)
 	}
-	if got := len(tb.Probe(99)); got != 0 {
+	if got := tb.Probe(99).Len(); got != 0 {
 		t.Errorf("Probe(99) len = %d, want 0", got)
 	}
 	if !tb.ContainsKey(20) || tb.ContainsKey(99) {
@@ -42,20 +52,20 @@ func TestTableRemoveRef(t *testing.T) {
 	b2 := base(1, 2, 5)
 	tb.Insert(tuple.Join(a, b1))
 	tb.Insert(tuple.Join(a, b2))
-	removed := tb.RemoveRef(5, tuple.Ref{Stream: 1, Seq: 1})
-	if len(removed) != 1 {
-		t.Fatalf("removed %d tuples, want 1", len(removed))
+	removed := tb.RemoveRef(5, tuple.Ref{Stream: 1, Seq: 1}).Len()
+	if removed != 1 {
+		t.Fatalf("removed %d tuples, want 1", removed)
 	}
 	if tb.Size() != 1 {
 		t.Fatalf("Size = %d after removal, want 1", tb.Size())
 	}
 	// Removing the ref shared by all remaining tuples empties the bucket.
-	removed = tb.RemoveRef(5, tuple.Ref{Stream: 0, Seq: 1})
-	if len(removed) != 1 || tb.Size() != 0 || tb.DistinctKeys() != 0 {
+	removed = tb.RemoveRef(5, tuple.Ref{Stream: 0, Seq: 1}).Len()
+	if removed != 1 || tb.Size() != 0 || tb.DistinctKeys() != 0 {
 		t.Fatalf("bucket not fully drained: removed=%d size=%d keys=%d",
-			len(removed), tb.Size(), tb.DistinctKeys())
+			removed, tb.Size(), tb.DistinctKeys())
 	}
-	if tb.RemoveRef(5, tuple.Ref{Stream: 0, Seq: 1}) != nil {
+	if tb.RemoveRef(5, tuple.Ref{Stream: 0, Seq: 1}).Len() != 0 {
 		t.Error("removal from empty bucket returned tuples")
 	}
 }
@@ -171,11 +181,10 @@ func TestTableCountOld(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		tb.Insert(base(0, uint64(i), 1))
 	}
-	oldest := func(tp *tuple.Tuple) uint64 { return tp.Refs[0].Seq }
-	if got := tb.CountOld(2, oldest); got != 2 {
+	if got := tb.CountOld(2); got != 2 {
 		t.Fatalf("CountOld(2) = %d, want 2", got)
 	}
-	if got := tb.CountOld(0, oldest); got != 0 {
+	if got := tb.CountOld(0); got != 0 {
 		t.Fatalf("CountOld(0) = %d, want 0", got)
 	}
 }
@@ -305,14 +314,14 @@ func TestTableRemoveKey(t *testing.T) {
 	tb.Insert(base(0, 1, 5))
 	tb.Insert(base(0, 2, 5))
 	tb.Insert(base(0, 3, 9))
-	moved := tb.RemoveKey(5)
-	if len(moved) != 2 || tb.Size() != 1 || tb.ContainsKey(5) {
-		t.Fatalf("RemoveKey: moved=%d size=%d", len(moved), tb.Size())
+	moved := tb.RemoveKey(5).Len()
+	if moved != 2 || tb.Size() != 1 || tb.ContainsKey(5) {
+		t.Fatalf("RemoveKey: moved=%d size=%d", moved, tb.Size())
 	}
-	if tb.RemoveKey(5) != nil {
+	if tb.RemoveKey(5).Len() != 0 {
 		t.Fatal("second RemoveKey returned tuples")
 	}
-	if tb.RemoveKey(42) != nil {
+	if tb.RemoveKey(42).Len() != 0 {
 		t.Fatal("RemoveKey of absent key returned tuples")
 	}
 }
@@ -362,9 +371,9 @@ func TestListRestoreMeta(t *testing.T) {
 }
 
 // TestTableArenaReuse pins the allocation-lean eviction contract: a
-// bucket emptied by RemoveRef donates its backing array to the next
+// run emptied by RemoveRef donates its backing array to the next
 // Insert of a fresh key, and repeated insert/evict cycles in steady
-// state allocate nothing new for buckets or removal results.
+// state allocate nothing new for runs or removal results.
 func TestTableArenaReuse(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0))
 	// Fill and fully drain a key so its array lands on the free list.
@@ -379,19 +388,22 @@ func TestTableArenaReuse(t *testing.T) {
 	}
 	recycled := tb.free[0]
 	tb.Insert(base(0, 100, 9))
-	if got := tb.Probe(9); len(got) != 1 || cap(recycled) == 0 ||
-		&got[:1][0] != &recycled[:1][0] {
-		t.Fatal("Insert did not reuse the recycled bucket array")
+	if got := tb.Probe(9); got.Len() != 1 || cap(recycled) == 0 ||
+		&got.Data[:1][0] != &recycled[:1][0] {
+		t.Fatal("Insert did not reuse the recycled run")
 	}
 	// Steady state: evict+insert cycles must not allocate.
 	seq := uint64(1000)
+	seqs := make([]uint64, 1)
 	allocs := testing.AllocsPerRun(200, func() {
 		tb.RemoveRef(9, tuple.Ref{Stream: 0, Seq: seq - 900})
-		tb.Insert(&tuple.Tuple{Key: 9, Set: tuple.NewStreamSet(0),
-			Refs: []tuple.Ref{{Stream: 0, Seq: seq + 100 - 900}}})
+		seqs[0] = seq + 100 - 900
+		tb.Insert(&tuple.Tuple{Key: 9, Set: tuple.NewStreamSet(0), Seqs: seqs})
 		seq++
 	})
-	_ = allocs // map churn may allocate on some runtimes; the hot path must not grow
+	if allocs != 0 {
+		t.Fatalf("%v allocations per evict+insert cycle", allocs)
+	}
 }
 
 // TestTableRemovedScratchInvalidation documents the RemoveRef result
@@ -400,16 +412,17 @@ func TestTableRemovedScratchInvalidation(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0))
 	tb.Insert(base(0, 1, 1))
 	tb.Insert(base(0, 2, 2))
+	var v tuple.Tuple
 	first := tb.RemoveRef(1, tuple.Ref{Stream: 0, Seq: 1})
-	if len(first) != 1 || first[0].Key != 1 {
-		t.Fatalf("first removal = %v", first)
+	if first.Len() != 1 || first.Key != 1 || first.View(0, &v).First().Seq != 1 {
+		t.Fatalf("first removal = %v", tuples(first))
 	}
 	second := tb.RemoveRef(2, tuple.Ref{Stream: 0, Seq: 2})
-	if len(second) != 1 || second[0].Key != 2 {
-		t.Fatalf("second removal = %v", second)
+	if second.Len() != 1 || second.Key != 2 || second.View(0, &v).First().Seq != 2 {
+		t.Fatalf("second removal = %v", tuples(second))
 	}
 	// first aliases the scratch buffer now holding the second result.
-	if first[0].Key != 2 {
+	if first.View(0, &v).First().Seq != 2 {
 		t.Fatal("RemoveRef result unexpectedly survived a second call; update docs if this becomes guaranteed")
 	}
 }

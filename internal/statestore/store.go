@@ -15,8 +15,8 @@ import (
 
 // Options configures one Store (one per engine shard).
 type Options struct {
-	// Budget is the resident-byte budget (TupleBytes accounting) the
-	// store governs. Zero or negative means unbounded: accounting runs
+	// Budget is the resident-byte budget (row and slot bytes, see
+	// state.TupleBytes) the store governs. Zero or negative means unbounded: accounting runs
 	// but nothing ever spills.
 	Budget int64
 	// Dir is the segment directory. It is wiped on Open — spill
@@ -60,13 +60,13 @@ type Table interface {
 	// key of the first untouched one and the position after it; ok is
 	// false when the walk reached the last slot without finding one.
 	Sweep(from int) (key tuple.Value, next int, ok bool)
-	// ResidentBucket returns the resident tuples under key, nil when
-	// none are resident, without faulting or setting the reference bit.
-	ResidentBucket(key tuple.Value) []*tuple.Tuple
+	// ResidentBucket lends the resident rows under key, none when none
+	// are resident, without faulting or setting the reference bit.
+	ResidentBucket(key tuple.Value) tuple.Rows
 	// MarkSpilled detaches the resident bucket of key, which the store
 	// has just captured, into key's spilled part — the one the table
 	// holds already, or fresh when it holds none — and returns that part
-	// and the accounted bytes that moved.
+	// and the row bytes that moved.
 	MarkSpilled(key tuple.Value, fresh *Part) (*Part, int64)
 }
 
@@ -123,17 +123,17 @@ type Part struct {
 	// each spill.
 	liveEnc int64
 	perEnc  int64
-	// memBytes/perMem are the same accounting in resident-equivalent
-	// (TupleBytes) units, for the spilled-bytes statistic.
+	// memBytes/perMem are the same accounting in resident row bytes,
+	// for the spilled-bytes statistic.
 	memBytes int64
 	perMem   int64
 
-	// count is the number of live tuples; deadThrough is the tombstone
-	// mark — single-ref tuples with Seq ≤ deadThrough are dead and are
+	// count is the number of live rows; deadThrough is the tombstone
+	// mark — one-stream rows with seq ≤ deadThrough are dead and are
 	// filtered out on fault, peek, and compaction.
 	count       int
 	deadThrough uint64
-	// newest is the first ref's Seq of the last tuple spilled.
+	// newest is the first seq of the last row spilled.
 	newest uint64
 	// dirty records that a tombstone landed since the spans were
 	// written, so compaction must decode and filter them instead of
@@ -141,14 +141,13 @@ type Part struct {
 	dirty bool
 }
 
-// Count returns the number of live tuples in the part, at least one.
+// Count returns the number of live rows in the part, at least one.
 func (p *Part) Count() int { return p.count }
 
-// Newest returns the first ref's sequence number of the last tuple
-// spilled into the part. On a scan table, whose tuples hold one ref
-// each and expire in seq order, it is the highest seq spilled: an
-// expiring ref no newer than it lies in the part, a newer one in the
-// resident bucket.
+// Newest returns the first sequence number of the last row spilled
+// into the part. On a scan table, whose rows hold one seq each and
+// expire in seq order, it is the highest seq spilled: an expiring ref
+// no newer than it lies in the part, a newer one in the resident run.
 func (p *Part) Newest() uint64 { return p.newest }
 
 // Store is the spill tier of one shard's tables. It keeps the resident
@@ -309,11 +308,10 @@ func (s *Store) rotate() error {
 	return nil
 }
 
-// appendBucket encodes tuples as one run of frames at the segment's
-// tail.
-func (sg *segment) appendBucket(key tuple.Value, set tuple.StreamSet, tuples []*tuple.Tuple) span {
+// appendBucket encodes rows as one run of frames at the segment's tail.
+func (sg *segment) appendBucket(rows tuple.Rows) span {
 	before := len(sg.tail)
-	sg.tail = appendBucket(sg.tail, key, set, tuples)
+	sg.tail = appendBucket(sg.tail, rows)
 	sp := span{seg: sg, off: sg.size, n: int64(len(sg.tail) - before)}
 	sg.size += sp.n
 	return sp
@@ -375,7 +373,7 @@ func (s *Store) victim() (Table, tuple.Value, bool) {
 // be created leaves the bucket resident, a tail that cannot be flushed
 // keeps serving its spans from memory.
 func (s *Store) spill(t Table, key tuple.Value) bool {
-	bucket := t.ResidentBucket(key)
+	rows := t.ResidentBucket(key)
 	// Rotate past the size threshold, or to replace an active segment
 	// whose writer died on an earlier failure.
 	if s.active.w == nil || s.active.size >= s.segBytes {
@@ -385,7 +383,7 @@ func (s *Store) spill(t Table, key tuple.Value) bool {
 		}
 	}
 	seg := s.active
-	sp := seg.appendBucket(key, bucket[0].Set, bucket)
+	sp := seg.appendBucket(rows)
 	s.encTotal.Add(sp.n)
 	s.encLive.Add(sp.n)
 	if len(s.free) == 0 {
@@ -399,8 +397,8 @@ func (s *Store) spill(t Table, key tuple.Value) bool {
 	}
 	p.spans = append(p.spans, sp)
 	seg.dir = append(seg.dir, dirent{p, sp.off})
-	p.count += len(bucket)
-	p.newest = bucket[len(bucket)-1].Refs[0].Seq
+	p.count += rows.Len()
+	p.newest = rows.Data[len(rows.Data)-tuple.RowWidth(rows.Set)+2]
 	p.liveEnc += sp.n
 	p.perEnc = p.liveEnc / int64(p.count)
 	p.memBytes += mem
@@ -429,11 +427,12 @@ func (s *Store) Free(p *Part) {
 }
 
 // Fault reads a spilled part back and frees it, counting and
-// latency-sampling the miss. It returns the part's live tuples, oldest
-// first; the caller drops p.
-func (s *Store) Fault(p *Part) []*tuple.Tuple {
+// latency-sampling the miss. It appends the part's live rows, oldest
+// first, to dst and returns it; the caller drops p.
+func (s *Store) Fault(p *Part, dst []uint64) []uint64 {
 	start := time.Now()
-	tuples, err := s.load(p)
+	n := p.count
+	rows, err := s.load(p, dst)
 	if err != nil {
 		// The resident copy was discarded when the bucket spilled; an
 		// unreadable segment is unrecoverable state loss, not a
@@ -442,33 +441,26 @@ func (s *Store) Fault(p *Part) []*tuple.Tuple {
 	}
 	s.Free(p)
 	s.faults.Add(1)
-	s.faultTuples.Add(uint64(len(tuples)))
+	s.faultTuples.Add(uint64(n))
 	if s.faultLat != nil {
 		s.faultLat.Record(time.Since(start))
 	}
 	s.maybeCompact()
-	return tuples
+	return rows.Data
 }
 
-// Peek calls fn for each live tuple of a spilled part, oldest first,
-// without admitting it; it returns false when fn stopped early. The
-// part is decoded in full before fn first runs, so an fn that re-enters
-// the table (and with it the store's read buffer) cannot disturb the
-// iteration.
-func (s *Store) Peek(p *Part, fn func(*tuple.Tuple) bool) bool {
-	tuples, err := s.load(p)
+// Peek returns the live rows of a spilled part, oldest first, in a
+// fresh run, without admitting them: a caller that re-enters the table
+// (and with it the store's read buffer) cannot disturb them.
+func (s *Store) Peek(p *Part) []uint64 {
+	rows, err := s.load(p, nil)
 	if err != nil {
 		panic(fmt.Sprintf("statestore: peeking a spilled part: %v", err))
 	}
-	for _, tup := range tuples {
-		if !fn(tup) {
-			return false
-		}
-	}
-	return true
+	return rows.Data
 }
 
-// Tombstone records window eviction of one single-ref tuple of a
+// Tombstone records window eviction of one one-stream row of a
 // spilled part, with sequence number deadThrough, without faulting. It
 // reports whether the part emptied; then it is freed and the caller
 // drops p.
@@ -529,42 +521,42 @@ func (s *Store) read(sp span) ([]byte, error) {
 	return buf, nil
 }
 
-// load reads and decodes a part's spans, oldest first, dropping tuples
-// at or below its tombstone mark. Memory-served and disk-served
-// spans pass the same frame CRC check, and the survivors must be as
-// many as the accounting says.
-func (s *Store) load(p *Part) ([]*tuple.Tuple, error) {
-	out := make([]*tuple.Tuple, 0, p.count)
+// load reads a part's spans and appends their rows, oldest first, to
+// dst, dropping rows at or below its tombstone mark; Data holds dst
+// extended. Memory-served and disk-served spans pass the same frame
+// CRC check, and the survivors must be as many as the accounting says.
+func (s *Store) load(p *Part, dst []uint64) (tuple.Rows, error) {
+	rows := tuple.Rows{Data: dst}
+	start := len(dst)
 	for _, sp := range p.spans {
 		data, err := s.read(sp)
 		if err != nil {
-			return nil, err
+			return rows, err
 		}
 		for off := 0; off < len(data); {
 			payload, n, ok := storage.NextFrame(data[off:], maxSpillPayload)
 			if !ok {
-				return nil, fmt.Errorf("corrupt frame at %s offset %d", sp.seg.path, sp.off+int64(off))
+				return rows, fmt.Errorf("corrupt frame at %s offset %d", sp.seg.path, sp.off+int64(off))
 			}
-			live := len(out)
-			if _, _, out, err = decodeBucketInto(out, payload); err != nil {
-				return nil, fmt.Errorf("CRC-valid frame at %s offset %d does not decode: %w", sp.seg.path, sp.off+int64(off), err)
+			live := len(rows.Data)
+			if rows, err = decodeBucket(rows.Data, payload); err != nil {
+				return rows, fmt.Errorf("CRC-valid frame at %s offset %d does not decode: %w", sp.seg.path, sp.off+int64(off), err)
 			}
-			if p.deadThrough > 0 {
-				for _, tup := range out[live:] {
-					if len(tup.Refs) != 1 || tup.Refs[0].Seq > p.deadThrough {
-						out[live] = tup
-						live++
+			if p.deadThrough > 0 && rows.Set.Count() == 1 {
+				for i := live; i < len(rows.Data); i += 3 {
+					if rows.Data[i+2] > p.deadThrough {
+						live += copy(rows.Data[live:], rows.Data[i:i+3])
 					}
 				}
-				out = out[:live]
+				rows.Data = rows.Data[:live]
 			}
 			off += n
 		}
 	}
-	if len(out) != p.count {
-		return nil, fmt.Errorf("decoded %d live tuples, accounting says %d", len(out), p.count)
+	if n := (len(rows.Data) - start) / tuple.RowWidth(rows.Set); n != p.count {
+		return rows, fmt.Errorf("decoded %d live rows, accounting says %d", n, p.count)
 	}
-	return out, nil
+	return rows, nil
 }
 
 // maybeCompact rewrites the live set once garbage crosses garbageRatio
@@ -659,9 +651,9 @@ func (s *Store) compact() error {
 // others are decoded, filtered and re-encoded.
 func (s *Store) rewrite(seg *segment, p *Part) error {
 	if p.dirty {
-		tuples, err := s.load(p)
+		rows, err := s.load(p, nil)
 		if err == nil {
-			seg.appendBucket(tuples[0].Key, tuples[0].Set, tuples)
+			seg.appendBucket(rows)
 		}
 		return err
 	}

@@ -39,7 +39,7 @@ func fill(tbl *state.Table, n int) {
 }
 
 func TestSpillAndFaultRoundTrip(t *testing.T) {
-	perTuple := state.TupleBytes(base(0, 1, 1))
+	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetStore(s, true)
@@ -61,12 +61,12 @@ func TestSpillAndFaultRoundTrip(t *testing.T) {
 	// Probe every key: spilled buckets fault back with identical
 	// contents.
 	for i := 0; i < 16; i++ {
-		got := tbl.Probe(tuple.Value(i))
+		got := tuples(tbl.Probe(tuple.Value(i)))
 		if len(got) != 1 {
 			t.Fatalf("probe key %d: %d tuples, want 1", i, len(got))
 		}
 		tup := got[0]
-		if tup.Key != tuple.Value(i) || len(tup.Refs) != 1 || tup.Refs[0] != (tuple.Ref{Stream: 0, Seq: uint64(i + 1)}) {
+		if tup.Key != tuple.Value(i) || len(tup.Seqs) != 1 || tup.First() != (tuple.Ref{Stream: 0, Seq: uint64(i + 1)}) {
 			t.Fatalf("probe key %d returned wrong tuple: %v", i, tup)
 		}
 		if tup.Arrival != uint64(i+1) || tup.Oldest != uint64(i+1) {
@@ -92,12 +92,12 @@ func TestMultiTupleBuckets(t *testing.T) {
 	if tbl.Size() != 6 {
 		t.Fatalf("size = %d", tbl.Size())
 	}
-	got := tbl.Probe(0)
+	got := tuples(tbl.Probe(0))
 	if len(got) != 3 {
 		t.Fatalf("bucket 0 has %d tuples, want 3", len(got))
 	}
 	for _, tup := range got {
-		seq := tup.Refs[0].Seq
+		seq := tup.First().Seq
 		if tup.Key != 0 || !tup.IsBase() || seq%2 != 1 || tup.Arrival != seq || tup.Oldest != seq {
 			t.Fatalf("tuple changed in the round trip: %v arrival %d oldest %d", tup, tup.Arrival, tup.Oldest)
 		}
@@ -105,7 +105,7 @@ func TestMultiTupleBuckets(t *testing.T) {
 }
 
 func TestTombstoneEviction(t *testing.T) {
-	perTuple := state.TupleBytes(base(0, 1, 1))
+	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetStore(s, true)
@@ -120,7 +120,7 @@ func TestTombstoneEviction(t *testing.T) {
 	// Evict the first round (seqs 1..4) in order, like a sliding
 	// window would.
 	for i := 0; i < 4; i++ {
-		tbl.RemoveRef(tuple.Value(i%4), tuple.Ref{Stream: 0, Seq: uint64(i + 1)})
+		tuples(tbl.RemoveRef(tuple.Value(i%4), tuple.Ref{Stream: 0, Seq: uint64(i + 1)}))
 	}
 	if tbl.Size() != 4 {
 		t.Fatalf("size after eviction = %d, want 4", tbl.Size())
@@ -133,17 +133,17 @@ func TestTombstoneEviction(t *testing.T) {
 	}
 	// Faulting in filters the tombstoned tuples.
 	for i := 0; i < 4; i++ {
-		got := tbl.Probe(tuple.Value(i))
+		got := tuples(tbl.Probe(tuple.Value(i)))
 		if len(got) != 1 {
 			t.Fatalf("key %d: %d tuples, want 1", i, len(got))
 		}
-		if got[0].Refs[0].Seq != uint64(i+5) {
-			t.Fatalf("key %d: survivor has seq %d, want %d", i, got[0].Refs[0].Seq, i+5)
+		if got[0].First().Seq != uint64(i+5) {
+			t.Fatalf("key %d: survivor has seq %d, want %d", i, got[0].First().Seq, i+5)
 		}
 	}
 	// Evict the second round; keys disappear entirely.
 	for i := 0; i < 4; i++ {
-		tbl.RemoveRef(tuple.Value(i%4), tuple.Ref{Stream: 0, Seq: uint64(i + 5)})
+		tuples(tbl.RemoveRef(tuple.Value(i%4), tuple.Ref{Stream: 0, Seq: uint64(i + 5)}))
 	}
 	if tbl.Size() != 0 {
 		t.Fatalf("size = %d, want 0", tbl.Size())
@@ -170,7 +170,7 @@ func TestEachAndCountOldCoverSpilled(t *testing.T) {
 	if len(seen) != 10 {
 		t.Fatalf("Each saw %d keys, want 10", len(seen))
 	}
-	if n := tbl.CountOld(5, func(tup *tuple.Tuple) uint64 { return tup.Oldest }); n != 5 {
+	if n := tbl.CountOld(5); n != 5 {
 		t.Fatalf("CountOld = %d, want 5", n)
 	}
 	if s.Stats().Faults != faultsBefore {
@@ -206,7 +206,7 @@ func TestClearDropsSpilled(t *testing.T) {
 func seqs(tuples []*tuple.Tuple) []uint64 {
 	out := make([]uint64, len(tuples))
 	for i, tup := range tuples {
-		out[i] = tup.Refs[0].Seq
+		out[i] = tup.First().Seq
 	}
 	return out
 }
@@ -218,24 +218,24 @@ func seqs(tuples []*tuple.Tuple) []uint64 {
 // returns every part in arrival order.
 func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
 	for _, tombstones := range []bool{true, false} {
-		perTuple := state.TupleBytes(base(0, 1, 1))
+		perTuple := oneRowKey
 		fs := &statestore.CountingFS{FS: storage.NewMemFS()}
 		s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, FS: fs})
 		tbl := state.NewTable(tuple.NewStreamSet(0))
 		tbl.SetStore(s, tombstones)
 		fill(tbl, 6) // keys 0..5, seqs 1..6; key 0 is long spilled
-		if tbl.ResidentBucket(0) != nil {
+		if tuples(tbl.ResidentBucket(0)) != nil {
 			t.Fatal("key 0 still resident; the test needs it spilled")
 		}
 		tbl.Insert(base(0, 100, 0))
-		if got := seqs(tbl.ResidentBucket(0)); fmt.Sprint(got) != "[100]" {
+		if got := seqs(tuples(tbl.ResidentBucket(0))); fmt.Sprint(got) != "[100]" {
 			t.Fatalf("resident part of key 0 = %v, want [100]", got)
 		}
 		// Push the resident part out too, then start a third part.
 		for i := 6; i < 10; i++ {
 			tbl.Insert(base(0, uint64(i+1), tuple.Value(i)))
 		}
-		if tbl.ResidentBucket(0) != nil {
+		if tuples(tbl.ResidentBucket(0)) != nil {
 			t.Fatal("second part of key 0 was not spilled")
 		}
 		tbl.Insert(base(0, 200, 0))
@@ -249,14 +249,14 @@ func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
 		var each []uint64
 		tbl.Each(func(tup *tuple.Tuple) bool {
 			if tup.Key == 0 {
-				each = append(each, tup.Refs[0].Seq)
+				each = append(each, tup.First().Seq)
 			}
 			return true
 		})
 		if fmt.Sprint(each) != "[1 100 200]" {
 			t.Fatalf("Each visited key 0 as %v, want [1 100 200]", each)
 		}
-		if got := seqs(tbl.Probe(0)); fmt.Sprint(got) != "[1 100 200]" {
+		if got := seqs(tuples(tbl.Probe(0))); fmt.Sprint(got) != "[1 100 200]" {
 			t.Fatalf("probe of key 0 = %v, want [1 100 200] (tombstones %v)", got, tombstones)
 		}
 		if st := s.Stats(); st.Faults != 1 || st.FaultTuples != 2 {
@@ -272,7 +272,7 @@ func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
 // table: refs no newer than the spilled part are tombstoned there,
 // newer ones leave the resident part, and nothing is read either way.
 func TestTombstoneRoutesBySeq(t *testing.T) {
-	perTuple := state.TupleBytes(base(0, 1, 1))
+	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetStore(s, true)
@@ -282,17 +282,17 @@ func TestTombstoneRoutesBySeq(t *testing.T) {
 		tbl.Insert(base(0, uint64(i+2), tuple.Value(i)))
 	}
 	tbl.Insert(base(0, 7, 0)) // resident part beside the spilled {1, 2}
-	if tbl.ResidentBucket(0) == nil || s.Stats().SpilledBuckets == 0 {
+	if tuples(tbl.ResidentBucket(0)) == nil || s.Stats().SpilledBuckets == 0 {
 		t.Fatal("key 0 is not split")
 	}
-	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1})
-	if got := seqs(tbl.ResidentBucket(0)); fmt.Sprint(got) != "[7]" || tbl.Size() != 6 {
+	tuples(tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}))
+	if got := seqs(tuples(tbl.ResidentBucket(0))); fmt.Sprint(got) != "[7]" || tbl.Size() != 6 {
 		t.Fatalf("expiring seq 1 touched the resident part: %v, size %d", got, tbl.Size())
 	}
-	if got := tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 7}); len(got) != 1 || !tbl.ContainsKey(0) {
+	if got := tuples(tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 7})); len(got) != 1 || !tbl.ContainsKey(0) {
 		t.Fatalf("expiring seq 7 removed %v, key present %v", got, tbl.ContainsKey(0))
 	}
-	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 2})
+	tuples(tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 2}))
 	if tbl.ContainsKey(0) || tbl.Size() != 4 {
 		t.Fatalf("key 0 should be gone: contains %v, size %d", tbl.ContainsKey(0), tbl.Size())
 	}
@@ -302,7 +302,7 @@ func TestTombstoneRoutesBySeq(t *testing.T) {
 }
 
 func TestCompaction(t *testing.T) {
-	perTuple := state.TupleBytes(base(0, 1, 1))
+	perTuple := oneRowKey
 	fs := &statestore.CountingFS{FS: storage.NewMemFS()}
 	s := mustOpen(t, statestore.Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024, FS: fs})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
@@ -313,7 +313,7 @@ func TestCompaction(t *testing.T) {
 		tbl.Insert(base(0, uint64(i+1), tuple.Value(i)))
 	}
 	for i := 0; i < 56; i++ {
-		tbl.RemoveRef(tuple.Value(i), tuple.Ref{Stream: 0, Seq: uint64(i + 1)})
+		tuples(tbl.RemoveRef(tuple.Value(i), tuple.Ref{Stream: 0, Seq: uint64(i + 1)}))
 	}
 	st := s.Stats()
 	if o, c := fs.Opens.Load(), fs.Closes.Load(); o-c != st.Segments {
@@ -347,7 +347,7 @@ func TestCompaction(t *testing.T) {
 // back exactly what an unbacked table holds, multi-span keys included.
 func TestCompactionCopyMatchesDecode(t *testing.T) {
 	for _, tombstoned := range []bool{false, true} {
-		perTuple := state.TupleBytes(base(0, 1, 1))
+		perTuple := oneRowKey
 		s := mustOpen(t, statestore.Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024})
 		tbl, model := state.NewTable(tuple.NewStreamSet(0)), state.NewTable(tuple.NewStreamSet(0))
 		tbl.SetStore(s, true)
@@ -370,15 +370,15 @@ func TestCompactionCopyMatchesDecode(t *testing.T) {
 		if tombstoned {
 			for k := 0; k < 8; k++ {
 				ref := tuple.Ref{Stream: 0, Seq: uint64(k + 1)}
-				tbl.RemoveRef(tuple.Value(k), ref)
-				model.RemoveRef(tuple.Value(k), ref)
+				tuples(tbl.RemoveRef(tuple.Value(k), ref))
+				tuples(model.RemoveRef(tuple.Value(k), ref))
 			}
 		}
 		before := s.Stats().Compactions
 		for k := 100; k < 180; k++ {
 			ref := tuple.Ref{Stream: 0, Seq: uint64(24 + k - 100 + 1)}
-			tbl.RemoveRef(tuple.Value(k), ref)
-			model.RemoveRef(tuple.Value(k), ref)
+			tuples(tbl.RemoveRef(tuple.Value(k), ref))
+			tuples(model.RemoveRef(tuple.Value(k), ref))
 		}
 		st := s.Stats()
 		if st.Compactions == before {
@@ -388,7 +388,7 @@ func TestCompactionCopyMatchesDecode(t *testing.T) {
 			t.Fatalf("tombstoned=%v: eviction faulted: %+v", tombstoned, st)
 		}
 		for k := 0; k < 8; k++ {
-			got, want := seqs(tbl.Probe(tuple.Value(k))), seqs(model.Probe(tuple.Value(k)))
+			got, want := seqs(tuples(tbl.Probe(tuple.Value(k)))), seqs(tuples(model.Probe(tuple.Value(k))))
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("tombstoned=%v key %d: faulted %v, model %v", tombstoned, k, got, want)
 			}
@@ -400,23 +400,27 @@ func TestCompactionCopyMatchesDecode(t *testing.T) {
 }
 
 func TestFaultLoadedSliceSurvivesRespill(t *testing.T) {
-	perTuple := state.TupleBytes(base(0, 1, 1))
+	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetStore(s, true)
 	fill(tbl, 8)
 
-	// Hold the probe result, then force churn that re-spills the
-	// bucket; the held slice must stay valid.
+	// Hold the lent rows, then force churn that re-spills the bucket;
+	// the held rows must stay valid.
 	held := tbl.Probe(0)
-	if len(held) != 1 {
-		t.Fatalf("probe: %d tuples", len(held))
+	if held.Len() != 1 {
+		t.Fatalf("probe: %d tuples", held.Len())
 	}
 	for i := 100; i < 120; i++ {
 		tbl.Insert(base(0, uint64(i+1), tuple.Value(i)))
 	}
-	if held[0].Key != 0 || held[0].Refs[0].Seq != 1 {
-		t.Fatalf("held slice corrupted: %v", held[0])
+	if tbl.ResidentBucket(0).Len() != 0 {
+		t.Fatal("key 0 did not spill again")
+	}
+	var v tuple.Tuple
+	if got := held.View(0, &v); got.Key != 0 || got.First().Seq != 1 {
+		t.Fatalf("held rows corrupted: %v", got)
 	}
 }
 
@@ -450,7 +454,7 @@ func coolAll(tbl *state.Table) {
 func residentKeys(tbl *state.Table, n int) []tuple.Value {
 	var out []tuple.Value
 	for k := range tuple.Value(n) {
-		if tbl.ResidentBucket(k) != nil {
+		if tuples(tbl.ResidentBucket(k)) != nil {
 			out = append(out, k)
 		}
 	}
@@ -461,7 +465,7 @@ func residentKeys(tbl *state.Table, n int) []tuple.Value {
 // Every case stays at six keys or fewer per table, so no index grows
 // and slot positions hold still under the hand.
 func TestClockSweep(t *testing.T) {
-	perTuple := state.TupleBytes(base(0, 1, 1))
+	perTuple := oneRowKey
 
 	// A bucket touched after the hand cleared it outlives every cold
 	// bucket: the hand meets all of them before it comes round again.
@@ -476,21 +480,23 @@ func TestClockSweep(t *testing.T) {
 			t.Fatalf("set-up: resident %v, %+v", cold, s.Stats())
 		}
 		touched := cold[0]
-		tbl.Probe(touched)
-		// Each insert under a key spilled at set-up grows its hot resident
-		// part by one tuple and pushes one bucket out.
+		tuples(tbl.Probe(touched))
+		// Inserts under a key spilled at set-up grow its hot resident
+		// part: the first charges the part's slot and a row, a whole key's
+		// worth, each later one a row, a third of that. Five of them
+		// push out three buckets.
 		spilled := tuple.Value(0)
 		for slices.Contains(cold, spilled) {
 			spilled++
 		}
-		for i := range 3 {
+		for i := range 5 {
 			tbl.Insert(base(0, uint64(100+i), spilled))
 		}
 		if got := s.Stats().Spills; got != 5 {
 			t.Fatalf("%d spills, want 5", got)
 		}
 		for _, k := range cold {
-			if resident := tbl.ResidentBucket(k) != nil; resident != (k == touched) {
+			if resident := tuples(tbl.ResidentBucket(k)) != nil; resident != (k == touched) {
 				t.Fatalf("key %d resident %v; only the touched key %d should be", k, resident, touched)
 			}
 		}
@@ -580,7 +586,7 @@ func TestClockSweep(t *testing.T) {
 		for k := range 8 {
 			l.Insert(base(1, uint64(k+1), tuple.Value(k)))
 		}
-		if st := s.Stats(); tbl.Bytes() != 0 || st.Spills != 5 || st.ResidentBytes != 8*perTuple {
+		if st := s.Stats(); tbl.Bytes() != 0 || st.Spills != 5 || st.ResidentBytes != l.Bytes() {
 			t.Fatalf("table keeps %d resident bytes: %+v", tbl.Bytes(), st)
 		}
 	})
@@ -599,7 +605,7 @@ func crashNow(crash *storage.CrashFS) {
 }
 
 func TestSpillWriteFailureFailsOpen(t *testing.T) {
-	perTuple := state.TupleBytes(base(0, 1, 1))
+	perTuple := oneRowKey
 	// Let the store set itself up, then cut the disk.
 	crash := storage.NewCrashFS(storage.NewMemFS(), 1<<20)
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, FS: crash})
@@ -626,8 +632,8 @@ func TestSpillWriteFailureFailsOpen(t *testing.T) {
 		t.Fatalf("size = %d, want %d", tbl.Size(), 4+n)
 	}
 	for i := 100; i < 100+n; i++ {
-		got := tbl.Probe(tuple.Value(i))
-		if len(got) != 1 || got[0].Refs[0].Seq != uint64(i+1) {
+		got := tuples(tbl.Probe(tuple.Value(i)))
+		if len(got) != 1 || got[0].First().Seq != uint64(i+1) {
 			t.Fatalf("key %d lost after write failure: %v", i, got)
 		}
 	}
@@ -660,13 +666,13 @@ func TestFailedFlushLosesNoBucket(t *testing.T) {
 	if seen != size {
 		t.Fatalf("Each saw %d of %d tuples after the failed flush", seen, size)
 	}
-	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1})
+	tuples(tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}))
 	if tbl.ContainsKey(0) || tbl.Size() != size-1 {
 		t.Fatal("expiry of a bucket in the unflushed tail went wrong")
 	}
 	for i := 1; i < 200; i++ {
-		got := tbl.Probe(tuple.Value(i))
-		if len(got) != 1 || got[0].Refs[0].Seq != uint64(i+1) {
+		got := tuples(tbl.Probe(tuple.Value(i)))
+		if len(got) != 1 || got[0].First().Seq != uint64(i+1) {
 			t.Fatalf("key %d, detached before the failed flush, reads back %v", i, got)
 		}
 	}
@@ -689,7 +695,7 @@ func TestReleaseForgetsTable(t *testing.T) {
 	}
 	// b is untouched.
 	for i := 0; i < 10; i++ {
-		if len(b.Probe(tuple.Value(i))) != 1 {
+		if len(tuples(b.Probe(tuple.Value(i)))) != 1 {
 			t.Fatalf("b key %d lost", i)
 		}
 	}
@@ -699,11 +705,13 @@ func TestListAccounting(t *testing.T) {
 	s := mustOpen(t, statestore.Options{Budget: 0})
 	l := state.NewList(tuple.NewStreamSet(0))
 	l.SetStore(s)
+	// A list keeps its tuples by pointer: the pointer, a 64-byte Tuple
+	// allocation and one seq each.
+	const entry = 8 + 64 + 8
 	var want int64
 	for i := 0; i < 10; i++ {
-		tup := base(0, uint64(i+1), tuple.Value(i))
-		want += state.TupleBytes(tup)
-		l.Insert(tup)
+		want += entry
+		l.Insert(base(0, uint64(i+1), tuple.Value(i)))
 	}
 	if l.Bytes() != want || s.Stats().ResidentBytes != want {
 		t.Fatalf("list bytes %d, store %d, want %d", l.Bytes(), s.Stats().ResidentBytes, want)
@@ -712,7 +720,7 @@ func TestListAccounting(t *testing.T) {
 	if len(removed) != 1 {
 		t.Fatalf("removed %d", len(removed))
 	}
-	want -= state.TupleBytes(removed[0])
+	want -= entry
 	if l.Bytes() != want || s.Stats().ResidentBytes != want {
 		t.Fatalf("after remove: list %d, store %d, want %d", l.Bytes(), s.Stats().ResidentBytes, want)
 	}
@@ -725,14 +733,14 @@ func TestListAccounting(t *testing.T) {
 // TestRealFS exercises the read path against the actual filesystem
 // (most other tests run on MemFS).
 func TestRealFS(t *testing.T) {
-	perTuple := state.TupleBytes(base(0, 1, 1))
+	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, Dir: t.TempDir() + "/spill"})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
 	tbl.SetStore(s, true)
 	fill(tbl, 32)
 	for i := 0; i < 32; i++ {
-		got := tbl.Probe(tuple.Value(i))
-		if len(got) != 1 || got[0].Refs[0].Seq != uint64(i+1) {
+		got := tuples(tbl.Probe(tuple.Value(i)))
+		if len(got) != 1 || got[0].First().Seq != uint64(i+1) {
 			t.Fatalf("key %d: %v", i, got)
 		}
 	}
@@ -751,7 +759,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	// All buckets readable across segments.
 	for i := 0; i < 64; i++ {
-		if len(tbl.Probe(tuple.Value(i))) != 1 {
+		if len(tuples(tbl.Probe(tuple.Value(i)))) != 1 {
 			t.Fatalf("key %d unreadable", i)
 		}
 	}
@@ -772,4 +780,21 @@ func TestStringerSmoke(t *testing.T) {
 	if got := fmt.Sprint(tbl); got == "" {
 		t.Fatal("empty String()")
 	}
+}
+
+// oneRowKey is the resident charge of a key holding one base row: the
+// row and its slot.
+var oneRowKey = state.TupleBytes(tuple.NewStreamSet(0)) + state.SlotBytes
+
+// tuples copies lent rows out as tuples a test may keep; none is nil.
+func tuples(r tuple.Rows) []*tuple.Tuple {
+	if r.Len() == 0 {
+		return nil
+	}
+	out := make([]*tuple.Tuple, r.Len())
+	var v tuple.Tuple
+	for i := range out {
+		out[i] = r.View(i, &v).Clone()
+	}
+	return out
 }

@@ -2,21 +2,22 @@ package tuple
 
 import "sync"
 
-// Chunk sizes for the Builder arenas. Tuples and refs are carved from
+// Chunk sizes for the Builder arenas. Tuples and seqs are carved from
 // these blocks; one chunk amortizes one heap allocation over many
 // composites.
 const (
 	tupleChunkLen = 256
-	refChunkLen   = 1024
+	seqChunkLen   = 1024
 )
 
 // Builder constructs tuples out of chunked slice-backed arenas: each
-// Tuple struct and its Refs backing array is carved from a shared
+// Tuple struct and its Seqs backing array is carved from a shared
 // block, so steady-state construction costs ~2 allocations per chunk
 // instead of 2 per tuple. Tuples built this way are ordinary immutable
-// *Tuple values — they escape into operator states and live as long as
-// any state references them (which pins their chunk; acceptable for
-// window-bounded states, where chunk-mates expire together).
+// *Tuple values for states that keep tuples by pointer (nested-loops
+// lists) and live as long as any state references them (which pins
+// their chunk; acceptable for window-bounded states, where chunk-mates
+// expire together). Hash-join states keep rows instead (Rows).
 //
 // A Builder is not safe for concurrent use; each engine owns one.
 // Builders are pooled: Acquire one per run, Release it when the run is
@@ -26,10 +27,10 @@ const (
 // composite JoinTransient lends, which is never handed out for keeping.
 type Builder struct {
 	tuples []Tuple
-	refs   []Ref
+	seqs   []uint64
 	// lent is JoinTransient's one composite, outside the arenas.
 	lent     Tuple
-	lentRefs []Ref
+	lentSeqs []uint64
 }
 
 var builderPool = sync.Pool{New: func() any { return new(Builder) }}
@@ -52,45 +53,35 @@ func (b *Builder) alloc() *Tuple {
 	return &b.tuples[len(b.tuples)-1]
 }
 
-// allocRefs carves an n-ref backing array from the ref chunk, with
+// allocSeqs carves an n-seq backing array from the seq chunk, with
 // capacity clamped so appends by a caller could never clobber a
 // neighbor (Tuples are immutable; the clamp is defense in depth).
-func (b *Builder) allocRefs(n int) []Ref {
-	if cap(b.refs)-len(b.refs) < n {
-		size := refChunkLen
-		if n > size {
-			size = n
-		}
-		b.refs = make([]Ref, 0, size)
+func (b *Builder) allocSeqs(n int) []uint64 {
+	if cap(b.seqs)-len(b.seqs) < n {
+		b.seqs = make([]uint64, 0, max(seqChunkLen, n))
 	}
-	start := len(b.refs)
-	b.refs = b.refs[:start+n]
-	return b.refs[start : start+n : start+n]
-}
-
-// Base builds a base tuple for stream id with per-stream sequence seq,
-// join key key, arriving at global tick arrival — NewBase out of the
-// arena.
-func (b *Builder) Base(id StreamID, seq uint64, key Value, arrival uint64) *Tuple {
-	t := b.alloc()
-	refs := b.allocRefs(1)
-	refs[0] = Ref{Stream: id, Seq: seq}
-	*t = Tuple{
-		Key:     key,
-		Set:     NewStreamSet(id),
-		Refs:    refs,
-		Arrival: arrival,
-		Oldest:  arrival,
-	}
-	return t
+	start := len(b.seqs)
+	b.seqs = b.seqs[:start+n]
+	return b.seqs[start : start+n : start+n]
 }
 
 // Join merges two tuples with disjoint stream sets into a composite
 // allocated from the arena. Semantics match the package-level Join.
 func (b *Builder) Join(x, y *Tuple) *Tuple {
 	t := b.alloc()
-	joinInto(t, b.allocRefs(len(x.Refs)+len(y.Refs)), x, y)
+	joinInto(t, b.allocSeqs(len(x.Seqs)+len(y.Seqs)), x, y)
 	return t
+}
+
+// Copy returns a copy of t out of the arena, sharing no memory with t:
+// how a root that stores its output as rows hands a result out for
+// keeping.
+func (b *Builder) Copy(t *Tuple) *Tuple {
+	c := b.alloc()
+	*c = *t
+	c.Seqs = b.allocSeqs(len(t.Seqs))
+	copy(c.Seqs, t.Seqs)
+	return c
 }
 
 // JoinTransient is Join into the builder's one reusable composite,
@@ -98,18 +89,10 @@ func (b *Builder) Join(x, y *Tuple) *Tuple {
 // — read by a callback and dropped — at no arena cost. Whoever needs it
 // longer takes a Clone.
 func (b *Builder) JoinTransient(x, y *Tuple) *Tuple {
-	n := len(x.Refs) + len(y.Refs)
-	if cap(b.lentRefs) < n {
-		b.lentRefs = make([]Ref, n)
+	n := len(x.Seqs) + len(y.Seqs)
+	if cap(b.lentSeqs) < n {
+		b.lentSeqs = make([]uint64, n)
 	}
-	joinInto(&b.lent, b.lentRefs[:n], x, y)
+	joinInto(&b.lent, b.lentSeqs[:n], x, y)
 	return &b.lent
-}
-
-// JoinTheta merges two tuples for a theta (non-equi) join; the
-// composite inherits the left key, as in the package-level JoinTheta.
-func (b *Builder) JoinTheta(x, y *Tuple) *Tuple {
-	t := b.Join(x, y)
-	t.Key = x.Key
-	return t
 }

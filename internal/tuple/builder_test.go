@@ -1,17 +1,23 @@
 package tuple
 
 import (
+	"slices"
 	"testing"
 )
 
-func TestBuilderBaseMatchesNewBase(t *testing.T) {
+// TestBuilderCopySharesNothing: an arena copy reads as its original and
+// survives the original being overwritten, seqs included.
+func TestBuilderCopySharesNothing(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
-	got := b.Base(3, 17, 42, 99)
-	want := NewBase(3, 17, 42, 99)
-	if got.Key != want.Key || got.Set != want.Set || got.Arrival != want.Arrival ||
-		got.Oldest != want.Oldest || len(got.Refs) != 1 || got.Refs[0] != want.Refs[0] {
-		t.Fatalf("Builder.Base = %v, want %v", got, want)
+	orig := Join(NewBase(3, 17, 42, 99), NewBase(5, 2, 42, 100))
+	got := b.Copy(orig)
+	if got.Fingerprint() != "3#17|5#2" || got.Key != 42 || got.Set != orig.Set || got.Arrival != 100 || got.Oldest != 99 {
+		t.Fatalf("Builder.Copy = %v, want %v", got, orig)
+	}
+	orig.Seqs[0], orig.Key = 9, 9
+	if got.Fingerprint() != "3#17|5#2" || got.Key != 42 {
+		t.Fatalf("copy changed with its original: %v", got)
 	}
 }
 
@@ -19,8 +25,8 @@ func TestBuilderJoinMatchesJoin(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
 	// Interleaved streams so the ref merge is exercised.
-	x := b.Join(b.Base(0, 5, 7, 10), b.Base(2, 3, 7, 20))
-	y := b.Base(1, 9, 7, 30)
+	x := b.Join(NewBase(0, 5, 7, 10), NewBase(2, 3, 7, 20))
+	y := NewBase(1, 9, 7, 30)
 	got := b.Join(x, y)
 	want := Join(Join(NewBase(0, 5, 7, 10), NewBase(2, 3, 7, 20)), NewBase(1, 9, 7, 30))
 	if got.Fingerprint() != want.Fingerprint() {
@@ -29,25 +35,22 @@ func TestBuilderJoinMatchesJoin(t *testing.T) {
 	if got.Set != want.Set || got.Arrival != want.Arrival || got.Oldest != want.Oldest {
 		t.Fatalf("Builder.Join = %+v, want %+v", got, want)
 	}
-	for i := 1; i < len(got.Refs); i++ {
-		a, c := got.Refs[i-1], got.Refs[i]
-		if a.Stream > c.Stream || (a.Stream == c.Stream && a.Seq >= c.Seq) {
-			t.Fatalf("Refs not sorted: %v", got.Refs)
-		}
+	if fp := got.Fingerprint(); fp != "0#5|1#9|2#3" {
+		t.Fatalf("provenance %s, want it in stream order", fp)
 	}
 }
 
 func TestBuilderJoinTheta(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
-	x := b.Base(0, 1, 11, 1)
-	y := b.Base(1, 1, 22, 2)
+	x := NewBase(0, 1, 11, 1)
+	y := NewBase(1, 1, 22, 2)
 	// Theta composites inherit the left key.
-	got := b.JoinTheta(x, y)
+	got := b.Join(x, y)
 	if got.Key != 11 {
 		t.Fatalf("theta key = %d, want 11", got.Key)
 	}
-	got = b.JoinTheta(y, x)
+	got = b.Join(y, x)
 	if got.Key != 22 {
 		t.Fatalf("theta key = %d, want 22", got.Key)
 	}
@@ -61,7 +64,7 @@ func TestBuilderJoinOverlapPanics(t *testing.T) {
 			t.Fatal("no panic on overlapping stream sets")
 		}
 	}()
-	b.Join(b.Base(0, 1, 1, 1), b.Base(0, 2, 1, 2))
+	b.Join(NewBase(0, 1, 1, 1), NewBase(0, 2, 1, 2))
 }
 
 // TestBuilderChunkTurnover verifies tuples built before a chunk
@@ -70,38 +73,36 @@ func TestBuilderJoinOverlapPanics(t *testing.T) {
 func TestBuilderChunkTurnover(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
-	first := b.Base(0, 1, 123, 1)
+	first := b.Join(NewBase(0, 1, 123, 1), NewBase(1, 1, 123, 1))
 	var composites []*Tuple
 	for i := 0; i < 4*tupleChunkLen; i++ {
-		l := b.Base(0, uint64(2*i+2), Value(i), uint64(i))
-		r := b.Base(1, uint64(2*i+3), Value(i), uint64(i))
+		l := NewBase(0, uint64(2*i+2), Value(i), uint64(i))
+		r := NewBase(1, uint64(2*i+3), Value(i), uint64(i))
 		composites = append(composites, b.Join(l, r))
 	}
-	if first.Key != 123 || first.Refs[0] != (Ref{Stream: 0, Seq: 1}) {
+	if first.Key != 123 || first.First() != (Ref{Stream: 0, Seq: 1}) {
 		t.Fatalf("early tuple corrupted after chunk turnover: %v", first)
 	}
 	for i, c := range composites {
-		if c.Key != Value(i) || len(c.Refs) != 2 {
+		if c.Key != Value(i) || len(c.Seqs) != 2 {
 			t.Fatalf("composite %d corrupted: %v", i, c)
 		}
 	}
 }
 
+// TestMergeRefs: a composite's seqs interleave by stream, whichever
+// side each stream comes from, and a side with no streams adds none.
 func TestMergeRefs(t *testing.T) {
-	a := []Ref{{0, 1}, {2, 5}, {4, 1}}
-	c := []Ref{{1, 9}, {2, 4}, {3, 7}}
-	dst := make([]Ref, 6)
-	mergeRefs(dst, a, c)
-	want := []Ref{{0, 1}, {1, 9}, {2, 4}, {2, 5}, {3, 7}, {4, 1}}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("mergeRefs = %v, want %v", dst, want)
-		}
+	a := &Tuple{Set: NewStreamSet(0, 2, 5), Seqs: []uint64{1, 5, 1}}
+	c := &Tuple{Set: NewStreamSet(1, 3, 63), Seqs: []uint64{9, 7, 4}}
+	dst := make([]uint64, 6)
+	mergeSeqs(dst, a, c)
+	if want := []uint64{1, 9, 5, 7, 1, 4}; !slices.Equal(dst, want) {
+		t.Fatalf("mergeSeqs = %v, want %v", dst, want)
 	}
-	// One side empty.
-	mergeRefs(dst[:3], nil, a)
-	if dst[0] != a[0] || dst[2] != a[2] {
-		t.Fatalf("mergeRefs empty-left = %v", dst[:3])
+	mergeSeqs(dst[:3], &Tuple{}, a)
+	if !slices.Equal(dst[:3], a.Seqs) {
+		t.Fatalf("mergeSeqs empty-left = %v", dst[:3])
 	}
 }
 

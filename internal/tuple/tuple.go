@@ -4,17 +4,16 @@
 //
 // The paper's execution model (JISC, EDBT 2014, §2.1) uses symmetric
 // hash joins on a single join attribute; a tuple therefore carries one
-// Key used for hashing/probing. Composite tuples additionally carry
-// provenance references (stream, sequence number) so that
-// sliding-window eviction can locate and remove every intermediate
-// result containing an expired base tuple.
+// Key used for hashing/probing. Every tuple carries its provenance, one
+// sequence number per covered stream, so that sliding-window eviction
+// can locate and remove every intermediate result containing an expired
+// base tuple.
 package tuple
 
 import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -98,20 +97,20 @@ type Ref struct {
 
 func (r Ref) String() string { return fmt.Sprintf("%d#%d", r.Stream, r.Seq) }
 
-// Tuple is either a base stream tuple (one Ref) or a composite join
-// result (the sorted union of its constituents' Refs). All
-// constituents of an equi-join composite share the same Key.
-//
-// Tuples are immutable after construction; operators share pointers
-// freely across states.
+// Tuple is either a base stream tuple (one stream) or a composite join
+// result. All constituents of an equi-join composite share the same
+// Key. A tuple covers each stream of Set once, so its provenance is one
+// sequence number per member stream: Seqs, in stream order, and the
+// refs follow from the two. That is a join state's row (Rows) read in
+// place, so a stored tuple is lent as a view of its row, at no copy.
 type Tuple struct {
 	// Key is the join attribute value (the paper's "ID").
 	Key Value
 	// Set is the bitmask of base streams covered by this tuple.
 	Set StreamSet
-	// Refs holds the provenance of every constituent base tuple,
-	// sorted by (Stream, Seq).
-	Refs []Ref
+	// Seqs holds the sequence number of the constituent from each
+	// stream of Set, in ascending stream order.
+	Seqs []uint64
 	// Arrival is the global arrival tick of the newest constituent;
 	// it orders tuples across streams and marks pre- vs
 	// post-transition tuples.
@@ -126,91 +125,60 @@ type Tuple struct {
 // NewBase builds a base tuple for stream id with per-stream sequence
 // seq, join key key, arriving at global tick arrival.
 func NewBase(id StreamID, seq uint64, key Value, arrival uint64) *Tuple {
-	return &Tuple{
-		Key:     key,
-		Set:     NewStreamSet(id),
-		Refs:    []Ref{{Stream: id, Seq: seq}},
-		Arrival: arrival,
-		Oldest:  arrival,
-	}
+	return &Tuple{Key: key, Set: NewStreamSet(id), Seqs: []uint64{seq}, Arrival: arrival, Oldest: arrival}
 }
 
 // Join merges two tuples with disjoint stream sets into a composite.
 // It panics if the stream sets overlap, which would indicate a plan
-// wiring bug rather than a data condition. Hot paths should prefer a
-// Builder, which amortizes the composite's allocations through chunked
-// arenas; Join remains for one-off construction.
+// wiring bug rather than a data condition. Stored composites are built
+// straight into a join state's rows (AppendJoinRow); Join and a
+// Builder's remain for tuples kept by pointer.
 func Join(a, b *Tuple) *Tuple {
 	t := &Tuple{}
-	joinInto(t, make([]Ref, len(a.Refs)+len(b.Refs)), a, b)
+	joinInto(t, make([]uint64, len(a.Seqs)+len(b.Seqs)), a, b)
 	return t
 }
 
-// joinInto fills out with the composite of a and b, using refs (of
-// exactly len(a.Refs)+len(b.Refs)) as the provenance backing store.
-// Each input's Refs are sorted by (Stream, Seq), so the union is a
-// linear merge — no per-composite sort.
-func joinInto(out *Tuple, refs []Ref, a, b *Tuple) {
+// joinInto fills out with the composite of a and b, using seqs (of
+// exactly len(a.Seqs)+len(b.Seqs)) as the provenance backing store.
+func joinInto(out *Tuple, seqs []uint64, a, b *Tuple) {
+	mergeSeqs(seqs, a, b)
+	*out = Tuple{
+		Key:     a.Key,
+		Set:     a.Set | b.Set,
+		Seqs:    seqs,
+		Arrival: max(a.Arrival, b.Arrival),
+		Oldest:  min(a.Oldest, b.Oldest),
+	}
+}
+
+// mergeSeqs merges the provenance of a and b, whose stream sets must be
+// disjoint, into dst (of length len(a.Seqs)+len(b.Seqs)) in stream
+// order: each seq is taken from the side whose next stream is lower.
+func mergeSeqs(dst []uint64, a, b *Tuple) {
 	if a.Set.Intersects(b.Set) {
 		panic(fmt.Sprintf("tuple: joining overlapping stream sets %v and %v", a.Set, b.Set))
 	}
-	mergeRefs(refs, a.Refs, b.Refs)
-	arrival := a.Arrival
-	if b.Arrival > arrival {
-		arrival = b.Arrival
-	}
-	oldest := a.Oldest
-	if b.Oldest < oldest {
-		oldest = b.Oldest
-	}
-	*out = Tuple{
-		Key:     a.Key,
-		Set:     a.Set.Union(b.Set),
-		Refs:    refs,
-		Arrival: arrival,
-		Oldest:  oldest,
-	}
-}
-
-// mergeRefs merges the sorted ref slices a and b into dst, which must
-// have length len(a)+len(b).
-func mergeRefs(dst, a, b []Ref) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x.Stream < y.Stream || (x.Stream == y.Stream && x.Seq < y.Seq) {
-			dst[k] = x
-			i++
+	sa, sb := a.Set, b.Set
+	i, j := 0, 0
+	for k := range dst {
+		if sb == 0 || (sa != 0 && sa&-sa < sb&-sb) {
+			dst[k] = a.Seqs[i]
+			i, sa = i+1, sa&(sa-1)
 		} else {
-			dst[k] = y
-			j++
+			dst[k] = b.Seqs[j]
+			j, sb = j+1, sb&(sb-1)
 		}
-		k++
 	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
 }
 
-// JoinTheta merges two tuples for a theta (non-equi) join. The
-// composite inherits the left key; theta-join states are scanned, not
-// hashed, so the key choice only matters for diagnostics.
-func JoinTheta(a, b *Tuple) *Tuple {
-	t := Join(a, b)
-	t.Key = a.Key
-	return t
-}
+// Rank returns the position of stream id's seq in the Seqs of a tuple
+// covering s: the number of member streams below id.
+func (s StreamSet) Rank(id StreamID) int { return bits.OnesCount64(uint64(s) & (1<<id - 1)) }
 
 // Contains reports whether the tuple's provenance includes ref.
 func (t *Tuple) Contains(ref Ref) bool {
-	// Refs are sorted by (Stream, Seq); binary search.
-	i := sort.Search(len(t.Refs), func(i int) bool {
-		r := t.Refs[i]
-		if r.Stream != ref.Stream {
-			return r.Stream > ref.Stream
-		}
-		return r.Seq >= ref.Seq
-	})
-	return i < len(t.Refs) && t.Refs[i] == ref
+	return t.Set.Has(ref.Stream) && t.Seqs[t.Set.Rank(ref.Stream)] == ref.Seq
 }
 
 // RefOf returns the provenance ref for stream id and whether the tuple
@@ -219,16 +187,17 @@ func (t *Tuple) RefOf(id StreamID) (Ref, bool) {
 	if !t.Set.Has(id) {
 		return Ref{}, false
 	}
-	for _, r := range t.Refs {
-		if r.Stream == id {
-			return r, true
-		}
-	}
-	return Ref{}, false
+	return Ref{Stream: id, Seq: t.Seqs[t.Set.Rank(id)]}, true
+}
+
+// First returns the ref of the lowest stream the tuple covers — a base
+// tuple's only one.
+func (t *Tuple) First() Ref {
+	return Ref{Stream: StreamID(bits.TrailingZeros64(uint64(t.Set))), Seq: t.Seqs[0]}
 }
 
 // IsBase reports whether the tuple is a single-stream base tuple.
-func (t *Tuple) IsBase() bool { return len(t.Refs) == 1 }
+func (t *Tuple) IsBase() bool { return len(t.Seqs) == 1 }
 
 // Fingerprint returns a canonical string identifying the output tuple
 // by its provenance. Two output tuples produced by different execution
@@ -237,7 +206,7 @@ func (t *Tuple) IsBase() bool { return len(t.Refs) == 1 }
 // cross-strategy equivalence tests and the Parallel Track duplicate
 // eliminator compare outputs.
 func (t *Tuple) Fingerprint() string {
-	return string(t.AppendFingerprint(make([]byte, 0, 8*len(t.Refs))))
+	return string(t.AppendFingerprint(make([]byte, 0, 8*len(t.Seqs))))
 }
 
 // AppendFingerprint appends the fingerprint — "stream#seq" per ref,
@@ -247,11 +216,13 @@ func (t *Tuple) Fingerprint() string {
 func (t *Tuple) AppendFingerprint(dst []byte) []byte {
 	// Hot path: Parallel Track dedups every root emission through this
 	// and the sim harness fingerprints every output of every engine.
-	for i, r := range t.Refs {
+	s := t.Set
+	for i, seq := range t.Seqs {
 		if i > 0 {
 			dst = append(dst, '|')
 		}
-		dst = r.AppendText(dst)
+		dst = Ref{Stream: StreamID(bits.TrailingZeros64(uint64(s))), Seq: seq}.AppendText(dst)
+		s &= s - 1
 	}
 	return dst
 }
@@ -260,8 +231,51 @@ func (t *Tuple) AppendFingerprint(dst []byte) []byte {
 // output callback keeps a result the engine only lent (engine.Output).
 func (t *Tuple) Clone() *Tuple {
 	c := *t
-	c.Refs = slices.Clone(t.Refs)
+	c.Seqs = slices.Clone(t.Seqs)
 	return &c
+}
+
+// Rows is a run of fixed-width rows, the tuples a join state holds
+// under one key: each row is arrival, oldest, then one seq per stream
+// of Set in stream order (RowWidth words), and Key and Set are the
+// run's, not the row's. A row is what Tuple carries beyond Key and Set,
+// so View reads one in place.
+type Rows struct {
+	Key  Value
+	Set  StreamSet
+	Data []uint64
+}
+
+// RowWidth is the number of words in one row of a run covering s.
+func RowWidth(s StreamSet) int { return 2 + s.Count() }
+
+// Len returns the number of rows.
+func (r Rows) Len() int { return len(r.Data) / RowWidth(r.Set) }
+
+// View fills v with row i of r, its Seqs a slice of the run, and
+// returns v. The view is as long-lived as the run it reads.
+func (r Rows) View(i int, v *Tuple) *Tuple {
+	w := RowWidth(r.Set)
+	row := r.Data[i*w : i*w+w : i*w+w]
+	*v = Tuple{Key: r.Key, Set: r.Set, Seqs: row[2:], Arrival: row[0], Oldest: row[1]}
+	return v
+}
+
+// AppendRow appends t's row to run.
+func AppendRow(run []uint64, t *Tuple) []uint64 {
+	run = append(run, t.Arrival, t.Oldest)
+	return append(run, t.Seqs...)
+}
+
+// AppendJoinRow appends the row of the composite of a and b — Join's,
+// with no Tuple built — to run. It panics as Join does on overlapping
+// stream sets.
+func AppendJoinRow(run []uint64, a, b *Tuple) []uint64 {
+	n := len(run)
+	run = slices.Grow(run, 2+len(a.Seqs)+len(b.Seqs))[:n+2+len(a.Seqs)+len(b.Seqs)]
+	run[n], run[n+1] = max(a.Arrival, b.Arrival), min(a.Oldest, b.Oldest)
+	mergeSeqs(run[n+2:], a, b)
+	return run
 }
 
 // AppendText appends the ref's fingerprint fragment, "stream#seq".

@@ -129,9 +129,8 @@ func TestJoinMergesProvenance(t *testing.T) {
 	if j.Set != NewStreamSet(0, 1) {
 		t.Errorf("Set = %v", j.Set)
 	}
-	want := []Ref{{0, 3}, {1, 5}}
-	if len(j.Refs) != 2 || j.Refs[0] != want[0] || j.Refs[1] != want[1] {
-		t.Errorf("Refs = %v, want %v", j.Refs, want)
+	if j.Fingerprint() != "0#3|1#5" {
+		t.Errorf("provenance = %s, want 0#3|1#5", j.Fingerprint())
 	}
 	if j.Arrival != 20 {
 		t.Errorf("Arrival = %d, want max 20", j.Arrival)
@@ -155,7 +154,7 @@ func TestJoinPanicsOnOverlap(t *testing.T) {
 func TestJoinTheta(t *testing.T) {
 	a := NewBase(0, 1, 10, 1)
 	b := NewBase(1, 1, 99, 2)
-	j := JoinTheta(a, b)
+	j := Join(a, b)
 	if j.Key != 10 {
 		t.Errorf("theta composite key = %d, want left key 10", j.Key)
 	}
@@ -278,7 +277,7 @@ func TestOldestTracking(t *testing.T) {
 // Fingerprint — same bytes, after whatever dst already holds — and
 // allocates nothing when dst has room.
 func TestAppendFingerprint(t *testing.T) {
-	tp := &Tuple{Key: 3, Refs: []Ref{{0, 0}, {7, 12345678901}, {63, 18446744073709551615}}}
+	tp := &Tuple{Key: 3, Set: NewStreamSet(0, 7, 63), Seqs: []uint64{0, 12345678901, 18446744073709551615}}
 	if got := tp.Fingerprint(); got != "0#0|7#12345678901|63#18446744073709551615" {
 		t.Fatalf("fingerprint = %q", got)
 	}
@@ -294,7 +293,7 @@ func TestAppendFingerprint(t *testing.T) {
 var fingerprintSink []byte
 
 func BenchmarkAppendFingerprint(b *testing.B) {
-	tp := &Tuple{Key: 7, Refs: []Ref{{0, 123456}, {1, 7}, {2, 99}}}
+	tp := &Tuple{Key: 7, Set: NewStreamSet(0, 1, 2), Seqs: []uint64{123456, 7, 99}}
 	buf := make([]byte, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -347,7 +346,7 @@ func TestCloneSharesNothing(t *testing.T) {
 	if c.Fingerprint() != "0#5|1#6" || c.Key != 7 || c.Set != orig.Set || c.Arrival != 11 || c.Oldest != 10 {
 		t.Fatalf("clone = %v", c)
 	}
-	orig.Refs[0], orig.Key = Ref{9, 9}, 9
+	orig.Seqs[0], orig.Key = 9, 9
 	if c.Fingerprint() != "0#5|1#6" || c.Key != 7 {
 		t.Fatalf("clone changed with its original: %v", c)
 	}
@@ -356,14 +355,49 @@ func TestCloneSharesNothing(t *testing.T) {
 	}
 }
 
-// TestTupleSize pins the struct every stored tuple pays for: key, set,
-// refs header, arrival and oldest — 56 bytes on a 64-bit platform, and
-// nothing that no one reads.
+// TestTupleSize pins the struct a lent view or a tuple kept by pointer
+// takes: key, set, seqs header, arrival and oldest — 56 bytes on a
+// 64-bit platform, and nothing that no one reads.
 func TestTupleSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("not a 64-bit platform")
 	}
 	if got := unsafe.Sizeof(Tuple{}); got != 56 {
 		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 56", got)
+	}
+}
+
+// TestRowsViewMatchesJoin: a row appended by AppendJoinRow (or
+// AppendRow) and read back through View is the tuple Join builds, its
+// seqs a slice of the run itself, and appending another row leaves a
+// view already taken unchanged.
+func TestRowsViewMatchesJoin(t *testing.T) {
+	a := Join(NewBase(0, 5, 7, 10), NewBase(4, 3, 7, 20))
+	b := NewBase(2, 9, 7, 30)
+	rows := Rows{Key: 7, Set: a.Set | b.Set}
+	rows.Data = AppendJoinRow(rows.Data, a, b)
+	rows.Data = AppendRow(rows.Data, Join(b, a))
+	if rows.Len() != 2 || len(rows.Data) != 2*RowWidth(rows.Set) {
+		t.Fatalf("%d rows in %d words", rows.Len(), len(rows.Data))
+	}
+	want := Join(a, b)
+	var v Tuple
+	for i := range rows.Len() {
+		got := rows.View(i, &v)
+		if got.Fingerprint() != want.Fingerprint() || got.Key != 7 || got.Set != want.Set ||
+			got.Arrival != want.Arrival || got.Oldest != want.Oldest {
+			t.Fatalf("row %d = %v (arrival %d, oldest %d), want %v", i, got, got.Arrival, got.Oldest, want)
+		}
+	}
+	rows.View(0, &v)
+	if &v.Seqs[0] != &rows.Data[2] || cap(v.Seqs) != 3 {
+		t.Fatal("view copies its seqs, or may append into the next row")
+	}
+	rows.Data = AppendJoinRow(rows.Data[:len(rows.Data):len(rows.Data)], b, a)
+	if v.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("view changed under an append: %v", &v)
+	}
+	if (Rows{}).Len() != 0 {
+		t.Fatal("empty rows have a length")
 	}
 }
