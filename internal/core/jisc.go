@@ -60,7 +60,7 @@ func (c *JISC) OnTransition(e *engine.Engine) error {
 		if n.IsLeaf() {
 			continue
 		}
-		if n.St != nil && !n.St.Complete() && !n.St.CounterArmed() {
+		if !n.St.Complete() && !n.St.CounterArmed() {
 			e.ArmCounter(n)
 		}
 	}
@@ -73,35 +73,35 @@ func (c *JISC) OnTransition(e *engine.Engine) error {
 // (Procedure 1 lines 5–6). The per-state attempted set is Definition
 // 2's classification and the §4.4 at-most-once guarantee in one place:
 // it is asked only while the state is incomplete, is bounded by the
-// state's keys, and is dropped when the state completes.
+// state's keys, and is dropped when the state completes. A
+// nested-loops state has no key to complete by; its first probe
+// completes it whole.
 func (c *JISC) BeforeProbe(e *engine.Engine, j, opp *engine.Node, t *tuple.Tuple) {
-	switch {
-	case opp.St != nil:
-		if opp.St.Complete() || opp.St.Attempted(t.Key) {
-			return
-		}
-		if c.faultSkip() {
-			if opp.St.MarkAttempted(t.Key) {
-				e.MarkNodeComplete(opp)
-			}
-			return
-		}
-		end := beginEpisode(e, t.Key)
-		if !c.DisableLeftDeepFastPath && isLeftSpine(opp) {
-			c.completeKeyLD(e, opp, t.Key)
-		} else {
-			c.completeKey(e, opp, t.Key)
-		}
-		end()
-	case opp.Ls != nil:
-		if opp.Ls.Complete() || opp.Ls.Attempted(t.First()) {
-			return
-		}
-		opp.Ls.MarkAttempted(t.First())
+	if opp.St.Complete() {
+		return
+	}
+	if opp.Kind == engine.NLJoin {
 		end := beginEpisode(e, t.Key)
 		c.completeNLState(e, opp)
 		end()
+		return
 	}
+	if opp.St.Attempted(t.Key) {
+		return
+	}
+	if c.faultSkip() {
+		if opp.St.MarkAttempted(t.Key) {
+			e.MarkNodeComplete(opp)
+		}
+		return
+	}
+	end := beginEpisode(e, t.Key)
+	if !c.DisableLeftDeepFastPath && isLeftSpine(opp) {
+		c.completeKeyLD(e, opp, t.Key)
+	} else {
+		c.completeKey(e, opp, t.Key)
+	}
+	end()
 }
 
 // noEpisode is the no-op episode closer handed out when
@@ -140,15 +140,11 @@ func beginEpisode(e *engine.Engine, key tuple.Value) func() {
 // EvictContinue implements engine.Strategy: window-slide removals keep
 // propagating past an incomplete state when the removed key's entries
 // were never materialized there (§4.2), and stop per the standard rule
-// once the entries are guaranteed to exist (§4.4's optimization).
+// once the entries are guaranteed to exist (§4.4's optimization). A
+// nested-loops state never marks a key, so the walk passes it while it
+// is incomplete.
 func (c *JISC) EvictContinue(e *engine.Engine, j *engine.Node, key tuple.Value) bool {
-	if j.St != nil {
-		return !j.St.Complete() && !j.St.Attempted(key)
-	}
-	if j.Ls != nil {
-		return !j.Ls.Complete()
-	}
-	return false
+	return !j.St.Complete() && !j.St.Attempted(key)
 }
 
 // completeKey is Procedure 2: recursive state completion for bushy
@@ -234,27 +230,22 @@ func isLeftSpine(n *engine.Node) bool {
 // transition time. In hybrid plans (§2.1) a nested-loops node may have
 // hash-join children; those are completed in full too.
 func (c *JISC) completeNLState(e *engine.Engine, n *engine.Node) {
-	if n.IsLeaf() || n.Ls.Complete() {
+	if n.IsLeaf() || n.St.Complete() {
 		return
 	}
 	c.completeChildFull(e, n.Left)
 	c.completeChildFull(e, n.Right)
 	met := e.Collector()
 	met.Completions.Add(1)
-	bld := e.Builder()
 	born := n.Born
 	pred := e.Theta()
-	n.Left.EachEntry(func(l *tuple.Tuple) bool {
+	n.Left.St.Each(func(l *tuple.Tuple) bool {
 		if l.Arrival > born {
 			return true
 		}
-		n.Right.EachEntry(func(r *tuple.Tuple) bool {
-			if r.Arrival > born {
-				return true
-			}
-			if pred(l, r) {
-				// A theta composite takes the left key.
-				n.Ls.Insert(bld.Join(l, r))
+		n.Right.St.Each(func(r *tuple.Tuple) bool {
+			if r.Arrival <= born && pred(l, r) {
+				n.InsertTheta(l, r)
 				met.CompletedEntries.Add(1)
 			}
 			return true
@@ -270,7 +261,7 @@ func (c *JISC) completeNLState(e *engine.Engine, n *engine.Node) {
 func (c *JISC) completeChildFull(e *engine.Engine, n *engine.Node) {
 	switch {
 	case n.IsLeaf():
-	case n.Ls != nil:
+	case n.Kind == engine.NLJoin:
 		c.completeNLState(e, n)
 	default:
 		c.completeHashFull(e, n)

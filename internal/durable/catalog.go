@@ -38,6 +38,11 @@ type Catalog struct {
 	seq    uint64
 	buf    []byte
 	closed bool
+	// err is the first write or sync error. It fails every later
+	// append: a failed write may have left a torn frame in the file, and
+	// a frame appended after it would be cut off with that tail on
+	// reopen — acknowledged, then lost.
+	err error
 }
 
 // CatalogPath returns the catalog file under the durability root.
@@ -138,6 +143,9 @@ func (c *Catalog) append(r Record) error {
 	if c.closed {
 		return ErrLogClosed
 	}
+	if c.err != nil {
+		return c.err
+	}
 	r.Seq = c.seq + 1
 	buf, err := appendFrame(c.buf[:0], r)
 	if err != nil {
@@ -145,10 +153,12 @@ func (c *Catalog) append(r Record) error {
 	}
 	c.buf = buf
 	if _, err := c.f.Write(buf); err != nil {
-		return err
+		c.err = fmt.Errorf("durable: catalog write failed, no later append is possible: %w", err)
+		return c.err
 	}
 	if err := c.f.Sync(); err != nil {
-		return err
+		c.err = fmt.Errorf("durable: catalog sync failed, no later append is possible: %w", err)
+		return c.err
 	}
 	c.seq = r.Seq
 	return nil

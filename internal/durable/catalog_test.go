@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"io"
 	"testing"
 
 	"jisc/internal/storage"
@@ -228,5 +229,84 @@ func TestCatalogFoldsAutoToggles(t *testing.T) {
 	}
 	if len(auto) != 0 {
 		t.Fatalf("auto = %v after DROP+re-CREATE, want empty", auto)
+	}
+}
+
+// shortWriteFS is a filesystem whose files' write number `at` (counted
+// across the files it opened, from 1) writes half its bytes and fails.
+type shortWriteFS struct {
+	storage.FS
+	at, n int
+}
+
+func (f *shortWriteFS) OpenAppend(path string) (storage.File, error) {
+	file, err := f.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &shortWriteFile{File: file, fs: f}, nil
+}
+
+type shortWriteFile struct {
+	storage.File
+	fs *shortWriteFS
+}
+
+func (w *shortWriteFile) Write(p []byte) (int, error) {
+	w.fs.n++
+	if w.fs.n == w.fs.at {
+		n, _ := w.File.Write(p[:len(p)/2])
+		return n, io.ErrShortWrite
+	}
+	return w.File.Write(p)
+}
+
+// A failed append fails every later one: a CREATE acknowledged after a
+// torn frame would sit past the tail reopen truncates, and be lost.
+func TestCatalogFailsAfterShortWrite(t *testing.T) {
+	dir := t.TempDir()
+	c, _, _, err := OpenCatalog(Options{Dir: dir, FS: &shortWriteFS{FS: storage.OS(), at: 2}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AppendCreate("a", 100, "(0 1)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AppendCreate("b", 100, "(0 1)"); err == nil {
+		t.Fatal("short write acknowledged")
+	}
+	if err := c.AppendCreate("c", 100, "(0 1)"); err == nil {
+		t.Fatal("CREATE after a failed write acknowledged")
+	}
+	if err := c.AppendDrop("a"); err == nil {
+		t.Fatal("DROP after a failed write acknowledged")
+	}
+	c.Close()
+	c2, entries := reopenCatalog(t, dir, nil)
+	defer c2.Close()
+	if len(entries) != 1 || entries[0].Name != "a" {
+		t.Fatalf("reopened catalog folds to %+v, want [a]", entries)
+	}
+}
+
+// A catalog opens fresh on MemFS too: its missing-file error is the OS
+// filesystem's kind.
+func TestCatalogOnMemFS(t *testing.T) {
+	fs := storage.NewMemFS()
+	c, entries, _, err := OpenCatalog(Options{Dir: "d", FS: fs}, nil)
+	if err != nil || len(entries) != 0 {
+		t.Fatalf("fresh MemFS catalog: %v entries, %v", entries, err)
+	}
+	if err := c.AppendCreate("a", 100, "(0 1)"); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	c2, entries, _, err := OpenCatalog(Options{Dir: "d", FS: fs}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if len(entries) != 1 || entries[0].Name != "a" {
+		t.Fatalf("reopened MemFS catalog folds to %+v, want [a]", entries)
 	}
 }

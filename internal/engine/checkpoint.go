@@ -101,7 +101,7 @@ func (s tupleSnap) tuple() (*tuple.Tuple, error) {
 	return t, nil
 }
 
-// rowSet returns the stream set every tuple stored at hash node n
+// rowSet returns the stream set every tuple stored at node n
 // covers: n's own, or for a set-difference node the outer stream's,
 // whose tuples it passes through.
 func rowSet(n *Node) tuple.StreamSet {
@@ -121,6 +121,12 @@ type tableSnap struct {
 	Entries      []tupleSnap
 }
 
+// listSnap is how checkpoints of earlier builds carried a
+// nested-loops state; Restore reads it into the node's table. Its
+// Attempted refs are ignored: a nested-loops state is completed whole
+// on its first probe, so they were empty at every quiescent point. The
+// field stays because gob writes the type's description into every
+// checkpoint.
 type listSnap struct {
 	Set       tuple.StreamSet
 	Complete  bool
@@ -145,7 +151,7 @@ type engineSnap struct {
 	SeqList    []keyCount // by stream
 	BornList   []keyCount // by state set
 	Tables     []tableSnap
-	Lists      []listSnap
+	Lists      []listSnap // earlier builds' nested-loops states
 	Windows    []windowSnap
 	ProbeList  []keyCount // by node, in plan order
 	MatchList  []keyCount // by node, in plan order
@@ -178,27 +184,17 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	for _, n := range e.Nodes() {
 		snap.ProbeList = append(snap.ProbeList, keyCount{uint64(n.Set), n.Probes})
 		snap.MatchList = append(snap.MatchList, keyCount{uint64(n.Set), n.Matches})
-		switch {
-		case n.St != nil:
-			ts := tableSnap{Set: n.Set, Complete: n.St.Complete()}
-			ts.Attempted = n.St.AttemptedKeys()
-			ts.Pending, ts.CounterArmed = n.St.PendingKeys()
-			if n.CounterSide != nil {
-				ts.CounterSide = n.CounterSide.Set
-			}
-			n.St.Each(func(t *tuple.Tuple) bool {
-				ts.Entries = append(ts.Entries, snapOf(t))
-				return true
-			})
-			snap.Tables = append(snap.Tables, ts)
-		case n.Ls != nil:
-			ls := listSnap{Set: n.Set, Complete: n.Ls.Complete(), Attempted: n.Ls.AttemptedRefs()}
-			n.Ls.Each(func(t *tuple.Tuple) bool {
-				ls.Entries = append(ls.Entries, snapOf(t))
-				return true
-			})
-			snap.Lists = append(snap.Lists, ls)
+		ts := tableSnap{Set: n.Set, Complete: n.St.Complete()}
+		ts.Attempted = n.St.AttemptedKeys()
+		ts.Pending, ts.CounterArmed = n.St.PendingKeys()
+		if n.CounterSide != nil {
+			ts.CounterSide = n.CounterSide.Set
 		}
+		n.St.Each(func(t *tuple.Tuple) bool {
+			ts.Entries = append(ts.Entries, snapOf(t))
+			return true
+		})
+		snap.Tables = append(snap.Tables, ts)
 	}
 	for _, id := range e.plan.Streams.Streams() {
 		st := &e.streams[id]
@@ -290,9 +286,13 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		n.Matches = snap.Matches[n.Set]
 		n.Born = e.born[n.Set]
 	}
+	// Earlier builds wrote nested-loops states as lists.
+	for _, ls := range snap.Lists {
+		snap.Tables = append(snap.Tables, tableSnap{Set: ls.Set, Complete: ls.Complete, Entries: ls.Entries})
+	}
 	for _, ts := range snap.Tables {
 		n, ok := nodes[ts.Set]
-		if !ok || n.St == nil {
+		if !ok {
 			return nil, fmt.Errorf("engine: checkpoint table %v has no matching operator", ts.Set)
 		}
 		n.St.Clear()
@@ -317,21 +317,6 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 			}
 			n.CounterSide = side
 		}
-	}
-	for _, ls := range snap.Lists {
-		n, ok := nodes[ls.Set]
-		if !ok || n.Ls == nil {
-			return nil, fmt.Errorf("engine: checkpoint list %v has no matching operator", ls.Set)
-		}
-		n.Ls.Clear()
-		for _, en := range ls.Entries {
-			t, err := en.tuple()
-			if err != nil {
-				return nil, err
-			}
-			n.Ls.Insert(t)
-		}
-		n.Ls.RestoreMeta(ls.Complete, ls.Attempted)
 	}
 	for _, ws := range snap.Windows {
 		if e.Scan(ws.Stream) == nil {

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"jisc/internal/core"
@@ -97,5 +98,70 @@ func TestRestoreReadsParentShapedCheckpoint(t *testing.T) {
 		if got[fp] != n {
 			t.Fatalf("result %s: %d resumed, %d uninterrupted", fp, got[fp], n)
 		}
+	}
+}
+
+// TestRestoreReadsNLListCheckpoint: testdata/snap_v4_nl_lists.gob was
+// written by a build that kept nested-loops states as lists — an all-NL
+// JISC engine on (1,2,0), migrated to (0,1,2) after uniformEvents(600,
+// 3, 12, 11)[:300] and checkpointed two tuples later, with {0,1}
+// incomplete. It restores into the nodes' tables and, fed the rest of
+// the input, emits what an uninterrupted run does. The theta is an
+// equivalence relation, so the composites' keys (which that build chose
+// differently) cannot change a match.
+func TestRestoreReadsNLListCheckpoint(t *testing.T) {
+	const migrateAt, ckptAt = 300, 302
+	evs := uniformEvents(600, 3, 12, 11)
+	cfg := func(out map[string]int) engine.Config {
+		return engine.Config{
+			Plan: plan.MustLeftDeep(1, 2, 0), WindowSize: 12, Kind: engine.NLJoin,
+			Theta:    func(a, b *tuple.Tuple) bool { return a.Key%4 == b.Key%4 },
+			Strategy: core.New(),
+			Output:   func(d engine.Delta) { out[d.Tuple.Fingerprint()]++ },
+		}
+	}
+
+	want := map[string]int{}
+	ref := engine.MustNew(cfg(map[string]int{}))
+	defer ref.Close()
+	ref.FeedBatch(evs[:migrateAt])
+	if err := ref.Migrate(plan.MustLeftDeep(0, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	ref.FeedBatch(evs[migrateAt:ckptAt])
+	ref.SetOutput(func(d engine.Delta) { want[d.Tuple.Fingerprint()]++ })
+	ref.FeedBatch(evs[ckptAt:])
+
+	old, err := os.ReadFile("testdata/snap_v4_nl_lists.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	c := cfg(got)
+	c.Plan = nil
+	resumed, err := engine.Restore(bytes.NewReader(old), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if p := resumed.Plan().String(); p != plan.MustLeftDeep(0, 1, 2).String() {
+		t.Fatalf("restored plan %s", p)
+	}
+	n01, root := resumed.NodeBySet(tuple.NewStreamSet(0, 1)), resumed.Root()
+	if n01.St.Complete() || n01.St.Size() == 0 || root.St.Size() == 0 {
+		t.Fatalf("restored states: {0,1} %v, root %v; want {0,1} incomplete and both holding rows", n01.St, root.St)
+	}
+	resumed.FeedBatch(evs[ckptAt:])
+
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("%d distinct results resumed, %d uninterrupted", len(got), len(want))
+	}
+	for fp, n := range want {
+		if got[fp] != n {
+			t.Fatalf("result %s: %d resumed, %d uninterrupted", fp, got[fp], n)
+		}
+	}
+	if gm, wm := resumed.Metrics(), ref.Metrics(); gm.Output != wm.Output || gm.Completions != wm.Completions || gm.Completions == 0 {
+		t.Fatalf("counters after resuming:\n got %+v\nwant %+v", gm, wm)
 	}
 }

@@ -29,8 +29,9 @@ type Config struct {
 	// (default HashJoin).
 	Kind Kind
 	// Theta is the join predicate for nested-loops nodes. It receives
-	// the probing tuple and a stored tuple. Required iff Kind is
-	// NLJoin or ThetaNodes is set.
+	// the left child's tuple and the right child's, in plan order; a
+	// composite's Key is its lowest stream's (Node.InsertTheta).
+	// Required iff Kind is NLJoin or ThetaNodes is set.
 	Theta func(probe, stored *tuple.Tuple) bool
 	// ThetaNodes builds a hybrid plan (§2.1): with Kind == HashJoin,
 	// join nodes whose output stream set satisfies the predicate run

@@ -80,10 +80,10 @@ type Engine struct {
 	// states is the state store: one table per live stream set.
 	// Surviving a transition means staying in this map.
 	states map[tuple.StreamSet]*state.Table
-	lists  map[tuple.StreamSet]*state.List
 	// store is the spill tier of the states, nil unless Config.StateBudget
-	// is positive. Every table attaches to it on creation; lists only
-	// account (nested-loops scans have no bucket granularity to spill).
+	// is positive. Every table attaches to it on creation; a
+	// nested-loops state only accounts (its scan has no bucket
+	// granularity to spill at).
 	store *statestore.Store
 	// born records the creation tick of each incomplete state so that
 	// the tick survives re-installation across overlapped transitions.
@@ -95,12 +95,11 @@ type Engine struct {
 	obs      *obs.Recorder
 	now      func() time.Time
 	// bld is the engine's scratch allocator, acquired from the shared
-	// pool for the engine's lifetime: the arenas nested-loops
-	// composites and a storing root's results are carved from, and the
-	// one transient composite an unstored root's results are lent in.
-	// One builder per engine keeps it single-threaded without locks.
-	// Hash-join composites are built straight into their state's rows
-	// (state.Table.InsertJoin).
+	// pool for the engine's lifetime: the arenas a storing root's
+	// results are copied into, and the one transient composite an
+	// unstored root's results are lent in. One builder per engine keeps
+	// it single-threaded without locks. Stored composites are built
+	// straight into their state's rows (state.Table.InsertJoin).
 	bld *tuple.Builder
 	// base is the arriving tuple, lent up the tree while it is
 	// processed, and baseSeq its one seq; view is the scratch a removed
@@ -172,7 +171,6 @@ func New(cfg Config) (*Engine, error) {
 		obs:      cfg.Obs,
 		now:      cfg.Now,
 		states:   make(map[tuple.StreamSet]*state.Table),
-		lists:    make(map[tuple.StreamSet]*state.List),
 		born:     make(map[tuple.StreamSet]uint64),
 		bld:      tuple.AcquireBuilder(),
 	}
@@ -278,11 +276,6 @@ func (e *Engine) Kind() Kind { return e.cfg.Kind }
 // Theta returns the theta predicate (NLJoin engines).
 func (e *Engine) Theta() func(probe, stored *tuple.Tuple) bool { return e.cfg.Theta }
 
-// Builder returns the engine's arena-backed tuple builder — the
-// per-run scratch allocator operators and strategies construct
-// composites kept by pointer (nested-loops lists) through.
-func (e *Engine) Builder() *tuple.Builder { return e.bld }
-
 // SetOutput replaces the output callback. The engine must be quiescent
 // (no Feed in progress). The durability layer uses it to silence
 // output while replaying the write-ahead log — those results were
@@ -319,8 +312,8 @@ func (e *Engine) SpillStats() (statestore.Stats, bool) {
 // StateBytes returns the resident byte footprint of the engine's state
 // (row and slot bytes, state.TupleBytes). With spilling enabled it reads the
 // store's atomic counter and is safe from any goroutine; otherwise it
-// sums the live tables and lists and must run on the goroutine that
-// feeds the engine.
+// sums the live tables and must run on the goroutine that feeds the
+// engine.
 func (e *Engine) StateBytes() int64 {
 	if e.store != nil {
 		return e.store.Stats().ResidentBytes
@@ -328,9 +321,6 @@ func (e *Engine) StateBytes() int64 {
 	var b int64
 	for _, st := range e.states {
 		b += st.Bytes()
-	}
-	for _, ls := range e.lists {
-		b += ls.Bytes()
 	}
 	return b
 }

@@ -33,19 +33,19 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 		}
 		last = j
 		retract := j.Parent == nil && e.cfg.EmitExpiry
+		keys := []tuple.Value{exp.Key}
+		if j.Kind == NLJoin {
+			// A theta composite sits under its lowest stream's key,
+			// not necessarily the expired tuple's.
+			keys = j.St.Keys()
+		}
 		var removed int
-		if j.St != nil {
-			rows := j.St.RemoveRef(exp.Key, exp.Ref)
-			removed = rows.Len()
-			for i := 0; retract && i < removed; i++ {
+		for _, k := range keys {
+			rows := j.St.RemoveRef(k, exp.Ref)
+			for i := 0; retract && i < rows.Len(); i++ {
 				e.emit(Delta{Tuple: rows.View(i, &e.view), Retraction: true})
 			}
-		} else {
-			tuples := j.Ls.RemoveRef(exp.Ref)
-			removed = len(tuples)
-			for i := 0; retract && i < removed; i++ {
-				e.emit(Delta{Tuple: tuples[i], Retraction: true})
-			}
+			removed += rows.Len()
 		}
 		e.met.Evictions.Add(uint64(removed))
 		if removed == 0 && !e.strategy.EvictContinue(e, j, exp.Key) {
@@ -71,10 +71,7 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 // completion at the parent, so it leaves the pending set.
 func (e *Engine) dropPendingAt(n *Node, key tuple.Value) {
 	p := n.Parent
-	if p == nil || p.St == nil || p.St.Complete() || p.CounterSide != n {
-		return
-	}
-	if n.St != nil && n.St.ContainsKey(key) {
+	if p == nil || p.Kind == NLJoin || p.St.Complete() || p.CounterSide != n || n.St.ContainsKey(key) {
 		return
 	}
 	if p.St.DropPending(key) {
@@ -97,15 +94,11 @@ func (e *Engine) dropPendingAt(n *Node, key tuple.Value) {
 // attempted); an empty pending set then — and only then — completes
 // the parent.
 func (e *Engine) MarkNodeComplete(n *Node) {
-	if n.St != nil {
-		n.St.MarkComplete()
-	} else if n.Ls != nil {
-		n.Ls.MarkComplete()
-	}
+	n.St.MarkComplete()
 	n.CounterSide = nil
 	e.ClearBorn(n.Set)
 	p := n.Parent
-	if p == nil || p.St == nil || p.St.Complete() || p.St.CounterArmed() {
+	if p == nil || p.Kind == NLJoin || p.St.Complete() || p.St.CounterArmed() {
 		return
 	}
 	e.ArmCounter(p)
@@ -116,9 +109,10 @@ func (e *Engine) MarkNodeComplete(n *Node) {
 // with fewer distinct keys, Case 2 (one complete) uses the complete
 // side, Case 3 (neither complete) arms nothing. Keys already attempted
 // at j are excluded; if nothing remains pending, j completes
-// immediately.
+// immediately. A nested-loops state arms none: it has no key to
+// complete by (JISC completes it whole on its first probe).
 func (e *Engine) ArmCounter(j *Node) {
-	if j.St == nil || j.St.Complete() {
+	if j.Kind == NLJoin || j.St.Complete() {
 		return
 	}
 	l, r := j.Left, j.Right
@@ -136,7 +130,7 @@ func (e *Engine) ArmCounter(j *Node) {
 	switch {
 	case lc && rc:
 		side = l
-		if r.St != nil && l.St != nil && r.St.DistinctKeys() < l.St.DistinctKeys() {
+		if r.St.DistinctKeys() < l.St.DistinctKeys() {
 			side = r
 		}
 	case lc:
@@ -145,9 +139,6 @@ func (e *Engine) ArmCounter(j *Node) {
 		side = r
 	default:
 		return // Case 3: detection deferred to child notifications.
-	}
-	if side.St == nil {
-		return // list-state child: no key-based counter possible
 	}
 	keys := side.St.Keys()
 	pending := keys[:0]
@@ -164,11 +155,5 @@ func (e *Engine) ArmCounter(j *Node) {
 }
 
 func childComplete(n *Node) bool {
-	if n == nil {
-		return true
-	}
-	if n.St != nil {
-		return n.St.Complete()
-	}
-	return n.Ls.Complete()
+	return n == nil || n.St.Complete()
 }

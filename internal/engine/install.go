@@ -26,7 +26,7 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 			node.Stream = n.Stream
 			node.Kind = HashJoin // scan windows are always key-hashed
 			e.streams[n.Stream].scan = node
-			node.St = e.ensureTable(set, initial)
+			node.St = e.ensureTable(node, initial)
 			return node
 		}
 		node.Op = operatorFor(node.Kind)
@@ -34,11 +34,7 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 		node.Right = build(n.Right)
 		node.Left.Parent = node
 		node.Right.Parent = node
-		if node.Kind == NLJoin {
-			node.Ls = e.ensureList(set, initial)
-		} else {
-			node.St = e.ensureTable(set, initial)
-		}
+		node.St = e.ensureTable(node, initial)
 		node.Born = e.born[set]
 		return node
 	}
@@ -48,7 +44,7 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 	// ascending set order. Release detaches each from the spill tier, so
 	// spilled buckets and byte accounting don't leak into the budget,
 	// and may compact the store, so the order of releases shows in the
-	// store's counters: ranging over the maps here made them differ run
+	// store's counters: ranging over the map here made them differ run
 	// to run.
 	var dead []tuple.StreamSet
 	for set := range e.states {
@@ -56,25 +52,18 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 			dead = append(dead, set)
 		}
 	}
-	for set := range e.lists {
-		if !live[set] {
-			dead = append(dead, set)
-		}
-	}
 	slices.Sort(dead)
 	for _, set := range dead {
-		if st, ok := e.states[set]; ok {
-			st.Release()
-			delete(e.states, set)
-		} else {
-			e.lists[set].Release()
-			delete(e.lists, set)
-		}
+		e.states[set].Release()
+		delete(e.states, set)
 		delete(e.born, set)
 	}
 }
 
-func (e *Engine) ensureTable(set tuple.StreamSet, initial bool) *state.Table {
+// ensureTable returns the state of n's stream set: the surviving one,
+// or a fresh one, incomplete unless this is the first installation.
+func (e *Engine) ensureTable(n *Node, initial bool) *state.Table {
+	set := n.Set
 	if st, ok := e.states[set]; ok {
 		// Surviving state: completeness carries over unchanged
 		// (§4.5: incomplete in the old plan stays incomplete).
@@ -85,7 +74,14 @@ func (e *Engine) ensureTable(set tuple.StreamSet, initial bool) *state.Table {
 		st.MarkIncomplete()
 		e.born[set] = e.tick
 	}
-	if e.store != nil {
+	switch {
+	case e.store == nil:
+	case n.Kind == NLJoin:
+		// A nested-loops scan touches every stored row, so spilling
+		// would fault the whole state back on each probe: it only
+		// accounts toward the budget.
+		st.AccountTo(e.store)
+	default:
 		// Scan windows hold exactly one ref per tuple and evict in
 		// seq order, so spilled buckets can shrink by tombstone alone;
 		// join states need the removed tuples back (metrics, expiry
@@ -94,25 +90,6 @@ func (e *Engine) ensureTable(set tuple.StreamSet, initial bool) *state.Table {
 	}
 	e.states[set] = st
 	return st
-}
-
-func (e *Engine) ensureList(set tuple.StreamSet, initial bool) *state.List {
-	if ls, ok := e.lists[set]; ok {
-		return ls
-	}
-	ls := state.NewList(set)
-	if !initial && set.Count() > 1 {
-		ls.MarkIncomplete()
-		e.born[set] = e.tick
-	}
-	if e.store != nil {
-		// Lists only account toward the budget; a nested-loops scan
-		// touches every stored tuple, so spilling them would fault the
-		// whole list back on each probe.
-		ls.SetStore(e.store)
-	}
-	e.lists[set] = ls
-	return ls
 }
 
 // ClearBorn forgets the creation tick of set once its state is
@@ -129,8 +106,9 @@ func (e *Engine) nodeKind(set tuple.StreamSet) Kind {
 }
 
 // validateKinds rejects plans where a hash join would have a
-// nested-loops child: hash probes need a key index, which list states
-// lack.
+// nested-loops child: a hash probe reads the rows stored under the
+// probing key, and a theta composite's key is only its lowest stream's
+// (Node.InsertTheta), not one every constituent shares.
 func (e *Engine) validateKinds(p *plan.Plan) error {
 	if e.cfg.ThetaNodes == nil {
 		return nil

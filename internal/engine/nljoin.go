@@ -7,16 +7,17 @@ import (
 )
 
 // nlJoinOp processes tuples under nested-loops semantics: the opposite
-// child's list state is scanned in full and the configured theta
-// predicate decides matches (§2.1). The strategy hook runs first so
-// lazy migration can complete the opposite state for the probing tuple
-// before the scan.
+// child's state is scanned whole and the configured theta predicate
+// decides matches (§2.1). The strategy hook runs first so lazy
+// migration can complete the opposite state before the scan.
 type nlJoinOp struct{}
 
 // Kind implements Operator.
 func (nlJoinOp) Kind() Kind { return NLJoin }
 
-// Push implements Operator.
+// Push implements Operator: scan the opposite child's state, store each
+// match's composite in j's state (InsertTheta) and recurse upward with
+// the row's view.
 func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
 	e.strategy.BeforeProbe(e, j, opp, t)
@@ -34,7 +35,7 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	// order, so flip the arguments when the probing tuple came from
 	// the right child.
 	fromLeft := j.Left == from
-	opp.EachEntry(func(m *tuple.Tuple) bool {
+	opp.St.Each(func(m *tuple.Tuple) bool {
 		e.met.Probes.Add(1)
 		var hit bool
 		if fromLeft {
@@ -43,11 +44,7 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 			hit = pred(m, t)
 		}
 		if hit {
-			// A theta composite takes the probing tuple's key: theta
-			// states are scanned, not hashed, so the key only matters
-			// for diagnostics.
-			out := e.bld.Join(t, m)
-			j.Ls.Insert(out)
+			out := j.InsertTheta(t, m)
 			e.met.Inserts.Add(1)
 			e.pushUp(j, out)
 		}
@@ -59,4 +56,20 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 		// read per stored entry.
 		e.obs.Probe.Record(e.now().Sub(t0))
 	}
+}
+
+// InsertTheta stores the theta composite of x and y in n's state and
+// lends a view of it (state.Table.InsertJoin). The composite takes the
+// key of its lowest stream's constituent, the stream First() names,
+// whichever side holds it: the key is a function of the composite, so
+// a nested-loops state holds the same rows whichever child is left and
+// whichever constituent arrived last, and the state a strategy
+// completes is the one normal processing builds (Definition 1). Theta
+// predicates read that key. Equi composites need no such rule: their
+// constituents share one key.
+func (n *Node) InsertTheta(x, y *tuple.Tuple) *tuple.Tuple {
+	if y.Set&-y.Set < x.Set&-x.Set {
+		x, y = y, x
+	}
+	return n.St.InsertJoin(x, y)
 }

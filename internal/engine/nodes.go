@@ -38,16 +38,7 @@ func (e *Engine) NodeBySet(set tuple.StreamSet) *Node {
 func (e *Engine) DescribeStates() string {
 	var b strings.Builder
 	for _, n := range e.Nodes() {
-		switch {
-		case n.St != nil:
-			fmt.Fprintf(&b, "%v\n", n.St)
-		case n.Ls != nil:
-			status := "complete"
-			if !n.Ls.Complete() {
-				status = "incomplete"
-			}
-			fmt.Fprintf(&b, "List(%v %s size=%d)\n", n.Ls.Set, status, n.Ls.Size())
-		}
+		fmt.Fprintf(&b, "%v\n", n.St)
 	}
 	return b.String()
 }
@@ -56,23 +47,7 @@ func (e *Engine) DescribeStates() string {
 func (e *Engine) TotalStateSize() int {
 	total := 0
 	for _, n := range e.Nodes() {
-		if n.St != nil {
-			total += n.St.Size()
-		} else if n.Ls != nil {
-			total += n.Ls.Size()
-		}
+		total += n.St.Size()
 	}
 	return total
-}
-
-// EachEntry visits the node's stored output tuples regardless of the
-// backing state type (hash table or list), until fn returns false. A
-// hash table lends a view the next call overwrites (state.Table.Each),
-// so fn must Clone a tuple it keeps past its call.
-func (n *Node) EachEntry(fn func(*tuple.Tuple) bool) {
-	if n.St != nil {
-		n.St.Each(fn)
-		return
-	}
-	n.Ls.Each(fn)
 }

@@ -116,10 +116,9 @@ type Node struct {
 	// Op is the Operator implementing Kind, bound at install time.
 	Op Operator
 
-	// St is the node's output state for hash-based operators.
+	// St is the node's output state: probed by key under a hash join,
+	// scanned whole under a nested-loops join.
 	St *state.Table
-	// Ls is the node's output state for nested-loops operators.
-	Ls *state.List
 
 	// CounterSide is the designated child whose distinct keys armed
 	// this node's completion counter (§4.3 Cases 1–2); nil when no

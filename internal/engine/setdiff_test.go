@@ -113,10 +113,11 @@ func TestHybridEngineSmoke(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("parity mismatch joined: %v", out)
 	}
-	// The NL node stores composites in a list state.
+	// The NL node stores its composite in its table, under the key of
+	// its lowest stream (0) — not the probing stream 2's 6.
 	root := e.Root()
-	if root.Ls == nil || root.Ls.Size() != 1 {
-		t.Fatalf("hybrid root state: %+v", root)
+	if root.Kind != NLJoin || root.St.Size() != 1 || !root.St.ContainsKey(4) {
+		t.Fatalf("hybrid root state: %v", root.St)
 	}
 	n := e.NodeBySet(tuple.NewStreamSet(0, 1))
 	if n.St == nil {
@@ -133,8 +134,9 @@ func TestNLEngineUsesTablesForScans(t *testing.T) {
 	if e.Scan(0).St == nil {
 		t.Fatal("scan state should be a table even under NLJoin")
 	}
-	if e.Root().Ls == nil {
-		t.Fatal("NL join state should be a list")
+	e.Feed(ev(1, 2))
+	if root := e.Root(); root.Kind != NLJoin || root.St.Size() != 1 || !root.St.ContainsKey(1) {
+		t.Fatalf("NL join state should be a table keyed by stream 0's key: %v", root.St)
 	}
 }
 
@@ -142,9 +144,9 @@ func TestEachEntryBothKinds(t *testing.T) {
 	e := MustNew(Config{Plan: plan.MustLeftDeep(0, 1)})
 	e.Feed(ev(0, 1))
 	n := 0
-	e.Scan(0).EachEntry(func(*tuple.Tuple) bool { n++; return true })
+	e.Scan(0).St.Each(func(*tuple.Tuple) bool { n++; return true })
 	if n != 1 {
-		t.Fatalf("EachEntry over table visited %d", n)
+		t.Fatalf("Each over a scan state visited %d", n)
 	}
 	nl := MustNew(Config{
 		Plan: plan.MustLeftDeep(0, 1), Kind: NLJoin,
@@ -153,8 +155,8 @@ func TestEachEntryBothKinds(t *testing.T) {
 	nl.Feed(ev(0, 1))
 	nl.Feed(ev(1, 1))
 	n = 0
-	nl.Root().EachEntry(func(*tuple.Tuple) bool { n++; return true })
+	nl.Root().St.Each(func(*tuple.Tuple) bool { n++; return true })
 	if n != 1 {
-		t.Fatalf("EachEntry over list visited %d", n)
+		t.Fatalf("Each over a nested-loops state visited %d", n)
 	}
 }

@@ -25,7 +25,8 @@ type Collector struct {
 	Input atomic.Uint64
 	// Output counts result tuples emitted at the root.
 	Output atomic.Uint64
-	// Probes counts hash/list probes performed by join operators.
+	// Probes counts the probes join operators perform: one per hash
+	// lookup, one per nested-loops scan and per row it visits.
 	Probes atomic.Uint64
 	// Inserts counts state insertions: tuples stored where a later probe
 	// can read them. A result the root emits without storing (DESIGN.md

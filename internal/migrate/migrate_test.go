@@ -126,8 +126,8 @@ func TestMovingStateNLJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	n12 := e.NodeBySet(tuple.NewStreamSet(1, 2))
-	if !n12.Ls.Complete() || n12.Ls.Size() != 1 {
-		t.Fatalf("NL {1,2}: complete=%v size=%d", n12.Ls.Complete(), n12.Ls.Size())
+	if n12.Kind != engine.NLJoin || !n12.St.Complete() || n12.St.Size() != 1 {
+		t.Fatalf("NL {1,2}: %v", n12.St)
 	}
 }
 

@@ -30,23 +30,19 @@ func (MovingState) Name() string { return "moving-state" }
 // contains it.
 func (MovingState) OnTransition(e *engine.Engine) error {
 	for _, n := range e.Nodes() {
-		if n.IsLeaf() {
+		if n.St.Complete() { // as every scan state is
 			continue
 		}
-		switch {
-		case n.St != nil && !n.St.Complete():
-			if n.Kind == engine.SetDiff {
-				fillDiff(e, n)
-			} else {
-				fillJoin(e, n)
-			}
-			n.St.MarkComplete()
-			e.ClearBorn(n.Set)
-		case n.Ls != nil && !n.Ls.Complete():
+		switch n.Kind {
+		case engine.SetDiff:
+			fillDiff(e, n)
+		case engine.NLJoin:
 			fillNL(e, n)
-			n.Ls.MarkComplete()
-			e.ClearBorn(n.Set)
+		default:
+			fillJoin(e, n)
 		}
+		n.St.MarkComplete()
+		e.ClearBorn(n.Set)
 	}
 	return nil
 }
@@ -75,17 +71,15 @@ func fillJoin(e *engine.Engine, n *engine.Node) {
 }
 
 // fillNL recomputes a nested-loops state in full. In hybrid plans the
-// children may be hash-join nodes; EachEntry abstracts the state type.
+// children may be hash-join nodes; either is scanned whole.
 func fillNL(e *engine.Engine, n *engine.Node) {
 	met := e.Collector()
-	bld := e.Builder()
 	pred := e.Theta()
-	n.Left.EachEntry(func(l *tuple.Tuple) bool {
-		n.Right.EachEntry(func(r *tuple.Tuple) bool {
+	n.Left.St.Each(func(l *tuple.Tuple) bool {
+		n.Right.St.Each(func(r *tuple.Tuple) bool {
 			met.MigrationWork.Add(1)
 			if pred(l, r) {
-				// A theta composite takes the left key.
-				n.Ls.Insert(bld.Join(l, r))
+				n.InsertTheta(l, r)
 			}
 			return true
 		})

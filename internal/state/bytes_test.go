@@ -79,27 +79,28 @@ func TestTableByteAccountingComposites(t *testing.T) {
 	}
 }
 
+// TestListByteAccounting: a nested-loops state's rows are charged like
+// any table's, whatever keys they sit under: TupleBytes each, plus
+// SlotBytes per key holding rows.
 func TestListByteAccounting(t *testing.T) {
-	l := NewList(tuple.NewStreamSet(0))
-	var want int64
+	tb := NewTable(tuple.NewStreamSet(0, 1))
+	row := TupleBytes(tb.Set)
 	for i := 0; i < 10; i++ {
-		tup := tuple.NewBase(0, uint64(i+1), tuple.Value(i), uint64(i+1))
-		want += entryBytes(tup)
-		l.Insert(tup)
+		tb.InsertJoin(tuple.NewBase(0, uint64(i+1), tuple.Value(i%4), uint64(i+1)), tuple.NewBase(1, 1, 7, 1))
 	}
-	if l.Bytes() != want {
-		t.Fatalf("accounted %d, want %d", l.Bytes(), want)
+	if want := 10*row + 4*SlotBytes; tb.Bytes() != want {
+		t.Fatalf("accounted %d, want %d", tb.Bytes(), want)
 	}
-	removed := l.RemoveRef(tuple.Ref{Stream: 0, Seq: 3})
-	if len(removed) != 1 {
-		t.Fatalf("removed %d tuples", len(removed))
+	removed := 0
+	for _, k := range tb.Keys() {
+		removed += tb.RemoveRef(k, tuple.Ref{Stream: 1, Seq: 1}).Len()
 	}
-	want -= entryBytes(removed[0])
-	if l.Bytes() != want {
-		t.Fatalf("after eviction: accounted %d, want %d", l.Bytes(), want)
+	if removed != 10 || tb.Bytes() != 0 {
+		t.Fatalf("after eviction: removed %d, accounted %d", removed, tb.Bytes())
 	}
-	l.Clear()
-	if l.Bytes() != 0 {
-		t.Fatalf("after Clear: %d", l.Bytes())
+	tb.Insert(tuple.Join(tuple.NewBase(0, 11, 3, 11), tuple.NewBase(1, 2, 3, 11)))
+	tb.Clear()
+	if tb.Bytes() != 0 {
+		t.Fatalf("after Clear: %d", tb.Bytes())
 	}
 }

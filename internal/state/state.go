@@ -1,10 +1,10 @@
 // Package state implements the join-state storage used by every
-// operator: a hash multimap from join-attribute value to tuples
-// (symmetric hash join), and an ordered list (nested-loops join for
-// general theta joins). Tables carry the completeness metadata that
-// JISC layers on top of ordinary states: the complete/incomplete flag
-// of Definition 1, the per-key attempted set of Definition 2, and the
-// completion-detection counter of §4.3.
+// operator: a hash multimap from join-attribute value to tuples. A
+// symmetric hash join probes it by key; a nested-loops join (general
+// theta joins) scans it whole. Tables carry the completeness metadata
+// that JISC layers on top of ordinary states: the complete/incomplete
+// flag of Definition 1, the per-key attempted set of Definition 2, and
+// the completion-detection counter of §4.3.
 //
 // A Table keeps one slot per key in one open-addressing index (see
 // index.go): the slot carries the resident rows, the spilled part and
@@ -140,6 +140,14 @@ func (t *Table) SetStore(s *statestore.Store, tombstones bool) {
 	t.tombstone = tombstones
 	s.Attach(t)
 }
+
+// AccountTo attaches the spill store to the table, which must still be
+// empty, for byte accounting only: the CLOCK never walks the table, so
+// nothing of it spills. A nested-loops state is one — its scan touches
+// every row, so a spilled one would fault back on every probe — and its
+// bytes still count against the budget, so the tables that do spill
+// make room for it.
+func (t *Table) AccountTo(s *statestore.Store) { t.store = s }
 
 // Release detaches the store, freeing every spilled part and dropping
 // the table's byte accounting from it. Called when the engine discards

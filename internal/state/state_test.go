@@ -230,73 +230,80 @@ func TestTableString(t *testing.T) {
 	}
 }
 
+// The TestList* tests pin the table as a nested-loops state: rows under
+// many keys, scanned whole with Each, a ref removed under every key.
+
+// scanAll copies out every row Each visits.
+func scanAll(tb *Table) []*tuple.Tuple {
+	var out []*tuple.Tuple
+	tb.Each(func(v *tuple.Tuple) bool { out = append(out, v.Clone()); return true })
+	return out
+}
+
 func TestListBasics(t *testing.T) {
-	l := NewList(tuple.NewStreamSet(0))
-	if !l.Complete() {
-		t.Fatal("new list must start complete")
+	tb := NewTable(tuple.NewStreamSet(0, 1))
+	if !tb.Complete() {
+		t.Fatal("new table must start complete")
 	}
+	// Theta composites: a 10 matched b 20 and b 21, each under a's key.
 	a := base(0, 1, 10)
-	b := base(0, 2, 20)
-	l.Insert(a)
-	l.Insert(b)
-	if l.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", l.Size())
+	tb.InsertJoin(a, base(1, 1, 20))
+	tb.InsertJoin(a, base(1, 2, 21))
+	tb.InsertJoin(base(0, 2, 30), base(1, 1, 20))
+	if tb.Size() != 3 || tb.DistinctKeys() != 2 {
+		t.Fatalf("Size = %d over %d keys, want 3 over 2", tb.Size(), tb.DistinctKeys())
 	}
-	var got []*tuple.Tuple
-	l.Each(func(s *tuple.Tuple) bool { got = append(got, s); return true })
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("Each = %v, want insertion order", got)
+	got := map[string]tuple.Value{}
+	for _, v := range scanAll(tb) {
+		got[v.Fingerprint()] = v.Key
+	}
+	want := map[string]tuple.Value{"0#1|1#1": 10, "0#1|1#2": 10, "0#2|1#1": 30}
+	if len(got) != len(want) {
+		t.Fatalf("Each visited %v, want %v", got, want)
+	}
+	for fp, k := range want {
+		if got[fp] != k {
+			t.Fatalf("Each visited %v, want %v", got, want)
+		}
 	}
 }
 
 func TestListRemoveRef(t *testing.T) {
-	l := NewList(tuple.NewStreamSet(0))
-	a := base(0, 1, 10)
-	b := base(0, 2, 20)
-	l.Insert(a)
-	l.Insert(b)
-	removed := l.RemoveRef(tuple.Ref{Stream: 0, Seq: 1})
-	if len(removed) != 1 || removed[0] != a || l.Size() != 1 {
-		t.Fatalf("RemoveRef: removed=%v size=%d", removed, l.Size())
+	tb := NewTable(tuple.NewStreamSet(0, 1))
+	b := base(1, 1, 20)
+	tb.InsertJoin(base(0, 1, 10), b)
+	tb.InsertJoin(base(0, 2, 30), b)
+	tb.InsertJoin(base(0, 3, 30), base(1, 2, 21))
+	// b's composites sit under two keys; every key is asked.
+	removed := 0
+	for _, k := range tb.Keys() {
+		removed += tb.RemoveRef(k, b.First()).Len()
 	}
-	if got := l.RemoveRef(tuple.Ref{Stream: 0, Seq: 99}); len(got) != 0 {
+	if removed != 2 || tb.Size() != 1 || tb.DistinctKeys() != 1 {
+		t.Fatalf("RemoveRef: removed=%d size=%d keys=%d", removed, tb.Size(), tb.DistinctKeys())
+	}
+	if got := tb.RemoveRef(30, tuple.Ref{Stream: 1, Seq: 99}); got.Len() != 0 {
 		t.Fatal("removed nonexistent ref")
 	}
 }
 
-func TestListAttempted(t *testing.T) {
-	l := NewList(tuple.NewStreamSet(0, 1))
-	ref := tuple.Ref{Stream: 0, Seq: 1}
-	if !l.Attempted(ref) {
-		t.Fatal("complete list must report attempted")
-	}
-	l.MarkIncomplete()
-	if l.Attempted(ref) {
-		t.Fatal("incomplete list must not report attempted")
-	}
-	l.MarkAttempted(ref)
-	if !l.Attempted(ref) {
-		t.Fatal("MarkAttempted not recorded")
-	}
-	l.MarkComplete()
-	if !l.Complete() {
-		t.Fatal("MarkComplete failed")
-	}
-}
-
 func TestListEachAndClear(t *testing.T) {
-	l := NewList(tuple.NewStreamSet(0))
+	tb := NewTable(tuple.NewStreamSet(0))
 	for i := 0; i < 4; i++ {
-		l.Insert(base(0, uint64(i), 1))
+		tb.Insert(base(0, uint64(i), tuple.Value(i)))
 	}
 	n := 0
-	l.Each(func(*tuple.Tuple) bool { n++; return n < 2 })
+	tb.Each(func(*tuple.Tuple) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("Each early stop visited %d", n)
 	}
-	l.Clear()
-	if l.Size() != 0 {
+	tb.MarkIncomplete()
+	tb.Clear()
+	if tb.Size() != 0 || tb.DistinctKeys() != 0 || len(scanAll(tb)) != 0 {
 		t.Fatal("Clear left tuples")
+	}
+	if tb.Complete() {
+		t.Fatal("Clear dropped the completeness flag")
 	}
 }
 
@@ -354,19 +361,17 @@ func TestTableRestoreMeta(t *testing.T) {
 	}
 }
 
+// TestListRestoreMeta: a nested-loops state restores with no attempted
+// key and no counter — it is completed whole, never by key.
 func TestListRestoreMeta(t *testing.T) {
-	l := NewList(tuple.NewStreamSet(0, 1))
-	ref := tuple.Ref{Stream: 0, Seq: 4}
-	l.RestoreMeta(false, []tuple.Ref{ref})
-	if l.Complete() || !l.Attempted(ref) {
-		t.Fatal("list meta not restored")
+	tb := NewTable(tuple.NewStreamSet(0, 1))
+	tb.RestoreMeta(false, nil, nil, false)
+	if tb.Complete() || tb.Attempted(4) || len(tb.AttemptedKeys()) != 0 || tb.CounterArmed() {
+		t.Fatal("incomplete restore carried marks")
 	}
-	if refs := l.AttemptedRefs(); len(refs) != 1 || refs[0] != ref {
-		t.Fatalf("AttemptedRefs = %v", refs)
-	}
-	l.RestoreMeta(true, nil)
-	if !l.Complete() || len(l.AttemptedRefs()) != 0 {
-		t.Fatal("complete list restore failed")
+	tb.RestoreMeta(true, nil, nil, false)
+	if !tb.Complete() {
+		t.Fatal("complete restore failed")
 	}
 }
 

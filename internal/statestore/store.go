@@ -317,8 +317,9 @@ func (sg *segment) appendBucket(rows tuple.Rows) span {
 	return sp
 }
 
-// Account adjusts the single resident-byte counter every attached
-// table and list feeds, on each change of its resident footprint.
+// Account adjusts the single resident-byte counter every table using
+// the store feeds — attached or accounting only — on each change of
+// its resident footprint.
 func (s *Store) Account(delta int64) {
 	r := s.resident.Add(delta)
 	for {
@@ -486,7 +487,8 @@ func (s *Store) Tombstone(p *Part, deadThrough uint64) (emptied bool) {
 
 // Drop detaches t once it has freed its spilled parts (table teardown)
 // and compacts if their frames tipped the garbage ratio. A hand on t
-// moves to the table after it.
+// moves to the table after it; a table that only accounted to the
+// store was never attached and has nothing to detach.
 func (s *Store) Drop(t Table) {
 	if i := slices.Index(s.tables, t); i >= 0 {
 		s.tables = slices.Delete(s.tables, i, i+1)
@@ -688,7 +690,7 @@ func validFrames(data []byte) bool {
 // take from any goroutine.
 type Stats struct {
 	// ResidentBytes is the current resident accounting across every
-	// attached table and list; PeakResidentBytes is its high-water
+	// table using the store; PeakResidentBytes is its high-water
 	// mark (instantaneous, including the transient of a fault before
 	// the following spill).
 	ResidentBytes     int64 `json:"resident_bytes"`

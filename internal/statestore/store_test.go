@@ -580,14 +580,15 @@ func TestClockSweep(t *testing.T) {
 		if st := s.Stats(); st.Spills != 1 {
 			t.Fatalf("all hot: %d spills, want 1", st.Spills)
 		}
-		// A list over the whole budget leaves the hand nothing to take.
-		l := state.NewList(tuple.NewStreamSet(1))
-		l.SetStore(s)
+		// An accounting-only table over the whole budget leaves the
+		// hand nothing to take: it is never walked.
+		nl := state.NewTable(tuple.NewStreamSet(1))
+		nl.AccountTo(s)
 		for k := range 8 {
-			l.Insert(base(1, uint64(k+1), tuple.Value(k)))
+			nl.Insert(base(1, uint64(k+1), tuple.Value(k)))
 		}
-		if st := s.Stats(); tbl.Bytes() != 0 || st.Spills != 5 || st.ResidentBytes != l.Bytes() {
-			t.Fatalf("table keeps %d resident bytes: %+v", tbl.Bytes(), st)
+		if st := s.Stats(); tbl.Bytes() != 0 || st.Spills != 5 || st.ResidentBytes != nl.Bytes() || nl.Size() != 8 {
+			t.Fatalf("table keeps %d resident bytes, the accounting-only one %d: %+v", tbl.Bytes(), nl.Bytes(), st)
 		}
 	})
 }
@@ -701,32 +702,31 @@ func TestReleaseForgetsTable(t *testing.T) {
 	}
 }
 
+// TestListAccounting: a table attached for accounting only — a
+// nested-loops state, scanned whole — charges the store like any table
+// (its rows' words plus one slot per key) but is never spilled, however
+// far over the budget it grows, and its release hands the bytes back.
 func TestListAccounting(t *testing.T) {
-	s := mustOpen(t, statestore.Options{Budget: 0})
-	l := state.NewList(tuple.NewStreamSet(0))
-	l.SetStore(s)
-	// A list keeps its tuples by pointer: the pointer, a 64-byte Tuple
-	// allocation and one seq each.
-	const entry = 8 + 64 + 8
-	var want int64
+	s := mustOpen(t, statestore.Options{Budget: 2 * oneRowKey})
+	nl := state.NewTable(tuple.NewStreamSet(0))
+	nl.AccountTo(s)
 	for i := 0; i < 10; i++ {
-		want += entry
-		l.Insert(base(0, uint64(i+1), tuple.Value(i)))
+		nl.Insert(base(0, uint64(i+1), tuple.Value(i)))
 	}
-	if l.Bytes() != want || s.Stats().ResidentBytes != want {
-		t.Fatalf("list bytes %d, store %d, want %d", l.Bytes(), s.Stats().ResidentBytes, want)
+	want := 10 * oneRowKey
+	if st := s.Stats(); nl.Bytes() != want || st.ResidentBytes != want || st.Spills != 0 {
+		t.Fatalf("table bytes %d, store %+v, want %d resident and no spill", nl.Bytes(), st, want)
 	}
-	removed := l.RemoveRef(tuple.Ref{Stream: 0, Seq: 1})
-	if len(removed) != 1 {
-		t.Fatalf("removed %d", len(removed))
+	if nl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}).Len() != 1 {
+		t.Fatal("RemoveRef removed nothing")
 	}
-	want -= entry
-	if l.Bytes() != want || s.Stats().ResidentBytes != want {
-		t.Fatalf("after remove: list %d, store %d, want %d", l.Bytes(), s.Stats().ResidentBytes, want)
+	want -= oneRowKey
+	if nl.Bytes() != want || s.Stats().ResidentBytes != want {
+		t.Fatalf("after remove: table %d, store %d, want %d", nl.Bytes(), s.Stats().ResidentBytes, want)
 	}
-	l.Clear()
-	if l.Bytes() != 0 || s.Stats().ResidentBytes != 0 {
-		t.Fatalf("after clear: list %d, store %d", l.Bytes(), s.Stats().ResidentBytes)
+	nl.Release()
+	if s.Stats().ResidentBytes != 0 {
+		t.Fatalf("after release: store %d", s.Stats().ResidentBytes)
 	}
 }
 

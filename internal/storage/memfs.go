@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strings"
 	"sync"
@@ -86,7 +87,7 @@ func (m *MemFS) Open(path string) (io.ReadCloser, error) {
 	snapshot := append([]byte(nil), data...)
 	m.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("memfs: open %s: file does not exist", path)
+		return nil, notExist("open", path)
 	}
 	return io.NopCloser(bytes.NewReader(snapshot)), nil
 }
@@ -118,7 +119,7 @@ func (m *MemFS) OpenReaderAt(path string) (ReaderAt, error) {
 	_, ok := m.files[path]
 	m.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("memfs: open %s: file does not exist", path)
+		return nil, notExist("open", path)
 	}
 	return memReaderAt{fs: m, path: path}, nil
 }
@@ -154,7 +155,7 @@ func (m *MemFS) Rename(oldPath, newPath string) error {
 	defer m.mu.Unlock()
 	data, ok := m.files[oldPath]
 	if !ok {
-		return fmt.Errorf("memfs: rename %s: file does not exist", oldPath)
+		return notExist("rename", oldPath)
 	}
 	delete(m.files, oldPath)
 	m.files[newPath] = data
@@ -166,7 +167,7 @@ func (m *MemFS) Remove(path string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.files[path]; !ok {
-		return fmt.Errorf("memfs: remove %s: file does not exist", path)
+		return notExist("remove", path)
 	}
 	delete(m.files, path)
 	return nil
@@ -196,7 +197,7 @@ func (m *MemFS) Truncate(path string, size int64) error {
 	defer m.mu.Unlock()
 	data, ok := m.files[path]
 	if !ok {
-		return fmt.Errorf("memfs: truncate %s: file does not exist", path)
+		return notExist("truncate", path)
 	}
 	if size > int64(len(data)) {
 		grown := make([]byte, size)
@@ -217,9 +218,16 @@ func (m *MemFS) Size(path string) (int64, error) {
 	defer m.mu.Unlock()
 	data, ok := m.files[path]
 	if !ok {
-		return 0, fmt.Errorf("memfs: stat %s: file does not exist", path)
+		return 0, notExist("stat", path)
 	}
 	return int64(len(data)), nil
+}
+
+// notExist is MemFS's error for a missing path. It wraps
+// fs.ErrNotExist, as the OS filesystem's errors do, so a caller tests
+// for a missing file one way whichever FS it runs on.
+func notExist(op, path string) error {
+	return fmt.Errorf("memfs: %s %s: %w", op, path, fs.ErrNotExist)
 }
 
 var _ FS = (*MemFS)(nil)

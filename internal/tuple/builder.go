@@ -4,7 +4,7 @@ import "sync"
 
 // Chunk sizes for the Builder arenas. Tuples and seqs are carved from
 // these blocks; one chunk amortizes one heap allocation over many
-// composites.
+// copies.
 const (
 	tupleChunkLen = 256
 	seqChunkLen   = 1024
@@ -13,11 +13,9 @@ const (
 // Builder constructs tuples out of chunked slice-backed arenas: each
 // Tuple struct and its Seqs backing array is carved from a shared
 // block, so steady-state construction costs ~2 allocations per chunk
-// instead of 2 per tuple. Tuples built this way are ordinary immutable
-// *Tuple values for states that keep tuples by pointer (nested-loops
-// lists) and live as long as any state references them (which pins
-// their chunk; acceptable for window-bounded states, where chunk-mates
-// expire together). Hash-join states keep rows instead (Rows).
+// instead of 2 per tuple. Tuples built this way (Copy) are ordinary
+// immutable *Tuple values handed out for keeping, such as a storing
+// root's results; join states keep no tuples, only rows (Rows).
 //
 // A Builder is not safe for concurrent use; each engine owns one.
 // Builders are pooled: Acquire one per run, Release it when the run is
@@ -63,14 +61,6 @@ func (b *Builder) allocSeqs(n int) []uint64 {
 	start := len(b.seqs)
 	b.seqs = b.seqs[:start+n]
 	return b.seqs[start : start+n : start+n]
-}
-
-// Join merges two tuples with disjoint stream sets into a composite
-// allocated from the arena. Semantics match the package-level Join.
-func (b *Builder) Join(x, y *Tuple) *Tuple {
-	t := b.alloc()
-	joinInto(t, b.allocSeqs(len(x.Seqs)+len(y.Seqs)), x, y)
-	return t
 }
 
 // Copy returns a copy of t out of the arena, sharing no memory with t:

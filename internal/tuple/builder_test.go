@@ -21,38 +21,40 @@ func TestBuilderCopySharesNothing(t *testing.T) {
 	}
 }
 
+// TestBuilderJoinMatchesJoin: the builder's join composite reads as
+// Join's, provenance merged in stream order.
 func TestBuilderJoinMatchesJoin(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
 	// Interleaved streams so the ref merge is exercised.
-	x := b.Join(NewBase(0, 5, 7, 10), NewBase(2, 3, 7, 20))
+	x := Join(NewBase(0, 5, 7, 10), NewBase(2, 3, 7, 20))
 	y := NewBase(1, 9, 7, 30)
-	got := b.Join(x, y)
-	want := Join(Join(NewBase(0, 5, 7, 10), NewBase(2, 3, 7, 20)), NewBase(1, 9, 7, 30))
+	got := b.JoinTransient(x, y)
+	want := Join(x, y)
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("Fingerprint = %s, want %s", got.Fingerprint(), want.Fingerprint())
 	}
 	if got.Set != want.Set || got.Arrival != want.Arrival || got.Oldest != want.Oldest {
-		t.Fatalf("Builder.Join = %+v, want %+v", got, want)
+		t.Fatalf("Builder.JoinTransient = %+v, want %+v", got, want)
 	}
 	if fp := got.Fingerprint(); fp != "0#5|1#9|2#3" {
 		t.Fatalf("provenance %s, want it in stream order", fp)
 	}
 }
 
+// TestBuilderJoinTheta: the builder's composite takes its left side's
+// key, as Join's does. Which side a theta composite's key comes from is
+// the engine's rule (engine.Node.InsertTheta), not the builder's.
 func TestBuilderJoinTheta(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
 	x := NewBase(0, 1, 11, 1)
 	y := NewBase(1, 1, 22, 2)
-	// Theta composites inherit the left key.
-	got := b.Join(x, y)
-	if got.Key != 11 {
-		t.Fatalf("theta key = %d, want 11", got.Key)
+	if got := b.JoinTransient(x, y); got.Key != 11 {
+		t.Fatalf("composite key = %d, want 11", got.Key)
 	}
-	got = b.Join(y, x)
-	if got.Key != 22 {
-		t.Fatalf("theta key = %d, want 22", got.Key)
+	if got := b.JoinTransient(y, x); got.Key != 22 {
+		t.Fatalf("composite key = %d, want 22", got.Key)
 	}
 }
 
@@ -64,28 +66,28 @@ func TestBuilderJoinOverlapPanics(t *testing.T) {
 			t.Fatal("no panic on overlapping stream sets")
 		}
 	}()
-	b.Join(NewBase(0, 1, 1, 1), NewBase(0, 2, 1, 2))
+	b.JoinTransient(NewBase(0, 1, 1, 1), NewBase(0, 2, 1, 2))
 }
 
-// TestBuilderChunkTurnover verifies tuples built before a chunk
+// TestBuilderChunkTurnover verifies tuples copied before a chunk
 // turnover stay intact after it: the arena must never recycle memory
 // it handed out.
 func TestBuilderChunkTurnover(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
-	first := b.Join(NewBase(0, 1, 123, 1), NewBase(1, 1, 123, 1))
-	var composites []*Tuple
+	first := b.Copy(Join(NewBase(0, 1, 123, 1), NewBase(1, 1, 123, 1)))
+	var copies []*Tuple
 	for i := 0; i < 4*tupleChunkLen; i++ {
 		l := NewBase(0, uint64(2*i+2), Value(i), uint64(i))
 		r := NewBase(1, uint64(2*i+3), Value(i), uint64(i))
-		composites = append(composites, b.Join(l, r))
+		copies = append(copies, b.Copy(Join(l, r)))
 	}
 	if first.Key != 123 || first.First() != (Ref{Stream: 0, Seq: 1}) {
 		t.Fatalf("early tuple corrupted after chunk turnover: %v", first)
 	}
-	for i, c := range composites {
+	for i, c := range copies {
 		if c.Key != Value(i) || len(c.Seqs) != 2 {
-			t.Fatalf("composite %d corrupted: %v", i, c)
+			t.Fatalf("copy %d corrupted: %v", i, c)
 		}
 	}
 }
@@ -108,7 +110,7 @@ func TestMergeRefs(t *testing.T) {
 
 // TestJoinTransientReusesOneComposite: every JoinTransient returns the
 // same tuple, rewritten — equal to Join's while it lasts, gone with the
-// next call, and never carved from the arenas Join draws on.
+// next call, and never carved from the arenas Copy draws on.
 func TestJoinTransientReusesOneComposite(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
@@ -119,11 +121,11 @@ func TestJoinTransientReusesOneComposite(t *testing.T) {
 		t.Fatalf("transient = %v, want %v", first, want)
 	}
 	kept := first.Clone()
-	wide := b.JoinTransient(b.Join(a, c), d)
+	wide := b.JoinTransient(Join(a, c), d)
 	if wide != first || first.Fingerprint() != "0#1|1#2|2#3" || kept.Fingerprint() != "0#1|1#2" {
 		t.Fatalf("second transient %p reads %v (first was %p); clone reads %v", wide, wide, first, kept)
 	}
-	stored := b.Join(a, d)
+	stored := b.Copy(Join(a, d))
 	if allocs := testing.AllocsPerRun(100, func() { b.JoinTransient(a, c) }); allocs != 0 {
 		t.Fatalf("%v allocations per transient join", allocs)
 	}

@@ -131,8 +131,8 @@ func NewBase(id StreamID, seq uint64, key Value, arrival uint64) *Tuple {
 // Join merges two tuples with disjoint stream sets into a composite.
 // It panics if the stream sets overlap, which would indicate a plan
 // wiring bug rather than a data condition. Stored composites are built
-// straight into a join state's rows (AppendJoinRow); Join and a
-// Builder's remain for tuples kept by pointer.
+// straight into a join state's rows (AppendJoinRow) and a forwarded one
+// into a Builder's transient composite; Join builds a free-standing one.
 func Join(a, b *Tuple) *Tuple {
 	t := &Tuple{}
 	joinInto(t, make([]uint64, len(a.Seqs)+len(b.Seqs)), a, b)
