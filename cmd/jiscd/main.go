@@ -92,7 +92,7 @@ type options struct {
 	addr, plan, strategy, telemetry   string
 	window, queue, shards, maxConns   int
 	timeSpan                          uint64
-	shed, auto                        bool
+	windowSet, shed, auto             bool // windowSet: -window was given
 	wal, fsync, stateBudget, spillDir string
 	fsyncInterval, checkpointInterval time.Duration
 	autoInterval, autoCooldown        time.Duration
@@ -149,6 +149,8 @@ func (o options) config() (server.Config, error) {
 		return cfg, fmt.Errorf("-ingest-burst %v without -ingest-rate: an unlimited rate has no bucket to burst above", o.ingestBurst)
 	case o.spillDir != "" && stateBudget < 0:
 		return cfg, fmt.Errorf("-spill-dir %s with -state-budget off: nothing will ever spill there", o.spillDir)
+	case o.windowSet && o.timeSpan > 0:
+		return cfg, fmt.Errorf("-window %d with -timespan %d: a time window's span is in ticks, so the count window size would be ignored", o.window, o.timeSpan)
 	}
 	var dur durable.Options
 	if o.wal != "" {
@@ -195,8 +197,8 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7878", "listen address")
 		planSrc   = flag.String("plan", "0,1,2", "initial plan (infix tree or comma-separated left-deep order)")
-		window    = flag.Int("window", 10000, "per-stream window size in tuples")
-		timeSpan  = flag.Uint64("timespan", 0, "time-based window span in ticks (0 = count-based)")
+		window    = flag.Int("window", 10000, "per-stream window size in tuples, counted per shard: a shard's window holds the last N tuples of the stream that reached that shard")
+		timeSpan  = flag.Uint64("timespan", 0, "time-based window span in ticks, in place of -window (0 = count-based); a shard's clock ticks once per tuple that reaches that shard")
 		strat     = flag.String("strategy", "jisc", "migration strategy: jisc, moving-state, static")
 		queue     = flag.Int("queue", 4096, "input queue size (per shard)")
 		shedding  = flag.Bool("shed", false, "drop tuples instead of blocking when the queue is full")
@@ -233,6 +235,7 @@ func main() {
 		feedDeadline: *feedDeadline, readTimeout: *readTimeout,
 		writeTimeout: *writeTimeout, drainTimeout: *drainTO,
 	}
+	flag.Visit(func(f *flag.Flag) { o.windowSet = o.windowSet || f.Name == "window" })
 
 	die := func(err error) {
 		fmt.Fprintf(os.Stderr, "jiscd: %v\n", err)

@@ -284,6 +284,10 @@ func TestOptionsConfig(t *testing.T) {
 		{name: "checkpoint interval without wal", set: func(o *options) { o.checkpointInterval = -1 }, want: "-checkpoint-interval"},
 		{name: "burst without rate", set: func(o *options) { o.ingestBurst = 100 }, want: "-ingest-burst"},
 		{name: "spill dir with budget off", set: func(o *options) { o.stateBudget, o.spillDir = "off", "/s" }, want: "-spill-dir"},
+		{name: "timespan", set: func(o *options) { o.timeSpan = 90 }, ok: func(c server.Config) bool {
+			return c.Pipeline.Engine.TimeSpan == 90
+		}},
+		{name: "window with timespan", set: func(o *options) { o.window, o.windowSet, o.timeSpan = 500, true, 90 }, want: "-window"},
 	} {
 		o := flagDefaults()
 		tc.set(&o)

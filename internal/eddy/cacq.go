@@ -75,6 +75,9 @@ func NewCACQ(cfg CACQConfig) (*CACQ, error) {
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = 10000
 	}
+	if cfg.WindowSize < 0 {
+		return nil, fmt.Errorf("cacq: negative window size %d", cfg.WindowSize)
+	}
 	c := &CACQ{
 		order:   order,
 		stems:   make(map[tuple.StreamID]*state.Table),
@@ -88,7 +91,7 @@ func NewCACQ(cfg CACQConfig) (*CACQ, error) {
 	}
 	for _, id := range order {
 		c.stems[id] = state.NewTable(tuple.NewStreamSet(id))
-		c.windows[id] = window.New(id, cfg.WindowSize)
+		c.windows[id] = window.New(id, uint64(cfg.WindowSize))
 	}
 	return c, nil
 }
@@ -123,7 +126,7 @@ func (c *CACQ) Feed(ev workload.Event) {
 	// Slide the window: expired tuples leave only the SteM — CACQ has
 	// no intermediate state to clean, its advantage on eviction.
 	ref := tuple.Ref{Stream: ev.Stream, Seq: seq}
-	if exp, ok := c.windows[ev.Stream].Admit(ref, ev.Key); ok {
+	for _, exp := range c.windows[ev.Stream].Slide(ref, ev.Key, seq) {
 		c.stems[ev.Stream].RemoveRef(exp.Key, exp.Ref)
 		c.met.Evictions.Add(1)
 	}

@@ -73,6 +73,9 @@ func NewStairs(cfg StairsConfig) (*Stairs, error) {
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = 10000
 	}
+	if cfg.WindowSize < 0 {
+		return nil, fmt.Errorf("stairs: negative window size %d", cfg.WindowSize)
+	}
 	s := &Stairs{
 		order:   order,
 		streams: cfg.Plan.Streams,
@@ -86,7 +89,7 @@ func NewStairs(cfg StairsConfig) (*Stairs, error) {
 	}
 	for _, id := range order {
 		s.stems[id] = state.NewTable(tuple.NewStreamSet(id))
-		s.windows[id] = window.New(id, cfg.WindowSize)
+		s.windows[id] = window.New(id, uint64(cfg.WindowSize))
 	}
 	for _, set := range s.prefixSets() {
 		s.inter[set] = state.NewTable(set)
@@ -147,7 +150,7 @@ func (s *Stairs) Feed(ev workload.Event) {
 	s.met.Input.Add(1)
 
 	ref := tuple.Ref{Stream: ev.Stream, Seq: seq}
-	if exp, ok := s.windows[ev.Stream].Admit(ref, ev.Key); ok {
+	for _, exp := range s.windows[ev.Stream].Slide(ref, ev.Key, seq) {
 		s.evict(exp)
 	}
 

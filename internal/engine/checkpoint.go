@@ -138,7 +138,7 @@ type windowSnap struct {
 	Stream  tuple.StreamID
 	Entries []tuple.Ref
 	Keys    []tuple.Value
-	Times   []uint64 // time windows only
+	Times   []uint64 // time windows only; nil means each reading is the Ref.Seq
 }
 
 type engineSnap struct {
@@ -200,21 +200,14 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		st := &e.streams[id]
 		snap.SeqList = append(snap.SeqList, keyCount{uint64(id), st.seq})
 		ws := windowSnap{Stream: id}
-		switch win := st.window.(type) {
-		case *window.TimeWindow:
-			win.EachTimed(func(en window.Entry, ts uint64) bool {
-				ws.Entries = append(ws.Entries, en.Ref)
-				ws.Keys = append(ws.Keys, en.Key)
+		st.window.Each(func(en window.Entry, ts uint64) bool {
+			ws.Entries = append(ws.Entries, en.Ref)
+			ws.Keys = append(ws.Keys, en.Key)
+			if e.cfg.TimeSpan > 0 {
 				ws.Times = append(ws.Times, ts)
-				return true
-			})
-		case *window.Window:
-			win.Each(func(en window.Entry) bool {
-				ws.Entries = append(ws.Entries, en.Ref)
-				ws.Keys = append(ws.Keys, en.Key)
-				return true
-			})
-		}
+			}
+			return true
+		})
 		snap.Windows = append(snap.Windows, ws)
 	}
 	return gob.NewEncoder(w).Encode(snap)
@@ -324,7 +317,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		}
 		win := e.streams[ws.Stream].window
 		for i, ref := range ws.Entries {
-			var ts uint64
+			ts := ref.Seq // a count window's reading
 			if ws.Times != nil {
 				ts = ws.Times[i]
 			}

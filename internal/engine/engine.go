@@ -115,7 +115,7 @@ type Engine struct {
 // streamState is what the engine keeps per input stream.
 type streamState struct {
 	scan   *Node // the stream's leaf in the current operator tree
-	window window.Slider
+	window *window.Window
 	seq    uint64 // of the stream's newest tuple
 }
 
@@ -180,10 +180,8 @@ func New(cfg Config) (*Engine, error) {
 	ids := cfg.Plan.Streams.Streams()
 	e.streams = make([]streamState, int(ids[len(ids)-1])+1)
 	for _, id := range ids {
-		st := &e.streams[id]
-		if cfg.TimeSpan > 0 {
-			st.window = window.NewTime(id, cfg.TimeSpan)
-		} else {
+		span := cfg.TimeSpan
+		if span == 0 {
 			size := cfg.WindowSize
 			if s, ok := cfg.WindowSizes[id]; ok {
 				size = s
@@ -191,8 +189,9 @@ func New(cfg Config) (*Engine, error) {
 			if size <= 0 {
 				return nil, fmt.Errorf("engine: non-positive window size %d for stream %d", size, id)
 			}
-			st.window = window.New(id, size)
+			span = uint64(size)
 		}
+		e.streams[id].window = window.New(id, span)
 	}
 	if cfg.StateBudget > 0 {
 		opts := statestore.Options{
@@ -380,7 +379,7 @@ func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint6
 	st.seq = seq
 
 	// Slide the window first so the new tuple never joins expired ones.
-	for _, expired := range st.window.Slide(tuple.Ref{Stream: ev.Stream, Seq: seq}, ev.Key, e.tick) {
+	for _, expired := range st.window.Slide(tuple.Ref{Stream: ev.Stream, Seq: seq}, ev.Key, e.clock(seq)) {
 		e.evict(scan, expired)
 	}
 
@@ -389,6 +388,16 @@ func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint6
 	scan.St.Insert(&e.base)
 	e.met.Inserts.Add(1)
 	e.pushUp(scan, &e.base)
+}
+
+// clock is the windows' reading for a tuple with per-stream seq
+// arriving now: the arrival tick under time windows, otherwise seq, so
+// a count window of W keeps its stream's last W tuples.
+func (e *Engine) clock(seq uint64) uint64 {
+	if e.cfg.TimeSpan > 0 {
+		return e.tick
+	}
+	return seq
 }
 
 // IterKeys returns st's distinct keys in ascending order for a

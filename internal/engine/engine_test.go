@@ -642,8 +642,12 @@ func TestRestoreChecksTupleShape(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for _, kind := range []Kind{HashJoin, SetDiff} {
-		cfg := Config{Plan: plan.MustLeftDeep(0, 1, 2), Kind: kind, WindowSize: 50}
+	for _, cfg := range []Config{
+		{Kind: HashJoin, WindowSize: 50},
+		{Kind: SetDiff, WindowSize: 50},
+		{Kind: HashJoin, TimeSpan: 5}, // the windows hold readings ≠ seqs
+	} {
+		cfg.Plan = plan.MustLeftDeep(0, 1, 2)
 		e := MustNew(cfg)
 		feedAll(e, evs)
 		ckpt := checkpoint(e)
@@ -651,10 +655,10 @@ func TestRestoreChecksTupleShape(t *testing.T) {
 		cfg.Plan = nil
 		back, err := Restore(bytes.NewReader(ckpt), cfg)
 		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+			t.Fatalf("%v: %v", cfg.Kind, err)
 		}
 		if again := checkpoint(back); !bytes.Equal(again, ckpt) {
-			t.Fatalf("%v: restored engine checkpoints to %d bytes, not the %d it read", kind, len(again), len(ckpt))
+			t.Fatalf("%v, timespan %d: restored engine checkpoints to %d bytes, not the %d it read", cfg.Kind, cfg.TimeSpan, len(again), len(ckpt))
 		}
 		back.Close()
 	}

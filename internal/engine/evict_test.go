@@ -282,35 +282,42 @@ func TestStateBoundedByWindow(t *testing.T) {
 // budget: once the windows are full, a tuple that matches nothing
 // slides one entry out and one in, and allocates nothing of its own —
 // only the builder's arena refills (one tuple chunk per 256 base
-// tuples, one ref chunk per 1024).
+// tuples, one ref chunk per 1024). A time window of 3×window ticks
+// holds the same tuples as a count window of window, since each stream
+// gets every third tick.
 func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 	const window, batch = 512, 256
-	e := engine.MustNew(engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: window})
-	defer e.Close()
-	// Stream s draws keys from its own range, cycling with the window's
-	// period: every arrival expires the previous holder of its key, so
-	// states and the key maps keep a constant shape.
-	var i int
-	evs := make([]workload.Event, batch)
-	fill := func() {
-		for j := range evs {
-			s := i % 3
-			evs[j] = workload.Event{Stream: tuple.StreamID(s), Key: tuple.Value(s*1_000_000 + i/3%window)}
-			i++
+	for _, cfg := range []engine.Config{
+		{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: window},
+		{Plan: plan.MustLeftDeep(0, 1, 2), TimeSpan: 3 * window},
+	} {
+		e := engine.MustNew(cfg)
+		defer e.Close()
+		// Stream s draws keys from its own range, cycling with the window's
+		// period: every arrival expires the previous holder of its key, so
+		// states and the key maps keep a constant shape.
+		var i int
+		evs := make([]workload.Event, batch)
+		fill := func() {
+			for j := range evs {
+				s := i % 3
+				evs[j] = workload.Event{Stream: tuple.StreamID(s), Key: tuple.Value(s*1_000_000 + i/3%window)}
+				i++
+			}
 		}
-	}
-	for warm := 0; warm < 4*3*window/batch; warm++ {
-		fill()
-		e.FeedBatch(evs)
-	}
-	perBatch := testing.AllocsPerRun(50, func() {
-		fill()
-		e.FeedBatch(evs)
-	})
-	if m := e.Metrics(); m.Output != 0 || m.Evictions == 0 {
-		t.Fatalf("output=%d evictions=%d, want a full sliding window with no matches", m.Output, m.Evictions)
-	}
-	if perBatch > 3 {
-		t.Errorf("%.1f allocations per %d-tuple batch, want only arena refills (≤ 3)", perBatch, batch)
+		for warm := 0; warm < 4*3*window/batch; warm++ {
+			fill()
+			e.FeedBatch(evs)
+		}
+		perBatch := testing.AllocsPerRun(50, func() {
+			fill()
+			e.FeedBatch(evs)
+		})
+		if m := e.Metrics(); m.Output != 0 || m.Evictions == 0 {
+			t.Fatalf("timespan %d: output=%d evictions=%d, want a full sliding window with no matches", cfg.TimeSpan, m.Output, m.Evictions)
+		}
+		if perBatch > 3 {
+			t.Errorf("timespan %d: %.1f allocations per %d-tuple batch, want only arena refills (≤ 3)", cfg.TimeSpan, perBatch, batch)
+		}
 	}
 }

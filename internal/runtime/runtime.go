@@ -147,11 +147,15 @@ func (cfg Config) shardSink(i int) (out engine.Output, batchEnd func()) {
 // strategy — JISC's lazy completion then proceeds per shard, on that
 // shard's keys only. All methods are safe for concurrent use.
 //
-// Windows are per shard: a count window of W tuples bounds each
-// shard's per-stream state separately (the usual semantics of
-// hash-partitioned stream processors). With eviction-free horizons
-// (windows larger than the data) the output multiset is identical to
-// a single-engine run; the tests assert exactly that.
+// Windows are per shard, under both clocks: a shard's engine counts
+// only its own arrivals. A count window of W holds the last W tuples of
+// a stream that reached the shard, and a time window's ticks are the
+// shard's arrivals, so with N shards a tuple stays joinable for about N
+// times as many of the query's arrivals (the usual semantics of
+// hash-partitioned stream processors). Each shard's results are those
+// of one engine fed that shard's partition (ShardOf); with
+// eviction-free horizons (windows larger than the data) the output
+// multiset is identical to a single-engine run. The tests assert both.
 type Runtime struct {
 	shards []*shard
 	obs    *obs.Set

@@ -2,11 +2,13 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
@@ -208,5 +210,82 @@ func BenchmarkPartitionedThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestShardWindowsBothClocks pins what a window means under shards,
+// for both clocks: a shard's engine counts only its own arrivals, as
+// per-stream seqs under a count window and as ticks under a time
+// window. So each shard's results are exactly those of one engine fed
+// that shard's partition (ShardOf), through evictions and a migration,
+// and the total grows with the shard count.
+func TestShardWindowsBothClocks(t *testing.T) {
+	const n = 1200
+	events := workload.MustNewSource(workload.Config{Streams: 3, Domain: 12, Seed: 17}).Take(n)
+	target := plan.MustLeftDeep(2, 0, 1)
+	for _, win := range []engine.Config{{WindowSize: 30}, {TimeSpan: 90}} {
+		var totals []int
+		for _, shards := range []int{1, 2, 4} {
+			cfg := win
+			cfg.Plan = plan.MustLeftDeep(0, 1, 2)
+			cfg.Strategy = core.New()
+			got := make([]*enginetest.Sink, shards)
+			rt := MustNew(Config{Shards: shards, Engine: cfg, ShardOutput: func(i int) (engine.Output, func()) {
+				got[i] = enginetest.NewSink()
+				return got[i].Output, nil
+			}})
+			want := make([]*enginetest.Sink, shards)
+			refs := make([]*engine.Engine, shards)
+			for i := range refs {
+				want[i] = enginetest.NewSink()
+				cfg.Strategy, cfg.Output = core.New(), want[i].Output
+				refs[i] = engine.MustNew(cfg)
+			}
+			for i, ev := range events {
+				if i == n/2 {
+					if err := rt.Migrate(target); err != nil {
+						t.Fatal(err)
+					}
+					for _, e := range refs {
+						if err := e.Migrate(target); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := rt.Feed(ev); err != nil {
+					t.Fatal(err)
+				}
+				refs[ShardOf(ev.Key, shards)].Feed(ev)
+			}
+			if err := rt.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := rt.Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Close()
+			if m.Evictions == 0 || m.Transitions != 1 {
+				t.Fatalf("%+v × %d shards: evictions=%d transitions=%d, want both", win, shards, m.Evictions, m.Transitions)
+			}
+			total := 0
+			for i := range refs {
+				refs[i].Close()
+				if err := got[i].Check(); err != nil {
+					t.Fatal(err)
+				}
+				if !maps.Equal(got[i].Outs, want[i].Outs) {
+					t.Fatalf("%+v × %d shards: shard %d gave %d distinct results, its partition's engine %d", win, shards, i, len(got[i].Outs), len(want[i].Outs))
+				}
+				for _, c := range got[i].Outs {
+					total += c
+				}
+			}
+			totals = append(totals, total)
+		}
+		t.Logf("window %d, timespan %d: %v results at 1, 2, 4 shards", win.WindowSize, win.TimeSpan, totals)
+		if totals[0] >= totals[1] || totals[1] >= totals[2] {
+			t.Errorf("window %d, timespan %d: results %v do not grow with the shard count", win.WindowSize, win.TimeSpan, totals)
+		}
 	}
 }

@@ -1,6 +1,9 @@
-// Package window implements per-stream count-based sliding windows
-// (§2.1). Each stream keeps its most recent W tuples; when a new tuple
-// arrives the tuple that falls out of the window must be deleted from
+// Package window implements per-stream sliding windows (§2.1) with one
+// expiry rule: a tuple leaves the window once the window's clock has
+// moved more than the span past the tuple's own reading. Clocked by
+// the stream's sequence number, a window of span W is a count window
+// of W tuples; clocked by arrival ticks, it is a time window of W
+// ticks. When a tuple falls out of the window it must be deleted from
 // every operator state, propagating bottom-up through the pipeline.
 // The package tracks window membership and yields the expiry events;
 // the engine owns the propagation.
@@ -18,79 +21,80 @@ type Entry struct {
 	Key tuple.Value
 }
 
-// Window is a count-based sliding window over one stream. The zero
-// value is unusable; construct with New.
-type Window struct {
-	stream tuple.StreamID
-	size   int
-	// ring buffer of the last size entries
-	buf   []Entry
-	head  int // index of oldest
-	count int
-	// expired backs Slide's one-entry result, so a full window slides
-	// without allocating.
-	expired [1]Entry
+// timed is an entry with the clock reading it was admitted at.
+type timed struct {
+	e  Entry
+	ts uint64
 }
 
-// New returns a window of the given size (tuples) for stream id.
-// Size must be positive.
-func New(id tuple.StreamID, size int) *Window {
-	if size <= 0 {
-		panic(fmt.Sprintf("window: non-positive size %d", size))
+// Window is a sliding window over one stream: a ring of entries,
+// oldest first. The zero value is unusable; construct with New.
+type Window struct {
+	stream tuple.StreamID
+	span   uint64
+	// ring's length is a power of two and grows by doubling. It is not
+	// sized from the span: a time window's span counts ticks, not
+	// tuples.
+	ring    []timed
+	head, n int
+	newest  uint64 // the last reading admitted
+	// expired backs Slide's result, so a steady window slides without
+	// allocating.
+	expired []Entry
+}
+
+// New returns a window of the given span for stream id. The span must
+// be positive.
+func New(id tuple.StreamID, span uint64) *Window {
+	if span == 0 {
+		panic(fmt.Sprintf("window: zero span for stream %d", id))
 	}
-	return &Window{stream: id, size: size, buf: make([]Entry, size)}
+	return &Window{stream: id, span: span}
 }
 
 // Stream returns the stream this window tracks.
 func (w *Window) Stream() tuple.StreamID { return w.stream }
 
-// Size returns the configured window size.
-func (w *Window) Size() int { return w.size }
-
 // Len returns the current number of tuples inside the window.
-func (w *Window) Len() int { return w.count }
+func (w *Window) Len() int { return w.n }
 
-// Admit adds a new base tuple to the window and returns the expired
-// entry, if admitting it pushed the oldest tuple out.
-func (w *Window) Admit(ref tuple.Ref, key tuple.Value) (expired Entry, ok bool) {
+// Slide admits the tuple ref with key at clock reading now, after
+// expiring every entry read at or before now − span. It returns the
+// expired entries oldest first, in a slice the window reuses: valid
+// only until the next Slide. The clock must not go backwards.
+func (w *Window) Slide(ref tuple.Ref, key tuple.Value, now uint64) []Entry {
 	if ref.Stream != w.stream {
 		panic(fmt.Sprintf("window: tuple from stream %d admitted to window of stream %d", ref.Stream, w.stream))
 	}
-	if w.count == w.size {
-		expired = w.buf[w.head]
-		ok = true
-		w.buf[w.head] = Entry{Ref: ref, Key: key}
-		w.head = (w.head + 1) % w.size
-		return expired, true
+	if now < w.newest {
+		panic(fmt.Sprintf("window: clock regressed on stream %d: %d after %d", w.stream, now, w.newest))
 	}
-	w.buf[(w.head+w.count)%w.size] = Entry{Ref: ref, Key: key}
-	w.count++
-	return Entry{}, false
+	ring, head, n, exp := w.ring, w.head, w.n, w.expired[:0]
+	mask := len(ring) - 1
+	if now >= w.span {
+		for cut := now - w.span; n > 0 && ring[head].ts <= cut; n-- {
+			exp = append(exp, ring[head].e)
+			head = (head + 1) & mask
+		}
+	}
+	if n == len(ring) {
+		grown := make([]timed, max(2*len(ring), 8))
+		for i := range n {
+			grown[i] = ring[(head+i)&mask]
+		}
+		ring, head, mask = grown, 0, len(grown)-1
+		w.ring = ring
+	}
+	ring[(head+n)&mask] = timed{Entry{ref, key}, now}
+	w.head, w.n, w.newest, w.expired = head, n+1, now, exp
+	return exp
 }
 
-// Oldest returns the oldest entry still inside the window.
-func (w *Window) Oldest() (Entry, bool) {
-	if w.count == 0 {
-		return Entry{}, false
-	}
-	return w.buf[w.head], true
-}
-
-// Contains reports whether the given sequence number is still inside
-// the window.
-func (w *Window) Contains(seq uint64) bool {
-	if w.count == 0 {
-		return false
-	}
-	oldest := w.buf[w.head].Ref.Seq
-	newest := w.buf[(w.head+w.count-1)%w.size].Ref.Seq
-	return seq >= oldest && seq <= newest
-}
-
-// Each visits the live entries oldest-first.
-func (w *Window) Each(fn func(Entry) bool) {
-	for i := 0; i < w.count; i++ {
-		if !fn(w.buf[(w.head+i)%w.size]) {
+// Each visits the live entries oldest first with their clock readings.
+func (w *Window) Each(fn func(Entry, uint64) bool) {
+	for i := range w.n {
+		t := w.ring[(w.head+i)&(len(w.ring)-1)]
+		if !fn(t.e, t.ts) {
 			return
 		}
 	}
