@@ -1,7 +1,10 @@
 package durable
 
 import (
-	"io"
+	"errors"
+	"os"
+	"path/filepath"
+	"syscall"
 	"testing"
 
 	"jisc/internal/storage"
@@ -15,6 +18,9 @@ func reopenCatalog(t *testing.T, dir string, stats *Stats) (*Catalog, []CatalogE
 	}
 	return c, entries
 }
+
+// catalogSegment is the catalog's first segment under root.
+func catalogSegment(root string) string { return filepath.Join(catalogDir(root), segmentName(1)) }
 
 // The catalog folds CREATE/DROP in command order across restarts: the
 // live set after reopening is exactly the queries created and not yet
@@ -73,7 +79,7 @@ func TestCatalogTruncatesTornTail(t *testing.T) {
 	}
 	c.Close()
 
-	path := CatalogPath(dir)
+	path := catalogSegment(dir)
 	n, err := storage.OS().Size(path)
 	if err != nil {
 		t.Fatal(err)
@@ -110,12 +116,12 @@ func TestCatalogRejectsForeignRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := storage.OS().Create(CatalogPath(dir))
-	if err != nil {
+	if err := os.MkdirAll(catalogDir(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f.Write(data)
-	f.Close()
+	if err := os.WriteFile(catalogSegment(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, _, err := OpenCatalog(Options{Dir: dir}, nil); err == nil {
 		t.Fatal("catalog accepted a feed record")
 	}
@@ -135,7 +141,7 @@ func TestCatalogCrashConsistency(t *testing.T) {
 			}
 		}
 		c.Close()
-		n, err := storage.OS().Size(CatalogPath(dir))
+		n, err := storage.OS().Size(catalogSegment(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,54 +238,25 @@ func TestCatalogFoldsAutoToggles(t *testing.T) {
 	}
 }
 
-// shortWriteFS is a filesystem whose files' write number `at` (counted
-// across the files it opened, from 1) writes half its bytes and fails.
-type shortWriteFS struct {
-	storage.FS
-	at, n int
-}
-
-func (f *shortWriteFS) OpenAppend(path string) (storage.File, error) {
-	file, err := f.FS.OpenAppend(path)
-	if err != nil {
-		return nil, err
-	}
-	return &shortWriteFile{File: file, fs: f}, nil
-}
-
-type shortWriteFile struct {
-	storage.File
-	fs *shortWriteFS
-}
-
-func (w *shortWriteFile) Write(p []byte) (int, error) {
-	w.fs.n++
-	if w.fs.n == w.fs.at {
-		n, _ := w.File.Write(p[:len(p)/2])
-		return n, io.ErrShortWrite
-	}
-	return w.File.Write(p)
-}
-
 // A failed append fails every later one: a CREATE acknowledged after a
 // torn frame would sit past the tail reopen truncates, and be lost.
 func TestCatalogFailsAfterShortWrite(t *testing.T) {
 	dir := t.TempDir()
-	c, _, _, err := OpenCatalog(Options{Dir: dir, FS: &shortWriteFS{FS: storage.OS(), at: 2}}, nil)
+	c, _, _, err := OpenCatalog(Options{Dir: dir, FS: &storage.FaultFS{FS: storage.OS(), FailWrite: 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AppendCreate("a", 100, "(0 1)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AppendCreate("b", 100, "(0 1)"); err == nil {
-		t.Fatal("short write acknowledged")
+	if err := c.AppendCreate("b", 100, "(0 1)"); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("short write returned %v, want ENOSPC", err)
 	}
-	if err := c.AppendCreate("c", 100, "(0 1)"); err == nil {
-		t.Fatal("CREATE after a failed write acknowledged")
+	if err := c.AppendCreate("c", 100, "(0 1)"); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("CREATE after a failed write returned %v, want the failed write's ENOSPC", err)
 	}
-	if err := c.AppendDrop("a"); err == nil {
-		t.Fatal("DROP after a failed write acknowledged")
+	if err := c.AppendDrop("a"); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("DROP after a failed write returned %v, want the failed write's ENOSPC", err)
 	}
 	c.Close()
 	c2, entries := reopenCatalog(t, dir, nil)
@@ -308,5 +285,48 @@ func TestCatalogOnMemFS(t *testing.T) {
 	defer c2.Close()
 	if len(entries) != 1 || entries[0].Name != "a" {
 		t.Fatalf("reopened MemFS catalog folds to %+v, want [a]", entries)
+	}
+}
+
+// A catalog an earlier build kept as the one file root/catalog.wal is
+// moved into the catalog directory as its first segment and folds as
+// before. A root file beside an existing catalog directory is refused:
+// adopting it would replace the directory's records.
+func TestCatalogAdoptsRootFile(t *testing.T) {
+	dir := t.TempDir()
+	var data []byte
+	var err error
+	for i, r := range []Record{
+		{Kind: KindCreate, Name: "a", Window: 100, Plan: "(0 1)"},
+		{Kind: KindAuto, Name: "a", Auto: true},
+	} {
+		r.Seq = uint64(i + 1)
+		if data, err = appendFrame(data, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := filepath.Join(dir, "catalog.wal")
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, entries, auto, err := OpenCatalog(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name != "a" || !auto["a"] {
+		t.Fatalf("adopted catalog folds to %+v, auto %v", entries, auto)
+	}
+	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("catalog.wal still there after the open: %v", err)
+	}
+	if err := c.AppendDrop("a"); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := OpenCatalog(Options{Dir: dir}, nil); err == nil {
+		t.Fatal("a root catalog.wal beside the catalog directory was adopted")
 	}
 }

@@ -3,10 +3,7 @@ package durable
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"jisc/internal/storage"
 )
@@ -95,12 +92,7 @@ func writeSnapshotFile(fs storage.FS, path string, payload []byte) error {
 // readSnapshotFile reads path and validates its envelope, returning
 // the payload.
 func readSnapshotFile(fs storage.FS, path string) ([]byte, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
+	data, err := readFile(fs, path)
 	if err != nil {
 		return nil, err
 	}
@@ -113,15 +105,9 @@ func readSnapshotFile(fs storage.FS, path string) ([]byte, error) {
 
 func checkpointName(seq uint64) string { return fmt.Sprintf("ckpt-%016x.snap", seq) }
 
-func parseCheckpointName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ".snap") {
-		return 0, false
-	}
-	var seq uint64
-	if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), ".snap"), "%x", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
+// listCheckpoints returns the seqs of dir's checkpoints, ascending.
+func listCheckpoints(fs storage.FS, dir string) ([]uint64, error) {
+	return listSeqs(fs, dir, "ckpt-", ".snap")
 }
 
 // writeCheckpoint writes a shard checkpoint covering WAL records up to
@@ -148,21 +134,11 @@ func WriteShardCheckpoint(opts Options, shard int, seq uint64, payload []byte) e
 
 // pruneCheckpoints removes all but the newest keep checkpoint files.
 func pruneCheckpoints(fs storage.FS, dir string, keep int) error {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
+	seqs, err := listCheckpoints(fs, dir)
+	if err != nil || len(seqs) <= keep {
 		return err
 	}
-	var seqs []uint64
-	for _, name := range names {
-		if seq, ok := parseCheckpointName(name); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	if len(seqs) <= keep {
-		return nil
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, seq := range seqs[keep:] {
+	for _, seq := range seqs[:len(seqs)-keep] {
 		if err := fs.Remove(filepath.Join(dir, checkpointName(seq))); err != nil {
 			return err
 		}
@@ -176,24 +152,17 @@ func pruneCheckpoints(fs storage.FS, dir string, keep int) error {
 // valid checkpoint exists. skipped counts checkpoints that failed
 // validation on the way.
 func latestCheckpoint(fs storage.FS, dir string) (seq uint64, payload []byte, skipped int, err error) {
-	names, err := fs.ReadDir(dir)
+	seqs, err := listCheckpoints(fs, dir)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	var seqs []uint64
-	for _, name := range names {
-		if s, ok := parseCheckpointName(name); ok {
-			seqs = append(seqs, s)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, s := range seqs {
-		p, rerr := readSnapshotFile(fs, filepath.Join(dir, checkpointName(s)))
+	for i := len(seqs) - 1; i >= 0; i-- {
+		p, rerr := readSnapshotFile(fs, filepath.Join(dir, checkpointName(seqs[i])))
 		if rerr != nil {
 			skipped++
 			continue
 		}
-		return s, p, skipped, nil
+		return seqs[i], p, skipped, nil
 	}
 	return 0, nil, skipped, nil
 }

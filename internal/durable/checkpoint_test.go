@@ -108,15 +108,9 @@ func TestCheckpointPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names, err := storage.OS().ReadDir(ShardDir(dir, 0))
+	ckpts, err := listCheckpoints(storage.OS(), ShardDir(dir, 0))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var ckpts []uint64
-	for _, name := range names {
-		if seq, ok := parseCheckpointName(name); ok {
-			ckpts = append(ckpts, seq)
-		}
 	}
 	if len(ckpts) != 2 || ckpts[0] != 4 || ckpts[1] != 5 {
 		t.Fatalf("surviving checkpoints = %v, want [4 5]", ckpts)

@@ -100,8 +100,8 @@ func ParsePolicy(s string) (Policy, error) {
 type Options struct {
 	// Dir is the durability directory. Empty disables durability.
 	// Shard s of a runtime keeps its log segments and checkpoints
-	// under Dir/shard-<s>/; the server keeps its query catalog at
-	// Dir/catalog.wal and each query under Dir/q-<name>/.
+	// under Dir/shard-<s>/; the server keeps its query catalog's log
+	// under Dir/catalog/ and each query under Dir/q-<name>/.
 	Dir string
 	// Fsync selects the fsync policy (default FsyncBatch).
 	Fsync Policy

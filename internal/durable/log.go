@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -27,40 +28,50 @@ type segment struct {
 
 func segmentName(first uint64) string { return fmt.Sprintf("wal-%016x.seg", first) }
 
-// parseSegmentName inverts segmentName.
-func parseSegmentName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
-		return 0, false
+// listSeqs returns, ascending, the seqs in the names of dir's files
+// that read prefix + hex seq + suffix: its log segments or its
+// checkpoints.
+func listSeqs(fs storage.FS, dir, prefix, suffix string) ([]uint64, error) {
+	names, err := fs.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
-	var first uint64
-	if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), "%x", &first); err != nil {
-		return 0, false
+	var seqs []uint64
+	for _, name := range names {
+		hex, isPrefix := strings.CutPrefix(name, prefix)
+		hex, isSuffix := strings.CutSuffix(hex, suffix)
+		if seq, err := strconv.ParseUint(hex, 16, 64); isPrefix && isSuffix && err == nil {
+			seqs = append(seqs, seq)
+		}
 	}
-	return first, true
+	slices.Sort(seqs)
+	return seqs, nil
 }
 
 // listSegments returns dir's log segments sorted by first sequence
 // number.
 func listSegments(fs storage.FS, dir string) ([]segment, error) {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, err
+	firsts, err := listSeqs(fs, dir, "wal-", ".seg")
+	segs := make([]segment, len(firsts))
+	for i, first := range firsts {
+		segs[i] = segment{first: first, name: segmentName(first)}
 	}
-	var segs []segment
-	for _, name := range names {
-		if first, ok := parseSegmentName(name); ok {
-			segs = append(segs, segment{first: first, name: name})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	return segs, nil
+	return segs, err
 }
 
-// Log is one shard's write-ahead log: a directory of framed segment
-// files plus an append cursor. Appends are safe for concurrent use;
-// the fsync policy decides when they become durable. The write buffer
-// is flushed by the appender (FsyncAlways) or by a background flusher
-// on the group-commit interval (FsyncBatch, FsyncOff).
+// Log is a write-ahead log: a directory of framed segment files plus
+// an append cursor. Each shard keeps one, and so does the server's
+// query catalog. Appends are safe for concurrent use; the fsync policy
+// decides when they become durable. The write buffer is flushed by the
+// appender (FsyncAlways) or by a background flusher on the
+// group-commit interval (FsyncBatch, FsyncOff).
+//
+// A log is fail-stop: its first write, flush or fsync error, the
+// flusher's included, fails every later append and Sync. The record
+// whose I/O failed is in doubt — recovery may or may not replay it, as
+// with a request that timed out — but nothing is acknowledged behind
+// it, so no acknowledged record can sit past a torn frame that
+// recovery truncates.
 type Log struct {
 	fs       storage.FS
 	dir      string
@@ -79,6 +90,7 @@ type Log struct {
 	segSize int64 // bytes in the active (last) segment
 	buf     []byte
 	closed  bool
+	err     error // set by fail
 
 	// syncMu serializes the flusher's out-of-lock fsync with file
 	// close: the flusher releases mu before Sync so group commits never
@@ -137,11 +149,12 @@ func (l *Log) flusher() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			if !l.dirty || l.closed || l.w == nil {
+			if !l.dirty || l.closed || l.w == nil || l.err != nil {
 				l.mu.Unlock()
 				continue
 			}
 			if err := l.w.Flush(); err != nil {
+				l.fail(err)
 				l.mu.Unlock()
 				continue
 			}
@@ -163,16 +176,30 @@ func (l *Log) flusher() {
 			l.mu.Unlock()
 			err := f.Sync()
 			l.syncMu.Unlock()
-			if err == nil {
-				if l.stats != nil {
-					l.stats.Fsyncs.Add(1)
-				}
-				if l.rec != nil {
-					l.rec.WALFsync.Record(time.Since(start))
-				}
+			if err != nil {
+				l.mu.Lock()
+				l.fail(fmt.Errorf("durable: group commit: %w", err))
+				l.mu.Unlock()
+				continue
+			}
+			if l.stats != nil {
+				l.stats.Fsyncs.Add(1)
+			}
+			if l.rec != nil {
+				l.rec.WALFsync.Record(time.Since(start))
 			}
 		}
 	}
+}
+
+// fail returns err. If err is the log's first I/O error, fail first
+// records it, wrapped, as the error every later append and Sync
+// returns. Called with mu held.
+func (l *Log) fail(err error) error {
+	if err != nil && l.err == nil {
+		l.err = fmt.Errorf("durable: log %s failed earlier, no later append is possible: %w", l.dir, err)
+	}
+	return err
 }
 
 // flushLocked flushes the write buffer and optionally fsyncs. Called
@@ -270,6 +297,9 @@ func (l *Log) append(r Record) (uint64, error) {
 	if l.closed {
 		return 0, ErrLogClosed
 	}
+	if l.err != nil {
+		return 0, l.err
+	}
 	r.Seq = l.seq + 1
 	buf, err := appendFrame(l.buf[:0], r)
 	if err != nil {
@@ -278,16 +308,16 @@ func (l *Log) append(r Record) (uint64, error) {
 	l.buf = buf
 	if l.f != nil && l.segSize+int64(len(buf)) > l.segBytes && l.segSize > 0 {
 		if err := l.rotateLocked(r.Seq); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 	}
 	if l.f == nil {
 		if err := l.openSegmentLocked(r.Seq); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 	}
 	if _, err := l.w.Write(buf); err != nil {
-		return 0, fmt.Errorf("durable: appending to %s: %w", l.segs[len(l.segs)-1].name, err)
+		return 0, l.fail(fmt.Errorf("durable: appending to %s: %w", l.segs[len(l.segs)-1].name, err))
 	}
 	l.seq = r.Seq
 	l.segSize += int64(len(buf))
@@ -297,7 +327,7 @@ func (l *Log) append(r Record) (uint64, error) {
 	}
 	if l.policy == FsyncAlways {
 		if err := l.flushLocked(true); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 	} else {
 		l.dirty = true
@@ -322,7 +352,10 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrLogClosed
 	}
-	return l.flushLocked(true)
+	if l.err != nil {
+		return l.err
+	}
+	return l.fail(l.flushLocked(true))
 }
 
 // TruncateThrough removes segments whose records are all covered by a
@@ -357,8 +390,8 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// Close flushes, fsyncs, and closes the log. Further appends return
-// ErrLogClosed.
+// Close flushes, fsyncs, and closes the log, and returns its first I/O
+// error. Further appends return ErrLogClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -366,7 +399,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	err := l.flushLocked(l.policy != FsyncOff)
+	err := l.err
+	if err == nil {
+		err = l.flushLocked(l.policy != FsyncOff)
+	}
 	if l.f != nil {
 		l.syncMu.Lock()
 		cerr := l.f.Close()

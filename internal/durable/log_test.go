@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -212,5 +213,65 @@ func TestLogCrashLeavesDecodablePrefix(t *testing.T) {
 		if decoded < applied {
 			t.Fatalf("budget %d: %d acked appends but only %d decodable", budget, applied, decoded)
 		}
+	}
+}
+
+// Under FsyncAlways a failed fsync fails the append that ran it, and
+// every append and Sync after it with an error wrapping that one. The
+// failed record is in doubt; recovery replays no record after it.
+func TestLogFailsAfterFailedSync(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{Dir: root, Fsync: FsyncAlways, FS: &storage.FaultFS{FS: storage.OS(), FailSync: 2}}.WithDefaults()
+	l := openTestLog(t, opts, ShardDir(root, 0))
+	if _, err := appendOne(l, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, errB := appendOne(l, 0, 2)
+	if !errors.Is(errB, syscall.EIO) {
+		t.Fatalf("append B = %v, want its fsync's EIO", errB)
+	}
+	if _, err := appendOne(l, 0, 3); !errors.Is(err, errB) {
+		t.Fatalf("append C after a failed fsync = %v, want an error wrapping B's", err)
+	}
+	if err := l.Sync(); !errors.Is(err, errB) {
+		t.Fatalf("Sync after a failed fsync = %v, want an error wrapping B's", err)
+	}
+	l.Close()
+
+	rec, err := RecoverShard(Options{Dir: root}, 0, testEngineConfig(nil), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Engine.Close()
+	defer rec.Log.Close()
+	if rec.Replayed < 1 || rec.Replayed > 2 {
+		t.Fatalf("recovery replayed %d records, want A and at most the in-doubt B", rec.Replayed)
+	}
+}
+
+// Under FsyncBatch the group-commit flusher's failed fsync surfaces:
+// appends after it and an explicit Sync fail with its EIO.
+func TestLogBatchFlusherSyncErrorSurfaces(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	opts := testOptions(dir)
+	opts.Fsync = FsyncBatch
+	opts.FlushInterval = time.Millisecond
+	opts.FS = &storage.FaultFS{FS: storage.OS(), FailSync: 1}
+	l := openTestLog(t, opts, dir)
+	defer l.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	var err error
+	for i := 0; err == nil; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d appends acknowledged in the 2 s after the flusher's fsync failed", i)
+		}
+		_, err = appendOne(l, 0, tuple.Value(i))
+		time.Sleep(time.Millisecond)
+	}
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append after the flusher's failed fsync = %v, want EIO", err)
+	}
+	if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Sync after the flusher's failed fsync = %v, want EIO", err)
 	}
 }

@@ -74,88 +74,108 @@ func RecoverShard(opts Options, shard int, cfg engine.Config, rec *obs.Recorder,
 		}
 	}
 
+	res := &ShardRecovery{Engine: eng, CheckpointSeq: ckptSeq}
+	res.Log, res.TornBytes, err = recoverLog(opts, dir, ckptSeq, func(r Record) error {
+		if err := applyRecord(eng, r); err != nil {
+			return err
+		}
+		res.Replayed++
+		res.ReplayedEvents += feedEvents(r)
+		return nil
+	}, rec, stats)
+	if err != nil {
+		eng.Close()
+		return nil, fmt.Errorf("durable: shard %d: %w", shard, err)
+	}
+	eng.SetOutput(out)
+	return res, nil
+}
+
+// recoverLog is the one recovery of a log, a shard's or the catalog's.
+// It lists dir's segments and deletes the dead ones, those whose
+// successor starts at or below from+1, which resumes a truncation a
+// crash interrupted. It hands every record after seq from to apply in
+// order, refusing a gap in the seqs, and truncates a torn tail of the
+// last segment at a record boundary; a torn or corrupt segment with
+// newer ones after it is refused, since dropping its tail would drop
+// acknowledged records. It reopens the log for appending and returns
+// it with the torn tail's size. stats counts the truncation and the
+// input tuples of the feed records replayed.
+func recoverLog(opts Options, dir string, from uint64, apply func(Record) error, rec *obs.Recorder, stats *Stats) (*Log, int64, error) {
+	fs := opts.FS
 	segs, err := listSegments(fs, dir)
 	if err != nil {
-		return nil, fmt.Errorf("durable: shard %d: listing segments: %w", shard, err)
+		return nil, 0, fmt.Errorf("listing segments: %w", err)
 	}
-	res := &ShardRecovery{Engine: eng, CheckpointSeq: ckptSeq}
-	next := ckptSeq + 1
+	next := from + 1
 	var live []segment
-	var activeSize int64
+	var activeSize, torn int64
 	for i, sg := range segs {
 		path := filepath.Join(dir, sg.name)
-		// A segment is dead when the next one starts at or below the
-		// checkpoint horizon — deleting it resumes a truncation that a
-		// crash interrupted.
-		if i+1 < len(segs) && segs[i+1].first <= ckptSeq+1 {
+		if i+1 < len(segs) && segs[i+1].first <= from+1 {
 			if err := fs.Remove(path); err != nil {
-				return nil, fmt.Errorf("durable: shard %d: removing dead segment %s: %w", shard, sg.name, err)
+				return nil, 0, fmt.Errorf("removing dead segment %s: %w", sg.name, err)
 			}
 			continue
 		}
 		data, err := readFile(fs, path)
 		if err != nil {
-			return nil, fmt.Errorf("durable: shard %d: reading %s: %w", shard, sg.name, err)
+			return nil, 0, fmt.Errorf("reading %s: %w", sg.name, err)
 		}
 		valid, err := scanFrames(data, func(r Record) error {
-			if r.Seq <= ckptSeq {
+			if r.Seq <= from {
 				return nil // covered by the checkpoint
 			}
 			if r.Seq != next {
-				return fmt.Errorf("durable: shard %d: WAL gap in %s: expected seq %d, found %d", shard, sg.name, next, r.Seq)
+				return fmt.Errorf("seq gap in %s: expected seq %d, found %d", sg.name, next, r.Seq)
 			}
-			if err := applyRecord(eng, r); err != nil {
-				return fmt.Errorf("durable: shard %d: replaying seq %d: %w", shard, r.Seq, err)
+			if err := apply(r); err != nil {
+				return fmt.Errorf("replaying seq %d: %w", r.Seq, err)
 			}
 			next++
-			res.Replayed++
-			switch r.Kind {
-			case KindFeed:
-				res.ReplayedEvents++
-			case KindFeedBatch:
-				res.ReplayedEvents += len(r.Events)
+			if stats != nil {
+				stats.RecoveredEvents.Add(uint64(feedEvents(r)))
 			}
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if valid < int64(len(data)) {
 			if i != len(segs)-1 {
-				return nil, fmt.Errorf("durable: shard %d: segment %s is corrupt mid-log (%d of %d bytes valid) but %d newer segment(s) follow — refusing to drop acknowledged records",
-					shard, sg.name, valid, len(data), len(segs)-1-i)
+				return nil, 0, fmt.Errorf("segment %s is corrupt mid-log (%d of %d bytes valid) but %d newer segment(s) follow — refusing to drop acknowledged records",
+					sg.name, valid, len(data), len(segs)-1-i)
 			}
 			if err := fs.Truncate(path, valid); err != nil {
-				return nil, fmt.Errorf("durable: shard %d: truncating torn tail of %s: %w", shard, sg.name, err)
+				return nil, 0, fmt.Errorf("truncating torn tail of %s: %w", sg.name, err)
 			}
 			if err := fs.SyncDir(dir); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			res.TornBytes = int64(len(data)) - valid
+			torn = int64(len(data)) - valid
 			if stats != nil {
 				stats.TornTruncations.Add(1)
 			}
-			activeSize = valid
-		} else {
-			activeSize = int64(len(data))
 		}
+		activeSize = valid
 		live = append(live, sg)
 	}
-	eng.SetOutput(out)
-
-	lastSeq := next - 1
-	if lastSeq < ckptSeq {
-		lastSeq = ckptSeq
-	}
-	res.Log, err = openLogAt(opts, dir, rec, stats, lastSeq, live, activeSize)
+	l, err := openLogAt(opts, dir, rec, stats, next-1, live, activeSize)
 	if err != nil {
-		eng.Close()
-		return nil, fmt.Errorf("durable: shard %d: reopening log: %w", shard, err)
+		return nil, 0, fmt.Errorf("reopening log: %w", err)
 	}
-	if stats != nil {
-		stats.RecoveredEvents.Add(uint64(res.ReplayedEvents))
+	return l, torn, nil
+}
+
+// feedEvents is the number of input tuples r carries.
+func feedEvents(r Record) int {
+	switch r.Kind {
+	case KindFeed:
+		return 1
+	case KindFeedBatch:
+		return len(r.Events)
 	}
-	return res, nil
+	return 0
 }
 
 // applyRecord replays one shard-log record through the engine.

@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"syscall"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"jisc/internal/engine"
 	"jisc/internal/metrics"
 	"jisc/internal/plan"
+	"jisc/internal/storage"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -301,5 +304,45 @@ func TestDurableBackgroundCheckpointLoop(t *testing.T) {
 			t.Fatal("background loop wrote no checkpoint")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// A shard whose log failed an fsync refuses every later batch routed to
+// it, so nothing is acknowledged behind the failed record, while the
+// other shard keeps ingesting and Flush and Metrics still answer.
+func TestDurableShardFailStop(t *testing.T) {
+	cfg := durConfig(2, t.TempDir(), nil)
+	cfg.Durability.FS = &storage.FaultFS{FS: storage.OS(), FailSync: 2}
+	rt := MustNew(cfg)
+	defer rt.Close()
+	var on [2][]workload.Event // a batch of one key per shard
+	for k := tuple.Value(0); on[0] == nil || on[1] == nil; k++ {
+		if i := ShardOf(k, 2); on[i] == nil {
+			on[i] = []workload.Event{{Stream: 0, Key: k}, {Stream: 1, Key: k}}
+		}
+	}
+	if err := rt.FeedBatch(on[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.FeedBatch(on[0]); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("batch whose fsync failed = %v, want EIO", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := rt.FeedBatch(on[0]); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("batch %d after the failed fsync = %v, want the failed fsync's EIO", i+1, err)
+		}
+	}
+	if err := rt.FeedBatch(on[1]); err != nil {
+		t.Fatalf("the other shard refused a batch: %v", err)
+	}
+	if err := rt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := rt.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Input != 4 {
+		t.Fatalf("input = %d, want 4: the first batch on each shard", m.Input)
 	}
 }

@@ -110,10 +110,11 @@ type Config struct {
 	SubscriberBuffer int
 	// Durable, when enabled (Dir set), makes every mutating command
 	// durable: FEED and MIGRATE are write-ahead logged per query shard
-	// before they are acknowledged, CREATE and DROP go to the query
-	// catalog (Dir/catalog.wal, always fsynced), and New recovers the
-	// whole topology — catalog fold, then per-query checkpoint + WAL
-	// replay — before Listen accepts a single connection.
+	// before they are acknowledged, CREATE, DROP and AUTO go to the
+	// query catalog (a log under Dir/catalog/, always fsynced), and New
+	// recovers the whole topology — catalog fold, then per-query
+	// checkpoint + WAL replay — before Listen accepts a single
+	// connection.
 	Durable durable.Options
 	// Adaptive is the autopilot template AUTO ON starts controllers
 	// with (and recovery, for queries whose logged AUTO state was on).

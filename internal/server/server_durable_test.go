@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -359,5 +360,86 @@ func TestServerRecoversEarlierBuildsWAL(t *testing.T) {
 	}
 	if len(resultsNew) == 0 || strings.Join(resultsOld, "\n") != strings.Join(resultsNew, "\n") {
 		t.Errorf("results after recovery:\nearlier build's log %v\nthis build's log %v", resultsOld, resultsNew)
+	}
+}
+
+// Catalog records are not input tuples: a restart after CREATE, DROP
+// and CREATE, with no tuple fed, reports none replayed.
+func TestServerRecoveredEventsCountsTuplesOnly(t *testing.T) {
+	dir := t.TempDir()
+	s := startDurableServer(t, dir)
+	c := dial(t, s)
+	for _, line := range []string{"CREATE q 50 (0 1)", "DROP q", "CREATE r 50 (0 1)"} {
+		if resp := c.cmd(t, line); resp != "OK" {
+			t.Fatalf("%s -> %s", line, resp)
+		}
+	}
+	s.Close()
+	s2 := startDurableServer(t, dir)
+	defer s2.Close()
+	if got := s2.DurableStats().RecoveredEvents; got != 0 {
+		t.Fatalf("RecoveredEvents = %d after three catalog records and no tuple, want 0", got)
+	}
+}
+
+// TestServerOpensEarlierBuildsLayout: builds before the catalog had a
+// directory of its own kept it as the one file root/catalog.wal. A root
+// in that layout — a catalog of CREATE, AUTO ON, CREATE, DROP and
+// CREATE, plus the shard log of one query — recovers the same queries,
+// AUTO state and per-query input; the open moves catalog.wal into the
+// catalog directory, and a second open recovers the same again.
+func TestServerOpensEarlierBuildsLayout(t *testing.T) {
+	dir := t.TempDir()
+	// Catalog bodies: create := nameLen:u8 | name | window:u32 |
+	// planLen:u16 | plan, drop := nameLen:u8 | name, auto := drop | on:u8.
+	name := func(n string) []byte { return append([]byte{byte(len(n))}, n...) }
+	create := func(seq uint64, n, p string) []byte {
+		body := binary.LittleEndian.AppendUint32(name(n), 50)
+		body = binary.LittleEndian.AppendUint16(body, uint16(len(p)))
+		return walFrame(3, seq, append(body, p...))
+	}
+	var catalog []byte
+	for _, frame := range [][]byte{
+		create(1, "pairs", "(0⋈1)"),
+		walFrame(6, 2, append(name("pairs"), 1)), // AUTO ON pairs
+		create(3, "doomed", "(1⋈2)"),
+		walFrame(4, 4, name("doomed")),
+		create(5, "trio", "((0⋈1)⋈2)"),
+	} {
+		catalog = append(catalog, frame...)
+	}
+	legacy := filepath.Join(dir, "catalog.wal")
+	if err := os.WriteFile(legacy, catalog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shard := durable.ShardDir(filepath.Join(dir, "q-pairs"), 0)
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shard, "wal-0000000000000001.seg"), earlierBuildWAL(t, []string{"FEEDB 0 3 4", "FEED 1 3"}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for open := 1; open <= 2; open++ {
+		s := startDurableServer(t, dir)
+		c := dial(t, s)
+		for line, want := range map[string]string{
+			"LIST":              "QUERIES default pairs trio",
+			"AUTO STATUS pairs": "enabled=1",
+			"AUTO STATUS trio":  "enabled=0",
+			"STATS pairs":       "input=3 ",
+			"STATS trio":        "input=0 ",
+		} {
+			if got := c.cmd(t, line); !strings.Contains(got, want) {
+				t.Errorf("open %d: %s -> %q, want %q in it", open, line, got, want)
+			}
+		}
+		if got := s.DurableStats().RecoveredEvents; got != 3 {
+			t.Errorf("open %d: RecoveredEvents = %d, want pairs' 3 tuples", open, got)
+		}
+		s.Close()
+		if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("open %d: catalog.wal still at the root (%v)", open, err)
+		}
 	}
 }
