@@ -211,9 +211,6 @@ func (c *Controller) Stop() {
 	})
 }
 
-// Running reports whether the background loop is active.
-func (c *Controller) Running() bool { return c.started.Load() }
-
 // Pause ends decision-making without stopping the background loop:
 // Step returns immediately from then on, so no migration can start.
 // The server pauses autopilots during a graceful drain — a plan

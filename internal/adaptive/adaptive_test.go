@@ -300,7 +300,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("negative interval accepted")
 	}
 	c := MustNew(f, Config{})
-	if c.Running() {
+	if c.started.Load() {
 		t.Error("controller running before Start")
 	}
 	if !c.LastMigration().IsZero() {
@@ -314,14 +314,14 @@ func TestStartStopLifecycle(t *testing.T) {
 	c := MustNew(f, Config{Interval: time.Millisecond})
 	c.Start()
 	c.Start() // idempotent
-	if !c.Running() {
-		t.Fatal("Running() false after Start")
+	if !c.started.Load() {
+		t.Fatal("not started after Start")
 	}
 	time.Sleep(10 * time.Millisecond)
 	c.Stop()
 	c.Stop() // idempotent
-	if c.Running() {
-		t.Fatal("Running() true after Stop")
+	if c.started.Load() {
+		t.Fatal("still started after Stop")
 	}
 }
 

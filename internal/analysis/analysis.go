@@ -21,13 +21,6 @@ func Harmonic(n int) float64 {
 	return h
 }
 
-// HarmonicAsymptotic returns ln n + γ, the standard approximation of
-// H_n (used in Proposition 2's proof).
-func HarmonicAsymptotic(n int) float64 {
-	const gamma = 0.5772156649015329
-	return math.Log(float64(n)) + gamma
-}
-
 // Alpha returns the normalization factor α_n of Eq. 2 such that
 // Σ_{1≤i<j≤n} α_n/(j−i) = 1. Expanding the double sum by distance
 // d = j−i gives Σ_{d=1..n−1} (n−d)/d = n·H_{n−1} − (n−1), so
@@ -38,15 +31,6 @@ func Alpha(n int) float64 {
 		return math.NaN()
 	}
 	return 1.0 / (float64(n)*Harmonic(n) - float64(n))
-}
-
-// SwapProb returns Prob(I=i, J=j) for 1 ≤ i < j ≤ n under the
-// triangular distribution of Eq. 1: α_n/(j−i).
-func SwapProb(n, i, j int) float64 {
-	if i < 1 || j <= i || j > n {
-		return 0
-	}
-	return Alpha(n) / float64(j-i)
 }
 
 // MeanCn returns E[C_n] per Proposition 1:

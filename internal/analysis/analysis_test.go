@@ -23,13 +23,14 @@ func TestHarmonic(t *testing.T) {
 	}
 }
 
-func TestHarmonicAsymptotic(t *testing.T) {
-	// H_n − (ln n + γ) = O(1/n).
-	for _, n := range []int{100, 1000, 10000} {
-		if d := math.Abs(Harmonic(n) - HarmonicAsymptotic(n)); d > 1.0/float64(n) {
-			t.Errorf("n=%d: |H_n − asymptotic| = %v", n, d)
-		}
+// SwapProb returns Prob(I=i, J=j) for 1 ≤ i < j ≤ n under the
+// triangular distribution of Eq. 1: α_n/(j−i) — the reference
+// Proposition 1's closed forms are enumerated against.
+func SwapProb(n, i, j int) float64 {
+	if i < 1 || j <= i || j > n {
+		return 0
 	}
+	return Alpha(n) / float64(j-i)
 }
 
 // The triangular distribution must sum to 1 (Eq. 2 normalizes it).

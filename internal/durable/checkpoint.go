@@ -2,7 +2,6 @@ package durable
 
 import (
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 
 	"jisc/internal/storage"
@@ -30,7 +29,7 @@ func encodeEnvelope(payload []byte) []byte {
 	buf = append(buf, snapMagic[:]...)
 	buf = le.AppendUint32(buf, envVersion)
 	buf = le.AppendUint64(buf, uint64(len(payload)))
-	buf = le.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	buf = le.AppendUint32(buf, storage.Checksum(payload))
 	return append(buf, payload...)
 }
 
@@ -53,7 +52,7 @@ func decodeEnvelope(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("durable: snapshot truncated: %d of %d payload bytes (torn write)", len(payload), n)
 	}
 	payload = payload[:n]
-	if crc32.Checksum(payload, castagnoli) != le.Uint32(data[20:]) {
+	if storage.Checksum(payload) != le.Uint32(data[20:]) {
 		return nil, fmt.Errorf("durable: snapshot CRC mismatch (corrupt or torn write)")
 	}
 	return payload, nil

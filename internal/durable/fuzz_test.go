@@ -2,9 +2,9 @@ package durable
 
 import (
 	"bytes"
-	"hash/crc32"
 	"testing"
 
+	"jisc/internal/storage"
 	"jisc/internal/workload"
 )
 
@@ -53,8 +53,8 @@ func FuzzRecordDecode(f *testing.F) {
 	flipped[9] ^= 0x40 // payload corruption → CRC mismatch
 	f.Add(flipped)
 	badKind := mustFrame(f, Record{Kind: KindFeed, Seq: 5, Stream: 0, Key: 0})
-	badKind[frameHeader] = 0xEE // unknown kind with a recomputed CRC
-	patchCRC(badKind)
+	badKind[storage.FrameHeader] = 0xEE // unknown kind with a recomputed CRC
+	storage.SealFrame(badKind, 0)
 	f.Add(badKind)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -91,11 +91,4 @@ func FuzzRecordDecode(f *testing.F) {
 			t.Fatalf("re-encoded log (%d bytes) differs from the valid prefix (%d bytes)", len(reenc), off)
 		}
 	})
-}
-
-// patchCRC recomputes the CRC header of a single mutated frame so the
-// scanner reaches decodePayload instead of treating it as a torn tail.
-func patchCRC(frame []byte) {
-	payload := frame[frameHeader:]
-	le.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 }

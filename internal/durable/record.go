@@ -3,7 +3,6 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"jisc/internal/storage"
 	"jisc/internal/tuple"
@@ -74,37 +73,16 @@ type Record struct {
 	Name   string
 	Window int
 
-	// Events carries a KindFeedBatch batch, in arrival order. The
-	// slice makes Record non-comparable with ==; use Equal.
+	// Events carries a KindFeedBatch batch, in arrival order.
 	Events []workload.Event
 
 	// Auto is the autopilot state a KindAuto record toggles Name to.
 	Auto bool
 }
 
-// Equal reports whether two records are identical field for field.
-func (r Record) Equal(o Record) bool {
-	if r.Kind != o.Kind || r.Seq != o.Seq || r.Stream != o.Stream || r.Key != o.Key ||
-		r.Plan != o.Plan || r.Name != o.Name || r.Window != o.Window || r.Auto != o.Auto {
-		return false
-	}
-	if len(r.Events) != len(o.Events) {
-		return false
-	}
-	for i := range r.Events {
-		if r.Events[i] != o.Events[i] {
-			return false
-		}
-	}
-	return true
-}
-
-const (
-	frameHeader = 8       // len + crc
-	maxPayload  = 1 << 20 // sanity bound while scanning; real payloads are tiny
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// maxPayload bounds a frame's payload while scanning; real payloads
+// are tiny.
+const maxPayload = 1 << 20
 
 var le = binary.LittleEndian
 

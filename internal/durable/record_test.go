@@ -1,12 +1,30 @@
 package durable
 
 import (
-	"hash/crc32"
 	"testing"
 
+	"jisc/internal/storage"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
+
+// Equal reports whether two records are identical field for field;
+// the Events slice makes Record non-comparable with ==.
+func (r Record) Equal(o Record) bool {
+	if r.Kind != o.Kind || r.Seq != o.Seq || r.Stream != o.Stream || r.Key != o.Key ||
+		r.Plan != o.Plan || r.Name != o.Name || r.Window != o.Window || r.Auto != o.Auto {
+		return false
+	}
+	if len(r.Events) != len(o.Events) {
+		return false
+	}
+	for i := range r.Events {
+		if r.Events[i] != o.Events[i] {
+			return false
+		}
+	}
+	return true
+}
 
 func mustFrames(t *testing.T, recs ...Record) []byte {
 	t.Helper()
@@ -149,10 +167,8 @@ func TestCorruptionBitFlipSweep(t *testing.T) {
 // than silently drop acknowledged records.
 func TestUndecodableValidCRCIsHardError(t *testing.T) {
 	payload := []byte{0xFF, 0, 0, 0, 0, 0, 0, 0, 1} // kind 255, seq 1
-	var data []byte
-	data = le.AppendUint32(data, uint32(len(payload)))
-	data = le.AppendUint32(data, crc32.Checksum(payload, castagnoli))
-	data = append(data, payload...)
+	data := append(make([]byte, storage.FrameHeader), payload...)
+	storage.SealFrame(data, 0)
 	if _, err := scanFrames(data, func(Record) error { return nil }); err == nil {
 		t.Fatal("undecodable record with a valid CRC passed the scan")
 	}
@@ -192,11 +208,9 @@ func TestFeedBatchEncodeBounds(t *testing.T) {
 func TestFeedBatchZeroCountRejected(t *testing.T) {
 	data := mustFrames(t, Record{Kind: KindFeedBatch, Seq: 1, Events: []workload.Event{{Stream: 0, Key: 1}}})
 	// Rewrite the count to zero, truncate the body, and re-patch CRC+len.
-	payload := data[frameHeader : frameHeader+9+2] // kind+seq+count, no events
-	le.PutUint16(payload[9:], 0)
-	frame := append(append([]byte{}, data[:frameHeader]...), payload...)
-	le.PutUint32(frame, uint32(len(payload)))
-	patchCRC(frame)
+	frame := data[:storage.FrameHeader+9+2] // header, kind+seq+count, no events
+	le.PutUint16(frame[storage.FrameHeader+9:], 0)
+	storage.SealFrame(frame, 0)
 	if _, err := scanFrames(frame, func(Record) error { return nil }); err == nil {
 		t.Fatal("zero-count feedbatch frame decoded")
 	}
@@ -216,7 +230,7 @@ func TestRecordKinds(t *testing.T) {
 func TestAutoBadStateByteRejected(t *testing.T) {
 	data := mustFrames(t, Record{Kind: KindAuto, Seq: 1, Name: "q", Auto: true})
 	data[len(data)-1] = 2
-	patchCRC(data)
+	storage.SealFrame(data, 0)
 	if _, err := scanFrames(data, func(Record) error { return nil }); err == nil {
 		t.Fatal("auto frame with state byte 2 decoded")
 	}

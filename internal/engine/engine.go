@@ -379,6 +379,18 @@ func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint6
 	st.seq = seq
 
 	// Slide the window first so the new tuple never joins expired ones.
+	// A time window's clock is the global tick, so the arrival expires
+	// every stream's window, not only its own: a quiet stream's tuples
+	// leave on time (DESIGN.md §9).
+	if e.cfg.TimeSpan > 0 {
+		for i := range e.streams {
+			if o := &e.streams[i]; o.window != nil {
+				for _, expired := range o.window.Expire(tick) {
+					e.evict(o.scan, expired)
+				}
+			}
+		}
+	}
 	for _, expired := range st.window.Slide(tuple.Ref{Stream: ev.Stream, Seq: seq}, ev.Key, e.clock(seq)) {
 		e.evict(scan, expired)
 	}

@@ -13,6 +13,11 @@ import (
 	"jisc/internal/workload"
 )
 
+// bushy returns the plan ((a⋈b)⋈(c⋈d)).
+func bushy(a, b, c, d tuple.StreamID) *plan.Plan {
+	return plan.MustNew(plan.Join(plan.Join(plan.Leaf(a), plan.Leaf(b)), plan.Join(plan.Leaf(c), plan.Leaf(d))))
+}
+
 // splitmix64 is the tests' own generator, so a seed's key sequence
 // never depends on the Go release.
 type splitmix64 uint64
@@ -197,10 +202,10 @@ func TestMigrateUniformWork(t *testing.T) {
 		},
 		{
 			name:  "bushy",
-			cfg:   engine.Config{Plan: plan.MustParse("((0 1) (2 3))"), WindowSize: 500},
+			cfg:   engine.Config{Plan: bushy(0, 1, 2, 3), WindowSize: 500},
 			evs:   uniformEvents(40_000, 4, 600, 3),
 			every: 8_000,
-			plans: []*plan.Plan{plan.MustParse("((0 2) (1 3))"), plan.MustParse("((0 3) (2 1))"), plan.MustParse("((0 1) (2 3))")},
+			plans: []*plan.Plan{bushy(0, 2, 1, 3), bushy(0, 3, 2, 1), bushy(0, 1, 2, 3)},
 			want: migrationWork{Probes: 72156, Inserts: 72156, Evictions: 66804, Output: 22063,
 				Completions: 4152, CompletedEntries: 749, Episodes: 4152},
 		},

@@ -86,7 +86,7 @@ func (e *Engine) ensureTable(n *Node, initial bool) *state.Table {
 		// seq order, so spilled buckets can shrink by tombstone alone;
 		// join states need the removed tuples back (metrics, expiry
 		// retractions) and fault on eviction instead.
-		st.SetStore(e.store, set.Count() == 1)
+		st.SetStore(e.store)
 	}
 	e.states[set] = st
 	return st

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"strings"
-
-	"jisc/internal/tuple"
-)
+import "jisc/internal/tuple"
 
 // Nodes returns the operator tree bottom-up (children before parents).
 func (e *Engine) Nodes() []*Node {
@@ -31,16 +26,6 @@ func (e *Engine) NodeBySet(set tuple.StreamSet) *Node {
 		}
 	}
 	return nil
-}
-
-// DescribeStates renders each operator's state for diagnostics,
-// bottom-up, one line per operator.
-func (e *Engine) DescribeStates() string {
-	var b strings.Builder
-	for _, n := range e.Nodes() {
-		fmt.Fprintf(&b, "%v\n", n.St)
-	}
-	return b.String()
 }
 
 // TotalStateSize sums the tuples stored across all operator states.

@@ -5,8 +5,8 @@
 // The paper's headline claim is about latency — lazy state completion
 // (JISC) trades one large migration stall for many small per-probe
 // completion episodes — and counters alone cannot show that. This
-// package records the distributions: per-tuple end-to-end feed
-// latency, per-operator probe/build time (sampled), per-completion-
+// package records the distributions: feed latency (a sampled
+// FeedBatch call's mean per-tuple time), per-operator probe/build time (sampled), per-completion-
 // episode duration, and per-transition Migrate duration (the stall an
 // eager strategy pays).
 //
@@ -29,8 +29,8 @@ import (
 )
 
 // sampleEvery is the probe/build sampling period: one in sampleEvery
-// operator probes is timed. feedEvery is the same for whole-tuple feed
-// latency. Timing everything would put several clock reads on every
+// operator probes is timed. feedEvery is the feed sampling period: one
+// in feedEvery FeedBatch calls is timed, as a whole. Timing everything would put several clock reads on every
 // tuple (~25% on the steady-state feed benchmark); sampling keeps the
 // overhead within the ≤10% budget while the histograms still converge
 // on the true distributions — the workload's arrival pattern is not
@@ -45,9 +45,10 @@ const (
 // hot path and read by monitoring via Snapshot; a Recorder must not be
 // copied after first use.
 type Recorder struct {
-	// Feed is the per-tuple end-to-end feed latency — window slide,
-	// scan insert, every probe/build level, output emission — sampled
-	// one tuple in feedEvery.
+	// Feed is the feed latency — window slide, scan insert, every
+	// probe/build level, output emission. One FeedBatch call in
+	// feedEvery is timed and recorded as one sample: that call's mean
+	// per-tuple time, so a batch of n tuples counts once, not n times.
 	Feed Histogram
 	// Probe holds sampled per-operator probe durations (hash lookup or
 	// nested-loops scan of the opposite state).
@@ -110,8 +111,8 @@ func (r *Recorder) SampleProbe() bool {
 	return r.probes%sampleEvery == 0
 }
 
-// SampleFeed reports whether this tuple's end-to-end feed latency
-// should be timed, advancing the sampling phase. Must be called only
+// SampleFeed reports whether this FeedBatch call should be timed,
+// advancing the sampling phase. Must be called only
 // from the shard's executor goroutine. Safe for nil recorders (false).
 func (r *Recorder) SampleFeed() bool {
 	if r == nil {

@@ -54,12 +54,6 @@ func IncompleteCount(c Completeness, p *Plan) int {
 	return n
 }
 
-// CompleteCount returns how many join states of p are complete under
-// c — the paper's C_n for a transition into p.
-func CompleteCount(c Completeness, p *Plan) int {
-	return p.Joins() - IncompleteCount(c, p)
-}
-
 // Describe renders the classification for diagnostics, one state per
 // line, stable order.
 func Describe(c Completeness, p *Plan) string {
@@ -74,27 +68,4 @@ func Describe(c Completeness, p *Plan) string {
 		fmt.Fprintf(&b, "%v: %s\n", s, status)
 	}
 	return b.String()
-}
-
-// SwapIncompleteStates returns the number of incomplete join states a
-// pairwise exchange of 0-based order positions i and j produces in a
-// left-deep plan. In the paper's labeling (§5.2) both bottom-join
-// streams carry label 1 and the count is J−I; with 0-based order
-// indices that is j − max(i,1) for i < j (the join at level k covers
-// the order prefix [0..k], so exactly the joins with max(i,1) ≤ k < j
-// change their stream set). Checked against Diff by property tests.
-func SwapIncompleteStates(i, j int) int {
-	if j < i {
-		i, j = j, i
-	}
-	if i == j {
-		return 0
-	}
-	if i < 1 {
-		i = 1
-	}
-	if j <= i {
-		return 0
-	}
-	return j - i
 }

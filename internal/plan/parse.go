@@ -46,15 +46,6 @@ func Parse(s string) (*Plan, error) {
 	return New(root)
 }
 
-// MustParse is Parse but panics on error; for literals in tests.
-func MustParse(s string) *Plan {
-	p, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func parseStream(s string) (tuple.StreamID, error) {
 	v, err := strconv.Atoi(s)
 	if err != nil || v < 0 || v >= tuple.MaxStreams {

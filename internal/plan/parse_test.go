@@ -11,12 +11,10 @@ import (
 )
 
 func TestParseLeftDeepList(t *testing.T) {
-	p := MustParse("0,1,2,3")
-	if !p.Equal(MustLeftDeep(0, 1, 2, 3)) {
-		t.Fatalf("parsed %s", p)
-	}
-	if q := MustParse(" 2 , 0 , 1 "); !q.Equal(MustLeftDeep(2, 0, 1)) {
-		t.Fatalf("parsed %s", q)
+	for src, want := range map[string]*Plan{"0,1,2,3": MustLeftDeep(0, 1, 2, 3), " 2 , 0 , 1 ": MustLeftDeep(2, 0, 1)} {
+		if p, err := Parse(src); err != nil || !p.Equal(want) {
+			t.Fatalf("Parse(%q) = %v, %v", src, p, err)
+		}
 	}
 }
 

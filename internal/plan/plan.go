@@ -65,18 +65,6 @@ func (n *Node) Joins() int {
 	return 1 + n.Left.Joins() + n.Right.Joins()
 }
 
-// Height returns the height of the subtree; a leaf has height 0.
-func (n *Node) Height() int {
-	if n == nil || n.IsLeaf() {
-		return 0
-	}
-	lh, rh := n.Left.Height(), n.Right.Height()
-	if lh > rh {
-		return lh + 1
-	}
-	return rh + 1
-}
-
 // IsLeftDeep reports whether every right child in the subtree is a
 // leaf (the shape Procedure 3's simplified completion relies on).
 func (n *Node) IsLeftDeep() bool {

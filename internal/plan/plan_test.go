@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"jisc/internal/analysis"
 	"jisc/internal/testseed"
 	"jisc/internal/tuple"
 )
@@ -66,8 +67,8 @@ func TestBushyShape(t *testing.T) {
 	if p.Joins() != 3 {
 		t.Fatalf("Joins = %d, want 3", p.Joins())
 	}
-	if p.Root.Height() != 2 {
-		t.Fatalf("Height = %d, want 2", p.Root.Height())
+	if got := p.String(); got != "((0⋈1)⋈(2⋈3))" {
+		t.Fatalf("String = %s", got)
 	}
 	if _, err := p.Order(); err == nil {
 		t.Fatal("Order on bushy plan did not error")
@@ -157,9 +158,6 @@ func TestDiffClassification(t *testing.T) {
 	if got := IncompleteCount(c, neu); got != 1 {
 		t.Errorf("IncompleteCount = %d, want 1", got)
 	}
-	if got := CompleteCount(c, neu); got != 2 {
-		t.Errorf("CompleteCount = %d, want 2", got)
-	}
 }
 
 // §4.5: a state that exists in the old plan but is incomplete there
@@ -198,9 +196,18 @@ func TestDiffBushy(t *testing.T) {
 	}
 }
 
+// swapLabels maps the 0-based order positions i and j a left-deep
+// swap exchanges to §5.2's labels I ≤ J: both bottom-join streams
+// carry label 1, the stream at position k ≥ 1 label k, so the join at
+// level k covers the order prefix [0..k] and exactly the joins with
+// I ≤ k < J change their stream set.
+func swapLabels(i, j int) (I, J int) {
+	return max(min(i, j), 1), max(i, j, 1)
+}
+
 // Property (§5.2): for any pairwise exchange in a left-deep plan, the
-// number of incomplete states reported by Diff equals the closed form
-// used in the probabilistic analysis.
+// number of complete join states Diff reports equals Eq. 3's closed
+// form C_n = n − (J−I) used in the probabilistic analysis.
 func TestSwapIncompleteStatesMatchesDiffProperty(t *testing.T) {
 	f := func(seedRaw int64) bool {
 		rng := rand.New(rand.NewSource(seedRaw))
@@ -216,8 +223,9 @@ func TestSwapIncompleteStatesMatchesDiffProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := IncompleteCount(Diff(AllComplete(old), neu), neu)
-		return got == SwapIncompleteStates(i, j)
+		I, J := swapLabels(i, j)
+		complete := neu.Joins() - IncompleteCount(Diff(AllComplete(old), neu), neu)
+		return complete == analysis.CompleteStates(neu.Joins(), I, J)
 	}
 	if err := quick.Check(f, testseed.Quick(t, 1, 200)); err != nil {
 		t.Fatal(err)
@@ -228,9 +236,14 @@ func TestSwapIncompleteStatesEdgeCases(t *testing.T) {
 	cases := []struct{ i, j, want int }{
 		{0, 0, 0}, {0, 1, 0}, {1, 0, 0}, {1, 2, 1}, {0, 3, 2}, {2, 5, 3}, {5, 2, 3},
 	}
+	old := MustLeftDeep(0, 1, 2, 3, 4, 5)
 	for _, c := range cases {
-		if got := SwapIncompleteStates(c.i, c.j); got != c.want {
-			t.Errorf("SwapIncompleteStates(%d,%d) = %d, want %d", c.i, c.j, got, c.want)
+		neu, err := old.Swap(c.i, c.j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := IncompleteCount(Diff(AllComplete(old), neu), neu); got != c.want {
+			t.Errorf("swap(%d,%d): %d incomplete states, want %d", c.i, c.j, got, c.want)
 		}
 	}
 }

@@ -287,7 +287,7 @@ func TestBlockedSubscriberCannotStallFeeds(t *testing.T) {
 	// dropped by the slow-consumer policy and its conn closed by the
 	// deadline, counted in subs_dropped.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Subscribers(DefaultQuery) != 0 {
+	for subscribers(s, DefaultQuery) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("blocked subscriber still registered")
 		}

@@ -52,8 +52,8 @@ func TestServerAutoCommand(t *testing.T) {
 	}
 	// ON and OFF mutate autopilot state; on a non-durable server both
 	// count as unlogged mutations, STATUS does not.
-	if got := s.WALDisabledMutations(); got != 3 {
-		t.Fatalf("WALDisabledMutations = %d after ON+ON+OFF, want 3", got)
+	if got := s.walDisabled.Load(); got != 3 {
+		t.Fatalf("walDisabled = %d after ON+ON+OFF, want 3", got)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestFeedCoalescingIgnoresCase(t *testing.T) {
 	if next, _, _ := bufferedLine(c.br); next != "feedb 0 1" {
 		t.Fatalf("next buffered line = %q", next)
 	}
-	if got := s.WALDisabledMutations(); got != 3 {
+	if got := s.walDisabled.Load(); got != 3 {
 		t.Fatalf("unlogged mutations = %d, want one per coalesced line", got)
 	}
 }

@@ -375,7 +375,7 @@ func TestShardedFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	for s.Subscribers(DefaultQuery) != 3 {
+	for subscribers(s, DefaultQuery) != 3 {
 		time.Sleep(time.Millisecond) // the quitter's SUBSCRIBE is not acknowledged to us
 	}
 	for i := 0; i < len(evs); i += batch {

@@ -418,28 +418,6 @@ func (s *Server) Queries() []string {
 	return names
 }
 
-// Subscribers returns the live subscriber count of the named query.
-func (s *Server) Subscribers(name string) int {
-	s.mu.Lock()
-	q := s.queries[name]
-	s.mu.Unlock()
-	if q == nil {
-		return 0
-	}
-	return q.subscribers()
-}
-
-// lookup resolves a query by name.
-func (s *Server) lookup(name string) (*query, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queries[name]
-	if !ok {
-		return nil, fmt.Errorf("no query %q", name)
-	}
-	return q, nil
-}
-
 // create starts a new named query from the server template. With
 // durability on it is logged to the catalog before the OK: the command
 // sequence is newQuery (validates everything and brings the runtime
@@ -784,10 +762,6 @@ func (s *Server) Close() {
 
 // Durable reports whether the server write-ahead logs mutations.
 func (s *Server) Durable() bool { return s.durable.Enabled() }
-
-// WALDisabledMutations returns the number of mutating commands
-// executed while durability was off.
-func (s *Server) WALDisabledMutations() uint64 { return s.walDisabled.Load() }
 
 // DurableStats aggregates the durability counters across the catalog
 // and every hosted query. Zero when durability is off.

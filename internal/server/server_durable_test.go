@@ -216,8 +216,8 @@ func TestServerCountsWALDisabledMutations(t *testing.T) {
 		}
 	}
 	c.cmd(t, "STATS") // non-mutating: must not count
-	if got := s.WALDisabledMutations(); got != 3 {
-		t.Fatalf("WALDisabledMutations = %d, want 3", got)
+	if got := s.walDisabled.Load(); got != 3 {
+		t.Fatalf("walDisabled = %d, want 3", got)
 	}
 
 	s2 := startDurableServer(t, t.TempDir())
@@ -226,7 +226,7 @@ func TestServerCountsWALDisabledMutations(t *testing.T) {
 	if resp := c2.cmd(t, "FEED 0 1"); resp != "OK" {
 		t.Fatalf("feed: %s", resp)
 	}
-	if got := s2.WALDisabledMutations(); got != 0 {
+	if got := s2.walDisabled.Load(); got != 0 {
 		t.Fatalf("durable server counted %d unlogged mutations", got)
 	}
 }

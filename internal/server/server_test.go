@@ -34,6 +34,12 @@ func newTestServer(t *testing.T) *Server {
 	return s
 }
 
+// subscribers reads the named query's live subscriber count.
+func subscribers(s *Server, name string) int {
+	q, _, _ := s.splitQuery(name)
+	return q.subscribers()
+}
+
 type client struct {
 	conn net.Conn
 	r    *bufio.Reader
@@ -101,8 +107,8 @@ func TestServerSubscribe(t *testing.T) {
 	if !strings.HasPrefix(line, "RESULT 9 ") {
 		t.Fatalf("subscription line = %q", line)
 	}
-	if s.Subscribers(DefaultQuery) != 1 {
-		t.Fatalf("Subscribers = %d", s.Subscribers(DefaultQuery))
+	if subscribers(s, DefaultQuery) != 1 {
+		t.Fatalf("Subscribers = %d", subscribers(s, DefaultQuery))
 	}
 }
 
@@ -437,8 +443,8 @@ func TestServerMultiQuerySubscriptions(t *testing.T) {
 	if !strings.HasPrefix(line, "RESULT 4 ") {
 		t.Fatalf("line = %q", line)
 	}
-	if s.Subscribers("side") != 1 || s.Subscribers(DefaultQuery) != 1 {
-		t.Fatalf("subscribers: side=%d default=%d", s.Subscribers("side"), s.Subscribers(DefaultQuery))
+	if subscribers(s, "side") != 1 || subscribers(s, DefaultQuery) != 1 {
+		t.Fatalf("subscribers: side=%d default=%d", subscribers(s, "side"), subscribers(s, DefaultQuery))
 	}
 	// Dropping the subscribed query ends its stream without killing
 	// the connection.

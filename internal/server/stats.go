@@ -147,8 +147,8 @@ var metricTable = []metric{
 	{key: "completions", family: "jisc_completions_total", kind: counter, help: "just-in-time state completions run", get: func(v *view) uint64 { return v.m.Completions }, field: func(s *Stats) *uint64 { return &s.Completions }},
 	{family: "jisc_completed_entries_total", kind: counter, help: "state entries those completions rebuilt", get: func(v *view) uint64 { return v.m.CompletedEntries }},
 	{key: "shed", family: "jisc_shed_tuples_total", kind: counter, help: "tuples dropped by the Shed queue-overflow policy", get: func(v *view) uint64 { return v.shed }, field: func(s *Stats) *uint64 { return &s.Shed }},
-	{key: "feed_p50_ns", help: "median per-tuple feed latency, ns (sampled; 0 until samples exist)", get: func(v *view) uint64 { return uint64(v.o.Feed.Quantile(0.50)) }, field: func(s *Stats) *uint64 { return &s.FeedP50Ns }},
-	{key: "feed_p99_ns", help: "99th-percentile per-tuple feed latency, ns", get: func(v *view) uint64 { return uint64(v.o.Feed.Quantile(0.99)) }, field: func(s *Stats) *uint64 { return &s.FeedP99Ns }},
+	{key: "feed_p50_ns", help: "median feed latency, ns: one FeedBatch call in 4 timed, its mean per-tuple time (0 until samples exist)", get: func(v *view) uint64 { return uint64(v.o.Feed.Quantile(0.50)) }, field: func(s *Stats) *uint64 { return &s.FeedP50Ns }},
+	{key: "feed_p99_ns", help: "99th-percentile feed latency, ns, of the same per-call means", get: func(v *view) uint64 { return uint64(v.o.Feed.Quantile(0.99)) }, field: func(s *Stats) *uint64 { return &s.FeedP99Ns }},
 	{key: "episodes", help: "completion episodes run (the count of jisc_completion_episode_seconds)", get: func(v *view) uint64 { return v.o.Completion.Count }, field: func(s *Stats) *uint64 { return &s.Episodes }},
 	{key: "subs_dropped", family: "jisc_subscribers_dropped_total", kind: counter, help: "subscribers disconnected for falling SubscriberBuffer lines behind", get: func(v *view) uint64 { return v.subsDropped }, field: func(s *Stats) *uint64 { return &s.SubsDropped }},
 	{family: "jisc_subscribers", kind: gauge, help: "live subscriber connections", get: func(v *view) uint64 { return v.subscribers }},
@@ -187,7 +187,7 @@ var metricTable = []metric{
 	{family: "jisc_admission_conns", kind: gauge, server: true, help: "open client connections", get: func(v *view) uint64 { return uint64(v.conns.Conns) }},
 	{family: "jisc_admission_conns_rejected_total", kind: counter, server: true, help: "dials refused at the connection cap", get: func(v *view) uint64 { return v.conns.ConnRejected }},
 	{key: "draining", family: "jisc_draining", kind: gauge, server: true, help: "1 while a graceful drain is in progress", get: func(v *view) uint64 { return v.draining }, field: func(s *Stats) *uint64 { return &s.Draining }},
-	{family: "jisc_feed_latency_seconds", kind: histogram, per: 1e9, help: "per-tuple end-to-end feed latency (one tuple in 4 sampled)", hist: func(v *view) obs.HistSnapshot { return v.o.Feed }},
+	{family: "jisc_feed_latency_seconds", kind: histogram, per: 1e9, help: "feed latency: one FeedBatch call in 4 timed, recorded as its mean per-tuple time", hist: func(v *view) obs.HistSnapshot { return v.o.Feed }},
 	{family: "jisc_probe_seconds", kind: histogram, per: 1e9, help: "per-operator probe time (one probe in 16 sampled)", hist: func(v *view) obs.HistSnapshot { return v.o.Probe }},
 	{family: "jisc_build_seconds", kind: histogram, per: 1e9, help: "per-operator build time (sampled with the probes)", hist: func(v *view) obs.HistSnapshot { return v.o.Build }},
 	{family: "jisc_completion_episode_seconds", kind: histogram, per: 1e9, help: "completion episode duration: the small pauses JISC trades the migration stall for", hist: func(v *view) obs.HistSnapshot { return v.o.Completion }},

@@ -82,13 +82,15 @@ func (m *tableModel) size() int {
 // compares every observable against a plain-map model after each step,
 // so backward-shift deletion is exercised on both sides of the wrap.
 // It runs with everything resident and again with a spill store whose
-// budget keeps most buckets out of the heap.
+// budget keeps most buckets out of the heap. The table is a join
+// state's, so a spilled ref removed out of arrival order faults back
+// in and is reported.
 func TestTableIndexMatchesModel(t *testing.T) {
 	domain := append(collidingKeys(6, 0, 31, 63), 1000, 1001, 1002)
 	for _, spill := range []bool{false, true} {
 		t.Run(fmt.Sprintf("spill=%v", spill), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(testseed.Seed(t, 29)))
-			tb := NewTable(tuple.NewStreamSet(0))
+			tb := NewTable(tuple.NewStreamSet(0, 1))
 			var store *statestore.Store
 			if spill {
 				var err error
@@ -97,7 +99,7 @@ func TestTableIndexMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer store.Close()
-				tb.SetStore(store, false)
+				tb.SetStore(store)
 			}
 			m := &tableModel{buckets: map[tuple.Value][]*tuple.Tuple{}, attempted: map[tuple.Value]bool{}, pending: map[tuple.Value]bool{}, complete: true}
 			var seq uint64
@@ -109,7 +111,7 @@ func TestTableIndexMatchesModel(t *testing.T) {
 				case r < 35:
 					op = "Insert"
 					seq++
-					tup := base(0, seq, k)
+					tup := tuple.Join(base(0, seq, k), base(1, seq, k))
 					tb.Insert(tup)
 					m.buckets[k] = append(m.buckets[k], tup)
 				case r < 45:

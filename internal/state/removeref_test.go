@@ -90,7 +90,7 @@ func TestRemoveRefMatchesContains(t *testing.T) {
 		var store *statestore.Store
 		if spilled {
 			store = spillStore(t, 640)
-			tb.SetStore(store, false)
+			tb.SetStore(store)
 		}
 		model := refModel{}
 		const keys, seqs = 4, 5
@@ -131,7 +131,7 @@ func TestRemoveRefTombstoneModeMatchesContains(t *testing.T) {
 		const stream = tuple.StreamID(7)
 		tb := state.NewTable(tuple.NewStreamSet(stream))
 		store := spillStore(t, 1024)
-		tb.SetStore(store, true)
+		tb.SetStore(store)
 		model := refModel{}
 		var window []*tuple.Tuple
 		for seq := uint64(1); seq <= 300; seq++ {
@@ -163,7 +163,7 @@ func TestRemoveRefNarrowTuplesInWideTable(t *testing.T) {
 	for _, spilled := range []bool{false, true} {
 		tb := state.NewTable(tuple.NewStreamSet(0, 1, 2))
 		if spilled {
-			tb.SetStore(spillStore(t, 1), false)
+			tb.SetStore(spillStore(t, 1))
 		}
 		tb.Insert(tuple.NewBase(2, 1, 9, 1))
 		tb.Insert(tuple.NewBase(2, 2, 9, 2))

@@ -82,11 +82,6 @@ type Table struct {
 	// their slots into the store's segments (the slot keeping the part)
 	// and fault back in on access. Nil keeps everything resident.
 	store *statestore.Store
-	// tombstone selects the scan-table eviction mode: window eviction
-	// of a spilled ref is recorded as a store tombstone instead of
-	// faulting the bucket in. Only sound for single-stream states,
-	// whose rows are base tuples with exactly one seq.
-	tombstone bool
 
 	// complete is Definition 1's flag. Scan states are always
 	// complete; join states become incomplete at a plan transition
@@ -133,11 +128,10 @@ func NewTable(set tuple.StreamSet) *Table {
 }
 
 // SetStore attaches the spill store to the table, which must still be
-// empty; tombstones selects the scan-table eviction mode (see the
-// tombstone field).
-func (t *Table) SetStore(s *statestore.Store, tombstones bool) {
+// empty. A single-stream table evicts a spilled ref by tombstone
+// (RemoveRef); any other faults the part back in.
+func (t *Table) SetStore(s *statestore.Store) {
 	t.store = s
-	t.tombstone = tombstones
 	s.Attach(t)
 }
 
@@ -423,7 +417,7 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 // streams below ref.Stream, past arrival and oldest — and membership is
 // one word compare per row, not a search.
 //
-// On a tombstone-mode table (scan states) a spilled part is not
+// On a single-stream table (a scan state) a spilled part is not
 // faulted: windows expire in arrival order, so a ref no newer than the
 // spilled part's newest is in it and is recorded as a store
 // tombstone, lending no rows — base tuples have no derived results
@@ -440,7 +434,7 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref) tuple.Rows {
 	}
 	s := &t.idx.slots[i]
 	if s.part != nil {
-		if !t.tombstone {
+		if t.Set.Count() > 1 {
 			t.fault(s)
 			defer t.store.MaybeSpill()
 		} else if ref.Seq <= s.part.Newest() {

@@ -309,7 +309,7 @@ func TestSplitKeyTableMatchesModel(t *testing.T) {
 				defer store.Close()
 				o := &tableOps{t: t, rng: rand.New(rand.NewSource(seed)), tombstones: tombstones, streams: streams,
 					tbl: state.NewTable(set), model: state.NewTable(set), store: store, perTuple: state.TupleBytes(set)}
-				o.tbl.SetStore(store, tombstones)
+				o.tbl.SetStore(store)
 				for i := 0; i < 3000; i++ {
 					o.step(i)
 				}
@@ -339,7 +339,7 @@ func BenchmarkSpillFault(b *testing.B) {
 			}
 			defer store.Close()
 			tbl := state.NewTable(tuple.NewStreamSet(0))
-			tbl.SetStore(store, true)
+			tbl.SetStore(store)
 			seq := uint64(0)
 			// The 2 000 filler buckets at the end (≈ 100 KiB) push every
 			// probed bucket out of the tail and into the file.

@@ -42,7 +42,7 @@ func TestSpillAndFaultRoundTrip(t *testing.T) {
 	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 
 	fill(tbl, 16)
 	st := s.Stats()
@@ -84,7 +84,7 @@ func TestSpillAndFaultRoundTrip(t *testing.T) {
 func TestMultiTupleBuckets(t *testing.T) {
 	s := mustOpen(t, statestore.Options{Budget: 1}) // everything spills
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 
 	for i := 0; i < 6; i++ {
 		tbl.Insert(base(0, uint64(i+1), tuple.Value(i%2)))
@@ -98,7 +98,7 @@ func TestMultiTupleBuckets(t *testing.T) {
 	}
 	for _, tup := range got {
 		seq := tup.First().Seq
-		if tup.Key != 0 || !tup.IsBase() || seq%2 != 1 || tup.Arrival != seq || tup.Oldest != seq {
+		if tup.Key != 0 || tup.Set != tuple.NewStreamSet(0) || seq%2 != 1 || tup.Arrival != seq || tup.Oldest != seq {
 			t.Fatalf("tuple changed in the round trip: %v arrival %d oldest %d", tup, tup.Arrival, tup.Oldest)
 		}
 	}
@@ -108,7 +108,7 @@ func TestTombstoneEviction(t *testing.T) {
 	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 
 	// Two tuples per key so tombstones have a partial phase.
 	for i := 0; i < 8; i++ {
@@ -158,7 +158,7 @@ func TestTombstoneEviction(t *testing.T) {
 func TestEachAndCountOldCoverSpilled(t *testing.T) {
 	s := mustOpen(t, statestore.Options{Budget: 1})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	fill(tbl, 10)
 
 	faultsBefore := s.Stats().Faults
@@ -181,7 +181,7 @@ func TestEachAndCountOldCoverSpilled(t *testing.T) {
 func TestClearDropsSpilled(t *testing.T) {
 	s := mustOpen(t, statestore.Options{Budget: 1})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	fill(tbl, 10)
 
 	tbl.Clear()
@@ -215,14 +215,15 @@ func seqs(tuples []*tuple.Tuple) []uint64 {
 // insert under a spilled key reads nothing and starts a resident part
 // beside the spilled one; the table's answers stay exact while the key
 // is split; a second spill of the key adds a span; and the next probe
-// returns every part in arrival order.
+// returns every part in arrival order — on a scan table and on a
+// set-difference table, which stores base tuples under a wider set.
 func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
-	for _, tombstones := range []bool{true, false} {
+	for _, set := range []tuple.StreamSet{tuple.NewStreamSet(0), tuple.NewStreamSet(0, 1)} {
 		perTuple := oneRowKey
 		fs := &statestore.CountingFS{FS: storage.NewMemFS()}
 		s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, FS: fs})
-		tbl := state.NewTable(tuple.NewStreamSet(0))
-		tbl.SetStore(s, tombstones)
+		tbl := state.NewTable(set)
+		tbl.SetStore(s)
 		fill(tbl, 6) // keys 0..5, seqs 1..6; key 0 is long spilled
 		if tuples(tbl.ResidentBucket(0)) != nil {
 			t.Fatal("key 0 still resident; the test needs it spilled")
@@ -257,7 +258,7 @@ func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
 			t.Fatalf("Each visited key 0 as %v, want [1 100 200]", each)
 		}
 		if got := seqs(tuples(tbl.Probe(0))); fmt.Sprint(got) != "[1 100 200]" {
-			t.Fatalf("probe of key 0 = %v, want [1 100 200] (tombstones %v)", got, tombstones)
+			t.Fatalf("probe of key 0 = %v, want [1 100 200] (table %v)", got, set)
 		}
 		if st := s.Stats(); st.Faults != 1 || st.FaultTuples != 2 {
 			t.Fatalf("one fault of two spans expected, got %+v", st)
@@ -275,7 +276,7 @@ func TestTombstoneRoutesBySeq(t *testing.T) {
 	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	tbl.Insert(base(0, 1, 0))
 	tbl.Insert(base(0, 2, 0))
 	for i := 1; i < 5; i++ {
@@ -306,7 +307,7 @@ func TestCompaction(t *testing.T) {
 	fs := &statestore.CountingFS{FS: storage.NewMemFS()}
 	s := mustOpen(t, statestore.Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024, FS: fs})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 
 	// Spill a lot, then evict most of it so garbage accumulates.
 	for i := 0; i < 64; i++ {
@@ -350,7 +351,7 @@ func TestCompactionCopyMatchesDecode(t *testing.T) {
 		perTuple := oneRowKey
 		s := mustOpen(t, statestore.Options{Budget: perTuple, MinCompactBytes: 256, SegmentBytes: 1024})
 		tbl, model := state.NewTable(tuple.NewStreamSet(0)), state.NewTable(tuple.NewStreamSet(0))
-		tbl.SetStore(s, true)
+		tbl.SetStore(s)
 		seq := uint64(0)
 		insert := func(key tuple.Value) {
 			seq++
@@ -403,7 +404,7 @@ func TestFaultLoadedSliceSurvivesRespill(t *testing.T) {
 	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	fill(tbl, 8)
 
 	// Hold the lent rows, then force churn that re-spills the bucket;
@@ -427,7 +428,7 @@ func TestFaultLoadedSliceSurvivesRespill(t *testing.T) {
 func TestUnboundedBudgetNeverSpills(t *testing.T) {
 	s := mustOpen(t, statestore.Options{Budget: 0})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	fill(tbl, 100)
 	st := s.Stats()
 	if st.Spills != 0 {
@@ -472,7 +473,7 @@ func TestClockSweep(t *testing.T) {
 	t.Run("second chance", func(t *testing.T) {
 		s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
 		tbl := state.NewTable(tuple.NewStreamSet(0))
-		tbl.SetStore(s, true)
+		tbl.SetStore(s)
 		fill(tbl, 6) // keys 0..5, two spilled
 		coolAll(tbl)
 		cold := residentKeys(tbl, 6)
@@ -507,8 +508,8 @@ func TestClockSweep(t *testing.T) {
 	t.Run("crosses tables", func(t *testing.T) {
 		s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
 		a, b := state.NewTable(tuple.NewStreamSet(0)), state.NewTable(tuple.NewStreamSet(1))
-		a.SetStore(s, true)
-		b.SetStore(s, true)
+		a.SetStore(s)
+		b.SetStore(s)
 		fill(a, 2)
 		b.Insert(base(1, 1, 0))
 		b.Insert(base(1, 2, 1))
@@ -540,7 +541,7 @@ func TestClockSweep(t *testing.T) {
 		s := mustOpen(t, statestore.Options{Budget: 2 * perTuple})
 		a, b, c := state.NewTable(tuple.NewStreamSet(0)), state.NewTable(tuple.NewStreamSet(1)), state.NewTable(tuple.NewStreamSet(2))
 		for _, tb := range []*state.Table{a, b, c} {
-			tb.SetStore(s, true)
+			tb.SetStore(s)
 		}
 		// a and b hold nothing, so the hand passes them without a walk.
 		for k := range 3 {
@@ -575,7 +576,7 @@ func TestClockSweep(t *testing.T) {
 	t.Run("two revolutions", func(t *testing.T) {
 		s := mustOpen(t, statestore.Options{Budget: 4 * perTuple})
 		tbl := state.NewTable(tuple.NewStreamSet(0))
-		tbl.SetStore(s, true)
+		tbl.SetStore(s)
 		fill(tbl, 5)
 		if st := s.Stats(); st.Spills != 1 {
 			t.Fatalf("all hot: %d spills, want 1", st.Spills)
@@ -611,7 +612,7 @@ func TestSpillWriteFailureFailsOpen(t *testing.T) {
 	crash := storage.NewCrashFS(storage.NewMemFS(), 1<<20)
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, FS: crash})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	fill(tbl, 4)
 	crashNow(crash)
 	// Inserts keep working. Spills are buffered, so the store meets the
@@ -648,7 +649,7 @@ func TestFailedFlushLosesNoBucket(t *testing.T) {
 	crash := storage.NewCrashFS(storage.NewMemFS(), 1<<20)
 	s := mustOpen(t, statestore.Options{Budget: 1, FS: crash}) // everything spills
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	fill(tbl, 200) // far less than a tail: nothing has been written yet
 	if st := s.Stats(); st.Spills < 199 || st.SpillErrors != 0 {
 		t.Fatalf("set-up: %+v", st)
@@ -682,9 +683,9 @@ func TestFailedFlushLosesNoBucket(t *testing.T) {
 func TestReleaseForgetsTable(t *testing.T) {
 	s := mustOpen(t, statestore.Options{Budget: 1})
 	a := state.NewTable(tuple.NewStreamSet(0))
-	a.SetStore(s, true)
+	a.SetStore(s)
 	b := state.NewTable(tuple.NewStreamSet(1))
-	b.SetStore(s, true)
+	b.SetStore(s)
 	fill(a, 10)
 	for i := 0; i < 10; i++ {
 		b.Insert(base(1, uint64(i+1), tuple.Value(i)))
@@ -736,7 +737,7 @@ func TestRealFS(t *testing.T) {
 	perTuple := oneRowKey
 	s := mustOpen(t, statestore.Options{Budget: 2 * perTuple, Dir: t.TempDir() + "/spill"})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	fill(tbl, 32)
 	for i := 0; i < 32; i++ {
 		got := tuples(tbl.Probe(tuple.Value(i)))
@@ -752,7 +753,7 @@ func TestRealFS(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	s := mustOpen(t, statestore.Options{Budget: 1, SegmentBytes: 256, MinCompactBytes: 1 << 30})
 	tbl := state.NewTable(tuple.NewStreamSet(0))
-	tbl.SetStore(s, true)
+	tbl.SetStore(s)
 	fill(tbl, 64)
 	if got := s.Stats().Segments; got < 2 {
 		t.Fatalf("segments = %d, want rotation past 1", got)

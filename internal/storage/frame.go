@@ -24,6 +24,11 @@ var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
+// Checksum returns the CRC32C (Castagnoli) of p: the checksum a
+// frame carries over its payload, and the checkpoint envelope over
+// its own.
+func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
+
 // SealFrame patches the FrameHeader bytes at start, treating
 // dst[start+FrameHeader:] as the frame's payload: callers build the
 // payload in place after reserving the header, so framing copies
@@ -31,7 +36,7 @@ var (
 func SealFrame(dst []byte, start int) {
 	payload := dst[start+FrameHeader:]
 	le.PutUint32(dst[start:], uint32(len(payload)))
-	le.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	le.PutUint32(dst[start+4:], Checksum(payload))
 }
 
 // NextFrame validates the frame at the head of data and returns its
@@ -49,7 +54,7 @@ func NextFrame(data []byte, max int) (payload []byte, n int, ok bool) {
 		return nil, 0, false
 	}
 	payload = data[FrameHeader : FrameHeader+ln]
-	if crc32.Checksum(payload, castagnoli) != le.Uint32(data[4:]) {
+	if Checksum(payload) != le.Uint32(data[4:]) {
 		return nil, 0, false
 	}
 	return payload, FrameHeader + ln, true

@@ -181,23 +181,11 @@ func (t *Tuple) Contains(ref Ref) bool {
 	return t.Set.Has(ref.Stream) && t.Seqs[t.Set.Rank(ref.Stream)] == ref.Seq
 }
 
-// RefOf returns the provenance ref for stream id and whether the tuple
-// covers that stream.
-func (t *Tuple) RefOf(id StreamID) (Ref, bool) {
-	if !t.Set.Has(id) {
-		return Ref{}, false
-	}
-	return Ref{Stream: id, Seq: t.Seqs[t.Set.Rank(id)]}, true
-}
-
 // First returns the ref of the lowest stream the tuple covers — a base
 // tuple's only one.
 func (t *Tuple) First() Ref {
 	return Ref{Stream: StreamID(bits.TrailingZeros64(uint64(t.Set))), Seq: t.Seqs[0]}
 }
-
-// IsBase reports whether the tuple is a single-stream base tuple.
-func (t *Tuple) IsBase() bool { return len(t.Seqs) == 1 }
 
 // Fingerprint returns a canonical string identifying the output tuple
 // by its provenance. Two output tuples produced by different execution

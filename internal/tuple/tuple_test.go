@@ -104,18 +104,17 @@ func TestStreamSetAddProperty(t *testing.T) {
 
 func TestNewBase(t *testing.T) {
 	b := NewBase(2, 17, 99, 1234)
-	if !b.IsBase() {
-		t.Fatal("base tuple not IsBase")
+	if b.Set != NewStreamSet(2) || len(b.Seqs) != 1 {
+		t.Fatalf("base tuple covers %v with seqs %v", b.Set, b.Seqs)
 	}
 	if b.Key != 99 || b.Arrival != 1234 {
 		t.Fatalf("fields mangled: %+v", b)
 	}
-	ref, ok := b.RefOf(2)
-	if !ok || ref != (Ref{Stream: 2, Seq: 17}) {
-		t.Fatalf("RefOf(2) = %v, %v", ref, ok)
+	if ref := b.First(); ref != (Ref{Stream: 2, Seq: 17}) {
+		t.Fatalf("First = %v", ref)
 	}
-	if _, ok := b.RefOf(3); ok {
-		t.Fatal("RefOf(3) should be absent")
+	if b.Contains(Ref{Stream: 3, Seq: 17}) {
+		t.Fatal("base tuple contains a ref of stream 3")
 	}
 }
 
@@ -135,8 +134,8 @@ func TestJoinMergesProvenance(t *testing.T) {
 	if j.Arrival != 20 {
 		t.Errorf("Arrival = %d, want max 20", j.Arrival)
 	}
-	if !j.IsBase() == false && j.IsBase() {
-		t.Error("composite reported as base")
+	if len(j.Seqs) != 2 {
+		t.Errorf("composite has %d seqs, want 2", len(j.Seqs))
 	}
 }
 
@@ -350,7 +349,7 @@ func TestCloneSharesNothing(t *testing.T) {
 	if c.Fingerprint() != "0#5|1#6" || c.Key != 7 {
 		t.Fatalf("clone changed with its original: %v", c)
 	}
-	if base := NewBase(2, 1, 3, 1).Clone(); !base.IsBase() {
+	if base := NewBase(2, 1, 3, 1).Clone(); len(base.Seqs) != 1 || base.First() != (Ref{Stream: 2, Seq: 1}) {
 		t.Fatalf("base clone = %+v", base)
 	}
 }

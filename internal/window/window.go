@@ -58,25 +58,34 @@ func (w *Window) Stream() tuple.StreamID { return w.stream }
 // Len returns the current number of tuples inside the window.
 func (w *Window) Len() int { return w.n }
 
-// Slide admits the tuple ref with key at clock reading now, after
-// expiring every entry read at or before now − span. It returns the
-// expired entries oldest first, in a slice the window reuses: valid
-// only until the next Slide. The clock must not go backwards.
-func (w *Window) Slide(ref tuple.Ref, key tuple.Value, now uint64) []Entry {
-	if ref.Stream != w.stream {
-		panic(fmt.Sprintf("window: tuple from stream %d admitted to window of stream %d", ref.Stream, w.stream))
-	}
+// Expire moves the window's clock to now and expires every entry read
+// at or before now − span. It returns the expired entries oldest
+// first, in a slice the window reuses: valid only until the next
+// Expire or Slide. The clock must not go backwards.
+func (w *Window) Expire(now uint64) []Entry {
 	if now < w.newest {
 		panic(fmt.Sprintf("window: clock regressed on stream %d: %d after %d", w.stream, now, w.newest))
 	}
 	ring, head, n, exp := w.ring, w.head, w.n, w.expired[:0]
-	mask := len(ring) - 1
 	if now >= w.span {
 		for cut := now - w.span; n > 0 && ring[head].ts <= cut; n-- {
 			exp = append(exp, ring[head].e)
-			head = (head + 1) & mask
+			head = (head + 1) & (len(ring) - 1)
 		}
 	}
+	w.head, w.n, w.newest, w.expired = head, n, now, exp
+	return exp
+}
+
+// Slide admits the tuple ref with key at clock reading now, after
+// Expire(now). It returns what Expire does.
+func (w *Window) Slide(ref tuple.Ref, key tuple.Value, now uint64) []Entry {
+	if ref.Stream != w.stream {
+		panic(fmt.Sprintf("window: tuple from stream %d admitted to window of stream %d", ref.Stream, w.stream))
+	}
+	exp := w.Expire(now)
+	ring, head, n := w.ring, w.head, w.n
+	mask := len(ring) - 1
 	if n == len(ring) {
 		grown := make([]timed, max(2*len(ring), 8))
 		for i := range n {
@@ -86,7 +95,7 @@ func (w *Window) Slide(ref tuple.Ref, key tuple.Value, now uint64) []Entry {
 		w.ring = ring
 	}
 	ring[(head+n)&mask] = timed{Entry{ref, key}, now}
-	w.head, w.n, w.newest, w.expired = head, n+1, now, exp
+	w.head, w.n = head, n+1
 	return exp
 }
 

@@ -97,6 +97,31 @@ func TestTimeWindowBatchExpiry(t *testing.T) {
 	})
 }
 
+// Expire moves the clock without admitting: it expires what a Slide
+// at the same reading would, leaves the rest, and a later Slide may
+// not read earlier.
+func TestExpireWithoutAdmit(t *testing.T) {
+	w := New(0, 5)
+	for at := uint64(1); at <= 3; at++ {
+		w.Slide(ref(at), 0, at)
+	}
+	if exp := w.Expire(3); len(exp) != 0 {
+		t.Fatalf("Expire(3) expired %v", seqsOf(exp))
+	}
+	if exp := w.Expire(7); !slices.Equal(seqsOf(exp), []uint64{1, 2}) || w.Len() != 1 {
+		t.Fatalf("Expire(7) expired %v, %d left; want [1 2], 1 left", seqsOf(exp), w.Len())
+	}
+	if exp := w.Expire(100); !slices.Equal(seqsOf(exp), []uint64{3}) || w.Len() != 0 {
+		t.Fatalf("Expire(100) expired %v, %d left; want [3], 0 left", seqsOf(exp), w.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Slide before the last Expire's reading did not panic")
+		}
+	}()
+	w.Slide(ref(4), 0, 99)
+}
+
 // The ring doubles while its live entries wrap past the array's end,
 // and keeps them oldest first with their readings.
 func TestRingGrowsAcrossWrap(t *testing.T) {
