@@ -82,7 +82,7 @@ func skewOne(cfg Config, joins int, dist workload.KeyDist) (SkewRow, error) {
 	distinct := map[int64]struct{}{}
 	for _, n := range e.Nodes() {
 		if n.IsLeaf() {
-			for _, k := range n.St.Keys() {
+			for _, k := range n.St.Keys(nil) {
 				distinct[int64(k)] = struct{}{}
 			}
 		}

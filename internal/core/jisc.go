@@ -10,6 +10,8 @@
 package core
 
 import (
+	"time"
+
 	"jisc/internal/engine"
 	"jisc/internal/obs"
 	"jisc/internal/tuple"
@@ -81,9 +83,9 @@ func (c *JISC) BeforeProbe(e *engine.Engine, j, opp *engine.Node, t *tuple.Tuple
 		return
 	}
 	if opp.Kind == engine.NLJoin {
-		end := beginEpisode(e, t.Key)
+		ep := beginEpisode(e, t.Key)
 		c.completeNLState(e, opp)
-		end()
+		ep.end(e)
 		return
 	}
 	if opp.St.Attempted(t.Key) {
@@ -95,46 +97,61 @@ func (c *JISC) BeforeProbe(e *engine.Engine, j, opp *engine.Node, t *tuple.Tuple
 		}
 		return
 	}
-	end := beginEpisode(e, t.Key)
+	ep := beginEpisode(e, t.Key)
 	if !c.DisableLeftDeepFastPath && isLeftSpine(opp) {
 		c.completeKeyLD(e, opp, t.Key)
 	} else {
 		c.completeKey(e, opp, t.Key)
 	}
-	end()
+	ep.end(e)
 }
 
-// noEpisode is the no-op episode closer handed out when
-// instrumentation is off, so the probe path allocates nothing.
-func noEpisode() {}
+// episode is one open just-in-time completion episode — the unit the
+// paper trades the migration stall into. It is a value, so opening one
+// allocates nothing; the zero episode (instrumentation off) records
+// nothing.
+type episode struct {
+	o      *obs.Recorder
+	key    tuple.Value
+	before uint64 // CompletedEntries when the episode began
+	start  time.Time
+}
 
-// beginEpisode opens one just-in-time completion episode — the unit
-// the paper trades the migration stall into — and returns its closer.
-// The episode duration lands in the Completion histogram; start/end
-// events (with the triggering key and the tuples materialized) go to
-// the tracer once it is over, stamped with the two instants the
-// duration was measured between: an episode reads the clock twice, not
-// once more per event, and times the completion, not the tracing.
-func beginEpisode(e *engine.Engine, key tuple.Value) func() {
+// beginEpisode opens a completion episode for key, reading the clock
+// once.
+func beginEpisode(e *engine.Engine, key tuple.Value) episode {
 	o := e.Obs()
 	if o == nil {
-		return noEpisode
+		return episode{}
 	}
-	met := e.Collector()
-	before := met.CompletedEntries.Load()
-	start := e.Now()
-	return func() {
-		end := e.Now()
-		ev := obs.Event{
-			Kind: obs.EvCompletionStart, Time: start, Query: o.Query, Shard: o.Shard,
-			Tick: e.Tick(), Key: int64(key),
-		}
-		o.Tracer.Emit(ev)
-		ev.Kind, ev.Time, ev.Dur = obs.EvCompletionEnd, end, end.Sub(start)
-		ev.Count = met.CompletedEntries.Load() - before
-		o.Completion.Record(ev.Dur)
-		o.Tracer.Emit(ev)
+	return episode{o: o, key: key, before: e.Collector().CompletedEntries.Load(), start: e.Now()}
+}
+
+// end closes the episode. Every episode's duration lands in the
+// Completion histogram, so its count is exact; one episode in the
+// recorder's sampling period (Recorder.SampleEpisode) also goes to the
+// tracer as start/end events (with the triggering key and the tuples
+// materialized), stamped with the two instants the duration was
+// measured between: an episode reads the clock twice, not once more per
+// event, and times the completion, not the tracing.
+func (ep episode) end(e *engine.Engine) {
+	if ep.o == nil {
+		return
 	}
+	end := e.Now()
+	dur := end.Sub(ep.start)
+	ep.o.Completion.Record(dur)
+	if !ep.o.SampleEpisode() {
+		return
+	}
+	ev := obs.Event{
+		Kind: obs.EvCompletionStart, Time: ep.start, Query: ep.o.Query, Shard: ep.o.Shard,
+		Tick: e.Tick(), Key: int64(ep.key),
+	}
+	ep.o.Tracer.Emit(ev)
+	ev.Kind, ev.Time, ev.Dur = obs.EvCompletionEnd, end, dur
+	ev.Count = e.Collector().CompletedEntries.Load() - ep.before
+	ep.o.Tracer.Emit(ev)
 }
 
 // EvictContinue implements engine.Strategy: window-slide removals keep
@@ -171,7 +188,10 @@ func (c *JISC) completeKey(e *engine.Engine, n *engine.Node, key tuple.Value) {
 // upward joining each level's entries with the inner scan's entries,
 // completing every state on the way up to and including n.
 func (c *JISC) completeKeyLD(e *engine.Engine, n *engine.Node, key tuple.Value) {
-	var spine []*engine.Node
+	// The spine lives on the stack up to eight levels, the common case;
+	// a deeper one moves to the heap on the ninth append.
+	var levels [8]*engine.Node
+	spine := levels[:0]
 	cur := n
 	for !cur.IsLeaf() && !cur.St.Complete() && !cur.St.Attempted(key) {
 		spine = append(spine, cur)
@@ -299,9 +319,9 @@ func (c *JISC) completeHashFull(e *engine.Engine, n *engine.Node) {
 // `exclude` so the books reflect the instant before the triggering
 // event.
 func (c *JISC) BeforeDiffEvent(e *engine.Engine, j *engine.Node, key tuple.Value, exclude tuple.Ref, haveExclude bool) {
-	end := beginEpisode(e, key)
+	ep := beginEpisode(e, key)
 	c.completeDiffKey(e, j, key, exclude, haveExclude)
-	end()
+	ep.end(e)
 }
 
 func (c *JISC) completeDiffKey(e *engine.Engine, j *engine.Node, key tuple.Value, exclude tuple.Ref, haveExclude bool) {

@@ -529,10 +529,12 @@ func TestEvictWalkPassesCounterDropCompletedState(t *testing.T) {
 }
 
 // TestEpisodeReadsClockTwice: a completion episode reads the engine's
-// clock at its start and at its end and nowhere else — its two trace
-// events carry those instants instead of each reading a clock of their
-// own — so on a clock that advances one tick per read every episode
-// lasts exactly one tick and the events bracket the recorded duration.
+// clock at its start and at its end and nowhere else, and every episode
+// is recorded, so on a clock that advances one tick per read every
+// recorded episode lasts exactly one tick. Exactly every sixteenth
+// episode is traced, and its two events carry the instants the
+// duration was measured between instead of each reading a clock of
+// their own, so they bracket the recorded duration.
 func TestEpisodeReadsClockTwice(t *testing.T) {
 	set := obs.NewSet("q", 1<<12)
 	var reads, tracerReads int
@@ -543,7 +545,7 @@ func TestEpisodeReadsClockTwice(t *testing.T) {
 		Now: func() time.Time { reads++; return time.Unix(0, int64(reads)) },
 	})
 	defer e.Close()
-	const keys = 40
+	const keys = 160
 	for k := 0; k < keys; k++ {
 		for s := 0; s < 4; s++ {
 			e.Feed(ev(tuple.StreamID(s), tuple.Value(k)))
@@ -553,20 +555,26 @@ func TestEpisodeReadsClockTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracerBefore := tracerReads
+	// Each arrival of stream 0 opens one episode, for its own key: the
+	// i-th episode (from 1) completes key i-1.
 	for k := 0; k < keys; k++ {
 		e.Feed(ev(0, tuple.Value(k)))
 	}
 	if tracerReads != tracerBefore {
 		t.Errorf("the tracer read its own clock %d times during the episodes", tracerReads-tracerBefore)
 	}
+	rec := set.Snapshot().Completion
+	if rec.Count != keys || rec.Sum != keys || rec.Max != 1 {
+		t.Fatalf("recorded %d episodes lasting %d ns in all (max %d ns), want %d of one tick each", rec.Count, rec.Sum, rec.Max, keys)
+	}
 	var start obs.Event
-	episodes := 0
+	var traced []int64
 	for _, ev := range set.Tracer.Events() {
 		switch ev.Kind {
 		case obs.EvCompletionStart:
 			start = ev
 		case obs.EvCompletionEnd:
-			episodes++
+			traced = append(traced, ev.Key)
 			if ev.Dur != time.Nanosecond {
 				t.Fatalf("episode for key %d lasted %v on a one-tick-per-read clock: something read the clock inside it", ev.Key, ev.Dur)
 			}
@@ -575,7 +583,11 @@ func TestEpisodeReadsClockTwice(t *testing.T) {
 			}
 		}
 	}
-	if got := set.Snapshot().Completion.Count; episodes < keys || got != uint64(episodes) {
-		t.Fatalf("%d episodes traced, %d recorded, want at least %d and equal", episodes, got, keys)
+	var want []int64
+	for i := 16; i <= keys; i += 16 {
+		want = append(want, int64(i-1))
+	}
+	if fmt.Sprint(traced) != fmt.Sprint(want) {
+		t.Fatalf("traced the episodes of keys %v, want every 16th: %v", traced, want)
 	}
 }

@@ -127,7 +127,7 @@ func (c *CACQ) Feed(ev workload.Event) {
 	// no intermediate state to clean, its advantage on eviction.
 	ref := tuple.Ref{Stream: ev.Stream, Seq: seq}
 	for _, exp := range c.windows[ev.Stream].Slide(ref, ev.Key, seq) {
-		c.stems[ev.Stream].RemoveRef(exp.Key, exp.Ref)
+		c.stems[ev.Stream].RemoveRef(exp.Key, exp.Ref, nil)
 		c.met.Evictions.Add(1)
 	}
 

@@ -276,14 +276,14 @@ func (s *Stairs) completeLazy(st *state.Table, prefixes []tuple.StreamSet, idx i
 // prefix state covering its stream, continuing past incomplete states
 // whose entries for the key were never materialized (the §4.2 rule).
 func (s *Stairs) evict(exp window.Entry) {
-	s.stems[exp.Ref.Stream].RemoveRef(exp.Key, exp.Ref)
+	s.stems[exp.Ref.Stream].RemoveRef(exp.Key, exp.Ref, nil)
 	s.met.Evictions.Add(1)
 	for _, set := range s.prefixSets() {
 		if !set.Has(exp.Ref.Stream) {
 			continue
 		}
 		st := s.inter[set]
-		removed := st.RemoveRef(exp.Key, exp.Ref).Len()
+		removed := st.RemoveRef(exp.Key, exp.Ref, nil)
 		s.met.Evictions.Add(uint64(removed))
 		if removed == 0 && !(s.lazy && !st.Complete() && !st.Attempted(exp.Key)) {
 			return
@@ -346,7 +346,7 @@ func (s *Stairs) promoteAll() {
 		}
 		stem := s.stems[s.order[k+1]]
 		var l, r tuple.Tuple
-		for _, key := range below.Keys() {
+		for _, key := range below.Keys(nil) {
 			ls, rs := below.Probe(key), stem.Probe(key)
 			for i := range ls.Len() {
 				for j := range rs.Len() {

@@ -23,7 +23,7 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 	// state while an ancestor whose state survived the last transition
 	// (§4.5 adoption) still holds an entry referencing the expired
 	// tuple. The stop rule is only sound against pre-drop completeness.
-	scan.St.RemoveRef(exp.Key, exp.Ref)
+	scan.St.RemoveRef(exp.Key, exp.Ref, nil)
 	e.met.Evictions.Add(1)
 
 	last := scan
@@ -32,20 +32,16 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 			break // the root's results were emitted, not stored
 		}
 		last = j
-		retract := j.Parent == nil && e.cfg.EmitExpiry
-		keys := []tuple.Value{exp.Key}
+		var removed int
 		if j.Kind == NLJoin {
 			// A theta composite sits under its lowest stream's key,
 			// not necessarily the expired tuple's.
-			keys = j.St.Keys()
-		}
-		var removed int
-		for _, k := range keys {
-			rows := j.St.RemoveRef(k, exp.Ref)
-			for i := 0; retract && i < rows.Len(); i++ {
-				e.emit(Delta{Tuple: rows.View(i, &e.view), Retraction: true})
+			e.keys = j.St.Keys(e.keys[:0])
+			for _, k := range e.keys {
+				removed += e.removeRef(j, k, exp.Ref)
 			}
-			removed += rows.Len()
+		} else {
+			removed = e.removeRef(j, exp.Key, exp.Ref)
 		}
 		e.met.Evictions.Add(uint64(removed))
 		if removed == 0 && !e.strategy.EvictContinue(e, j, exp.Key) {
@@ -62,6 +58,21 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 			return
 		}
 	}
+}
+
+// removeRef removes the rows of j's state under key that contain ref
+// and returns how many went. A root that stores its results (under
+// EmitExpiry) retracts each removed one, in run order; every other
+// level only counts them.
+func (e *Engine) removeRef(j *Node, key tuple.Value, ref tuple.Ref) int {
+	if j.Parent != nil || !e.cfg.EmitExpiry {
+		return j.St.RemoveRef(key, ref, nil)
+	}
+	n := j.St.RemoveRef(key, ref, &e.retracted)
+	for i := range e.retracted.Len() {
+		e.emit(Delta{Tuple: e.retracted.View(i, &e.view), Retraction: true})
+	}
+	return n
 }
 
 // dropPendingAt handles the §4.3 note that the completion counter is
@@ -140,7 +151,7 @@ func (e *Engine) ArmCounter(j *Node) {
 	default:
 		return // Case 3: detection deferred to child notifications.
 	}
-	keys := side.St.Keys()
+	keys := side.St.Keys(nil)
 	pending := keys[:0]
 	for _, k := range keys {
 		if !j.St.Attempted(k) {

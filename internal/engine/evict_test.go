@@ -326,3 +326,43 @@ func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestNLEvictionAllocs: evicting from a nested-loops state lists the
+// state's keys — a theta composite sits under its lowest stream's key,
+// not necessarily the expired tuple's — into a scratch slice the engine
+// reuses, not a fresh slice per expired tuple. On full sliding windows
+// whose every arrival matches, a batch allocates only the builder's
+// arena refills, as TestFeedBatchSteadyStateAllocs's does.
+func TestNLEvictionAllocs(t *testing.T) {
+	const window, batch = 64, 256
+	e := engine.MustNew(engine.Config{
+		Plan: plan.MustLeftDeep(0, 1, 2), Kind: engine.NLJoin, WindowSize: window,
+		Theta: func(probe, stored *tuple.Tuple) bool { return probe.Key == stored.Key },
+	})
+	defer e.Close()
+	var i int
+	evs := make([]workload.Event, batch)
+	fill := func() {
+		for j := range evs {
+			evs[j] = workload.Event{Stream: tuple.StreamID(i % 3), Key: tuple.Value(i / 3 % 16)}
+			i++
+		}
+	}
+	for warm := 0; warm < 4*3*window/batch; warm++ {
+		fill()
+		e.FeedBatch(evs)
+	}
+	before := e.Metrics()
+	perBatch := testing.AllocsPerRun(50, func() {
+		fill()
+		e.FeedBatch(evs)
+	})
+	m := e.Metrics()
+	if m.Output == before.Output || m.Evictions-before.Evictions <= m.Input-before.Input {
+		t.Fatalf("output %d → %d, evictions %d → %d over %d tuples: want results and composites evicted",
+			before.Output, m.Output, before.Evictions, m.Evictions, m.Input-before.Input)
+	}
+	if perBatch > 3 {
+		t.Errorf("%.1f allocations per %d-tuple batch, want only arena refills (≤ 3)", perBatch, batch)
+	}
+}

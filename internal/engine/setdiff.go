@@ -111,7 +111,7 @@ func (e *Engine) retractDiff(below *Node, t *tuple.Tuple) {
 		e.emit(Delta{Tuple: t, Retraction: true})
 		return
 	}
-	if u.St.RemoveRef(t.Key, t.First()).Len() > 0 {
+	if u.St.RemoveRef(t.Key, t.First(), nil) > 0 {
 		e.retractDiff(u, t)
 		return
 	}
@@ -130,7 +130,7 @@ func (e *Engine) setDiffEvict(scan *Node, exp window.Entry) {
 	}
 	// Outer-stream expiry: remove from the scan state, then retract
 	// from every diff node upward.
-	scan.St.RemoveRef(exp.Key, exp.Ref)
+	scan.St.RemoveRef(exp.Key, exp.Ref, nil)
 	t := tuple.NewBase(exp.Ref.Stream, exp.Ref.Seq, exp.Key, 0)
 	e.retractDiff(scan, t)
 }
@@ -142,7 +142,7 @@ func (e *Engine) setDiffEvict(scan *Node, exp window.Entry) {
 // propagated upward as additions.
 func (e *Engine) diffInnerExpiry(j, scan *Node, exp window.Entry) {
 	last := scan.St.Probe(exp.Key).Len() == 1
-	scan.St.RemoveRef(exp.Key, exp.Ref)
+	scan.St.RemoveRef(exp.Key, exp.Ref, nil)
 	if !last {
 		return
 	}

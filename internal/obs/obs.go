@@ -14,9 +14,11 @@
 // fixed arrays of sync/atomic counters, recorded by the executor
 // goroutine and snapshotted concurrently by monitoring without locks
 // or channel round trips. The tracer is mutex-guarded but only fires
-// on migration lifecycle events, never per tuple. Everything is
-// optional: a nil *Recorder on an engine, or nil *Tracer anywhere,
-// disables the corresponding instrumentation entirely.
+// on migration lifecycle events, never per tuple: a transition's plan
+// and state classification events, and one completion episode in
+// sampleEvery (every episode is timed into the Completion histogram).
+// Everything is optional: a nil *Recorder on an engine, or nil *Tracer
+// anywhere, disables the corresponding instrumentation entirely.
 //
 // Wiring: one Set per continuous query, one Recorder per runtime
 // shard (Set.Recorder), one shared Tracer per Set. Set.Snapshot merges
@@ -29,7 +31,10 @@ import (
 )
 
 // sampleEvery is the probe/build sampling period: one in sampleEvery
-// operator probes is timed. feedEvery is the feed sampling period: one
+// operator probes is timed. It is also the completion-episode trace
+// period: every episode is timed, but one in sampleEvery is traced, so
+// a migration's thousands of episodes cannot flush its lifecycle events
+// out of the tracer's ring. feedEvery is the feed sampling period: one
 // in feedEvery FeedBatch calls is timed, as a whole. Timing everything would put several clock reads on every
 // tuple (~25% on the steady-state feed benchmark); sampling keeps the
 // overhead within the ≤10% budget while the histograms still converge
@@ -91,13 +96,14 @@ type Recorder struct {
 	// tracing.
 	Tracer *Tracer
 
-	// probes and feeds are the sampling phases. Deliberately plain
-	// (non-atomic) counters: Sample* may only be called by the one
+	// probes, feeds and episodes are the sampling phases. Deliberately
+	// plain (non-atomic) counters: Sample* may only be called by the one
 	// executor goroutine that owns the shard, and snapshots never read
 	// them — so the hot path pays no atomic RMW just to decide whether
-	// to time something.
-	probes uint64
-	feeds  uint64
+	// to time or trace something.
+	probes   uint64
+	feeds    uint64
+	episodes uint64
 }
 
 // SampleProbe reports whether this probe should be timed, advancing
@@ -109,6 +115,18 @@ func (r *Recorder) SampleProbe() bool {
 	}
 	r.probes++
 	return r.probes%sampleEvery == 0
+}
+
+// SampleEpisode reports whether this completion episode should be
+// traced, advancing the sampling phase: one in sampleEvery is. Must be
+// called only from the shard's executor goroutine. Safe for nil
+// recorders (false).
+func (r *Recorder) SampleEpisode() bool {
+	if r == nil {
+		return false
+	}
+	r.episodes++
+	return r.episodes%sampleEvery == 0
 }
 
 // SampleFeed reports whether this FeedBatch call should be timed,

@@ -22,7 +22,8 @@ const (
 	// incomplete at transition time (note holds the stream set).
 	EvStateIncomplete
 	// EvCompletionStart: a just-in-time completion episode began for
-	// Key.
+	// Key. One episode in sampleEvery is traced (Recorder.SampleEpisode);
+	// every one is timed into Recorder.Completion.
 	EvCompletionStart
 	// EvCompletionEnd: a completion episode finished; Count holds the
 	// tuples materialized, Dur the episode duration.

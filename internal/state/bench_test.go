@@ -22,7 +22,7 @@ func BenchmarkInsert(b *testing.B) {
 		t.Insert(tuple.NewBase(0, uint64(i), key, uint64(i)))
 		if t.Size() > domain {
 			old := uint64(i - domain)
-			t.RemoveRef(tuple.Value(old%domain), tuple.Ref{Stream: 0, Seq: old})
+			t.RemoveRef(tuple.Value(old%domain), tuple.Ref{Stream: 0, Seq: old}, nil)
 		}
 	}
 }
@@ -60,7 +60,7 @@ func BenchmarkEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.RemoveRef(tuple.Value(oldest%domain), tuple.Ref{Stream: 0, Seq: oldest})
+		t.RemoveRef(tuple.Value(oldest%domain), tuple.Ref{Stream: 0, Seq: oldest}, nil)
 		oldest++
 		t.Insert(tuple.NewBase(0, seq, tuple.Value(seq%domain), seq))
 		seq++
@@ -89,7 +89,7 @@ func BenchmarkRemoveRefHotBucket(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				back.Data = append(back.Data[:0], t.RemoveRef(7, tuple.Ref{Stream: 0, Seq: uint64(i % perStream)}).Data...)
+				t.RemoveRef(7, tuple.Ref{Stream: 0, Seq: uint64(i % perStream)}, &back)
 				if back.Len() != entries/perStream {
 					b.Fatalf("removed %d entries, want %d", back.Len(), entries/perStream)
 				}
@@ -120,7 +120,7 @@ func BenchmarkTableWindowChurn(b *testing.B) {
 		t.MarkAttempted(key)
 		if i >= window {
 			old := i - window
-			t.RemoveRef(tuple.Value(old*7%domain), tuple.Ref{Stream: 0, Seq: uint64(old)})
+			t.RemoveRef(tuple.Value(old*7%domain), tuple.Ref{Stream: 0, Seq: uint64(old)}, nil)
 		}
 		if i%period == period-1 {
 			t.MarkIncomplete()

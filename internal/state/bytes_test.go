@@ -31,7 +31,7 @@ func TestTableByteAccounting(t *testing.T) {
 
 	// Evict a few refs, as the sliding window would.
 	for i := 0; i < 7; i++ {
-		tbl.RemoveRef(tuple.Value(i%5), tuple.Ref{Stream: 0, Seq: uint64(i + 1)})
+		tbl.RemoveRef(tuple.Value(i%5), tuple.Ref{Stream: 0, Seq: uint64(i + 1)}, nil)
 	}
 	if tbl.Bytes() != sumBytes(tbl) {
 		t.Fatalf("after evictions: accounted %d, actual %d", tbl.Bytes(), sumBytes(tbl))
@@ -72,8 +72,8 @@ func TestTableByteAccountingComposites(t *testing.T) {
 	if want := 2*TupleBytes(comp.Set) + SlotBytes; tbl.Bytes() != want {
 		t.Fatalf("after a second row: accounted %d, want %d", tbl.Bytes(), want)
 	}
-	tbl.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 3})
-	tbl.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 1})
+	tbl.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 3}, nil)
+	tbl.RemoveRef(9, tuple.Ref{Stream: 0, Seq: 1}, nil)
 	if tbl.Bytes() != 0 {
 		t.Fatalf("after eviction: %d", tbl.Bytes())
 	}
@@ -92,8 +92,8 @@ func TestListByteAccounting(t *testing.T) {
 		t.Fatalf("accounted %d, want %d", tb.Bytes(), want)
 	}
 	removed := 0
-	for _, k := range tb.Keys() {
-		removed += tb.RemoveRef(k, tuple.Ref{Stream: 1, Seq: 1}).Len()
+	for _, k := range tb.Keys(nil) {
+		removed += tb.RemoveRef(k, tuple.Ref{Stream: 1, Seq: 1}, nil)
 	}
 	if removed != 10 || tb.Bytes() != 0 {
 		t.Fatalf("after eviction: removed %d, accounted %d", removed, tb.Bytes())

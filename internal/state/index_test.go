@@ -126,7 +126,7 @@ func TestTableIndexMatchesModel(t *testing.T) {
 						break
 					}
 					ref := b[rng.Intn(len(b))].First()
-					if got := tb.RemoveRef(k, ref).Len(); got != 1 {
+					if got := tb.RemoveRef(k, ref, nil); got != 1 {
 						t.Fatalf("step %d: RemoveRef(%d, %v) removed %d tuples, want 1", step, k, ref, got)
 					}
 					m.buckets[k] = slices.DeleteFunc(b, func(tup *tuple.Tuple) bool { return tup.First() == ref })
@@ -196,7 +196,7 @@ func TestTableIndexMatchesModel(t *testing.T) {
 				if got, want := tb.DistinctKeys(), len(m.buckets); got != want {
 					t.Fatalf("step %d (%s %d): DistinctKeys = %d, model %d", step, op, k, got, want)
 				}
-				keys := tb.Keys()
+				keys := tb.Keys(nil)
 				slices.Sort(keys)
 				want := make([]tuple.Value, 0, len(m.buckets))
 				for c := range m.buckets {

@@ -52,7 +52,7 @@ func TestTableRemoveRef(t *testing.T) {
 	b2 := base(1, 2, 5)
 	tb.Insert(tuple.Join(a, b1))
 	tb.Insert(tuple.Join(a, b2))
-	removed := tb.RemoveRef(5, tuple.Ref{Stream: 1, Seq: 1}).Len()
+	removed := tb.RemoveRef(5, tuple.Ref{Stream: 1, Seq: 1}, nil)
 	if removed != 1 {
 		t.Fatalf("removed %d tuples, want 1", removed)
 	}
@@ -60,12 +60,12 @@ func TestTableRemoveRef(t *testing.T) {
 		t.Fatalf("Size = %d after removal, want 1", tb.Size())
 	}
 	// Removing the ref shared by all remaining tuples empties the bucket.
-	removed = tb.RemoveRef(5, tuple.Ref{Stream: 0, Seq: 1}).Len()
+	removed = tb.RemoveRef(5, tuple.Ref{Stream: 0, Seq: 1}, nil)
 	if removed != 1 || tb.Size() != 0 || tb.DistinctKeys() != 0 {
 		t.Fatalf("bucket not fully drained: removed=%d size=%d keys=%d",
 			removed, tb.Size(), tb.DistinctKeys())
 	}
-	if tb.RemoveRef(5, tuple.Ref{Stream: 0, Seq: 1}).Len() != 0 {
+	if tb.RemoveRef(5, tuple.Ref{Stream: 0, Seq: 1}, nil) != 0 {
 		t.Error("removal from empty bucket returned tuples")
 	}
 }
@@ -148,7 +148,7 @@ func TestTableKeysAndEach(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tb.Insert(base(0, uint64(i), tuple.Value(i%3)))
 	}
-	if got := len(tb.Keys()); got != 3 {
+	if got := len(tb.Keys(nil)); got != 3 {
 		t.Fatalf("Keys len = %d, want 3", got)
 	}
 	n := 0
@@ -201,8 +201,8 @@ func TestTableSizeInvariantProperty(t *testing.T) {
 		// Remove a handful of random refs.
 		for i := 0; i < 20; i++ {
 			seq := uint64(rng.Intn(100))
-			for _, k := range tb.Keys() {
-				tb.RemoveRef(k, tuple.Ref{Stream: 0, Seq: seq})
+			for _, k := range tb.Keys(nil) {
+				tb.RemoveRef(k, tuple.Ref{Stream: 0, Seq: seq}, nil)
 			}
 		}
 		total := 0
@@ -276,13 +276,13 @@ func TestListRemoveRef(t *testing.T) {
 	tb.InsertJoin(base(0, 3, 30), base(1, 2, 21))
 	// b's composites sit under two keys; every key is asked.
 	removed := 0
-	for _, k := range tb.Keys() {
-		removed += tb.RemoveRef(k, b.First()).Len()
+	for _, k := range tb.Keys(nil) {
+		removed += tb.RemoveRef(k, b.First(), nil)
 	}
 	if removed != 2 || tb.Size() != 1 || tb.DistinctKeys() != 1 {
 		t.Fatalf("RemoveRef: removed=%d size=%d keys=%d", removed, tb.Size(), tb.DistinctKeys())
 	}
-	if got := tb.RemoveRef(30, tuple.Ref{Stream: 1, Seq: 99}); got.Len() != 0 {
+	if got := tb.RemoveRef(30, tuple.Ref{Stream: 1, Seq: 99}, nil); got != 0 {
 		t.Fatal("removed nonexistent ref")
 	}
 }
@@ -386,7 +386,7 @@ func TestTableArenaReuse(t *testing.T) {
 		tb.Insert(base(0, seq, 7))
 	}
 	for seq := uint64(0); seq < 4; seq++ {
-		tb.RemoveRef(7, tuple.Ref{Stream: 0, Seq: seq})
+		tb.RemoveRef(7, tuple.Ref{Stream: 0, Seq: seq}, nil)
 	}
 	if len(tb.free) != 1 {
 		t.Fatalf("free list has %d arrays, want 1", len(tb.free))
@@ -401,7 +401,7 @@ func TestTableArenaReuse(t *testing.T) {
 	seq := uint64(1000)
 	seqs := make([]uint64, 1)
 	allocs := testing.AllocsPerRun(200, func() {
-		tb.RemoveRef(9, tuple.Ref{Stream: 0, Seq: seq - 900})
+		tb.RemoveRef(9, tuple.Ref{Stream: 0, Seq: seq - 900}, nil)
 		seqs[0] = seq + 100 - 900
 		tb.Insert(&tuple.Tuple{Key: 9, Set: tuple.NewStreamSet(0), Seqs: seqs})
 		seq++
@@ -411,23 +411,37 @@ func TestTableArenaReuse(t *testing.T) {
 	}
 }
 
-// TestTableRemovedScratchInvalidation documents the RemoveRef result
-// ownership: the slice is reused by the next RemoveRef on the table.
-func TestTableRemovedScratchInvalidation(t *testing.T) {
+// TestTableRemoveRefCopiesIntoDestination documents the RemoveRef
+// result: a count, and — only when the caller passes a destination — a
+// copy of the removed rows, reusing the destination's array, which the
+// table never touches again.
+func TestTableRemoveRefCopiesIntoDestination(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0))
 	tb.Insert(base(0, 1, 1))
 	tb.Insert(base(0, 2, 2))
+	tb.Insert(base(0, 3, 2))
+	var dst tuple.Rows
 	var v tuple.Tuple
-	first := tb.RemoveRef(1, tuple.Ref{Stream: 0, Seq: 1})
-	if first.Len() != 1 || first.Key != 1 || first.View(0, &v).First().Seq != 1 {
-		t.Fatalf("first removal = %v", tuples(first))
+	if n := tb.RemoveRef(1, tuple.Ref{Stream: 0, Seq: 1}, &dst); n != 1 || dst.Len() != 1 || dst.Key != 1 || dst.View(0, &v).First().Seq != 1 {
+		t.Fatalf("first removal: %d rows, destination %v", n, tuples(dst))
 	}
-	second := tb.RemoveRef(2, tuple.Ref{Stream: 0, Seq: 2})
-	if second.Len() != 1 || second.Key != 2 || second.View(0, &v).First().Seq != 2 {
-		t.Fatalf("second removal = %v", tuples(second))
+	array := &dst.Data[0]
+	if n := tb.RemoveRef(2, tuple.Ref{Stream: 0, Seq: 2}, &dst); n != 1 || dst.Len() != 1 || dst.Key != 2 || dst.View(0, &v).First().Seq != 2 {
+		t.Fatalf("second removal: %d rows, destination %v", n, tuples(dst))
 	}
-	// first aliases the scratch buffer now holding the second result.
-	if first.View(0, &v).First().Seq != 2 {
-		t.Fatal("RemoveRef result unexpectedly survived a second call; update docs if this becomes guaranteed")
+	if &dst.Data[0] != array {
+		t.Fatal("the second removal did not reuse the destination's array")
+	}
+	// The table's own run moved down over the removed row; the copy
+	// did not move with it.
+	tb.Insert(base(0, 4, 2))
+	if dst.View(0, &v).First().Seq != 2 {
+		t.Fatalf("the destination changed under a later Insert: %v", tuples(dst))
+	}
+	if n := tb.RemoveRef(2, tuple.Ref{Stream: 0, Seq: 9}, &dst); n != 0 || dst.Len() != 0 {
+		t.Fatalf("a miss removed %d rows and left %v in the destination", n, tuples(dst))
+	}
+	if n := tb.RemoveRef(2, tuple.Ref{Stream: 0, Seq: 3}, nil); n != 1 || tb.Size() != 1 {
+		t.Fatalf("a removal without a destination removed %d rows, size %d", n, tb.Size())
 	}
 }

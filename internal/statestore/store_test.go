@@ -120,7 +120,7 @@ func TestTombstoneEviction(t *testing.T) {
 	// Evict the first round (seqs 1..4) in order, like a sliding
 	// window would.
 	for i := 0; i < 4; i++ {
-		tuples(tbl.RemoveRef(tuple.Value(i%4), tuple.Ref{Stream: 0, Seq: uint64(i + 1)}))
+		tbl.RemoveRef(tuple.Value(i%4), tuple.Ref{Stream: 0, Seq: uint64(i + 1)}, nil)
 	}
 	if tbl.Size() != 4 {
 		t.Fatalf("size after eviction = %d, want 4", tbl.Size())
@@ -143,7 +143,7 @@ func TestTombstoneEviction(t *testing.T) {
 	}
 	// Evict the second round; keys disappear entirely.
 	for i := 0; i < 4; i++ {
-		tuples(tbl.RemoveRef(tuple.Value(i%4), tuple.Ref{Stream: 0, Seq: uint64(i + 5)}))
+		tbl.RemoveRef(tuple.Value(i%4), tuple.Ref{Stream: 0, Seq: uint64(i + 5)}, nil)
 	}
 	if tbl.Size() != 0 {
 		t.Fatalf("size = %d, want 0", tbl.Size())
@@ -243,9 +243,9 @@ func TestInsertUnderSpilledKeyNeverFaults(t *testing.T) {
 		if st := s.Stats(); st.Faults != 0 || fs.Reads.Load() != 0 {
 			t.Fatalf("inserts faulted %d times and read %d times, want none", st.Faults, fs.Reads.Load())
 		}
-		if tbl.Size() != 12 || !tbl.ContainsKey(0) || tbl.DistinctKeys() != 10 || len(tbl.Keys()) != 10 {
+		if tbl.Size() != 12 || !tbl.ContainsKey(0) || tbl.DistinctKeys() != 10 || len(tbl.Keys(nil)) != 10 {
 			t.Fatalf("split key miscounted: size %d, contains %v, distinct %d, keys %d",
-				tbl.Size(), tbl.ContainsKey(0), tbl.DistinctKeys(), len(tbl.Keys()))
+				tbl.Size(), tbl.ContainsKey(0), tbl.DistinctKeys(), len(tbl.Keys(nil)))
 		}
 		var each []uint64
 		tbl.Each(func(tup *tuple.Tuple) bool {
@@ -286,14 +286,14 @@ func TestTombstoneRoutesBySeq(t *testing.T) {
 	if tuples(tbl.ResidentBucket(0)) == nil || s.Stats().SpilledBuckets == 0 {
 		t.Fatal("key 0 is not split")
 	}
-	tuples(tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}))
+	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}, nil)
 	if got := seqs(tuples(tbl.ResidentBucket(0))); fmt.Sprint(got) != "[7]" || tbl.Size() != 6 {
 		t.Fatalf("expiring seq 1 touched the resident part: %v, size %d", got, tbl.Size())
 	}
-	if got := tuples(tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 7})); len(got) != 1 || !tbl.ContainsKey(0) {
+	if got := tuples(removeRows(tbl, 0, tuple.Ref{Stream: 0, Seq: 7})); len(got) != 1 || !tbl.ContainsKey(0) {
 		t.Fatalf("expiring seq 7 removed %v, key present %v", got, tbl.ContainsKey(0))
 	}
-	tuples(tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 2}))
+	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 2}, nil)
 	if tbl.ContainsKey(0) || tbl.Size() != 4 {
 		t.Fatalf("key 0 should be gone: contains %v, size %d", tbl.ContainsKey(0), tbl.Size())
 	}
@@ -314,7 +314,7 @@ func TestCompaction(t *testing.T) {
 		tbl.Insert(base(0, uint64(i+1), tuple.Value(i)))
 	}
 	for i := 0; i < 56; i++ {
-		tuples(tbl.RemoveRef(tuple.Value(i), tuple.Ref{Stream: 0, Seq: uint64(i + 1)}))
+		tbl.RemoveRef(tuple.Value(i), tuple.Ref{Stream: 0, Seq: uint64(i + 1)}, nil)
 	}
 	st := s.Stats()
 	if o, c := fs.Opens.Load(), fs.Closes.Load(); o-c != st.Segments {
@@ -371,15 +371,15 @@ func TestCompactionCopyMatchesDecode(t *testing.T) {
 		if tombstoned {
 			for k := 0; k < 8; k++ {
 				ref := tuple.Ref{Stream: 0, Seq: uint64(k + 1)}
-				tuples(tbl.RemoveRef(tuple.Value(k), ref))
-				tuples(model.RemoveRef(tuple.Value(k), ref))
+				tbl.RemoveRef(tuple.Value(k), ref, nil)
+				model.RemoveRef(tuple.Value(k), ref, nil)
 			}
 		}
 		before := s.Stats().Compactions
 		for k := 100; k < 180; k++ {
 			ref := tuple.Ref{Stream: 0, Seq: uint64(24 + k - 100 + 1)}
-			tuples(tbl.RemoveRef(tuple.Value(k), ref))
-			tuples(model.RemoveRef(tuple.Value(k), ref))
+			tbl.RemoveRef(tuple.Value(k), ref, nil)
+			model.RemoveRef(tuple.Value(k), ref, nil)
 		}
 		st := s.Stats()
 		if st.Compactions == before {
@@ -668,7 +668,7 @@ func TestFailedFlushLosesNoBucket(t *testing.T) {
 	if seen != size {
 		t.Fatalf("Each saw %d of %d tuples after the failed flush", seen, size)
 	}
-	tuples(tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}))
+	tbl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}, nil)
 	if tbl.ContainsKey(0) || tbl.Size() != size-1 {
 		t.Fatal("expiry of a bucket in the unflushed tail went wrong")
 	}
@@ -718,7 +718,7 @@ func TestListAccounting(t *testing.T) {
 	if st := s.Stats(); nl.Bytes() != want || st.ResidentBytes != want || st.Spills != 0 {
 		t.Fatalf("table bytes %d, store %+v, want %d resident and no spill", nl.Bytes(), st, want)
 	}
-	if nl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}).Len() != 1 {
+	if nl.RemoveRef(0, tuple.Ref{Stream: 0, Seq: 1}, nil) != 1 {
 		t.Fatal("RemoveRef removed nothing")
 	}
 	want -= oneRowKey
@@ -788,6 +788,14 @@ func TestStringerSmoke(t *testing.T) {
 var oneRowKey = state.TupleBytes(tuple.NewStreamSet(0)) + state.SlotBytes
 
 // tuples copies lent rows out as tuples a test may keep; none is nil.
+// removeRows runs RemoveRef with a destination and returns the rows it
+// copied there.
+func removeRows(tb *state.Table, key tuple.Value, ref tuple.Ref) tuple.Rows {
+	var rows tuple.Rows
+	tb.RemoveRef(key, ref, &rows)
+	return rows
+}
+
 func tuples(r tuple.Rows) []*tuple.Tuple {
 	if r.Len() == 0 {
 		return nil
