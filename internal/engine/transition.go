@@ -39,6 +39,7 @@ func (e *Engine) Migrate(newPlan *plan.Plan) error {
 	if e.obs != nil {
 		start = e.now()
 	}
+	defer e.met.Publish()
 	e.met.Transitions.Add(1)
 	oldPlan := e.plan.String()
 	e.install(newPlan, false)

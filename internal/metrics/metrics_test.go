@@ -37,7 +37,7 @@ func TestOutputLatency(t *testing.T) {
 }
 
 // TestMarkOutputsAtCountsAProbeAtOnce: a probe's results count with one
-// Output.Add, so a snapshot taken concurrently sees whole probes only —
+// Output.Add, so a snapshot read concurrently sees whole probes only —
 // always a multiple of the probe's result count, never part of one.
 func TestMarkOutputsAtCountsAProbeAtOnce(t *testing.T) {
 	var c Collector
@@ -47,6 +47,7 @@ func TestMarkOutputsAtCountsAProbeAtOnce(t *testing.T) {
 		defer close(done)
 		for i := 0; i < probes; i++ {
 			c.Output.Add(perProbe)
+			c.Publish()
 		}
 	}()
 	for running := true; running; {
@@ -55,7 +56,7 @@ func TestMarkOutputsAtCountsAProbeAtOnce(t *testing.T) {
 			running = false
 		default:
 		}
-		if out := c.Snapshot().Output; out%perProbe != 0 {
+		if out := c.Published().Output; out%perProbe != 0 {
 			t.Fatalf("snapshot saw output=%d, part of a probe of %d results", out, perProbe)
 		}
 	}
@@ -79,50 +80,55 @@ func TestSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshot exercises the lock-free contract: counters
-// incremented from many goroutines while another snapshots. Run under
-// -race this is the regression test for the control-channel-free
-// metrics path.
+// TestConcurrentSnapshot exercises the lock-free contract: the owner
+// counts and publishes while other goroutines read what it published.
+// Run under -race this is the regression test for the
+// control-channel-free metrics path: a reader sees every counter only
+// grow, and the last publish in full.
 func TestConcurrentSnapshot(t *testing.T) {
 	var c Collector
-	const workers = 4
-	const perWorker = 10000
+	const readers = 4
+	const n = 10000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = c.Snapshot()
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
+	for range readers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Input.Add(1)
-				c.Probes.Add(1)
-				if i%100 == 0 {
-					c.Output.Add(1)
+			var last Snapshot
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
+				s := c.Published()
+				if s.Input < last.Input || s.Probes < last.Probes || s.Output < last.Output {
+					t.Errorf("published counters went back: %+v after %+v", s, last)
+					return
+				}
+				last = s
 			}
 		}()
 	}
-	wg.Wait()
+	for i := 0; i < n; i++ {
+		c.Input.Add(1)
+		c.Probes.Add(1)
+		if i%100 == 0 {
+			c.Output.Add(1)
+		}
+		if i%64 == 0 {
+			c.Publish()
+		}
+	}
+	c.Publish()
 	close(stop)
-	s := c.Snapshot()
-	if s.Input != workers*perWorker {
-		t.Fatalf("Input = %d, want %d", s.Input, workers*perWorker)
+	wg.Wait()
+	if s, want := c.Published(), (Snapshot{Input: n, Probes: n, Output: n / 100}); s != want {
+		t.Fatalf("Published = %+v, want %+v", s, want)
 	}
-	if s.Probes != workers*perWorker {
-		t.Fatalf("Probes = %d, want %d", s.Probes, workers*perWorker)
-	}
-	if s.Output != workers*perWorker/100 {
-		t.Fatalf("Output = %d, want %d", s.Output, workers*perWorker/100)
+	if s := c.Snapshot(); s != c.Published() {
+		t.Fatalf("Snapshot %+v differs from the last publish %+v", s, c.Published())
 	}
 }
 

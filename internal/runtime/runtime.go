@@ -436,15 +436,16 @@ func (rt *Runtime) Metrics() (metrics.Snapshot, error) {
 }
 
 // Snapshot merges the shard counters live, without control-channel
-// round trips: the per-engine collectors are atomic, so monitoring
-// reads them concurrently with the workers and never queues behind
-// tuples. Unlike Metrics it reflects the instant of the call, not the
+// round trips: each engine publishes its counters at the end of every
+// batch and migration, so monitoring reads them concurrently with the
+// workers and never queues behind tuples. Unlike Metrics it reflects
+// each shard's last finished batch at the instant of the call, not the
 // point after previously enqueued work. Safe from any goroutine,
 // including after Close.
 func (rt *Runtime) Snapshot() metrics.Snapshot {
 	snaps := make([]metrics.Snapshot, len(rt.shards))
 	for i, s := range rt.shards {
-		snaps[i] = s.eng.Metrics()
+		snaps[i] = s.eng.Collector().Published()
 	}
 	return metrics.MergeShards(snaps)
 }

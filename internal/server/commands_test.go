@@ -80,7 +80,7 @@ func TestFeedCoalescingIgnoresCase(t *testing.T) {
 	if c.lines != 3 || len(c.batch) != 3 {
 		t.Fatalf("coalesced %d lines into a batch of %d, want 3 and 3 (the run ends at feedb)", c.lines, len(c.batch))
 	}
-	if next, _, _ := bufferedLine(c.br); next != "feedb 0 1" {
+	if next, _ := bufferedLine(c.br); string(next) != "feedb 0 1" {
 		t.Fatalf("next buffered line = %q", next)
 	}
 	if got := s.walDisabled.Load(); got != 3 {
