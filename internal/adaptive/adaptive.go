@@ -50,12 +50,12 @@ import (
 type Target interface {
 	// ScanStats returns cumulative per-stream scan counters (summed
 	// across shards), ascending by stream ID.
-	ScanStats() ([]engine.ScanStats, error)
+	ScanStats() []engine.ScanStats
 	// ObsSnapshot returns the merged latency histograms; an empty
 	// snapshot (Feed.Count == 0) disables the regression guard.
 	ObsSnapshot() obs.SetSnapshot
-	// Plan returns the currently executing plan.
-	Plan() (*plan.Plan, error)
+	// Plan returns the plan last applied.
+	Plan() *plan.Plan
 	// Migrate transitions every shard to p.
 	Migrate(p *plan.Plan) error
 }
@@ -253,11 +253,7 @@ func (c *Controller) Step(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	stats, err := c.target.ScanStats()
-	if err != nil {
-		return // target closing; the loop will be stopped shortly
-	}
-	c.advisor.observeScanStats(stats)
+	c.advisor.observeScanStats(c.target.ScanStats())
 	feed := c.target.ObsSnapshot().Feed
 
 	if c.guardArmed {
@@ -273,10 +269,7 @@ func (c *Controller) Step(now time.Time) {
 		c.anchor, c.anchorAt = feed, now
 	}
 
-	cur, err := c.target.Plan()
-	if err != nil {
-		return
-	}
+	cur := c.target.Plan()
 	p, ok := c.advisor.propose(cur)
 	if !ok {
 		// The advisor no longer stands by the pending candidate (or the
@@ -364,18 +357,15 @@ func (c *Controller) judge(now time.Time, feed obs.HistSnapshot) {
 }
 
 // SingleEngine adapts a bare deterministic engine to the Target
-// interface for in-process use (examples, tests). The engine is
-// single-threaded: the caller must not feed it concurrently with
+// interface for in-process use (examples, tests): the engine's own
+// ScanStats, Plan and Migrate, read and called by its owner. The engine
+// is single-threaded: the caller must not feed it concurrently with
 // controller steps, so pair SingleEngine with manual Step calls, not
 // with Start.
-type SingleEngine struct{ E *engine.Engine }
-
-func (s SingleEngine) ScanStats() ([]engine.ScanStats, error) { return s.E.ScanStats(), nil }
-func (s SingleEngine) Plan() (*plan.Plan, error)              { return s.E.Plan(), nil }
-func (s SingleEngine) Migrate(p *plan.Plan) error             { return s.E.Migrate(p) }
+type SingleEngine struct{ *engine.Engine }
 
 func (s SingleEngine) ObsSnapshot() obs.SetSnapshot {
-	if r := s.E.Obs(); r != nil {
+	if r := s.Obs(); r != nil {
 		return r.Snapshot()
 	}
 	return obs.SetSnapshot{}

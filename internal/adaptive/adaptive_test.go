@@ -22,12 +22,11 @@ type fakeTarget struct {
 	cur        *plan.Plan
 	migrated   []string
 	migrateErr error
-	scanErr    error
 }
 
-func (f *fakeTarget) ScanStats() ([]engine.ScanStats, error) { return f.stats, f.scanErr }
-func (f *fakeTarget) ObsSnapshot() obs.SetSnapshot           { return f.snap }
-func (f *fakeTarget) Plan() (*plan.Plan, error)              { return f.cur, nil }
+func (f *fakeTarget) ScanStats() []engine.ScanStats { return f.stats }
+func (f *fakeTarget) ObsSnapshot() obs.SetSnapshot  { return f.snap }
+func (f *fakeTarget) Plan() *plan.Plan              { return f.cur }
 
 func (f *fakeTarget) Migrate(p *plan.Plan) error {
 	if f.migrateErr != nil {
@@ -265,16 +264,12 @@ func TestGuardSilentWithoutSamples(t *testing.T) {
 	}
 }
 
+// TestStepToleratesTargetErrors: a Migrate the target refuses is not
+// counted as a migration. Reading the target cannot fail: its
+// statistics and plan are what the shards last published.
 func TestStepToleratesTargetErrors(t *testing.T) {
 	f := newFake()
 	c := MustNew(f, Config{MinProbes: 1})
-	f.scanErr = errors.New("closing")
-	f.setSel(1.0, 0.5, 0.0)
-	c.Step(t0) // must not panic or migrate
-	if c.Migrations() != 0 || c.Proposals() != 0 {
-		t.Fatalf("Step acted on a failing target: proposals=%d migrations=%d", c.Proposals(), c.Migrations())
-	}
-	f.scanErr = nil
 	f.migrateErr = errors.New("shard stopped")
 	for tick := 1; tick <= confirm; tick++ {
 		f.setSel(1.0, 0.5, 0.0)
@@ -334,7 +329,7 @@ func TestSingleEngineAutopilot(t *testing.T) {
 		WindowSize: 200,
 		Strategy:   core.New(),
 	})
-	c := MustNew(SingleEngine{E: e}, Config{Cooldown: time.Second, MinProbes: 16})
+	c := MustNew(SingleEngine{Engine: e}, Config{Cooldown: time.Second, MinProbes: 16})
 	src := workload.MustNewSource(workload.Config{
 		Streams: 3, Domain: 200, Seed: 7, Domains: []int64{4, 2000, 2000},
 	})
@@ -393,7 +388,7 @@ func TestAutopilotHoseShiftWork(t *testing.T) {
 		e := engine.MustNew(engine.Config{Plan: initial, WindowSize: hoseShiftWindow, Strategy: core.New()})
 		var c *Controller
 		if auto {
-			c = MustNew(SingleEngine{E: e}, Config{Cooldown: 2 * time.Second})
+			c = MustNew(SingleEngine{Engine: e}, Config{Cooldown: 2 * time.Second})
 		}
 		clock := t0
 		for i, ev := range evs {

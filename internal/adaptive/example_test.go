@@ -21,7 +21,7 @@ func ExampleController_Step() {
 	e := engine.MustNew(engine.Config{
 		Plan: plan.MustLeftDeep(0, 1, 2, 3, 4), WindowSize: 300, Strategy: core.New(),
 	})
-	auto := adaptive.MustNew(adaptive.SingleEngine{E: e}, adaptive.Config{
+	auto := adaptive.MustNew(adaptive.SingleEngine{Engine: e}, adaptive.Config{
 		Cooldown: 2 * time.Second, MinProbes: 32,
 	})
 	clock := time.Unix(0, 0)

@@ -326,5 +326,6 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 			}
 		}
 	}
+	e.publish()
 	return e, nil
 }

@@ -1,10 +1,10 @@
 // Package engine implements the paper's execution model (§2.1): a
 // push-based pipeline of binary tree-structured operators — stream
 // scans at the leaves, symmetric hash joins (or nested-loops joins for
-// theta queries, or set-differences) at internal nodes — with
-// count-based sliding windows, bottom-up eviction propagation, and a
-// pluggable migration strategy that decides what happens to operator
-// states when the plan changes at runtime.
+// theta queries, or set-differences) at internal nodes — with sliding
+// windows over tuple counts or arrival ticks, bottom-up eviction
+// propagation, and a pluggable migration strategy that decides what
+// happens to operator states when the plan changes at runtime.
 //
 // The engine is deterministic and single-threaded: Feed processes one
 // input tuple to completion before returning and nothing depends on map
@@ -24,6 +24,7 @@
 //	transition.go Migrate
 //	evict.go      bottom-up eviction propagation, §4.3 counters
 //	static.go     the no-migration baseline strategy
+//	view.go       the view the engine publishes for other goroutines
 package engine
 
 import (
@@ -92,6 +93,7 @@ type Engine struct {
 	strategy Strategy
 	out      Output
 	met      metrics.Collector
+	pub      View // what publish last wrote
 	obs      *obs.Recorder
 	now      func() time.Time
 	// bld is the engine's scratch allocator, acquired from the shared
@@ -183,6 +185,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	ids := cfg.Plan.Streams.Streams()
 	e.streams = make([]streamState, int(ids[len(ids)-1])+1)
+	e.pub.scans = make([]scanView, len(e.streams))
 	for _, id := range ids {
 		span := cfg.TimeSpan
 		if span == 0 {
@@ -225,6 +228,7 @@ func New(cfg Config) (*Engine, error) {
 		e.store = store
 	}
 	e.install(cfg.Plan, true)
+	e.publish()
 	return e, nil
 }
 
@@ -258,9 +262,7 @@ func (e *Engine) Scan(id tuple.StreamID) *Node {
 func (e *Engine) Tick() uint64 { return e.tick }
 
 // Metrics implements Executor: the live counters, for the goroutine
-// that feeds the engine. Another goroutine reads
-// Collector().Published(), the counters as of the last FeedBatch or
-// Migrate.
+// that feeds the engine. Another goroutine reads View().Metrics().
 func (e *Engine) Metrics() metrics.Snapshot { return e.met.Snapshot() }
 
 // Collector exposes the live metrics collector to strategies.
@@ -315,19 +317,18 @@ func (e *Engine) SpillStats() (statestore.Stats, bool) {
 }
 
 // StateBytes returns the resident byte footprint of the engine's state
-// (row and slot bytes, state.TupleBytes). With spilling enabled it reads the
-// store's atomic counter and is safe from any goroutine; otherwise it
-// sums the live tables and must run on the goroutine that feeds the
-// engine.
-func (e *Engine) StateBytes() int64 {
-	if e.store != nil {
-		return e.store.Stats().ResidentBytes
+// (row and slot bytes, state.TupleBytes), summed over the plan's tables:
+// with a state budget, the store's resident count. For the goroutine
+// that feeds the engine; another goroutine reads View().StateBytes().
+func (e *Engine) StateBytes() int64 { return treeBytes(e.root) }
+
+// treeBytes sums the state bytes of n's subtree: a walk of a plan's few
+// nodes costs publish less, every batch, than a range over e.states.
+func treeBytes(n *Node) int64 {
+	if n == nil {
+		return 0
 	}
-	var b int64
-	for _, st := range e.states {
-		b += st.Bytes()
-	}
-	return b
+	return n.St.Bytes() + treeBytes(n.Left) + treeBytes(n.Right)
 }
 
 // Feed implements Executor: a batch of one.
@@ -364,7 +365,7 @@ func (e *Engine) FeedBatch(evs []workload.Event) {
 		e.obs.Feed.Record(e.now().Sub(start) / time.Duration(len(evs)))
 	}
 	e.obs.ObserveBatchFill(len(evs))
-	e.met.Publish()
+	e.publish()
 }
 
 // FeedStamped processes ev using caller-assigned identity: seq is the

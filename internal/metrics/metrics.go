@@ -6,10 +6,8 @@
 // A Collector belongs to one executor goroutine, which counts with
 // plain adds: an atomic add is a lock-prefixed instruction, a full
 // memory barrier, and the tuple path counts several times per tuple.
-// The owner publishes the counters (Publish) at the end of each batch
-// and migration; any other goroutine reads what it published
-// (Published), lock-free, so monitoring never round-trips through the
-// executor's control channel.
+// Another goroutine never reads a Collector; the served engine
+// publishes its counters for other goroutines itself (engine.View).
 // Timings are not kept here: the served engine records latency
 // histograms in package obs, and the figures measure their own
 // transition-to-first-output windows (package bench).
@@ -18,7 +16,6 @@ package metrics
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Counter is one work counter of a Collector, added to only by the
@@ -35,9 +32,7 @@ func (c *Counter) Load() uint64 { return c.n }
 func (c *Counter) Store(n uint64) { c.n = n }
 
 // Collector accumulates the counters of one executor run. The zero
-// value is ready to use. Only its owner goroutine may count, Restore,
-// Snapshot and Publish; any goroutine may read Published. A Collector
-// must not be copied after first use.
+// value is ready to use. Only its owner goroutine may use it.
 type Collector struct {
 	// Input counts tuples fed into the executor.
 	Input Counter
@@ -63,16 +58,12 @@ type Collector struct {
 	// migration strategy (e.g. eager moving-state joins, parallel
 	// track double-processing).
 	MigrationWork Counter
-
-	// published is the last Publish, in Snapshot.fields order.
-	published [numFields]atomic.Uint64
 }
 
-// Restore overwrites the collector with s and publishes it — used when
-// resuming an engine from a checkpoint, so lifetime counters survive a
-// restart instead of resetting to zero.
+// Restore overwrites the collector with s — used when resuming an
+// engine from a checkpoint, so lifetime counters survive a restart
+// instead of resetting to zero.
 func (c *Collector) Restore(s Snapshot) {
-	defer c.Publish()
 	c.Input.Store(s.Input)
 	c.Output.Store(s.Output)
 	c.Probes.Store(s.Probes)
@@ -91,7 +82,7 @@ type Snapshot struct {
 	Transitions, MigrationWork               uint64
 }
 
-// Snapshot copies the current counters, for the owner.
+// Snapshot copies the current counters.
 func (c *Collector) Snapshot() Snapshot {
 	return Snapshot{
 		Input: c.Input.Load(), Output: c.Output.Load(),
@@ -100,35 +91,6 @@ func (c *Collector) Snapshot() Snapshot {
 		Evictions:   c.Evictions.Load(),
 		Transitions: c.Transitions.Load(), MigrationWork: c.MigrationWork.Load(),
 	}
-}
-
-// Publish makes the current counters what Published returns.
-func (c *Collector) Publish() {
-	s := c.Snapshot()
-	for i, f := range s.fields() {
-		c.published[i].Store(*f)
-	}
-}
-
-// Published returns the counters as of the owner's last Publish. It is
-// safe to call from any goroutine, concurrently with counting; each
-// counter is read atomically, and two counters may come from
-// consecutive publishes.
-func (c *Collector) Published() Snapshot {
-	var s Snapshot
-	for i, f := range s.fields() {
-		*f = c.published[i].Load()
-	}
-	return s
-}
-
-// numFields is the number of counters in a Snapshot.
-const numFields = 9
-
-// fields lists s's counters, in one fixed order.
-func (s *Snapshot) fields() [numFields]*uint64 {
-	return [numFields]*uint64{&s.Input, &s.Output, &s.Probes, &s.Inserts,
-		&s.Completions, &s.CompletedEntries, &s.Evictions, &s.Transitions, &s.MigrationWork}
 }
 
 // Add returns the element-wise sum of s and o — the merge used to

@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/gob"
-	"sync"
 	"testing"
 )
 
@@ -36,35 +35,6 @@ func TestOutputLatency(t *testing.T) {
 	}
 }
 
-// TestMarkOutputsAtCountsAProbeAtOnce: a probe's results count with one
-// Output.Add, so a snapshot read concurrently sees whole probes only —
-// always a multiple of the probe's result count, never part of one.
-func TestMarkOutputsAtCountsAProbeAtOnce(t *testing.T) {
-	var c Collector
-	const perProbe, probes = 7, 5000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < probes; i++ {
-			c.Output.Add(perProbe)
-			c.Publish()
-		}
-	}()
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		default:
-		}
-		if out := c.Published().Output; out%perProbe != 0 {
-			t.Fatalf("snapshot saw output=%d, part of a probe of %d results", out, perProbe)
-		}
-	}
-	if out := c.Snapshot().Output; out != perProbe*probes {
-		t.Fatalf("output=%d, want %d", out, perProbe*probes)
-	}
-}
-
 func TestSnapshotIsCopy(t *testing.T) {
 	var c Collector
 	c.Input.Store(3)
@@ -77,58 +47,6 @@ func TestSnapshotIsCopy(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty String")
-	}
-}
-
-// TestConcurrentSnapshot exercises the lock-free contract: the owner
-// counts and publishes while other goroutines read what it published.
-// Run under -race this is the regression test for the
-// control-channel-free metrics path: a reader sees every counter only
-// grow, and the last publish in full.
-func TestConcurrentSnapshot(t *testing.T) {
-	var c Collector
-	const readers = 4
-	const n = 10000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for range readers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var last Snapshot
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := c.Published()
-				if s.Input < last.Input || s.Probes < last.Probes || s.Output < last.Output {
-					t.Errorf("published counters went back: %+v after %+v", s, last)
-					return
-				}
-				last = s
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		c.Input.Add(1)
-		c.Probes.Add(1)
-		if i%100 == 0 {
-			c.Output.Add(1)
-		}
-		if i%64 == 0 {
-			c.Publish()
-		}
-	}
-	c.Publish()
-	close(stop)
-	wg.Wait()
-	if s, want := c.Published(), (Snapshot{Input: n, Probes: n, Output: n / 100}); s != want {
-		t.Fatalf("Published = %+v, want %+v", s, want)
-	}
-	if s := c.Snapshot(); s != c.Published() {
-		t.Fatalf("Snapshot %+v differs from the last publish %+v", s, c.Published())
 	}
 }
 

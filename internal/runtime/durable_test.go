@@ -76,12 +76,8 @@ func runReference(t *testing.T, shards int, evs []workload.Event, migrateAt int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := rt.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
 	sort.Strings(out)
-	return out, counterMapOf(m), p.String()
+	return out, counterMapOf(m), rt.Plan().String()
 }
 
 // counterMapOf flattens the counters of a snapshot into named values,
@@ -188,11 +184,7 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 					if gm := counterMapOf(m); !sameCounters(gm, refMet) {
 						t.Fatalf("counters diverged:\n got %v\nwant %v", gm, refMet)
 					}
-					p, err := rt2.Plan()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if p.String() != refPlan {
+					if p := rt2.Plan(); p.String() != refPlan {
 						t.Fatalf("plan = %s, want %s", p, refPlan)
 					}
 					if cut > 0 && !ckpt {

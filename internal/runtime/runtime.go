@@ -3,10 +3,12 @@
 // metrics/output. A Runtime hash-partitions a query across N shards —
 // each a worker goroutine owning one engine behind a buffered input
 // queue (the §2.1 input buffers) — fans plan transitions out to every
-// shard, and merges their metrics without control-channel round trips
-// (the collectors are atomic). cmd/jiscd, cmd/jiscbench, the public
-// jisc.AsyncQuery and internal/server all construct it through New; a
-// one-shard Runtime is the single-worker harness.
+// shard, and merges what their engines publish at every batch end
+// (engine.View): a queue carries tuples and the controls that mutate or
+// fence (Migrate, Checkpoint, Flush), never a read. cmd/jiscd,
+// cmd/jiscbench, the public jisc.AsyncQuery and internal/server all
+// construct it through New; a one-shard Runtime is the single-worker
+// harness.
 //
 // The harness makes the paper's latency story observable with real
 // wall-clock concurrency: under a lazy strategy (core.JISC) the worker
@@ -21,7 +23,6 @@ import (
 	"math"
 	"path/filepath"
 	"runtime/debug"
-	"sort"
 	"sync"
 
 	"jisc/internal/adaptive"
@@ -68,9 +69,9 @@ type Config struct {
 	// after every feed message the worker has processed, and after a
 	// transition before Migrate is answered: a sink that buffers results
 	// hands them on there. The worker thus never waits on its queue or
-	// answers a control message (Flush, Metrics, Checkpoint, …) with
-	// results still buffered — after Flush returns, every result of the
-	// earlier feeds has passed a batchEnd.
+	// answers a control message (Flush, Checkpoint) with results still
+	// buffered — after Flush returns, every result of the earlier feeds
+	// has passed a batchEnd.
 	ShardOutput func(shard int) (out engine.Output, batchEnd func())
 	// QueueSize is the input-queue capacity (default 1024), per
 	// shard. Feed blocks when the queue is full — the backpressure
@@ -78,7 +79,7 @@ type Config struct {
 	QueueSize int
 	// Overflow selects blocking backpressure (default) or load
 	// shedding when the queue is full. Control messages (Migrate,
-	// Flush, Metrics) always block; only tuples are shed.
+	// Checkpoint, Flush) always block; only tuples are shed.
 	Overflow Overflow
 	// Shards is the worker count (default 1).
 	Shards int
@@ -371,18 +372,6 @@ func (rt *Runtime) Feed(ev workload.Event) error {
 	return rt.FeedBatch(evs[:])
 }
 
-// each runs fn in-band on every shard's worker in shard order, each
-// after all that shard's previously enqueued messages, and waits for
-// each before moving on — fn never runs concurrently with itself.
-func (rt *Runtime) each(fn func(i int, e *engine.Engine)) error {
-	for i, s := range rt.shards {
-		if err := s.do(nil, func(e *engine.Engine) error { fn(i, e); return nil }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Migrate transitions every shard to the new plan, in-band per shard:
 // tuples enqueued before the call are processed by the old plan, tuples
 // enqueued after it by the new one. It returns the first error; shards
@@ -421,42 +410,82 @@ func (s *shard) migrate(p *plan.Plan) error {
 // Flush, the runtime's cumulative output is a pure function of the
 // fed event sequence, independent of worker scheduling.
 func (rt *Runtime) Flush() error {
-	return rt.each(func(int, *engine.Engine) {})
+	for _, s := range rt.shards {
+		if err := s.do(nil, func(*engine.Engine) error { return nil }); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Metrics aggregates the shard counters in-band: each shard reports
-// after all its previously enqueued messages. See Snapshot for the
-// live, non-blocking variant.
+// Metrics is Flush followed by Snapshot: the merged counters after
+// every message enqueued before the call.
 func (rt *Runtime) Metrics() (metrics.Snapshot, error) {
-	snaps := make([]metrics.Snapshot, len(rt.shards))
-	if err := rt.each(func(i int, e *engine.Engine) { snaps[i] = e.Metrics() }); err != nil {
+	if err := rt.Flush(); err != nil {
 		return metrics.Snapshot{}, err
 	}
-	return metrics.MergeShards(snaps), nil
-}
-
-// Snapshot merges the shard counters live, without control-channel
-// round trips: each engine publishes its counters at the end of every
-// batch and migration, so monitoring reads them concurrently with the
-// workers and never queues behind tuples. Unlike Metrics it reflects
-// each shard's last finished batch at the instant of the call, not the
-// point after previously enqueued work. Safe from any goroutine,
-// including after Close.
-func (rt *Runtime) Snapshot() metrics.Snapshot {
-	snaps := make([]metrics.Snapshot, len(rt.shards))
-	for i, s := range rt.shards {
-		snaps[i] = s.eng.Collector().Published()
-	}
-	return metrics.MergeShards(snaps)
+	return rt.Snapshot(), nil
 }
 
 // Obs returns the runtime's observability set (Config.Obs), nil when
 // instrumentation is off.
 func (rt *Runtime) Obs() *obs.Set { return rt.obs }
 
-// ObsSnapshot merges the per-shard latency histograms live, the
-// observability companion of Snapshot: recorders are atomic, so
-// monitoring reads them concurrently with the workers. An empty
+// The monitor reads below never enter a shard's queue: each reads what
+// the shards' engines published at their last batch end (engine.View)
+// or an atomic counter, so it answers at once however long the queues
+// are. Each is safe from any goroutine, including after Close.
+
+// Snapshot merges the shard counters, each as of that shard's last
+// finished batch or migration.
+func (rt *Runtime) Snapshot() metrics.Snapshot {
+	snaps := make([]metrics.Snapshot, len(rt.shards))
+	for i, s := range rt.shards {
+		snaps[i] = s.eng.View().Metrics()
+	}
+	return metrics.MergeShards(snaps)
+}
+
+// Plan returns the plan shard 0 last applied. Migrate fans out to the
+// shards in order, so shard 0 is never behind the others' plan; a
+// migration still queued does not show.
+func (rt *Runtime) Plan() *plan.Plan { return rt.shards[0].eng.View().Plan() }
+
+// ScanStats sums the per-stream scan counters across shards, whose
+// plans cover the same streams. The sums are cumulative; consumers diff
+// successive readings (the autopilot's advisor rebaselines when a
+// transition resets them).
+func (rt *Runtime) ScanStats() []engine.ScanStats {
+	out := rt.shards[0].eng.View().ScanStats()
+	for _, s := range rt.shards[1:] {
+		for i, st := range s.eng.View().ScanStats() {
+			out[i].Probes += st.Probes
+			out[i].Matches += st.Matches
+		}
+	}
+	return out
+}
+
+// StateBytes sums the resident state footprint across shards.
+func (rt *Runtime) StateBytes() int64 {
+	var total int64
+	for _, s := range rt.shards {
+		total += s.eng.View().StateBytes()
+	}
+	return total
+}
+
+// SpillStats merges the tiered state store counters across shards; ok
+// is false when spilling is off. The store's counters are atomic.
+func (rt *Runtime) SpillStats() (total statestore.Stats, ok bool) {
+	for _, s := range rt.shards {
+		st, on := s.eng.SpillStats() // zero when off
+		total, ok = total.Add(st), ok || on
+	}
+	return total, ok
+}
+
+// ObsSnapshot merges the per-shard latency histograms; an empty
 // snapshot when instrumentation is off.
 func (rt *Runtime) ObsSnapshot() obs.SetSnapshot { return rt.obs.Snapshot() }
 
@@ -478,69 +507,6 @@ func (rt *Runtime) QueueLen() int {
 		total += len(s.in)
 	}
 	return total
-}
-
-// Plan returns the currently executing plan, observed on shard 0's
-// worker after all its previously enqueued messages — migrations fan
-// out to every shard in order, so shard 0 is never behind the others'
-// plan.
-func (rt *Runtime) Plan() (p *plan.Plan, err error) {
-	err = rt.shards[0].do(nil, func(e *engine.Engine) error { p = e.Plan(); return nil })
-	return p, err
-}
-
-// ScanStats sums the per-stream scan counters across shards. The
-// counters are plain worker-owned fields, so the in-band round trip is
-// what makes the read race-free. The sums are cumulative like the
-// per-shard counters; consumers diff successive readings (the
-// autopilot's advisor rebaselines when a transition resets them).
-// During a Migrate fan-out shards can briefly disagree on the plan;
-// summing over the stream union keeps the reading well-defined.
-func (rt *Runtime) ScanStats() ([]engine.ScanStats, error) {
-	byStream := make(map[tuple.StreamID]engine.ScanStats)
-	err := rt.each(func(_ int, e *engine.Engine) {
-		for _, s := range e.ScanStats() {
-			agg := byStream[s.Stream]
-			agg.Stream = s.Stream
-			agg.Probes += s.Probes
-			agg.Matches += s.Matches
-			byStream[s.Stream] = agg
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]engine.ScanStats, 0, len(byStream))
-	for _, s := range byStream {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stream < out[j].Stream })
-	return out, nil
-}
-
-// StateBytes sums the resident state footprint across shards, each
-// read in-band on its worker after previously enqueued messages.
-func (rt *Runtime) StateBytes() (int64, error) {
-	var total int64
-	if err := rt.each(func(_ int, e *engine.Engine) { total += e.StateBytes() }); err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
-// SpillStats merges the tiered state store counters across shards; ok
-// is false when spilling is off. The counters are atomic — safe from
-// any goroutine, concurrently with the workers, including after Close.
-func (rt *Runtime) SpillStats() (statestore.Stats, bool) {
-	var total statestore.Stats
-	any := false
-	for _, s := range rt.shards {
-		if st, ok := s.eng.SpillStats(); ok {
-			total = total.Add(st)
-			any = true
-		}
-	}
-	return total, any
 }
 
 // Close stops every shard, draining its queue first, and returns once

@@ -76,7 +76,7 @@ func onQuery(f func(c *session, q *query, args string) error) func(*session, str
 // fall through to the default query.
 func auto(f func(c *session, q *query) error) func(*session, string) error {
 	return onQuery(func(c *session, q *query, leftover string) error {
-		if leftover != "" {
+		if leftover = strings.TrimSpace(leftover); leftover != "" {
 			return c.respond(fmt.Errorf("no query %q", leftover))
 		}
 		return f(c, q)
@@ -114,7 +114,7 @@ type subscription struct {
 
 var errQuit = errors.New("quit")
 
-func (s *Server) handle(conn net.Conn) {
+func (s *Server) handle(conn net.Conn, lw *lockedWriter) {
 	defer s.connWG.Done()
 	defer s.adm.ReleaseConn()
 	defer func() {
@@ -123,11 +123,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	c := &session{
-		s:  s,
-		lw: &lockedWriter{w: bufio.NewWriter(conn), conn: conn, timeout: s.writeTimeout},
-		br: bufio.NewReaderSize(conn, 64<<10),
-	}
+	c := &session{s: s, lw: lw, br: bufio.NewReaderSize(conn, 64<<10)}
 	defer func() {
 		for _, su := range c.subs {
 			su.q.unsubscribe(su.id)
@@ -172,6 +168,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if c.dispatch(line) != nil {
 			return
+		}
+		if s.ackHook != nil {
+			s.ackHook()
 		}
 	}
 }
@@ -323,20 +322,18 @@ func (c *session) autoUsage(*query) error {
 	return c.respond(errors.New("AUTO wants ON, OFF, or STATUS"))
 }
 
+// stats is the protocol's barrier: the reply reflects every command
+// this query was sent before it.
 func (c *session) stats(q *query, _ string) error {
-	v, err := gather(q, c.s.serverView(), true)
-	if err != nil {
+	if err := q.runner.Flush(); err != nil {
 		return c.respond(err)
 	}
+	v := gather(q, c.s.serverView())
 	return c.lw.writeLine("%s", v.statsLine())
 }
 
 func (c *session) plan(q *query, _ string) error {
-	p, err := q.runner.Plan()
-	if err != nil {
-		return c.respond(err)
-	}
-	return c.lw.writeLine("PLAN %s", p)
+	return c.lw.writeLine("PLAN %s", q.runner.Plan())
 }
 
 // checkpoint writes the checkpoint recovery reads, one per shard, and

@@ -20,7 +20,9 @@ package server
 //  5. final checkpoint — on a durable server, CheckpointNow after the
 //     flush barrier pins the drained state, making the successor's
 //     recovery a checkpoint load with an empty WAL tail;
-//  6. close — connections, queries, catalog.
+//  6. flush acks — every connection's buffered acks go out, so no
+//     client loses the OK of a batch the drain processed;
+//  7. close — connections, queries, catalog.
 //
 // A drain that cannot finish flushing within the timeout returns an
 // error WITHOUT closing: something is wedged, and Close would block on
@@ -98,8 +100,26 @@ func (s *Server) Drain(timeout time.Duration) error {
 			}
 		}
 	}
+	s.flushAcks()
 	s.Close()
 	return ferr
+}
+
+// flushAcks sends every connection's buffered acks: a handler writes a
+// command's OK only when its read buffer runs dry, so Close alone could
+// cut off the OK of a batch the final checkpoint covers. Each write
+// gets a second, so a peer that stopped reading cannot hold the drain.
+func (s *Server) flushAcks() {
+	s.mu.Lock()
+	writers := make([]*lockedWriter, 0, len(s.conns))
+	for _, lw := range s.conns {
+		writers = append(writers, lw)
+	}
+	s.mu.Unlock()
+	for _, lw := range writers {
+		lw.conn.SetWriteDeadline(time.Now().Add(time.Second))
+		lw.flush() //nolint:errcheck // a failed write closes its connection, as Close is about to
+	}
 }
 
 // Draining reports whether a graceful drain has started.

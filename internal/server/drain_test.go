@@ -269,3 +269,51 @@ func TestDrainWaitsOutInflightMutation(t *testing.T) {
 		t.Fatalf("RecoveredEvents = %d, want 0: the final checkpoint must cover the held batch", got)
 	}
 }
+
+// TestDrainFlushesBufferedAcks holds a handler just after its FEEDB
+// returned — the in-flight lock released, the OK buffered but not yet
+// flushed — while Drain runs. The batch is processed and in the final
+// checkpoint, so the client must get its OK before Drain closes the
+// connection.
+func TestDrainFlushesBufferedAcks(t *testing.T) {
+	noLeak(t)
+	dir := t.TempDir()
+	s, err := New(durableServerConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	atAck, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.ackHook = func() {
+		once.Do(func() {
+			close(atAck)
+			<-release
+		})
+	}
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	c := dial(t, s)
+	fmt.Fprintln(c.conn, "FEEDB 0 1 2 3")
+	<-atAck
+
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(10 * time.Second) }()
+	// Drain closes the connection and then waits for the held handler:
+	// whatever the client reads arrived before the close.
+	line, rerr := c.r.ReadString('\n')
+	close(release)
+	if rerr != nil || strings.TrimSpace(line) != "OK" {
+		t.Fatalf("the drained FEEDB's ack: %q, %v; want OK", line, rerr)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+
+	s2 := startDurableServer(t, dir)
+	defer s2.Close()
+	if got := statField(t, dial(t, s2).cmd(t, "STATS"), "input"); got != "3" {
+		t.Fatalf("successor input = %s, want the acknowledged batch's 3 tuples", got)
+	}
+}

@@ -102,6 +102,33 @@ func TestParseFeedBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestNamedFeedBatchAllocs: a FEEDB addressed to a named query costs
+// what the default query's does — the name is cut off and the rest
+// reaches the parser untouched, with no field slice and no copy of the
+// line — so resolving the name and parsing 256 keys allocate nothing.
+func TestNamedFeedBatchAllocs(t *testing.T) {
+	s := &Server{queries: map[string]*query{"orders": {name: "orders"}}}
+	payload := " \t" + feedBatchLine(256)
+	line := "orders" + payload
+	evs := make([]workload.Event, 0, 256)
+	var (
+		q    *query
+		rest string
+		err  error
+	)
+	allocs := testing.AllocsPerRun(100, func() {
+		if q, rest, err = s.splitQuery(line); err == nil {
+			evs, err = parseFeedBatch(evs, rest)
+		}
+	})
+	if err != nil || q.name != "orders" || rest != payload || len(evs) != 256 {
+		t.Fatalf("query %v, rest %q, %d events, err %v", q, rest, len(evs), err)
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per named 256-key line, want 0", allocs)
+	}
+}
+
 // inPlaceStrconv is parseFeedBatch without its plain-decimal fast
 // path: the line split in place, every key read by strconv.ParseInt.
 // It is what BenchmarkParseFeedBatch weighs plainDecimal against.

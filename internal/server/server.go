@@ -93,7 +93,8 @@ import (
 type Config struct {
 	// Pipeline configures the default query's runtime and serves as
 	// the template for CREATEd queries (strategy, queue size,
-	// overflow policy, shard count). Setting its Shards field above 1
+	// overflow policy, shard count). A nil Engine.Strategy means JISC
+	// (core.New) for every query. Setting its Shards field above 1
 	// hash-partitions every hosted query across that many worker
 	// shards. Its Engine.Output and ShardOutput are owned by the server
 	// and must be nil. Engine.Plan may be nil to start the server with
@@ -174,16 +175,21 @@ type Server struct {
 	draining atomic.Bool
 	// inflight is read-held by a handler from its fence check to the
 	// end of a mutating command; Drain write-locks it once, after
-	// raising the fence, to wait those commands out. fenceHook, set by
-	// tests only, runs in such a handler right after the fence check.
+	// raising the fence, to wait those commands out. Set by tests only,
+	// fenceHook runs in such a handler right after the fence check, and
+	// ackHook in every handler after a command returns, before its ack
+	// is flushed.
 	inflight     sync.RWMutex
 	fenceHook    func()
+	ackHook      func()
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 
-	mu          sync.Mutex
-	queries     map[string]*query
-	conns       map[net.Conn]struct{}
+	mu      sync.Mutex
+	queries map[string]*query
+	// conns holds each open connection with the writer its acks are
+	// buffered in, so Drain can flush what a handler has not.
+	conns       map[net.Conn]*lockedWriter
 	closed      bool
 	telemetry   *http.Server
 	telemetryLn net.Listener
@@ -218,7 +224,7 @@ func New(cfg Config) (*Server, error) {
 		readTimeout:  cfg.ReadTimeout,
 		writeTimeout: cfg.WriteTimeout,
 		queries:      make(map[string]*query),
-		conns:        make(map[net.Conn]struct{}),
+		conns:        make(map[net.Conn]*lockedWriter),
 	}
 	if cfg.Admission.MaxConns > 0 {
 		ctrl, err := admission.New(admission.Config{MaxConns: cfg.Admission.MaxConns})
@@ -230,15 +236,22 @@ func New(cfg Config) (*Server, error) {
 		return nil, err // surface a bad template before any query uses it
 	}
 	if cfg.Durable.Enabled() {
-		if err := s.recoverDurable(cfg); err != nil {
-			return nil, err
-		}
-	} else if cfg.Pipeline.Engine.Plan != nil {
-		q, err := newQuery(DefaultQuery, cfg.Pipeline, s.bufSize, s.admCfg)
+		s.durable = cfg.Durable.WithDefaults()
+		s.catStats = &durable.Stats{}
+	}
+	start := time.Now()
+	if p := cfg.Pipeline.Engine.Plan; p != nil {
+		q, err := s.startQuery(DefaultQuery, cfg.Pipeline.Engine.WindowSize, p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("server: starting the default query: %w", err)
 		}
 		s.queries[DefaultQuery] = q
+	}
+	if s.durable.Enabled() {
+		if err := s.recoverCatalog(start); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	if cfg.AutoStart {
 		q, ok := s.queries[DefaultQuery]
@@ -289,35 +302,17 @@ func (s *Server) autoOff(q *query) error {
 	return nil
 }
 
-// recoverDurable restores the server's query topology from the
-// durability directory: open and fold the catalog, then bring up the
-// config's default query and every cataloged query, each recovering
-// its own shards from checkpoint + WAL tail.
-func (s *Server) recoverDurable(cfg Config) error {
-	opts := cfg.Durable.WithDefaults()
-	s.durable = opts
-	s.catStats = &durable.Stats{}
-	start := time.Now()
-	cat, entries, auto, err := durable.OpenCatalog(opts, s.catStats)
+// recoverCatalog restores the rest of a durable server's query
+// topology: it opens and folds the catalog, then brings up every
+// cataloged query, each recovering its own shards from checkpoint + WAL
+// tail, and restarts the autopilots the catalog left on. start is when
+// recovery began, the default query's included.
+func (s *Server) recoverCatalog(start time.Time) error {
+	cat, entries, auto, err := durable.OpenCatalog(s.durable, s.catStats)
 	if err != nil {
 		return fmt.Errorf("server: opening catalog: %w", err)
 	}
 	s.catalog = cat
-	fail := func(err error) error {
-		for name, q := range s.queries {
-			q.close()
-			delete(s.queries, name)
-		}
-		cat.Close()
-		return err
-	}
-	if cfg.Pipeline.Engine.Plan != nil {
-		q, err := s.newDurableQuery(DefaultQuery, cfg.Pipeline)
-		if err != nil {
-			return fail(fmt.Errorf("server: recovering default query: %w", err))
-		}
-		s.queries[DefaultQuery] = q
-	}
 	for _, e := range entries {
 		if _, dup := s.queries[e.Name]; dup {
 			// The catalog can only collide with the config default
@@ -326,17 +321,11 @@ func (s *Server) recoverDurable(cfg Config) error {
 		}
 		p, err := plan.Parse(e.Plan)
 		if err != nil {
-			return fail(fmt.Errorf("server: catalog entry %q: %w", e.Name, err))
+			return fmt.Errorf("server: catalog entry %q: %w", e.Name, err)
 		}
-		qcfg := s.template
-		qcfg.Engine.Plan = p
-		qcfg.Engine.WindowSize = e.Window
-		if qcfg.Engine.Strategy == nil {
-			qcfg.Engine.Strategy = core.New()
-		}
-		q, err := s.newDurableQuery(e.Name, qcfg)
+		q, err := s.startQuery(e.Name, e.Window, p)
 		if err != nil {
-			return fail(fmt.Errorf("server: recovering query %q: %w", e.Name, err))
+			return fmt.Errorf("server: recovering query %q: %w", e.Name, err)
 		}
 		s.queries[e.Name] = q
 	}
@@ -349,7 +338,7 @@ func (s *Server) recoverDurable(cfg Config) error {
 		}
 		if q, ok := s.queries[name]; ok {
 			if err := q.runner.StartAuto(s.autoCfg); err != nil {
-				return fail(fmt.Errorf("server: restarting autopilot of %q: %w", name, err))
+				return fmt.Errorf("server: restarting autopilot of %q: %w", name, err)
 			}
 		}
 	}
@@ -362,11 +351,21 @@ func (s *Server) queryDir(name string) string {
 	return filepath.Join(s.durable.Dir, "q-"+name)
 }
 
-// newDurableQuery builds a query whose runtime persists under the
-// server's durability root.
-func (s *Server) newDurableQuery(name string, cfg runtime.Config) (*query, error) {
-	cfg.Durability = s.durable
-	cfg.Durability.Dir = s.queryDir(name)
+// startQuery starts the named query on plan p over windows of
+// windowSize from the server template: JISC when it names no strategy,
+// and the query's own directory on a durable server. The default query,
+// CREATE and catalog recovery all come here, so none runs differently.
+func (s *Server) startQuery(name string, windowSize int, p *plan.Plan) (*query, error) {
+	cfg := s.template
+	cfg.Engine.Plan = p
+	cfg.Engine.WindowSize = windowSize
+	if cfg.Engine.Strategy == nil {
+		cfg.Engine.Strategy = core.New()
+	}
+	if s.durable.Enabled() {
+		cfg.Durability = s.durable
+		cfg.Durability.Dir = s.queryDir(name)
+	}
 	return newQuery(name, cfg, s.bufSize, s.admCfg)
 }
 
@@ -421,7 +420,7 @@ func (s *Server) Queries() []string {
 
 // create starts a new named query from the server template. With
 // durability on it is logged to the catalog before the OK: the command
-// sequence is newQuery (validates everything and brings the runtime
+// sequence is startQuery (validates everything and brings the runtime
 // up), then AppendCreate (fsynced), then acknowledge — a crash between
 // the two leaves an unacknowledged query that simply doesn't exist
 // after restart.
@@ -431,12 +430,6 @@ func (s *Server) create(name string, windowSize int, p *plan.Plan) error {
 	}
 	if s.durable.Enabled() && !validDurableName(name) {
 		return fmt.Errorf("bad query name %q: durable query names use [A-Za-z0-9._-] only", name)
-	}
-	cfg := s.template
-	cfg.Engine.Plan = p
-	cfg.Engine.WindowSize = windowSize
-	if cfg.Engine.Strategy == nil {
-		cfg.Engine.Strategy = core.New()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -450,14 +443,12 @@ func (s *Server) create(name string, windowSize int, p *plan.Plan) error {
 		// A crash between a logged DROP and its directory removal can
 		// leave stale state under this name; a fresh CREATE must start
 		// empty, never resurrect it. (Recovery-time creation takes the
-		// other branch in recoverDurable and keeps the directory.)
+		// other branch in recoverCatalog and keeps the directory.)
 		if err := s.durable.FS.RemoveAll(s.queryDir(name)); err != nil {
 			return fmt.Errorf("clearing stale state for %q: %w", name, err)
 		}
-		cfg.Durability = s.durable
-		cfg.Durability.Dir = s.queryDir(name)
 	}
-	q, err := newQuery(name, cfg, s.bufSize, s.admCfg)
+	q, err := s.startQuery(name, windowSize, p)
 	if err != nil {
 		return err
 	}
@@ -525,10 +516,11 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		lw := &lockedWriter{w: bufio.NewWriter(conn), conn: conn, timeout: s.writeTimeout}
+		s.conns[conn] = lw
 		s.mu.Unlock()
 		s.connWG.Add(1)
-		go s.handle(conn)
+		go s.handle(conn, lw)
 	}
 }
 
@@ -667,11 +659,12 @@ func bufferedLine(br *bufio.Reader) ([]byte, bool) {
 }
 
 // splitQuery interprets the optional leading query name of a command:
-// when the first field names a hosted query, it is consumed and the
-// remaining fields are returned joined by single spaces; otherwise the
-// default query is addressed and rest comes back untouched. Only the
-// first field is cut out to be looked up — a FEEDB payload is not
-// tokenised to find out that its first word is a stream number.
+// when the first field names a hosted query, it is consumed and what
+// follows it comes back untouched; otherwise the default query is
+// addressed and rest comes back untouched. Either way the handler sees
+// the same bytes it would for the default query, and only the first
+// field is cut out to be looked up — a FEEDB payload is not tokenised
+// or copied to find out that its first word is a stream number.
 func (s *Server) splitQuery(rest string) (*query, string, error) {
 	first := strings.TrimLeftFunc(rest, unicode.IsSpace)
 	after := ""
@@ -686,7 +679,7 @@ func (s *Server) splitQuery(rest string) (*query, string, error) {
 	s.mu.Unlock()
 	switch {
 	case named:
-		return q, strings.Join(strings.Fields(after), " "), nil
+		return q, after, nil
 	case q == nil:
 		return nil, "", fmt.Errorf("no default query; name one of %v", s.Queries())
 	}

@@ -443,3 +443,47 @@ func TestServerOpensEarlierBuildsLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestNilStrategyMeansJISC: a template without a strategy runs JISC on
+// every query, however the query was made — the default query, a
+// CREATE, and both of them recovered from the catalog all answer
+// MIGRATE with OK.
+func TestNilStrategyMeansJISC(t *testing.T) {
+	noLeak(t)
+	for _, dir := range []string{"", t.TempDir()} {
+		cfg := Config{Pipeline: runtime.Config{Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 100}}}
+		if dir != "" {
+			cfg.Durable = durable.Options{Dir: dir, Fsync: durable.FsyncAlways, CheckpointInterval: -1}
+		}
+		start := func() *Server {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Listen("127.0.0.1:0"); err != nil {
+				s.Close()
+				t.Fatal(err)
+			}
+			return s
+		}
+		migrate := func(s *Server, p string) {
+			c := dial(t, s)
+			for _, q := range []string{"", "other "} {
+				if resp := c.cmd(t, "MIGRATE "+q+p); resp != "OK" {
+					t.Fatalf("durable=%v: MIGRATE %s%s -> %q, want OK", dir != "", q, p, resp)
+				}
+			}
+		}
+		s := start()
+		if resp := dial(t, s).cmd(t, "CREATE other 100 0,1,2"); resp != "OK" {
+			t.Fatalf("CREATE: %s", resp)
+		}
+		migrate(s, "2,0,1")
+		s.Close()
+		if dir != "" {
+			s = start()
+			migrate(s, "1,2,0")
+			s.Close()
+		}
+	}
+}

@@ -531,9 +531,11 @@ func TestScopedClient(t *testing.T) {
 }
 
 // TestSplitQuery: only the first word is looked up. A hosted query's
-// name is consumed and what follows comes back with its blanks
-// normalised; any other first word — a stream number, an unknown name —
+// name is consumed and what follows it comes back exactly as it
+// arrived; any other first word — a stream number, an unknown name —
 // addresses the default query with the payload exactly as it arrived.
+// Either way a handler reads the same bytes, so named and default
+// queries accept the same whitespace.
 func TestSplitQuery(t *testing.T) {
 	s := newTestServer(t)
 	c := dial(t, s)
@@ -542,13 +544,13 @@ func TestSplitQuery(t *testing.T) {
 	}
 	cases := []struct{ rest, query, args string }{
 		{"side", "side", ""},
-		{" \t side\t", "side", ""},
-		{"side 0 7", "side", "0 7"},
-		{"\t side \t0   7 \t 8 ", "side", "0 7 8"},
+		{" \t side\t", "side", "\t"},
+		{"side 0 7", "side", " 0 7"},
+		{"\t side \t0   7 \t 8 ", "side", " \t0   7 \t 8 "},
 		{"0 7 8", DefaultQuery, "0 7 8"},
 		{" \t0  7\t8 ", DefaultQuery, " \t0  7\t8 "},
 		{"sidecar 0 7", DefaultQuery, "sidecar 0 7"},
-		{"default 1 2", DefaultQuery, "1 2"},
+		{"default 1 2", DefaultQuery, " 1 2"},
 		{"", DefaultQuery, ""},
 		{" \t ", DefaultQuery, " \t "},
 	}

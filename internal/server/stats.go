@@ -70,34 +70,15 @@ func (s *Server) serverView() serverView {
 	}
 }
 
-// gather reads q's view. inBand reads the engine counters on each
-// shard's worker, after everything already queued — STATS is the
-// protocol's barrier. A /metrics scrape reads them live instead and
-// waits behind tuples only for the state bytes of a query that does
-// not spill: those are plain worker-owned sums, while a spilling
-// query's are the store's atomic resident count (the same number, see
-// engine.StateBytes).
-func gather(q *query, sv serverView, inBand bool) (view, error) {
+// gather reads q's view. Nothing here enters a shard's queue: the
+// engine quantities are what each shard published at the end of its
+// last batch or migration, and the rest are atomic counters. STATS,
+// the protocol's barrier, flushes the query first.
+func gather(q *query, sv serverView) view {
 	v := view{query: q.name, serverView: sv}
-	if inBand {
-		m, err := q.runner.Metrics()
-		if err != nil {
-			return v, err
-		}
-		v.m = m
-	} else {
-		v.m = q.runner.Snapshot()
-	}
-	var spilling bool
-	if v.spill, spilling = q.runner.SpillStats(); spilling {
-		v.stateBytes = uint64(v.spill.ResidentBytes)
-	} else {
-		b, err := q.runner.StateBytes()
-		if err != nil {
-			return v, err
-		}
-		v.stateBytes = uint64(b)
-	}
+	v.m = q.runner.Snapshot()
+	v.stateBytes = uint64(q.runner.StateBytes())
+	v.spill, _ = q.runner.SpillStats()
 	v.o = q.obs.Snapshot()
 	v.d = q.runner.DurableStats()
 	v.adm = q.adm.Snapshot()
@@ -107,7 +88,7 @@ func gather(q *query, sv serverView, inBand bool) (view, error) {
 	v.subscribers = uint64(q.subscribers())
 	v.queueDepth = uint64(q.runner.QueueLen())
 	v.walSegments = uint64(q.runner.WALSegments())
-	return v, nil
+	return v
 }
 
 // kind is a row's /metrics type.

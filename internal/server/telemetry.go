@@ -24,9 +24,10 @@ import (
 //	/debug/pprof/  the standard net/http/pprof profiles
 //
 // The endpoint is read-only and lock-free on the hot path: counters
-// and histograms are atomic snapshots, so scraping never queues behind
-// tuples (jisc_state_bytes of a query without a state budget is the
-// one in-band read, see gather). Server.Close shuts the endpoint down.
+// and histograms are atomic snapshots and the engine quantities are
+// what each shard published at its last batch end, so scraping never
+// queues behind tuples (see gather). Server.Close shuts the endpoint
+// down.
 func (s *Server) ServeTelemetry(addr string) error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -88,16 +89,13 @@ func (s *Server) sortedQueries() []*query {
 	return qs
 }
 
-// handleMetrics serves metricTable's families. A query whose view
-// cannot be read was dropped under the scrape and is left out.
+// handleMetrics serves metricTable's families.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	sv := s.serverView()
 	var views []view
 	for _, q := range s.sortedQueries() {
-		if v, err := gather(q, sv, false); err == nil {
-			views = append(views, v)
-		}
+		views = append(views, gather(q, sv))
 	}
 	writeMetrics(w, &view{serverView: sv}, views)
 }

@@ -116,9 +116,9 @@ type Tuple struct {
 	// post-transition tuples.
 	Arrival uint64
 	// Oldest is the global arrival tick of the oldest constituent.
-	// Parallel Track uses it for O(1) duplicate elimination (a result
-	// is produced by every plan instance born before its oldest
-	// constituent) and for the old-plan discard check.
+	// Parallel Track's discard scan reads it: a superseded plan goes
+	// once none of its stored entries is older than its successor.
+	// (Its duplicate elimination goes by provenance fingerprint.)
 	Oldest uint64
 }
 
