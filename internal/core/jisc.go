@@ -133,13 +133,15 @@ func beginEpisode(e *engine.Engine, key tuple.Value) episode {
 // tracer as start/end events (with the triggering key and the tuples
 // materialized), stamped with the two instants the duration was
 // measured between: an episode reads the clock twice, not once more per
-// event, and times the completion, not the tracing.
+// event, and times the completion, not the tracing. The closing read is
+// Engine.Since, one monotonic read on the default clock; the end stamp
+// is the start plus the duration.
 func (ep episode) end(e *engine.Engine) {
 	if ep.o == nil {
 		return
 	}
-	end := e.Now()
-	dur := end.Sub(ep.start)
+	dur := e.Since(ep.start)
+	end := ep.start.Add(dur)
 	ep.o.Completion.Record(dur)
 	if !ep.o.SampleEpisode() {
 		return

@@ -59,8 +59,8 @@ func RecoverShard(opts Options, shard int, cfg engine.Config, rec *obs.Recorder,
 	if err != nil {
 		return nil, fmt.Errorf("durable: shard %d: listing checkpoints: %w", shard, err)
 	}
-	out := cfg.Output
-	cfg.Output = nil // replayed results were already emitted pre-crash
+	out, probe := cfg.Output, cfg.ProbeOutput
+	cfg.Output, cfg.ProbeOutput = nil, nil // replayed results were already emitted pre-crash
 	var eng *engine.Engine
 	if payload != nil {
 		eng, err = engine.Restore(bytes.NewReader(payload), cfg)
@@ -87,7 +87,7 @@ func RecoverShard(opts Options, shard int, cfg engine.Config, rec *obs.Recorder,
 		eng.Close()
 		return nil, fmt.Errorf("durable: shard %d: %w", shard, err)
 	}
-	eng.SetOutput(out)
+	eng.SetOutput(out, probe)
 	return res, nil
 }
 

@@ -129,7 +129,7 @@ func TestRestoreReadsNLListCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.FeedBatch(evs[migrateAt:ckptAt])
-	ref.SetOutput(func(d engine.Delta) { want[d.Tuple.Fingerprint()]++ })
+	ref.SetOutput(func(d engine.Delta) { want[d.Tuple.Fingerprint()]++ }, nil)
 	ref.FeedBatch(evs[ckptAt:])
 
 	old, err := os.ReadFile("testdata/snap_v4_nl_lists.gob")

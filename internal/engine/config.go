@@ -45,6 +45,12 @@ type Config struct {
 	// Output receives root results — lent, not given (see Output); nil
 	// is allowed, and then an unstored root builds none.
 	Output Output
+	// ProbeOutput, when non-nil, receives the results of a hash root
+	// that does not store them one probe at a time, in place of Output
+	// (see ProbeOutput); Output still receives every other root's. Nil
+	// — the default — delivers those results to Output too, one
+	// composite each.
+	ProbeOutput ProbeOutput
 	// Obs, when non-nil, turns on latency instrumentation: per-tuple
 	// feed latency, sampled per-operator probe/build time, Migrate
 	// duration, and (through the recorder's Tracer) migration

@@ -92,16 +92,24 @@ type Engine struct {
 
 	strategy Strategy
 	out      Output
-	met      metrics.Collector
-	pub      View // what publish last wrote
-	obs      *obs.Recorder
-	now      func() time.Time
+	// probe is where an unstored root's results go, a probe at a time:
+	// Config.ProbeOutput, or outputEach when only an Output is set, or
+	// nil when there is no sink at all.
+	probe ProbeOutput
+	met   metrics.Collector
+	pub   View // what publish last wrote
+	obs   *obs.Recorder
+	now   func() time.Time
+	// sysClock is set when now is time.Now, so a span closes on one
+	// monotonic read (Since).
+	sysClock bool
 	// bld is the engine's scratch allocator, acquired from the shared
 	// pool for the engine's lifetime: the arenas a storing root's
-	// results are copied into, and the one transient composite an
-	// unstored root's results are lent in. One builder per engine keeps
-	// it single-threaded without locks. Stored composites are built
-	// straight into their state's rows (state.Table.InsertJoin).
+	// results are copied into, and the one transient composite
+	// outputEach lends an unstored root's results in. One builder per
+	// engine keeps it single-threaded without locks. Stored composites
+	// are built straight into their state's rows
+	// (state.Table.InsertJoin).
 	bld *tuple.Builder
 	// base is the arriving tuple, lent up the tree while it is
 	// processed, and baseSeq its one seq; retracted holds the rows a
@@ -167,19 +175,21 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Strategy == nil {
 		cfg.Strategy = Static{}
 	}
-	if cfg.Now == nil {
+	sysClock := cfg.Now == nil
+	if sysClock {
 		cfg.Now = time.Now
 	}
 	e := &Engine{
 		cfg:      cfg,
 		strategy: cfg.Strategy,
-		out:      cfg.Output,
 		obs:      cfg.Obs,
 		now:      cfg.Now,
+		sysClock: sysClock,
 		states:   make(map[tuple.StreamSet]*state.Table),
 		born:     make(map[tuple.StreamSet]uint64),
 		bld:      tuple.AcquireBuilder(),
 	}
+	e.SetOutput(cfg.Output, cfg.ProbeOutput)
 	if err := e.validateKinds(cfg.Plan); err != nil {
 		return nil, err
 	}
@@ -277,20 +287,37 @@ func (e *Engine) Obs() *obs.Recorder { return e.obs }
 // clocks govern every recorded duration.
 func (e *Engine) Now() time.Time { return e.now() }
 
+// Since closes a span opened by Now: the time elapsed since start. On
+// the default clock that is one monotonic read (time.Since) where a
+// Now would read the wall clock too; an injected clock is read as Now
+// reads it, so a test clock sees every read it saw before. A caller
+// that needs the closing instant takes start.Add of the result.
+func (e *Engine) Since(start time.Time) time.Duration {
+	if e.sysClock {
+		return time.Since(start)
+	}
+	return e.now().Sub(start)
+}
+
 // Kind returns the physical operator kind of internal nodes.
 func (e *Engine) Kind() Kind { return e.cfg.Kind }
 
 // Theta returns the theta predicate (NLJoin engines).
 func (e *Engine) Theta() func(probe, stored *tuple.Tuple) bool { return e.cfg.Theta }
 
-// SetOutput replaces the output callback. The engine must be quiescent
-// (no Feed in progress). The durability layer uses it to silence
-// output while replaying the write-ahead log — those results were
-// already emitted before the crash — and to restore the real sink
-// afterwards.
-func (e *Engine) SetOutput(out Output) {
-	e.out = out
-	e.cfg.Output = out
+// SetOutput replaces both result sinks, Config.Output and
+// Config.ProbeOutput. The engine must be quiescent (no Feed in
+// progress). The durability layer uses it to silence output while
+// replaying the write-ahead log — those results were already emitted
+// before the crash — and to restore the real sinks afterwards. With
+// no probe sink, an Output gets an unstored root's results too, through
+// outputEach: the one caller of the per-result path.
+func (e *Engine) SetOutput(out Output, probe ProbeOutput) {
+	e.out, e.cfg.Output, e.cfg.ProbeOutput = out, out, probe
+	e.probe = probe
+	if probe == nil && out != nil {
+		e.probe = e.outputEach
+	}
 }
 
 // Close releases the engine's pooled builder and, when spilling is
@@ -362,7 +389,7 @@ func (e *Engine) FeedBatch(evs []workload.Event) {
 		}
 	}
 	if timed {
-		e.obs.Feed.Record(e.now().Sub(start) / time.Duration(len(evs)))
+		e.obs.Feed.Record(e.Since(start) / time.Duration(len(evs)))
 	}
 	e.obs.ObserveBatchFill(len(evs))
 	e.publish()

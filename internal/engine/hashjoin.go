@@ -24,10 +24,12 @@ func (hashJoinOp) Kind() Kind { return HashJoin }
 // Push implements Operator: probe the opposite child's hash state with
 // t's key, build each composite straight into j's rows where a later
 // probe can read it (storesOutput), and recurse upward with the row's
-// view. Matches are lent as views of the opposite state's run, read in
-// place: a probe allocates nothing per match. With instrumentation on,
-// one in obs.sampleEvery probes is timed (probe and build separately) —
-// sampling keeps the two extra clock reads off most of the hot path.
+// view — or, at a root that stores nothing, hand the whole probe to the
+// probe sink (forward). Matches are lent as views of the opposite
+// state's run, read in place: a probe allocates nothing per match. With
+// instrumentation on, one in obs.sampleEvery probes is timed (probe and
+// build separately) — sampling keeps the two extra clock reads off most
+// of the hot path.
 func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
 	e.strategy.BeforeProbe(e, j, opp, t)
@@ -39,8 +41,9 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	}
 	matches := opp.St.Probe(t.Key)
 	if timed {
-		t1 = e.now()
-		e.obs.Probe.Record(t1.Sub(t0))
+		d := e.Since(t0)
+		t1 = t0.Add(d)
+		e.obs.Probe.Record(d)
 	}
 	n := matches.Len()
 	opp.Probes++
@@ -57,32 +60,42 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 			// Time only the first build of a timed probe, reusing the
 			// probe-end clock read as the build start: one extra read
 			// per sample instead of two per match.
-			e.obs.Build.Record(e.now().Sub(t1))
+			e.obs.Build.Record(e.Since(t1))
 		}
 		e.pushUp(j, out)
 	}
 }
 
 // forward emits one probe's results at a root that does not store them
-// (storesOutput). Only the output callback reads such a result, so each
-// is built into the builder's one transient composite and overwritten
-// by the next (Delta has the rule), and the probe is counted with one
-// add. Without a callback — WAL replay — nothing is built at all.
+// (storesOutput): it counts them with one add and hands t and its
+// matches to the probe sink in one call, lent for the call
+// (ProbeOutput). Nothing is built here; whether a composite is built at
+// all is the sink's affair. A timed probe records the sink's call,
+// divided by its results, as its Build sample: at this root, producing
+// a result is delivering it. Without a sink — WAL replay, or no Output —
+// the results are counted, and nothing is delivered or timed.
 func (e *Engine) forward(t *tuple.Tuple, matches tuple.Rows, n int, timed bool, probed time.Time) {
 	if n == 0 {
 		return
 	}
 	e.met.Output.Add(uint64(n))
-	if e.out == nil {
+	if e.probe == nil {
 		return
 	}
+	e.probe(t, matches)
+	if timed {
+		e.obs.Build.Record(e.Since(probed) / time.Duration(n))
+	}
+}
+
+// outputEach is the probe sink of an engine with an Output and no
+// ProbeOutput: each result of the probe is built into the builder's one
+// transient composite and handed to the Output, overwritten by the next
+// (Delta has the rule).
+func (e *Engine) outputEach(t *tuple.Tuple, matches tuple.Rows) {
 	var m tuple.Tuple
-	for i := range n {
-		out := e.bld.JoinTransient(t, matches.View(i, &m))
-		if timed && i == 0 {
-			e.obs.Build.Record(e.now().Sub(probed)) // as in Push
-		}
-		e.out(Delta{Tuple: out})
+	for i := range matches.Len() {
+		e.out(Delta{Tuple: e.bld.JoinTransient(t, matches.View(i, &m))})
 	}
 }
 

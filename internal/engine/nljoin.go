@@ -54,7 +54,7 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 		// Includes the matches' downstream processing — for a
 		// nested-loops scan the two are inseparable without a clock
 		// read per stored entry.
-		e.obs.Probe.Record(e.now().Sub(t0))
+		e.obs.Probe.Record(e.Since(t0))
 	}
 }
 

@@ -46,8 +46,8 @@ type Operator interface {
 	// at node j: probe/scan the opposite state, construct result
 	// composites through the engine's scratch builder, insert them
 	// into j's state and recurse upward via e.pushUp — or, at a hash
-	// root without EmitExpiry (storesOutput), forward them to the
-	// output unstored.
+	// root without EmitExpiry (storesOutput), hand the probe's matches
+	// to the probe sink unbuilt (Engine.forward).
 	Push(e *Engine, j, from *Node, t *tuple.Tuple)
 }
 
@@ -85,6 +85,17 @@ type Delta struct {
 // reads what it needs of d.Tuple before returning — an unstored root
 // only lends it (see Delta) — and so works with every root.
 type Output func(Delta)
+
+// ProbeOutput receives one probe's results at a hash root that does
+// not store its output (storesOutput), on the goroutine feeding the
+// engine: the composite of t with each row of matches, in row order —
+// the results, in the order, Output would be handed one Delta at a
+// time. Both are lent for the duration of the call: t is the probing
+// tuple, matches the run of the opposite state it matched, read in
+// place. matches is never empty. No composite is built for it; a sink
+// that writes results out reads t's seqs once and each row's in place
+// (the server's egress encodes a probe's lines this way).
+type ProbeOutput func(t *tuple.Tuple, matches tuple.Rows)
 
 // Executor is the contract shared by every execution strategy in the
 // repository (this engine under JISC/Moving State/static, Parallel

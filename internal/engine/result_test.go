@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"jisc/internal/engine"
@@ -193,5 +194,51 @@ func TestForwardedResultsAreSampledAndCounted(t *testing.T) {
 	}
 	if silent, builds := run(nil); silent != outputs || builds != 0 {
 		t.Errorf("without an Output: %d outputs counted (want %d), %d builds sampled (want none: nothing is built)", silent, outputs, builds)
+	}
+}
+
+// TestProbeOutputMatchesOutput: an unstored root's probe sink gets,
+// probe by probe, exactly the results the per-result Output gets, in
+// the same order, and the same count; a root that stores its output
+// (EmitExpiry) never calls the probe sink, and its Output gets them all.
+func TestProbeOutputMatchesOutput(t *testing.T) {
+	src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 6, Seed: 5})
+	evs := src.Take(3000)
+	run := func(emitExpiry, probeSink bool) ([]string, int, uint64) {
+		var got []string
+		probes := 0
+		cfg := engine.Config{
+			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 40, EmitExpiry: emitExpiry,
+			Output: func(d engine.Delta) {
+				if !d.Retraction {
+					got = append(got, d.Tuple.Fingerprint())
+				}
+			},
+		}
+		if probeSink {
+			cfg.ProbeOutput = func(tp *tuple.Tuple, rows tuple.Rows) {
+				probes++
+				var v tuple.Tuple
+				for i := range rows.Len() {
+					got = append(got, tuple.Join(tp, rows.View(i, &v)).Fingerprint())
+				}
+			}
+		}
+		e := engine.MustNew(cfg)
+		defer e.Close()
+		for _, ev := range evs {
+			e.Feed(ev)
+		}
+		return got, probes, e.Metrics().Output
+	}
+	want, _, outputs := run(false, false)
+	got, probes, n := run(false, true)
+	if probes == 0 || n != outputs || uint64(len(got)) != outputs || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("probe sink: %d probes, %d results (%d counted); Output: %d results (%d counted); same order: %v",
+			probes, len(got), n, len(want), outputs, strings.Join(got, " ") == strings.Join(want, " "))
+	}
+	stored, probes, _ := run(true, true)
+	if probes != 0 || strings.Join(stored, " ") != strings.Join(want, " ") {
+		t.Fatalf("under EmitExpiry: %d probes reached the probe sink, Output got %d results of %d", probes, len(stored), len(want))
 	}
 }

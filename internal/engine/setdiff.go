@@ -63,7 +63,7 @@ func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple) {
 	}
 	suppressed := j.Right.St.ContainsKey(t.Key)
 	if timed {
-		e.obs.Probe.Record(e.now().Sub(t0))
+		e.obs.Probe.Record(e.Since(t0))
 	}
 	if suppressed {
 		return // suppressed: stays visible only in the left child

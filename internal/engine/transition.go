@@ -52,7 +52,7 @@ func (e *Engine) Migrate(newPlan *plan.Plan) error {
 	// The Migrate duration is the halt an eager strategy pays
 	// (OnTransition); under JISC it stays near zero — the latency trade
 	// the paper's Figures 7/8 are about.
-	dur := e.now().Sub(start)
+	dur := e.Since(start)
 	e.obs.Migrate.Record(dur)
 	tracer := e.obs.Tracer
 	if tracer == nil {

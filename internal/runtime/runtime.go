@@ -60,19 +60,22 @@ type Config struct {
 	// invoked on the worker goroutine; with several shards, calls are
 	// serialized across shards.
 	Engine engine.Config
-	// ShardOutput, when non-nil, gives each shard its own result sink in
+	// ShardOutput, when non-nil, gives each shard its own result sinks in
 	// place of the shared Engine.Output (over which it takes precedence):
-	// it is called once per shard at construction. out receives that shard's
-	// results on its worker goroutine with no lock around the call — so
-	// never concurrently with itself, but concurrently with the other
-	// shards' sinks. batchEnd (may be nil) runs on the same goroutine
-	// after every feed message the worker has processed, and after a
-	// transition before Migrate is answered: a sink that buffers results
-	// hands them on there. The worker thus never waits on its queue or
+	// it is called once per shard at construction. out and probe are
+	// that shard's engine's Output and ProbeOutput (probe may be nil:
+	// out then receives every result); they run on its worker goroutine
+	// with no lock around the call — so never concurrently with
+	// themselves, but concurrently with the other shards' sinks. A
+	// shared sink is an Output only: Engine.ProbeOutput must be nil.
+	// batchEnd (may be nil) runs on the same goroutine after every feed
+	// message the worker has processed, and after a transition before
+	// Migrate is answered: a sink that buffers results hands them on
+	// there. The worker thus never waits on its queue or
 	// answers a control message (Flush, Checkpoint) with results still
 	// buffered — after Flush returns, every result of the earlier feeds
 	// has passed a batchEnd.
-	ShardOutput func(shard int) (out engine.Output, batchEnd func())
+	ShardOutput func(shard int) (out engine.Output, probe engine.ProbeOutput, batchEnd func())
 	// QueueSize is the input-queue capacity (default 1024), per
 	// shard. Feed blocks when the queue is full — the backpressure
 	// equivalent of the paper's buffer-overflow discussion.
@@ -112,6 +115,8 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("runtime: need at least 1 shard, got %d", cfg.Shards)
 	case cfg.QueueSize < 0:
 		return fmt.Errorf("runtime: negative queue size %d", cfg.QueueSize)
+	case cfg.Engine.ProbeOutput != nil:
+		return errors.New("runtime: a probe sink belongs to one shard; set it through ShardOutput")
 	case !cfg.Durability.Enabled():
 		return nil
 	case cfg.Overflow == Shed:
@@ -130,11 +135,11 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// shardSink resolves shard i's result sink: the Config.ShardOutput
-// pair when one is configured, else the engine's own Output.
-func (cfg Config) shardSink(i int) (out engine.Output, batchEnd func()) {
+// shardSink resolves shard i's result sinks: Config.ShardOutput's when
+// one is configured, else the engine's own Output.
+func (cfg Config) shardSink(i int) (out engine.Output, probe engine.ProbeOutput, batchEnd func()) {
 	if cfg.ShardOutput == nil {
-		return cfg.Engine.Output, nil
+		return cfg.Engine.Output, nil, nil
 	}
 	return cfg.ShardOutput(i)
 }
@@ -213,7 +218,7 @@ func New(cfg Config) (*Runtime, error) {
 			// is exact because bucket boundaries are shared.
 			engCfgs[i].Obs = cfg.Obs.Recorder(i)
 		}
-		engCfgs[i].Output, s.batchEnd = cfg.shardSink(i)
+		engCfgs[i].Output, engCfgs[i].ProbeOutput, s.batchEnd = cfg.shardSink(i)
 		rt.shards[i] = s
 	}
 	var err error

@@ -13,20 +13,25 @@ import (
 
 // Result egress: engine → chunk → subscriber → socket, batch-granular.
 //
-// Each shard worker owns one egress. emit encodes a result once, as its
-// wire line, into the egress's chunk buffer; flush — the runtime's
-// batch boundary, or the chunk reaching chunkBytes — copies the chunk
-// into every subscriber's pending buffer and empties it. The chunk
-// buffer never leaves its worker, so the per-result path takes no lock
+// Each shard worker owns one egress. An unstored hash root hands it a
+// probe at a time (probe): the probing tuple and the rows it matched,
+// encoded in one pass as one wire line per row into the egress's chunk
+// buffer; any other root's results arrive one at a time (emit), each
+// the one-row case of the same encoder. flush — the runtime's batch
+// boundary, or the chunk reaching chunkBytes — hands the chunk to every
+// subscriber and empties it: the last one takes the chunk itself when
+// it has nothing pending, the others get a copy. The chunk buffer is
+// only ever written by its worker, so the per-result path takes no lock
 // and, once the buffers have grown, allocates nothing. A subscriber's
 // writer goroutine swaps the pending buffer for an empty one and issues
-// one socket write for all of it. DESIGN.md "Result egress" has the
-// ownership, flush and drop rules in full.
+// one socket write for all of it. DESIGN.md §17 has the ownership,
+// flush, swap and drop rules in full.
 
 // chunkBytes is the chunk size that forces a hand-off inside a batch,
 // so a long batch keeps streaming to its subscribers; a fixed
 // constant — hand-offs are already per batch, this only bounds the
-// chunk.
+// chunk (a probe's lines are encoded whole, so a chunk overshoots it by
+// at most one probe's).
 const chunkBytes = 32 << 10
 
 // retainBytes caps the buffer capacity a subscriber keeps for reuse
@@ -49,6 +54,11 @@ type fragment struct {
 	text [fragText]byte
 }
 
+// oneRow is a run of one row over no streams: the composite of a tuple
+// with its only row is the tuple itself, so emit encodes a single
+// result as a probe of one row.
+var oneRow = tuple.Rows{Data: make([]uint64, tuple.RowWidth(0))}
+
 // egress is one shard's end of a query's result path. All its fields
 // belong to the shard's worker goroutine.
 type egress struct {
@@ -60,88 +70,187 @@ type egress struct {
 	// fragment is encoded once and copied after that: frags[stream] is
 	// a direct-mapped table, allocated at the stream's first result.
 	// prefix is the last "RESULT <key> " (or RETRACT) written, reused
-	// while key and verb repeat, as they do within a probe's results.
+	// while key and verb repeat.
 	frags      [tuple.MaxStreams][]fragment
 	prefix     []byte
 	prefixKey  tuple.Value
 	prefixSign bool // prefix is a RETRACT
+
+	// The probe being encoded (appendProbe): a row's k-th seq is
+	// written after the piece of the first line at from[k]:to[k], from
+	// stream rowStream[k]'s table.
+	from, to  [tuple.MaxStreams]int
+	rowStream [tuple.MaxStreams]tuple.StreamID
 }
 
-// emit is the shard's engine.Output. With no subscriber it encodes
-// nothing; a subscriber that arrives mid-batch is picked up when the
-// chunk is empty, so its stream starts on a chunk boundary.
+// probe is the shard's engine.ProbeOutput: t's results against every
+// row of rows, encoded in one pass.
+func (e *egress) probe(t *tuple.Tuple, rows tuple.Rows) {
+	e.encode(false, t, rows)
+}
+
+// emit is the shard's engine.Output, for the roots that store their
+// results (and their retractions): one result, a probe of one row.
 func (e *egress) emit(d engine.Delta) {
+	e.encode(d.Retraction, d.Tuple, oneRow)
+}
+
+// encode appends the lines of t against rows to the chunk. With no
+// subscriber it encodes nothing; a subscriber that arrives mid-batch is
+// picked up when the chunk is empty, so its stream starts on a chunk
+// boundary.
+func (e *egress) encode(retract bool, t *tuple.Tuple, rows tuple.Rows) {
 	if len(e.buf) == 0 && e.q.nsubs.Load() == 0 {
 		return
 	}
-	e.buf = e.appendLine(e.buf, d)
-	e.lines++
+	var lines int
+	e.buf, lines = e.appendProbe(e.buf, retract, t, rows)
+	e.lines += lines
 	if len(e.buf) >= chunkBytes {
 		e.flush()
 	}
 }
 
-// appendLine appends d's wire line, "RESULT|RETRACT <key>
-// <fingerprint>\n", to dst. The bytes are those of
-// Tuple.AppendFingerprint — the fragments come from the same
-// Ref.AppendText, through the table.
-func (e *egress) appendLine(dst []byte, d engine.Delta) []byte {
-	if len(e.prefix) == 0 || e.prefixKey != d.Tuple.Key || e.prefixSign != d.Retraction {
+// appendProbe appends to dst the wire line of the composite of t with
+// each row of rows, in row order, and returns how many lines it wrote.
+// A line is "RESULT|RETRACT <key> <fingerprint>\n", the bytes of
+// Tuple.AppendFingerprint on that composite — the fragments come from
+// the same Ref.AppendText, through the tables. The prefix and t's
+// fragments are looked up once per probe, and the interleave of t's
+// streams with the rows' is worked out once, from t.Set | rows.Set, as
+// the first line is written: what lies between its row fragments — the
+// prefix, t's fragments, the separators, the newline — is the same in
+// every line, so each later line copies those pieces from the first
+// and its own row's fragments in between, the row read in place. dst
+// grows once, by the longest lines the rows can make.
+func (e *egress) appendProbe(dst []byte, retract bool, t *tuple.Tuple, rows tuple.Rows) ([]byte, int) {
+	w := tuple.RowWidth(rows.Set)
+	nrows := 1 // most probes match one row: spare them the division
+	if len(rows.Data) != w {
+		nrows = len(rows.Data) / w
+	}
+	if nrows == 0 {
+		return dst, 0
+	}
+	if len(e.prefix) == 0 || e.prefixKey != t.Key || e.prefixSign != retract {
 		verb := "RESULT "
-		if d.Retraction {
+		if retract {
 			verb = "RETRACT "
 		}
-		e.prefix = tuple.AppendInt(append(e.prefix[:0], verb...), int64(d.Tuple.Key))
+		e.prefix = tuple.AppendInt(append(e.prefix[:0], verb...), int64(t.Key))
 		e.prefix = append(e.prefix, ' ')
-		e.prefixKey, e.prefixSign = d.Tuple.Key, d.Retraction
+		e.prefixKey, e.prefixSign = t.Key, retract
 	}
-	// Room for the longest line these refs can make, once: a fragment
-	// is then a fixed-size copy of its whole slot text, and the next
-	// write overwrites what lies past its length.
-	seqs, set := d.Tuple.Seqs, d.Tuple.Set
+	// Room for the longest lines these refs can make, once, and a block
+	// beyond: a fragment is then a fixed-size copy of its whole slot
+	// text and a piece a run of fixed-size blocks, and the next write
+	// overwrites what lies past their length.
+	set := t.Set | rows.Set
 	n := len(dst)
-	dst = slices.Grow(dst, len(e.prefix)+len(seqs)*(fragText+1)+1)
+	dst = slices.Grow(dst, nrows*(len(e.prefix)+set.Count()*(fragText+1)+1)+pieceBlock)
 	dst = dst[:cap(dst)]
+
+	// The first line, noting where its pieces lie: row seq k is written
+	// between piece k (from[k]:to[k]) and piece k+1; the last piece ends
+	// the line.
+	row := rows.Data[2:w]
+	piece := n
 	n += copy(dst[n:], e.prefix)
-	for i, seq := range seqs {
-		if i > 0 {
+	i, k := 0, 0
+	for s := set; s != 0; s &= s - 1 {
+		if i+k > 0 {
 			dst[n] = '|'
 			n++
 		}
-		f := e.fragment(tuple.Ref{Stream: tuple.StreamID(bits.TrailingZeros64(uint64(set))), Seq: seq})
-		set &= set - 1
+		id := tuple.StreamID(bits.TrailingZeros64(uint64(s)))
+		if t.Set.Has(id) {
+			f := e.fragment(id, t.Seqs[i])
+			*(*[fragText]byte)(dst[n:]) = f.text
+			n += int(f.n)
+			i++
+			continue
+		}
+		e.from[k], e.to[k], e.rowStream[k] = piece, n, id
+		f := e.fragment(id, row[k])
 		*(*[fragText]byte)(dst[n:]) = f.text
 		n += int(f.n)
+		piece = n
+		k++
 	}
 	dst[n] = '\n'
-	return dst[:n+1]
+	n++
+	last := [2]int{piece, n}
+
+	for at := w; at < len(rows.Data); at += w {
+		for k, seq := range rows.Data[at+2 : at+w] {
+			n += copyPiece(dst, n, e.from[k], e.to[k])
+			id := e.rowStream[k]
+			f := &e.frags[id][seq%fragSlots] // fragment, inlined by hand
+			if f.seq != seq || f.n == 0 {
+				f.encode(tuple.Ref{Stream: id, Seq: seq})
+			}
+			*(*[fragText]byte)(dst[n:]) = f.text
+			n += int(f.n)
+		}
+		n += copyPiece(dst, n, last[0], last[1])
+	}
+	return dst[:n], nrows
 }
 
-// fragment returns r's slot, encoding r into it first unless its tag
-// says it already holds r.
-func (e *egress) fragment(r tuple.Ref) *fragment {
-	if e.frags[r.Stream] == nil {
-		e.frags[r.Stream] = make([]fragment, fragSlots)
+// pieceBlock is the block copyPiece moves at a time.
+const pieceBlock = 16
+
+// copyPiece copies dst[from:to], a piece of a probe's first line, to
+// dst[n:], where n ≥ to, and returns its length. The pieces are a few
+// bytes each — a separator, a prefix, a fragment and a newline — so it
+// moves them in fixed blocks rather than calling memmove: past the
+// piece it writes up to pieceBlock-1 bytes that the next write
+// overwrites, and appendProbe leaves a block of room beyond the last
+// line for them.
+func copyPiece(dst []byte, n, from, to int) int {
+	for i := from; i < to; i += pieceBlock {
+		*(*[pieceBlock]byte)(dst[n+i-from:]) = *(*[pieceBlock]byte)(dst[i:])
 	}
-	f := &e.frags[r.Stream][r.Seq%fragSlots]
-	if f.seq != r.Seq || f.n == 0 {
-		f.seq = r.Seq
-		f.n = uint8(len(r.AppendText(f.text[:0])))
+	return to - from
+}
+
+// fragment returns the slot of ref id#seq, encoding the ref into it
+// first unless its tag says it already holds it; the stream's table is
+// allocated at its first ref.
+func (e *egress) fragment(id tuple.StreamID, seq uint64) *fragment {
+	if e.frags[id] == nil {
+		e.frags[id] = make([]fragment, fragSlots)
+	}
+	f := &e.frags[id][seq%fragSlots]
+	if f.seq != seq || f.n == 0 {
+		f.encode(tuple.Ref{Stream: id, Seq: seq})
 	}
 	return f
 }
 
-// flush hands the chunk to every subscriber. It never blocks on a
-// subscriber: one that is too far behind is dropped instead — counted
-// and traced, never silently.
+// encode fills the slot with r's text.
+func (f *fragment) encode(r tuple.Ref) {
+	f.seq = r.Seq
+	f.n = uint8(len(r.AppendText(f.text[:0])))
+}
+
+// flush hands the chunk to every subscriber. The last one offered it
+// may take the chunk itself (offer); the worker then goes on with the
+// empty buffer it gets back. It never blocks on a subscriber: one that
+// is too far behind is dropped instead — counted and traced, never
+// silently.
 func (e *egress) flush() {
 	if len(e.buf) == 0 {
 		return
 	}
 	q := e.q
+	buf := e.buf
 	q.mu.Lock()
+	left := len(q.subs)
 	for id, s := range q.subs {
-		if s.offer(e.buf, e.lines, q.bufSize) {
+		left--
+		var ok bool
+		if buf, ok = s.offer(buf, e.lines, q.bufSize, left == 0); ok {
 			continue
 		}
 		q.remove(id)
@@ -153,7 +262,7 @@ func (e *egress) flush() {
 		})
 	}
 	q.mu.Unlock()
-	e.buf, e.lines = e.buf[:0], 0
+	e.buf, e.lines = buf[:0], 0
 }
 
 // subscriber is one SUBSCRIBE's queue between the shard workers and
@@ -174,20 +283,31 @@ func newSubscriber() *subscriber {
 	return s
 }
 
-// offer appends a chunk of whole lines unless the subscriber is already
-// limit lines behind. Checking before the append means no single
-// chunk, however many lines it carries, drops a subscriber that has
-// kept up; pending is bounded by limit lines plus one chunk.
-func (s *subscriber) offer(chunk []byte, lines, limit int) bool {
+// offer hands over a chunk of whole lines unless the subscriber is
+// already limit lines behind, and returns the buffer the caller goes on
+// filling. Checking before the hand-off means no single chunk, however
+// many lines it carries, drops a subscriber that has kept up; pending
+// is bounded by limit lines plus one chunk. The chunk is appended to
+// pending — except when give is set and nothing is pending: then the
+// chunk becomes pending as it is, and the caller gets pending's empty
+// buffer in exchange. That buffer is the spare take left there, which
+// the writer has finished writing, so no one else holds it; the caller
+// may write it at once. Otherwise (refused, or copied) the caller keeps
+// its chunk.
+func (s *subscriber) offer(chunk []byte, lines, limit int, give bool) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lines >= limit {
-		return false
+		return chunk, false
 	}
-	s.pending = append(s.pending, chunk...)
+	if give && len(s.pending) == 0 {
+		chunk, s.pending = s.pending[:0], chunk
+	} else {
+		s.pending = append(s.pending, chunk...)
+	}
 	s.lines += lines
 	s.ready.Signal()
-	return true
+	return chunk, true
 }
 
 // close ends the stream: take drains what is pending, then reports the

@@ -47,6 +47,13 @@ func composite(key tuple.Value, refs ...tuple.Ref) *tuple.Tuple {
 	return t
 }
 
+// appendLine is what emit encodes for d: its wire line, the one-row
+// case of appendProbe.
+func (e *egress) appendLine(dst []byte, d engine.Delta) []byte {
+	dst, _ = e.appendProbe(dst, d.Retraction, d.Tuple, oneRow)
+	return dst
+}
+
 // wireLine is the reference for a result line: fmt over the delta's
 // fields, sharing nothing with the encoder under test.
 func wireLine(d engine.Delta) string {
@@ -295,8 +302,8 @@ func TestShardedFanout(t *testing.T) {
 	// shard's result lines in emission order.
 	want := make([][]string, shards)
 	rcfg := pcfg
-	rcfg.ShardOutput = func(i int) (engine.Output, func()) {
-		return func(d engine.Delta) { want[i] = append(want[i], wireLine(d)) }, nil
+	rcfg.ShardOutput = func(i int) (engine.Output, engine.ProbeOutput, func()) {
+		return func(d engine.Delta) { want[i] = append(want[i], wireLine(d)) }, nil, nil
 	}
 	ref, err := runtime.New(rcfg)
 	if err != nil {

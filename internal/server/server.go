@@ -33,7 +33,8 @@
 // Responses: "OK", "ERR <msg>", "STATS <...>", "PLAN <plan>",
 // "QUERIES <names...>"; streamed results are "RESULT <key>
 // <fingerprint>" and "RETRACT <key> <fingerprint>" lines. Results leave
-// in batches: each is encoded once into its shard's chunk, and the
+// in batches: each probe's results are encoded in one pass into its
+// shard's chunk, and the
 // chunk is handed to the subscribers when the ingest batch that
 // produced it ends (a lone FEED's results go out at once) or reaches
 // 32 KiB; a subscriber connection gets everything handed off since its
@@ -96,8 +97,8 @@ type Config struct {
 	// overflow policy, shard count). A nil Engine.Strategy means JISC
 	// (core.New) for every query. Setting its Shards field above 1
 	// hash-partitions every hosted query across that many worker
-	// shards. Its Engine.Output and ShardOutput are owned by the server
-	// and must be nil. Engine.Plan may be nil to start the server with
+	// shards. Its Engine.Output, Engine.ProbeOutput and ShardOutput are
+	// owned by the server and must be nil. Engine.Plan may be nil to start the server with
 	// no default query (CREATE adds queries at runtime).
 	// Its Durability field is owned by the server and must be zero;
 	// set Config.Durable instead.
@@ -108,7 +109,10 @@ type Config struct {
 	// subs_dropped. The bound is in lines, not hand-offs — a single
 	// batch's results never drop a subscriber that has kept up — and
 	// the memory held for a stalled subscriber is at most this many
-	// lines plus one 32 KiB chunk.
+	// lines plus one chunk (32 KiB, overshot by at most one probe's
+	// lines, which are encoded whole). A subscriber with nothing
+	// pending takes a chunk without a copy (DESIGN.md §17, the swap
+	// rule), so a lone subscriber costs the shard no copy at all.
 	SubscriberBuffer int
 	// Durable, when enabled (Dir set), makes every mutating command
 	// durable: FEED and MIGRATE are write-ahead logged per query shard
@@ -201,8 +205,8 @@ type Server struct {
 // carries a plan). With durability enabled it first recovers every
 // query recorded in the catalog. Call Listen to accept connections.
 func New(cfg Config) (*Server, error) {
-	if cfg.Pipeline.Engine.Output != nil || cfg.Pipeline.ShardOutput != nil {
-		return nil, errors.New("server: Engine.Output and ShardOutput are owned by the server")
+	if cfg.Pipeline.Engine.Output != nil || cfg.Pipeline.Engine.ProbeOutput != nil || cfg.Pipeline.ShardOutput != nil {
+		return nil, errors.New("server: Engine.Output, Engine.ProbeOutput and ShardOutput are owned by the server")
 	}
 	if cfg.Pipeline.Durability.Enabled() {
 		return nil, errors.New("server: Pipeline.Durability is owned by the server; set Config.Durable")

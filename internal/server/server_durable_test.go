@@ -17,6 +17,7 @@ import (
 	"jisc/internal/engine"
 	"jisc/internal/plan"
 	"jisc/internal/runtime"
+	"jisc/internal/workload"
 )
 
 func durableServerConfig(dir string) Config {
@@ -485,5 +486,84 @@ func TestNilStrategyMeansJISC(t *testing.T) {
 			migrate(s, "1,2,0")
 			s.Close()
 		}
+	}
+}
+
+// TestDurableSubscriberMatchesOutput: after a restart that replays the
+// WAL, a subscriber reads, line for line, what an engine's Output hands
+// out for the same input — the egress encodes whole probes from the
+// probe sink, the reference one built composite at a time — and the
+// replay itself sent the subscriber nothing.
+func TestDurableSubscriberMatchesOutput(t *testing.T) {
+	dir := t.TempDir()
+	evs := batchEvents(300)
+	cut := 150
+	start := func() *Server {
+		t.Helper()
+		cfg := durableServerConfig(dir)
+		cfg.SubscriberBuffer = 1 << 20 // a slow (-race) reader is not dropped
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Listen("127.0.0.1:0"); err != nil {
+			s.Close()
+			t.Fatal(err)
+		}
+		return s
+	}
+	feed := func(s *Server, evs []workload.Event) {
+		t.Helper()
+		fc, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fc.Close()
+		for i := 0; i < len(evs); i += 100 {
+			if err := fc.FeedBatch(evs[i:min(i+100, len(evs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s := start()
+	feed(s, evs[:cut])
+	s.Close()
+
+	var want []string
+	cfg := durableServerConfig(dir).Pipeline.Engine
+	cfg.Output = func(d engine.Delta) { want = append(want, wireLine(d)) }
+	ref := engine.MustNew(cfg)
+	defer ref.Close()
+	for _, ev := range evs[:cut] {
+		ref.Feed(ev)
+	}
+	want = want[:0]
+	for _, ev := range evs[cut:] {
+		ref.Feed(ev)
+	}
+	if len(want) == 0 {
+		t.Fatal("the reference emitted nothing after the cut")
+	}
+
+	s2 := start()
+	defer s2.Close()
+	sub := dial(t, s2)
+	if resp := sub.cmd(t, "SUBSCRIBE"); resp != "OK" {
+		t.Fatalf("subscribe: %s", resp)
+	}
+	feed(s2, evs[cut:])
+	sub.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	for i, w := range want {
+		line, err := sub.r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("line %d of %d: %v", i, len(want), err)
+		}
+		if line != w {
+			t.Fatalf("line %d = %q, want %q", i, line, w)
+		}
+	}
+	sub.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if extra, err := sub.r.ReadString('\n'); err == nil {
+		t.Fatalf("a line past the reference's %d: %q", len(want), extra)
 	}
 }
