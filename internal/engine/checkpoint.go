@@ -66,16 +66,16 @@ func countMap[K ~uint8 | ~uint64](kcs []keyCount) map[K]uint64 {
 	return m
 }
 
+// tupleSnap is one stored tuple; gob skips the oldest tick older ones hold.
 type tupleSnap struct {
 	Key     tuple.Value
 	Refs    []tuple.Ref
 	Arrival uint64
-	Oldest  uint64
 }
 
 // snapOf copies t out: its refs in stream order, from its set and seqs.
 func snapOf(t *tuple.Tuple) tupleSnap {
-	s := tupleSnap{Key: t.Key, Refs: make([]tuple.Ref, len(t.Seqs)), Arrival: t.Arrival, Oldest: t.Oldest}
+	s := tupleSnap{Key: t.Key, Refs: make([]tuple.Ref, len(t.Seqs)), Arrival: t.Arrival}
 	for i, id := range t.Set.Streams() {
 		s.Refs[i] = tuple.Ref{Stream: id, Seq: t.Seqs[i]}
 	}
@@ -90,7 +90,7 @@ func (s tupleSnap) tuple() (*tuple.Tuple, error) {
 	if len(s.Refs) == 0 {
 		return nil, fmt.Errorf("engine: checkpoint tuple with key %d has no refs", s.Key)
 	}
-	t := &tuple.Tuple{Key: s.Key, Seqs: make([]uint64, len(s.Refs)), Arrival: s.Arrival, Oldest: s.Oldest}
+	t := &tuple.Tuple{Key: s.Key, Seqs: make([]uint64, len(s.Refs)), Arrival: s.Arrival}
 	for i, r := range s.Refs {
 		if r.Stream >= tuple.MaxStreams || (i > 0 && r.Stream <= s.Refs[i-1].Stream) {
 			return nil, fmt.Errorf("engine: checkpoint tuple with key %d: refs %v not in ascending stream order", s.Key, s.Refs)

@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"jisc/internal/core"
@@ -162,6 +164,73 @@ func TestRestoreReadsNLListCheckpoint(t *testing.T) {
 		}
 	}
 	if gm, wm := resumed.Metrics(), ref.Metrics(); gm.Output != wm.Output || gm.Completions != wm.Completions || gm.Completions == 0 {
+		t.Fatalf("counters after resuming:\n got %+v\nwant %+v", gm, wm)
+	}
+}
+
+// TestRestoreReadsOldestCheckpoint: testdata/snap_v4_oldest_rows.gob was
+// written by a build whose tuples also carried their oldest
+// constituent's tick — a 4-way JISC engine with EmitExpiry on (0,1,2,3),
+// window 40, migrated to (3,2,1,0) after uniformEvents(1600, 4, 12,
+// 13)[:600] and checkpointed 40 tuples later, so it holds rows of every
+// width from one stream to four, and incomplete states. gob skips the
+// field; the restored engine, fed the rest, emits and retracts exactly
+// what an uninterrupted run does, in the same order.
+func TestRestoreReadsOldestCheckpoint(t *testing.T) {
+	const migrateAt, ckptAt = 600, 640
+	evs := uniformEvents(1600, 4, 12, 13)
+	cfg := func(out *[]string) engine.Config {
+		return engine.Config{
+			Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 40, Strategy: core.New(), EmitExpiry: true,
+			Output: func(d engine.Delta) { *out = append(*out, fmt.Sprint(d.Retraction, d.Tuple.Fingerprint())) },
+		}
+	}
+	var want, got []string
+	ref := engine.MustNew(cfg(new([]string)))
+	defer ref.Close()
+	ref.FeedBatch(evs[:migrateAt])
+	if err := ref.Migrate(plan.MustLeftDeep(3, 2, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	ref.FeedBatch(evs[migrateAt:ckptAt])
+	var ckpt bytes.Buffer
+	if err := ref.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	ref.SetOutput(cfg(&want).Output, nil)
+	ref.FeedBatch(evs[ckptAt:])
+
+	old, err := os.ReadFile("testdata/snap_v4_oldest_rows.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old, []byte("Oldest")) || len(old) <= ckpt.Len() {
+		t.Fatalf("fixture is %d B, this build's checkpoint %d B: it should carry the Oldest field", len(old), ckpt.Len())
+	}
+	c := cfg(&got)
+	c.Plan = nil
+	resumed, err := engine.Restore(bytes.NewReader(old), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	incomplete, widest := 0, 0
+	for _, n := range resumed.Nodes() {
+		if !n.IsLeaf() && !n.St.Complete() {
+			incomplete++
+		}
+		if n.St.Size() > 0 {
+			widest = max(widest, n.Set.Count())
+		}
+	}
+	if incomplete == 0 || widest != 4 {
+		t.Fatalf("restored %d incomplete states, widest stored rows over %d streams; want a mid-migration checkpoint with a stored root", incomplete, widest)
+	}
+	resumed.FeedBatch(evs[ckptAt:])
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("resumed run emitted %d deltas, uninterrupted %d, or in another order", len(got), len(want))
+	}
+	if gm, wm := resumed.Metrics(), ref.Metrics(); gm.Output != wm.Output || gm.Completions != wm.Completions || gm.CompletedEntries != wm.CompletedEntries {
 		t.Fatalf("counters after resuming:\n got %+v\nwant %+v", gm, wm)
 	}
 }

@@ -431,7 +431,7 @@ func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint6
 	}
 
 	e.baseSeq[0] = seq
-	e.base = tuple.Tuple{Key: ev.Key, Set: scan.Set, Seqs: e.baseSeq[:], Arrival: e.tick, Oldest: e.tick}
+	e.base = tuple.Tuple{Key: ev.Key, Set: scan.Set, Seqs: e.baseSeq[:], Arrival: e.tick}
 	scan.St.Insert(&e.base)
 	e.met.Inserts.Add(1)
 	e.pushUp(scan, &e.base)

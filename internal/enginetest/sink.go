@@ -40,6 +40,18 @@ func (s *Sink) Output(d engine.Delta) {
 	d.Tuple.Key, d.Tuple.Set = -1, 0
 }
 
+// Probe is the engine.ProbeOutput, a served query's result path: t's
+// result with each row of rows, read in place, counted and kept as by
+// Output. Nothing is poisoned: t and rows are the engine's own state.
+func (s *Sink) Probe(t *tuple.Tuple, rows tuple.Rows) {
+	var v tuple.Tuple
+	for i := range rows.Len() {
+		c := tuple.Join(t, rows.View(i, &v))
+		s.Outs[c.Fingerprint()]++
+		s.kept = append(s.kept, c)
+	}
+}
+
 // Check re-reads the clones: their fingerprints must be the multiset
 // read inside the callbacks.
 func (s *Sink) Check() error {

@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"fmt"
+	"slices"
 
 	"jisc/internal/engine"
 	"jisc/internal/metrics"
@@ -13,15 +14,12 @@ import (
 // track is one plan instance inside a ParallelTrack executor.
 type track struct {
 	eng *engine.Engine
-	// born is the global input count at which this track started
-	// (zero for the initial plan). A track's states only ever contain
-	// tuples that arrived after born.
-	born uint64
-	// supersededAt is the born tick of the next-newer track, or 0
-	// while this track is the newest. An entry is "old" for the
-	// discard check when its oldest constituent arrived at or before
-	// supersededAt.
-	supersededAt uint64
+	// cutoff holds, by stream, the last seq fed when the next-newer
+	// track was born (nil while this track is the newest). An entry is
+	// "old" for the discard check when a constituent's seq is at or
+	// below its stream's cutoff — its oldest constituent arrived before
+	// that birth, since ticks and seqs both rise per stream.
+	cutoff []uint64
 }
 
 // ParallelTrack implements the Parallel Track Strategy (§3.3): at a
@@ -52,7 +50,7 @@ type ParallelTrack struct {
 	// scan (§3.3 calls out its cost).
 	checkEvery uint64
 	inputs     uint64
-	seqs       map[tuple.StreamID]uint64
+	seqs       [tuple.MaxStreams]uint64
 	// seen holds the provenance fingerprints emitted during the
 	// current migration stage, for root duplicate elimination.
 	seen map[string]struct{}
@@ -91,10 +89,9 @@ func NewParallelTrack(cfg PTConfig) (*ParallelTrack, error) {
 		streams:     cfg.Plan.Streams,
 		out:         cfg.Output,
 		checkEvery:  uint64(cfg.CheckEvery),
-		seqs:        make(map[tuple.StreamID]uint64),
 		seen:        make(map[string]struct{}),
 	}
-	tr, err := pt.newTrack(cfg.Plan, 0)
+	tr, err := pt.newTrack(cfg.Plan)
 	if err != nil {
 		return nil, err
 	}
@@ -111,8 +108,8 @@ func MustNewParallelTrack(cfg PTConfig) *ParallelTrack {
 	return pt
 }
 
-func (pt *ParallelTrack) newTrack(p *plan.Plan, born uint64) (*track, error) {
-	tr := &track{born: born}
+func (pt *ParallelTrack) newTrack(p *plan.Plan) (*track, error) {
+	tr := &track{}
 	eng, err := engine.New(engine.Config{
 		Plan:        p,
 		WindowSize:  pt.windowSize,
@@ -202,13 +199,13 @@ func (pt *ParallelTrack) Migrate(p *plan.Plan) error {
 		return fmt.Errorf("paralleltrack: new plan covers %v, old covers %v", p.Streams, pt.streams)
 	}
 	pt.met.Transitions.Add(1)
-	tr, err := pt.newTrack(p, pt.inputs)
+	tr, err := pt.newTrack(p)
 	if err != nil {
 		return err
 	}
 	for _, old := range pt.tracks {
-		if old.supersededAt == 0 {
-			old.supersededAt = pt.inputs
+		if old.cutoff == nil {
+			old.cutoff = slices.Clone(pt.seqs[:])
 		}
 	}
 	pt.tracks = append(pt.tracks, tr)
@@ -230,7 +227,7 @@ func (pt *ParallelTrack) discardCheck() {
 			if n.St == nil {
 				continue
 			}
-			old += n.St.CountOld(tr.supersededAt)
+			old += n.St.CountOld(tr.cutoff)
 			pt.met.MigrationWork.Add(uint64(n.St.Size())) // scan cost
 		}
 		if old > 0 {

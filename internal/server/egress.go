@@ -81,6 +81,9 @@ type egress struct {
 	// stream rowStream[k]'s table.
 	from, to  [tuple.MaxStreams]int
 	rowStream [tuple.MaxStreams]tuple.StreamID
+	// first is the probe's first composite, its row read through row.
+	first []uint64
+	row   tuple.Tuple
 }
 
 // probe is the shard's engine.ProbeOutput: t's results against every
@@ -113,16 +116,13 @@ func (e *egress) encode(retract bool, t *tuple.Tuple, rows tuple.Rows) {
 
 // appendProbe appends to dst the wire line of the composite of t with
 // each row of rows, in row order, and returns how many lines it wrote.
-// A line is "RESULT|RETRACT <key> <fingerprint>\n", the bytes of
-// Tuple.AppendFingerprint on that composite — the fragments come from
-// the same Ref.AppendText, through the tables. The prefix and t's
-// fragments are looked up once per probe, and the interleave of t's
-// streams with the rows' is worked out once, from t.Set | rows.Set, as
-// the first line is written: what lies between its row fragments — the
-// prefix, t's fragments, the separators, the newline — is the same in
-// every line, so each later line copies those pieces from the first
-// and its own row's fragments in between, the row read in place. dst
-// grows once, by the longest lines the rows can make.
+// The first line, with the first row, is written as a single result is
+// (appendLine); most probes match one row and stop there. What lies
+// between that line's row fragments — the prefix, t's fragments, the
+// separators, the newline — is the same in every line, so each later
+// line copies those pieces from the first, with its own row's fragments
+// in between, the row read in place. dst grows once, by the longest
+// lines the rows can make.
 func (e *egress) appendProbe(dst []byte, retract bool, t *tuple.Tuple, rows tuple.Rows) ([]byte, int) {
 	w := tuple.RowWidth(rows.Set)
 	nrows := 1 // most probes match one row: spare them the division
@@ -132,60 +132,36 @@ func (e *egress) appendProbe(dst []byte, retract bool, t *tuple.Tuple, rows tupl
 	if nrows == 0 {
 		return dst, 0
 	}
-	if len(e.prefix) == 0 || e.prefixKey != t.Key || e.prefixSign != retract {
-		verb := "RESULT "
-		if retract {
-			verb = "RETRACT "
-		}
-		e.prefix = tuple.AppendInt(append(e.prefix[:0], verb...), int64(t.Key))
-		e.prefix = append(e.prefix, ' ')
-		e.prefixKey, e.prefixSign = t.Key, retract
+	set, seqs := t.Set|rows.Set, t.Seqs
+	if rows.Set != 0 {
+		e.first = tuple.AppendJoinRow(e.first[:0], t, rows.View(0, &e.row))
+		seqs = e.first[tuple.RowSeqs:]
 	}
-	// Room for the longest lines these refs can make, once, and a block
-	// beyond: a fragment is then a fixed-size copy of its whole slot
-	// text and a piece a run of fixed-size blocks, and the next write
-	// overwrites what lies past their length.
-	set := t.Set | rows.Set
 	n := len(dst)
-	dst = slices.Grow(dst, nrows*(len(e.prefix)+set.Count()*(fragText+1)+1)+pieceBlock)
-	dst = dst[:cap(dst)]
-
-	// The first line, noting where its pieces lie: row seq k is written
-	// between piece k (from[k]:to[k]) and piece k+1; the last piece ends
-	// the line.
-	row := rows.Data[2:w]
-	piece := n
-	n += copy(dst[n:], e.prefix)
-	i, k := 0, 0
-	for s := set; s != 0; s &= s - 1 {
-		if i+k > 0 {
-			dst[n] = '|'
-			n++
-		}
-		id := tuple.StreamID(bits.TrailingZeros64(uint64(s)))
-		if t.Set.Has(id) {
-			f := e.fragment(id, t.Seqs[i])
-			*(*[fragText]byte)(dst[n:]) = f.text
-			n += int(f.n)
-			i++
-			continue
-		}
-		e.from[k], e.to[k], e.rowStream[k] = piece, n, id
-		f := e.fragment(id, row[k])
-		*(*[fragText]byte)(dst[n:]) = f.text
-		n += int(f.n)
-		piece = n
-		k++
+	dst = e.appendLine(dst, retract, t.Key, set, seqs, nrows)
+	if nrows == 1 {
+		return dst, 1
 	}
-	dst[n] = '\n'
-	n++
-	last := [2]int{piece, n}
 
+	// Where the first line's pieces lie, from its fragments' lengths:
+	// row seq k goes between piece k (from[k]:to[k]) and piece k+1.
+	piece, at, k := n, n+len(e.prefix), 0
+	for i, s := 0, set; s != 0; i, s = i+1, s&(s-1) {
+		id := tuple.StreamID(bits.TrailingZeros64(uint64(s)))
+		end := at + int(e.frags[id][seqs[i]%fragSlots].n)
+		if rows.Set.Has(id) {
+			e.from[k], e.to[k], e.rowStream[k] = piece, at, id
+			piece, k = end, k+1
+		}
+		at = end + 1
+	}
+	last := [2]int{piece, len(dst)}
+	n, dst = len(dst), dst[:cap(dst)]
 	for at := w; at < len(rows.Data); at += w {
-		for k, seq := range rows.Data[at+2 : at+w] {
+		for k, seq := range rows.Data[at+tuple.RowSeqs : at+w] {
 			n += copyPiece(dst, n, e.from[k], e.to[k])
 			id := e.rowStream[k]
-			f := &e.frags[id][seq%fragSlots] // fragment, inlined by hand
+			f := &e.frags[id][seq%fragSlots]
 			if f.seq != seq || f.n == 0 {
 				f.encode(tuple.Ref{Stream: id, Seq: seq})
 			}
@@ -195,6 +171,48 @@ func (e *egress) appendProbe(dst []byte, retract bool, t *tuple.Tuple, rows tupl
 		n += copyPiece(dst, n, last[0], last[1])
 	}
 	return dst[:n], nrows
+}
+
+// appendLine appends to dst the one wire line format, "RESULT|RETRACT
+// <key> <fingerprint>\n": the bytes of Tuple.AppendFingerprint on a
+// tuple covering set with seqs, its fragments from the same
+// Ref.AppendText, through the tables. It leaves room in dst's capacity
+// for lines such lines at their longest and a block beyond: a fragment
+// is then a fixed-size copy of its whole slot text and a piece a run of
+// fixed-size blocks, and the next write overwrites what lies past them.
+func (e *egress) appendLine(dst []byte, retract bool, key tuple.Value, set tuple.StreamSet, seqs []uint64, lines int) []byte {
+	if len(e.prefix) == 0 || e.prefixKey != key || e.prefixSign != retract {
+		verb := "RESULT "
+		if retract {
+			verb = "RETRACT "
+		}
+		e.prefix = tuple.AppendInt(append(e.prefix[:0], verb...), int64(key))
+		e.prefix = append(e.prefix, ' ')
+		e.prefixKey, e.prefixSign = key, retract
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, lines*(len(e.prefix)+len(seqs)*(fragText+1)+1)+pieceBlock)
+	dst = dst[:cap(dst)]
+	n += copy(dst[n:], e.prefix)
+	for i, seq := range seqs {
+		if i > 0 {
+			dst[n] = '|'
+			n++
+		}
+		id := tuple.StreamID(bits.TrailingZeros64(uint64(set)))
+		set &= set - 1
+		if e.frags[id] == nil {
+			e.frags[id] = make([]fragment, fragSlots)
+		}
+		f := &e.frags[id][seq%fragSlots]
+		if f.seq != seq || f.n == 0 {
+			f.encode(tuple.Ref{Stream: id, Seq: seq})
+		}
+		*(*[fragText]byte)(dst[n:]) = f.text
+		n += int(f.n)
+	}
+	dst[n] = '\n'
+	return dst[:n+1]
 }
 
 // pieceBlock is the block copyPiece moves at a time.
@@ -212,20 +230,6 @@ func copyPiece(dst []byte, n, from, to int) int {
 		*(*[pieceBlock]byte)(dst[n+i-from:]) = *(*[pieceBlock]byte)(dst[i:])
 	}
 	return to - from
-}
-
-// fragment returns the slot of ref id#seq, encoding the ref into it
-// first unless its tag says it already holds it; the stream's table is
-// allocated at its first ref.
-func (e *egress) fragment(id tuple.StreamID, seq uint64) *fragment {
-	if e.frags[id] == nil {
-		e.frags[id] = make([]fragment, fragSlots)
-	}
-	f := &e.frags[id][seq%fragSlots]
-	if f.seq != seq || f.n == 0 {
-		f.encode(tuple.Ref{Stream: id, Seq: seq})
-	}
-	return f
 }
 
 // encode fills the slot with r's text.

@@ -47,13 +47,6 @@ func composite(key tuple.Value, refs ...tuple.Ref) *tuple.Tuple {
 	return t
 }
 
-// appendLine is what emit encodes for d: its wire line, the one-row
-// case of appendProbe.
-func (e *egress) appendLine(dst []byte, d engine.Delta) []byte {
-	dst, _ = e.appendProbe(dst, d.Retraction, d.Tuple, oneRow)
-	return dst
-}
-
 // wireLine is the reference for a result line: fmt over the delta's
 // fields, sharing nothing with the encoder under test.
 func wireLine(d engine.Delta) string {
@@ -101,11 +94,11 @@ func TestResultLineGolden(t *testing.T) {
 	check := func(d engine.Delta) {
 		t.Helper()
 		want := wireLine(d)
-		if got := string(e.appendLine(nil, d)); got != want {
+		if got := string(e.appendLine(nil, d.Retraction, d.Tuple.Key, d.Tuple.Set, d.Tuple.Seqs, 1)); got != want {
 			t.Errorf("line = %q, want %q", got, want)
 		}
 		const before = "RESULT 1 0#1\n"
-		if got := string(e.appendLine([]byte(before), d)); got != before+want {
+		if got := string(e.appendLine([]byte(before), d.Retraction, d.Tuple.Key, d.Tuple.Set, d.Tuple.Seqs, 1)); got != before+want {
 			t.Errorf("appended = %q, want %q", got, before+want)
 		}
 		if fp := d.Tuple.Fingerprint(); !strings.HasSuffix(want, " "+fp+"\n") {
@@ -140,7 +133,8 @@ func TestResultLineRandomRefs(t *testing.T) {
 		ref = strconv.AppendUint(append(strconv.AppendUint(ref[:0], uint64(r.Stream), 10), '#'), r.Seq, 10)
 		want = append(strconv.AppendInt(append(want[:0], "RESULT "...), key, 10), ' ')
 		want = append(append(want, ref...), '\n')
-		line = e.appendLine(line[:0], engine.Delta{Tuple: composite(tuple.Value(key), r)})
+		c := composite(tuple.Value(key), r)
+		line = e.appendLine(line[:0], false, c.Key, c.Set, c.Seqs, 1)
 		n++
 		return bytes.Equal(line, want) && bytes.Equal(r.AppendText(nil), ref)
 	}
@@ -465,17 +459,17 @@ func BenchmarkAppendFingerprintEgress(b *testing.B) {
 			e := &egress{}
 			refs := []tuple.Ref{{Stream: 0, Seq: 123456}, {Stream: 1, Seq: 7}, {Stream: 2, Seq: 99}}
 			d := engine.Delta{Tuple: composite(7, refs...)}
-			buf := e.appendLine(make([]byte, 0, 128), d)
+			buf, _ := e.appendProbe(make([]byte, 0, 128), false, d.Tuple, oneRow)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !cached {
-					for j := range refs {
-						refs[j].Seq = 100_000 + (refs[j].Seq+fragSlots+1)%900_000
+					for j, seq := range d.Tuple.Seqs {
+						d.Tuple.Seqs[j] = 100_000 + (seq+fragSlots+1)%900_000
 					}
 					d.Tuple.Key ^= 1
 				}
-				buf = e.appendLine(buf[:0], d)
+				buf, _ = e.appendProbe(buf[:0], false, d.Tuple, oneRow)
 			}
 			fingerprintSink = buf
 		})

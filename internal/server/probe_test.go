@@ -34,10 +34,11 @@ func probeCase(key tuple.Value, probeSet, rowSet tuple.StreamSet, nrows int) (*t
 	}
 	rows := tuple.Rows{Key: key, Set: rowSet}
 	for r := range nrows {
-		rows.Data = append(rows.Data, uint64(r), uint64(r)) // arrival, oldest
+		row := tuple.Tuple{Set: rowSet, Arrival: uint64(r)}
 		for _, id := range rowSet.Streams() {
-			rows.Data = append(rows.Data, seq(id, r))
+			row.Seqs = append(row.Seqs, seq(id, r))
 		}
+		rows.Data = tuple.AppendRow(rows.Data, &row)
 	}
 	return t, rows
 }
@@ -133,10 +134,11 @@ func FuzzProbeEncode(f *testing.F) {
 		}
 		rows := tuple.Rows{Key: tp.Key, Set: tuple.StreamSet(rowMask)}
 		for range int(nrows % 32) {
-			rows.Data = append(rows.Data, 0, 0)
+			row := tuple.Tuple{Set: rows.Set}
 			for range rows.Set.Count() {
-				rows.Data = append(rows.Data, seqOf())
+				row.Seqs = append(row.Seqs, seqOf())
 			}
+			rows.Data = tuple.AppendRow(rows.Data, &row)
 		}
 		e := &egress{}
 		for range 2 { // cold tables, then warm
@@ -156,7 +158,8 @@ func hotProbe() (*tuple.Tuple, tuple.Rows) {
 	rows := tuple.Rows{Key: 7, Set: tuple.NewStreamSet(0, 1)}
 	for i := range 20 {
 		for j := range 20 {
-			rows.Data = append(rows.Data, 0, 0, uint64(100_000+i), uint64(200_000+j))
+			row := tuple.Tuple{Set: rows.Set, Seqs: []uint64{uint64(100_000 + i), uint64(200_000 + j)}}
+			rows.Data = tuple.AppendRow(rows.Data, &row)
 		}
 	}
 	return tp, rows

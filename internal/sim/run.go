@@ -351,7 +351,7 @@ func (x *exec) boot(fs storage.FS) error {
 		Shards:    sc.Shards,
 		Admission: x.adm,
 		ShardOutput: func(i int) (engine.Output, engine.ProbeOutput, func()) {
-			return x.sinks[i].Output, nil, x.gate.Wait
+			return x.sinks[i].Output, x.sinks[i].Probe, x.gate.Wait
 		},
 	}
 	// Negative keeps a GOMEMLIMIT in the environment from turning

@@ -58,8 +58,8 @@ func TestTableByteAccountingComposites(t *testing.T) {
 	b := tuple.NewBase(1, 2, 9, 2)
 	comp := tuple.Join(a, b)
 	tbl.Insert(comp)
-	if got := TupleBytes(comp.Set); got != 8*(2+2) {
-		t.Fatalf("TupleBytes(2-stream row) = %d, want 4 words", got)
+	if got := TupleBytes(comp.Set); got != 8*(1+2) {
+		t.Fatalf("TupleBytes(2-stream row) = %d, want 3 words: arrival and two seqs", got)
 	}
 	if SlotBytes != 48 {
 		t.Fatalf("SlotBytes = %d, want 48: key, run header, part pointer, flags", SlotBytes)

@@ -185,7 +185,8 @@ func TestRemoveRefTombstoneModeMatchesContains(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		const stream = tuple.StreamID(7)
 		tb := state.NewTable(tuple.NewStreamSet(stream))
-		store := spillStore(t, 1024)
+		// About four fifths of the window's ~40 rows and 6 slots.
+		store := spillStore(t, 768)
 		tb.SetStore(store)
 		model := refModel{}
 		var window []*tuple.Tuple

@@ -16,8 +16,8 @@
 // alone: equal call sequences iterate, and checkpoint, equally.
 //
 // A table holds no pointer per tuple: the tuples under a key are one run
-// of fixed-width []uint64 rows (tuple.Rows) — arrival, oldest, then one
-// seq per covered stream — which Insert appends to and Probe lends as
+// of fixed-width []uint64 rows (tuple.Rows) — arrival, then one seq per
+// covered stream — which Insert appends to and Probe lends as
 // views. Every state maintains byte accounting (TupleBytes per
 // resident row, SlotBytes per slot holding resident rows), and a Table
 // can attach an internal/statestore Store that spills cold buckets out
@@ -30,6 +30,7 @@ package state
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"jisc/internal/statestore"
@@ -315,8 +316,7 @@ func (t *Table) Insert(tup *tuple.Tuple) {
 func (t *Table) InsertJoin(a, b *tuple.Tuple) *tuple.Tuple {
 	s := t.slotFor(a.Key, a.Set|b.Set)
 	s.run = tuple.AppendJoinRow(s.run, a, b)
-	row := s.run[len(s.run)-t.w:]
-	t.last = tuple.Tuple{Key: a.Key, Set: t.rows, Seqs: row[2:], Arrival: row[0], Oldest: row[1]}
+	tuple.Rows{Key: a.Key, Set: t.rows, Data: s.run[len(s.run)-t.w:]}.View(0, &t.last)
 	t.inserted(s)
 	return &t.last
 }
@@ -415,7 +415,7 @@ func (t *Table) ContainsKey(key tuple.Value) bool {
 //
 // Every row covers the table's row set, one seq per stream in stream
 // order, so ref can only sit at one column — the number of covered
-// streams below ref.Stream, past arrival and oldest — and membership is
+// streams below ref.Stream, past arrival — and membership is
 // one word compare per row, not a search.
 //
 // On a single-stream table (a scan state) the expired ref is the
@@ -459,7 +459,7 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref, dst *tuple.Rows) int {
 	if len(run) == 0 || !t.rows.Has(ref.Stream) {
 		return 0
 	}
-	at, w := 2+t.rows.Rank(ref.Stream), t.w
+	at, w := tuple.RowSeqs+t.rows.Rank(ref.Stream), t.w
 	// The rows kept between two removed ones move down in one copy. A
 	// scan table's seqs are unique, so its search stops at the first
 	// match — the run's first row, when the ref is the oldest.
@@ -643,13 +643,17 @@ func (t *Table) Clear() {
 }
 
 // CountOld returns how many stored rows contain at least one
-// constituent that arrived at or before cutoff. Parallel Track's
-// periodic discard check (§3.3) scans states with this.
-func (t *Table) CountOld(cutoff uint64) int {
+// constituent at or below its stream's cutoff seq (cutoff is indexed by
+// stream id). Parallel Track's periodic discard check (§3.3) scans
+// states with this.
+func (t *Table) CountOld(cutoff []uint64) int {
 	n := 0
 	t.Each(func(tup *tuple.Tuple) bool {
-		if tup.Oldest <= cutoff {
-			n++
+		for i, s := 0, tup.Set; s != 0; i, s = i+1, s&(s-1) {
+			if tup.Seqs[i] <= cutoff[bits.TrailingZeros64(uint64(s))] {
+				n++
+				break
+			}
 		}
 		return true
 	})

@@ -176,16 +176,32 @@ func TestTableClear(t *testing.T) {
 	}
 }
 
+// TestTableCountOld: a row is old when any constituent's seq is at or
+// below its stream's cutoff.
 func TestTableCountOld(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0))
 	for i := 1; i <= 4; i++ {
 		tb.Insert(base(0, uint64(i), 1))
 	}
-	if got := tb.CountOld(2); got != 2 {
-		t.Fatalf("CountOld(2) = %d, want 2", got)
+	cutoff := make([]uint64, tuple.MaxStreams)
+	if got := tb.CountOld(cutoff); got != 0 {
+		t.Fatalf("CountOld(none) = %d, want 0", got)
 	}
-	if got := tb.CountOld(0); got != 0 {
-		t.Fatalf("CountOld(0) = %d, want 0", got)
+	cutoff[0], cutoff[1] = 2, 4
+	if got := tb.CountOld(cutoff); got != 2 {
+		t.Fatalf("CountOld(0#2) = %d, want 2", got)
+	}
+	pairs := NewTable(tuple.NewStreamSet(0, 1))
+	for i := uint64(1); i <= 6; i++ {
+		pairs.InsertJoin(base(0, i, 1), base(1, 7-i, 1)) // 0#i with 1#(7-i)
+	}
+	// Old by stream 0: 0#1, 0#2. Old by stream 1: 1#4 … 1#1, i.e. 0#3 … 0#6.
+	if got := pairs.CountOld(cutoff); got != 6 {
+		t.Fatalf("CountOld(0#2, 1#4) = %d, want 6", got)
+	}
+	cutoff[1] = 2
+	if got := pairs.CountOld(cutoff); got != 4 { // 0#1, 0#2, 0#5, 0#6
+		t.Fatalf("CountOld(0#2, 1#2) = %d, want 4", got)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // header and the bucket's rows as they sit in the table's run:
 //
 //	payload := kind:u8(=2) | key:u64 | set:u64 | count:u16 | count × row
-//	row     := arrival:u64 | oldest:u64 | |set| × seq:u64
+//	row     := arrival:u64 | |set| × seq:u64
 //
 // Key and Set are per-frame because they are bucket constants, and the
 // row width follows from Set (tuple.RowWidth). Frames are chunked so a

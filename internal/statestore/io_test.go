@@ -2,6 +2,8 @@ package statestore_test
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -79,7 +81,10 @@ type ioCounts struct {
 // admission order whose bits were kept only near the budget. Join state
 // as rows charges a key its row bytes and one slot, not 64 B plus 16 B
 // per ref per tuple: the working set, and with it the half budget, fell
-// from 223 088 to 132 792 bytes, and faults read 27 868.
+// from 223 088 to 132 792 bytes, and faults read 27 868. A row without
+// its oldest tick is one word narrower: the working set fell to 113 080
+// bytes, faults read 27 924, spills 52 163, and filesystem reads fell
+// from 14 915 to 11 097.
 func TestSpillIOCounts(t *testing.T) {
 	const n = 40_000
 	evs := spillHalfEvents(n)
@@ -122,25 +127,84 @@ func TestSpillIOCounts(t *testing.T) {
 			t.Fatalf("result %s emitted %d times under the budget, %d unbounded", k, got[k], c)
 		}
 	}
-	t.Logf("input %d: faults %d (%.3f/tuple) spills %d tombstones %d compactions %d; segments created %d, read handles %d opened %d closed, reads %d (%.3f/tuple), writes %d for %d bytes",
-		n, st.Faults, float64(st.Faults)/n, st.Spills, st.Tombstones, st.Compactions, io.creates, io.opens, io.closes, io.reads, float64(io.reads)/n, io.writes, io.written)
+	t.Logf("input %d, working set %d B: faults %d (%.3f/tuple) spills %d tombstones %d compactions %d; segments created %d, read handles %d opened %d closed, reads %d (%.3f/tuple), writes %d for %d bytes",
+		n, working, st.Faults, float64(st.Faults)/n, st.Spills, st.Tombstones, st.Compactions, io.creates, io.opens, io.closes, io.reads, float64(io.reads)/n, io.writes, io.written)
 	// Every store counter and every filesystem count is pinned exactly:
 	// they follow from the byte accounting, the victim choice and the
 	// segment format alone, so a refactor of the bookkeeping must not
 	// move one of them.
 	wantSt := statestore.Stats{
-		ResidentBytes: 66_368, PeakResidentBytes: 67_848,
-		SpilledBytes: 30_432, SpilledBuckets: 765,
-		Segments: 1, SegmentBytes: 95_894, GarbageBytes: 42_977,
-		Spills: 52_040, Faults: 27_868, FaultTuples: 56_796, Tombstones: 30_081,
+		ResidentBytes: 56_520, PeakResidentBytes: 57_416,
+		SpilledBytes: 22_560, SpilledBuckets: 750,
+		Segments: 1, SegmentBytes: 68_879, GarbageBytes: 24_543,
+		Spills: 52_163, Faults: 27_924, FaultTuples: 57_080, Tombstones: 30_091,
 		Compactions: 73, SpillErrors: 0,
 	}
 	if st != wantSt {
 		t.Errorf("store counters\n got %+v\nwant %+v", st, wantSt)
 	}
-	wantIO := ioCounts{creates: 74, opens: 74, closes: 74, reads: 14_915, writes: 74, written: 4_854_669}
+	wantIO := ioCounts{creates: 74, opens: 74, closes: 74, reads: 11_097, writes: 74, written: 4_852_806}
 	if io != wantIO {
 		t.Errorf("filesystem counts\n got %+v\nwant %+v", io, wantIO)
+	}
+}
+
+// TestSpillHalfBudgetSpills is the gate on the spill tier's reach at
+// the served spill-half workload's shape: four streams, windows and key
+// domain of 4 000, a 1 MiB state budget, the benchmark's 20 000-tuple
+// smoke input (78 batches of 256 splitmix64 keys from seed 11, fed
+// one stream at a time, one rotation after batch 63). The working set
+// peaks just above the budget, so a change that makes state denser can
+// switch spilling off without any failure but this one: under the
+// budget the run must still spill and fault, and emit the unbounded
+// run's results.
+func TestSpillHalfBudgetSpills(t *testing.T) {
+	const budget = 1 << 20
+	rng := uint64(workload.DeriveSeed(11, "spill-half"))
+	keys := make([]tuple.Value, 78*256) // the smoke run's 78 batches
+	for i := range keys {
+		rng += 0x9E3779B97F4A7C15
+		z := rng
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		hi, _ := bits.Mul64(z^z>>31, 4000)
+		keys[i] = tuple.Value(hi)
+	}
+	run := func(budget int64) (map[string]int, int64, statestore.Stats) {
+		out := map[string]int{}
+		e := engine.MustNew(engine.Config{
+			Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 4000, Strategy: core.New(),
+			StateBudget: budget, SpillFS: storage.NewMemFS(),
+			Output: func(d engine.Delta) { out[d.Tuple.Fingerprint()]++ },
+		})
+		defer e.Close()
+		var peak int64
+		evs := make([]workload.Event, 64)
+		for b := 0; b*256 < len(keys); b++ {
+			if b == 64 {
+				if err := e.Migrate(plan.MustLeftDeep(1, 2, 3, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for s := range 4 {
+				for i := range evs {
+					evs[i] = workload.Event{Stream: tuple.StreamID(s), Key: keys[b*256+s*64+i]}
+				}
+				e.FeedBatch(evs)
+				peak = max(peak, e.StateBytes())
+			}
+		}
+		st, _ := e.SpillStats()
+		return out, peak, st
+	}
+	want, working, _ := run(0)
+	got, _, st := run(budget)
+	t.Logf("unbounded peak %d B against a %d B budget: spills %d, faults %d, compactions %d", working, budget, st.Spills, st.Faults, st.Compactions)
+	if st.Spills == 0 || st.Faults == 0 {
+		t.Fatalf("the spill-half shape no longer spills and faults under %d B (unbounded peak %d B): %+v", budget, working, st)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("%d distinct results under the budget, %d unbounded, or different counts", len(got), len(want))
 	}
 }
 

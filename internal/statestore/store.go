@@ -399,7 +399,7 @@ func (s *Store) spill(t Table, key tuple.Value) bool {
 	p.spans = append(p.spans, sp)
 	seg.dir = append(seg.dir, dirent{p, sp.off})
 	p.count += rows.Len()
-	p.newest = rows.Data[len(rows.Data)-tuple.RowWidth(rows.Set)+2]
+	p.newest = rows.Data[len(rows.Data)-tuple.RowWidth(rows.Set)+tuple.RowSeqs]
 	p.liveEnc += sp.n
 	p.perEnc = p.liveEnc / int64(p.count)
 	p.memBytes += mem
@@ -544,10 +544,10 @@ func (s *Store) load(p *Part, dst []uint64) (tuple.Rows, error) {
 			if rows, err = decodeBucket(rows.Data, payload); err != nil {
 				return rows, fmt.Errorf("CRC-valid frame at %s offset %d does not decode: %w", sp.seg.path, sp.off+int64(off), err)
 			}
-			if p.deadThrough > 0 && rows.Set.Count() == 1 {
-				for i := live; i < len(rows.Data); i += 3 {
-					if rows.Data[i+2] > p.deadThrough {
-						live += copy(rows.Data[live:], rows.Data[i:i+3])
+			if w := tuple.RowWidth(rows.Set); p.deadThrough > 0 && rows.Set.Count() == 1 {
+				for i := live; i < len(rows.Data); i += w {
+					if rows.Data[i+w-1] > p.deadThrough { // the row's one seq
+						live += copy(rows.Data[live:], rows.Data[i:i+w])
 					}
 				}
 				rows.Data = rows.Data[:live]

@@ -69,7 +69,7 @@ func TestSpillAndFaultRoundTrip(t *testing.T) {
 		if tup.Key != tuple.Value(i) || len(tup.Seqs) != 1 || tup.First() != (tuple.Ref{Stream: 0, Seq: uint64(i + 1)}) {
 			t.Fatalf("probe key %d returned wrong tuple: %v", i, tup)
 		}
-		if tup.Arrival != uint64(i+1) || tup.Oldest != uint64(i+1) {
+		if tup.Arrival != uint64(i+1) {
 			t.Fatalf("probe key %d lost ticks: %v", i, tup)
 		}
 	}
@@ -98,8 +98,8 @@ func TestMultiTupleBuckets(t *testing.T) {
 	}
 	for _, tup := range got {
 		seq := tup.First().Seq
-		if tup.Key != 0 || tup.Set != tuple.NewStreamSet(0) || seq%2 != 1 || tup.Arrival != seq || tup.Oldest != seq {
-			t.Fatalf("tuple changed in the round trip: %v arrival %d oldest %d", tup, tup.Arrival, tup.Oldest)
+		if tup.Key != 0 || tup.Set != tuple.NewStreamSet(0) || seq%2 != 1 || tup.Arrival != seq {
+			t.Fatalf("tuple changed in the round trip: %v arrival %d", tup, tup.Arrival)
 		}
 	}
 }
@@ -170,7 +170,9 @@ func TestEachAndCountOldCoverSpilled(t *testing.T) {
 	if len(seen) != 10 {
 		t.Fatalf("Each saw %d keys, want 10", len(seen))
 	}
-	if n := tbl.CountOld(5); n != 5 {
+	cutoff := make([]uint64, tuple.MaxStreams)
+	cutoff[0] = 5
+	if n := tbl.CountOld(cutoff); n != 5 {
 		t.Fatalf("CountOld = %d, want 5", n)
 	}
 	if s.Stats().Faults != faultsBefore {
@@ -484,13 +486,13 @@ func TestClockSweep(t *testing.T) {
 		tuples(tbl.Probe(touched))
 		// Inserts under a key spilled at set-up grow its hot resident
 		// part: the first charges the part's slot and a row, a whole key's
-		// worth, each later one a row, a third of that. Five of them
+		// worth, each later one a row, a quarter of that. Six of them
 		// push out three buckets.
 		spilled := tuple.Value(0)
 		for slices.Contains(cold, spilled) {
 			spilled++
 		}
-		for i := range 5 {
+		for i := range 6 {
 			tbl.Insert(base(0, uint64(100+i), spilled))
 		}
 		if got := s.Stats().Spills; got != 5 {

@@ -12,7 +12,7 @@ func TestBuilderCopySharesNothing(t *testing.T) {
 	defer b.Release()
 	orig := Join(NewBase(3, 17, 42, 99), NewBase(5, 2, 42, 100))
 	got := b.Copy(orig)
-	if got.Fingerprint() != "3#17|5#2" || got.Key != 42 || got.Set != orig.Set || got.Arrival != 100 || got.Oldest != 99 {
+	if got.Fingerprint() != "3#17|5#2" || got.Key != 42 || got.Set != orig.Set || got.Arrival != 100 {
 		t.Fatalf("Builder.Copy = %v, want %v", got, orig)
 	}
 	orig.Seqs[0], orig.Key = 9, 9
@@ -34,7 +34,7 @@ func TestBuilderJoinMatchesJoin(t *testing.T) {
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("Fingerprint = %s, want %s", got.Fingerprint(), want.Fingerprint())
 	}
-	if got.Set != want.Set || got.Arrival != want.Arrival || got.Oldest != want.Oldest {
+	if got.Set != want.Set || got.Arrival != want.Arrival {
 		t.Fatalf("Builder.JoinTransient = %+v, want %+v", got, want)
 	}
 	if fp := got.Fingerprint(); fp != "0#5|1#9|2#3" {
@@ -117,7 +117,7 @@ func TestJoinTransientReusesOneComposite(t *testing.T) {
 	a, c, d := NewBase(0, 1, 7, 1), NewBase(1, 2, 7, 2), NewBase(2, 3, 7, 3)
 	first := b.JoinTransient(a, c)
 	if want := Join(a, c); first.Fingerprint() != want.Fingerprint() || first.Set != want.Set ||
-		first.Arrival != want.Arrival || first.Oldest != want.Oldest || first.Key != want.Key {
+		first.Arrival != want.Arrival || first.Key != want.Key {
 		t.Fatalf("transient = %v, want %v", first, want)
 	}
 	kept := first.Clone()

@@ -115,17 +115,12 @@ type Tuple struct {
 	// it orders tuples across streams and marks pre- vs
 	// post-transition tuples.
 	Arrival uint64
-	// Oldest is the global arrival tick of the oldest constituent.
-	// Parallel Track's discard scan reads it: a superseded plan goes
-	// once none of its stored entries is older than its successor.
-	// (Its duplicate elimination goes by provenance fingerprint.)
-	Oldest uint64
 }
 
 // NewBase builds a base tuple for stream id with per-stream sequence
 // seq, join key key, arriving at global tick arrival.
 func NewBase(id StreamID, seq uint64, key Value, arrival uint64) *Tuple {
-	return &Tuple{Key: key, Set: NewStreamSet(id), Seqs: []uint64{seq}, Arrival: arrival, Oldest: arrival}
+	return &Tuple{Key: key, Set: NewStreamSet(id), Seqs: []uint64{seq}, Arrival: arrival}
 }
 
 // Join merges two tuples with disjoint stream sets into a composite.
@@ -143,13 +138,7 @@ func Join(a, b *Tuple) *Tuple {
 // exactly len(a.Seqs)+len(b.Seqs)) as the provenance backing store.
 func joinInto(out *Tuple, seqs []uint64, a, b *Tuple) {
 	mergeSeqs(seqs, a, b)
-	*out = Tuple{
-		Key:     a.Key,
-		Set:     a.Set | b.Set,
-		Seqs:    seqs,
-		Arrival: max(a.Arrival, b.Arrival),
-		Oldest:  min(a.Oldest, b.Oldest),
-	}
+	*out = Tuple{Key: a.Key, Set: a.Set | b.Set, Seqs: seqs, Arrival: max(a.Arrival, b.Arrival)}
 }
 
 // mergeSeqs merges the provenance of a and b, whose stream sets must be
@@ -224,18 +213,21 @@ func (t *Tuple) Clone() *Tuple {
 }
 
 // Rows is a run of fixed-width rows, the tuples a join state holds
-// under one key: each row is arrival, oldest, then one seq per stream
-// of Set in stream order (RowWidth words), and Key and Set are the
-// run's, not the row's. A row is what Tuple carries beyond Key and Set,
-// so View reads one in place.
+// under one key: each row is arrival, then one seq per stream of Set in
+// stream order (RowWidth words), and Key and Set are the run's, not the
+// row's. A row is what Tuple carries beyond Key and Set, so View reads
+// one in place.
 type Rows struct {
 	Key  Value
 	Set  StreamSet
 	Data []uint64
 }
 
+// RowSeqs is the word of a row its seqs start at, after its arrival.
+const RowSeqs = 1
+
 // RowWidth is the number of words in one row of a run covering s.
-func RowWidth(s StreamSet) int { return 2 + s.Count() }
+func RowWidth(s StreamSet) int { return RowSeqs + s.Count() }
 
 // Len returns the number of rows.
 func (r Rows) Len() int { return len(r.Data) / RowWidth(r.Set) }
@@ -245,13 +237,13 @@ func (r Rows) Len() int { return len(r.Data) / RowWidth(r.Set) }
 func (r Rows) View(i int, v *Tuple) *Tuple {
 	w := RowWidth(r.Set)
 	row := r.Data[i*w : i*w+w : i*w+w]
-	*v = Tuple{Key: r.Key, Set: r.Set, Seqs: row[2:], Arrival: row[0], Oldest: row[1]}
+	*v = Tuple{Key: r.Key, Set: r.Set, Seqs: row[RowSeqs:], Arrival: row[0]}
 	return v
 }
 
 // AppendRow appends t's row to run.
 func AppendRow(run []uint64, t *Tuple) []uint64 {
-	run = append(run, t.Arrival, t.Oldest)
+	run = append(run, t.Arrival)
 	return append(run, t.Seqs...)
 }
 
@@ -260,9 +252,9 @@ func AppendRow(run []uint64, t *Tuple) []uint64 {
 // stream sets.
 func AppendJoinRow(run []uint64, a, b *Tuple) []uint64 {
 	n := len(run)
-	run = slices.Grow(run, 2+len(a.Seqs)+len(b.Seqs))[:n+2+len(a.Seqs)+len(b.Seqs)]
-	run[n], run[n+1] = max(a.Arrival, b.Arrival), min(a.Oldest, b.Oldest)
-	mergeSeqs(run[n+2:], a, b)
+	run = slices.Grow(run, RowSeqs+len(a.Seqs)+len(b.Seqs))[:n+RowSeqs+len(a.Seqs)+len(b.Seqs)]
+	run[n] = max(a.Arrival, b.Arrival)
+	mergeSeqs(run[n+RowSeqs:], a, b)
 	return run
 }
 

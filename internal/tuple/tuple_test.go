@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -256,19 +257,18 @@ func BenchmarkContains(b *testing.B) {
 	}
 }
 
-func TestOldestTracking(t *testing.T) {
+// TestArrivalTracking: a composite's arrival is its newest
+// constituent's; a base tuple's is its own.
+func TestArrivalTracking(t *testing.T) {
 	a := NewBase(0, 1, 5, 10)
 	b := NewBase(1, 1, 5, 3)
 	c := NewBase(2, 1, 5, 7)
 	j := Join(Join(a, b), c)
-	if j.Oldest != 3 {
-		t.Fatalf("Oldest = %d, want 3", j.Oldest)
-	}
 	if j.Arrival != 10 {
 		t.Fatalf("Arrival = %d, want 10", j.Arrival)
 	}
-	if a.Oldest != 10 {
-		t.Fatalf("base Oldest = %d, want its own arrival", a.Oldest)
+	if b.Arrival != 3 {
+		t.Fatalf("base Arrival = %d, want its own arrival", b.Arrival)
 	}
 }
 
@@ -342,7 +342,7 @@ func TestAppendUintMatchesStrconv(t *testing.T) {
 func TestCloneSharesNothing(t *testing.T) {
 	orig := Join(NewBase(0, 5, 7, 10), NewBase(1, 6, 7, 11))
 	c := orig.Clone()
-	if c.Fingerprint() != "0#5|1#6" || c.Key != 7 || c.Set != orig.Set || c.Arrival != 11 || c.Oldest != 10 {
+	if c.Fingerprint() != "0#5|1#6" || c.Key != 7 || c.Set != orig.Set || c.Arrival != 11 {
 		t.Fatalf("clone = %v", c)
 	}
 	orig.Seqs[0], orig.Key = 9, 9
@@ -355,14 +355,14 @@ func TestCloneSharesNothing(t *testing.T) {
 }
 
 // TestTupleSize pins the struct a lent view or a tuple kept by pointer
-// takes: key, set, seqs header, arrival and oldest — 56 bytes on a
-// 64-bit platform, and nothing that no one reads.
+// takes: key, set, seqs header and arrival — 48 bytes on a 64-bit
+// platform, and nothing that no one reads.
 func TestTupleSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("not a 64-bit platform")
 	}
-	if got := unsafe.Sizeof(Tuple{}); got != 56 {
-		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 56", got)
+	if got := unsafe.Sizeof(Tuple{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 48", got)
 	}
 }
 
@@ -384,12 +384,12 @@ func TestRowsViewMatchesJoin(t *testing.T) {
 	for i := range rows.Len() {
 		got := rows.View(i, &v)
 		if got.Fingerprint() != want.Fingerprint() || got.Key != 7 || got.Set != want.Set ||
-			got.Arrival != want.Arrival || got.Oldest != want.Oldest {
-			t.Fatalf("row %d = %v (arrival %d, oldest %d), want %v", i, got, got.Arrival, got.Oldest, want)
+			got.Arrival != want.Arrival {
+			t.Fatalf("row %d = %v (arrival %d), want %v", i, got, got.Arrival, want)
 		}
 	}
 	rows.View(0, &v)
-	if &v.Seqs[0] != &rows.Data[2] || cap(v.Seqs) != 3 {
+	if &v.Seqs[0] != &rows.Data[1] || cap(v.Seqs) != 3 {
 		t.Fatal("view copies its seqs, or may append into the next row")
 	}
 	rows.Data = AppendJoinRow(rows.Data[:len(rows.Data):len(rows.Data)], b, a)
@@ -398,5 +398,42 @@ func TestRowsViewMatchesJoin(t *testing.T) {
 	}
 	if (Rows{}).Len() != 0 {
 		t.Fatal("empty rows have a length")
+	}
+}
+
+// TestRowLayout pins a row's words: arrival, then one seq per covered
+// stream in stream order — RowWidth is 1 + |set|, so a scan row is 16
+// bytes, a 2-stream row 24 and a 5-stream row 48. AppendRow and
+// AppendJoinRow write exactly those words, and View reads them back as
+// the tuple they came from.
+func TestRowLayout(t *testing.T) {
+	for _, c := range []struct {
+		set  StreamSet
+		want int
+	}{{NewStreamSet(3), 2}, {NewStreamSet(0, 9), 3}, {NewStreamSet(0, 1, 2, 40, 63), 6}, {0, 1}} {
+		if got := RowWidth(c.set); got != c.want {
+			t.Errorf("RowWidth(%v) = %d, want %d", c.set, got, c.want)
+		}
+	}
+	a := Join(NewBase(4, 3, 7, 20), NewBase(0, 5, 7, 10))
+	b := Join(NewBase(2, 9, 7, 30), NewBase(6, 1, 7, 5))
+	run := AppendRow([]uint64{99}, NewBase(1, 8, 7, 12))
+	if !slices.Equal(run, []uint64{99, 12, 8}) {
+		t.Fatalf("AppendRow wrote %v, want [99 12 8]", run)
+	}
+	run = AppendJoinRow(run[:0], a, b)
+	if !slices.Equal(run, []uint64{30, 5, 9, 3, 1}) {
+		t.Fatalf("AppendJoinRow wrote %v, want arrival 30 then seqs of streams 0, 2, 4, 6", run)
+	}
+	rows := Rows{Key: 7, Set: a.Set | b.Set, Data: AppendRow(run, Join(b, a))}
+	var v Tuple
+	for i := range rows.Len() {
+		got := rows.View(i, &v)
+		if got.Key != 7 || got.Set != rows.Set || got.Arrival != 30 || !slices.Equal(got.Seqs, []uint64{5, 9, 3, 1}) {
+			t.Fatalf("View(%d) = %+v", i, got)
+		}
+		if back := AppendRow(nil, got); !slices.Equal(back, rows.Data[i*5:i*5+5]) {
+			t.Fatalf("AppendRow(View(%d)) = %v, want %v", i, back, rows.Data[i*5:i*5+5])
+		}
 	}
 }

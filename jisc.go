@@ -105,13 +105,23 @@ type Query struct {
 
 // NewQuery builds and starts a query.
 func NewQuery(cfg QueryConfig) (*Query, error) {
-	eng, err := engine.New(engine.Config{
+	ec := cfg.engineConfig()
+	ec.EmitExpiry = cfg.EmitExpiry
+	return newQuery(engine.New(ec))
+}
+
+// engineConfig is what every kind of query configures its engine with.
+func (cfg QueryConfig) engineConfig() engine.Config {
+	return engine.Config{
 		Plan:       cfg.Plan,
 		WindowSize: cfg.WindowSize,
 		Strategy:   strategyOf(cfg.Strategy),
-		EmitExpiry: cfg.EmitExpiry,
 		Output:     engine.Output(cfg.Output),
-	})
+	}
+}
+
+// newQuery wraps the engine engine.New or engine.Restore returned.
+func newQuery(eng *engine.Engine, err error) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -135,17 +145,9 @@ func strategyOf(s Strategy) engine.Strategy {
 // with retraction Deltas when a new inner tuple suppresses previously
 // emitted results.
 func NewSetDiffQuery(cfg QueryConfig) (*Query, error) {
-	eng, err := engine.New(engine.Config{
-		Plan:       cfg.Plan,
-		WindowSize: cfg.WindowSize,
-		Kind:       engine.SetDiff,
-		Strategy:   strategyOf(cfg.Strategy),
-		Output:     engine.Output(cfg.Output),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Query{eng: eng}, nil
+	ec := cfg.engineConfig()
+	ec.Kind = engine.SetDiff
+	return newQuery(engine.New(ec))
 }
 
 // Feed processes one input tuple to completion.
@@ -172,16 +174,9 @@ func (q *Query) Checkpoint(w io.Writer) error { return q.eng.Checkpoint(w) }
 // it into an EmitExpiry query is an error, the other direction drops
 // them.
 func RestoreQuery(r io.Reader, cfg QueryConfig) (*Query, error) {
-	eng, err := engine.Restore(r, engine.Config{
-		WindowSize: cfg.WindowSize,
-		Strategy:   strategyOf(cfg.Strategy),
-		EmitExpiry: cfg.EmitExpiry,
-		Output:     engine.Output(cfg.Output),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Query{eng: eng}, nil
+	ec := cfg.engineConfig()
+	ec.Plan, ec.EmitExpiry = nil, cfg.EmitExpiry
+	return newQuery(engine.Restore(r, ec))
 }
 
 // AsyncQuery runs a query on a dedicated goroutine with a buffered
@@ -195,12 +190,7 @@ type AsyncQuery struct {
 // bounds the input buffer (0 = default 1024).
 func NewAsyncQuery(cfg QueryConfig, queueSize int) (*AsyncQuery, error) {
 	r, err := runtime.New(runtime.Config{
-		Engine: engine.Config{
-			Plan:       cfg.Plan,
-			WindowSize: cfg.WindowSize,
-			Strategy:   strategyOf(cfg.Strategy),
-			Output:     engine.Output(cfg.Output),
-		},
+		Engine:    cfg.engineConfig(),
 		QueueSize: queueSize,
 	})
 	if err != nil {
