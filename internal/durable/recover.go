@@ -59,8 +59,6 @@ func RecoverShard(opts Options, shard int, cfg engine.Config, rec *obs.Recorder,
 	if err != nil {
 		return nil, fmt.Errorf("durable: shard %d: listing checkpoints: %w", shard, err)
 	}
-	out, probe := cfg.Output, cfg.ProbeOutput
-	cfg.Output, cfg.ProbeOutput = nil, nil // replayed results were already emitted pre-crash
 	var eng *engine.Engine
 	if payload != nil {
 		eng, err = engine.Restore(bytes.NewReader(payload), cfg)
@@ -74,6 +72,7 @@ func RecoverShard(opts Options, shard int, cfg engine.Config, rec *obs.Recorder,
 		}
 	}
 
+	sink := eng.SetSink(nil) // replayed results were already emitted pre-crash
 	res := &ShardRecovery{Engine: eng, CheckpointSeq: ckptSeq}
 	res.Log, res.TornBytes, err = recoverLog(opts, dir, ckptSeq, func(r Record) error {
 		if err := applyRecord(eng, r); err != nil {
@@ -87,7 +86,7 @@ func RecoverShard(opts Options, shard int, cfg engine.Config, rec *obs.Recorder,
 		eng.Close()
 		return nil, fmt.Errorf("durable: shard %d: %w", shard, err)
 	}
-	eng.SetOutput(out, probe)
+	eng.SetSink(sink)
 	return res, nil
 }
 

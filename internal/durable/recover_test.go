@@ -556,7 +556,7 @@ func TestRecoverShardFeedBatchFrames(t *testing.T) {
 	}
 	// Recovered engine behaves identically going forward: a full-match
 	// key emits the same number of joins as the reference would.
-	rec.Engine.SetOutput(func(d engine.Delta) { postOut = append(postOut, deltaLine(d)) }, nil)
+	rec.Engine.SetSink(engine.Output(func(d engine.Delta) { postOut = append(postOut, deltaLine(d)) }).Sink())
 	rec.Engine.FeedBatch(testWorkload(1))
 	if len(postOut) == 0 {
 		t.Fatal("recovered engine produced no output on a full-match batch")

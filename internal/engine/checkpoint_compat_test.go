@@ -131,7 +131,7 @@ func TestRestoreReadsNLListCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.FeedBatch(evs[migrateAt:ckptAt])
-	ref.SetOutput(func(d engine.Delta) { want[d.Tuple.Fingerprint()]++ }, nil)
+	ref.SetSink(engine.Output(func(d engine.Delta) { want[d.Tuple.Fingerprint()]++ }).Sink())
 	ref.FeedBatch(evs[ckptAt:])
 
 	old, err := os.ReadFile("testdata/snap_v4_nl_lists.gob")
@@ -197,7 +197,7 @@ func TestRestoreReadsOldestCheckpoint(t *testing.T) {
 	if err := ref.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	ref.SetOutput(cfg(&want).Output, nil)
+	ref.SetSink(cfg(&want).Output.Sink())
 	ref.FeedBatch(evs[ckptAt:])
 
 	old, err := os.ReadFile("testdata/snap_v4_oldest_rows.gob")

@@ -42,15 +42,14 @@ type Config struct {
 	ThetaNodes func(set tuple.StreamSet) bool
 	// Strategy handles plan transitions (default Static).
 	Strategy Strategy
-	// Output receives root results — lent, not given (see Output); nil
-	// is allowed, and then an unstored root builds none.
+	// Output receives root results one at a time, lent (see Delta); nil
+	// is allowed. It is the adapter over Sink; set one or the other.
 	Output Output
-	// ProbeOutput, when non-nil, receives the results of a hash root
-	// that does not store them one probe at a time, in place of Output
-	// (see ProbeOutput); Output still receives every other root's. Nil
-	// — the default — delivers those results to Output too, one
-	// composite each.
-	ProbeOutput ProbeOutput
+	// Sink receives root results a call at a time: a probe's at an
+	// unstored hash root, one result or retraction at any other root
+	// (see Sink). Nil with a nil Output delivers nothing, and then an
+	// unstored root builds no result.
+	Sink Sink
 	// Obs, when non-nil, turns on latency instrumentation: per-tuple
 	// feed latency, sampled per-operator probe/build time, Migrate
 	// duration, and (through the recorder's Tracer) migration

@@ -91,26 +91,16 @@ type Engine struct {
 	born map[tuple.StreamSet]uint64
 
 	strategy Strategy
-	out      Output
-	// probe is where an unstored root's results go, a probe at a time:
-	// Config.ProbeOutput, or outputEach when only an Output is set, or
-	// nil when there is no sink at all.
-	probe ProbeOutput
-	met   metrics.Collector
-	pub   View // what publish last wrote
-	obs   *obs.Recorder
-	now   func() time.Time
+	// sink is where every root result goes: Config.Sink, or the
+	// Config.Output adapter, or nil when there is neither.
+	sink Sink
+	met  metrics.Collector
+	pub  View // what publish last wrote
+	obs  *obs.Recorder
+	now  func() time.Time
 	// sysClock is set when now is time.Now, so a span closes on one
 	// monotonic read (Since).
 	sysClock bool
-	// bld is the engine's scratch allocator, acquired from the shared
-	// pool for the engine's lifetime: the arenas a storing root's
-	// results are copied into, and the one transient composite
-	// outputEach lends an unstored root's results in. One builder per
-	// engine keeps it single-threaded without locks. Stored composites
-	// are built straight into their state's rows
-	// (state.Table.InsertJoin).
-	bld *tuple.Builder
 	// base is the arriving tuple, lent up the tree while it is
 	// processed, and baseSeq its one seq; retracted holds the rows a
 	// storing root just removed and view is the scratch each is read
@@ -172,6 +162,9 @@ func New(cfg Config) (*Engine, error) {
 		// Not wired — reject up front rather than corrupt accounting.
 		return nil, fmt.Errorf("engine: StateBudget spilling is unsupported for set-difference pipelines")
 	}
+	if cfg.Output != nil && cfg.Sink != nil {
+		return nil, fmt.Errorf("engine: Output adapts the one Sink; set one of them, not both")
+	}
 	if cfg.Strategy == nil {
 		cfg.Strategy = Static{}
 	}
@@ -187,9 +180,11 @@ func New(cfg Config) (*Engine, error) {
 		sysClock: sysClock,
 		states:   make(map[tuple.StreamSet]*state.Table),
 		born:     make(map[tuple.StreamSet]uint64),
-		bld:      tuple.AcquireBuilder(),
+		sink:     cfg.Sink,
 	}
-	e.SetOutput(cfg.Output, cfg.ProbeOutput)
+	if cfg.Output != nil {
+		e.sink = cfg.Output.Sink()
+	}
 	if err := e.validateKinds(cfg.Plan); err != nil {
 		return nil, err
 	}
@@ -305,29 +300,20 @@ func (e *Engine) Kind() Kind { return e.cfg.Kind }
 // Theta returns the theta predicate (NLJoin engines).
 func (e *Engine) Theta() func(probe, stored *tuple.Tuple) bool { return e.cfg.Theta }
 
-// SetOutput replaces both result sinks, Config.Output and
-// Config.ProbeOutput. The engine must be quiescent (no Feed in
-// progress). The durability layer uses it to silence output while
-// replaying the write-ahead log — those results were already emitted
-// before the crash — and to restore the real sinks afterwards. With
-// no probe sink, an Output gets an unstored root's results too, through
-// outputEach: the one caller of the per-result path.
-func (e *Engine) SetOutput(out Output, probe ProbeOutput) {
-	e.out, e.cfg.Output, e.cfg.ProbeOutput = out, out, probe
-	e.probe = probe
-	if probe == nil && out != nil {
-		e.probe = e.outputEach
-	}
+// SetSink replaces the engine's result sink (an Output's adapter
+// included) and returns the one it replaced. The engine must be
+// quiescent (no Feed in progress). The durability layer silences the
+// sink while replaying the write-ahead log — those results were
+// already emitted before the crash — and puts it back afterwards.
+func (e *Engine) SetSink(s Sink) Sink {
+	prev := e.sink
+	e.sink = s
+	return prev
 }
 
-// Close releases the engine's pooled builder and, when spilling is
-// enabled, the spill tier's segment directory. The engine must not be
-// fed afterwards; tuples it stored or handed out for keeping stay valid.
+// Close releases, when spilling is enabled, the spill tier's segment
+// directory. The engine must not be fed afterwards.
 func (e *Engine) Close() {
-	if e.bld != nil {
-		e.bld.Release()
-		e.bld = nil
-	}
 	if e.store != nil {
 		e.store.Close()
 	}
@@ -462,22 +448,20 @@ func (e *Engine) IterKeys(st *state.Table) []tuple.Value {
 func (e *Engine) pushUp(child *Node, t *tuple.Tuple) {
 	j := child.Parent
 	if j == nil {
-		e.emit(Delta{Tuple: t})
+		e.emit(false, t)
 		return
 	}
 	j.Op.Push(e, j, child, t)
 }
 
-// emit delivers a result of a root that stores its output (forward
-// delivers the others). What it is handed is a view of a stored row or
-// of the arriving tuple, so the callback gets an arena copy, which
-// stays valid (Delta).
-func (e *Engine) emit(d Delta) {
-	if !d.Retraction {
+// emit delivers a result or retraction of a root that stores its
+// output (forward delivers the others'): t, a view of a stored row or
+// the arriving tuple, with tuple.OneRow, lent to the sink for the call.
+func (e *Engine) emit(retract bool, t *tuple.Tuple) {
+	if !retract {
 		e.met.Output.Add(1)
 	}
-	if e.out != nil {
-		d.Tuple = e.bld.Copy(d.Tuple)
-		e.out(d)
+	if e.sink != nil {
+		e.sink(retract, t, tuple.OneRow)
 	}
 }

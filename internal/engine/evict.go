@@ -70,7 +70,7 @@ func (e *Engine) removeRef(j *Node, key tuple.Value, ref tuple.Ref) int {
 	}
 	n := j.St.RemoveRef(key, ref, &e.retracted)
 	for i := range e.retracted.Len() {
-		e.emit(Delta{Tuple: e.retracted.View(i, &e.view), Retraction: true})
+		e.emit(true, e.retracted.View(i, &e.view))
 	}
 	return n
 }

@@ -285,11 +285,12 @@ func TestStateBoundedByWindow(t *testing.T) {
 
 // TestFeedBatchSteadyStateAllocs pins the hot path's allocation
 // budget: once the windows are full, a tuple that matches nothing
-// slides one entry out and one in, and allocates nothing of its own —
-// only the builder's arena refills (one tuple chunk per 256 base
-// tuples, one ref chunk per 1024). A time window of 3×window ticks
-// holds the same tuples as a count window of window, since each stream
-// gets every third tick.
+// slides one entry out and one in, and a batch allocates nothing — the
+// arriving tuple is the engine's own scratch and its row recycles the
+// one that left. A time window of 3×window ticks holds the same tuples
+// as a count window of window, since each stream gets every third tick.
+// The race detector's instrumentation allocates beside the program, so
+// the bound holds only without it.
 func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 	const window, batch = 512, 256
 	for _, cfg := range []engine.Config{
@@ -321,8 +322,8 @@ func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 		if m := e.Metrics(); m.Output != 0 || m.Evictions == 0 {
 			t.Fatalf("timespan %d: output=%d evictions=%d, want a full sliding window with no matches", cfg.TimeSpan, m.Output, m.Evictions)
 		}
-		if perBatch > 3 {
-			t.Errorf("timespan %d: %.1f allocations per %d-tuple batch, want only arena refills (≤ 3)", cfg.TimeSpan, perBatch, batch)
+		if perBatch > 0 && !raceEnabled {
+			t.Errorf("timespan %d: %.1f allocations per %d-tuple batch, want none", cfg.TimeSpan, perBatch, batch)
 		}
 	}
 }
@@ -331,13 +332,17 @@ func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 // state's keys — a theta composite sits under its lowest stream's key,
 // not necessarily the expired tuple's — into a scratch slice the engine
 // reuses, not a fresh slice per expired tuple. On full sliding windows
-// whose every arrival matches, a batch allocates only the builder's
-// arena refills, as TestFeedBatchSteadyStateAllocs's does.
+// whose every arrival matches, with an Output reading every result, a
+// batch allocates nothing, as TestFeedBatchSteadyStateAllocs's does:
+// the root stores its results and lends each one as a copy in one
+// reusable composite.
 func TestNLEvictionAllocs(t *testing.T) {
 	const window, batch = 64, 256
+	delivered := uint64(0)
 	e := engine.MustNew(engine.Config{
 		Plan: plan.MustLeftDeep(0, 1, 2), Kind: engine.NLJoin, WindowSize: window,
-		Theta: func(probe, stored *tuple.Tuple) bool { return probe.Key == stored.Key },
+		Theta:  func(probe, stored *tuple.Tuple) bool { return probe.Key == stored.Key },
+		Output: func(d engine.Delta) { delivered += uint64(len(d.Tuple.Seqs)) / 3 },
 	})
 	defer e.Close()
 	var i int
@@ -358,11 +363,11 @@ func TestNLEvictionAllocs(t *testing.T) {
 		e.FeedBatch(evs)
 	})
 	m := e.Metrics()
-	if m.Output == before.Output || m.Evictions-before.Evictions <= m.Input-before.Input {
-		t.Fatalf("output %d → %d, evictions %d → %d over %d tuples: want results and composites evicted",
-			before.Output, m.Output, before.Evictions, m.Evictions, m.Input-before.Input)
+	if m.Output == before.Output || m.Evictions-before.Evictions <= m.Input-before.Input || delivered != m.Output {
+		t.Fatalf("output %d → %d (%d delivered), evictions %d → %d over %d tuples: want results, each delivered, and composites evicted",
+			before.Output, m.Output, delivered, before.Evictions, m.Evictions, m.Input-before.Input)
 	}
-	if perBatch > 3 {
-		t.Errorf("%.1f allocations per %d-tuple batch, want only arena refills (≤ 3)", perBatch, batch)
+	if perBatch > 0 && !raceEnabled {
+		t.Errorf("%.1f allocations per %d-tuple batch, want none", perBatch, batch)
 	}
 }

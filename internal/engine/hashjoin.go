@@ -25,7 +25,7 @@ func (hashJoinOp) Kind() Kind { return HashJoin }
 // t's key, build each composite straight into j's rows where a later
 // probe can read it (storesOutput), and recurse upward with the row's
 // view — or, at a root that stores nothing, hand the whole probe to the
-// probe sink (forward). Matches are lent as views of the opposite
+// sink (forward). Matches are lent as views of the opposite
 // state's run, read in place: a probe allocates nothing per match. With
 // instrumentation on, one in obs.sampleEvery probes is timed (probe and
 // build separately) — sampling keeps the two extra clock reads off most
@@ -68,34 +68,23 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 
 // forward emits one probe's results at a root that does not store them
 // (storesOutput): it counts them with one add and hands t and its
-// matches to the probe sink in one call, lent for the call
-// (ProbeOutput). Nothing is built here; whether a composite is built at
-// all is the sink's affair. A timed probe records the sink's call,
-// divided by its results, as its Build sample: at this root, producing
-// a result is delivering it. Without a sink — WAL replay, or no Output —
-// the results are counted, and nothing is delivered or timed.
+// matches to the sink in one call, lent for the call (Sink). Nothing is
+// built here; whether a composite is built at all is the sink's affair.
+// A timed probe records the sink's call, divided by its results, as its
+// Build sample: at this root, producing a result is delivering it.
+// Without a sink — WAL replay, or no Output — the results are counted,
+// and nothing is delivered or timed.
 func (e *Engine) forward(t *tuple.Tuple, matches tuple.Rows, n int, timed bool, probed time.Time) {
 	if n == 0 {
 		return
 	}
 	e.met.Output.Add(uint64(n))
-	if e.probe == nil {
+	if e.sink == nil {
 		return
 	}
-	e.probe(t, matches)
+	e.sink(false, t, matches)
 	if timed {
 		e.obs.Build.Record(e.Since(probed) / time.Duration(n))
-	}
-}
-
-// outputEach is the probe sink of an engine with an Output and no
-// ProbeOutput: each result of the probe is built into the builder's one
-// transient composite and handed to the Output, overwritten by the next
-// (Delta has the rule).
-func (e *Engine) outputEach(t *tuple.Tuple, matches tuple.Rows) {
-	var m tuple.Tuple
-	for i := range matches.Len() {
-		e.out(Delta{Tuple: e.bld.JoinTransient(t, matches.View(i, &m))})
 	}
 }
 

@@ -43,11 +43,10 @@ type Operator interface {
 	// Kind identifies the operator.
 	Kind() Kind
 	// Push processes t, the freshly produced output of child `from`,
-	// at node j: probe/scan the opposite state, construct result
-	// composites through the engine's scratch builder, insert them
-	// into j's state and recurse upward via e.pushUp — or, at a hash
-	// root without EmitExpiry (storesOutput), hand the probe's matches
-	// to the probe sink unbuilt (Engine.forward).
+	// at node j: probe/scan the opposite state, build result
+	// composites straight into j's state and recurse upward via
+	// e.pushUp — or, at a hash root without EmitExpiry (storesOutput),
+	// hand the probe's matches to the sink unbuilt (Engine.forward).
 	Push(e *Engine, j, from *Node, t *tuple.Tuple)
 }
 
@@ -69,33 +68,48 @@ func operatorFor(k Kind) Operator {
 // can retract previously emitted results, so outputs carry a sign;
 // joins only ever emit additions.
 type Delta struct {
-	// Tuple is the result. A root that does not store its output (a
-	// hash join without EmitExpiry, see storesOutput) only lends it: it
-	// is valid until the Output callback returns, then overwritten by
-	// the next result — Tuple.Clone() to keep it. Stored roots
-	// (EmitExpiry, set-difference, nested-loops) keep rows, not tuples,
-	// and hand out arena copies that stay valid.
+	// Tuple is the result, lent: it is valid until the Output callback
+	// returns, then overwritten by the next result — Tuple.Clone() to
+	// keep it. Every root lends its results so, whether it stores them
+	// or not (Sink).
 	Tuple *tuple.Tuple
 	// Retraction is true when the result is withdrawn (set-difference
 	// semantics or window expiry at the root).
 	Retraction bool
 }
 
-// Output receives root results on the goroutine feeding the engine. It
-// reads what it needs of d.Tuple before returning — an unstored root
-// only lends it (see Delta) — and so works with every root.
+// Sink receives the root's results on the goroutine feeding the engine:
+// the composite of t with each row of rows, in row order, each withdrawn
+// when retract is set. All of it is lent for the duration of the call.
+// A hash root that does not store its output (storesOutput) hands it a
+// probe at a time, unbuilt: t is the probing tuple and rows the run of
+// the opposite state it matched, read in place. A root that stores its
+// output hands it each result or retraction as t with tuple.OneRow. rows
+// is never empty. A sink that writes results out reads t's seqs once and
+// each row's in place (the server's egress encodes its lines this way).
+type Sink func(retract bool, t *tuple.Tuple, rows tuple.Rows)
+
+// Output receives root results one Delta at a time, on the goroutine
+// feeding the engine. It reads what it needs of d.Tuple before
+// returning (Delta). It is the adapter over Sink (Output.Sink).
 type Output func(Delta)
 
-// ProbeOutput receives one probe's results at a hash root that does
-// not store its output (storesOutput), on the goroutine feeding the
-// engine: the composite of t with each row of matches, in row order —
-// the results, in the order, Output would be handed one Delta at a
-// time. Both are lent for the duration of the call: t is the probing
-// tuple, matches the run of the opposite state it matched, read in
-// place. matches is never empty. No composite is built for it; a sink
-// that writes results out reads t's seqs once and each row's in place
-// (the server's egress encodes a probe's lines this way).
-type ProbeOutput func(t *tuple.Tuple, matches tuple.Rows)
+// Sink adapts out to the one result path: each row of a call is joined
+// with t into one reusable composite (tuple.Builder.JoinTransient) and
+// handed to out, overwritten by the next — with tuple.OneRow that join
+// is a copy of t. A nil Output is a nil Sink.
+func (out Output) Sink() Sink {
+	if out == nil {
+		return nil
+	}
+	var b tuple.Builder
+	return func(retract bool, t *tuple.Tuple, rows tuple.Rows) {
+		var m tuple.Tuple
+		for i := range rows.Len() {
+			out(Delta{Tuple: b.JoinTransient(t, rows.View(i, &m)), Retraction: retract})
+		}
+	}
+}
 
 // Executor is the contract shared by every execution strategy in the
 // repository (this engine under JISC/Moving State/static, Parallel

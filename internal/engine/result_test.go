@@ -1,23 +1,28 @@
 package engine_test
 
 import (
+	"maps"
 	"runtime"
 	"strings"
 	"testing"
 
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
+	"jisc/internal/metrics"
 	"jisc/internal/obs"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
 
-// TestRootResultIsTransient pins who may retain a result. A hash-join
-// root without EmitExpiry only lends Delta.Tuple: the pointer kept from
-// one callback is the next result by the time the next callback runs,
-// and a Clone is not. Roots that store their output — EmitExpiry,
-// set-difference, nested-loops — hand out tuples that stay as they
-// were, however long a consumer keeps them.
+// TestRootResultIsTransient pins who may retain a result: no one. Every
+// root lends Delta.Tuple — a hash-join root without EmitExpiry and the
+// roots that store their output (EmitExpiry, set-difference,
+// nested-loops) alike: the pointer kept from one callback is the next
+// result by the time the next callback runs, and a Clone is not. A
+// stored root lends a copy of its row, not the row, so the poisoning
+// sink (enginetest.Sink) that scribbles over each result after reading
+// it leaves the results unchanged.
 func TestRootResultIsTransient(t *testing.T) {
 	t.Run("lent", func(t *testing.T) {
 		var kept, clone *tuple.Tuple
@@ -59,39 +64,60 @@ func TestRootResultIsTransient(t *testing.T) {
 		{"nested-loops", engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), Kind: engine.NLJoin, Theta: near}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			type seen struct {
-				t  *tuple.Tuple
-				fp string
-			}
-			var all []seen
-			tc.cfg.WindowSize = 6
-			tc.cfg.Output = func(d engine.Delta) { all = append(all, seen{d.Tuple, d.Tuple.Fingerprint()}) }
-			e := engine.MustNew(tc.cfg)
-			defer e.Close()
-			src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 4, Seed: 11})
-			for i := 0; i < 400; i++ {
-				e.Feed(src.Next())
-			}
-			for _, s := range all {
-				if got := s.t.Fingerprint(); got != s.fp {
-					t.Fatalf("retained result reads %s after the run, read %s inside the callback", got, s.fp)
+			// run returns the work counted and the state left: a consumer
+			// that reached the state would move evictions and bytes too.
+			run := func(out engine.Output) (metrics.Snapshot, int64) {
+				cfg := tc.cfg
+				cfg.WindowSize, cfg.Output = 6, out
+				e := engine.MustNew(cfg)
+				defer e.Close()
+				src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 4, Seed: 11})
+				for i := 0; i < 400; i++ {
+					e.Feed(src.Next())
 				}
+				return e.Metrics(), e.StateBytes()
 			}
-			if m := e.Metrics(); len(all) < 40 || uint64(len(all)) < m.Output {
-				t.Fatalf("%d deltas seen for %d outputs", len(all), m.Output)
+			var kept, clone *tuple.Tuple
+			var first, last string
+			deltas, want := 0, map[string]int{}
+			work, bytes := run(func(d engine.Delta) {
+				deltas++
+				last = d.Tuple.Fingerprint()
+				if !d.Retraction {
+					want[last]++
+				}
+				if kept == nil {
+					kept, clone, first = d.Tuple, d.Tuple.Clone(), last
+				} else if d.Tuple != kept {
+					t.Fatalf("delta %d lent at %p, the first at %p: want the one composite, overwritten", deltas, d.Tuple, kept)
+				}
+			})
+			if kept.Fingerprint() != last || clone.Fingerprint() != first {
+				t.Errorf("kept pointer reads %s, the last result %s; clone reads %s, was %s", kept.Fingerprint(), last, clone.Fingerprint(), first)
+			}
+			if deltas < 40 || uint64(deltas) < work.Output || work.Evictions == 0 {
+				t.Fatalf("%d deltas seen for %d outputs, %d evictions", deltas, work.Output, work.Evictions)
+			}
+			sink := enginetest.NewSink()
+			if w, b := run(sink.Output); w != work || b != bytes || !maps.Equal(sink.Outs, want) {
+				t.Fatalf("poisoning each result after reading it: %+v, %d B of state, %d distinct results; untouched %+v, %d B, %d: a stored row was lent, not a copy",
+					w, b, len(sink.Outs), work, bytes, len(want))
+			}
+			if err := sink.Check(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
 // TestHotKeyResultAllocs: on the migrate-hotkey shape a root result is
-// built in the engine's one transient composite and costs no heap —
-// under one byte per result measured against the same run with no
-// Output (which builds nothing). A stored root's result costs at least
-// its row: a 3-stream row is 5 words, 40 B (on top of it come the
-// row's share of run growth and the arena copy handed to the Output).
-// The work the two runs count is the same: a nil Output skips the
-// building, never the counting.
+// lent in one reusable composite and costs no heap — under one byte per
+// result measured against the same run with no Output (which builds
+// nothing). A stored root (EmitExpiry) lends its results the same way,
+// so all a stored result adds is its row, and the table's free list
+// recycles row runs: under 8 B per result more than a lent one. The
+// work the two runs count is the same: a nil Output skips the building,
+// never the counting.
 func TestHotKeyResultAllocs(t *testing.T) {
 	const n = 90_000
 	evs := hotKeyEvents(n, 3)
@@ -127,8 +153,8 @@ func TestHotKeyResultAllocs(t *testing.T) {
 	if perResult >= 1 {
 		t.Errorf("%.2f heap bytes allocated per lent root result, want < 1", perResult)
 	}
-	if storedPerResult < 40 {
-		t.Errorf("a stored root result costs only %.1f heap bytes more than a lent one; its row alone is 40", storedPerResult)
+	if storedPerResult >= 8 {
+		t.Errorf("a stored root result costs %.1f heap bytes more than a lent one, want < 8: its result is lent, its row recycled", storedPerResult)
 	}
 	t.Logf("heap bytes per root result: lent %.3f, stored +%.1f (%d results, %d B allocated in all without an Output)",
 		perResult, storedPerResult, outputs, silent)
@@ -197,48 +223,53 @@ func TestForwardedResultsAreSampledAndCounted(t *testing.T) {
 	}
 }
 
-// TestProbeOutputMatchesOutput: an unstored root's probe sink gets,
-// probe by probe, exactly the results the per-result Output gets, in
-// the same order, and the same count; a root that stores its output
-// (EmitExpiry) never calls the probe sink, and its Output gets them all.
-func TestProbeOutputMatchesOutput(t *testing.T) {
+// TestSinkMatchesOutput: the sink gets, call by call, exactly the
+// deltas the Output adapter gets, in the same order and count — a probe
+// at a time at an unstored root, one result or retraction with
+// tuple.OneRow at a root that stores its output (EmitExpiry).
+func TestSinkMatchesOutput(t *testing.T) {
 	src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 6, Seed: 5})
 	evs := src.Take(3000)
-	run := func(emitExpiry, probeSink bool) ([]string, int, uint64) {
-		var got []string
-		probes := 0
-		cfg := engine.Config{
-			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 40, EmitExpiry: emitExpiry,
-			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					got = append(got, d.Tuple.Fingerprint())
-				}
-			},
+	line := func(retract bool, tp *tuple.Tuple) string {
+		if retract {
+			return "-" + tp.Fingerprint()
 		}
-		if probeSink {
-			cfg.ProbeOutput = func(tp *tuple.Tuple, rows tuple.Rows) {
-				probes++
+		return tp.Fingerprint()
+	}
+	run := func(emitExpiry, sink bool) (got []string, calls, oneRow int, outputs uint64) {
+		cfg := engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 40, EmitExpiry: emitExpiry}
+		if sink {
+			cfg.Sink = func(retract bool, tp *tuple.Tuple, rows tuple.Rows) {
+				calls++
+				if rows.Set == 0 && rows.Len() == 1 {
+					oneRow++
+				}
 				var v tuple.Tuple
 				for i := range rows.Len() {
-					got = append(got, tuple.Join(tp, rows.View(i, &v)).Fingerprint())
+					got = append(got, line(retract, tuple.Join(tp, rows.View(i, &v))))
 				}
 			}
+		} else {
+			cfg.Output = func(d engine.Delta) { got = append(got, line(d.Retraction, d.Tuple)) }
 		}
 		e := engine.MustNew(cfg)
 		defer e.Close()
 		for _, ev := range evs {
 			e.Feed(ev)
 		}
-		return got, probes, e.Metrics().Output
+		return got, calls, oneRow, e.Metrics().Output
 	}
-	want, _, outputs := run(false, false)
-	got, probes, n := run(false, true)
-	if probes == 0 || n != outputs || uint64(len(got)) != outputs || strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("probe sink: %d probes, %d results (%d counted); Output: %d results (%d counted); same order: %v",
-			probes, len(got), n, len(want), outputs, strings.Join(got, " ") == strings.Join(want, " "))
-	}
-	stored, probes, _ := run(true, true)
-	if probes != 0 || strings.Join(stored, " ") != strings.Join(want, " ") {
-		t.Fatalf("under EmitExpiry: %d probes reached the probe sink, Output got %d results of %d", probes, len(stored), len(want))
+	for _, emitExpiry := range []bool{false, true} {
+		want, _, _, outputs := run(emitExpiry, false)
+		got, calls, oneRow, n := run(emitExpiry, true)
+		if n != outputs || uint64(len(want)) < outputs || strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("EmitExpiry %v: sink %d deltas (%d counted), Output %d deltas (%d counted); same order: %v",
+				emitExpiry, len(got), n, len(want), outputs, strings.Join(got, " ") == strings.Join(want, " "))
+		}
+		// Unstored, a call is a probe and some probes match several rows;
+		// stored, every call is one result.
+		if stored := oneRow == calls && calls == len(got); stored != emitExpiry || calls == 0 {
+			t.Errorf("EmitExpiry %v: %d sink calls, %d of one row, for %d deltas", emitExpiry, calls, oneRow, len(got))
+		}
 	}
 }

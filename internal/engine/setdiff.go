@@ -108,7 +108,7 @@ func (e *Engine) materializeDiffKey(j *Node, key tuple.Value, exclude tuple.Ref,
 func (e *Engine) retractDiff(below *Node, t *tuple.Tuple) {
 	u := below.Parent
 	if u == nil {
-		e.emit(Delta{Tuple: t, Retraction: true})
+		e.emit(true, t)
 		return
 	}
 	if u.St.RemoveRef(t.Key, t.First(), nil) > 0 {

@@ -10,9 +10,8 @@ import (
 	"jisc/internal/tuple"
 )
 
-// Sink is an engine.Output for a query whose root does not store its
-// results (a hash-join root without EmitExpiry): the engine lends each
-// result for the duration of the call. Sink reads the result the two
+// Sink is an engine.Output: the engine lends each result for the
+// duration of the call, whatever its root. Sink reads the result the two
 // ways the contract allows — its fingerprint inside the callback, into
 // Outs, and a Clone kept to the end — and then poisons the lent tuple,
 // so an engine that went on reading what it lent, or a consumer that
@@ -40,10 +39,13 @@ func (s *Sink) Output(d engine.Delta) {
 	d.Tuple.Key, d.Tuple.Set = -1, 0
 }
 
-// Probe is the engine.ProbeOutput, a served query's result path: t's
-// result with each row of rows, read in place, counted and kept as by
-// Output. Nothing is poisoned: t and rows are the engine's own state.
-func (s *Sink) Probe(t *tuple.Tuple, rows tuple.Rows) {
+// Rows is the engine.Sink, a served query's result path: t's result
+// with each row of rows, read in place, counted and kept as by Output.
+// Nothing is poisoned: t and rows are the engine's own state.
+func (s *Sink) Rows(retract bool, t *tuple.Tuple, rows tuple.Rows) {
+	if retract {
+		return
+	}
 	var v tuple.Tuple
 	for i := range rows.Len() {
 		c := tuple.Join(t, rows.View(i, &v))

@@ -198,102 +198,93 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestDurableReplayFeedsNeitherSink: a shard with both sinks, the
-// per-result Output and the ProbeOutput an unstored root hands whole
-// probes to, hears nothing from WAL replay — a mid-migration log
-// included — and afterwards the probe sink delivers exactly the results
-// the Output of a never-crashed runtime delivers for the same input.
+// TestDurableReplayFeedsNeitherSink: a shard's result path — a Sink of
+// its own (ShardOutput), or the Output the shards share — hears nothing
+// from WAL replay, a mid-migration log included, and afterwards it
+// delivers exactly the results the Output of a never-crashed runtime
+// delivers for the same input.
 func TestDurableReplayFeedsNeitherSink(t *testing.T) {
 	const shards = 2
 	evs := durWorkload(40)
 	p2 := plan.MustLeftDeep(2, 0, 1)
 	cut := len(evs) / 2
-	type sinks struct {
-		deltas, probes int
-		lines          []string
-	}
-	durable := func(dir string, got *[shards]sinks) *Runtime {
-		cfg := durConfig(shards, dir, nil)
-		cfg.ShardOutput = func(i int) (engine.Output, engine.ProbeOutput, func()) {
-			s := &got[i]
-			return func(d engine.Delta) {
-					s.deltas++
-					s.lines = append(s.lines, durDelta(d))
-				}, func(t *tuple.Tuple, rows tuple.Rows) {
-					s.probes++
-					var v tuple.Tuple
-					for r := range rows.Len() {
-						s.lines = append(s.lines, durDelta(engine.Delta{Tuple: tuple.Join(t, rows.View(r, &v))}))
-					}
-				}, nil
+	feed := func(rt *Runtime, evs []workload.Event) {
+		t.Helper()
+		if err := rt.FeedBatch(evs); err != nil {
+			t.Fatal(err)
 		}
-		return MustNew(cfg)
-	}
-
-	dir := t.TempDir()
-	var before, after [shards]sinks
-	rt := durable(dir, &before)
-	if err := rt.FeedBatch(evs[:cut-10]); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Migrate(p2); err != nil { // lazy: the log ends mid-migration
-		t.Fatal(err)
-	}
-	if err := rt.FeedBatch(evs[cut-10 : cut]); err != nil {
-		t.Fatal(err)
-	}
-	rt.Close()
-	if before[0].probes+before[1].probes == 0 {
-		t.Fatal("the first run delivered no probe: the sink is not wired")
-	}
-
-	rt2 := durable(dir, &after)
-	defer rt2.Close()
-	if rt2.DurableStats().RecoveredEvents != uint64(cut) {
-		t.Fatalf("replayed %d events, want %d", rt2.DurableStats().RecoveredEvents, cut)
-	}
-	for i, s := range after {
-		if s.deltas+s.probes != 0 {
-			t.Fatalf("shard %d: replay delivered %d results and %d probes", i, s.deltas, s.probes)
+		if err := rt.Flush(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := rt2.FeedBatch(evs[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt2.Flush(); err != nil {
-		t.Fatal(err)
+	run := func(rt *Runtime) {
+		t.Helper()
+		feed(rt, evs[:cut-10])
+		if err := rt.Migrate(p2); err != nil { // lazy: the log ends mid-migration
+			t.Fatal(err)
+		}
+		feed(rt, evs[cut-10:cut])
 	}
 
 	var want []string
 	ref := MustNew(Config{Engine: durConfig(shards, "", func(d engine.Delta) { want = append(want, durDelta(d)) }).Engine, Shards: shards})
 	defer ref.Close()
-	if err := ref.FeedBatch(evs[:cut-10]); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Migrate(p2); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.FeedBatch(evs[cut-10 : cut]); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	run(ref)
 	want = want[:0]
-	if err := ref.FeedBatch(evs[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := append(after[0].lines, after[1].lines...)
-	sort.Strings(got)
+	feed(ref, evs[cut:])
 	sort.Strings(want)
-	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("after recovery the sinks delivered %d results, the reference %d", len(got), len(want))
+
+	type sink struct {
+		calls int
+		lines []string
 	}
-	if after[0].probes+after[1].probes == 0 {
-		t.Fatal("after recovery no probe reached the probe sink")
+	durable := func(dir string, shared bool, got *[shards]sink) *Runtime {
+		if shared { // the runtime serializes a shared Output
+			s := &got[0]
+			return MustNew(durConfig(shards, dir, func(d engine.Delta) {
+				s.calls++
+				s.lines = append(s.lines, durDelta(d))
+			}))
+		}
+		cfg := durConfig(shards, dir, nil)
+		cfg.ShardOutput = func(i int) (engine.Sink, func()) {
+			s := &got[i]
+			return func(retract bool, t *tuple.Tuple, rows tuple.Rows) {
+				s.calls++
+				var v tuple.Tuple
+				for r := range rows.Len() {
+					s.lines = append(s.lines, durDelta(engine.Delta{Tuple: tuple.Join(t, rows.View(r, &v)), Retraction: retract}))
+				}
+			}, nil
+		}
+		return MustNew(cfg)
+	}
+	for _, shared := range []bool{false, true} {
+		dir := t.TempDir()
+		var before, after [shards]sink
+		rt := durable(dir, shared, &before)
+		run(rt)
+		rt.Close()
+		if before[0].calls+before[1].calls == 0 {
+			t.Fatalf("shared Output %v: the first run delivered nothing: the sink is not wired", shared)
+		}
+
+		rt2 := durable(dir, shared, &after)
+		if rt2.DurableStats().RecoveredEvents != uint64(cut) {
+			t.Fatalf("replayed %d events, want %d", rt2.DurableStats().RecoveredEvents, cut)
+		}
+		for i, s := range after {
+			if s.calls != 0 {
+				t.Fatalf("shared Output %v, shard %d: replay delivered %d calls", shared, i, s.calls)
+			}
+		}
+		feed(rt2, evs[cut:])
+		rt2.Close()
+		got := append(after[0].lines, after[1].lines...)
+		sort.Strings(got)
+		if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("shared Output %v: after recovery the sinks delivered %d results, the reference %d", shared, len(got), len(want))
+		}
 	}
 }
 

@@ -28,11 +28,11 @@ func TestMonitorReadsDoNotQueue(t *testing.T) {
 			StateBudget: 1 << 20, SpillFS: storage.NewMemFS(),
 		},
 		Shards: 2,
-		ShardOutput: func(i int) (engine.Output, engine.ProbeOutput, func()) {
+		ShardOutput: func(i int) (engine.Sink, func()) {
 			if i != 0 {
-				return nil, nil, nil
+				return nil, nil
 			}
-			return nil, nil, func() { once.Do(func() { close(held); <-release }) }
+			return nil, func() { once.Do(func() { close(held); <-release }) }
 		},
 	})
 	defer rt.Close()

@@ -60,22 +60,20 @@ type Config struct {
 	// invoked on the worker goroutine; with several shards, calls are
 	// serialized across shards.
 	Engine engine.Config
-	// ShardOutput, when non-nil, gives each shard its own result sinks in
+	// ShardOutput, when non-nil, gives each shard its own result sink in
 	// place of the shared Engine.Output (over which it takes precedence):
-	// it is called once per shard at construction. out and probe are
-	// that shard's engine's Output and ProbeOutput (probe may be nil:
-	// out then receives every result); they run on its worker goroutine
-	// with no lock around the call — so never concurrently with
-	// themselves, but concurrently with the other shards' sinks. A
-	// shared sink is an Output only: Engine.ProbeOutput must be nil.
-	// batchEnd (may be nil) runs on the same goroutine after every feed
+	// it is called once per shard at construction. sink is that shard's
+	// engine's Sink; it runs on the shard's worker goroutine with no lock
+	// around the call — so never concurrently with itself, but
+	// concurrently with the other shards' sinks. A shared sink is an
+	// Output only: Engine.Sink must be nil. batchEnd (may be nil) runs on the same goroutine after every feed
 	// message the worker has processed, and after a transition before
 	// Migrate is answered: a sink that buffers results hands them on
 	// there. The worker thus never waits on its queue or
 	// answers a control message (Flush, Checkpoint) with results still
 	// buffered — after Flush returns, every result of the earlier feeds
 	// has passed a batchEnd.
-	ShardOutput func(shard int) (out engine.Output, probe engine.ProbeOutput, batchEnd func())
+	ShardOutput func(shard int) (sink engine.Sink, batchEnd func())
 	// QueueSize is the input-queue capacity (default 1024), per
 	// shard. Feed blocks when the queue is full — the backpressure
 	// equivalent of the paper's buffer-overflow discussion.
@@ -115,8 +113,8 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("runtime: need at least 1 shard, got %d", cfg.Shards)
 	case cfg.QueueSize < 0:
 		return fmt.Errorf("runtime: negative queue size %d", cfg.QueueSize)
-	case cfg.Engine.ProbeOutput != nil:
-		return errors.New("runtime: a probe sink belongs to one shard; set it through ShardOutput")
+	case cfg.Engine.Sink != nil:
+		return errors.New("runtime: a Sink belongs to one shard; set it through ShardOutput")
 	case !cfg.Durability.Enabled():
 		return nil
 	case cfg.Overflow == Shed:
@@ -133,15 +131,6 @@ func (cfg Config) validate() error {
 		return errors.New("runtime: a feed deadline cannot be combined with durability (replay would resurrect a batch shed after it was logged); shed before the log or not at all")
 	}
 	return nil
-}
-
-// shardSink resolves shard i's result sinks: Config.ShardOutput's when
-// one is configured, else the engine's own Output.
-func (cfg Config) shardSink(i int) (out engine.Output, probe engine.ProbeOutput, batchEnd func()) {
-	if cfg.ShardOutput == nil {
-		return cfg.Engine.Output, nil, nil
-	}
-	return cfg.ShardOutput(i)
 }
 
 // Runtime scales one continuous equi-join query across shard workers
@@ -218,7 +207,10 @@ func New(cfg Config) (*Runtime, error) {
 			// is exact because bucket boundaries are shared.
 			engCfgs[i].Obs = cfg.Obs.Recorder(i)
 		}
-		engCfgs[i].Output, engCfgs[i].ProbeOutput, s.batchEnd = cfg.shardSink(i)
+		if cfg.ShardOutput != nil {
+			engCfgs[i].Output = nil
+			engCfgs[i].Sink, s.batchEnd = cfg.ShardOutput(i)
+		}
 		rt.shards[i] = s
 	}
 	var err error
@@ -308,7 +300,7 @@ func (rt *Runtime) Auto() *adaptive.Controller {
 // runtime level, where it is the TOTAL resident-state budget across
 // all shards: positive is used as given (New splits it evenly), zero
 // auto-sizes to half of GOMEMLIMIT when the operator set one (the
-// other half is working memory — queues, scratch arenas, the Go
+// other half is working memory — queues, scratch buffers, the Go
 // runtime itself) and leaves spilling off otherwise, and negative
 // forces spilling off regardless of GOMEMLIMIT. Set-difference
 // pipelines never auto-enable: the engine does not support spilling

@@ -247,9 +247,9 @@ func TestShardOutputBatchBoundary(t *testing.T) {
 		cfg := Config{
 			Engine: engine.Config{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 64, Strategy: core.New()},
 			Shards: len(sinks),
-			ShardOutput: func(i int) (engine.Output, engine.ProbeOutput, func()) {
+			ShardOutput: func(i int) (engine.Sink, func()) {
 				s := &sinks[i]
-				return func(engine.Delta) { s.buffered++ }, nil, func() {
+				return func(_ bool, _ *tuple.Tuple, rows tuple.Rows) { s.buffered += rows.Len() }, func() {
 					s.delivered += s.buffered
 					s.buffered = 0
 					s.boundaries++

@@ -153,8 +153,8 @@ func (s *shard) do(record func(*durable.Log) error, fn func(*engine.Engine) erro
 // drains the queue first. The log is flushed and closed before the
 // queue, under mu: a submit that raced with close either
 // logged-and-enqueued its message (the worker drains it) or failed with
-// ErrClosed, never one without the other. The engine's pooled scratch is
-// released; tuples already emitted stay valid.
+// ErrClosed, never one without the other. The engine's spill tier, if
+// any, is released.
 func (s *shard) close() {
 	s.mu.Lock()
 	s.closed = true

@@ -230,9 +230,9 @@ func TestShardWindowsBothClocks(t *testing.T) {
 			cfg.Plan = plan.MustLeftDeep(0, 1, 2)
 			cfg.Strategy = core.New()
 			got := make([]*enginetest.Sink, shards)
-			rt := MustNew(Config{Shards: shards, Engine: cfg, ShardOutput: func(i int) (engine.Output, engine.ProbeOutput, func()) {
+			rt := MustNew(Config{Shards: shards, Engine: cfg, ShardOutput: func(i int) (engine.Sink, func()) {
 				got[i] = enginetest.NewSink()
-				return got[i].Output, nil, nil
+				return engine.Output(got[i].Output).Sink(), nil
 			}})
 			want := make([]*enginetest.Sink, shards)
 			refs := make([]*engine.Engine, shards)

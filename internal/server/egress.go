@@ -6,18 +6,18 @@ import (
 	"slices"
 	"sync"
 
-	"jisc/internal/engine"
 	"jisc/internal/obs"
 	"jisc/internal/tuple"
 )
 
 // Result egress: engine → chunk → subscriber → socket, batch-granular.
 //
-// Each shard worker owns one egress. An unstored hash root hands it a
-// probe at a time (probe): the probing tuple and the rows it matched,
-// encoded in one pass as one wire line per row into the egress's chunk
-// buffer; any other root's results arrive one at a time (emit), each
-// the one-row case of the same encoder. flush — the runtime's batch
+// Each shard worker owns one egress, the shard's engine.Sink (encode).
+// An unstored hash root hands it a probe at a time: the probing tuple
+// and the rows it matched, encoded in one pass as one wire line per row
+// into the egress's chunk buffer; any other root hands it one result or
+// retraction at a time, the tuple with tuple.OneRow, the one-row case
+// of the same encoder. flush — the runtime's batch
 // boundary, or the chunk reaching chunkBytes — hands the chunk to every
 // subscriber and empties it: the last one takes the chunk itself when
 // it has nothing pending, the others get a copy. The chunk buffer is
@@ -54,11 +54,6 @@ type fragment struct {
 	text [fragText]byte
 }
 
-// oneRow is a run of one row over no streams: the composite of a tuple
-// with its only row is the tuple itself, so emit encodes a single
-// result as a probe of one row.
-var oneRow = tuple.Rows{Data: make([]uint64, tuple.RowWidth(0))}
-
 // egress is one shard's end of a query's result path. All its fields
 // belong to the shard's worker goroutine.
 type egress struct {
@@ -86,19 +81,8 @@ type egress struct {
 	row   tuple.Tuple
 }
 
-// probe is the shard's engine.ProbeOutput: t's results against every
-// row of rows, encoded in one pass.
-func (e *egress) probe(t *tuple.Tuple, rows tuple.Rows) {
-	e.encode(false, t, rows)
-}
-
-// emit is the shard's engine.Output, for the roots that store their
-// results (and their retractions): one result, a probe of one row.
-func (e *egress) emit(d engine.Delta) {
-	e.encode(d.Retraction, d.Tuple, oneRow)
-}
-
-// encode appends the lines of t against rows to the chunk. With no
+// encode is the shard's engine.Sink: it appends the lines of t against
+// rows to the chunk, encoded in one pass (appendProbe). With no
 // subscriber it encodes nothing; a subscriber that arrives mid-batch is
 // picked up when the chunk is empty, so its stream starts on a chunk
 // boundary.

@@ -158,7 +158,7 @@ func TestEgressSteadyStateAllocs(t *testing.T) {
 	var chunk []byte
 	batch := func() {
 		for i := 0; i < perBatch; i++ {
-			e.emit(d)
+			e.encode(d.Retraction, d.Tuple, tuple.OneRow)
 		}
 		e.flush()
 		chunk, _ = su.take(chunk)
@@ -180,12 +180,12 @@ func TestEgressNoSubscriberEncodesNothing(t *testing.T) {
 	q := egressQuery(t, 1, 1024)
 	e := &egress{q: q}
 	d := engine.Delta{Tuple: composite(7, tuple.Ref{Stream: 0, Seq: 1})}
-	e.emit(d)
+	e.encode(d.Retraction, d.Tuple, tuple.OneRow)
 	if len(e.buf) != 0 {
 		t.Fatalf("encoded %q with no subscriber", e.buf)
 	}
 	_, su := q.subscribe()
-	e.emit(d)
+	e.encode(d.Retraction, d.Tuple, tuple.OneRow)
 	e.flush()
 	if chunk, ok := su.take(nil); !ok || string(chunk) != "RESULT 7 0#1\n" {
 		t.Fatalf("late subscriber took %q, %v", chunk, ok)
@@ -296,8 +296,8 @@ func TestShardedFanout(t *testing.T) {
 	// shard's result lines in emission order.
 	want := make([][]string, shards)
 	rcfg := pcfg
-	rcfg.ShardOutput = func(i int) (engine.Output, engine.ProbeOutput, func()) {
-		return func(d engine.Delta) { want[i] = append(want[i], wireLine(d)) }, nil, nil
+	rcfg.ShardOutput = func(i int) (engine.Sink, func()) {
+		return engine.Output(func(d engine.Delta) { want[i] = append(want[i], wireLine(d)) }).Sink(), nil
 	}
 	ref, err := runtime.New(rcfg)
 	if err != nil {
@@ -425,7 +425,7 @@ func BenchmarkBroadcast(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.emit(d)
+				e.encode(d.Retraction, d.Tuple, tuple.OneRow)
 				if i%256 == 255 {
 					e.flush()
 				}
@@ -459,7 +459,7 @@ func BenchmarkAppendFingerprintEgress(b *testing.B) {
 			e := &egress{}
 			refs := []tuple.Ref{{Stream: 0, Seq: 123456}, {Stream: 1, Seq: 7}, {Stream: 2, Seq: 99}}
 			d := engine.Delta{Tuple: composite(7, refs...)}
-			buf, _ := e.appendProbe(make([]byte, 0, 128), false, d.Tuple, oneRow)
+			buf, _ := e.appendProbe(make([]byte, 0, 128), false, d.Tuple, tuple.OneRow)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -469,7 +469,7 @@ func BenchmarkAppendFingerprintEgress(b *testing.B) {
 					}
 					d.Tuple.Key ^= 1
 				}
-				buf, _ = e.appendProbe(buf[:0], false, d.Tuple, oneRow)
+				buf, _ = e.appendProbe(buf[:0], false, d.Tuple, tuple.OneRow)
 			}
 			fingerprintSink = buf
 		})

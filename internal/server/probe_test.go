@@ -175,7 +175,7 @@ func TestProbeEgressAllocs(t *testing.T) {
 	tp, rows := hotProbe()
 	var chunk []byte
 	probe := func() {
-		e.probe(tp, rows)
+		e.encode(false, tp, rows)
 		e.flush()
 		chunk, _ = su.take(chunk)
 	}
@@ -241,7 +241,7 @@ func TestEgressHandOffNeverSharesBytes(t *testing.T) {
 			}
 			for i := range 2000 {
 				tp.Seqs[0] = uint64(i % 2)
-				e.probe(tp, rows)
+				e.encode(false, tp, rows)
 				if i%3 == 2 {
 					e.flush()
 				}
@@ -261,9 +261,9 @@ func TestEgressHandOffNeverSharesBytes(t *testing.T) {
 // the subscriber's take, on the migrate-hotkey shape — a stream-2
 // arrival against a 20 × 20 hot bucket, 400 results per probe — and on
 // a one-match shape (1 × 1), through an engine whose root hands the
-// egress the whole probe ("probe") and through one that hands it each
-// result built ("per-result": the Output adapter, then emit). Reported
-// per result.
+// egress the whole probe ("probe", the egress as the engine's Sink) and
+// through one that hands it each result built ("per-result": the Output
+// adapter, then one encode per result). Reported per result.
 func BenchmarkRootProbeEgress(b *testing.B) {
 	for _, side := range []int{20, 1} {
 		for _, perProbe := range []bool{true, false} {
@@ -280,9 +280,9 @@ func BenchmarkRootProbeEgress(b *testing.B) {
 					WindowSizes: map[tuple.StreamID]int{2: 64},
 				}
 				e := &egress{q: q}
-				cfg.Output = e.emit
-				if perProbe {
-					cfg.ProbeOutput = e.probe
+				cfg.Sink = e.encode
+				if !perProbe {
+					cfg.Sink, cfg.Output = nil, func(d engine.Delta) { e.encode(d.Retraction, d.Tuple, tuple.OneRow) }
 				}
 				eng := engine.MustNew(cfg)
 				defer eng.Close()

@@ -57,9 +57,9 @@ func newQuery(name string, cfg runtime.Config, bufSize int, admCfg admission.Con
 	}
 	q.obs = obs.NewSet(name, 0)
 	cfg.Obs = q.obs
-	cfg.ShardOutput = func(int) (engine.Output, engine.ProbeOutput, func()) {
+	cfg.ShardOutput = func(int) (engine.Sink, func()) {
 		e := &egress{q: q}
-		return e.emit, e.probe, e.flush
+		return e.encode, e.flush
 	}
 	// Each query gets its own controller from the server template:
 	// rate, budget, and deadline are per query (queries don't share a

@@ -97,8 +97,9 @@ type Config struct {
 	// overflow policy, shard count). A nil Engine.Strategy means JISC
 	// (core.New) for every query. Setting its Shards field above 1
 	// hash-partitions every hosted query across that many worker
-	// shards. Its Engine.Output, Engine.ProbeOutput and ShardOutput are
-	// owned by the server and must be nil. Engine.Plan may be nil to start the server with
+	// shards. Its Engine.Output, Engine.Sink and ShardOutput are owned
+	// by the server and must be nil: every root lends its results to one
+	// sink per shard, the shard's egress. Engine.Plan may be nil to start the server with
 	// no default query (CREATE adds queries at runtime).
 	// Its Durability field is owned by the server and must be zero;
 	// set Config.Durable instead.
@@ -205,8 +206,8 @@ type Server struct {
 // carries a plan). With durability enabled it first recovers every
 // query recorded in the catalog. Call Listen to accept connections.
 func New(cfg Config) (*Server, error) {
-	if cfg.Pipeline.Engine.Output != nil || cfg.Pipeline.Engine.ProbeOutput != nil || cfg.Pipeline.ShardOutput != nil {
-		return nil, errors.New("server: Engine.Output, Engine.ProbeOutput and ShardOutput are owned by the server")
+	if cfg.Pipeline.Engine.Output != nil || cfg.Pipeline.Engine.Sink != nil || cfg.Pipeline.ShardOutput != nil {
+		return nil, errors.New("server: Engine.Output, Engine.Sink and ShardOutput are owned by the server")
 	}
 	if cfg.Pipeline.Durability.Enabled() {
 		return nil, errors.New("server: Pipeline.Durability is owned by the server; set Config.Durable")

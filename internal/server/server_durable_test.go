@@ -492,7 +492,7 @@ func TestNilStrategyMeansJISC(t *testing.T) {
 // TestDurableSubscriberMatchesOutput: after a restart that replays the
 // WAL, a subscriber reads, line for line, what an engine's Output hands
 // out for the same input — the egress encodes whole probes from the
-// probe sink, the reference one built composite at a time — and the
+// engine's sink, the reference one built composite at a time — and the
 // replay itself sent the subscriber nothing.
 func TestDurableSubscriberMatchesOutput(t *testing.T) {
 	dir := t.TempDir()

@@ -193,7 +193,7 @@ func TestSubscriberDropCounted(t *testing.T) {
 	_, su := q.subscribe()
 	e := &egress{q: q}
 	for i := 0; i < 4; i++ { // buffer is 2: the third hand-off overflows
-		e.emit(engine.Delta{Tuple: tuple.NewBase(0, uint64(i+1), 7, uint64(i+1))})
+		e.encode(false, tuple.NewBase(0, uint64(i+1), 7, uint64(i+1)), tuple.OneRow)
 		e.flush()
 	}
 	if got := q.dropped(); got != 1 {

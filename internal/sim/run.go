@@ -350,8 +350,8 @@ func (x *exec) boot(fs storage.FS) error {
 		Engine:    x.engineConfig(core.New(), nil),
 		Shards:    sc.Shards,
 		Admission: x.adm,
-		ShardOutput: func(i int) (engine.Output, engine.ProbeOutput, func()) {
-			return x.sinks[i].Output, x.sinks[i].Probe, x.gate.Wait
+		ShardOutput: func(i int) (engine.Sink, func()) {
+			return x.sinks[i].Rows, x.gate.Wait
 		},
 	}
 	// Negative keeps a GOMEMLIMIT in the environment from turning

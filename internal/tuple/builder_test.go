@@ -5,27 +5,30 @@ import (
 	"testing"
 )
 
-// TestBuilderCopySharesNothing: an arena copy reads as its original and
-// survives the original being overwritten, seqs included.
+// TestBuilderCopySharesNothing: the join with OneRow's row is a copy —
+// how a stored root's result is lent (engine.Output): it reads as its
+// original and survives the original being overwritten, seqs included.
 func TestBuilderCopySharesNothing(t *testing.T) {
-	b := AcquireBuilder()
-	defer b.Release()
+	var b Builder
+	var v Tuple
 	orig := Join(NewBase(3, 17, 42, 99), NewBase(5, 2, 42, 100))
-	got := b.Copy(orig)
+	got := b.JoinTransient(orig, OneRow.View(0, &v))
 	if got.Fingerprint() != "3#17|5#2" || got.Key != 42 || got.Set != orig.Set || got.Arrival != 100 {
-		t.Fatalf("Builder.Copy = %v, want %v", got, orig)
+		t.Fatalf("JoinTransient with OneRow = %v, want %v", got, orig)
 	}
 	orig.Seqs[0], orig.Key = 9, 9
 	if got.Fingerprint() != "3#17|5#2" || got.Key != 42 {
 		t.Fatalf("copy changed with its original: %v", got)
+	}
+	if OneRow.Len() != 1 || v.Set != 0 || len(v.Seqs) != 0 {
+		t.Fatalf("OneRow holds %d rows, its row %v", OneRow.Len(), &v)
 	}
 }
 
 // TestBuilderJoinMatchesJoin: the builder's join composite reads as
 // Join's, provenance merged in stream order.
 func TestBuilderJoinMatchesJoin(t *testing.T) {
-	b := AcquireBuilder()
-	defer b.Release()
+	var b Builder
 	// Interleaved streams so the ref merge is exercised.
 	x := Join(NewBase(0, 5, 7, 10), NewBase(2, 3, 7, 20))
 	y := NewBase(1, 9, 7, 30)
@@ -46,8 +49,7 @@ func TestBuilderJoinMatchesJoin(t *testing.T) {
 // key, as Join's does. Which side a theta composite's key comes from is
 // the engine's rule (engine.Node.InsertTheta), not the builder's.
 func TestBuilderJoinTheta(t *testing.T) {
-	b := AcquireBuilder()
-	defer b.Release()
+	var b Builder
 	x := NewBase(0, 1, 11, 1)
 	y := NewBase(1, 1, 22, 2)
 	if got := b.JoinTransient(x, y); got.Key != 11 {
@@ -59,37 +61,13 @@ func TestBuilderJoinTheta(t *testing.T) {
 }
 
 func TestBuilderJoinOverlapPanics(t *testing.T) {
-	b := AcquireBuilder()
-	defer b.Release()
+	var b Builder
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on overlapping stream sets")
 		}
 	}()
 	b.JoinTransient(NewBase(0, 1, 1, 1), NewBase(0, 2, 1, 2))
-}
-
-// TestBuilderChunkTurnover verifies tuples copied before a chunk
-// turnover stay intact after it: the arena must never recycle memory
-// it handed out.
-func TestBuilderChunkTurnover(t *testing.T) {
-	b := AcquireBuilder()
-	defer b.Release()
-	first := b.Copy(Join(NewBase(0, 1, 123, 1), NewBase(1, 1, 123, 1)))
-	var copies []*Tuple
-	for i := 0; i < 4*tupleChunkLen; i++ {
-		l := NewBase(0, uint64(2*i+2), Value(i), uint64(i))
-		r := NewBase(1, uint64(2*i+3), Value(i), uint64(i))
-		copies = append(copies, b.Copy(Join(l, r)))
-	}
-	if first.Key != 123 || first.First() != (Ref{Stream: 0, Seq: 1}) {
-		t.Fatalf("early tuple corrupted after chunk turnover: %v", first)
-	}
-	for i, c := range copies {
-		if c.Key != Value(i) || len(c.Seqs) != 2 {
-			t.Fatalf("copy %d corrupted: %v", i, c)
-		}
-	}
 }
 
 // TestMergeRefs: a composite's seqs interleave by stream, whichever
@@ -110,10 +88,9 @@ func TestMergeRefs(t *testing.T) {
 
 // TestJoinTransientReusesOneComposite: every JoinTransient returns the
 // same tuple, rewritten — equal to Join's while it lasts, gone with the
-// next call, and never carved from the arenas Copy draws on.
+// next call — and allocates nothing once it has grown.
 func TestJoinTransientReusesOneComposite(t *testing.T) {
-	b := AcquireBuilder()
-	defer b.Release()
+	var b Builder
 	a, c, d := NewBase(0, 1, 7, 1), NewBase(1, 2, 7, 2), NewBase(2, 3, 7, 3)
 	first := b.JoinTransient(a, c)
 	if want := Join(a, c); first.Fingerprint() != want.Fingerprint() || first.Set != want.Set ||
@@ -125,12 +102,8 @@ func TestJoinTransientReusesOneComposite(t *testing.T) {
 	if wide != first || first.Fingerprint() != "0#1|1#2|2#3" || kept.Fingerprint() != "0#1|1#2" {
 		t.Fatalf("second transient %p reads %v (first was %p); clone reads %v", wide, wide, first, kept)
 	}
-	stored := b.Copy(Join(a, d))
 	if allocs := testing.AllocsPerRun(100, func() { b.JoinTransient(a, c) }); allocs != 0 {
 		t.Fatalf("%v allocations per transient join", allocs)
-	}
-	if stored.Fingerprint() != "0#1|2#3" {
-		t.Fatalf("arena tuple disturbed by transient joins: %v", stored)
 	}
 	defer func() {
 		if recover() == nil {

@@ -223,6 +223,12 @@ type Rows struct {
 	Data []uint64
 }
 
+// OneRow is a run of one row over no streams: the composite of a tuple
+// with its only row is the tuple itself. A root that stores its results
+// hands each one on as that tuple with OneRow (engine.Sink). It is
+// never written.
+var OneRow = Rows{Data: make([]uint64, RowWidth(0))}
+
 // RowSeqs is the word of a row its seqs start at, after its arrival.
 const RowSeqs = 1
 

@@ -43,11 +43,10 @@ type (
 	// Event is one input tuple: a stream number and a join key.
 	Event = workload.Event
 	// Delta is one output: a result tuple, possibly a retraction
-	// (set-difference queries, or join queries with EmitExpiry). A join
-	// query without EmitExpiry only lends Delta.Tuple to the Output
-	// callback: it is valid until the callback returns and is then
-	// overwritten by the next result, so a callback that keeps results
-	// keeps d.Tuple.Clone().
+	// (set-difference queries, or join queries with EmitExpiry). Every
+	// query only lends Delta.Tuple to the Output callback: it is valid
+	// until the callback returns and is then overwritten by the next
+	// result, so a callback that keeps results keeps d.Tuple.Clone().
 	Delta = engine.Delta
 	// Tuple is a base or composite result tuple.
 	Tuple = tuple.Tuple
@@ -105,9 +104,7 @@ type Query struct {
 
 // NewQuery builds and starts a query.
 func NewQuery(cfg QueryConfig) (*Query, error) {
-	ec := cfg.engineConfig()
-	ec.EmitExpiry = cfg.EmitExpiry
-	return newQuery(engine.New(ec))
+	return newQuery(engine.New(cfg.engineConfig()))
 }
 
 // engineConfig is what every kind of query configures its engine with.
@@ -116,6 +113,7 @@ func (cfg QueryConfig) engineConfig() engine.Config {
 		Plan:       cfg.Plan,
 		WindowSize: cfg.WindowSize,
 		Strategy:   strategyOf(cfg.Strategy),
+		EmitExpiry: cfg.EmitExpiry,
 		Output:     engine.Output(cfg.Output),
 	}
 }
@@ -175,7 +173,7 @@ func (q *Query) Checkpoint(w io.Writer) error { return q.eng.Checkpoint(w) }
 // them.
 func RestoreQuery(r io.Reader, cfg QueryConfig) (*Query, error) {
 	ec := cfg.engineConfig()
-	ec.Plan, ec.EmitExpiry = nil, cfg.EmitExpiry
+	ec.Plan = nil
 	return newQuery(engine.Restore(r, ec))
 }
 

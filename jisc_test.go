@@ -308,3 +308,61 @@ func TestQueryEmitExpiry(t *testing.T) {
 		t.Fatalf("retractions = %d", retracts)
 	}
 }
+
+// TestAsyncQueryEmitExpiry: an AsyncQuery honours EmitExpiry as a Query
+// does — the same input gives the same multiset of retractions (and of
+// results) through NewQuery and NewAsyncQuery.
+func TestAsyncQueryEmitExpiry(t *testing.T) {
+	evs := make([]Event, 600)
+	for i := range evs {
+		evs[i] = Event{Stream: StreamID(i % 3), Key: Value(i * 7 % 5)}
+	}
+	collect := func(got map[string]int) func(Delta) {
+		return func(d Delta) {
+			line := "+" + d.Tuple.Fingerprint()
+			if d.Retraction {
+				line = "-" + d.Tuple.Fingerprint()
+			}
+			got[line]++
+		}
+	}
+	cfg := QueryConfig{Plan: LeftDeep(0, 1, 2), WindowSize: 8, EmitExpiry: true}
+
+	want := map[string]int{}
+	cfg.Output = collect(want)
+	q, err := NewQuery(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		q.Feed(ev)
+	}
+
+	got := map[string]int{}
+	cfg.Output = collect(got) // worker goroutine only
+	aq, err := NewAsyncQuery(cfg, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer aq.Close()
+	for _, ev := range evs {
+		if err := aq.Feed(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := aq.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	retractions := 0
+	for line, n := range want {
+		if line[0] == '-' {
+			retractions += n
+		}
+		if got[line] != n {
+			t.Errorf("%s: %d times through NewAsyncQuery, %d through NewQuery", line, got[line], n)
+		}
+	}
+	if retractions == 0 || len(got) != len(want) {
+		t.Fatalf("%d retractions through NewQuery; %d distinct deltas async, %d sync", retractions, len(got), len(want))
+	}
+}
