@@ -196,7 +196,7 @@ func TestCheckpointPreservesCounters(t *testing.T) {
 	if m12.St.Complete() || m12.St.Counter() != 1 {
 		t.Fatalf("restored counter = %d complete=%v", m12.St.Counter(), m12.St.Complete())
 	}
-	if m12.CounterSide == nil {
+	if m12.St.CounterSide() != n12.St.CounterSide() {
 		t.Fatal("counter side not restored")
 	}
 	r.Feed(ev(0, 2)) // completes key 2: counter drains

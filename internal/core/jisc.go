@@ -124,7 +124,7 @@ func beginEpisode(e *engine.Engine, key tuple.Value) episode {
 	if o == nil {
 		return episode{}
 	}
-	return episode{o: o, key: key, before: e.Collector().CompletedEntries.Load(), start: e.Now()}
+	return episode{o: o, key: key, before: e.Collector().CompletedEntries, start: e.Now()}
 }
 
 // end closes the episode. Every episode's duration lands in the
@@ -152,7 +152,7 @@ func (ep episode) end(e *engine.Engine) {
 	}
 	ep.o.Tracer.Emit(ev)
 	ev.Kind, ev.Time, ev.Dur = obs.EvCompletionEnd, end, dur
-	ev.Count = e.Collector().CompletedEntries.Load() - ep.before
+	ev.Count = e.Collector().CompletedEntries - ep.before
 	ep.o.Tracer.Emit(ev)
 }
 
@@ -213,8 +213,8 @@ func (c *JISC) completeKeyLD(e *engine.Engine, n *engine.Node, key tuple.Value) 
 // from the children's lent views.
 func (c *JISC) joinInto(e *engine.Engine, n *engine.Node, key tuple.Value) {
 	met := e.Collector()
-	met.Completions.Add(1)
-	born := n.Born
+	met.Completions++
+	born := n.St.Born()
 	left := n.Left.St.Probe(key)
 	right := n.Right.St.Probe(key)
 	var l, r tuple.Tuple
@@ -227,7 +227,7 @@ func (c *JISC) joinInto(e *engine.Engine, n *engine.Node, key tuple.Value) {
 				continue
 			}
 			n.St.InsertJoin(&l, &r)
-			met.CompletedEntries.Add(1)
+			met.CompletedEntries++
 		}
 	}
 }
@@ -258,8 +258,8 @@ func (c *JISC) completeNLState(e *engine.Engine, n *engine.Node) {
 	c.completeChildFull(e, n.Left)
 	c.completeChildFull(e, n.Right)
 	met := e.Collector()
-	met.Completions.Add(1)
-	born := n.Born
+	met.Completions++
+	born := n.St.Born()
 	pred := e.Theta()
 	n.Left.St.Each(func(l *tuple.Tuple) bool {
 		if l.Arrival > born {
@@ -268,7 +268,7 @@ func (c *JISC) completeNLState(e *engine.Engine, n *engine.Node) {
 		n.Right.St.Each(func(r *tuple.Tuple) bool {
 			if r.Arrival <= born && pred(l, r) {
 				n.InsertTheta(l, r)
-				met.CompletedEntries.Add(1)
+				met.CompletedEntries++
 			}
 			return true
 		})
@@ -332,7 +332,7 @@ func (c *JISC) completeDiffKey(e *engine.Engine, j *engine.Node, key tuple.Value
 	}
 	c.completeDiffKey(e, j.Left, key, exclude, haveExclude)
 	met := e.Collector()
-	met.Completions.Add(1)
+	met.Completions++
 	// Does the inner stream suppress this key (ignoring the excluded
 	// in-flight tuple)?
 	var t tuple.Tuple
@@ -358,7 +358,7 @@ func (c *JISC) completeDiffKey(e *engine.Engine, j *engine.Node, key tuple.Value
 				continue
 			}
 			j.St.Insert(&t)
-			met.CompletedEntries.Add(1)
+			met.CompletedEntries++
 		}
 	}
 	if j.St.MarkAttempted(key) {

@@ -251,7 +251,7 @@ func TestCounterDropsEvictedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	n12 := e.NodeBySet(tuple.NewStreamSet(1, 2))
-	side := n12.CounterSide.Stream
+	side := n12.St.CounterSide().Streams()[0]
 	if n12.St.Counter() != 2 {
 		t.Fatalf("counter = %d", n12.St.Counter())
 	}

@@ -38,7 +38,7 @@ type CACQ struct {
 	streams tuple.StreamSet
 
 	out func(*tuple.Tuple)
-	met metrics.Collector
+	met metrics.Snapshot
 	// visits counts tuple passes through the eddy router: one per
 	// dispatch-queue pop, the per-tuple overhead of Figure 9b.
 	visits uint64
@@ -109,7 +109,7 @@ func MustNewCACQ(cfg CACQConfig) *CACQ {
 func (c *CACQ) Name() string { return "cacq" }
 
 // Metrics implements engine.Executor.
-func (c *CACQ) Metrics() metrics.Snapshot { return c.met.Snapshot() }
+func (c *CACQ) Metrics() metrics.Snapshot { return c.met }
 
 // EddyVisits returns how many tuple passes the eddy router has made.
 func (c *CACQ) EddyVisits() uint64 { return c.visits }
@@ -121,19 +121,19 @@ func (c *CACQ) Feed(ev workload.Event) {
 	c.tick++
 	tick, seq := c.tick, c.seqs[ev.Stream]+1
 	c.seqs[ev.Stream] = seq
-	c.met.Input.Add(1)
+	c.met.Input++
 
 	// Slide the window: expired tuples leave only the SteM — CACQ has
 	// no intermediate state to clean, its advantage on eviction.
 	ref := tuple.Ref{Stream: ev.Stream, Seq: seq}
 	for _, exp := range c.windows[ev.Stream].Slide(ref, ev.Key, seq) {
 		c.stems[ev.Stream].RemoveRef(exp.Key, exp.Ref, nil)
-		c.met.Evictions.Add(1)
+		c.met.Evictions++
 	}
 
 	t := tuple.NewBase(ev.Stream, seq, ev.Key, tick)
 	c.stems[ev.Stream].Insert(t)
-	c.met.Inserts.Add(1)
+	c.met.Inserts++
 
 	// The eddy's dispatch loop: tuples (base and intermediate) queue
 	// up at the eddy, which pops each one, consults the routing policy
@@ -163,13 +163,13 @@ func (c *CACQ) Feed(ev workload.Event) {
 			}
 		}
 		if done {
-			c.met.Output.Add(1)
+			c.met.Output++
 			if c.out != nil {
 				c.out(u)
 			}
 			continue
 		}
-		c.met.Probes.Add(1)
+		c.met.Probes++
 		matches := c.stems[next].Probe(u.Key)
 		if c.lot != nil {
 			c.lot.observe(next, matches.Len())
@@ -191,7 +191,7 @@ func (c *CACQ) Migrate(p *plan.Plan) error {
 	if err != nil {
 		return fmt.Errorf("cacq: routing requires a left-deep plan: %w", err)
 	}
-	c.met.Transitions.Add(1)
+	c.met.Transitions++
 	c.order = order
 	return nil
 }

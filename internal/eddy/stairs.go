@@ -32,16 +32,15 @@ type Stairs struct {
 
 	stems   map[tuple.StreamID]*state.Table
 	windows map[tuple.StreamID]*window.Window
-	// inter[set] is the STAIR state over a routing prefix.
+	// inter[set] is the STAIR state over a routing prefix; an
+	// incomplete one carries the tick it was created at (Born).
 	inter map[tuple.StreamSet]*state.Table
-	// born records the tick an incomplete prefix state was created.
-	born map[tuple.StreamSet]uint64
 
 	seqs map[tuple.StreamID]uint64
 	tick uint64
 
 	out func(*tuple.Tuple)
-	met metrics.Collector
+	met metrics.Snapshot
 	// visits counts tuple passes through the eddy router: one per
 	// tuple routed into a stem or prefix state.
 	visits uint64
@@ -83,7 +82,6 @@ func NewStairs(cfg StairsConfig) (*Stairs, error) {
 		stems:   make(map[tuple.StreamID]*state.Table),
 		windows: make(map[tuple.StreamID]*window.Window),
 		inter:   make(map[tuple.StreamSet]*state.Table),
-		born:    make(map[tuple.StreamSet]uint64),
 		seqs:    make(map[tuple.StreamID]uint64),
 		out:     cfg.Output,
 	}
@@ -127,7 +125,7 @@ func (s *Stairs) Name() string {
 }
 
 // Metrics implements engine.Executor.
-func (s *Stairs) Metrics() metrics.Snapshot { return s.met.Snapshot() }
+func (s *Stairs) Metrics() metrics.Snapshot { return s.met }
 
 // EddyVisits returns how many tuple passes the eddy router has made.
 func (s *Stairs) EddyVisits() uint64 { return s.visits }
@@ -147,7 +145,7 @@ func (s *Stairs) Feed(ev workload.Event) {
 	s.tick++
 	tick, seq := s.tick, s.seqs[ev.Stream]+1
 	s.seqs[ev.Stream] = seq
-	s.met.Input.Add(1)
+	s.met.Input++
 
 	ref := tuple.Ref{Stream: ev.Stream, Seq: seq}
 	for _, exp := range s.windows[ev.Stream].Slide(ref, ev.Key, seq) {
@@ -156,7 +154,7 @@ func (s *Stairs) Feed(ev workload.Event) {
 
 	t := tuple.NewBase(ev.Stream, seq, ev.Key, tick)
 	s.stems[ev.Stream].Insert(t)
-	s.met.Inserts.Add(1)
+	s.met.Inserts++
 
 	// Route along the prefix lineage: a tuple at position p first
 	// probes the state below it (prefix p-1, possibly incomplete),
@@ -181,7 +179,7 @@ func (s *Stairs) Feed(ev workload.Event) {
 	}
 	for _, c := range cur {
 		s.inter[prefixes[p-1]].Insert(c)
-		s.met.Inserts.Add(1)
+		s.met.Inserts++
 	}
 	for k := p + 1; k < len(s.order); k++ {
 		if len(cur) == 0 {
@@ -195,11 +193,11 @@ func (s *Stairs) Feed(ev workload.Event) {
 		}
 		for _, c := range next {
 			s.inter[prefixes[k-1]].Insert(c)
-			s.met.Inserts.Add(1)
+			s.met.Inserts++
 		}
 		cur = next
 	}
-	s.met.Output.Add(uint64(len(cur)))
+	s.met.Output += uint64(len(cur))
 	if s.out != nil {
 		for _, r := range cur {
 			s.out(r)
@@ -208,7 +206,7 @@ func (s *Stairs) Feed(ev workload.Event) {
 }
 
 func (s *Stairs) probe(st *state.Table, t *tuple.Tuple) []*tuple.Tuple {
-	s.met.Probes.Add(1)
+	s.met.Probes++
 	matches := st.Probe(t.Key)
 	out := make([]*tuple.Tuple, 0, matches.Len())
 	var m tuple.Tuple
@@ -244,9 +242,9 @@ func (s *Stairs) completeLazy(st *state.Table, prefixes []tuple.StreamSet, idx i
 	}
 	for k := low + 1; k <= idx; k++ {
 		target := s.inter[prefixes[k]]
-		born := s.born[prefixes[k]]
+		born := target.Born()
 		stem := s.stems[s.order[k+1]]
-		s.met.Completions.Add(1)
+		s.met.Completions++
 		rs := stem.Probe(key)
 		var l, r tuple.Tuple
 		for i := range entries.Len() {
@@ -258,12 +256,11 @@ func (s *Stairs) completeLazy(st *state.Table, prefixes []tuple.StreamSet, idx i
 					continue
 				}
 				target.InsertJoin(&l, &r)
-				s.met.CompletedEntries.Add(1)
+				s.met.CompletedEntries++
 			}
 		}
 		if target.MarkAttempted(key) {
 			target.MarkComplete()
-			delete(s.born, prefixes[k])
 		}
 		// Climb with everything now present for this key at level k,
 		// not only what this call inserted — post-born entries are
@@ -277,14 +274,14 @@ func (s *Stairs) completeLazy(st *state.Table, prefixes []tuple.StreamSet, idx i
 // whose entries for the key were never materialized (the §4.2 rule).
 func (s *Stairs) evict(exp window.Entry) {
 	s.stems[exp.Ref.Stream].RemoveRef(exp.Key, exp.Ref, nil)
-	s.met.Evictions.Add(1)
+	s.met.Evictions++
 	for _, set := range s.prefixSets() {
 		if !set.Has(exp.Ref.Stream) {
 			continue
 		}
 		st := s.inter[set]
 		removed := st.RemoveRef(exp.Key, exp.Ref, nil)
-		s.met.Evictions.Add(uint64(removed))
+		s.met.Evictions += uint64(removed)
 		if removed == 0 && !(s.lazy && !st.Complete() && !st.Attempted(exp.Key)) {
 			return
 		}
@@ -304,7 +301,7 @@ func (s *Stairs) Migrate(p *plan.Plan) error {
 	if err != nil {
 		return fmt.Errorf("stairs: routing requires a left-deep plan: %w", err)
 	}
-	s.met.Transitions.Add(1)
+	s.met.Transitions++
 	s.order = order
 
 	live := make(map[tuple.StreamSet]bool)
@@ -312,15 +309,13 @@ func (s *Stairs) Migrate(p *plan.Plan) error {
 		live[set] = true
 		if _, ok := s.inter[set]; !ok {
 			st := state.NewTable(set)
-			st.MarkIncomplete()
+			st.MarkIncomplete(s.tick)
 			s.inter[set] = st
-			s.born[set] = s.tick
 		}
 	}
 	for set := range s.inter {
 		if !live[set] {
 			delete(s.inter, set) // Demote
-			delete(s.born, set)
 		}
 	}
 	if !s.lazy {
@@ -351,12 +346,11 @@ func (s *Stairs) promoteAll() {
 			for i := range ls.Len() {
 				for j := range rs.Len() {
 					st.InsertJoin(ls.View(i, &l), rs.View(j, &r))
-					s.met.MigrationWork.Add(1)
+					s.met.MigrationWork++
 				}
 			}
 		}
 		st.MarkComplete()
-		delete(s.born, set)
 	}
 }
 

@@ -47,17 +47,7 @@ type keyCount struct {
 	Key, N uint64
 }
 
-// sortedCounts returns m's entries in ascending key order.
-func sortedCounts[K ~uint8 | ~uint64](m map[K]uint64) []keyCount {
-	out := make([]keyCount, 0, len(m))
-	for k, n := range m {
-		out = append(out, keyCount{uint64(k), n})
-	}
-	slices.SortFunc(out, func(a, b keyCount) int { return cmp.Compare(a.Key, b.Key) })
-	return out
-}
-
-// countMap is sortedCounts' inverse.
+// countMap reads a checkpoint's list back into a map.
 func countMap[K ~uint8 | ~uint64](kcs []keyCount) map[K]uint64 {
 	m := make(map[K]uint64, len(kcs))
 	for _, kc := range kcs {
@@ -177,25 +167,25 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		WindowSize: e.cfg.WindowSize,
 		TimeSpan:   e.cfg.TimeSpan,
 		Tick:       e.tick,
-		BornList:   sortedCounts(e.born),
-		Counters:   e.met.Snapshot(),
+		Counters:   e.met,
 		RootStored: e.storesOutput(e.root),
 	}
 	for _, n := range e.Nodes() {
 		snap.ProbeList = append(snap.ProbeList, keyCount{uint64(n.Set), n.Probes})
 		snap.MatchList = append(snap.MatchList, keyCount{uint64(n.Set), n.Matches})
-		ts := tableSnap{Set: n.Set, Complete: n.St.Complete()}
+		ts := tableSnap{Set: n.Set, Complete: n.St.Complete(), CounterSide: n.St.CounterSide()}
+		if !ts.Complete { // the incomplete states' birth ticks, by set below
+			snap.BornList = append(snap.BornList, keyCount{uint64(n.Set), n.St.Born()})
+		}
 		ts.Attempted = n.St.AttemptedKeys()
 		ts.Pending, ts.CounterArmed = n.St.PendingKeys()
-		if n.CounterSide != nil {
-			ts.CounterSide = n.CounterSide.Set
-		}
 		n.St.Each(func(t *tuple.Tuple) bool {
 			ts.Entries = append(ts.Entries, snapOf(t))
 			return true
 		})
 		snap.Tables = append(snap.Tables, ts)
 	}
+	slices.SortFunc(snap.BornList, func(a, b keyCount) int { return cmp.Compare(a.Key, b.Key) })
 	for _, id := range e.plan.Streams.Streams() {
 		st := &e.streams[id]
 		snap.SeqList = append(snap.SeqList, keyCount{uint64(id), st.seq})
@@ -263,13 +253,10 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: checkpoint was taken without EmitExpiry and holds no root output state; restoring it with EmitExpiry would never retract the results emitted before it")
 	}
 
-	e.met.Restore(snap.Counters)
+	e.met = snap.Counters
 	e.tick = snap.Tick
 	for _, id := range p.Streams.Streams() {
 		e.streams[id].seq = snap.Seqs[id]
-	}
-	for set, born := range snap.Born {
-		e.born[set] = born
 	}
 
 	nodes := map[tuple.StreamSet]*Node{}
@@ -277,7 +264,6 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		nodes[n.Set] = n
 		n.Probes = snap.Probes[n.Set]
 		n.Matches = snap.Matches[n.Set]
-		n.Born = e.born[n.Set]
 	}
 	// Earlier builds wrote nested-loops states as lists.
 	for _, ls := range snap.Lists {
@@ -302,14 +288,17 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 			}
 			n.St.Insert(t)
 		}
-		n.St.RestoreMeta(ts.Complete, ts.Attempted, ts.Pending, ts.CounterArmed)
-		if ts.CounterArmed && ts.CounterSide != 0 {
-			side, ok := nodes[ts.CounterSide]
-			if !ok {
-				return nil, fmt.Errorf("engine: counter side %v missing", ts.CounterSide)
-			}
-			n.CounterSide = side
+		side := ts.CounterSide
+		if ts.CounterArmed && side == 0 {
+			// Armed with its side lost (a build that kept the side on
+			// the operator tree lost it at an overlapped transition):
+			// re-armed below from the state's children.
+			side = n.Set
 		}
+		n.St.RestoreMeta(ts.Complete, snap.Born[ts.Set], ts.Attempted, ts.Pending, side)
+	}
+	for _, n := range e.Nodes() {
+		e.rearmStale(n)
 	}
 	for _, ws := range snap.Windows {
 		if e.Scan(ws.Stream) == nil {

@@ -86,15 +86,12 @@ type Engine struct {
 	// nested-loops state only accounts (its scan has no bucket
 	// granularity to spill at).
 	store *statestore.Store
-	// born records the creation tick of each incomplete state so that
-	// the tick survives re-installation across overlapped transitions.
-	born map[tuple.StreamSet]uint64
 
 	strategy Strategy
 	// sink is where every root result goes: Config.Sink, or the
 	// Config.Output adapter, or nil when there is neither.
 	sink Sink
-	met  metrics.Collector
+	met  metrics.Snapshot
 	pub  View // what publish last wrote
 	obs  *obs.Recorder
 	now  func() time.Time
@@ -102,15 +99,20 @@ type Engine struct {
 	// monotonic read (Since).
 	sysClock bool
 	// base is the arriving tuple, lent up the tree while it is
-	// processed, and baseSeq its one seq; retracted holds the rows a
-	// storing root just removed and view is the scratch each is read
-	// through; keys is the scratch a nested-loops state's keys are
-	// listed into on eviction.
+	// processed, and baseSeq its one seq (a set-difference's expired
+	// outer tuple borrows both while the window slides); retracted
+	// holds the rows a storing root just removed and view is the
+	// scratch a stored row travels up in (each retracted row, a
+	// set-difference's moved and requalified rows); keys is the
+	// scratch a nested-loops state's keys are listed into on eviction,
+	// and have the refs a set-difference state holds under a
+	// requalifying key.
 	base      tuple.Tuple
 	baseSeq   [1]uint64
 	retracted tuple.Rows
 	view      tuple.Tuple
 	keys      []tuple.Value
+	have      map[tuple.Ref]struct{}
 
 	// tick is the global arrival counter.
 	tick uint64
@@ -156,12 +158,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Kind == SetDiff && !cfg.Plan.Root.IsLeftDeep() {
 		return nil, fmt.Errorf("engine: set-difference pipelines must be left-deep, got %s", cfg.Plan)
 	}
-	if cfg.StateBudget > 0 && cfg.Kind == SetDiff {
-		// The set-difference operator moves whole buckets between its
-		// tables; a spilled bucket would need a fault inside the move.
-		// Not wired — reject up front rather than corrupt accounting.
-		return nil, fmt.Errorf("engine: StateBudget spilling is unsupported for set-difference pipelines")
-	}
 	if cfg.Output != nil && cfg.Sink != nil {
 		return nil, fmt.Errorf("engine: Output adapts the one Sink; set one of them, not both")
 	}
@@ -179,7 +175,7 @@ func New(cfg Config) (*Engine, error) {
 		now:      cfg.Now,
 		sysClock: sysClock,
 		states:   make(map[tuple.StreamSet]*state.Table),
-		born:     make(map[tuple.StreamSet]uint64),
+		have:     make(map[tuple.Ref]struct{}),
 		sink:     cfg.Sink,
 	}
 	if cfg.Output != nil {
@@ -268,10 +264,11 @@ func (e *Engine) Tick() uint64 { return e.tick }
 
 // Metrics implements Executor: the live counters, for the goroutine
 // that feeds the engine. Another goroutine reads View().Metrics().
-func (e *Engine) Metrics() metrics.Snapshot { return e.met.Snapshot() }
+func (e *Engine) Metrics() metrics.Snapshot { return e.met }
 
-// Collector exposes the live metrics collector to strategies.
-func (e *Engine) Collector() *metrics.Collector { return &e.met }
+// Collector exposes the live counters to strategies, which add to them
+// with plain adds on the goroutine feeding the engine.
+func (e *Engine) Collector() *metrics.Snapshot { return &e.met }
 
 // Obs returns the engine's latency recorder, nil when instrumentation
 // is off.
@@ -396,7 +393,7 @@ func (e *Engine) FeedStamped(ev workload.Event, seq, tick uint64) {
 func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint64) {
 	scan := st.scan
 	e.tick = tick
-	e.met.Input.Add(1)
+	e.met.Input++
 	st.seq = seq
 
 	// Slide the window first so the new tuple never joins expired ones.
@@ -419,7 +416,7 @@ func (e *Engine) processCore(st *streamState, ev workload.Event, seq, tick uint6
 	e.baseSeq[0] = seq
 	e.base = tuple.Tuple{Key: ev.Key, Set: scan.Set, Seqs: e.baseSeq[:], Arrival: e.tick}
 	scan.St.Insert(&e.base)
-	e.met.Inserts.Add(1)
+	e.met.Inserts++
 	e.pushUp(scan, &e.base)
 }
 
@@ -459,7 +456,7 @@ func (e *Engine) pushUp(child *Node, t *tuple.Tuple) {
 // the arriving tuple, with tuple.OneRow, lent to the sink for the call.
 func (e *Engine) emit(retract bool, t *tuple.Tuple) {
 	if !retract {
-		e.met.Output.Add(1)
+		e.met.Output++
 	}
 	if e.sink != nil {
 		e.sink(retract, t, tuple.OneRow)

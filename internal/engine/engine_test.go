@@ -194,7 +194,7 @@ func TestOverlappedTransitionKeepsIncomplete(t *testing.T) {
 	if n12.St.Complete() {
 		t.Fatal("{1,2} should be incomplete after first transition")
 	}
-	born := n12.Born
+	born := n12.St.Born()
 	if err := e.Migrate(plan.MustLeftDeep(1, 2, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +202,8 @@ func TestOverlappedTransitionKeepsIncomplete(t *testing.T) {
 	if n12b.St.Complete() {
 		t.Fatal("{1,2} must stay incomplete across overlapped transition")
 	}
-	if n12b.Born != born {
-		t.Fatalf("Born changed across overlapped transition: %d -> %d", born, n12b.Born)
+	if n12b.St.Born() != born {
+		t.Fatalf("Born changed across overlapped transition: %d -> %d", born, n12b.St.Born())
 	}
 }
 

@@ -24,7 +24,7 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 	// (§4.5 adoption) still holds an entry referencing the expired
 	// tuple. The stop rule is only sound against pre-drop completeness.
 	scan.St.RemoveRef(exp.Key, exp.Ref, nil)
-	e.met.Evictions.Add(1)
+	e.met.Evictions++
 
 	last := scan
 	for j := scan.Parent; j != nil; j = j.Parent {
@@ -43,7 +43,7 @@ func (e *Engine) evict(scan *Node, exp window.Entry) {
 		} else {
 			removed = e.removeRef(j, exp.Key, exp.Ref)
 		}
-		e.met.Evictions.Add(uint64(removed))
+		e.met.Evictions += uint64(removed)
 		if removed == 0 && !e.strategy.EvictContinue(e, j, exp.Key) {
 			break
 		}
@@ -82,7 +82,7 @@ func (e *Engine) removeRef(j *Node, key tuple.Value, ref tuple.Ref) int {
 // completion at the parent, so it leaves the pending set.
 func (e *Engine) dropPendingAt(n *Node, key tuple.Value) {
 	p := n.Parent
-	if p == nil || p.Kind == NLJoin || p.St.Complete() || p.CounterSide != n || n.St.ContainsKey(key) {
+	if p == nil || p.Kind == NLJoin || p.St.Complete() || p.St.CounterSide() != n.Set || n.St.ContainsKey(key) {
 		return
 	}
 	if p.St.DropPending(key) {
@@ -90,8 +90,8 @@ func (e *Engine) dropPendingAt(n *Node, key tuple.Value) {
 	}
 }
 
-// MarkNodeComplete declares n's state complete, forgets its birth
-// tick, and notifies the parent (§4.3).
+// MarkNodeComplete declares n's state complete (which drops its birth
+// tick and counter) and notifies the parent (§4.3).
 //
 // Deviation from the paper, recorded in DESIGN.md: the paper resolves
 // Case 3 (both children incomplete, no counter) by declaring the
@@ -106,8 +106,6 @@ func (e *Engine) dropPendingAt(n *Node, key tuple.Value) {
 // the parent.
 func (e *Engine) MarkNodeComplete(n *Node) {
 	n.St.MarkComplete()
-	n.CounterSide = nil
-	e.ClearBorn(n.Set)
 	p := n.Parent
 	if p == nil || p.Kind == NLJoin || p.St.Complete() || p.St.CounterArmed() {
 		return
@@ -158,8 +156,7 @@ func (e *Engine) ArmCounter(j *Node) {
 			pending = append(pending, k)
 		}
 	}
-	j.CounterSide = side
-	j.St.ArmCounter(pending)
+	j.St.ArmCounter(side.Set, pending)
 	if len(pending) == 0 {
 		e.MarkNodeComplete(j)
 	}

@@ -371,3 +371,51 @@ func TestNLEvictionAllocs(t *testing.T) {
 		t.Errorf("%.1f allocations per %d-tuple batch, want none", perBatch, batch)
 	}
 }
+
+// TestSetDiffEvictionAllocs bounds what a set-difference pipeline's
+// expiries allocate: an outer expiry retracts from the engine's scratch
+// tuple, and a last-key inner expiry lifts the requalified outer tuples
+// through scratch too, deduplicating against the engine's reused ref
+// set — not a heap tuple, a map and an escaping view per event. What is
+// left is run growth as keys churn through the windows. A
+// set-difference over 3 streams, window 64, keys from a domain of 500.
+func TestSetDiffEvictionAllocs(t *testing.T) {
+	const window, batch = 64, 256
+	results, retractions := 0, 0
+	e := engine.MustNew(engine.Config{
+		Plan: plan.MustLeftDeep(0, 1, 2), Kind: engine.SetDiff, WindowSize: window,
+		Output: func(d engine.Delta) {
+			if d.Retraction {
+				retractions++
+			} else {
+				results++
+			}
+		},
+	})
+	defer e.Close()
+	src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 500, Seed: 1})
+	evs := make([]workload.Event, batch)
+	fill := func() {
+		for j := range evs {
+			evs[j] = src.Next()
+		}
+	}
+	for warm := 0; warm < 8*3*window/batch; warm++ {
+		fill()
+		e.FeedBatch(evs)
+	}
+	before := e.Metrics()
+	perBatch := testing.AllocsPerRun(50, func() {
+		fill()
+		e.FeedBatch(evs)
+	})
+	m := e.Metrics()
+	if m.Output == before.Output || retractions == 0 || m.Evictions-before.Evictions < m.Input-before.Input {
+		t.Fatalf("output %d → %d, %d retractions, evictions %d → %d over %d tuples: want results, retractions and a full window's expiries",
+			before.Output, m.Output, retractions, before.Evictions, m.Evictions, m.Input-before.Input)
+	}
+	t.Logf("%.1f allocations per %d-tuple batch", perBatch, batch)
+	if perBatch >= 100 && !raceEnabled {
+		t.Errorf("%.1f allocations per %d-tuple batch, want under 100 (a heap tuple or map per expiry made 364)", perBatch, batch)
+	}
+}

@@ -33,7 +33,7 @@ func (hashJoinOp) Kind() Kind { return HashJoin }
 func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
 	e.strategy.BeforeProbe(e, j, opp, t)
-	e.met.Probes.Add(1)
+	e.met.Probes++
 	timed := e.obs.SampleProbe()
 	var t0, t1 time.Time
 	if timed {
@@ -55,7 +55,7 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	var m tuple.Tuple
 	for i := range n {
 		out := j.St.InsertJoin(t, matches.View(i, &m))
-		e.met.Inserts.Add(1)
+		e.met.Inserts++
 		if timed && i == 0 {
 			// Time only the first build of a timed probe, reusing the
 			// probe-end clock read as the build start: one extra read
@@ -78,7 +78,7 @@ func (e *Engine) forward(t *tuple.Tuple, matches tuple.Rows, n int, timed bool, 
 	if n == 0 {
 		return
 	}
-	e.met.Output.Add(uint64(n))
+	e.met.Output += uint64(n)
 	if e.sink == nil {
 		return
 	}

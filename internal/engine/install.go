@@ -11,8 +11,9 @@ import (
 
 // install builds the operator tree for p, attaching surviving states
 // from the store and creating empty incomplete states for new stream
-// sets. initial marks the first installation, where every state starts
-// complete (there is nothing to migrate from). Each internal node is
+// sets, and re-arms the surviving counters whose side it regrouped
+// (rearmStale). initial marks the first installation, where every
+// state starts complete (there is nothing to migrate from). Each internal node is
 // bound to its Operator singleton here, so the feed hot path
 // dispatches through one interface call without re-deriving kinds.
 func (e *Engine) install(p *plan.Plan, initial bool) {
@@ -35,7 +36,6 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 		node.Left.Parent = node
 		node.Right.Parent = node
 		node.St = e.ensureTable(node, initial)
-		node.Born = e.born[set]
 		return node
 	}
 	e.root = build(p.Root)
@@ -56,8 +56,25 @@ func (e *Engine) install(p *plan.Plan, initial bool) {
 	for _, set := range dead {
 		e.states[set].Release()
 		delete(e.states, set)
-		delete(e.born, set)
 	}
+	for _, n := range e.Nodes() {
+		e.rearmStale(n)
+	}
+}
+
+// rearmStale re-arms the §4.3 counter of a surviving state whose
+// counter side is no longer one of its children — after an overlapped
+// transition (§4.5) that regroups its streams, or in a checkpoint whose
+// side was lost — from its current children (ArmCounter). A side that
+// is still a child keeps draining the counter as it did: its state
+// survived with it.
+func (e *Engine) rearmStale(n *Node) {
+	side := n.St.CounterSide()
+	if side == 0 || n.IsLeaf() || side == n.Left.Set || side == n.Right.Set {
+		return
+	}
+	n.St.ArmCounter(0, nil)
+	e.ArmCounter(n)
 }
 
 // ensureTable returns the state of n's stream set: the surviving one,
@@ -71,8 +88,7 @@ func (e *Engine) ensureTable(n *Node, initial bool) *state.Table {
 	}
 	st := state.NewTable(set)
 	if !initial && set.Count() > 1 {
-		st.MarkIncomplete()
-		e.born[set] = e.tick
+		st.MarkIncomplete(e.tick)
 	}
 	switch {
 	case e.store == nil:
@@ -91,10 +107,6 @@ func (e *Engine) ensureTable(n *Node, initial bool) *state.Table {
 	e.states[set] = st
 	return st
 }
-
-// ClearBorn forgets the creation tick of set once its state is
-// complete again.
-func (e *Engine) ClearBorn(set tuple.StreamSet) { delete(e.born, set) }
 
 // nodeKind returns the operator kind for the internal node covering
 // set.

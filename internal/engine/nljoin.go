@@ -21,7 +21,7 @@ func (nlJoinOp) Kind() Kind { return NLJoin }
 func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
 	e.strategy.BeforeProbe(e, j, opp, t)
-	e.met.Probes.Add(1)
+	e.met.Probes++
 	// The whole opposite-state scan is one probe for timing purposes:
 	// that is the unit of work an arriving tuple pays at this operator.
 	timed := e.obs.SampleProbe()
@@ -36,7 +36,7 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	// the right child.
 	fromLeft := j.Left == from
 	opp.St.Each(func(m *tuple.Tuple) bool {
-		e.met.Probes.Add(1)
+		e.met.Probes++
 		var hit bool
 		if fromLeft {
 			hit = pred(t, m)
@@ -45,7 +45,7 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 		}
 		if hit {
 			out := j.InsertTheta(t, m)
-			e.met.Inserts.Add(1)
+			e.met.Inserts++
 			e.pushUp(j, out)
 		}
 		return true

@@ -142,27 +142,20 @@ type Node struct {
 	Op Operator
 
 	// St is the node's output state: probed by key under a hash join,
-	// scanned whole under a nested-loops join.
+	// scanned whole under a nested-loops join. It carries everything
+	// that outlives the node — contents and Definition 1's
+	// completeness record (flag, birth tick, §4.3 counter and its
+	// side) — and survives every transition its stream set does.
 	St *state.Table
 
-	// CounterSide is the designated child whose distinct keys armed
-	// this node's completion counter (§4.3 Cases 1–2); nil when no
-	// counter is armed (Case 3 or complete state).
-	CounterSide *Node
-
-	// Born is the engine tick at which this node's state was created
-	// empty (i.e. classified incomplete). State completion must only
-	// reconstruct results whose constituents all arrived at or before
-	// Born; later results are produced by normal processing. Born
-	// survives re-installation across overlapped transitions.
-	Born uint64
-
 	// Probes and Matches count lookups against this node's state and
-	// the entries they returned — the per-operator selectivity signal
-	// a runtime optimizer feeds on (the paper treats the transition
-	// trigger policy as orthogonal, §2; package adaptive provides
-	// one). They survive re-installation only while the state itself
-	// survives; fresh states start at zero.
+	// the entries they returned since the node was installed — the
+	// per-operator selectivity signal a runtime optimizer feeds on
+	// (the paper treats the transition trigger policy as orthogonal,
+	// §2; package adaptive provides one). Every install builds fresh
+	// nodes, so both restart at zero at each transition, surviving
+	// state or not, and the advisor rebaselines on that reset; Restore
+	// resumes them from the checkpoint.
 	Probes, Matches uint64
 }
 

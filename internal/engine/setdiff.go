@@ -55,7 +55,7 @@ func (setDiffOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 // diffOuterAddition handles a new left-child passing tuple at j: store
 // and propagate it unless the inner stream suppresses its key.
 func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple) {
-	e.met.Probes.Add(1)
+	e.met.Probes++
 	timed := e.obs.SampleProbe()
 	var t0 time.Time
 	if timed {
@@ -69,7 +69,7 @@ func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple) {
 		return // suppressed: stays visible only in the left child
 	}
 	j.St.Insert(t)
-	e.met.Inserts.Add(1)
+	e.met.Inserts++
 	e.pushUp(j, t)
 }
 
@@ -80,7 +80,7 @@ func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple) {
 // so the books reflect the instant before this event and the moves
 // below produce the right retractions.
 func (e *Engine) diffInnerArrival(j *Node, b *tuple.Tuple) {
-	e.met.Probes.Add(1)
+	e.met.Probes++
 	e.materializeDiffKey(j, b.Key, b.First(), true)
 	rows := j.St.RemoveKey(b.Key)
 	for i := range rows.Len() {
@@ -122,17 +122,19 @@ func (e *Engine) retractDiff(below *Node, t *tuple.Tuple) {
 
 // setDiffEvict handles window expiry in a set-difference pipeline.
 func (e *Engine) setDiffEvict(scan *Node, exp window.Entry) {
-	e.met.Evictions.Add(1)
+	e.met.Evictions++
 	j := scan.Parent
 	if j != nil && j.Right == scan {
 		e.diffInnerExpiry(j, scan, exp)
 		return
 	}
 	// Outer-stream expiry: remove from the scan state, then retract
-	// from every diff node upward.
+	// from every diff node upward. The expired tuple is rebuilt in the
+	// arriving tuple's scratch, which is free until the slide is done.
 	scan.St.RemoveRef(exp.Key, exp.Ref, nil)
-	t := tuple.NewBase(exp.Ref.Stream, exp.Ref.Seq, exp.Key, 0)
-	e.retractDiff(scan, t)
+	e.baseSeq[0] = exp.Ref.Seq
+	e.base = tuple.Tuple{Key: exp.Key, Set: scan.Set, Seqs: e.baseSeq[:]}
+	e.retractDiff(scan, &e.base)
 }
 
 // diffInnerExpiry removes an expired inner tuple from the scan of j's
@@ -153,20 +155,20 @@ func (e *Engine) diffInnerExpiry(j, scan *Node, exp window.Entry) {
 	// run here rather than through the DiffCompleter because these
 	// insertions have to propagate as additions.
 	e.materializeDiffKey(j.Left, exp.Key, tuple.Ref{}, false)
-	have := make(map[tuple.Ref]bool)
-	var t tuple.Tuple
+	clear(e.have)
+	t := &e.view
 	stored := j.St.Probe(exp.Key)
 	for i := range stored.Len() {
-		have[stored.View(i, &t).First()] = true
+		e.have[stored.View(i, t).First()] = struct{}{}
 	}
 	left := j.Left.St.Probe(exp.Key)
 	for i := range left.Len() {
-		if have[left.View(i, &t).First()] {
+		if _, ok := e.have[left.View(i, t).First()]; ok {
 			continue
 		}
-		j.St.Insert(&t)
-		e.met.Inserts.Add(1)
-		e.pushUp(j, &t)
+		j.St.Insert(t)
+		e.met.Inserts++
+		e.pushUp(j, t)
 	}
 	if !j.St.Complete() {
 		if j.St.MarkAttempted(exp.Key) {

@@ -2,11 +2,13 @@ package engine_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
 	"jisc/internal/metrics"
+	"jisc/internal/migrate"
 	"jisc/internal/plan"
 	"jisc/internal/storage"
 	"jisc/internal/tuple"
@@ -147,6 +149,76 @@ func TestSpillCheckpointKeepsBucketOrder(t *testing.T) {
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("delta %d diverged: checkpointed %q, uninterrupted %q", i, out[i], want[i])
+		}
+	}
+}
+
+// TestSpillSetDiff runs a set-difference pipeline, outer stream 0 and
+// three inners, under a 2 KiB state budget on an in-memory file system
+// with 4 KiB segments, the inner order migrated every 1,500 tuples, lazily
+// (JISC) and eagerly (Moving State). Every bucket the operator moves —
+// an inner arrival's RemoveKey, an expiry's RemoveRef, a requalifying
+// key's Probe — faults its spilled part back first, so the bounded run
+// must spill, fault, and emit the unbounded run's deltas in order.
+func TestSpillSetDiff(t *testing.T) {
+	orders := [][]tuple.StreamID{{0, 1, 2, 3}, {0, 3, 1, 2}, {0, 2, 3, 1}, {0, 1, 3, 2}}
+	const n, every = 6000, 1500
+	run := func(strat engine.Strategy, seed int64, window int, budget int64) ([]string, *engine.Engine) {
+		var out []string
+		cfg := engine.Config{
+			Plan: plan.MustLeftDeep(orders[0]...), Kind: engine.SetDiff, WindowSize: window,
+			Strategy: strat, StateBudget: budget,
+			Output: func(d engine.Delta) {
+				s := d.Tuple.Fingerprint()
+				if d.Retraction {
+					s = "-" + s
+				}
+				out = append(out, s)
+			},
+		}
+		if budget > 0 {
+			cfg.SpillFS = storage.NewMemFS()
+			cfg.SpillSegmentBytes = 4 << 10
+		}
+		e := engine.MustNew(cfg)
+		src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 300, Seed: seed})
+		for i := range n {
+			if i > 0 && i%every == 0 {
+				if err := e.Migrate(plan.MustLeftDeep(orders[i/every%len(orders)]...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Feed(src.Next())
+		}
+		return out, e
+	}
+	for _, strat := range []func() engine.Strategy{
+		func() engine.Strategy { return core.New() },
+		func() engine.Strategy { return migrate.MovingState{} },
+	} {
+		for seed := int64(1); seed <= 5; seed++ {
+			for _, window := range []int{30, 200} {
+				want, ref := run(strat(), seed, window, 0)
+				ref.Close()
+				got, bounded := run(strat(), seed, window, 2<<10)
+				spill, _ := bounded.SpillStats()
+				bounded.Close()
+				name := fmt.Sprintf("%s seed %d window %d", strat().Name(), seed, window)
+				t.Logf("%s: %d deltas, %d spills, %d faults", name, len(want), spill.Spills, spill.Faults)
+				if spill.Spills == 0 || spill.Faults == 0 {
+					t.Errorf("%s: the spill tier was not exercised: %+v", name, spill)
+				}
+				if len(got) != len(want) {
+					t.Errorf("%s: bounded run emitted %d deltas, unbounded %d", name, len(got), len(want))
+					continue
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s: delta %d is %q bounded, %q unbounded", name, i, got[i], want[i])
+						break
+					}
+				}
+			}
 		}
 	}
 }

@@ -175,11 +175,3 @@ func BenchmarkSpillAccountingOverhead(b *testing.B) {
 		})
 	}
 }
-
-// TestSpillRejectsSetDiff pins the unsupported-combination gate.
-func TestSpillRejectsSetDiff(t *testing.T) {
-	_, err := New(Config{Plan: plan.MustLeftDeep(0, 1), Kind: SetDiff, StateBudget: 1 << 20})
-	if err == nil {
-		t.Fatal("New accepted StateBudget with SetDiff")
-	}
-}

@@ -40,7 +40,7 @@ func (e *Engine) Migrate(newPlan *plan.Plan) error {
 		start = e.now()
 	}
 	defer e.publish()
-	e.met.Transitions.Add(1)
+	e.met.Transitions++
 	oldPlan := e.plan.String()
 	e.install(newPlan, false)
 	if err := e.strategy.OnTransition(e); err != nil {

@@ -65,8 +65,7 @@ func (e *Engine) View() *View { return &e.pub }
 // Only the owner calls it.
 func (e *Engine) publish() {
 	v := &e.pub
-	s := e.met.Snapshot()
-	for i, f := range counterFields(&s) {
+	for i, f := range counterFields(&e.met) {
 		update(&v.counters[i], *f)
 	}
 	update(&v.bytes, uint64(e.StateBytes()))

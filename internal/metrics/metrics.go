@@ -3,11 +3,11 @@
 // transitions, and the work a migration strategy adds. The figures and
 // the served STATS read the same counters.
 //
-// A Collector belongs to one executor goroutine, which counts with
-// plain adds: an atomic add is a lock-prefixed instruction, a full
+// An executor's live Snapshot belongs to its goroutine, which counts
+// with plain adds: an atomic add is a lock-prefixed instruction, a full
 // memory barrier, and the tuple path counts several times per tuple.
-// Another goroutine never reads a Collector; the served engine
-// publishes its counters for other goroutines itself (engine.View).
+// Another goroutine never reads it; the served engine publishes its
+// counters for other goroutines itself (engine.View).
 // Timings are not kept here: the served engine records latency
 // histograms in package obs, and the figures measure their own
 // transition-to-first-output windows (package bench).
@@ -18,79 +18,34 @@ import (
 	"strings"
 )
 
-// Counter is one work counter of a Collector, added to only by the
-// Collector's owner.
-type Counter struct{ n uint64 }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Load returns the count.
-func (c *Counter) Load() uint64 { return c.n }
-
-// Store sets the count to n.
-func (c *Counter) Store(n uint64) { c.n = n }
-
-// Collector accumulates the counters of one executor run. The zero
-// value is ready to use. Only its owner goroutine may use it.
-type Collector struct {
+// Snapshot holds the counters of one executor run. The zero value is
+// ready to use. The executor counts into its own Snapshot with plain
+// adds and hands out copies; a copy is immutable for reporting.
+type Snapshot struct {
 	// Input counts tuples fed into the executor.
-	Input Counter
+	Input uint64
 	// Output counts result tuples emitted at the root.
-	Output Counter
+	Output uint64
 	// Probes counts the probes join operators perform: one per hash
 	// lookup, one per nested-loops scan and per row it visits.
-	Probes Counter
+	Probes uint64
 	// Inserts counts state insertions: tuples stored where a later probe
 	// can read them. A result the root emits without storing (DESIGN.md
 	// §6.8) is an Output, not an Insert.
-	Inserts Counter
+	Inserts uint64
 	// Completions counts on-demand state-completion invocations (JISC).
-	Completions Counter
+	Completions uint64
 	// CompletedEntries counts tuples materialized by state completion.
-	CompletedEntries Counter
+	CompletedEntries uint64
 	// Evictions counts window-expiry removals applied to states: one
 	// per stored tuple removed, so it follows Inserts.
-	Evictions Counter
+	Evictions uint64
 	// Transitions counts plan transitions applied.
-	Transitions Counter
+	Transitions uint64
 	// MigrationWork counts tuples (re)processed solely because of a
 	// migration strategy (e.g. eager moving-state joins, parallel
 	// track double-processing).
-	MigrationWork Counter
-}
-
-// Restore overwrites the collector with s — used when resuming an
-// engine from a checkpoint, so lifetime counters survive a restart
-// instead of resetting to zero.
-func (c *Collector) Restore(s Snapshot) {
-	c.Input.Store(s.Input)
-	c.Output.Store(s.Output)
-	c.Probes.Store(s.Probes)
-	c.Inserts.Store(s.Inserts)
-	c.Completions.Store(s.Completions)
-	c.CompletedEntries.Store(s.CompletedEntries)
-	c.Evictions.Store(s.Evictions)
-	c.Transitions.Store(s.Transitions)
-	c.MigrationWork.Store(s.MigrationWork)
-}
-
-// Snapshot is an immutable copy of the collector for reporting.
-type Snapshot struct {
-	Input, Output, Probes, Inserts           uint64
-	Completions, CompletedEntries, Evictions uint64
-	Transitions, MigrationWork               uint64
-}
-
-// Snapshot copies the current counters.
-func (c *Collector) Snapshot() Snapshot {
-	return Snapshot{
-		Input: c.Input.Load(), Output: c.Output.Load(),
-		Probes: c.Probes.Load(), Inserts: c.Inserts.Load(),
-		Completions: c.Completions.Load(), CompletedEntries: c.CompletedEntries.Load(),
-		Evictions:   c.Evictions.Load(),
-		Transitions: c.Transitions.Load(), MigrationWork: c.MigrationWork.Load(),
-	}
+	MigrationWork uint64
 }
 
 // Add returns the element-wise sum of s and o — the merge used to

@@ -7,23 +7,23 @@ import (
 )
 
 // TestOutputLatency: output latency is a figure instrument (package
-// bench measures it), not something a Collector keeps. Transitions and
-// outputs are plain counts, so a snapshot — what a checkpoint encodes —
-// holds nothing per transition and does not grow with migrations: 130
-// and 250 transitions, each followed by an output, encode to the same
-// number of bytes.
+// bench measures it), not something an executor's counters keep.
+// Transitions and outputs are plain counts, so a snapshot — what a
+// checkpoint encodes — holds nothing per transition and does not grow
+// with migrations: 130 and 250 transitions, each followed by an output,
+// encode to the same number of bytes.
 func TestOutputLatency(t *testing.T) {
 	encoded := func(transitions int) (Snapshot, int) {
-		var c Collector
+		var c Snapshot
 		for i := 0; i < transitions; i++ {
-			c.Transitions.Add(1)
-			c.Output.Add(1)
+			c.Transitions++
+			c.Output++
 		}
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(c.Snapshot()); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(c); err != nil {
 			t.Fatal(err)
 		}
-		return c.Snapshot(), buf.Len()
+		return c, buf.Len()
 	}
 	few, fewBytes := encoded(130)
 	many, manyBytes := encoded(250)
@@ -35,13 +35,15 @@ func TestOutputLatency(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsCopy: a snapshot handed out is a value, so the
+// executor counting on leaves it as it was.
 func TestSnapshotIsCopy(t *testing.T) {
-	var c Collector
-	c.Input.Store(3)
-	c.Transitions.Add(1)
-	s := c.Snapshot()
-	c.Input.Store(99)
-	c.Transitions.Add(1)
+	var c Snapshot
+	c.Input = 3
+	c.Transitions++
+	s := c
+	c.Input = 99
+	c.Transitions++
 	if s.Input != 3 || s.Transitions != 1 {
 		t.Fatalf("Snapshot shares counters: %+v", s)
 	}

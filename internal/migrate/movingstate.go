@@ -42,7 +42,6 @@ func (MovingState) OnTransition(e *engine.Engine) error {
 			fillJoin(e, n)
 		}
 		n.St.MarkComplete()
-		e.ClearBorn(n.Set)
 	}
 	return nil
 }
@@ -64,7 +63,7 @@ func fillJoin(e *engine.Engine, n *engine.Node) {
 		for i := range ls.Len() {
 			for j := range rs.Len() {
 				n.St.InsertJoin(ls.View(i, &l), rs.View(j, &r))
-				met.MigrationWork.Add(1)
+				met.MigrationWork++
 			}
 		}
 	}
@@ -77,7 +76,7 @@ func fillNL(e *engine.Engine, n *engine.Node) {
 	pred := e.Theta()
 	n.Left.St.Each(func(l *tuple.Tuple) bool {
 		n.Right.St.Each(func(r *tuple.Tuple) bool {
-			met.MigrationWork.Add(1)
+			met.MigrationWork++
 			if pred(l, r) {
 				n.InsertTheta(l, r)
 			}
@@ -92,7 +91,7 @@ func fillNL(e *engine.Engine, n *engine.Node) {
 func fillDiff(e *engine.Engine, n *engine.Node) {
 	met := e.Collector()
 	for _, key := range e.IterKeys(n.Left.St) {
-		met.MigrationWork.Add(1)
+		met.MigrationWork++
 		if n.Right.St.ContainsKey(key) {
 			continue
 		}
@@ -100,7 +99,7 @@ func fillDiff(e *engine.Engine, n *engine.Node) {
 		var t tuple.Tuple
 		for i := range rows.Len() {
 			n.St.Insert(rows.View(i, &t))
-			met.MigrationWork.Add(1)
+			met.MigrationWork++
 		}
 	}
 }

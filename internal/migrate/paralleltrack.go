@@ -41,7 +41,7 @@ type ParallelTrack struct {
 	windowSizes map[tuple.StreamID]int
 	streams     tuple.StreamSet
 	out         engine.Output
-	met         metrics.Collector
+	met         metrics.Snapshot
 	// dupDropped counts results suppressed by root duplicate
 	// elimination.
 	dupDropped uint64
@@ -139,7 +139,7 @@ func (pt *ParallelTrack) DupDropped() uint64 { return pt.dupDropped }
 
 // Metrics implements engine.Executor.
 func (pt *ParallelTrack) Metrics() metrics.Snapshot {
-	s := pt.met.Snapshot()
+	s := pt.met
 	// Fold in per-track operator work so probe/insert counts reflect
 	// the double processing.
 	for _, tr := range pt.tracks {
@@ -167,7 +167,7 @@ func (pt *ParallelTrack) emit(tr *track, d engine.Delta) {
 		}
 		pt.seen[fp] = struct{}{}
 	}
-	pt.met.Output.Add(1)
+	pt.met.Output++
 	if pt.out != nil {
 		pt.out(d)
 	}
@@ -178,13 +178,13 @@ func (pt *ParallelTrack) emit(tr *track, d engine.Delta) {
 // Processing beyond the newest track is migration work.
 func (pt *ParallelTrack) Feed(ev workload.Event) {
 	pt.inputs++
-	pt.met.Input.Add(1)
+	pt.met.Input++
 	seq := pt.seqs[ev.Stream] + 1
 	pt.seqs[ev.Stream] = seq
 	for i, tr := range pt.tracks {
 		tr.eng.FeedStamped(ev, seq, pt.inputs)
 		if i < len(pt.tracks)-1 {
-			pt.met.MigrationWork.Add(1)
+			pt.met.MigrationWork++
 		}
 	}
 	if len(pt.tracks) > 1 && pt.inputs%pt.checkEvery == 0 {
@@ -198,7 +198,7 @@ func (pt *ParallelTrack) Migrate(p *plan.Plan) error {
 	if p.Streams != pt.streams {
 		return fmt.Errorf("paralleltrack: new plan covers %v, old covers %v", p.Streams, pt.streams)
 	}
-	pt.met.Transitions.Add(1)
+	pt.met.Transitions++
 	tr, err := pt.newTrack(p)
 	if err != nil {
 		return err
@@ -228,7 +228,7 @@ func (pt *ParallelTrack) discardCheck() {
 				continue
 			}
 			old += n.St.CountOld(tr.cutoff)
-			pt.met.MigrationWork.Add(uint64(n.St.Size())) // scan cost
+			pt.met.MigrationWork += uint64(n.St.Size()) // scan cost
 		}
 		if old > 0 {
 			kept = append(kept, tr)

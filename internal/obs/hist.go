@@ -93,7 +93,7 @@ func (h *Histogram) Count() uint64 {
 // Snapshot copies the histogram for reporting. Safe to call from any
 // goroutine, concurrently with Record; the copy is weakly consistent
 // (counters are read one by one), which is the same contract as
-// metrics.Collector.Snapshot.
+// engine.View's counters.
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Sum: h.sum.Load(),

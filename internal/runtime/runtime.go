@@ -198,7 +198,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 	}
 	engCfgs := make([]engine.Config, n)
-	budget := resolveStateBudget(cfg.Engine.StateBudget, cfg.Engine.Kind)
+	budget := resolveStateBudget(cfg.Engine.StateBudget)
 	for i := range rt.shards {
 		s := &shard{in: make(chan message, queue), overflow: cfg.Overflow, adm: cfg.Admission}
 		engCfgs[i] = shardSpill(cfg.Engine, budget, n, i)
@@ -302,17 +302,12 @@ func (rt *Runtime) Auto() *adaptive.Controller {
 // auto-sizes to half of GOMEMLIMIT when the operator set one (the
 // other half is working memory — queues, scratch buffers, the Go
 // runtime itself) and leaves spilling off otherwise, and negative
-// forces spilling off regardless of GOMEMLIMIT. Set-difference
-// pipelines never auto-enable: the engine does not support spilling
-// them and would refuse to start.
-func resolveStateBudget(budget int64, kind engine.Kind) int64 {
+// forces spilling off regardless of GOMEMLIMIT.
+func resolveStateBudget(budget int64) int64 {
 	switch {
 	case budget > 0:
 		return budget
 	case budget < 0:
-		return 0
-	}
-	if kind == engine.SetDiff {
 		return 0
 	}
 	if lim := debug.SetMemoryLimit(-1); lim < math.MaxInt64 {

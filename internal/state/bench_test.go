@@ -111,7 +111,7 @@ func BenchmarkRemoveRefHotBucket(b *testing.B) {
 func BenchmarkTableWindowChurn(b *testing.B) {
 	const domain, window, period = 4096, 1024, 8192
 	t := NewTable(tuple.NewStreamSet(0))
-	t.MarkIncomplete()
+	t.MarkIncomplete(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -123,7 +123,7 @@ func BenchmarkTableWindowChurn(b *testing.B) {
 			t.RemoveRef(tuple.Value(old*7%domain), tuple.Ref{Stream: 0, Seq: uint64(old)}, nil)
 		}
 		if i%period == period-1 {
-			t.MarkIncomplete()
+			t.MarkIncomplete(0)
 		}
 	}
 }

@@ -172,11 +172,11 @@ func TestTableIndexMatchesModel(t *testing.T) {
 							m.pending[c] = true
 						}
 					}
-					tb.ArmCounter(keys)
+					tb.ArmCounter(tuple.NewStreamSet(0), keys)
 					m.armed = true
 				case r < 98:
 					op = "MarkIncomplete"
-					tb.MarkIncomplete()
+					tb.MarkIncomplete(0)
 					m.complete, m.armed = false, false
 					m.attempted, m.pending = map[tuple.Value]bool{}, map[tuple.Value]bool{}
 				case r < 99:

@@ -3,8 +3,9 @@
 // symmetric hash join probes it by key; a nested-loops join (general
 // theta joins) scans it whole. Tables carry the completeness metadata
 // that JISC layers on top of ordinary states: the complete/incomplete
-// flag of Definition 1, the per-key attempted set of Definition 2, and
-// the completion-detection counter of §4.3.
+// flag of Definition 1 with the tick the state was born at, the per-key
+// attempted set of Definition 2, and the completion-detection counter
+// of §4.3 with the stream set of the child side that armed it.
 //
 // A Table keeps one slot per key in one open-addressing index (see
 // index.go): the slot carries the resident rows, the spilled part and
@@ -89,6 +90,12 @@ type Table struct {
 	// when their stream set did not exist (complete) in the old plan.
 	complete bool
 
+	// born is the tick at which an incomplete state was created empty:
+	// completion reconstructs only results whose constituents all
+	// arrived at or before it, since later ones are produced by normal
+	// processing. It survives every transition the state survives.
+	born uint64
+
 	// attempts counts the slots marked attempted: the keys whose
 	// entries have been computed (or found absent) since the last
 	// transition, so a second tuple with the same value performs no
@@ -101,9 +108,11 @@ type Table struct {
 	// declared complete.
 	pending int
 
-	// counterArmed distinguishes "no counter" (Case 3: both children
-	// incomplete) from "counter drained".
-	counterArmed bool
+	// side is the stream set of the designated child whose keys armed
+	// the counter, zero when none is armed: it distinguishes "no
+	// counter" (Case 3: both children incomplete) from "counter
+	// drained", and names the child whose evictions drain it.
+	side tuple.StreamSet
 
 	// free holds the runs RemoveRef emptied, for reuse by Insert.
 	// Under a sliding window, keys continually drain and reappear;
@@ -191,21 +200,28 @@ func (t *Table) Bytes() int64 { return t.bytes }
 // Complete reports whether the state is complete per Definition 1.
 func (t *Table) Complete() bool { return t.complete }
 
-// MarkIncomplete flags the table incomplete after a plan transition
-// and resets the per-transition attempted set.
-func (t *Table) MarkIncomplete() {
+// MarkIncomplete flags the table incomplete after a plan transition,
+// created empty at tick born, and resets the per-transition attempted
+// set and counter.
+func (t *Table) MarkIncomplete(born uint64) {
 	t.complete = false
+	t.born = born
 	t.clearMarks(attempted | pending)
-	t.counterArmed = false
+	t.side = 0
 }
 
 // MarkComplete declares the state complete and drops transition-time
-// bookkeeping.
+// bookkeeping: the attempted set, the counter and the birth tick.
 func (t *Table) MarkComplete() {
 	t.complete = true
+	t.born = 0
 	t.clearMarks(attempted | pending)
-	t.counterArmed = false
+	t.side = 0
 }
+
+// Born returns the tick an incomplete state was created at (zero once
+// it is complete).
+func (t *Table) Born() uint64 { return t.born }
 
 // clearMarks clears the given per-transition flags in place, removing
 // the slots only they kept. Nothing is swept when no slot carries them,
@@ -224,9 +240,10 @@ func (t *Table) clearMarks(marks uint8) {
 }
 
 // ArmCounter initializes the §4.3 completion counter with the distinct
-// keys of the designated complete child side (Case 1: the smaller of
-// the two complete children; Case 2: the single complete child).
-func (t *Table) ArmCounter(keys []tuple.Value) {
+// keys of the designated complete child side, whose stream set is side
+// (Case 1: the smaller of the two complete children; Case 2: the
+// single complete child). A zero side disarms the counter.
+func (t *Table) ArmCounter(side tuple.StreamSet, keys []tuple.Value) {
 	t.clearMarks(pending)
 	// Size the index for the child's keys at once: a state armed at
 	// install is empty, and growing it from minSlots one doubling at a
@@ -239,13 +256,17 @@ func (t *Table) ArmCounter(keys []tuple.Value) {
 			t.pending++
 		}
 	}
-	t.counterArmed = true
+	t.side = side
 }
 
 // CounterArmed reports whether a completion counter is active
 // (Cases 1 and 2 of §4.3). Without a counter (Case 3) completion is
 // detected via child notifications instead.
-func (t *Table) CounterArmed() bool { return t.counterArmed }
+func (t *Table) CounterArmed() bool { return t.side != 0 }
+
+// CounterSide returns the stream set of the child whose keys armed the
+// counter, zero when none is armed.
+func (t *Table) CounterSide() tuple.StreamSet { return t.side }
 
 // Counter returns the current counter value (distinct keys still to
 // complete). Zero when unarmed.
@@ -274,7 +295,7 @@ func (t *Table) MarkAttempted(key tuple.Value) (drained bool) {
 		s.flags |= attempted
 		t.attempts++
 	}
-	if t.counterArmed && s.flags&pending != 0 {
+	if t.side != 0 && s.flags&pending != 0 {
 		s.flags &^= pending
 		t.pending--
 		return t.pending == 0
@@ -287,7 +308,7 @@ func (t *Table) MarkAttempted(key tuple.Value) (drained bool) {
 // that key from the designated child side, so its entries will never
 // be needed (§4.3: "the counter is decremented accordingly").
 func (t *Table) DropPending(key tuple.Value) (drained bool) {
-	if t.complete || !t.counterArmed {
+	if t.complete || t.side == 0 {
 		return false
 	}
 	i := t.idx.find(key)
@@ -560,7 +581,7 @@ func (t *Table) AttemptedKeys() []tuple.Value {
 // PendingKeys returns the completion counter's remaining keys, in slot
 // order, and whether a counter is armed. Used by checkpointing.
 func (t *Table) PendingKeys() ([]tuple.Value, bool) {
-	if !t.counterArmed {
+	if t.side == 0 {
 		return nil, false
 	}
 	return t.marked(pending, t.pending), true
@@ -578,19 +599,19 @@ func (t *Table) marked(flag uint8, n int) []tuple.Value {
 }
 
 // RestoreMeta reinstates completeness bookkeeping from a checkpoint:
-// the incomplete flag, the attempted-key set, and (optionally) the
-// armed counter's pending keys.
-func (t *Table) RestoreMeta(complete bool, attempted []tuple.Value, pending []tuple.Value, counterArmed bool) {
+// the incomplete flag and birth tick, the attempted-key set, and the
+// counter's side and pending keys (none armed when side is zero).
+func (t *Table) RestoreMeta(complete bool, born uint64, attempted, pending []tuple.Value, side tuple.StreamSet) {
 	if complete {
 		t.MarkComplete()
 		return
 	}
-	t.MarkIncomplete()
+	t.MarkIncomplete(born)
 	for _, k := range attempted {
 		t.MarkAttempted(k)
 	}
-	if counterArmed {
-		t.ArmCounter(pending)
+	if side != 0 {
+		t.ArmCounter(side, pending)
 	}
 }
 

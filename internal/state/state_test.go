@@ -78,14 +78,14 @@ func TestTableCompletenessLifecycle(t *testing.T) {
 	if !tb.Attempted(7) {
 		t.Fatal("complete table must report every key attempted")
 	}
-	tb.MarkIncomplete()
+	tb.MarkIncomplete(0)
 	if tb.Complete() || tb.Attempted(7) {
 		t.Fatal("incomplete table must not report attempted")
 	}
 	if tb.CounterArmed() {
 		t.Fatal("counter must not be armed before ArmCounter")
 	}
-	tb.ArmCounter([]tuple.Value{1, 2, 3})
+	tb.ArmCounter(tuple.NewStreamSet(0), []tuple.Value{1, 2, 3})
 	if !tb.CounterArmed() || tb.Counter() != 3 {
 		t.Fatalf("counter = %d armed=%v", tb.Counter(), tb.CounterArmed())
 	}
@@ -113,8 +113,8 @@ func TestTableCompletenessLifecycle(t *testing.T) {
 
 func TestTableDropPending(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0, 1))
-	tb.MarkIncomplete()
-	tb.ArmCounter([]tuple.Value{1, 2})
+	tb.MarkIncomplete(0)
+	tb.ArmCounter(tuple.NewStreamSet(0), []tuple.Value{1, 2})
 	if drained := tb.DropPending(1); drained {
 		t.Fatal("drained too early")
 	}
@@ -133,8 +133,8 @@ func TestTableDropPending(t *testing.T) {
 
 func TestTableMarkAttemptedIdempotent(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0, 1))
-	tb.MarkIncomplete()
-	tb.ArmCounter([]tuple.Value{1})
+	tb.MarkIncomplete(0)
+	tb.ArmCounter(tuple.NewStreamSet(0), []tuple.Value{1})
 	if !tb.MarkAttempted(1) {
 		t.Fatal("first attempt should drain")
 	}
@@ -166,7 +166,7 @@ func TestTableKeysAndEach(t *testing.T) {
 func TestTableClear(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0))
 	tb.Insert(base(0, 1, 1))
-	tb.MarkIncomplete()
+	tb.MarkIncomplete(0)
 	tb.Clear()
 	if tb.Size() != 0 || tb.DistinctKeys() != 0 {
 		t.Fatal("Clear left data behind")
@@ -239,8 +239,8 @@ func TestTableString(t *testing.T) {
 	if s := tb.String(); s == "" {
 		t.Fatal("empty String")
 	}
-	tb.MarkIncomplete()
-	tb.ArmCounter([]tuple.Value{1})
+	tb.MarkIncomplete(0)
+	tb.ArmCounter(tuple.NewStreamSet(0), []tuple.Value{1})
 	if s := tb.String(); s == "" {
 		t.Fatal("empty String for incomplete table")
 	}
@@ -313,7 +313,7 @@ func TestListEachAndClear(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("Each early stop visited %d", n)
 	}
-	tb.MarkIncomplete()
+	tb.MarkIncomplete(0)
 	tb.Clear()
 	if tb.Size() != 0 || tb.DistinctKeys() != 0 || len(scanAll(tb)) != 0 {
 		t.Fatal("Clear left tuples")
@@ -351,12 +351,12 @@ func TestTableRemoveKey(t *testing.T) {
 
 func TestTableRestoreMeta(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0, 1))
-	tb.RestoreMeta(false, []tuple.Value{1, 2}, []tuple.Value{3}, true)
+	tb.RestoreMeta(false, 17, []tuple.Value{1, 2}, []tuple.Value{3}, tuple.NewStreamSet(1))
 	if tb.Complete() || !tb.Attempted(1) || !tb.Attempted(2) || tb.Attempted(3) {
 		t.Fatal("attempted set not restored")
 	}
-	if !tb.CounterArmed() || tb.Counter() != 1 {
-		t.Fatalf("counter: armed=%v n=%d", tb.CounterArmed(), tb.Counter())
+	if !tb.CounterArmed() || tb.Counter() != 1 || tb.CounterSide() != tuple.NewStreamSet(1) || tb.Born() != 17 {
+		t.Fatalf("counter: armed=%v n=%d side=%v born=%d", tb.CounterArmed(), tb.Counter(), tb.CounterSide(), tb.Born())
 	}
 	got, armed := tb.PendingKeys()
 	if !armed || len(got) != 1 || got[0] != 3 {
@@ -365,8 +365,8 @@ func TestTableRestoreMeta(t *testing.T) {
 	if keys := tb.AttemptedKeys(); len(keys) != 2 {
 		t.Fatalf("AttemptedKeys = %v", keys)
 	}
-	tb.RestoreMeta(true, nil, nil, false)
-	if !tb.Complete() {
+	tb.RestoreMeta(true, 17, nil, nil, tuple.NewStreamSet(1))
+	if !tb.Complete() || tb.Born() != 0 || tb.CounterSide() != 0 {
 		t.Fatal("complete restore failed")
 	}
 	if keys := tb.AttemptedKeys(); len(keys) != 0 {
@@ -381,11 +381,11 @@ func TestTableRestoreMeta(t *testing.T) {
 // key and no counter — it is completed whole, never by key.
 func TestListRestoreMeta(t *testing.T) {
 	tb := NewTable(tuple.NewStreamSet(0, 1))
-	tb.RestoreMeta(false, nil, nil, false)
+	tb.RestoreMeta(false, 3, nil, nil, 0)
 	if tb.Complete() || tb.Attempted(4) || len(tb.AttemptedKeys()) != 0 || tb.CounterArmed() {
 		t.Fatal("incomplete restore carried marks")
 	}
-	tb.RestoreMeta(true, nil, nil, false)
+	tb.RestoreMeta(true, 0, nil, nil, 0)
 	if !tb.Complete() {
 		t.Fatal("complete restore failed")
 	}
