@@ -5,15 +5,16 @@ import (
 	"time"
 
 	"jisc/internal/core"
-	"jisc/internal/eddy"
 	"jisc/internal/engine"
 	"jisc/internal/metrics"
-	"jisc/internal/tuple"
+	"jisc/internal/migrate"
 )
 
-// StairsRow is one point of the §4.6 ablation: eager STAIRs
-// (Promote/Demote at transition time) vs lazy JISC-on-STAIRs, under
-// periodic worst-case routing changes inside the eddy framework.
+// StairsRow is one point of the §4.6 ablation. A STAIR is a prefix
+// state of a left-deep plan, so promoting STAIRs is completing the
+// engine's left-deep states: eagerly at the transition under Moving
+// State (Promote/Demote), or on demand under JISC (JISC-on-STAIRs),
+// with periodic worst-case routing changes.
 type StairsRow struct {
 	Period       int
 	Eager        time.Duration
@@ -24,13 +25,14 @@ type StairsRow struct {
 	// transitions is the routing changes the row made; a row with none
 	// has no latency to show.
 	transitions int
-	// eagerWork is eager STAIRs' MigrationWork (entries promoted at
-	// transition time) and lazyWork JISC-on-STAIRs' CompletedEntries
-	// (entries promoted on demand): the promotion work, seed-deterministic.
+	// eagerWork is Moving State's MigrationWork (entries promoted at
+	// transition time) and lazyWork JISC's CompletedEntries (entries
+	// promoted on demand): the promotion work, seed-deterministic.
 	eagerWork, lazyWork uint64
 }
 
-// StairsAblation compares eager STAIRs with JISC-on-STAIRs (§4.6).
+// StairsAblation compares eager with lazy STAIR promotion (§4.6) on
+// the engine's left-deep plan: Moving State against JISC.
 func StairsAblation(cfg Config, joins int, periods []int, w io.Writer) ([]StairsRow, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -39,26 +41,26 @@ func StairsAblation(cfg Config, joins int, periods []int, w io.Writer) ([]Stairs
 		return nil, err
 	}
 	streams := joins + 1
-	fprintf(w, "STAIRs ablation (§4.6) — eager Promote/Demote vs JISC-on-STAIRs, %d joins\n", joins)
+	fprintf(w, "STAIRs ablation (§4.6) — left-deep plan, eager Moving State vs lazy JISC, %d joins\n", joins)
 	fprintf(w, "%10s %12s %12s %9s %14s %14s\n",
 		"period", "eager", "lazy", "eager/lazy", "eager-latency", "lazy-latency")
 	var rows []StairsRow
 	for _, period := range periods {
-		run := func(lazy bool) (time.Duration, time.Duration, int, metrics.Snapshot, error) {
+		run := func(strategy engine.Strategy) (time.Duration, time.Duration, int, metrics.Snapshot, error) {
 			win := &outputWindow{now: time.Now}
-			s := eddy.MustNewStairs(eddy.StairsConfig{
-				Plan: initialPlan(streams), WindowSize: cfg.Window, Lazy: lazy,
-				Output: func(*tuple.Tuple) { win.output() },
+			e := engine.MustNew(engine.Config{
+				Plan: initialPlan(streams), WindowSize: cfg.Window, Strategy: strategy,
+				Output: func(engine.Delta) { win.output() },
 			})
-			win.Executor = s
+			win.Executor = e
 			elapsed, transitions, err := cfg.periodic(win, streams, cfg.Tuples, period, worstCaseSwap, nil)
-			return elapsed, win.max, transitions, s.Metrics(), err
+			return elapsed, win.max, transitions, e.Metrics(), err
 		}
-		eager, eagerLat, transitions, em, err := run(false)
+		eager, eagerLat, transitions, em, err := run(migrate.MovingState{})
 		if err != nil {
 			return nil, err
 		}
-		lazy, lazyLat, _, lm, err := run(true)
+		lazy, lazyLat, _, lm, err := run(core.New())
 		if err != nil {
 			return nil, err
 		}

@@ -30,8 +30,8 @@ type runner struct {
 	feed    func(workload.Event)
 	migrate func(*plan.Plan) error
 	// sink receives an engine-backed executor's deltas — each result
-	// lent, read, cloned and poisoned — and counts them into outs; the
-	// eddies have none and hand their own tuples to add.
+	// lent, read, cloned and poisoned — and counts them into outs; CACQ
+	// has none and hands its own tuples to add.
 	sink *enginetest.Sink
 	outs map[string]int
 }
@@ -76,17 +76,6 @@ func newRunners(t *testing.T, p *plan.Plan, win int) []*runner {
 		c := eddy.MustNewCACQ(eddy.CACQConfig{Plan: p, WindowSize: win, Output: r.add})
 		r.feed = c.Feed
 		r.migrate = c.Migrate
-		rs = append(rs, r)
-	}
-	for _, lazy := range []bool{false, true} {
-		name := "stairs"
-		if lazy {
-			name = "stairs-jisc"
-		}
-		r := &runner{name: name, outs: map[string]int{}}
-		s := eddy.MustNewStairs(eddy.StairsConfig{Plan: p, WindowSize: win, Lazy: lazy, Output: r.add})
-		r.feed = s.Feed
-		r.migrate = s.Migrate
 		rs = append(rs, r)
 	}
 	return rs

@@ -72,6 +72,10 @@ func TestPaperScenario3WindowSlideThroughIncompleteState(t *testing.T) {
 			t.Fatalf("invalid output produced after s expired: %v", d.Tuple)
 		}
 	}
+	// Nor may u's completion of ST materialize the expired s.
+	if e.NodeBySet(tuple.NewStreamSet(1, 2)).St.ContainsKey(7) {
+		t.Fatal("expired key materialized during lazy completion")
+	}
 }
 
 func TestLazyCompletionOnDemand(t *testing.T) {
@@ -134,6 +138,34 @@ func TestRepeatedProbesCompleteOnce(t *testing.T) {
 	}
 	if len(out) != 2 {
 		t.Fatalf("outputs = %d, want 2", len(out))
+	}
+
+	// Two back-to-back transitions leave every join state of the final
+	// plan incomplete: the first probe walks down through the stacked
+	// incomplete states to the base stream and completes each level
+	// once for its key.
+	out = nil
+	e = newJISC(t, plan.MustLeftDeep(0, 1, 2, 3), 100, &out)
+	for st := tuple.StreamID(0); st < 4; st++ {
+		e.Feed(ev(st, 5))
+	}
+	if err := e.Migrate(plan.MustLeftDeep(3, 2, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Migrate(plan.MustLeftDeep(1, 3, 0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	e.Feed(ev(2, 5)) // probes {1,3,0}, below it the incomplete {1,3}
+	c1 = e.Metrics().Completions
+	if c1 < 2 {
+		t.Fatalf("completions = %d, want ≥ 2 (stacked lazy completion)", c1)
+	}
+	if len(out) != 2 {
+		t.Fatalf("outputs after stacked completion = %d, want 2", len(out))
+	}
+	e.Feed(ev(2, 5))
+	if c2 := e.Metrics().Completions; c2 != c1 {
+		t.Fatalf("re-probing an attempted key re-ran completion: %d -> %d", c1, c2)
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package eddy implements the eddy-based execution framework the
-// paper discusses as related work and as a JISC target: CACQ with
-// stateless SteMs (§3.1) and STAIRs with intermediate state and
-// Promote/Demote (§3.2, §4.6), including the lazy JISC-on-STAIRs
-// variant. An eddy routes every tuple through the remaining operators
+// Package eddy implements CACQ, the eddy-based execution framework
+// the paper discusses as related work: stateless SteMs (§3.1) with
+// lottery or fixed-order routing. STAIRs (§3.2, §4.6) need no eddy of
+// their own: a STAIR is a prefix state of a left-deep plan, which the
+// engine promotes eagerly under Moving State and lazily under JISC.
+// An eddy routes every tuple through the remaining operators
 // according to the current routing order; each hop is an eddy visit
 // (the per-tuple overhead CACQ pays, Figure 9b).
 package eddy

@@ -1,10 +1,14 @@
 package eddy
 
 import (
+	"fmt"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"jisc/internal/plan"
+	"jisc/internal/testseed"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
 )
@@ -20,6 +24,26 @@ func TestCACQValidation(t *testing.T) {
 	bushy := plan.MustNew(plan.Join(plan.Join(plan.Leaf(0), plan.Leaf(1)), plan.Join(plan.Leaf(2), plan.Leaf(3))))
 	if _, err := NewCACQ(CACQConfig{Plan: bushy}); err == nil {
 		t.Error("bushy plan accepted")
+	}
+}
+
+func TestMustConstructorsPanicOnBadConfig(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("MustNewCACQ did not panic on nil plan")
+		}
+	}()
+	MustNewCACQ(CACQConfig{})
+}
+
+func TestCACQMigrateRejectsBadPlans(t *testing.T) {
+	c := MustNewCACQ(CACQConfig{Plan: plan.MustLeftDeep(0, 1, 2)})
+	bushy := plan.MustNew(plan.Join(plan.Join(plan.Leaf(0), plan.Leaf(1)), plan.Join(plan.Leaf(2), plan.Leaf(3))))
+	if err := c.Migrate(bushy); err == nil {
+		t.Error("bushy routing order accepted")
+	}
+	if err := c.Migrate(plan.MustLeftDeep(0, 1, 3)); err == nil {
+		t.Error("different stream set accepted")
 	}
 }
 
@@ -39,6 +63,9 @@ func TestCACQJoins(t *testing.T) {
 	c.Feed(ev(0, 5))
 	if len(outs) != 2 {
 		t.Fatalf("outs = %v", outs)
+	}
+	if c.Name() != "cacq" {
+		t.Errorf("name %q, want cacq", c.Name())
 	}
 }
 
@@ -93,83 +120,6 @@ func TestCACQRejectsDifferentStreams(t *testing.T) {
 	c := MustNewCACQ(CACQConfig{Plan: plan.MustLeftDeep(0, 1)})
 	if err := c.Migrate(plan.MustLeftDeep(0, 2)); err == nil {
 		t.Fatal("accepted different stream set")
-	}
-}
-
-func TestStairsValidation(t *testing.T) {
-	if _, err := NewStairs(StairsConfig{}); err == nil {
-		t.Error("nil plan accepted")
-	}
-}
-
-func TestStairsJoinsAndState(t *testing.T) {
-	var outs []string
-	s := MustNewStairs(StairsConfig{
-		Plan:   plan.MustLeftDeep(0, 1, 2),
-		Output: func(tp *tuple.Tuple) { outs = append(outs, tp.Fingerprint()) },
-	})
-	s.Feed(ev(0, 5))
-	s.Feed(ev(1, 5))
-	s.Feed(ev(2, 5))
-	if len(outs) != 1 || outs[0] != "0#1|1#1|2#1" {
-		t.Fatalf("outs = %v", outs)
-	}
-	// Intermediate STAIR state exists (unlike CACQ).
-	if st, ok := s.inter[tuple.NewStreamSet(0, 1)]; !ok || st.Size() != 1 {
-		t.Fatal("intermediate state not materialized")
-	}
-}
-
-func TestStairsEagerMigrationPromotesAll(t *testing.T) {
-	s := MustNewStairs(StairsConfig{Plan: plan.MustLeftDeep(0, 1, 2)})
-	s.Feed(ev(1, 5))
-	s.Feed(ev(2, 5))
-	if err := s.Migrate(plan.MustLeftDeep(1, 2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	st := s.inter[tuple.NewStreamSet(1, 2)]
-	if !st.Complete() || st.Size() != 1 {
-		t.Fatalf("eager promote: complete=%v size=%d", st.Complete(), st.Size())
-	}
-	if s.Metrics().MigrationWork == 0 {
-		t.Fatal("no promote work recorded")
-	}
-}
-
-func TestStairsLazyMigrationDefersPromotion(t *testing.T) {
-	var outs []string
-	s := MustNewStairs(StairsConfig{
-		Plan: plan.MustLeftDeep(0, 1, 2), Lazy: true,
-		Output: func(tp *tuple.Tuple) { outs = append(outs, tp.Fingerprint()) },
-	})
-	s.Feed(ev(1, 5))
-	s.Feed(ev(2, 5))
-	if err := s.Migrate(plan.MustLeftDeep(1, 2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	st := s.inter[tuple.NewStreamSet(1, 2)]
-	if st.Complete() || st.Size() != 0 {
-		t.Fatalf("lazy migrate did eager work: size=%d", st.Size())
-	}
-	// The probe by stream 0 promotes on demand and joins.
-	s.Feed(ev(0, 5))
-	if len(outs) != 1 {
-		t.Fatalf("outs = %v", outs)
-	}
-	if s.Metrics().Completions == 0 {
-		t.Fatal("no lazy promotion recorded")
-	}
-}
-
-func TestStairsNames(t *testing.T) {
-	if MustNewStairs(StairsConfig{Plan: plan.MustLeftDeep(0, 1)}).Name() != "stairs" {
-		t.Error("eager name")
-	}
-	if MustNewStairs(StairsConfig{Plan: plan.MustLeftDeep(0, 1), Lazy: true}).Name() != "stairs-jisc" {
-		t.Error("lazy name")
-	}
-	if MustNewCACQ(CACQConfig{Plan: plan.MustLeftDeep(0, 1)}).Name() != "cacq" {
-		t.Error("cacq name")
 	}
 }
 
@@ -242,43 +192,53 @@ func TestLotteryNextExhausted(t *testing.T) {
 	}
 }
 
-func TestStairsWindowEviction(t *testing.T) {
-	var outs []string
-	s := MustNewStairs(StairsConfig{
-		Plan: plan.MustLeftDeep(0, 1), WindowSize: 2,
-		Output: func(tp *tuple.Tuple) { outs = append(outs, tp.Fingerprint()) },
-	})
-	s.Feed(ev(0, 1))
-	s.Feed(ev(0, 2))
-	s.Feed(ev(0, 3)) // evicts key 1 from stem and prefixes
-	s.Feed(ev(1, 1)) // expired key: no join
-	if len(outs) != 0 {
-		t.Fatalf("expired tuple joined: %v", outs)
-	}
-	s.Feed(ev(1, 3))
-	if len(outs) != 1 {
-		t.Fatalf("live join missed: %v", outs)
-	}
-	if s.Metrics().Evictions == 0 {
-		t.Fatal("evictions not counted")
+// Lottery routing must keep CACQ's output identical to fixed-order
+// routing across migrations — routing policy affects cost, never
+// results.
+func TestCACQLotteryDifferentialUnderMigration(t *testing.T) {
+	base := testseed.Seed(t, 2)
+	for c := 0; c < 6; c++ {
+		seed := base + int64(c)
+		outs := map[Routing]map[string]int{}
+		for _, r := range []Routing{FixedOrder, Lottery} {
+			dst := map[string]int{}
+			outs[r] = dst
+			cq := MustNewCACQ(CACQConfig{
+				Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: 5, Routing: r,
+				Output: func(tp *tuple.Tuple) { dst[tp.Fingerprint()]++ },
+			})
+			src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 3, Seed: seed})
+			for i := 0; i < 300; i++ {
+				if i == 150 {
+					if err := cq.Migrate(plan.MustLeftDeep(3, 1, 2, 0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cq.Feed(src.Next())
+			}
+		}
+		if d := diffCounts(outs[FixedOrder], outs[Lottery]); d != "" {
+			t.Fatalf("seed %d: lottery routing changed CACQ's results:\n%s", seed, d)
+		}
 	}
 }
 
-func TestStairsLazyEvictionThroughIncompleteStates(t *testing.T) {
-	s := MustNewStairs(StairsConfig{Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: 2, Lazy: true})
-	s.Feed(ev(0, 5))
-	s.Feed(ev(1, 5))
-	if err := s.Migrate(plan.MustLeftDeep(1, 2, 0)); err != nil {
-		t.Fatal(err)
+// diffCounts renders the difference between two output multisets;
+// empty when equal.
+func diffCounts(want, got map[string]int) string {
+	keys := map[string]bool{}
+	for k := range want {
+		keys[k] = true
 	}
-	// Slide stream 1's window so key 5 expires while {1,2} is
-	// incomplete: the removal must pass through without stopping.
-	s.Feed(ev(1, 8))
-	s.Feed(ev(1, 9))
-	// key 5's entries must never be completed into {1,2} afterwards.
-	s.Feed(ev(0, 5))
-	st := s.inter[tuple.NewStreamSet(1, 2)]
-	if st.ContainsKey(5) {
-		t.Fatal("expired key materialized during lazy completion")
+	for k := range got {
+		keys[k] = true
 	}
+	var lines []string
+	for k := range keys {
+		if want[k] != got[k] {
+			lines = append(lines, fmt.Sprintf("  %s: want %d, got %d", k, want[k], got[k]))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

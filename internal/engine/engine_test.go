@@ -98,6 +98,9 @@ func TestJoinRespectsWindowEviction(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("live tuple missed: %d", len(out))
 	}
+	if e.Metrics().Evictions == 0 {
+		t.Fatal("evictions not counted")
+	}
 }
 
 func TestEvictionPropagatesToJoinStates(t *testing.T) {

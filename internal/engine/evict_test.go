@@ -415,7 +415,7 @@ func TestSetDiffEvictionAllocs(t *testing.T) {
 			before.Output, m.Output, retractions, before.Evictions, m.Evictions, m.Input-before.Input)
 	}
 	t.Logf("%.1f allocations per %d-tuple batch", perBatch, batch)
-	if perBatch >= 100 && !raceEnabled {
-		t.Errorf("%.1f allocations per %d-tuple batch, want under 100 (a heap tuple or map per expiry made 364)", perBatch, batch)
+	if perBatch >= 10 && !raceEnabled {
+		t.Errorf("%.1f allocations per %d-tuple batch, want under 10 (a heap tuple or map per expiry made 364, a run regrown per moved bucket 47)", perBatch, batch)
 	}
 }

@@ -113,7 +113,7 @@ func (out Output) Sink() Sink {
 
 // Executor is the contract shared by every execution strategy in the
 // repository (this engine under JISC/Moving State/static, Parallel
-// Track, CACQ, STAIRs): feed tuples, trigger plan transitions, read
+// Track, CACQ): feed tuples, trigger plan transitions, read
 // metrics. It is what the benchmark harness and the equivalence tests
 // program against.
 type Executor interface {

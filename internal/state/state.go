@@ -525,7 +525,8 @@ func (t *Table) RemoveRef(key tuple.Value, ref tuple.Ref, dst *tuple.Rows) int {
 // RemoveKey removes every row stored under key and lends them —
 // set-difference suppression and requalification move whole key
 // buckets between the passing and suppressed tables. A spilled bucket
-// is faulted in first. The run is detached, not recycled.
+// is faulted in first. The run is recycled, so the lent rows stay
+// valid only until the next Insert into this table.
 func (t *Table) RemoveKey(key tuple.Value) tuple.Rows {
 	i := t.idx.find(key)
 	if i < 0 {
@@ -542,6 +543,9 @@ func (t *Table) RemoveKey(key tuple.Value) tuple.Rows {
 	}
 	t.size -= rows.Len()
 	t.account(-8*int64(len(s.run)) - SlotBytes)
+	if len(t.free) < maxFreeBuckets {
+		t.free = append(t.free, s.run[:0])
+	}
 	s.run = nil
 	s.flags &^= hot
 	t.keys--
