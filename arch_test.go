@@ -153,6 +153,13 @@ var guards = []guard{
 		roots:   []string{"."},
 		msg:     "a second left-deep executor is back: STAIRs are the engine's left-deep states, promoted by Moving State and JISC (see DESIGN.md §2, §5)",
 	},
+	{
+		name:    "one naive reference",
+		pattern: `hybridOracle|newOracle|diffHarness\) oracle`,
+		roots:   []string{"internal"},
+		every:   true,
+		msg:     "a hand-written result oracle is back: every Theorem 1 referee reads enginetest.Reference (see DESIGN.md §4)",
+	},
 }
 
 // gone lists paths the design deleted.
@@ -166,6 +173,9 @@ var gone = []struct{ path, msg string }{
 // aside).
 var forbiddenDeps = []struct{ pkg, dep, msg string }{
 	{"internal/statestore", "internal/state", "internal/statestore imports internal/state (see DESIGN.md §15)"},
+	{"cmd/jiscd", "internal/enginetest", "jiscd links the test reference (see DESIGN.md §4)"},
+	{"cmd/jiscd", "internal/sim", "jiscd links the simulation harness (see DESIGN.md §12)"},
+	{"cmd/jiscd", "internal/testseed", "jiscd links the test seed flag (see DESIGN.md §4)"},
 }
 
 func TestStructuralGuards(t *testing.T) {

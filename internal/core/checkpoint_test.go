@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
 	"jisc/internal/workload"
@@ -71,13 +72,8 @@ func runPair(t *testing.T, cfg engine.Config, events []workload.Event,
 
 func compare(t *testing.T, a, b map[string]int) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("distinct outputs differ: %d vs %d", len(a), len(b))
-	}
-	for fp, n := range a {
-		if b[fp] != n {
-			t.Fatalf("%s: %d vs %d", fp, n, b[fp])
-		}
+	if d := enginetest.Diff(a, b); d != "" {
+		t.Fatalf("outputs differ:\n%s", d)
 	}
 }
 

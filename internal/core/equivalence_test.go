@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"jisc/internal/eddy"
@@ -20,9 +17,9 @@ import (
 // The equivalence suite is the empirical counterpart of the paper's
 // Theorems 1–3 (complete, closed, duplicate-free): on randomized
 // workloads with forced — and overlapped — plan transitions, every
-// migration strategy must produce exactly the same output multiset as
-// CACQ, which recomputes results directly from the live windows and
-// therefore serves as the oracle.
+// migration strategy, and CACQ, must produce exactly the output multiset
+// of enginetest.Reference, which recomputes results from raw windows
+// and shares no window, state or engine code with its subjects.
 
 // runner adapts each executor to the test harness.
 type runner struct {
@@ -53,8 +50,7 @@ func newRunners(t *testing.T, p *plan.Plan, win int) []*runner {
 			Plan: p, WindowSize: win, Strategy: strat,
 			Output: r.sink.Output,
 		})
-		r.feed = e.Feed
-		r.migrate = e.Migrate
+		r.feed, r.migrate = e.Feed, e.Migrate
 		rs = append(rs, r)
 	}
 	mk("jisc", New())
@@ -67,50 +63,21 @@ func newRunners(t *testing.T, p *plan.Plan, win int) []*runner {
 			Plan: p, WindowSize: win, CheckEvery: 7,
 			Output: r.sink.Output,
 		})
-		r.feed = pt.Feed
-		r.migrate = pt.Migrate
+		r.feed, r.migrate = pt.Feed, pt.Migrate
 		rs = append(rs, r)
 	}
 	{
 		r := &runner{name: "cacq", outs: map[string]int{}}
 		c := eddy.MustNewCACQ(eddy.CACQConfig{Plan: p, WindowSize: win, Output: r.add})
-		r.feed = c.Feed
-		r.migrate = c.Migrate
+		r.feed, r.migrate = c.Feed, c.Migrate
 		rs = append(rs, r)
 	}
 	return rs
 }
 
-func diffOutputs(a, b map[string]int) string {
-	var sb strings.Builder
-	keys := map[string]bool{}
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	var sorted []string
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	n := 0
-	for _, k := range sorted {
-		if a[k] != b[k] {
-			fmt.Fprintf(&sb, "  %s: %d vs %d\n", k, a[k], b[k])
-			n++
-			if n > 12 {
-				sb.WriteString("  ...\n")
-				break
-			}
-		}
-	}
-	return sb.String()
-}
-
-// scenario drives all runners through the same events and transitions
-// and asserts identical output multisets.
+// scenario drives all runners and the reference through the same events
+// and transitions and holds every runner to the reference's output
+// multiset.
 func scenario(t *testing.T, seed int64, streams, win, events, transitions int, overlapped bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(testseed.Seed(t, seed)))
@@ -120,6 +87,7 @@ func scenario(t *testing.T, seed int64, streams, win, events, transitions int, o
 	}
 	p := plan.MustLeftDeep(order...)
 	rs := newRunners(t, p, win)
+	ref := enginetest.NewReference(engine.Config{Plan: p, WindowSize: win})
 
 	src := workload.MustNewSource(workload.Config{
 		Streams: streams,
@@ -152,6 +120,7 @@ func scenario(t *testing.T, seed int64, streams, win, events, transitions int, o
 				t.Fatal(err)
 			}
 			cur = next
+			ref.Migrate(cur)
 			for _, r := range rs {
 				if err := r.migrate(cur); err != nil {
 					t.Fatalf("%s: migrate: %v", r.name, err)
@@ -159,28 +128,20 @@ func scenario(t *testing.T, seed int64, streams, win, events, transitions int, o
 			}
 		}
 		e := src.Next()
+		ref.Feed(e)
 		for _, r := range rs {
 			r.feed(e)
 		}
 	}
 
-	oracle := rs[0]
-	for _, r := range rs {
-		if r.name == "cacq" {
-			oracle = r
-		}
-	}
 	for _, r := range rs {
 		if r.sink != nil {
 			if err := r.sink.Check(); err != nil {
 				t.Errorf("%s (seed %d): %v", r.name, seed, err)
 			}
 		}
-		if r == oracle {
-			continue
-		}
-		if len(r.outs) != len(oracle.outs) || diffOutputs(oracle.outs, r.outs) != "" {
-			t.Errorf("%s diverges from oracle (seed %d):\n%s", r.name, seed, diffOutputs(oracle.outs, r.outs))
+		if err := ref.Check(r.outs); err != nil {
+			t.Errorf("%s (seed %d): %v", r.name, seed, err)
 		}
 	}
 }
@@ -216,11 +177,11 @@ func TestEquivalenceManyStreams(t *testing.T) {
 }
 
 // Bushy-plan equivalence: only the engine strategies support bushy
-// plans, so compare JISC against Moving State with a bushy target.
+// plans, so hold JISC and Moving State, with a bushy target, to the
+// reference.
 func TestEquivalenceBushy(t *testing.T) {
 	base := testseed.Seed(t, 500)
 	for seed := base; seed < base+5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		p := plan.MustLeftDeep(0, 1, 2, 3)
 		bushy := plan.MustNew(plan.Join(
 			plan.Join(plan.Leaf(0), plan.Leaf(2)),
@@ -232,42 +193,38 @@ func TestEquivalenceBushy(t *testing.T) {
 		))
 		plans := []*plan.Plan{bushy, bushy2, plan.MustLeftDeep(2, 3, 0, 1)}
 
-		outs := map[string]map[string]int{}
 		for _, strat := range []engine.Strategy{New(), migrate.MovingState{}} {
 			sink := enginetest.NewSink()
-			defer func() {
-				if err := sink.Check(); err != nil {
-					t.Errorf("bushy %s (seed %d): %v", strat.Name(), seed, err)
-				}
-			}()
-			outs[strat.Name()] = sink.Outs
-			e := engine.MustNew(engine.Config{
+			cfg := engine.Config{
 				Plan: p, WindowSize: 6, Strategy: strat,
 				Output: sink.Output,
-			})
+			}
+			e, ref := engine.MustNew(cfg), enginetest.NewReference(cfg)
 			src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 5, Seed: seed})
-			rng2 := rand.New(rand.NewSource(seed + 1))
-			pi := 0
 			for i := 0; i < 300; i++ {
 				if i > 0 && i%80 == 0 {
-					if err := e.Migrate(plans[pi%len(plans)]); err != nil {
+					next := plans[(i/80-1)%len(plans)]
+					if err := e.Migrate(next); err != nil {
 						t.Fatal(err)
 					}
-					pi++
+					ref.Migrate(next)
 				}
-				e.Feed(src.Next())
-				_ = rng2
+				x := src.Next()
+				ref.Feed(x)
+				e.Feed(x)
+			}
+			if err := sink.Check(); err != nil {
+				t.Errorf("bushy %s (seed %d): %v", strat.Name(), seed, err)
+			}
+			if err := ref.Check(sink.Outs); err != nil {
+				t.Errorf("bushy %s (seed %d): %v", strat.Name(), seed, err)
 			}
 		}
-		if d := diffOutputs(outs["moving-state"], outs["jisc"]); d != "" {
-			t.Errorf("bushy: jisc diverges from moving-state (seed %d):\n%s", seed, d)
-		}
-		_ = rng
 	}
 }
 
 // FuzzEquivalence drives random workload/transition scenarios through
-// every strategy and requires identical outputs — continuous fuzzing
+// every strategy and holds each to the reference — continuous fuzzing
 // over the same invariant the fixed-seed suite checks.
 func FuzzEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(6), uint8(2))

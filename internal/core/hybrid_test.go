@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
 	"jisc/internal/testseed"
@@ -13,72 +14,19 @@ import (
 )
 
 // Hybrid plans (§2.1): equi-joins at the bottom of a left-deep plan,
-// theta joins above. The oracle recomputes results directly from the
-// raw windows with the mixed predicate chain.
+// theta joins above, held to enginetest.Reference, which recomputes
+// results directly from the raw windows with the mixed predicate chain.
 
 // hybridTheta is the non-equi predicate used for the upper joins:
 // composite and stored tuple agree on key mod 3 (coarser than the
 // equi-join on full keys below).
 func hybridTheta(a, b *tuple.Tuple) bool { return a.Key%3 == b.Key%3 }
 
-// hybridOracle recomputes the hybrid join over the current windows:
-// streams 0,1,2 equi-join on key; streams 3 (and 4 if present) theta-
-// join on key mod 3 against the growing composite.
-type hybridOracle struct {
-	win     int
-	streams int
-	hist    map[tuple.StreamID][]tuple.Value
-}
-
-func (o *hybridOracle) live(s tuple.StreamID) [][2]int64 {
-	keys := o.hist[s]
-	start := 0
-	if len(keys) > o.win {
-		start = len(keys) - o.win
-	}
-	var out [][2]int64 // (seq, key)
-	for i := start; i < len(keys); i++ {
-		out = append(out, [2]int64{int64(i + 1), int64(keys[i])})
-	}
-	return out
-}
-
-// results enumerates the full hybrid join over the live windows,
-// returning fingerprint-count pairs.
-func (o *hybridOracle) results() map[string]int {
-	out := map[string]int{}
-	for _, a := range o.live(0) {
-		for _, b := range o.live(1) {
-			if b[1] != a[1] {
-				continue
-			}
-			for _, c := range o.live(2) {
-				if c[1] != a[1] {
-					continue
-				}
-				for _, d := range o.live(3) {
-					if d[1]%3 != a[1]%3 {
-						continue
-					}
-					t := tuple.Join(
-						tuple.Join(tuple.NewBase(0, uint64(a[0]), tuple.Value(a[1]), 0),
-							tuple.NewBase(1, uint64(b[0]), tuple.Value(b[1]), 0)),
-						tuple.Join(tuple.NewBase(2, uint64(c[0]), tuple.Value(c[1]), 0),
-							tuple.NewBase(3, uint64(d[0]), tuple.Value(d[1]), 0)),
-					)
-					out[t.Fingerprint()]++
-				}
-			}
-		}
-	}
-	return out
-}
-
-func hybridEngine(t *testing.T, strat engine.Strategy, win int, outs map[string]int) *engine.Engine {
-	t.Helper()
-	// (((0⋈1)⋈2) theta 3): bottom two joins equi, top join theta.
+// hybridConfig configures (((0⋈1)⋈2) theta 3): bottom two joins equi,
+// top join theta, counting its emissions into outs.
+func hybridConfig(strat engine.Strategy, win int, outs map[string]int) engine.Config {
 	top := tuple.NewStreamSet(0, 1, 2, 3)
-	return engine.MustNew(engine.Config{
+	return engine.Config{
 		Plan: plan.MustLeftDeep(0, 1, 2, 3), WindowSize: win,
 		Kind:       engine.HashJoin,
 		Theta:      hybridTheta,
@@ -87,48 +35,34 @@ func hybridEngine(t *testing.T, strat engine.Strategy, win int, outs map[string]
 		Output: func(d engine.Delta) {
 			outs[d.Tuple.Fingerprint()]++
 		},
-	})
+	}
 }
 
 func TestHybridPlanMatchesOracle(t *testing.T) {
 	const win = 6
 	outs := map[string]int{}
-	e := hybridEngine(t, engine.Static{}, win, outs)
-	o := &hybridOracle{win: win, streams: 4, hist: map[tuple.StreamID][]tuple.Value{}}
+	cfg := hybridConfig(engine.Static{}, win, outs)
+	e := engine.MustNew(cfg)
+	ref := enginetest.NewReference(cfg)
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 21)))
-
-	produced := map[string]int{}
 	for i := 0; i < 300; i++ {
-		s := tuple.StreamID(rng.Intn(4))
-		k := tuple.Value(rng.Intn(6))
-		before := o.results()
-		o.hist[s] = append(o.hist[s], k)
-		after := o.results()
-		e.Feed(workload.Event{Stream: s, Key: k})
-		// New oracle results this step = after - before (new tuple's
-		// contributions). Engine emits exactly those.
-		for fp, n := range after {
-			if n > before[fp] {
-				produced[fp] += n - before[fp]
-			}
-		}
+		ev := workload.Event{Stream: tuple.StreamID(rng.Intn(4)), Key: tuple.Value(rng.Intn(6))}
+		ref.Feed(ev)
+		e.Feed(ev)
 	}
-	if len(outs) != len(produced) {
-		t.Fatalf("output count differs: engine %d vs oracle %d", len(outs), len(produced))
-	}
-	for fp, n := range produced {
-		if outs[fp] != n {
-			t.Fatalf("result %s: engine %d vs oracle %d", fp, outs[fp], n)
-		}
+	if err := ref.Check(outs); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // A hybrid plan migrates the equi-join prefix while the theta join on
-// top stays put; JISC and Moving State must agree exactly.
+// top stays put; JISC and Moving State must both emit the reference's
+// results.
 func TestHybridMigrationStrategiesAgree(t *testing.T) {
-	run := func(strat engine.Strategy) map[string]int {
+	for _, strat := range []engine.Strategy{New(), migrate.MovingState{}} {
 		outs := map[string]int{}
-		e := hybridEngine(t, strat, 8, outs)
+		cfg := hybridConfig(strat, 8, outs)
+		e, ref := engine.MustNew(cfg), enginetest.NewReference(cfg)
 		src := workload.MustNewSource(workload.Config{Streams: 4, Domain: 6, Seed: 13})
 		plans := []*plan.Plan{
 			plan.MustLeftDeep(1, 2, 0, 3),
@@ -137,22 +71,18 @@ func TestHybridMigrationStrategiesAgree(t *testing.T) {
 		}
 		for i := 0; i < 400; i++ {
 			if i > 0 && i%90 == 0 {
-				if err := e.Migrate(plans[(i/90-1)%len(plans)]); err != nil {
+				p := plans[(i/90-1)%len(plans)]
+				if err := e.Migrate(p); err != nil {
 					t.Fatal(err)
 				}
+				ref.Migrate(p)
 			}
-			e.Feed(src.Next())
+			x := src.Next()
+			ref.Feed(x)
+			e.Feed(x)
 		}
-		return outs
-	}
-	jisc := run(New())
-	ms := run(migrate.MovingState{})
-	if len(jisc) != len(ms) {
-		t.Fatalf("distinct outputs differ: jisc %d vs ms %d", len(jisc), len(ms))
-	}
-	for fp, n := range ms {
-		if jisc[fp] != n {
-			t.Fatalf("result %s: jisc %d vs ms %d", fp, jisc[fp], n)
+		if err := ref.Check(outs); err != nil {
+			t.Fatalf("%s: %v", strat.Name(), err)
 		}
 	}
 }
@@ -208,43 +138,37 @@ func TestHybridValidation(t *testing.T) {
 // incomplete hash child in full (completeHashFull).
 func TestHybridCompletionThroughIncompleteHashChild(t *testing.T) {
 	theta := func(set tuple.StreamSet) bool { return set.Count() >= 4 }
-	mk := func(strat engine.Strategy, outs map[string]int) *engine.Engine {
-		return engine.MustNew(engine.Config{
+	for _, strat := range []engine.Strategy{New(), migrate.MovingState{}} {
+		outs := map[string]int{}
+		cfg := engine.Config{
 			Plan: plan.MustLeftDeep(0, 1, 2, 3, 4), WindowSize: 8,
 			Kind:       engine.HashJoin,
 			Theta:      hybridTheta,
 			ThetaNodes: theta,
 			Strategy:   strat,
 			Output:     func(d engine.Delta) { outs[d.Tuple.Fingerprint()]++ },
-		})
-	}
-	run := func(strat engine.Strategy) map[string]int {
-		outs := map[string]int{}
-		e := mk(strat, outs)
+		}
+		e, ref := engine.MustNew(cfg), enginetest.NewReference(cfg)
 		src := workload.MustNewSource(workload.Config{Streams: 5, Domain: 5, Seed: 23})
 		for i := 0; i < 300; i++ {
 			if i == 150 {
 				// Swap positions 2 and 4: {0,1,4} (hash) and
 				// {0,1,4,3} (theta) are both new and incomplete.
-				if err := e.Migrate(plan.MustLeftDeep(0, 1, 4, 3, 2)); err != nil {
+				p := plan.MustLeftDeep(0, 1, 4, 3, 2)
+				if err := e.Migrate(p); err != nil {
 					t.Fatal(err)
 				}
+				ref.Migrate(p)
 			}
-			e.Feed(src.Next())
+			x := src.Next()
+			ref.Feed(x)
+			e.Feed(x)
 		}
-		return outs
-	}
-	jisc := run(New())
-	ms := run(migrate.MovingState{})
-	if len(jisc) == 0 {
-		t.Fatal("no outputs")
-	}
-	if len(jisc) != len(ms) {
-		t.Fatalf("distinct outputs: jisc %d vs ms %d", len(jisc), len(ms))
-	}
-	for fp, n := range ms {
-		if jisc[fp] != n {
-			t.Fatalf("%s: jisc %d vs ms %d", fp, jisc[fp], n)
+		if len(outs) == 0 {
+			t.Fatal("no outputs")
+		}
+		if err := ref.Check(outs); err != nil {
+			t.Fatalf("%s: %v", strat.Name(), err)
 		}
 	}
 }

@@ -31,7 +31,7 @@ type JISC struct {
 	// entries being materialized, silently losing the results those
 	// entries would have produced. Test-only — the simulation
 	// harness's self-test injects this fault to prove the differential
-	// oracle catches it and shrinks it to a minimal repro. Never set
+	// reference catches it and shrinks it to a minimal repro. Never set
 	// in production code.
 	FaultSkipEveryNth int
 	faultEpisodes     int

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"testing"
 	"time"
 
@@ -504,13 +505,8 @@ func TestRevisionStreamEquivalence(t *testing.T) {
 	const golden = 0xc11118ea4e821842
 	a := run(New(), golden)
 	b := run(migrate.MovingState{}, golden)
-	if len(a) != len(b) {
-		t.Fatalf("live sets differ: %d vs %d", len(a), len(b))
-	}
-	for fp := range a {
-		if !b[fp] {
-			t.Fatalf("live set mismatch at %s", fp)
-		}
+	if !maps.Equal(a, b) {
+		t.Fatalf("live sets differ: %d vs %d results", len(a), len(b))
 	}
 	if len(a) == 0 {
 		t.Fatal("empty live set")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
 	"jisc/internal/testseed"
@@ -25,22 +26,22 @@ func bandTheta(a, b *tuple.Tuple) bool {
 	return d >= -1 && d <= 1
 }
 
-// bandEngine is an all-nested-loops engine over p with bandTheta,
-// counting its emissions into outs.
-func bandEngine(p *plan.Plan, strat engine.Strategy, win int, outs map[string]int) *engine.Engine {
-	return engine.MustNew(engine.Config{
+// bandConfig configures an all-nested-loops engine over p with
+// bandTheta, counting its emissions into outs.
+func bandConfig(p *plan.Plan, strat engine.Strategy, win int, outs map[string]int) engine.Config {
+	return engine.Config{
 		Plan: p, WindowSize: win, Kind: engine.NLJoin, Theta: bandTheta,
 		Strategy: strat,
 		Output:   func(d engine.Delta) { outs[d.Tuple.Fingerprint()]++ },
-	})
+	}
 }
 
-// bandRun feeds evs to a bandEngine on from, migrating to `to` (when
+// bandRun feeds evs to a bandConfig engine on from, migrating to `to` (when
 // non-nil) before evs[at], and returns how many results it emitted.
 func bandRun(t *testing.T, strat engine.Strategy, from, to *plan.Plan, at int, evs ...[2]int) int {
 	t.Helper()
 	outs := map[string]int{}
-	e := bandEngine(from, strat, 100, outs)
+	e := engine.MustNew(bandConfig(from, strat, 100, outs))
 	for i, x := range evs {
 		if to != nil && i == at {
 			if err := e.Migrate(to); err != nil {
@@ -99,81 +100,43 @@ func TestNLSurvivingStateIgnoresChildOrder(t *testing.T) {
 // bandOrders are the six left-deep orders of three streams.
 var bandOrders = [][3]tuple.StreamID{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 
-// bandResults enumerates the results of the left-deep plan `order`
-// over o's live windows under bandTheta: the first two streams' pair
-// keyed by its lower stream's key, then matched against the third.
-// With a non-transitive theta the answer depends on which pair is
-// joined first, so the oracle is per plan.
-func bandResults(o *hybridOracle, order [3]tuple.StreamID) map[string]int {
-	out := map[string]int{}
-	base := func(s tuple.StreamID, x [2]int64) *tuple.Tuple {
-		return tuple.NewBase(s, uint64(x[0]), tuple.Value(x[1]), 0)
-	}
-	for _, a := range o.live(order[0]) {
-		for _, b := range o.live(order[1]) {
-			l, r := base(order[0], a), base(order[1], b)
-			if !bandTheta(l, r) {
-				continue
-			}
-			pair := tuple.Join(l, r)
-			if order[1] < order[0] {
-				pair.Key = r.Key
-			}
-			for _, c := range o.live(order[2]) {
-				if right := base(order[2], c); bandTheta(pair, right) {
-					out[tuple.Join(pair, right).Fingerprint()]++
-				}
-			}
-		}
-	}
-	return out
-}
-
-// bandStep feeds one random tuple to e and to the oracle and checks
-// that e emitted exactly the oracle's new results under order.
-func bandStep(t *testing.T, rng *rand.Rand, e *engine.Engine, o *hybridOracle, outs map[string]int, order [3]tuple.StreamID, label string) {
+// bandStep feeds one random tuple to e and to ref and checks that e
+// emitted exactly the reference's new results under ref's plan: with a
+// non-transitive theta the answer depends on which pair is joined
+// first, so the reference evaluates the plan it is given.
+func bandStep(t *testing.T, rng *rand.Rand, e *engine.Engine, ref *enginetest.Reference, outs map[string]int, label string) {
 	t.Helper()
-	s, k := tuple.StreamID(rng.Intn(3)), tuple.Value(rng.Intn(8))
-	before := bandResults(o, order)
-	o.hist[s] = append(o.hist[s], k)
-	after := bandResults(o, order)
-	clear(outs)
-	e.Feed(ev(s, k))
+	x := ev(tuple.StreamID(rng.Intn(3)), tuple.Value(rng.Intn(8)))
 	want := map[string]int{}
-	for fp, n := range after {
-		if n > before[fp] {
-			want[fp] = n - before[fp]
-		}
+	for _, d := range ref.Feed(x) {
+		want[d.Tuple.Fingerprint()]++
 	}
-	if len(outs) != len(want) {
-		t.Fatalf("%s: emitted %v, oracle %v", label, outs, want)
-	}
-	for fp, n := range want {
-		if outs[fp] != n {
-			t.Fatalf("%s: result %s emitted %d times, oracle %d", label, fp, outs[fp], n)
-		}
+	clear(outs)
+	e.Feed(x)
+	if d := enginetest.Diff(want, outs); d != "" {
+		t.Fatalf("%s: emitted results differ from the reference's (want, got):\n%s", label, d)
 	}
 }
 
 // TestNLBandThetaStaticMatchesOracle: a static all-NL engine on each of
-// the six left-deep orders emits, per step, exactly the oracle's new
+// the six left-deep orders emits, per step, exactly the reference's new
 // results for that order.
 func TestNLBandThetaStaticMatchesOracle(t *testing.T) {
 	const win = 5
 	for _, order := range bandOrders {
 		rng := rand.New(rand.NewSource(testseed.Seed(t, 38)))
 		outs := map[string]int{}
-		e := bandEngine(plan.MustLeftDeep(order[:]...), engine.Static{}, win, outs)
-		o := &hybridOracle{win: win, hist: map[tuple.StreamID][]tuple.Value{}}
+		cfg := bandConfig(plan.MustLeftDeep(order[:]...), engine.Static{}, win, outs)
+		e, ref := engine.MustNew(cfg), enginetest.NewReference(cfg)
 		for i := range 200 {
-			bandStep(t, rng, e, o, outs, order, fmt.Sprintf("order %v step %d", order, i))
+			bandStep(t, rng, e, ref, outs, fmt.Sprintf("order %v step %d", order, i))
 		}
 	}
 }
 
 // TestNLBandThetaMigrationMatchesOracle: JISC and Moving State,
 // migrating among the six orders, emit after each migration exactly the
-// current plan's oracle results. Only emissions are compared: a stored
+// current plan's reference results. Only emissions are compared: a stored
 // NL root keeps the entries of the shape that built them.
 func TestNLBandThetaMigrationMatchesOracle(t *testing.T) {
 	const win = 5
@@ -181,16 +144,18 @@ func TestNLBandThetaMigrationMatchesOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(testseed.Seed(t, 38)))
 		outs := map[string]int{}
 		order := bandOrders[0]
-		e := bandEngine(plan.MustLeftDeep(order[:]...), strat, win, outs)
-		o := &hybridOracle{win: win, hist: map[tuple.StreamID][]tuple.Value{}}
+		cfg := bandConfig(plan.MustLeftDeep(order[:]...), strat, win, outs)
+		e, ref := engine.MustNew(cfg), enginetest.NewReference(cfg)
 		for i := range 480 {
 			if i > 0 && i%40 == 0 {
 				order = bandOrders[rng.Intn(len(bandOrders))]
-				if err := e.Migrate(plan.MustLeftDeep(order[:]...)); err != nil {
+				p := plan.MustLeftDeep(order[:]...)
+				if err := e.Migrate(p); err != nil {
 					t.Fatal(err)
 				}
+				ref.Migrate(p)
 			}
-			bandStep(t, rng, e, o, outs, order, fmt.Sprintf("%s order %v step %d", strat.Name(), order, i))
+			bandStep(t, rng, e, ref, outs, fmt.Sprintf("%s order %v step %d", strat.Name(), order, i))
 		}
 		if e.Metrics().Transitions == 0 {
 			t.Fatalf("%s: no migration ran", strat.Name())

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/metrics"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
@@ -161,13 +162,8 @@ func TestCheckpointAfterOverlapRearms(t *testing.T) {
 
 func sameOutputs(t *testing.T, a, b map[string]int) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%d distinct results lazily, %d eagerly", len(a), len(b))
-	}
-	for fp, n := range a {
-		if b[fp] != n {
-			t.Fatalf("result %s: %d lazily, %d eagerly", fp, n, b[fp])
-		}
+	if d := enginetest.Diff(a, b); d != "" {
+		t.Fatalf("results differ (lazily, eagerly):\n%s", d)
 	}
 }
 

@@ -3,11 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
 	"jisc/internal/testseed"
@@ -15,21 +14,19 @@ import (
 	"jisc/internal/workload"
 )
 
-// Set-difference pipelines (§4.7). The oracle maintains the raw
-// per-stream windows and recomputes the passing set — outer tuples
-// whose key has no live match in any inner stream — from scratch; the
+// Set-difference pipelines (§4.7). enginetest.Reference keeps the raw
+// per-stream windows and recomputes the passing set — outer tuples whose
+// key has no live match in any inner stream — from scratch; the
 // engine's delta stream (additions minus retractions) must always
-// reproduce it.
+// reproduce the passing set the reference's own deltas build.
 
 type diffHarness struct {
-	e       *engine.Engine
-	passing map[tuple.Ref]tuple.Value // derived from the delta stream
-
-	// raw windows for the oracle
-	win     int
-	streams int
-	hist    map[tuple.StreamID][]tuple.Value // per-stream keys, arrival order
-	seqs    map[tuple.StreamID]uint64
+	t   *testing.T
+	e   *engine.Engine
+	ref *enginetest.Reference
+	// The passing sets, "ref=key" → 1, derived from the engine's delta
+	// stream and from the reference's.
+	passing, want map[string]int
 }
 
 func newDiffHarness(t *testing.T, strat engine.Strategy, streams, win int) *diffHarness {
@@ -38,92 +35,49 @@ func newDiffHarness(t *testing.T, strat engine.Strategy, streams, win int) *diff
 	for i := range order {
 		order[i] = tuple.StreamID(i)
 	}
-	h := &diffHarness{
-		passing: map[tuple.Ref]tuple.Value{},
-		win:     win,
-		streams: streams,
-		hist:    map[tuple.StreamID][]tuple.Value{},
-		seqs:    map[tuple.StreamID]uint64{},
-	}
-	h.e = engine.MustNew(engine.Config{
+	h := &diffHarness{t: t, passing: map[string]int{}, want: map[string]int{}}
+	cfg := engine.Config{
 		Plan: plan.MustLeftDeep(order...), Kind: engine.SetDiff, WindowSize: win,
 		Strategy: strat,
-		Output: func(d engine.Delta) {
-			ref := d.Tuple.First()
-			if d.Retraction {
-				if _, ok := h.passing[ref]; !ok {
-					t.Fatalf("retraction of non-passing tuple %v", ref)
-				}
-				delete(h.passing, ref)
-			} else {
-				if _, ok := h.passing[ref]; ok {
-					t.Fatalf("duplicate addition of %v", ref)
-				}
-				h.passing[ref] = d.Tuple.Key
-			}
-		},
-	})
+		Output:   func(d engine.Delta) { h.apply(h.passing, d) },
+	}
+	h.e, h.ref = engine.MustNew(cfg), enginetest.NewReference(cfg)
 	return h
 }
 
+// apply folds one delta into a passing set: an addition of a tuple not
+// passing, or a retraction of one that is.
+func (h *diffHarness) apply(passing map[string]int, d engine.Delta) {
+	tup := fmt.Sprintf("%v=%d", d.Tuple.First(), d.Tuple.Key)
+	switch {
+	case d.Retraction && passing[tup] == 0:
+		h.t.Fatalf("retraction of non-passing tuple %s", tup)
+	case d.Retraction:
+		delete(passing, tup)
+	case passing[tup] != 0:
+		h.t.Fatalf("duplicate addition of %s", tup)
+	default:
+		passing[tup] = 1
+	}
+}
+
 func (h *diffHarness) feed(ev workload.Event) {
-	h.hist[ev.Stream] = append(h.hist[ev.Stream], ev.Key)
-	h.seqs[ev.Stream]++
+	for _, d := range h.ref.Feed(ev) {
+		h.apply(h.want, d)
+	}
 	h.e.Feed(ev)
 }
 
-// oracle recomputes the passing set from the raw windows.
-func (h *diffHarness) oracle() map[tuple.Ref]tuple.Value {
-	innerKeys := map[tuple.Value]bool{}
-	for s := 1; s < h.streams; s++ {
-		keys := h.hist[tuple.StreamID(s)]
-		start := 0
-		if len(keys) > h.win {
-			start = len(keys) - h.win
-		}
-		for _, k := range keys[start:] {
-			innerKeys[k] = true
-		}
-	}
-	out := map[tuple.Ref]tuple.Value{}
-	outer := h.hist[0]
-	start := 0
-	if len(outer) > h.win {
-		start = len(outer) - h.win
-	}
-	for i := start; i < len(outer); i++ {
-		if !innerKeys[outer[i]] {
-			out[tuple.Ref{Stream: 0, Seq: uint64(i + 1)}] = outer[i]
-		}
-	}
-	return out
+func (h *diffHarness) migrate(p *plan.Plan) error {
+	h.ref.Migrate(p)
+	return h.e.Migrate(p)
 }
 
 func (h *diffHarness) check(t *testing.T, at string) {
 	t.Helper()
-	want := h.oracle()
-	if len(want) == len(h.passing) {
-		same := true
-		for r, k := range want {
-			if h.passing[r] != k {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+	if d := enginetest.Diff(h.want, h.passing); d != "" {
+		t.Fatalf("%s: passing set diverged (reference, engine):\n%s", at, d)
 	}
-	t.Fatalf("%s: passing set diverged\n got: %s\nwant: %s", at, renderSet(h.passing), renderSet(want))
-}
-
-func renderSet(m map[tuple.Ref]tuple.Value) string {
-	var parts []string
-	for r, k := range m {
-		parts = append(parts, fmt.Sprintf("%v=%d", r, k))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " ")
 }
 
 func TestSetDiffBasics(t *testing.T) {
@@ -168,7 +122,7 @@ func TestSetDiffChain(t *testing.T) {
 }
 
 // §4.7 with JISC: migrate a diff chain and keep checking against the
-// oracle. The oracle is order-independent, so any inner reordering
+// reference. The passing set is order-independent, so any inner reordering
 // must leave the passing set unchanged.
 func TestSetDiffJISCMigration(t *testing.T) {
 	base := testseed.Seed(t, 0)
@@ -182,7 +136,7 @@ func TestSetDiffJISCMigration(t *testing.T) {
 		}
 		for i := 0; i < 240; i++ {
 			if i > 0 && i%40 == 0 {
-				if err := h.e.Migrate(plans[(i/40-1)%len(plans)]); err != nil {
+				if err := h.migrate(plans[(i/40-1)%len(plans)]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -201,7 +155,7 @@ func TestSetDiffMovingStateMigration(t *testing.T) {
 	}
 	for i := 0; i < 160; i++ {
 		if i > 0 && i%30 == 0 {
-			if err := h.e.Migrate(plans[(i/30-1)%len(plans)]); err != nil {
+			if err := h.migrate(plans[(i/30-1)%len(plans)]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -218,7 +172,7 @@ func TestSetDiffKeepsOuterFirst(t *testing.T) {
 	// of the same stream set, and the paper's §4.7 example reorders
 	// inners only. Feed a little and reorder inners.
 	h.feed(ev(0, 1))
-	if err := h.e.Migrate(plan.MustLeftDeep(0, 2, 1)); err != nil {
+	if err := h.migrate(plan.MustLeftDeep(0, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
 	h.check(t, "after inner reorder")
@@ -231,7 +185,7 @@ func TestSetDiffPaperExampleClassification(t *testing.T) {
 	for s := tuple.StreamID(0); s < 4; s++ {
 		h.feed(ev(s, tuple.Value(10+int(s))))
 	}
-	if err := h.e.Migrate(plan.MustLeftDeep(0, 3, 1, 2)); err != nil {
+	if err := h.migrate(plan.MustLeftDeep(0, 3, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	ad := h.e.NodeBySet(tuple.NewStreamSet(0, 3))

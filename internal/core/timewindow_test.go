@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/migrate"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
@@ -68,9 +69,9 @@ func TestTimeWindowExpiresQuietStreams(t *testing.T) {
 	}
 }
 
-// Under skewed stream rates a time-window join emits exactly what a
-// naive oracle does: at tick now, a result whose constituents all
-// arrived in (now − span, now]. Run under JISC with migrations and
+// Under skewed stream rates a time-window join emits exactly what
+// enginetest.Reference does: at tick now, a result whose constituents
+// all arrived in (now − span, now]. Run under JISC with migrations and
 // under Moving State.
 func TestTimeWindowMatchesOracleUnderSkew(t *testing.T) {
 	const span, n = 12, 3000
@@ -87,71 +88,42 @@ func TestTimeWindowMatchesOracleUnderSkew(t *testing.T) {
 		evs[i] = ev(s, tuple.Value(rng.Intn(3)))
 	}
 
-	// The oracle keeps every arrival and joins the new one with each
-	// combination of the other streams' same-key arrivals inside the span.
-	want := map[string]int{}
-	var seqs [3]uint64
-	var past [3][]*tuple.Tuple
-	for i, x := range evs {
-		tick := uint64(i + 1)
-		seqs[x.Stream]++
-		combos := []*tuple.Tuple{tuple.NewBase(x.Stream, seqs[x.Stream], x.Key, tick)}
-		for s := range past {
-			if tuple.StreamID(s) == x.Stream {
-				continue
-			}
-			var next []*tuple.Tuple
-			for _, c := range combos {
-				for _, p := range past[s] {
-					if p.Key == x.Key && p.Arrival+span > tick {
-						next = append(next, tuple.Join(c, p))
-					}
-				}
-			}
-			combos = next
-		}
-		for _, c := range combos {
-			want[c.Fingerprint()]++
-		}
-		past[x.Stream] = append(past[x.Stream], tuple.NewBase(x.Stream, seqs[x.Stream], x.Key, tick))
-	}
-	if len(want) == 0 {
-		t.Fatal("the oracle emits nothing; the test needs matches")
-	}
-
 	for _, strat := range []engine.Strategy{New(), migrate.MovingState{}} {
 		got := map[string]int{}
-		e := engine.MustNew(engine.Config{
+		cfg := engine.Config{
 			Plan: plan.MustLeftDeep(0, 1, 2), TimeSpan: span, Strategy: strat,
 			Output: func(d engine.Delta) { got[d.Tuple.Fingerprint()]++ },
-		})
+		}
+		e, ref := engine.MustNew(cfg), enginetest.NewReference(cfg)
 		plans := []*plan.Plan{plan.MustLeftDeep(2, 1, 0), plan.MustLeftDeep(1, 2, 0), plan.MustLeftDeep(0, 1, 2)}
 		for i, x := range evs {
 			if i > 0 && i%500 == 0 {
-				if err := e.Migrate(plans[(i/500)%len(plans)]); err != nil {
+				p := plans[(i/500)%len(plans)]
+				if err := e.Migrate(p); err != nil {
 					t.Fatal(err)
 				}
+				ref.Migrate(p)
 			}
+			ref.Feed(x)
 			e.Feed(x)
 		}
-		if len(got) != len(want) {
-			t.Errorf("%T: %d distinct results, oracle %d", strat, len(got), len(want))
+		if ref.Output() == 0 {
+			t.Fatal("the reference emits nothing; the test needs matches")
 		}
-		for fp, c := range want {
-			if got[fp] != c {
-				t.Fatalf("%T: result %s emitted %d times, oracle %d", strat, fp, got[fp], c)
-			}
+		if err := ref.Check(got); err != nil {
+			t.Fatalf("%T: %v", strat, err)
 		}
 	}
 }
 
 func TestTimeWindowEquivalenceAcrossStrategies(t *testing.T) {
-	run := func(strat engine.Strategy) map[string]int {
+	for _, strat := range []engine.Strategy{New(), migrate.MovingState{}} {
 		outs := map[string]int{}
-		e := engine.MustNew(engine.Config{
+		cfg := engine.Config{
 			Plan: plan.MustLeftDeep(0, 1, 2), TimeSpan: 20, Strategy: strat,
 			Output: func(d engine.Delta) { outs[d.Tuple.Fingerprint()]++ },
-		})
+		}
+		e, ref := engine.MustNew(cfg), enginetest.NewReference(cfg)
 		src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 4, Seed: 31})
 		for i := 0; i < 500; i++ {
 			if i > 0 && i%120 == 0 {
@@ -162,23 +134,18 @@ func TestTimeWindowEquivalenceAcrossStrategies(t *testing.T) {
 				if err := e.Migrate(target); err != nil {
 					t.Fatal(err)
 				}
+				ref.Migrate(target)
 			}
-			e.Feed(src.Next())
+			x := src.Next()
+			ref.Feed(x)
+			e.Feed(x)
 		}
-		return outs
-	}
-	jisc := run(New())
-	ms := run(migrate.MovingState{})
-	if len(jisc) != len(ms) {
-		t.Fatalf("distinct outputs differ: %d vs %d", len(jisc), len(ms))
-	}
-	for fp, n := range ms {
-		if jisc[fp] != n {
-			t.Fatalf("%s: jisc %d vs ms %d", fp, jisc[fp], n)
+		if len(outs) == 0 {
+			t.Fatal("no outputs at all")
 		}
-	}
-	if len(jisc) == 0 {
-		t.Fatal("no outputs at all")
+		if err := ref.Check(outs); err != nil {
+			t.Fatalf("%s: %v", strat.Name(), err)
+		}
 	}
 }
 

@@ -28,8 +28,9 @@ import (
 // Plan transitions cost nothing — the routing order just changes —
 // but every input recomputes all intermediate results from scratch.
 //
-// Because its output is computed directly from the live windows, CACQ
-// doubles as the brute-force oracle in the equivalence tests.
+// The equivalence tests hold CACQ, like every strategy, to
+// enginetest.Reference: it shares the window code with the engine, so
+// it cannot referee it.
 type CACQ struct {
 	order   []tuple.StreamID
 	stems   map[tuple.StreamID]*state.Table

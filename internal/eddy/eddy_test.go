@@ -1,12 +1,10 @@
 package eddy
 
 import (
-	"fmt"
 	"slices"
-	"sort"
-	"strings"
 	"testing"
 
+	"jisc/internal/enginetest"
 	"jisc/internal/plan"
 	"jisc/internal/testseed"
 	"jisc/internal/tuple"
@@ -145,15 +143,8 @@ func TestCACQLotteryMatchesFixedOutput(t *testing.T) {
 		}
 		return outs
 	}
-	fixed := run(FixedOrder)
-	lot := run(Lottery)
-	if len(fixed) != len(lot) {
-		t.Fatalf("outputs differ: fixed %d vs lottery %d", len(fixed), len(lot))
-	}
-	for fp, n := range fixed {
-		if lot[fp] != n {
-			t.Fatalf("%s: fixed %d vs lottery %d", fp, n, lot[fp])
-		}
+	if d := enginetest.Diff(run(FixedOrder), run(Lottery)); d != "" {
+		t.Fatalf("outputs differ (fixed, lottery):\n%s", d)
 	}
 }
 
@@ -217,28 +208,8 @@ func TestCACQLotteryDifferentialUnderMigration(t *testing.T) {
 				cq.Feed(src.Next())
 			}
 		}
-		if d := diffCounts(outs[FixedOrder], outs[Lottery]); d != "" {
+		if d := enginetest.Diff(outs[FixedOrder], outs[Lottery]); d != "" {
 			t.Fatalf("seed %d: lottery routing changed CACQ's results:\n%s", seed, d)
 		}
 	}
-}
-
-// diffCounts renders the difference between two output multisets;
-// empty when equal.
-func diffCounts(want, got map[string]int) string {
-	keys := map[string]bool{}
-	for k := range want {
-		keys[k] = true
-	}
-	for k := range got {
-		keys[k] = true
-	}
-	var lines []string
-	for k := range keys {
-		if want[k] != got[k] {
-			lines = append(lines, fmt.Sprintf("  %s: want %d, got %d", k, want[k], got[k]))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

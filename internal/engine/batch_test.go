@@ -6,6 +6,7 @@ import (
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/obs"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
@@ -72,14 +73,8 @@ func TestFeedBatchEquivalence(t *testing.T) {
 				t.Fatalf("counters diverge: ref Input=%d Output=%d Inserts=%d, batch Input=%d Output=%d Inserts=%d",
 					rm.Input, rm.Output, rm.Inserts, bm.Input, bm.Output, bm.Inserts)
 			}
-			refFp, batFp := fingerprints(refOut), fingerprints(batOut)
-			if len(refFp) != len(batFp) {
-				t.Fatalf("distinct outputs: ref %d, batch %d", len(refFp), len(batFp))
-			}
-			for fp, c := range refFp {
-				if batFp[fp] != c {
-					t.Fatalf("output %q: ref count %d, batch count %d", fp, c, batFp[fp])
-				}
+			if d := enginetest.Diff(fingerprints(refOut), fingerprints(batOut)); d != "" {
+				t.Fatalf("outputs differ (per event, batched):\n%s", d)
 			}
 		})
 	}
@@ -87,7 +82,7 @@ func TestFeedBatchEquivalence(t *testing.T) {
 
 // TestFeedBatchMidBatchMigration checks a Migrate issued from the
 // AfterFeed hook in the middle of a batch lands at the same per-tuple
-// point as the per-event schedule — the property the sim oracle's
+// point as the per-event schedule — the property the sim harness's
 // batched comparisons rely on.
 func TestFeedBatchMidBatchMigration(t *testing.T) {
 	evs := batchEvents(t, 200)
@@ -134,14 +129,8 @@ func TestFeedBatchMidBatchMigration(t *testing.T) {
 		if rm.Output != bm.Output || rm.Transitions != bm.Transitions {
 			t.Fatalf("chunk=%d: Output=%d Transitions=%d, want %d and %d", chunk, bm.Output, bm.Transitions, rm.Output, rm.Transitions)
 		}
-		refFp, batFp := fingerprints(refOut), fingerprints(batOut)
-		for fp, c := range refFp {
-			if batFp[fp] != c {
-				t.Fatalf("chunk=%d: output %q: ref count %d, batch count %d", chunk, fp, c, batFp[fp])
-			}
-		}
-		if len(batFp) != len(refFp) {
-			t.Fatalf("chunk=%d: distinct outputs: ref %d, batch %d", chunk, len(refFp), len(batFp))
+		if d := enginetest.Diff(fingerprints(refOut), fingerprints(batOut)); d != "" {
+			t.Fatalf("chunk=%d: outputs differ (per event, batched):\n%s", chunk, d)
 		}
 	}
 }

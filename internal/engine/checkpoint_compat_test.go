@@ -9,6 +9,7 @@ import (
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/plan"
 	"jisc/internal/tuple"
 )
@@ -93,13 +94,8 @@ func TestRestoreReadsParentShapedCheckpoint(t *testing.T) {
 		gm.Output != wm.Output || gm.Probes != wm.Probes || gm.Inserts != wm.Inserts || gm.Evictions != wm.Evictions {
 		t.Errorf("counters after resuming:\n got %+v\nwant %+v", gm, wm)
 	}
-	if wm.Completions == 0 || len(got) != len(want) {
-		t.Fatalf("%d completions; %d distinct results resumed, %d uninterrupted", wm.Completions, len(got), len(want))
-	}
-	for fp, n := range want {
-		if got[fp] != n {
-			t.Fatalf("result %s: %d resumed, %d uninterrupted", fp, got[fp], n)
-		}
+	if d := enginetest.Diff(want, got); wm.Completions == 0 || d != "" {
+		t.Fatalf("%d completions; results differ (uninterrupted, resumed):\n%s", wm.Completions, d)
 	}
 }
 
@@ -155,13 +151,8 @@ func TestRestoreReadsNLListCheckpoint(t *testing.T) {
 	}
 	resumed.FeedBatch(evs[ckptAt:])
 
-	if len(want) == 0 || len(got) != len(want) {
-		t.Fatalf("%d distinct results resumed, %d uninterrupted", len(got), len(want))
-	}
-	for fp, n := range want {
-		if got[fp] != n {
-			t.Fatalf("result %s: %d resumed, %d uninterrupted", fp, got[fp], n)
-		}
+	if d := enginetest.Diff(want, got); len(want) == 0 || d != "" {
+		t.Fatalf("%d results uninterrupted; results differ (uninterrupted, resumed):\n%s", len(want), d)
 	}
 	if gm, wm := resumed.Metrics(), ref.Metrics(); gm.Output != wm.Output || gm.Completions != wm.Completions || gm.Completions == 0 {
 		t.Fatalf("counters after resuming:\n got %+v\nwant %+v", gm, wm)

@@ -23,7 +23,9 @@ type Config struct {
 	WindowSizes map[tuple.StreamID]int
 	// TimeSpan, when non-zero, selects time-based sliding windows
 	// instead of count-based ones: a tuple stays live while its
-	// arrival tick is within TimeSpan of the stream's newest tuple.
+	// arrival tick lies in (now − TimeSpan, now], now being the newest
+	// arrival's tick on any stream, so every arrival expires every
+	// stream.
 	TimeSpan uint64
 	// Kind selects the physical operator for internal nodes
 	// (default HashJoin).
@@ -50,8 +52,9 @@ type Config struct {
 	// (see Sink). Nil with a nil Output delivers nothing, and then an
 	// unstored root builds no result.
 	Sink Sink
-	// Obs, when non-nil, turns on latency instrumentation: per-tuple
-	// feed latency, sampled per-operator probe/build time, Migrate
+	// Obs, when non-nil, turns on latency instrumentation: feed latency
+	// (one FeedBatch call in 4 is timed and recorded as its mean
+	// per-tuple time), sampled per-operator probe/build time, Migrate
 	// duration, and (through the recorder's Tracer) migration
 	// lifecycle events. Nil — the default — keeps every clock read off
 	// the hot path.
@@ -73,8 +76,9 @@ type Config struct {
 	// cold hash buckets to CRC-framed segment files and faults them
 	// back just in time when a probe needs them — the storage-level
 	// analogue of JISC's lazy completion. Zero or negative keeps all
-	// state resident (the default). Unsupported for set-difference
-	// pipelines, whose operator moves whole buckets between tables.
+	// state resident (the default). Set-difference pipelines spill too:
+	// every bucket their operator moves faults its spilled part back
+	// first.
 	StateBudget int64
 	// SpillDir is the spill tier's segment directory. It is a cache —
 	// wiped on open, removed on Close — never durable state. Empty

@@ -105,13 +105,15 @@ type Engine struct {
 	// scratch a stored row travels up in (each retracted row, a
 	// set-difference's moved and requalified rows); keys is the
 	// scratch a nested-loops state's keys are listed into on eviction,
-	// and have the refs a set-difference state holds under a
-	// requalifying key.
+	// armKeys the one a completion counter's side is listed into when
+	// it is armed, and have the refs a set-difference state holds under
+	// a requalifying key.
 	base      tuple.Tuple
 	baseSeq   [1]uint64
 	retracted tuple.Rows
 	view      tuple.Tuple
 	keys      []tuple.Value
+	armKeys   []tuple.Value
 	have      map[tuple.Ref]struct{}
 
 	// tick is the global arrival counter.

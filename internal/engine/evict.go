@@ -149,9 +149,12 @@ func (e *Engine) ArmCounter(j *Node) {
 	default:
 		return // Case 3: detection deferred to child notifications.
 	}
-	keys := side.St.Keys(nil)
-	pending := keys[:0]
-	for _, k := range keys {
+	// The keys are listed into the engine's scratch: Table.ArmCounter
+	// copies what it keeps, and a re-entry through MarkNodeComplete
+	// comes after it.
+	e.armKeys = side.St.Keys(e.armKeys[:0])
+	pending := e.armKeys[:0]
+	for _, k := range e.armKeys {
 		if !j.St.Attempted(k) {
 			pending = append(pending, k)
 		}

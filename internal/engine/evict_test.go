@@ -419,3 +419,36 @@ func TestSetDiffEvictionAllocs(t *testing.T) {
 		t.Errorf("%.1f allocations per %d-tuple batch, want under 10 (a heap tuple or map per expiry made 364, a run regrown per moved bucket 47)", perBatch, batch)
 	}
 }
+
+// TestMigrateArmAllocs: arming a completion counter lists its side's
+// keys into a scratch slice the engine reuses, so a JISC Migrate
+// allocates as often with 10,000 distinct keys on the armed side as
+// with 1,000 — per new state, not per key.
+func TestMigrateArmAllocs(t *testing.T) {
+	allocs := func(keys int) float64 {
+		e := engine.MustNew(engine.Config{
+			Plan: plan.MustLeftDeep(0, 1, 2), WindowSize: keys, Strategy: core.New(), StateBudget: -1,
+		})
+		defer e.Close()
+		for k := range keys {
+			for s := range 3 {
+				e.Feed(workload.Event{Stream: tuple.StreamID(s), Key: tuple.Value(k)})
+			}
+		}
+		// Each switch makes {0,2} or {0,1} new, incomplete and armed with
+		// one scan's keys: every stream holds all of them.
+		a, b := plan.MustLeftDeep(0, 2, 1), plan.MustLeftDeep(0, 1, 2)
+		return testing.AllocsPerRun(10, func() {
+			if err := e.Migrate(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Migrate(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(10_000)
+	if small != large {
+		t.Errorf("%.1f allocations per pair of JISC migrations at 1,000 keys on the armed side, %.1f at 10,000", small, large)
+	}
+}

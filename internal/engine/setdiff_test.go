@@ -8,8 +8,8 @@ import (
 )
 
 // Engine-level set-difference tests (strategy-independent paths; the
-// migration-aware behavior is covered in internal/core against a
-// recompute oracle).
+// migration-aware behavior is covered in internal/core against
+// enginetest.Reference).
 
 func newDiff(t *testing.T, win int, out *[]Delta) *Engine {
 	t.Helper()

@@ -1,6 +1,7 @@
-// Package enginetest holds the output sink the equivalence suites
-// (core, runtime, sim) share, so that each of them also holds the
-// engine to the lending rule of engine.Output.
+// Package enginetest holds what the equivalence suites (core, runtime,
+// sim) share: the naive Reference every Theorem 1 referee holds its
+// subjects to, and the output sink through which each of them also
+// holds the engine to the lending rule of engine.Output.
 package enginetest
 
 import (

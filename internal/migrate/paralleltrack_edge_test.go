@@ -1,13 +1,11 @@
 package migrate
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/plan"
 	"jisc/internal/testseed"
 	"jisc/internal/tuple"
@@ -41,7 +39,7 @@ func TestParallelTrackOverlapArrivalDedup(t *testing.T) {
 	}
 	pt.Feed(ev(0, 5)) // 0#2: pairs with the overlap tuple 1#1 in BOTH tracks
 	want := map[string]int{"0#1|1#1": 1, "0#2|1#1": 1}
-	if d := diffFingerprints(want, counts); d != "" {
+	if d := enginetest.Diff(want, counts); d != "" {
 		t.Fatalf("overlap-arrival output multiset wrong:\n%s", d)
 	}
 	if got := pt.DupDropped(); got != 1 {
@@ -74,8 +72,8 @@ func TestParallelTrackSeenTableReleasedAfterDiscard(t *testing.T) {
 }
 
 // Three stacked tracks (an overlapped transition) with tuples arriving
-// in every overlap interval: the emitted multiset must still equal a
-// never-migrated engine's, with every cross-track duplicate dropped.
+// in every overlap interval: the emitted multiset must still equal the
+// naive reference's, with every cross-track duplicate dropped.
 func TestParallelTrackStackedTracksDifferential(t *testing.T) {
 	base := testseed.Seed(t, 1)
 	for c := 0; c < 10; c++ {
@@ -91,15 +89,7 @@ func TestParallelTrackStackedTracksDifferential(t *testing.T) {
 			Plan: plans[0], WindowSize: 4, CheckEvery: 3,
 			Output: func(d engine.Delta) { ptOuts[d.Tuple.Fingerprint()]++ },
 		})
-		refOuts := map[string]int{}
-		ref := engine.MustNew(engine.Config{
-			Plan: plans[0], WindowSize: 4, Strategy: engine.Static{},
-			Output: func(d engine.Delta) {
-				if !d.Retraction {
-					refOuts[d.Tuple.Fingerprint()]++
-				}
-			},
-		})
+		ref := enginetest.NewReference(engine.Config{Plan: plans[0], WindowSize: 4})
 		src := workload.MustNewSource(workload.Config{Streams: 3, Domain: 3, Seed: seed})
 		maxTracks := 0
 		for i := 0; i < 200; i++ {
@@ -122,28 +112,8 @@ func TestParallelTrackStackedTracksDifferential(t *testing.T) {
 		if maxTracks < 3 {
 			t.Fatalf("seed %d: scenario never stacked 3 tracks (max %d)", seed, maxTracks)
 		}
-		if d := diffFingerprints(refOuts, ptOuts); d != "" {
-			t.Fatalf("seed %d: stacked-track PT diverges from never-migrated engine:\n%s", seed, d)
+		if err := ref.Check(ptOuts); err != nil {
+			t.Fatalf("seed %d: stacked-track PT: %v", seed, err)
 		}
 	}
-}
-
-// diffFingerprints renders the difference between two output
-// multisets; empty when equal.
-func diffFingerprints(want, got map[string]int) string {
-	keys := map[string]bool{}
-	for k := range want {
-		keys[k] = true
-	}
-	for k := range got {
-		keys[k] = true
-	}
-	var lines []string
-	for k := range keys {
-		if want[k] != got[k] {
-			lines = append(lines, fmt.Sprintf("  %s: want %d, got %d", k, want[k], got[k]))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

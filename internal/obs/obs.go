@@ -10,10 +10,11 @@
 // episode duration, and per-transition Migrate duration (the stall an
 // eager strategy pays).
 //
-// The hot-path discipline matches internal/metrics: histograms are
-// fixed arrays of sync/atomic counters, recorded by the executor
-// goroutine and snapshotted concurrently by monitoring without locks
-// or channel round trips. The tracer is mutex-guarded but only fires
+// Histograms are fixed arrays of sync/atomic counters, recorded by the
+// executor goroutine and snapshotted concurrently by monitoring without
+// locks or channel round trips. (internal/metrics counts with plain
+// adds instead: no other goroutine reads an executor's Snapshot, and
+// the engine publishes its own view.) The tracer is mutex-guarded but only fires
 // on migration lifecycle events, never per tuple: a transition's plan
 // and state classification events, and one completion episode in
 // sampleEvery (every episode is timed into the Completion histogram).

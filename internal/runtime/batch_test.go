@@ -45,7 +45,6 @@ func TestRuntimeFeedBatchEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/chunk=%d", shards, chunk), func(t *testing.T) {
 				var refMu, batMu sync.Mutex
 				refSink, batSink := enginetest.NewSink(), enginetest.NewSink()
-				refOuts, batOuts := refSink.Outs, batSink.Outs
 				ref := MustNew(Config{Engine: countOutputs(&refMu, refSink), Shards: shards})
 				defer ref.Close()
 				bat := MustNew(Config{Engine: countOutputs(&batMu, batSink), Shards: shards})
@@ -76,13 +75,8 @@ func TestRuntimeFeedBatchEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if len(refOuts) != len(batOuts) {
-					t.Fatalf("distinct outputs: ref %d, batch %d", len(refOuts), len(batOuts))
-				}
-				for fp, c := range refOuts {
-					if batOuts[fp] != c {
-						t.Fatalf("output %q: ref %d, batch %d", fp, c, batOuts[fp])
-					}
+				if d := enginetest.Diff(refSink.Outs, batSink.Outs); d != "" {
+					t.Fatalf("outputs differ (per event, batched):\n%s", d)
 				}
 			})
 		}

@@ -347,8 +347,8 @@ func (rt *Runtime) Shards() int { return len(rt.shards) }
 
 // ShardOf returns the shard index a join key routes to in an n-shard
 // runtime. Fibonacci hashing spreads sequential keys. Exported so an
-// external model of the runtime — the simulation harness's per-shard
-// oracle — can reproduce the routing exactly.
+// external model of the runtime — the sharded enginetest.Reference the
+// simulation harness holds it to — can reproduce the routing exactly.
 func ShardOf(key tuple.Value, n int) int {
 	if n <= 1 {
 		return 0
@@ -398,7 +398,7 @@ func (s *shard) migrate(p *plan.Plan) error {
 // Flush waits for every shard to drain: when it returns, every tuple
 // enqueued before the call has been fully processed and its outputs
 // emitted. It is the deterministic drain barrier the simulation
-// harness compares shard output against its oracle across — after a
+// harness compares shard output against its reference across — after a
 // Flush, the runtime's cumulative output is a pure function of the
 // fed event sequence, independent of worker scheduling.
 func (rt *Runtime) Flush() error {

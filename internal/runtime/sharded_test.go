@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 	"testing"
 
@@ -216,8 +215,8 @@ func BenchmarkPartitionedThroughput(b *testing.B) {
 // TestShardWindowsBothClocks pins what a window means under shards,
 // for both clocks: a shard's engine counts only its own arrivals, as
 // per-stream seqs under a count window and as ticks under a time
-// window. So each shard's results are exactly those of one engine fed
-// that shard's partition (ShardOf), through evictions and a migration,
+// window. So each shard's results are exactly those of the naive
+// reference partitioned by ShardOf, through evictions and a migration,
 // and the total grows with the shard count.
 func TestShardWindowsBothClocks(t *testing.T) {
 	const n = 1200
@@ -234,28 +233,18 @@ func TestShardWindowsBothClocks(t *testing.T) {
 				got[i] = enginetest.NewSink()
 				return engine.Output(got[i].Output).Sink(), nil
 			}})
-			want := make([]*enginetest.Sink, shards)
-			refs := make([]*engine.Engine, shards)
-			for i := range refs {
-				want[i] = enginetest.NewSink()
-				cfg.Strategy, cfg.Output = core.New(), want[i].Output
-				refs[i] = engine.MustNew(cfg)
-			}
+			ref := enginetest.NewReference(cfg).Sharded(shards, ShardOf)
 			for i, ev := range events {
 				if i == n/2 {
 					if err := rt.Migrate(target); err != nil {
 						t.Fatal(err)
 					}
-					for _, e := range refs {
-						if err := e.Migrate(target); err != nil {
-							t.Fatal(err)
-						}
-					}
+					ref.Migrate(target)
 				}
 				if err := rt.Feed(ev); err != nil {
 					t.Fatal(err)
 				}
-				refs[ShardOf(ev.Key, shards)].Feed(ev)
+				ref.Feed(ev)
 			}
 			if err := rt.Flush(); err != nil {
 				t.Fatal(err)
@@ -268,20 +257,17 @@ func TestShardWindowsBothClocks(t *testing.T) {
 			if m.Evictions == 0 || m.Transitions != 1 {
 				t.Fatalf("%+v × %d shards: evictions=%d transitions=%d, want both", win, shards, m.Evictions, m.Transitions)
 			}
-			total := 0
-			for i := range refs {
-				refs[i].Close()
-				if err := got[i].Check(); err != nil {
+			outs := make([]map[string]int, shards)
+			for i, s := range got {
+				if err := s.Check(); err != nil {
 					t.Fatal(err)
 				}
-				if !maps.Equal(got[i].Outs, want[i].Outs) {
-					t.Fatalf("%+v × %d shards: shard %d gave %d distinct results, its partition's engine %d", win, shards, i, len(got[i].Outs), len(want[i].Outs))
-				}
-				for _, c := range got[i].Outs {
-					total += c
-				}
+				outs[i] = s.Outs
 			}
-			totals = append(totals, total)
+			if err := ref.Check(outs...); err != nil {
+				t.Fatalf("%+v × %d shards: %v", win, shards, err)
+			}
+			totals = append(totals, int(ref.Output()))
 		}
 		t.Logf("window %d, timespan %d: %v results at 1, 2, 4 shards", win.WindowSize, win.TimeSpan, totals)
 		if totals[0] >= totals[1] || totals[1] >= totals[2] {

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"strings"
 	"sync"
 	"time"
@@ -92,9 +91,9 @@ func Run(sc Scenario) *Mismatch {
 // run is the one executor. It walks sc.Events once, cutting the log
 // at batch boundaries, at scheduled migrations and at the checkpoint,
 // and hands each piece to every subject: the bare strategy engines,
-// held to one oracle, and the runtime composed from the scenario's
-// layers, held to one oracle per shard. compare runs after every
-// batch.
+// held to one reference, and the runtime composed from the scenario's
+// layers, held to a reference partitioned like its shards. compare runs
+// after every batch.
 func run(sc Scenario) (Acted, *Mismatch) {
 	x, err := newExec(sc)
 	if err != nil {
@@ -162,14 +161,15 @@ type exec struct {
 	acted Acted
 
 	bare []subject
-	orc  []*oracle // the one oracle every bare subject is held to
+	ref  *enginetest.Reference // what every bare subject is held to
 
-	// The runtime under test, one sink and one oracle per shard. input,
-	// and scheduled switches (the bare subjects apply the same ones) plus
-	// autopilot installs, are what its counters must read.
+	// The runtime under test, one sink per shard, held to shardRef, which
+	// is fed only what the runtime admitted. input, and scheduled
+	// switches (the bare subjects apply the same ones) plus autopilot
+	// installs, are what its counters must read.
 	rt        *runtime.Runtime
 	sinks     []*enginetest.Sink
-	shardOrc  []*oracle
+	shardRef  *enginetest.Reference
 	input     uint64
 	scheduled uint64
 	installs  uint64
@@ -222,7 +222,7 @@ func (x *exec) release() {
 }
 
 func newExec(sc Scenario) (*exec, error) {
-	x := &exec{sc: sc, orc: []*oracle{newOracle(sc.Windows)}, clock: 1_000_000_000}
+	x := &exec{sc: sc, clock: 1_000_000_000}
 	for _, mg := range append([]Migration{{Plan: sc.InitPlan}}, sc.Migrations...) {
 		p, err := plan.Parse(mg.Plan)
 		if err != nil {
@@ -230,6 +230,8 @@ func newExec(sc Scenario) (*exec, error) {
 		}
 		x.plans = append(x.plans, p)
 	}
+	x.ref = enginetest.NewReference(x.engineConfig(nil, nil))
+	x.shardRef = enginetest.NewReference(x.engineConfig(nil, nil)).Sharded(sc.Shards, runtime.ShardOf)
 
 	add := func(name string, mk func(engine.Output) bareEngine) {
 		sink := enginetest.NewSink()
@@ -256,7 +258,6 @@ func newExec(sc Scenario) (*exec, error) {
 
 	for i := 0; i < sc.Shards; i++ {
 		x.sinks = append(x.sinks, enginetest.NewSink())
-		x.shardOrc = append(x.shardOrc, newOracle(sc.Windows))
 	}
 	if sc.UseOverload {
 		now := func() time.Time { return time.Unix(0, x.clock) }
@@ -402,7 +403,7 @@ func (x *exec) shutdown() {
 // takes it as one FeedBatch or tuple by tuple, as the scenario drew.
 func (x *exec) feed(at int, evs []workload.Event) *Mismatch {
 	for _, ev := range evs {
-		x.orc[0].feed(ev)
+		x.ref.Feed(ev)
 		for _, s := range x.bare {
 			s.Feed(ev)
 		}
@@ -423,7 +424,7 @@ func (x *exec) feed(at int, evs []workload.Event) *Mismatch {
 
 // offer puts one admission unit — a FeedBatch or a single Feed — to
 // the runtime. The admission model predicts the verdict first; only
-// what it admits reaches the shard oracles. An admitted unit that fails
+// what it admits reaches the shard reference. An admitted unit that fails
 // is the crash: the runtime is rebooted and, as an at-least-once
 // producer would, the whole unit is offered again.
 func (x *exec) offer(at int, evs []workload.Event) *Mismatch {
@@ -456,12 +457,12 @@ func (x *exec) offer(at int, evs []workload.Event) *Mismatch {
 	return nil
 }
 
-// admit feeds admitted tuples to their shards' oracles.
+// admit feeds admitted tuples to the shard reference.
 func (x *exec) admit(evs []workload.Event) {
 	first, spans := -1, false
 	for _, ev := range evs {
-		i := runtime.ShardOf(ev.Key, len(x.shardOrc))
-		x.shardOrc[i].feed(ev)
+		x.shardRef.Feed(ev)
+		i := runtime.ShardOf(ev.Key, x.sc.Shards)
 		if i > 0 {
 			x.acted[actOffShard]++
 		}
@@ -540,8 +541,12 @@ func (x *exec) drain(at int) *Mismatch {
 	return nil
 }
 
-// migrate applies one scheduled switch to every subject.
+// migrate applies one scheduled switch to every subject and to the
+// references. (The autopilot's installs reach neither reference: a hash
+// join's answer does not depend on the plan.)
 func (x *exec) migrate(at int, p *plan.Plan) *Mismatch {
+	x.ref.Migrate(p)
+	x.shardRef.Migrate(p)
 	for _, s := range x.bare {
 		if err := s.Migrate(p); err != nil {
 			return x.mismatch("harness", at, "%s: migrate to %s: %v", s.name, p, err)
@@ -601,7 +606,7 @@ func (x *exec) step(at int) *Mismatch {
 // append is a torn, unreplayable frame. The runtime is closed (so the
 // sinks hold the results of everything that was queued), reopened on
 // what reached the inner filesystem with the same sinks, and its
-// recovered counters must be the oracles', with two allowances for the
+// recovered counters must be the reference's, with two allowances for the
 // operation in flight:
 //
 //   - a Migrate (transition set) that logged on shard 0 but not on a
@@ -610,7 +615,7 @@ func (x *exec) step(at int) *Mismatch {
 //   - a FeedBatch (evs) that died mid-scatter: it scatters in ascending
 //     shard order and a shard's sub-batch is one frame, all or nothing,
 //     so the recovered Input may exceed the acked count by a whole-
-//     sub-batch prefix, which the oracles are then fed.
+//     sub-batch prefix, which the reference is then fed.
 //
 // Any other excess is a durability bug.
 func (x *exec) reboot(at int, cause error, evs []workload.Event, transition bool) (absorbed bool, m *Mismatch) {
@@ -635,7 +640,7 @@ func (x *exec) reboot(at int, cause error, evs []workload.Event, transition bool
 		absorbed = true
 		wantTransitions++
 	}
-	subs := make([][]workload.Event, len(x.shardOrc))
+	subs := make([][]workload.Event, x.sc.Shards)
 	for _, ev := range evs {
 		i := runtime.ShardOf(ev.Key, len(subs))
 		subs[i] = append(subs[i], ev)
@@ -651,7 +656,7 @@ func (x *exec) reboot(at int, cause error, evs []workload.Event, transition bool
 		x.admit(sub)
 		x.lost -= n
 	}
-	if m := x.check("recovery", at, x.shardOrc, x.sinks, rec, x.input, wantTransitions); m != nil {
+	if m := x.check("recovery", at, x.shardRef, x.sinks, rec, x.input, wantTransitions); m != nil {
 		m.Detail += "\n(recovered counters against the acked prefix, plus a whole-sub-batch prefix of the failed batch in shard order)"
 		return false, m
 	}
@@ -659,12 +664,12 @@ func (x *exec) reboot(at int, cause error, evs []workload.Event, transition bool
 }
 
 // compare is the one differential check, run after every batch: each
-// bare subject against the oracle, then — unless the overload layer is
-// holding the queues this batch — the drained runtime, stepped by its
-// autopilot, against the shard oracles.
+// bare subject against the reference, then — unless the overload layer
+// is holding the queues this batch — the drained runtime, stepped by its
+// autopilot, against the shard reference.
 func (x *exec) compare(at int) *Mismatch {
 	for _, s := range x.bare {
-		if m := x.check(s.name, at, x.orc, []*enginetest.Sink{s.sink}, s.Metrics(), uint64(at), x.scheduled); m != nil {
+		if m := x.check(s.name, at, x.ref, []*enginetest.Sink{s.sink}, s.Metrics(), uint64(at), x.scheduled); m != nil {
 			return m
 		}
 	}
@@ -683,24 +688,21 @@ func (x *exec) compare(at int) *Mismatch {
 	if err != nil {
 		return x.mismatch("harness", at, "%v", err)
 	}
-	return x.check("runtime", at, x.shardOrc, x.sinks, s, x.input, x.scheduled+x.installs)
+	return x.check("runtime", at, x.shardRef, x.sinks, s, x.input, x.scheduled+x.installs)
 }
 
-// check holds one subject to its oracles: the output multiset of each
-// sink equal to its oracle's, and the STATS-visible counters — Input,
+// check holds one subject to the reference: the output multiset of
+// each sink equal to its part's, and the STATS-visible counters — Input,
 // Transitions, Output — equal to what was fed, switched and emitted.
-func (x *exec) check(name string, at int, want []*oracle, got []*enginetest.Sink, s metrics.Snapshot, input, transitions uint64) *Mismatch {
-	var output uint64
-	for i, o := range want {
-		if !maps.Equal(o.outs, got[i].Outs) {
-			if len(want) > 1 {
-				name = fmt.Sprintf("%s/shard-%d", name, i)
-			}
-			return x.mismatch(name, at, "output multiset diverges from oracle:\n%s", diffMultisets(o.outs, got[i].Outs))
-		}
-		output += total(o.outs)
+func (x *exec) check(name string, at int, want *enginetest.Reference, got []*enginetest.Sink, s metrics.Snapshot, input, transitions uint64) *Mismatch {
+	outs := make([]map[string]int, len(got))
+	for i, sink := range got {
+		outs[i] = sink.Outs
 	}
-	if s.Input != input || s.Transitions != transitions || s.Output != output {
+	if err := want.Check(outs...); err != nil {
+		return x.mismatch(name, at, "%v", err)
+	}
+	if output := want.Output(); s.Input != input || s.Transitions != transitions || s.Output != output {
 		return x.mismatch(name, at, "counters diverge: Input=%d (want %d) Transitions=%d (want %d) Output=%d (want %d)",
 			s.Input, input, s.Transitions, transitions, s.Output, output)
 	}

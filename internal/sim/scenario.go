@@ -1,7 +1,7 @@
 // Package sim is the deterministic simulation harness: a seeded
-// scenario generator, a differential correctness oracle, and a
-// shrinker that reduces any divergence to a minimal reproducible
-// scenario.
+// scenario generator, a differential executor held to the naive
+// enginetest.Reference, and a shrinker that reduces any divergence to a
+// minimal reproducible scenario.
 //
 // One uint64 seed fully determines a Scenario — query shape, window
 // sizes, key distribution, event interleaving, migration schedule, and
@@ -9,17 +9,18 @@
 // parameters. Run executes a scenario once, in one driver loop over
 // its events. The subjects are the three strategy executors that exist
 // only engine-direct (JISC lazy completion, Moving State, Parallel
-// Track), held to a naive oracle that recomputes the multi-way join
-// from raw window contents on every arrival, and one runtime.Runtime
+// Track), held to the naive enginetest.Reference, which recomputes the
+// multi-way join from raw window contents on every arrival, and one
+// runtime.Runtime
 // whose Config is composed from every layer the scenario drew at once
 // — shards, batched ingest, a WAL over a crashing filesystem, a spill
 // budget, an admission controller on a logical clock, a single-stepped
-// autopilot — held to one oracle per shard that is fed exactly the
-// tuples the admission model says were admitted. After every tuple
+// autopilot — held to a Reference partitioned like its shards, fed
+// exactly the tuples the admission model says were admitted. After every tuple
 // batch the loop asserts identical output multisets and identical
 // STATS-visible counters. A crash is an event inside that loop: the
 // runtime is closed, reopened on what reached the disk, and the
-// oracles are reconciled from the recovered counters.
+// reference is reconciled from the recovered counters.
 //
 // On mismatch the harness shrinks (Shrink) and prints a one-line
 // repro: go test ./internal/sim -run 'TestSim$' -sim.seed=N.
@@ -75,14 +76,14 @@ type Scenario struct {
 	CheckEvery int
 	// FaultSkip is test-only fault injection: every FaultSkip-th JISC
 	// completion episode is skipped (core.JISC.FaultSkipEveryNth). The
-	// self-test sets it to prove the oracle catches the lost results.
+	// self-test sets it to prove the reference catches the lost results.
 	FaultSkip int
 
 	// The six layers. Each configures the one runtime under test; all
 	// that are on are on at once.
 
 	// Shards is the runtime's worker count; each shard is held to its
-	// own oracle.
+	// own part of the reference.
 	Shards int
 	// UseFeedBatch feeds the runtime through FeedBatch (the scatter path,
 	// FEEDB WAL frames) instead of per-event Feed, and the bare JISC

@@ -185,7 +185,7 @@ func TestSimAutopilotEquivalence(t *testing.T) {
 // TestSimCatchesInjectedFault is the harness's self-test (the
 // acceptance criterion of the simulation PR): deliberately skipping
 // completion episodes behind core.JISC's test-only fault flag must be
-// caught by the oracle and shrunk to a ≤20-event repro with a
+// caught by the reference and shrunk to a ≤20-event repro with a
 // printable seed.
 func TestSimCatchesInjectedFault(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {

@@ -12,6 +12,7 @@ import (
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
+	"jisc/internal/enginetest"
 	"jisc/internal/plan"
 	"jisc/internal/state"
 	"jisc/internal/statestore"
@@ -119,13 +120,8 @@ func TestSpillIOCounts(t *testing.T) {
 		t.Errorf("the same input counted differently the second time:\n%+v %+v\n%+v %+v", st, io, st2, io2)
 	}
 
-	if len(got) != len(want) {
-		t.Fatalf("%d distinct results under the budget, %d unbounded", len(got), len(want))
-	}
-	for k, c := range want {
-		if got[k] != c {
-			t.Fatalf("result %s emitted %d times under the budget, %d unbounded", k, got[k], c)
-		}
+	if d := enginetest.Diff(want, got); d != "" {
+		t.Fatalf("results differ (unbounded, under the budget):\n%s", d)
 	}
 	t.Logf("input %d, working set %d B: faults %d (%.3f/tuple) spills %d tombstones %d compactions %d; segments created %d, read handles %d opened %d closed, reads %d (%.3f/tuple), writes %d for %d bytes",
 		n, working, st.Faults, float64(st.Faults)/n, st.Spills, st.Tombstones, st.Compactions, io.creates, io.opens, io.closes, io.reads, float64(io.reads)/n, io.writes, io.written)
