@@ -160,6 +160,12 @@ var guards = []guard{
 		every:   true,
 		msg:     "a hand-written result oracle is back: every Theorem 1 referee reads enginetest.Reference (see DESIGN.md §4)",
 	},
+	{
+		name:    "no clock in the operators",
+		pattern: `SampleProbe|jisc_probe_seconds|jisc_build_seconds|\.(Probe|Build)\.Record\(`,
+		roots:   []string{"internal", "cmd", "jisc.go"},
+		msg:     "per-probe timing is back: the engine reads its clock only around a sampled FeedBatch call, a completion episode or a Migrate (see DESIGN.md §10)",
+	},
 }
 
 // gone lists paths the design deleted.

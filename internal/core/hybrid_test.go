@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"jisc/internal/engine"
@@ -100,23 +101,24 @@ func TestHybridValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("hash join above a nested-loops child was accepted")
 	}
-	// Theta on top is fine.
-	top := tuple.NewStreamSet(0, 1, 2)
+	// A legal start: with {0,1} the theta node, plan (2,0,1) has no
+	// theta state. Migrating to (0,1,2) would sink {0,1} below the hash
+	// root, and Migrate refuses it before touching the plan.
 	e, err := engine.New(engine.Config{
-		Plan: plan.MustLeftDeep(0, 1, 2), Kind: engine.HashJoin,
+		Plan: plan.MustLeftDeep(2, 0, 1), Kind: engine.HashJoin, Strategy: New(),
 		Theta:      hybridTheta,
-		ThetaNodes: func(set tuple.StreamSet) bool { return set == top },
+		ThetaNodes: theta,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Migrating to a plan where the theta node would sink below a
-	// hash join is rejected.
-	if err := e.Migrate(plan.MustLeftDeep(2, 0, 1)); err == nil {
-		// With this ThetaNodes, set {2,0} is not theta and the top is
-		// {0,1,2} which IS theta — actually legal; construct an
-		// explicitly illegal target instead.
-		t.Log("top-level theta migration accepted (legal)")
+	before := e.Plan().String()
+	err = e.Migrate(plan.MustLeftDeep(0, 1, 2))
+	if err == nil || !strings.Contains(err.Error(), "cannot consume nested-loops child") {
+		t.Fatalf("Migrate to a hash join above a nested-loops child: err = %v", err)
+	}
+	if got := e.Plan().String(); got != before {
+		t.Fatalf("refused Migrate changed the plan: %s -> %s", before, got)
 	}
 	// ThetaNodes without Theta is rejected.
 	if _, err := engine.New(engine.Config{

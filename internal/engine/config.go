@@ -54,10 +54,10 @@ type Config struct {
 	Sink Sink
 	// Obs, when non-nil, turns on latency instrumentation: feed latency
 	// (one FeedBatch call in 4 is timed and recorded as its mean
-	// per-tuple time), sampled per-operator probe/build time, Migrate
-	// duration, and (through the recorder's Tracer) migration
-	// lifecycle events. Nil — the default — keeps every clock read off
-	// the hot path.
+	// per-tuple time), completion-episode and Migrate duration, and
+	// (through the recorder's Tracer) migration lifecycle events.
+	// Operators never read the clock. Nil — the default — keeps every
+	// clock read off the hot path.
 	Obs *obs.Recorder
 	// EmitExpiry turns the output into a revision stream for join
 	// pipelines: when a window slide removes results from the root

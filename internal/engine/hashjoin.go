@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"jisc/internal/tuple"
-)
+import "jisc/internal/tuple"
 
 // hashJoinOp implements Procedure 1 for symmetric hash join. Note one
 // deliberate deviation from the paper's pseudo-code: completion runs
@@ -26,42 +22,23 @@ func (hashJoinOp) Kind() Kind { return HashJoin }
 // probe can read it (storesOutput), and recurse upward with the row's
 // view — or, at a root that stores nothing, hand the whole probe to the
 // sink (forward). Matches are lent as views of the opposite
-// state's run, read in place: a probe allocates nothing per match. With
-// instrumentation on, one in obs.sampleEvery probes is timed (probe and
-// build separately) — sampling keeps the two extra clock reads off most
-// of the hot path.
+// state's run, read in place: a probe allocates nothing per match.
 func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
 	e.strategy.BeforeProbe(e, j, opp, t)
 	e.met.Probes++
-	timed := e.obs.SampleProbe()
-	var t0, t1 time.Time
-	if timed {
-		t0 = e.now()
-	}
 	matches := opp.St.Probe(t.Key)
-	if timed {
-		d := e.Since(t0)
-		t1 = t0.Add(d)
-		e.obs.Probe.Record(d)
-	}
 	n := matches.Len()
 	opp.Probes++
 	opp.Matches += uint64(n)
 	if !e.storesOutput(j) {
-		e.forward(t, matches, n, timed, t1)
+		e.forward(t, matches, n)
 		return
 	}
 	var m tuple.Tuple
 	for i := range n {
 		out := j.St.InsertJoin(t, matches.View(i, &m))
 		e.met.Inserts++
-		if timed && i == 0 {
-			// Time only the first build of a timed probe, reusing the
-			// probe-end clock read as the build start: one extra read
-			// per sample instead of two per match.
-			e.obs.Build.Record(e.Since(t1))
-		}
 		e.pushUp(j, out)
 	}
 }
@@ -70,21 +47,15 @@ func (hashJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 // (storesOutput): it counts them with one add and hands t and its
 // matches to the sink in one call, lent for the call (Sink). Nothing is
 // built here; whether a composite is built at all is the sink's affair.
-// A timed probe records the sink's call, divided by its results, as its
-// Build sample: at this root, producing a result is delivering it.
 // Without a sink — WAL replay, or no Output — the results are counted,
-// and nothing is delivered or timed.
-func (e *Engine) forward(t *tuple.Tuple, matches tuple.Rows, n int, timed bool, probed time.Time) {
+// and nothing is delivered.
+func (e *Engine) forward(t *tuple.Tuple, matches tuple.Rows, n int) {
 	if n == 0 {
 		return
 	}
 	e.met.Output += uint64(n)
-	if e.sink == nil {
-		return
-	}
-	e.sink(false, t, matches)
-	if timed {
-		e.obs.Build.Record(e.Since(probed) / time.Duration(n))
+	if e.sink != nil {
+		e.sink(false, t, matches)
 	}
 }
 

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"jisc/internal/tuple"
-)
+import "jisc/internal/tuple"
 
 // nlJoinOp processes tuples under nested-loops semantics: the opposite
 // child's state is scanned whole and the configured theta predicate
@@ -22,13 +18,6 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 	opp := j.Opposite(from)
 	e.strategy.BeforeProbe(e, j, opp, t)
 	e.met.Probes++
-	// The whole opposite-state scan is one probe for timing purposes:
-	// that is the unit of work an arriving tuple pays at this operator.
-	timed := e.obs.SampleProbe()
-	var t0 time.Time
-	if timed {
-		t0 = e.now()
-	}
 	pred := e.cfg.Theta
 	// The probe orientation matters to theta predicates: pred is
 	// defined as pred(left-side tuple, right-side tuple) in plan
@@ -50,12 +39,6 @@ func (nlJoinOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 		}
 		return true
 	})
-	if timed {
-		// Includes the matches' downstream processing — for a
-		// nested-loops scan the two are inseparable without a clock
-		// read per stored entry.
-		e.obs.Probe.Record(e.Since(t0))
-	}
 }
 
 // InsertTheta stores the theta composite of x and y in n's state and

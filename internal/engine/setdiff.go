@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"jisc/internal/tuple"
 	"jisc/internal/window"
 )
@@ -56,16 +54,7 @@ func (setDiffOp) Push(e *Engine, j, from *Node, t *tuple.Tuple) {
 // and propagate it unless the inner stream suppresses its key.
 func (e *Engine) diffOuterAddition(j *Node, t *tuple.Tuple) {
 	e.met.Probes++
-	timed := e.obs.SampleProbe()
-	var t0 time.Time
-	if timed {
-		t0 = e.now()
-	}
-	suppressed := j.Right.St.ContainsKey(t.Key)
-	if timed {
-		e.obs.Probe.Record(e.Since(t0))
-	}
-	if suppressed {
+	if j.Right.St.ContainsKey(t.Key) {
 		return // suppressed: stays visible only in the left child
 	}
 	j.St.Insert(t)

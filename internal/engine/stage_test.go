@@ -3,6 +3,7 @@ package engine_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"jisc/internal/core"
 	"jisc/internal/engine"
@@ -20,7 +21,8 @@ const stageTuples = 20_000
 // streams, window 1000, keys uniform over 1250, the left-deep order
 // rotated once a stage — one 256-tuple batch or one migration at a
 // time, cycling through its input and its rotations, with a counting
-// Output as the benchmark's engine rung has.
+// Output as the benchmark's engine rung has. A nil now is the default
+// clock.
 type stageRun struct {
 	e       *engine.Engine
 	evs     []workload.Event
@@ -30,7 +32,7 @@ type stageRun struct {
 	outputs int
 }
 
-func newStageRun(rec *obs.Recorder) *stageRun {
+func newStageRun(rec *obs.Recorder, now func() time.Time) *stageRun {
 	r := &stageRun{evs: uniformEvents(6*stageTuples, 6, 1250, 3)}
 	order := []tuple.StreamID{0, 1, 2, 3, 4, 5}
 	for range order {
@@ -39,7 +41,7 @@ func newStageRun(rec *obs.Recorder) *stageRun {
 	}
 	r.e = engine.MustNew(engine.Config{
 		Plan: plan.MustLeftDeep(0, 1, 2, 3, 4, 5), WindowSize: 1000,
-		Strategy: core.New(), Obs: rec, Output: func(engine.Delta) { r.outputs++ },
+		Strategy: core.New(), Obs: rec, Now: now, Output: func(engine.Delta) { r.outputs++ },
 	})
 	return r
 }
@@ -79,7 +81,7 @@ func TestMigrationStageAllocs(t *testing.T) {
 		t.Skip("the race detector allocates beside the program")
 	}
 	rec := obs.NewSet("q", 0).Recorder(0)
-	r := newStageRun(rec)
+	r := newStageRun(rec, nil)
 	defer r.e.Close()
 	r.stage()
 	r.migrate(t)
@@ -101,7 +103,7 @@ func TestMigrationStageAllocs(t *testing.T) {
 // event and the classification event of every state of the new plan.
 func TestTraceKeepsMigrationLifecycle(t *testing.T) {
 	set := obs.NewSet("q", 0)
-	r := newStageRun(set.Recorder(0))
+	r := newStageRun(set.Recorder(0), nil)
 	defer r.e.Close()
 	r.stage()
 	for range 6 {
@@ -128,6 +130,37 @@ func TestTraceKeepsMigrationLifecycle(t *testing.T) {
 	}
 }
 
+// TestObservationClockReads is the instrumentation budget's count: an
+// observed engine reads its clock only to open and close a span it
+// records — a sampled FeedBatch call, a completion episode, a Migrate —
+// and never per probe. On the migrate-uniform shape, through three
+// migrations, fed in 256-tuple batches and then one tuple per Feed
+// call, every read is one of the two of a recorded span.
+func TestObservationClockReads(t *testing.T) {
+	var reads uint64
+	rec := obs.NewSet("q", 0).Recorder(0)
+	r := newStageRun(rec, func() time.Time { reads++; return time.Unix(0, 0) })
+	defer r.e.Close()
+	r.stage()
+	for range 2 {
+		r.migrate(t)
+		r.stage()
+	}
+	r.migrate(t)
+	for range 4000 {
+		r.e.Feed(r.evs[r.at])
+		r.at = (r.at + 1) % len(r.evs)
+	}
+	feeds, episodes, migrates := rec.Feed.Count(), rec.Completion.Count(), rec.Migrate.Count()
+	t.Logf("%d clock reads: %d timed feeds, %d completion episodes, %d migrations", reads, feeds, episodes, migrates)
+	if feeds == 0 || episodes == 0 || migrates != 3 {
+		t.Fatalf("%d timed feeds, %d episodes, %d migrations: want all three spans recorded", feeds, episodes, migrates)
+	}
+	if want := 2 * (feeds + episodes + migrates); reads != want {
+		t.Errorf("%d clock reads, want %d: two per recorded span", reads, want)
+	}
+}
+
 // BenchmarkMigrationStage times one migration stage per op on the
 // migrate-uniform shape: a MIGRATE to the next rotation and the
 // stageTuples tuples after it, fed in 256-tuple batches.
@@ -146,7 +179,7 @@ func BenchmarkMigrationStageObserved(b *testing.B) {
 }
 
 func benchmarkMigrationStage(b *testing.B, rec *obs.Recorder) {
-	r := newStageRun(rec)
+	r := newStageRun(rec, nil)
 	defer r.e.Close()
 	r.stage()
 	b.ReportAllocs()

@@ -6,9 +6,11 @@
 // (JISC) trades one large migration stall for many small per-probe
 // completion episodes — and counters alone cannot show that. This
 // package records the distributions: feed latency (a sampled
-// FeedBatch call's mean per-tuple time), per-operator probe/build time (sampled), per-completion-
-// episode duration, and per-transition Migrate duration (the stall an
-// eager strategy pays).
+// FeedBatch call's mean per-tuple time), per-completion-episode
+// duration, and per-transition Migrate duration (the stall an eager
+// strategy pays). No operator reads the clock: the engine opens and
+// closes a span only around a sampled FeedBatch call, a completion
+// episode or a Migrate, two reads each.
 //
 // Histograms are fixed arrays of sync/atomic counters, recorded by the
 // executor goroutine and snapshotted concurrently by monitoring without
@@ -31,16 +33,13 @@ import (
 	"sync"
 )
 
-// sampleEvery is the probe/build sampling period: one in sampleEvery
-// operator probes is timed. It is also the completion-episode trace
-// period: every episode is timed, but one in sampleEvery is traced, so
-// a migration's thousands of episodes cannot flush its lifecycle events
-// out of the tracer's ring. feedEvery is the feed sampling period: one
-// in feedEvery FeedBatch calls is timed, as a whole. Timing everything would put several clock reads on every
-// tuple (~25% on the steady-state feed benchmark); sampling keeps the
-// overhead within the ≤10% budget while the histograms still converge
-// on the true distributions — the workload's arrival pattern is not
-// correlated with the sample phase.
+// sampleEvery is the completion-episode trace period: every episode is
+// timed, but one in sampleEvery is traced, so a migration's thousands
+// of episodes cannot flush its lifecycle events out of the tracer's
+// ring. feedEvery is the feed sampling period: one in feedEvery
+// FeedBatch calls is timed, as a whole, so the Feed histogram still
+// converges on the true distribution — the workload's arrival pattern
+// is not correlated with the sample phase.
 const (
 	sampleEvery = 16
 	feedEvery   = 4
@@ -56,12 +55,6 @@ type Recorder struct {
 	// feedEvery is timed and recorded as one sample: that call's mean
 	// per-tuple time, so a batch of n tuples counts once, not n times.
 	Feed Histogram
-	// Probe holds sampled per-operator probe durations (hash lookup or
-	// nested-loops scan of the opposite state).
-	Probe Histogram
-	// Build holds sampled per-operator build durations (composite
-	// construction + state insert).
-	Build Histogram
 	// Completion holds per-completion-episode durations — the many
 	// small pauses JISC trades the one big stall for.
 	Completion Histogram
@@ -97,25 +90,13 @@ type Recorder struct {
 	// tracing.
 	Tracer *Tracer
 
-	// probes, feeds and episodes are the sampling phases. Deliberately
-	// plain (non-atomic) counters: Sample* may only be called by the one
+	// feeds and episodes are the sampling phases. Deliberately plain
+	// (non-atomic) counters: Sample* may only be called by the one
 	// executor goroutine that owns the shard, and snapshots never read
 	// them — so the hot path pays no atomic RMW just to decide whether
 	// to time or trace something.
-	probes   uint64
 	feeds    uint64
 	episodes uint64
-}
-
-// SampleProbe reports whether this probe should be timed, advancing
-// the sampling phase. Must be called only from the shard's executor
-// goroutine. Safe for nil recorders (false).
-func (r *Recorder) SampleProbe() bool {
-	if r == nil {
-		return false
-	}
-	r.probes++
-	return r.probes%sampleEvery == 0
 }
 
 // SampleEpisode reports whether this completion episode should be
@@ -154,8 +135,6 @@ func (r *Recorder) ObserveBatchFill(n int) {
 func (r *Recorder) Snapshot() SetSnapshot {
 	return SetSnapshot{
 		Feed:       r.Feed.Snapshot(),
-		Probe:      r.Probe.Snapshot(),
-		Build:      r.Build.Snapshot(),
 		Completion: r.Completion.Snapshot(),
 		Migrate:    r.Migrate.Snapshot(),
 		WALAppend:  r.WALAppend.Snapshot(),
@@ -232,8 +211,6 @@ func (s *Set) Snapshot() SetSnapshot {
 // Recorder).
 type SetSnapshot struct {
 	Feed       HistSnapshot
-	Probe      HistSnapshot
-	Build      HistSnapshot
 	Completion HistSnapshot
 	Migrate    HistSnapshot
 	WALAppend  HistSnapshot
@@ -254,8 +231,6 @@ type SetSnapshot struct {
 func (s SetSnapshot) Add(o SetSnapshot) SetSnapshot {
 	return SetSnapshot{
 		Feed:         s.Feed.Add(o.Feed),
-		Probe:        s.Probe.Add(o.Probe),
-		Build:        s.Build.Add(o.Build),
 		Completion:   s.Completion.Add(o.Completion),
 		Migrate:      s.Migrate.Add(o.Migrate),
 		WALAppend:    s.WALAppend.Add(o.WALAppend),

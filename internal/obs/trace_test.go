@@ -137,20 +137,7 @@ func TestSetSnapshotMerge(t *testing.T) {
 		t.Fatal("nil set not inert")
 	}
 	var nr *Recorder
-	if nr.SampleProbe() {
+	if nr.SampleEpisode() {
 		t.Fatal("nil recorder samples")
-	}
-}
-
-func TestSampleProbePeriod(t *testing.T) {
-	r := &Recorder{}
-	hits := 0
-	for i := 0; i < sampleEvery*10; i++ {
-		if r.SampleProbe() {
-			hits++
-		}
-	}
-	if hits != 10 {
-		t.Fatalf("hits = %d, want 10", hits)
 	}
 }

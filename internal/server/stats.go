@@ -169,8 +169,6 @@ var metricTable = []metric{
 	{family: "jisc_admission_conns_rejected_total", kind: counter, server: true, help: "dials refused at the connection cap", get: func(v *view) uint64 { return v.conns.ConnRejected }},
 	{key: "draining", family: "jisc_draining", kind: gauge, server: true, help: "1 while a graceful drain is in progress", get: func(v *view) uint64 { return v.draining }, field: func(s *Stats) *uint64 { return &s.Draining }},
 	{family: "jisc_feed_latency_seconds", kind: histogram, per: 1e9, help: "feed latency: one FeedBatch call in 4 timed, recorded as its mean per-tuple time", hist: func(v *view) obs.HistSnapshot { return v.o.Feed }},
-	{family: "jisc_probe_seconds", kind: histogram, per: 1e9, help: "per-operator probe time (one probe in 16 sampled)", hist: func(v *view) obs.HistSnapshot { return v.o.Probe }},
-	{family: "jisc_build_seconds", kind: histogram, per: 1e9, help: "per-operator build time (sampled with the probes)", hist: func(v *view) obs.HistSnapshot { return v.o.Build }},
 	{family: "jisc_completion_episode_seconds", kind: histogram, per: 1e9, help: "completion episode duration: the small pauses JISC trades the migration stall for", hist: func(v *view) obs.HistSnapshot { return v.o.Completion }},
 	{family: "jisc_migrate_seconds", kind: histogram, per: 1e9, help: "per-transition Migrate call duration", hist: func(v *view) obs.HistSnapshot { return v.o.Migrate }},
 	{family: "jisc_wal_append_seconds", kind: histogram, per: 1e9, help: "per-record WAL append duration", hist: func(v *view) obs.HistSnapshot { return v.o.WALAppend }},

@@ -145,7 +145,6 @@ const goldenFamilies = `# TYPE jisc_admission_conns gauge
 # TYPE jisc_auto_rollbacks_total counter
 # TYPE jisc_batch_fill histogram
 # TYPE jisc_batch_flush_total counter
-# TYPE jisc_build_seconds histogram
 # TYPE jisc_checkpoint_failures_total counter
 # TYPE jisc_checkpoints_total counter
 # TYPE jisc_completed_entries_total counter
@@ -156,7 +155,6 @@ const goldenFamilies = `# TYPE jisc_admission_conns gauge
 # TYPE jisc_input_tuples_total counter
 # TYPE jisc_migrate_seconds histogram
 # TYPE jisc_output_tuples_total counter
-# TYPE jisc_probe_seconds histogram
 # TYPE jisc_queue_depth gauge
 # TYPE jisc_recovered_events_total counter
 # TYPE jisc_recovery_seconds gauge
